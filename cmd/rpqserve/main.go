@@ -43,8 +43,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	window := flag.Int64("window", 1000, "window size (time units)")
 	slide := flag.Int64("slide", 100, "window slide (time units)")
-	shards := flag.Int("shards", 0, "query shards (0 = sequential backend)")
-	depth := flag.Int("depth", 0, "pipeline depth of the sharded backend (0 = engine default)")
+	shards := flag.Int("shards", 0, "query shards (0 = evaluate inline on the ingest goroutine)")
+	depth := flag.Int("depth", 0, "pipeline depth (0 = default: 2 with -shards, else 1)")
 	persistDir := flag.String("persist", "", "persistence directory (empty = no durability)")
 	resume := flag.Bool("resume", false, "recover from an existing persistence directory")
 	ckEvery := flag.Int("checkpoint-every", 0, "automatic checkpoint every n batches (0 = manual only)")

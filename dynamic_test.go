@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -52,31 +51,17 @@ type dynGroup struct {
 	Invalidations []Match
 }
 
-// dynGroups canonicalizes: within one (tuple, query) group the
-// sequential backend's emission order is traversal-dependent (only the
-// sharded merge sorts it), so groups compare as sorted sets.
+// dynGroups maps the query pointers of a reply to registration indices;
+// order within a group is canonical in every configuration and is
+// compared as is.
 func dynGroups(brs []BatchResult, qidx map[*Query]int) []dynGroup {
-	canon := func(ms []Match) []Match {
-		out := append([]Match{}, ms...)
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.TS < b.TS
-		})
-		return out
-	}
 	out := []dynGroup{}
 	for _, br := range brs {
 		out = append(out, dynGroup{
 			Tuple:         br.Tuple,
 			Query:         qidx[br.Query],
-			Matches:       canon(br.Matches),
-			Invalidations: canon(br.Invalidations),
+			Matches:       append([]Match{}, br.Matches...),
+			Invalidations: append([]Match{}, br.Invalidations...),
 		})
 	}
 	return out
@@ -93,8 +78,8 @@ func dynFilter(groups []dynGroup, drop int) []dynGroup {
 }
 
 // dynEval builds an evaluator in dynamic (retain-all) mode for the
-// given backend configuration. shards == 0 selects the sequential
-// backend.
+// given configuration. shards == 0 leaves the default inline
+// evaluator.
 func dynEval(t *testing.T, queries []*Query, shards, depth int) *MultiEvaluator {
 	t.Helper()
 	m, err := NewMultiEvaluator(40, 10, queries...)
@@ -124,8 +109,9 @@ func dynEval(t *testing.T, queries []*Query, shards, depth int) *MultiEvaluator 
 // an oracle that ran the query from stream start — and nothing before
 // it. Then RemoveQuery must truncate the query's stream at the next
 // batch boundary without disturbing the other queries. Covered for the
-// sequential and sharded backends (shards 1/8 × pipeline depth 1/2) on
-// append-only and 15%-churn streams.
+// inline schedule (where the bootstrap runs in place) and the pipelined
+// one (background bootstrap plus catch-up; shards 1/2/8 × pipeline
+// depth 1/2) on append-only and 15%-churn streams.
 func TestAddQueryMatchesFromStartOracle(t *testing.T) {
 	static := func() []*Query {
 		return []*Query{MustCompile("(a/b)+"), MustCompile("a/b*")}
@@ -135,7 +121,8 @@ func TestAddQueryMatchesFromStartOracle(t *testing.T) {
 		name          string
 		shards, depth int
 	}{
-		{"sequential", 0, 0},
+		{"inline", 0, 0},
+		{"shards=2", 2, 0},
 		{"shards=1/depth=1", 1, 1},
 		{"shards=1/depth=2", 1, 2},
 		{"shards=8/depth=1", 8, 1},
@@ -270,14 +257,19 @@ func TestAddQueryGuards(t *testing.T) {
 // durability — AddQuery checkpoints synchronously, so a kill -9 after
 // any completed call recovers the full query set, the retained graph
 // and the per-label clocks, and the resumed run continues exactly like
-// an uninterrupted one.
+// an uninterrupted one — in the inline and in the pipelined schedule.
 func TestDynamicPersistRecover(t *testing.T) {
+	t.Run("inline", func(t *testing.T) { dynamicPersistRecover(t, 0, 0) })
+	t.Run("shards=4/depth=2", func(t *testing.T) { dynamicPersistRecover(t, 4, 2) })
+}
+
+func dynamicPersistRecover(t *testing.T, shards, depth int) {
 	batches := dynBatches(dynStream(23, 480, 0.15), 40)
 	regAt, killAt := len(batches)/4, len(batches)/2
 	const dynSrc = "c/(a|b)*"
 
 	build := func(dir string) *MultiEvaluator {
-		m := dynEval(t, []*Query{MustCompile("(a/b)+"), MustCompile("a/b*")}, 4, 2)
+		m := dynEval(t, []*Query{MustCompile("(a/b)+"), MustCompile("a/b*")}, shards, depth)
 		if dir != "" {
 			if err := m.WithPersistence(dir); err != nil {
 				t.Fatal(err)

@@ -21,10 +21,12 @@ func collectBatches(t *testing.T, m *MultiEvaluator, stream []Tuple, batch int) 
 	return out
 }
 
-// TestWithPipelineDepthAgrees: the pipelined sharded backend (depths 2
-// and 4) must produce the byte-identical IngestBatch result sequence
-// of the barriered depth-1 backend, at several shard counts, and both
-// must agree with the sequential backend's match multisets.
+// TestWithPipelineDepthAgrees: the pipelined coordinator (depths 2 and
+// 4) must produce the byte-identical IngestBatch result sequence of the
+// barriered depth-1 one, at several shard counts, and every run must
+// agree with the default inline evaluator's match multisets. (One shard
+// at depth 1 is itself the inline schedule, whose tie-group attribution
+// is tuple by tuple: it is held to the multisets only.)
 func TestWithPipelineDepthAgrees(t *testing.T) {
 	stream := shardStream(77, 800)
 
@@ -51,31 +53,30 @@ func TestWithPipelineDepthAgrees(t *testing.T) {
 			if got := m.PipelineDepth(); got != depth {
 				t.Fatalf("PipelineDepth = %d, want %d", got, depth)
 			}
+			inline := m.eng.Inline()
 			got := collectBatches(t, m, stream, 37)
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if depth == 1 {
-				base = got
-				// Cross-check the barriered run against the sequential
-				// multisets per query.
-				gotMulti := map[string]map[Match]int{}
-				for _, br := range got {
-					name := br.Query.String()
-					if gotMulti[name] == nil {
-						gotMulti[name] = map[Match]int{}
-					}
-					for _, match := range br.Matches {
-						gotMulti[name][match]++
-					}
+			gotMulti := map[string]map[Match]int{}
+			for _, br := range got {
+				name := br.Query.String()
+				if gotMulti[name] == nil {
+					gotMulti[name] = map[Match]int{}
 				}
-				if !reflect.DeepEqual(want, gotMulti) {
-					t.Fatalf("shards=%d: barriered backend diverges from sequential", shards)
+				for _, match := range br.Matches {
+					gotMulti[name][match]++
 				}
-				continue
 			}
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("shards=%d depth=%d: pipelined results diverge from barriered depth 1", shards, depth)
+			if !reflect.DeepEqual(want, gotMulti) {
+				t.Fatalf("shards=%d depth=%d: diverges from the inline evaluator", shards, depth)
+			}
+			switch {
+			case inline:
+			case base == nil:
+				base = got
+			case !reflect.DeepEqual(base, got):
+				t.Fatalf("shards=%d depth=%d: pipelined results diverge from the shallowest pipelined run", shards, depth)
 			}
 		}
 	}
@@ -131,8 +132,8 @@ func TestWithPipelineDepthValidation(t *testing.T) {
 	if err := m.WithPipelineDepth(0); err == nil {
 		t.Fatal("zero depth accepted")
 	}
-	if m.PipelineDepth() != 0 {
-		t.Fatalf("sequential backend reports depth %d, want 0", m.PipelineDepth())
+	if m.PipelineDepth() != 1 || !m.eng.Inline() {
+		t.Fatalf("default evaluator reports depth %d (inline=%v), want the inline depth 1", m.PipelineDepth(), m.eng.Inline())
 	}
 	if _, err := m.Ingest(Tuple{TS: 1, Src: "x", Dst: "y", Label: "a"}); err != nil {
 		t.Fatal(err)

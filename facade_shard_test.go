@@ -80,6 +80,26 @@ type facadeEntry struct {
 	M     Match
 }
 
+// lessEntry is the canonical order of facade entries.
+func lessEntry(a, b *facadeEntry) bool {
+	if a.TS != b.TS {
+		return a.TS < b.TS
+	}
+	if a.Query != b.Query {
+		return a.Query < b.Query
+	}
+	if a.Inval != b.Inval {
+		return !a.Inval
+	}
+	if a.M.From != b.M.From {
+		return a.M.From < b.M.From
+	}
+	if a.M.To != b.M.To {
+		return a.M.To < b.M.To
+	}
+	return a.M.TS < b.M.TS
+}
+
 // rawGroup is one BatchResult with the query pointer replaced by its
 // registration index and the tuple index made batch-global, so streams
 // from different evaluator instances compare with reflect.DeepEqual.
@@ -116,25 +136,7 @@ func collectCanon(t *testing.T, m *MultiEvaluator, qidx map[*Query]int, stream [
 			}
 		}
 	}
-	sort.Slice(canon, func(i, j int) bool {
-		a, b := &canon[i], &canon[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		if a.Inval != b.Inval {
-			return !a.Inval
-		}
-		if a.M.From != b.M.From {
-			return a.M.From < b.M.From
-		}
-		if a.M.To != b.M.To {
-			return a.M.To < b.M.To
-		}
-		return a.M.TS < b.M.TS
-	})
+	sort.Slice(canon, func(i, j int) bool { return lessEntry(&canon[i], &canon[j]) })
 	return canon, raw
 }
 
@@ -142,9 +144,10 @@ func collectCanon(t *testing.T, m *MultiEvaluator, qidx map[*Query]int, stream [
 // must not change the result stream of any registered query — on a
 // stream with explicit deletions the exact multiset of matches AND
 // invalidations (with timestamps, canonically ordered per timestamp
-// tie-group) must equal the sequential backend's, for shards 1/2/8 ×
-// pipeline depths 1/2/4; and the raw ordered batch results must be
-// byte-identical across all sharded configurations.
+// tie-group) must equal the default inline evaluator's, for shards
+// 1/2/8 × pipeline depths 1/2/4; and the raw ordered batch results must
+// be byte-identical across all pipelined configurations (one shard at
+// depth 1 is the inline schedule again).
 func TestMultiEvaluatorShardedAgrees(t *testing.T) {
 	stream := churnStream(31, 700, 0.15)
 	newEval := func() (*MultiEvaluator, map[*Query]int) {
@@ -160,7 +163,7 @@ func TestMultiEvaluatorShardedAgrees(t *testing.T) {
 		return m, qidx
 	}
 	seq, seqIdx := newEval()
-	want, _ := collectCanon(t, seq, seqIdx, stream, 50)
+	want, seqRaw := collectCanon(t, seq, seqIdx, stream, 50)
 	if len(want) == 0 {
 		t.Fatal("no results; test is vacuous")
 	}
@@ -188,23 +191,28 @@ func TestMultiEvaluatorShardedAgrees(t *testing.T) {
 			got, raw := collectCanon(t, m, qidx, stream, 50)
 			m.Close()
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("shards=%d depth=%d: result streams diverge from sequential (%d vs %d entries)",
+				t.Fatalf("shards=%d depth=%d: result streams diverge from the inline evaluator (%d vs %d entries)",
 					shards, depth, len(want), len(got))
 			}
-			if firstRaw == nil {
+			switch {
+			case m.eng.Inline():
+				if !reflect.DeepEqual(seqRaw, raw) {
+					t.Fatal("explicitly configured inline evaluator differs from the default one")
+				}
+			case firstRaw == nil:
 				firstRaw = raw
-			} else if !reflect.DeepEqual(firstRaw, raw) {
-				t.Fatalf("shards=%d depth=%d: raw ordered results differ from the shards=1 depth=1 run", shards, depth)
+			case !reflect.DeepEqual(firstRaw, raw):
+				t.Fatalf("shards=%d depth=%d: raw ordered results differ from the first pipelined run", shards, depth)
 			}
 		}
 	}
 }
 
 // TestMultiEvaluatorIngestBatch: the batch path must produce exactly
-// the per-tuple results of the single-tuple path, for both backends.
+// the per-tuple results of the single-tuple path, in both schedules.
 func TestMultiEvaluatorIngestBatch(t *testing.T) {
 	stream := shardStream(57, 400)
-	for _, shards := range []int{0, 4} { // 0 = sequential backend
+	for _, shards := range []int{0, 4} { // 0 = the default inline evaluator
 		ref, err := NewMultiEvaluator(30, 3, shardQueries()...)
 		if err != nil {
 			t.Fatal(err)
@@ -287,7 +295,7 @@ func TestMultiEvaluatorShardedDeterminism(t *testing.T) {
 
 // TestIngestBatchRejectedAtomically: an out-of-order batch — including
 // the very first batch, before any stream clock exists — must be
-// rejected before any tuple reaches the engine, for both backends.
+// rejected before any tuple reaches the engine, in both schedules.
 func TestIngestBatchRejectedAtomically(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		m, err := NewMultiEvaluator(10, 1, MustCompile("a"))
@@ -333,7 +341,7 @@ func TestWithShardsGuards(t *testing.T) {
 	if err := m.WithShards(2); err == nil {
 		t.Fatal("WithShards after first Ingest accepted")
 	}
-	m.Close() // no-op for the sequential backend
+	m.Close()
 
 	s, err := NewMultiEvaluator(10, 1, MustCompile("a"))
 	if err != nil {
@@ -347,7 +355,7 @@ func TestWithShardsGuards(t *testing.T) {
 	}
 	s.Ingest(Tuple{TS: 5, Src: "u", Dst: "v", Label: "a"})
 	if _, err := s.Ingest(Tuple{TS: 4, Src: "u", Dst: "v", Label: "a"}); err == nil {
-		t.Fatal("out-of-order accepted by sharded backend")
+		t.Fatal("out-of-order accepted by the pipelined coordinator")
 	}
 	if st := s.ShardStats(); len(st) != 2 {
 		t.Fatalf("ShardStats len = %d", len(st))

@@ -60,7 +60,7 @@ type Engine interface {
 }
 
 // MemberEngine is the contract between a multi-query coordinator
-// (core.Multi, or the sharded engine in internal/shard) and one member
+// (the engine in internal/shard, or the reference Multi) and one member
 // query's index maintenance. The coordinator owns the shared snapshot
 // graph and the window clock: it attaches its graph to every member,
 // applies each graph mutation exactly once, and then drives the

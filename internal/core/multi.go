@@ -9,37 +9,38 @@ import (
 	"streamrpq/internal/window"
 )
 
-// Multi evaluates several persistent RPQs over one streaming graph,
+// Multi is the reference multi-query coordinator: the smallest
+// tuple-at-a-time statement of what internal/shard's Engine computes.
+// It is not on any production path — the facade runs shard.Engine in
+// every configuration — and exists, like the batch oracle in batch.go,
+// to be compared against: the shard differentials use it as the
+// tuple-at-a-time oracle and the benchmark harness replays it as the
+// core layer. It therefore has a static query set only (no dynamic
+// registration, no removal, no snapshot/restore, sharing always on).
+//
+// It evaluates several persistent RPQs over one streaming graph,
 // sharing the snapshot graph and the window machinery across queries —
 // the multi-query direction the paper lists as future work (§7).
 //
 // Sharing model: the window content G_{W,τ} is query-independent, so
-// it is stored once. Registered queries are *slots* (holding the
-// query's sink and registration index) that subscribe to *groups*:
-// queries whose bound automata are structurally identical — equal
+// it is stored once. Registered queries subscribe to *groups*: queries
+// whose bound automata are structurally identical — equal
 // Bound.Fingerprint, i.e. equal path language over the same label ids —
 // share ONE group, whose single Δ tree index is maintained once and
 // whose emissions fan out to every subscriber's sink in registration
 // order. Since the engine is deterministic, each subscriber observes
 // byte-for-byte the stream a private engine would have produced, while
 // the per-tuple work is proportional to the number of distinct automata,
-// not the number of queries. SetSharing(false) restores the one-group-
-// per-query layout.
+// not the number of queries.
 //
 // Per tuple, dispatch consults a RelevanceIndex: only groups with a
 // transition on the incoming label are touched, most selective first.
-//
-// The slot slice may contain nil tombstones: removal detaches a query
-// without renumbering the survivors, so registration order — which the
-// deterministic result merge depends on — stays stable for the
-// lifetime of the coordinator.
 type Multi struct {
 	g       *graph.Graph
 	win     *window.Manager
-	slots   []*multiSlot  // nil entries are removed queries
-	groups  []*multiGroup // live groups, creation order
+	sinks   []Sink        // per registered query, registration order
+	groups  []*multiGroup // creation order
 	rel     RelevanceIndex
-	sharing bool
 	now     int64
 	seen    int64
 	dropped int64
@@ -51,35 +52,18 @@ type Multi struct {
 	relevanceSkips int64
 
 	// retain-all mode: the graph stores every label, not just the union
-	// of the registered alphabets, so a query registered later can
-	// bootstrap its Δ index from the live window (AddDynamic). labelTS
-	// records, per label, the timestamp of the last graph mutation that
-	// carried it — exactly the stream clock a member registered from the
-	// start would hold, since members advance their clock on every
-	// routed (relevant) insert and successful delete.
-	retain  bool
-	labelTS []int64
-}
-
-// multiSlot is one registered query: its bound automaton, its private
-// result sink, and the engine options it was registered with. The
-// group pointer is the slot's current subscription.
-type multiSlot struct {
-	bound   *automaton.Bound
-	sink    Sink
-	scanAll bool
-	key     string // group key: Fingerprint + config marker
-	group   *multiGroup
+	// of the registered alphabets (what a coordinator with dynamic
+	// registration does, so a later query can bootstrap from the window).
+	retain bool
 }
 
 // multiGroup owns one shared Δ-index engine evaluated once per tuple
-// for all subscribed slots. subs holds subscriber slot indices in
-// ascending registration order (the fan-out order).
+// for all subscribed queries. subs holds subscriber registration
+// indices in ascending order (the fan-out order).
 type multiGroup struct {
-	eng   *RAPQ
-	bound *automaton.Bound
-	key   string
-	subs  []int
+	eng  *RAPQ
+	key  string // Bound.Fingerprint
+	subs []int
 }
 
 // groupSink fans one engine emission out to every subscriber's sink,
@@ -92,7 +76,7 @@ type groupSink struct {
 
 func (s *groupSink) OnMatch(mt Match) {
 	for _, i := range s.g.subs {
-		if sk := s.m.slots[i].sink; sk != nil {
+		if sk := s.m.sinks[i]; sk != nil {
 			sk.OnMatch(mt)
 		}
 	}
@@ -100,56 +84,25 @@ func (s *groupSink) OnMatch(mt Match) {
 
 func (s *groupSink) OnInvalidate(mt Match) {
 	for _, i := range s.g.subs {
-		if sk := s.m.slots[i].sink; sk != nil {
+		if sk := s.m.sinks[i]; sk != nil {
 			sk.OnInvalidate(mt)
 		}
 	}
 }
 
 // NewMulti creates a multi-query evaluator with the shared window
-// specification. Query sharing is on by default; see SetSharing.
+// specification.
 func NewMulti(spec window.Spec) (*Multi, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Multi{
-		g:       graph.New(),
-		win:     window.NewManager(spec),
-		sharing: true,
-	}, nil
+	return &Multi{g: graph.New(), win: window.NewManager(spec)}, nil
 }
-
-// SetSharing switches shared-group evaluation on or off. Must be called
-// before the first tuple and before RestoreState: already-registered
-// queries are regrouped with fresh engines (legal while all state is
-// empty), so engine pointers previously returned by Add are invalidated.
-func (m *Multi) SetSharing(on bool) error {
-	if m.seen > 0 {
-		return fmt.Errorf("core: SetSharing after processing started")
-	}
-	m.sharing = on
-	m.groups = nil
-	for i, sl := range m.slots {
-		if sl == nil {
-			continue
-		}
-		sl.group = nil
-		m.subscribe(sl, i)
-	}
-	m.rebuildRelevance()
-	return nil
-}
-
-// Sharing reports whether equivalent queries share one Δ-index group.
-func (m *Multi) Sharing() bool { return m.sharing }
 
 // SetRetainAll switches the shared graph to retain-all mode: every
 // tuple mutates the graph even when no registered query's alphabet
-// contains its label. This is the prerequisite for AddDynamic — a
-// query registered mid-stream replays the live window through its
-// fresh Δ index, which only works if the window was retained in full.
-// Must be set before the first tuple (the graph content must reflect
-// the mode from stream start).
+// contains its label. Must be set before the first tuple (the graph
+// content must reflect the mode from stream start).
 func (m *Multi) SetRetainAll(on bool) error {
 	if m.seen > 0 {
 		return fmt.Errorf("core: SetRetainAll after processing started")
@@ -158,115 +111,50 @@ func (m *Multi) SetRetainAll(on bool) error {
 	return nil
 }
 
-// RetainAll reports whether the shared graph stores every label.
-func (m *Multi) RetainAll() bool { return m.retain }
-
-// slotKey derives the group key from the bound automaton and the
-// engine configuration: only slots that would run byte-identical
-// engines may share a group.
-func slotKey(a *automaton.Bound, scanAll bool) string {
-	k := a.Fingerprint()
-	if scanAll {
-		k += "|scanall"
-	}
-	return k
-}
-
-// newSlot materializes the registration options into a slot.
-func (m *Multi) newSlot(a *automaton.Bound, opts ...Option) *multiSlot {
-	cfg := config{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &multiSlot{
-		bound:   a,
-		sink:    cfg.sink,
-		scanAll: cfg.scanAllTrees,
-		key:     slotKey(a, cfg.scanAllTrees),
-	}
-}
-
-// newGroup builds a fresh shared engine for the slot's automaton and
-// attaches it to the coordinator's graph.
-func (m *Multi) newGroup(sl *multiSlot) *multiGroup {
-	g := &multiGroup{bound: sl.bound, key: sl.key}
-	engOpts := []Option{WithSink(&groupSink{m: m, g: g})}
-	if sl.scanAll {
-		engOpts = append(engOpts, WithoutInvertedIndex())
-	}
-	g.eng = NewRAPQ(sl.bound, m.win.Spec(), engOpts...)
-	g.eng.AttachGraph(m.g)
-	return g
-}
-
-// subscribe attaches the slot (at registration index idx) to its group,
-// creating the group if none matches. Returns the group.
-func (m *Multi) subscribe(sl *multiSlot, idx int) *multiGroup {
-	var g *multiGroup
-	if m.sharing {
-		for _, cand := range m.groups {
-			if cand.key == sl.key {
-				g = cand
-				break
-			}
-		}
-	}
-	if g == nil {
-		g = m.newGroup(sl)
-		m.groups = append(m.groups, g)
-	}
-	g.subs = append(g.subs, idx)
-	sl.group = g
-	return g
-}
-
-// rebuildRelevance recomputes the per-label dispatch lists; called on
-// every membership change (between tuples).
-func (m *Multi) rebuildRelevance() {
-	bounds := make([]*automaton.Bound, len(m.groups))
-	tiebreak := make([]int, len(m.groups))
-	for i, g := range m.groups {
-		bounds[i] = g.bound
-		tiebreak[i] = g.subs[0]
-	}
-	m.rel = BuildRelevanceIndex(bounds, tiebreak)
-}
-
-// Add registers one query and returns its engine (for Stats probes).
-// With sharing on, an equivalent already-registered query yields the
-// same (shared) engine. All engines share the coordinator's snapshot
-// graph. Queries must be added before the first tuple is processed;
-// use AddDynamic to register mid-stream.
+// Add registers one query and returns its engine (for Stats probes);
+// an equivalent already-registered query yields the same (shared)
+// engine. All engines share the coordinator's snapshot graph. Queries must be added before the first tuple is processed. Of
+// the options only WithSink applies: it names the query's own sink.
 func (m *Multi) Add(a *automaton.Bound, opts ...Option) (*RAPQ, error) {
 	if m.seen > 0 {
-		return nil, fmt.Errorf("core: Multi.Add after processing started (use AddDynamic)")
+		return nil, fmt.Errorf("core: Multi.Add after processing started")
 	}
 	if err := m.checkLabelSpace(a); err != nil {
 		return nil, err
 	}
-	sl := m.newSlot(a, opts...)
-	m.slots = append(m.slots, sl)
-	g := m.subscribe(sl, len(m.slots)-1)
-	m.rebuildRelevance()
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	idx := len(m.sinks)
+	m.sinks = append(m.sinks, cfg.sink)
+	key := a.Fingerprint()
+	for _, g := range m.groups {
+		if g.key == key {
+			g.subs = append(g.subs, idx)
+			return g.eng, nil
+		}
+	}
+	g := &multiGroup{key: key, subs: []int{idx}}
+	g.eng = NewRAPQ(a, m.win.Spec(), WithSink(&groupSink{m: m, g: g}))
+	g.eng.AttachGraph(m.g)
+	m.groups = append(m.groups, g)
+	bounds := make([]*automaton.Bound, len(m.groups))
+	tiebreak := make([]int, len(m.groups))
+	for i, g := range m.groups {
+		bounds[i] = g.eng.a
+		tiebreak[i] = g.subs[0]
+	}
+	m.rel = BuildRelevanceIndex(bounds, tiebreak)
 	return g.eng, nil
 }
 
 // checkLabelSpace enforces the dense-label-space discipline: the shared
 // graph stores ids from one dictionary and each member indexes its
-// transition tables by them. With a static query set every member is
-// bound against the identical space; with dynamic registration the
-// space grows monotonically (later members see a larger dictionary),
-// and traversals of older members bounds-check labels beyond their
-// binding (see the ΣQ guards in rapq.go / parallel.go).
+// transition tables by them, so every member of a static query set is
+// bound against the identical space.
 func (m *Multi) checkLabelSpace(a *automaton.Bound) error {
 	for _, g := range m.groups {
-		if m.retain {
-			if len(a.ByLabel) < g.eng.LabelSpace() {
-				return fmt.Errorf("core: label space shrank: %d vs existing %d labels (bind new queries against the full dictionary)",
-					len(a.ByLabel), g.eng.LabelSpace())
-			}
-			continue
-		}
 		if len(a.ByLabel) != g.eng.LabelSpace() {
 			return fmt.Errorf("core: label space mismatch: %d vs %d labels",
 				len(a.ByLabel), g.eng.LabelSpace())
@@ -275,144 +163,11 @@ func (m *Multi) checkLabelSpace(a *automaton.Bound) error {
 	return nil
 }
 
-// AddDynamic registers a query mid-stream. The coordinator must be in
-// retain-all mode. If sharing is on and an equivalent group already
-// exists, the query simply subscribes to its fan-out: the shared engine
-// was registered from stream start, so its future emissions are exactly
-// the suffix a from-start engine would emit — no bootstrap needed.
-// Otherwise the new group's Δ index is bootstrapped by replaying the
-// live window content (in canonical (TS, Src, Dst, Label) order);
-// matches emitted during the replay — the window's current live result
-// set — are suppressed, because they correspond to results a from-start
-// engine emitted before this point, not to new stream tuples. From the
-// next tuple on, the subscriber receives exactly what a from-start
-// engine emits over the same suffix.
-func (m *Multi) AddDynamic(a *automaton.Bound, opts ...Option) (*RAPQ, error) {
-	if !m.retain {
-		return nil, fmt.Errorf("core: AddDynamic requires retain-all mode (SetRetainAll before the first tuple)")
-	}
-	if err := m.checkLabelSpace(a); err != nil {
-		return nil, err
-	}
-	sl := m.newSlot(a, opts...)
-	if m.sharing {
-		for _, g := range m.groups {
-			if g.key == sl.key {
-				m.slots = append(m.slots, sl)
-				g.subs = append(g.subs, len(m.slots)-1)
-				sl.group = g
-				m.rebuildRelevance()
-				return g.eng, nil
-			}
-		}
-	}
-	g := m.newGroup(sl)
-	real := g.eng.sink
-	g.eng.sink = discardSink{}
-	g.eng.BootstrapFromGraph(m.g, m.g.Epoch())
-	g.eng.sink = real
-	// Align the engine's stream clock with the one a from-start engine
-	// would hold: the last timestamp that touched a relevant label (the
-	// window may have dropped the carrying edge; the clock survives).
-	for l, ts := range m.labelTS {
-		if a.Relevant(l) {
-			g.eng.AlignClock(ts)
-		}
-	}
-	m.slots = append(m.slots, sl)
-	g.subs = append(g.subs, len(m.slots)-1)
-	sl.group = g
-	m.groups = append(m.groups, g)
-	m.rebuildRelevance()
-	return g.eng, nil
-}
-
-// RemoveIndex detaches the query at registration index i. Its slot
-// becomes a nil tombstone so surviving queries keep their registration
-// index; its group shrinks by one subscriber and is dropped when the
-// last subscriber leaves (splitting a shared group back apart happens
-// naturally: the remaining subscribers keep the group). Returns false
-// if i is out of range or already removed.
-func (m *Multi) RemoveIndex(i int) bool {
-	if i < 0 || i >= len(m.slots) || m.slots[i] == nil {
-		return false
-	}
-	sl := m.slots[i]
-	m.slots[i] = nil
-	g := sl.group
-	for j, s := range g.subs {
-		if s == i {
-			g.subs = append(g.subs[:j], g.subs[j+1:]...)
-			break
-		}
-	}
-	if len(g.subs) == 0 {
-		for j, cand := range m.groups {
-			if cand == g {
-				m.groups = append(m.groups[:j], m.groups[j+1:]...)
-				break
-			}
-		}
-	}
-	m.rebuildRelevance()
-	return true
-}
-
-// Remove detaches a member registered with Add or AddDynamic, by its
-// engine. With sharing on, several slots may share one engine; the
-// lowest-indexed live subscriber is removed (use RemoveIndex to pick a
-// specific one). Returns false if the engine is not a (live) member.
-func (m *Multi) Remove(target *RAPQ) bool {
-	if target == nil {
-		return false
-	}
-	for i, sl := range m.slots {
-		if sl != nil && sl.group.eng == target {
-			return m.RemoveIndex(i)
-		}
-	}
-	return false
-}
-
-// EngineAt returns the engine evaluating the query registered at slot
-// i (shared by every query in its group when sharing is on), or nil if
-// i is out of range or the slot was removed.
-func (m *Multi) EngineAt(i int) *RAPQ {
-	if i < 0 || i >= len(m.slots) || m.slots[i] == nil {
-		return nil
-	}
-	return m.slots[i].group.eng
-}
-
-// Len returns the number of live (non-removed) queries.
-func (m *Multi) Len() int {
-	n := 0
-	for _, sl := range m.slots {
-		if sl != nil {
-			n++
-		}
-	}
-	return n
-}
+// Len returns the number of registered queries.
+func (m *Multi) Len() int { return len(m.sinks) }
 
 // Graph exposes the shared snapshot graph.
 func (m *Multi) Graph() *graph.Graph { return m.g }
-
-// noteLabel records the stream clock per label in retain-all mode; see
-// the labelTS field. Called for exactly the tuples that mutated the
-// graph, which are exactly the tuples a relevant member's engine clock
-// advances on.
-func (m *Multi) noteLabel(t stream.Tuple) {
-	if !m.retain || t.Label < 0 {
-		return
-	}
-	for int(t.Label) >= len(m.labelTS) {
-		m.labelTS = append(m.labelTS, 0)
-	}
-	if t.TS > m.labelTS[t.Label] {
-		m.labelTS[t.Label] = t.TS
-	}
-}
 
 // Process routes one tuple to every group whose alphabet contains its
 // label, most selective first (the groups are independent — they share
@@ -437,30 +192,25 @@ func (m *Multi) Process(t stream.Tuple) {
 			return
 		}
 	}
-	if t.Op == stream.Delete {
+	del := t.Op == stream.Delete
+	if del {
 		if !m.g.Delete(t.Key()) {
 			return
 		}
-		m.noteLabel(t)
-		if len(order) == 0 {
-			return
-		}
-		m.dispatches += int64(len(order))
-		m.relevanceSkips += int64(len(m.groups) - len(order))
-		for _, gi := range order {
-			m.groups[gi].eng.ApplyDelete(t)
-		}
-		return
+	} else {
+		m.g.Insert(t.Src, t.Dst, t.Label, t.TS)
 	}
-	m.g.Insert(t.Src, t.Dst, t.Label, t.TS)
-	m.noteLabel(t)
 	if len(order) == 0 {
 		return
 	}
 	m.dispatches += int64(len(order))
 	m.relevanceSkips += int64(len(m.groups) - len(order))
 	for _, gi := range order {
-		m.groups[gi].eng.ApplyInsert(t)
+		if del {
+			m.groups[gi].eng.ApplyDelete(t)
+		} else {
+			m.groups[gi].eng.ApplyInsert(t)
+		}
 	}
 }
 

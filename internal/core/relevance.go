@@ -20,7 +20,6 @@ import (
 // between tuples/batches.
 type RelevanceIndex struct {
 	byLabel [][]int32 // label id -> group positions, selectivity-ordered
-	total   int       // number of groups indexed
 }
 
 // BuildRelevanceIndex builds the index over the groups' bound automata.
@@ -56,7 +55,7 @@ func BuildRelevanceIndex(bounds []*automaton.Bound, tiebreak []int) RelevanceInd
 			}
 		}
 	}
-	return RelevanceIndex{byLabel: byLabel, total: len(bounds)}
+	return RelevanceIndex{byLabel: byLabel}
 }
 
 // Groups returns the positions of the groups that can step on the
@@ -68,6 +67,3 @@ func (ri *RelevanceIndex) Groups(label int) []int32 {
 	}
 	return ri.byLabel[label]
 }
-
-// Len returns the number of groups the index covers.
-func (ri *RelevanceIndex) Len() int { return ri.total }

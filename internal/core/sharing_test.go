@@ -60,45 +60,6 @@ func TestMultiSharedGroupEquivalentPatterns(t *testing.T) {
 	}
 }
 
-// TestMultiSharingByteIdentical: the full per-member emission logs of a
-// sharing coordinator must equal those of an all-private one, element
-// for element — sharing may only change the work, never a byte of the
-// result streams.
-func TestMultiSharingByteIdentical(t *testing.T) {
-	labels := []string{"a", "b", "c"}
-	exprs := []string{"(a/b)+", "a/(b|c)", "(a/b)|(a/c)", "(a/b)+", "c*"}
-	run := func(sharing bool) []*CollectorSink {
-		m, err := NewMulti(window.Spec{Size: 40, Slide: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetSharing(sharing); err != nil {
-			t.Fatal(err)
-		}
-		sinks := make([]*CollectorSink, len(exprs))
-		for i, expr := range exprs {
-			sinks[i] = NewCollector()
-			if _, err := m.Add(bind(t, expr, labels...), WithSink(sinks[i])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(909))
-		for _, tu := range randomTuples(rng, 800, 10, 3, 2, 0.2) {
-			m.Process(tu)
-		}
-		return sinks
-	}
-	shared, private := run(true), run(false)
-	for i := range exprs {
-		if !reflect.DeepEqual(shared[i].Matched, private[i].Matched) {
-			t.Fatalf("query %d (%q): match streams diverge", i, exprs[i])
-		}
-		if !reflect.DeepEqual(shared[i].Retract, private[i].Retract) {
-			t.Fatalf("query %d (%q): invalidation streams diverge", i, exprs[i])
-		}
-	}
-}
-
 // TestMultiDispatchCounters: the relevance filter's bookkeeping must
 // add up — every processed relevant tuple is either dispatched to a
 // group or skipped for it, and tuples relevant to nobody are dropped.
@@ -125,43 +86,5 @@ func TestMultiDispatchCounters(t *testing.T) {
 	}
 	if st.TuplesDropped != 1 {
 		t.Fatalf("dropped = %d", st.TuplesDropped)
-	}
-}
-
-// TestMultiSharingSplitRejoin: removing one subscriber of a shared
-// group must keep the group alive for the rest; removing the last one
-// must drop it.
-func TestMultiSharingSplitRejoin(t *testing.T) {
-	m, _ := NewMulti(window.Spec{Size: 20, Slide: 2})
-	labels := []string{"a", "b"}
-	s0, s1 := NewCollector(), NewCollector()
-	if _, err := m.Add(bind(t, "(a/b)+", labels...), WithSink(s0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Add(bind(t, "(a/b)+", labels...), WithSink(s1)); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Groups != 1 || st.SharedGroups != 1 {
-		t.Fatalf("groups = %d/%d", st.Groups, st.SharedGroups)
-	}
-	if !m.RemoveIndex(0) {
-		t.Fatal("RemoveIndex(0) failed")
-	}
-	if st := m.Stats(); st.Groups != 1 || st.SharedGroups != 0 {
-		t.Fatalf("after split: groups = %d/%d", st.Groups, st.SharedGroups)
-	}
-	m.Process(stream.Tuple{TS: 1, Src: 1, Dst: 2, Label: 0})
-	m.Process(stream.Tuple{TS: 1, Src: 2, Dst: 3, Label: 1})
-	if len(s0.Matched) != 0 {
-		t.Fatal("removed subscriber still receives results")
-	}
-	if len(s1.Matched) != 1 {
-		t.Fatalf("surviving subscriber got %d matches, want 1", len(s1.Matched))
-	}
-	if !m.RemoveIndex(1) {
-		t.Fatal("RemoveIndex(1) failed")
-	}
-	if st := m.Stats(); st.Groups != 0 {
-		t.Fatalf("after last removal: groups = %d", st.Groups)
 	}
 }

@@ -395,8 +395,8 @@ func (e *RSPQ) RestoreState(st *RSPQState) error {
 	return nil
 }
 
-// MultiState is the checkpointable state of a multi-query coordinator
-// (core.Multi or shard.Engine): the shared snapshot graph, the shared
+// MultiState is the checkpointable state of the multi-query coordinator
+// (shard.Engine): the shared snapshot graph, the shared
 // window clock, and each Δ-index group's state. With query sharing,
 // Members holds one state per *group* (ordered by each group's lowest
 // live subscriber index) and MemberGroup records, for each live query
@@ -463,37 +463,6 @@ func RestoreEdges(g *graph.Graph, edges []graph.Edge) error {
 	return nil
 }
 
-// SnapshotState captures the coordinator's shared state and every
-// group's Δ index, plus the live-query → group mapping.
-func (m *Multi) SnapshotState() *MultiState {
-	st := &MultiState{
-		Now:            m.now,
-		Seen:           m.seen,
-		Dropped:        m.dropped,
-		Win:            m.win.State(),
-		Edges:          SnapshotEdges(m.g),
-		Retain:         m.retain,
-		LabelTS:        append([]int64(nil), m.labelTS...),
-		Dispatches:     m.dispatches,
-		RelevanceSkips: m.relevanceSkips,
-	}
-	// Groups ordered by lowest subscriber index: a canonical order that
-	// restore can reproduce without knowing group creation history.
-	ordered := append([]*multiGroup(nil), m.groups...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].subs[0] < ordered[j].subs[0] })
-	rank := make(map[*multiGroup]int, len(ordered))
-	for gi, g := range ordered {
-		rank[g] = gi
-		st.Members = append(st.Members, g.eng.SnapshotState())
-	}
-	for _, sl := range m.slots {
-		if sl != nil {
-			st.MemberGroup = append(st.MemberGroup, rank[sl.group])
-		}
-	}
-	return st
-}
-
 // PlanGroupPartition resolves a snapshot's query→group mapping into
 // slot partitions, one per restored group, each paired with its engine
 // state. liveIdx lists the coordinator's live registration indices in
@@ -554,76 +523,4 @@ func PlanGroupPartition(st *MultiState, liveIdx []int, key func(int) string, sha
 		}
 	}
 	return parts, st.Members, nil
-}
-
-// widestSlot returns the partition slot bound against the largest label
-// space; a group rebuilt from it steps identically for every member
-// (equal fingerprints guarantee the extra labels carry no transitions).
-func widestSlot(slots []*multiSlot, part []int) *multiSlot {
-	best := slots[part[0]]
-	for _, idx := range part[1:] {
-		if len(slots[idx].bound.ByLabel) > len(best.bound.ByLabel) {
-			best = slots[idx]
-		}
-	}
-	return best
-}
-
-// RestoreState rebuilds the coordinator from a snapshot. All queries
-// must already be registered (same number, same order as at snapshot
-// time) and no tuple processed yet. The snapshot's query→group mapping
-// is authoritative: groups formed at registration are re-partitioned to
-// match it, so a v4 snapshot restores its exact sharing layout and a v3
-// snapshot restores private groups (re-deduplicated when sharing is on
-// and the states are identical).
-func (m *Multi) RestoreState(st *MultiState) error {
-	if m.seen != 0 {
-		return fmt.Errorf("core: Multi.RestoreState after processing started")
-	}
-	var liveIdx []int
-	for i, sl := range m.slots {
-		if sl != nil {
-			liveIdx = append(liveIdx, i)
-		}
-	}
-	parts, states, err := PlanGroupPartition(st, liveIdx, func(i int) string { return m.slots[i].key }, m.sharing)
-	if err != nil {
-		return err
-	}
-	if err := RestoreEdges(m.g, st.Edges); err != nil {
-		return err
-	}
-	m.now = st.Now
-	m.seen = st.Seen
-	m.dropped = st.Dropped
-	m.win.SetState(st.Win)
-	m.retain = st.Retain
-	m.labelTS = append([]int64(nil), st.LabelTS...)
-	m.dispatches = st.Dispatches
-	m.relevanceSkips = st.RelevanceSkips
-	// Reuse registration-formed groups whose subscriber sets already
-	// match a snapshot partition (the common path — engine pointers held
-	// by callers stay valid); re-form the rest.
-	existing := make(map[string]*multiGroup, len(m.groups))
-	for _, g := range m.groups {
-		existing[fmt.Sprint(g.subs)] = g
-	}
-	groups := make([]*multiGroup, len(parts))
-	for gi, part := range parts {
-		g, ok := existing[fmt.Sprint(part)]
-		if !ok {
-			g = m.newGroup(widestSlot(m.slots, part))
-			g.subs = append([]int(nil), part...)
-			for _, idx := range part {
-				m.slots[idx].group = g
-			}
-		}
-		if err := g.eng.RestoreState(states[gi]); err != nil {
-			return fmt.Errorf("core: restore group %d: %w", gi, err)
-		}
-		groups[gi] = g
-	}
-	m.groups = groups
-	m.rebuildRelevance()
-	return nil
 }

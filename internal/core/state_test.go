@@ -214,58 +214,3 @@ func TestRSPQSnapshotRoundTripExact(t *testing.T) {
 		t.Fatal("snapshot → restore → snapshot is not a fixpoint")
 	}
 }
-
-// TestMultiSnapshotRestore: the multi-query coordinator round-trips
-// through MultiState, including the shared graph and each member's
-// index, and the restored coordinator produces the identical result
-// suffix.
-func TestMultiSnapshotRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	spec := window.Spec{Size: 20, Slide: 2}
-	exprs := []string{"a/b*", "(a|b)+", "b/a"}
-
-	build := func(sinks []*CollectorSink) *Multi {
-		m, err := NewMulti(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, expr := range exprs {
-			if _, err := m.Add(bind(t, expr, "a", "b"), WithSink(sinks[i])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m
-	}
-
-	tuples := randomTuples(rng, 200, 9, 2, 2, 0)
-	cut := len(tuples) * 2 / 3
-
-	refSinks := []*CollectorSink{NewCollector(), NewCollector(), NewCollector()}
-	ref := build(refSinks)
-	for _, tu := range tuples[:cut] {
-		ref.Process(tu)
-	}
-	marks := make([]int, len(refSinks))
-	for i, s := range refSinks {
-		marks[i] = len(s.Matched)
-	}
-
-	snap := ref.SnapshotState()
-
-	gotSinks := []*CollectorSink{NewCollector(), NewCollector(), NewCollector()}
-	restored := build(gotSinks)
-	if err := restored.RestoreState(snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, tu := range tuples[cut:] {
-		ref.Process(tu)
-		restored.Process(tu)
-	}
-	for i := range refSinks {
-		want := refSinks[i].Matched[marks[i]:]
-		if !reflect.DeepEqual(norm(want), norm(gotSinks[i].Matched)) {
-			t.Fatalf("member %d: restored suffix diverged:\nwant %v\ngot  %v",
-				i, want, gotSinks[i].Matched)
-		}
-	}
-}

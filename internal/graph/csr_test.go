@@ -9,25 +9,27 @@ import (
 	"streamrpq/internal/stream"
 )
 
-// collectOut drains the callback traversal into a sorted slice.
-func collectOut(g *Graph, e Epoch, v stream.VertexID) []HalfEdge {
-	var out []HalfEdge
-	g.OutAt(e, v, func(dst stream.VertexID, l stream.LabelID, ts int64) bool {
-		out = append(out, HalfEdge{V: dst, L: l, TS: ts})
-		return true
-	})
-	sortHalf(out)
-	return out
-}
-
-func collectIn(g *Graph, e Epoch, v stream.VertexID) []HalfEdge {
-	var out []HalfEdge
-	g.InAt(e, v, func(src stream.VertexID, l stream.LabelID, ts int64) bool {
-		out = append(out, HalfEdge{V: src, L: l, TS: ts})
-		return true
-	})
-	sortHalf(out)
-	return out
+// lookupSide builds one vertex side at epoch e from point lookups
+// (TSAt) over every key the history ever touched — the path that shares
+// no code with the slab walk of AppendOutAt/AppendInAt — sorted.
+func lookupSide(g *Graph, e Epoch, v stream.VertexID, keys []stream.EdgeKey, out bool) []HalfEdge {
+	var side []HalfEdge
+	seen := map[stream.EdgeKey]bool{}
+	for _, k := range keys {
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		end, other := k.Dst, k.Src
+		if out {
+			end, other = k.Src, k.Dst
+		}
+		if ts, ok := g.TSAt(e, k); ok && end == v {
+			side = append(side, HalfEdge{V: other, L: k.Label, TS: ts})
+		}
+	}
+	sortHalf(side)
+	return side
 }
 
 func sortHalf(hs []HalfEdge) {
@@ -54,10 +56,10 @@ func equalHalf(a, b []HalfEdge) bool {
 	return true
 }
 
-// TestAppendMatchesCallback: the buffer traversal is the callback
-// traversal, under a random mutation history with leased epochs, on
-// every vertex and every still-leased epoch.
-func TestAppendMatchesCallback(t *testing.T) {
+// TestAppendMatchesPointLookups: the buffer traversal agrees with point
+// lookups, under a random mutation history with leased epochs, on every
+// vertex and every still-leased epoch.
+func TestAppendMatchesPointLookups(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := New()
 	type lease struct{ e Epoch }
@@ -90,14 +92,14 @@ func TestAppendMatchesCallback(t *testing.T) {
 			buf = g.AppendOutAt(e, v, buf[:0])
 			got := append([]HalfEdge(nil), buf...)
 			sortHalf(got)
-			if want := collectOut(g, e, v); !equalHalf(got, want) {
-				t.Fatalf("epoch %d vertex %d: AppendOutAt %v != OutAt %v", e, v, got, want)
+			if want := lookupSide(g, e, v, keys, true); !equalHalf(got, want) {
+				t.Fatalf("epoch %d vertex %d: AppendOutAt %v != TSAt lookups %v", e, v, got, want)
 			}
 			buf = g.AppendInAt(e, v, buf[:0])
 			got = append([]HalfEdge(nil), buf...)
 			sortHalf(got)
-			if want := collectIn(g, e, v); !equalHalf(got, want) {
-				t.Fatalf("epoch %d vertex %d: AppendInAt %v != InAt %v", e, v, got, want)
+			if want := lookupSide(g, e, v, keys, false); !equalHalf(got, want) {
+				t.Fatalf("epoch %d vertex %d: AppendInAt %v != TSAt lookups %v", e, v, got, want)
 			}
 		}
 	}

@@ -10,14 +10,13 @@ import (
 	"streamrpq/internal/stream"
 )
 
-// collectAt gathers the edge set visible at epoch e via OutAt.
+// collectAt gathers the edge set visible at epoch e via AppendOutAt.
 func collectAt(g *Graph, e Epoch, vertices int) map[Edge]struct{} {
 	out := map[Edge]struct{}{}
 	for v := 0; v < vertices; v++ {
-		g.OutAt(e, stream.VertexID(v), func(dst stream.VertexID, l stream.LabelID, ts int64) bool {
-			out[Edge{Src: stream.VertexID(v), Dst: dst, Label: l, TS: ts}] = struct{}{}
-			return true
-		})
+		for _, he := range g.AppendOutAt(e, stream.VertexID(v), nil) {
+			out[Edge{Src: stream.VertexID(v), Dst: he.V, Label: he.L, TS: he.TS}] = struct{}{}
+		}
 	}
 	return out
 }
@@ -57,13 +56,9 @@ func TestEpochVisibility(t *testing.T) {
 	}
 
 	// In-traversal agrees with Out-traversal at both epochs.
-	var in0 []Edge
-	g.InAt(e0, 3, func(src stream.VertexID, l stream.LabelID, ts int64) bool {
-		in0 = append(in0, Edge{Src: src, Dst: 3, Label: l, TS: ts})
-		return true
-	})
-	if len(in0) != 1 || in0[0].Src != 2 || in0[0].TS != 12 {
-		t.Fatalf("InAt(e0, 3) = %v", in0)
+	in0 := g.AppendInAt(e0, 3, nil)
+	if len(in0) != 1 || in0[0].V != 2 || in0[0].TS != 12 {
+		t.Fatalf("AppendInAt(e0, 3) = %v", in0)
 	}
 
 	g.ReleaseEpoch(e0)

@@ -18,15 +18,15 @@
 // version carries a validity interval [added, removed) in epochs; the
 // single writer advances the epoch with AdvanceEpoch before each group
 // of mutations, and readers observe exactly the versions valid at the
-// epoch they were handed (OutAt/InAt/TSAt/...). Readers register the
-// epoch they traverse with AcquireEpoch/ReleaseEpoch; versions no
-// reader can see anymore are compacted away by an amortized-O(1)
-// garbage collector, so a graph whose readers have all retired is
-// byte-identical in content to a never-versioned graph fed the same
-// stream. The zero-value discipline — never advancing the epoch and
-// never acquiring readers — degenerates to an unversioned graph: every
-// superseded version is overwritten in place, exactly the pre-epoch
-// behaviour and cost.
+// epoch they were handed (AppendOutAt/AppendInAt/TSAt/...). Readers
+// register the epoch they traverse with AcquireEpoch/ReleaseEpoch;
+// versions no reader can see anymore are compacted away by an
+// amortized-O(1) garbage collector, so a graph whose readers have all
+// retired is byte-identical in content to a never-versioned graph fed
+// the same stream. The zero-value discipline — never advancing the
+// epoch and never acquiring readers — degenerates to an unversioned
+// graph: every superseded version is overwritten in place, exactly the
+// pre-epoch behaviour and cost.
 //
 // # Memory layout
 //
@@ -51,14 +51,13 @@
 // the writer. The top-level slab table is published via an atomic
 // pointer and grown copy-on-write; slabs never move once allocated.
 //
-// Traversal callbacks (Out/OutAt/In/InAt/Edges/EdgesAt) receive a
-// private copy of the visible half-edges: the copy is taken under the
-// vertex's stripe read lock and the callback runs after it is
-// released, so callbacks may freely re-enter graph read methods — even
-// for the same stripe, even with concurrent writer goroutines. Hot
-// paths should prefer AppendOutAt/AppendInAt, which copy into a
-// caller-owned buffer instead of a per-call temporary and are
-// allocation-free once the buffer has grown.
+// Traversal is buffer-based: AppendOutAt/AppendInAt copy the visible
+// half-edges of one vertex side into a caller-owned buffer under the
+// vertex's stripe read lock and return with no lock held, so the
+// caller may freely re-enter graph read methods while consuming it —
+// even for the same stripe, even with concurrent writer goroutines —
+// and the walk is allocation-free once the buffer has grown. The
+// whole-graph callbacks (Edges/EdgesAt) are built on the same copy.
 package graph
 
 import (
@@ -477,19 +476,6 @@ func (g *Graph) Has(key stream.EdgeKey) bool {
 	return ok
 }
 
-// iterSide copies one vertex side's visible half-edges under the
-// stripe read lock, then invokes f per entry with no lock held —
-// callbacks may re-enter graph read methods freely.
-func (g *Graph) iterSide(out bool, e Epoch, v stream.VertexID, f func(v stream.VertexID, l stream.LabelID, ts int64) bool) {
-	var stack [64]HalfEdge
-	buf := g.appendSide(out, e, v, stack[:0])
-	for i := range buf {
-		if !f(buf[i].V, buf[i].L, buf[i].TS) {
-			return
-		}
-	}
-}
-
 // appendSide copies one vertex side's visible half-edges into buf
 // under the stripe read lock and returns the extended buffer.
 func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, buf []HalfEdge) []HalfEdge {
@@ -515,29 +501,6 @@ func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, buf []HalfEdge)
 	}
 	st.RUnlock()
 	return buf
-}
-
-// Out calls f for every out-edge of src live at the current epoch.
-// Returning false stops the iteration early. f runs on a private copy
-// with no graph lock held and may re-enter graph read methods.
-func (g *Graph) Out(src stream.VertexID, f func(dst stream.VertexID, label stream.LabelID, ts int64) bool) {
-	g.iterSide(true, g.Epoch(), src, f)
-}
-
-// OutAt calls f for every out-edge of src visible at epoch e.
-func (g *Graph) OutAt(e Epoch, src stream.VertexID, f func(dst stream.VertexID, label stream.LabelID, ts int64) bool) {
-	g.iterSide(true, e, src, f)
-}
-
-// In calls f for every in-edge of dst live at the current epoch.
-// Returning false stops the iteration early.
-func (g *Graph) In(dst stream.VertexID, f func(src stream.VertexID, label stream.LabelID, ts int64) bool) {
-	g.iterSide(false, g.Epoch(), dst, f)
-}
-
-// InAt calls f for every in-edge of dst visible at epoch e.
-func (g *Graph) InAt(e Epoch, dst stream.VertexID, f func(src stream.VertexID, label stream.LabelID, ts int64) bool) {
-	g.iterSide(false, e, dst, f)
 }
 
 // AppendOutAt appends every out-edge of src visible at epoch e to buf

@@ -65,33 +65,25 @@ func TestOutInIteration(t *testing.T) {
 	g.Insert(1, 3, 1, 11)
 	g.Insert(4, 1, 0, 12)
 
-	var outs, ins int
-	g.Out(1, func(dst stream.VertexID, l stream.LabelID, ts int64) bool {
-		outs++
-		if dst != 2 && dst != 3 {
-			t.Errorf("unexpected out edge to %d", dst)
+	outs := g.AppendOutAt(g.Epoch(), 1, nil)
+	for _, he := range outs {
+		if he.V != 2 && he.V != 3 {
+			t.Errorf("unexpected out edge to %d", he.V)
 		}
-		return true
-	})
-	g.In(1, func(src stream.VertexID, l stream.LabelID, ts int64) bool {
-		ins++
-		if src != 4 {
-			t.Errorf("unexpected in edge from %d", src)
+	}
+	ins := g.AppendInAt(g.Epoch(), 1, nil)
+	for _, he := range ins {
+		if he.V != 4 {
+			t.Errorf("unexpected in edge from %d", he.V)
 		}
-		return true
-	})
-	if outs != 2 || ins != 1 {
-		t.Fatalf("outs=%d ins=%d, want 2,1", outs, ins)
+	}
+	if len(outs) != 2 || len(ins) != 1 {
+		t.Fatalf("outs=%d ins=%d, want 2,1", len(outs), len(ins))
 	}
 
-	// Early stop.
-	count := 0
-	g.Out(1, func(stream.VertexID, stream.LabelID, int64) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("early stop visited %d edges, want 1", count)
+	// The caller's buffer is extended, not replaced.
+	if both := g.AppendInAt(g.Epoch(), 1, outs); len(both) != 3 || both[0] != outs[0] {
+		t.Fatalf("appending to a non-empty buffer = %v", both)
 	}
 }
 

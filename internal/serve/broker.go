@@ -151,7 +151,7 @@ type IngestReply struct {
 
 // Ingest applies one batch and publishes its records. The error is the
 // evaluator's verbatim (out-of-order input, durability failure, or a
-// poisoned sharded backend), or ErrShutdown while draining.
+// poisoned coordinator), or ErrShutdown while draining.
 func (b *Broker) Ingest(tuples []streamrpq.Tuple) (IngestReply, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

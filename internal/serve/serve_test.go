@@ -171,15 +171,15 @@ func lineToken(t testing.TB, line string) string {
 // TestSubscribeReattachByteIdentical: a subscriber that detaches at
 // random kill points and reattaches with ?from=<last token> must read
 // the byte-identical stream of an uninterrupted subscriber — matches
-// and invalidations, across the sequential and sharded backends on
+// and invalidations, across the inline and pipelined schedules on
 // append-only and churn streams.
 func TestSubscribeReattachByteIdentical(t *testing.T) {
 	configs := []struct {
 		name          string
 		shards, depth int
 	}{
-		{"sequential", 0, 0},
-		{"shards=1/depth=1", 1, 1},
+		{"inline", 0, 0},
+		{"shards=1/depth=2", 1, 2},
 		{"shards=8/depth=2", 8, 2},
 	}
 	for _, churn := range []bool{false, true} {

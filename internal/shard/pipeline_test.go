@@ -32,7 +32,7 @@ func hazardTuples(rng *rand.Rand, n int) []stream.Tuple {
 }
 
 // runPipeline drives one engine configuration over the stream and
-// returns the full merged result sequence.
+// returns the full merged result sequence (stream-global tuple indices).
 func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream.Tuple, shards, depth, batch int) []Result {
 	t.Helper()
 	s, err := New(spec, WithShards(shards), WithPipelineDepth(depth))
@@ -45,14 +45,7 @@ func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream
 			t.Fatal(err)
 		}
 	}
-	var all []Result
-	for _, b := range batches(tuples, batch) {
-		rs, err := s.ProcessBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, rs...)
-	}
+	all := runGlobal(t, s, tuples, batch)
 	// The engine must quiesce at batch boundaries: every reader epoch
 	// released and every superseded version compacted, or checkpoints
 	// (and memory) would accumulate pipeline residue.
@@ -70,8 +63,11 @@ func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream
 // re-insertion): for shards 1/2/8 the merged result stream at pipeline
 // depths 2 and 4 must be byte-identical to depth 1 (the barriered
 // engine) — and across shard counts too, since member emissions are a
-// pure function of the stream prefix. The depth-1 stream is further
-// cross-checked against the sequential core.Multi oracle per query.
+// pure function of the stream prefix. One shard at depth 1 is the
+// inline schedule, which attributes matches inside a timestamp
+// tie-group tuple by tuple: it must agree in the timestamp-keyed form.
+// The baseline is further cross-checked against the sequential
+// core.Multi oracle per query.
 func TestPipelinedByteIdenticalAcrossDepths(t *testing.T) {
 	exprs := []string{"(a/b)+", "a/b*", "(a|b)+", "a*"}
 	spec := window.Spec{Size: 20, Slide: 4}
@@ -81,19 +77,22 @@ func TestPipelinedByteIdenticalAcrossDepths(t *testing.T) {
 	// sub-batches are cut, and batch boundaries force cuts — so byte
 	// identity is asserted per batch size, across every shard count and
 	// pipeline depth.
-	var ref []Result // shards=1 depth=1 at the first batch size, for the oracle check
+	var ref []Result // the first batch size's baseline, for the oracle check
 	for _, batch := range []int{17, 64} {
-		var base []Result // depth-1 barriered baseline for this batch size
+		// The depth-1 barriered run at two shards is the baseline.
+		base := runPipeline(t, spec, exprs, tuples, 2, 1, batch)
+		if len(base) == 0 {
+			t.Fatal("no results produced; test is vacuous")
+		}
+		if ref == nil {
+			ref = base
+		}
 		for _, shards := range []int{1, 2, 8} {
 			for _, depth := range []int{1, 2, 4} {
 				got := runPipeline(t, spec, exprs, tuples, shards, depth, batch)
-				if base == nil {
-					base = got
-					if len(base) == 0 {
-						t.Fatal("no results produced; test is vacuous")
-					}
-					if ref == nil {
-						ref = base
+				if shards == 1 && depth == 1 {
+					if !reflect.DeepEqual(byTimestamp(tuples, base), byTimestamp(tuples, got)) {
+						t.Fatalf("batch=%d: inline stream diverged from barriered baseline beyond tie-group attribution", batch)
 					}
 					continue
 				}
@@ -255,7 +254,7 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 // deletions, re-insertions) through the deeply pipelined engine, the
 // serialized graph state — core.SnapshotEdges, exactly what
 // SnapshotState records on disk — must be byte-identical to that of
-// the never-versioned graph of the sequential core.Multi coordinator
+// the never-versioned graph of the reference core.Multi coordinator
 // fed the same stream, and the versioned graph must hold zero dead
 // versions once the last reader epoch has retired.
 func TestEpochGCFoldsToUnversionedGraph(t *testing.T) {
@@ -317,12 +316,18 @@ func (f *faultyMember) ApplyInsert(t stream.Tuple) {
 	f.RAPQ.ApplyInsert(t)
 }
 
-// TestStickyWorkerError: a panic in a member engine on a shard
-// goroutine must not crash the process or wedge the pipeline; it
-// surfaces as the sticky engine error from ProcessBatch, poisons
-// subsequent calls, and is reported again by Close and Err.
+// TestStickyWorkerError: a panic in a member engine — on a shard
+// goroutine or inline on the caller — must not crash the process or
+// wedge the pipeline; it surfaces as the sticky engine error from
+// ProcessBatch, poisons subsequent calls, and is reported again by
+// Close and Err.
 func TestStickyWorkerError(t *testing.T) {
-	s, err := New(window.Spec{Size: 20, Slide: 2}, WithShards(2), WithPipelineDepth(2))
+	t.Run("pipelined", func(t *testing.T) { stickyWorkerError(t, WithShards(2), WithPipelineDepth(2)) })
+	t.Run("inline", func(t *testing.T) { stickyWorkerError(t, inlineOpts...) })
+}
+
+func stickyWorkerError(t *testing.T, opts ...Option) {
+	s, err := New(window.Spec{Size: 20, Slide: 2}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +340,7 @@ func TestStickyWorkerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	mb := s.newMember(fa, nil, fa.Fingerprint())
-	w := s.workers[mb.index%len(s.workers)]
-	inner := core.NewRAPQ(fa, s.spec, core.WithSink(captureSink{w}))
-	s.admit(w, &faultyMember{RAPQ: inner, failAt: 30}, mb)
+	s.activate(s.newGroup(&faultyMember{RAPQ: core.NewRAPQ(fa, s.spec), failAt: 30}, mb))
 
 	tuples := hazardTuples(rand.New(rand.NewSource(3)), 400)
 	var firstErr error

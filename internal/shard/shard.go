@@ -1,14 +1,26 @@
-// Package shard implements a sharded concurrent multi-query RPQ
-// engine: the multi-query sharing of core.Multi (the paper's §7
-// future-work direction) scaled across cores.
+// Package shard implements the multi-query RPQ coordinator (the
+// paper's §7 future-work direction): registration, shared Δ-index
+// groups, relevance dispatch, dynamic membership, retain-all mode and
+// snapshot/restore exist once, here, behind two schedules.
 //
-// Registered queries are partitioned round-robin over N worker
-// shards. Each shard owns the Δ spanning-tree indexes of its queries
-// and runs on its own goroutine behind a bounded job channel, so a
-// slow shard exerts backpressure on the coordinator instead of
-// queueing unboundedly. The window content G_{W,τ} is query
-// independent, so the snapshot graph and the window clock are owned by
-// the coordinator; every shard updates its own indexes concurrently.
+// The window content G_{W,τ} is query independent, so the snapshot
+// graph and the window clock are owned by the coordinator; registered
+// queries are partitioned round-robin over N worker shards, each
+// owning the Δ spanning-tree indexes of its queries.
+//
+// # Two schedules
+//
+// The configuration selects how a batch is run, not what it computes.
+// With one shard, pipeline depth 1 and one writer the engine is
+// inline: ProcessBatch runs on the caller's goroutine, tuple at a
+// time — graph apply, expiry at slide boundaries, then the relevant
+// groups — with no worker goroutine, no channel and no plan overlay,
+// and never advances the graph epoch (the unversioned fast path of
+// internal/graph). Every other configuration is pipelined: each shard
+// runs on its own goroutine behind a bounded job channel, so a slow
+// shard exerts backpressure on the coordinator instead of queueing
+// unboundedly, and the sections below describe how batches are cut and
+// overlapped.
 //
 // # Batching and sub-batch hazards
 //
@@ -65,37 +77,41 @@
 // applies inline and reproduces the single-writer engine byte for
 // byte.
 //
-// Under this discipline the sharded engine produces, per query, the
-// result stream of the sequential core.Multi coordinator, at any
-// pipeline depth — on arbitrary update streams, explicit deletions
-// included. The member engines emit on liveness transitions backed by
-// support counting (a match exactly when a (root, v) pair gains its
-// first in-window final-state witness, an invalidation exactly when a
-// deletion removes the last one), so the full result stream —
-// invalidations and their multiplicities included — is a pure function
-// of the input stream, independent of incidental spanning-tree shape
-// (the paper's Algorithm Delete cuts along tree edges, but which
-// witnesses a cut removes can no longer change what is reported). Two
-// runs over the same stream therefore yield byte-identical merged
-// result sequences; only the attribution of a match to a tuple inside
-// one timestamp tie-group can differ from the tuple-at-a-time
-// sequential engine (the sub-batch's same-timestamp edges are already
-// visible), and even that attribution is deterministic across sharded
-// runs and configurations. Merged results are returned in a canonical
-// order (tuple index, query registration index, matches before
-// invalidations, then (From, To, TS)).
+// Under this discipline the pipelined schedule produces, per query, the
+// result stream of the inline schedule (and of the tuple-at-a-time
+// reference coordinator core.Multi), at any pipeline depth — on
+// arbitrary update streams, explicit deletions included. The member
+// engines emit on liveness transitions backed by support counting (a
+// match exactly when a (root, v) pair gains its first in-window
+// final-state witness, an invalidation exactly when a deletion removes
+// the last one), so the full result stream — invalidations and their
+// multiplicities included — is a pure function of the input stream,
+// independent of incidental spanning-tree shape (the paper's Algorithm
+// Delete cuts along tree edges, but which witnesses a cut removes can
+// no longer change what is reported). Two runs over the same stream
+// therefore yield byte-identical merged result sequences; only the
+// attribution of a match to a tuple inside one timestamp tie-group can
+// differ between the pipelined schedule and the tuple-at-a-time inline
+// one (the sub-batch's same-timestamp edges are already visible), and
+// even that attribution is deterministic across pipelined runs and
+// configurations. Both schedules return results in one canonical order
+// (tuple index, query registration index, matches before invalidations,
+// then (From, To, TS)).
 //
 // # Errors
 //
-// The engine never panics mid-pipeline: a panic in a member engine on
-// a shard goroutine is recovered into a sticky error that poisons the
-// engine — the current ProcessBatch (and every later one) fails with
-// it, and Close reports it again. Process, whose core.Engine signature
-// has no error, records failures in the same sticky error (see Err).
+// The engine never panics mid-batch: a panic in a member engine, on a
+// shard goroutine or inline, is recovered into a sticky error that
+// poisons the engine — the current ProcessBatch (and every later one)
+// fails with it, and Close reports it again. Process, whose core.Engine
+// signature has no error, records failures in the same sticky error
+// (see Err).
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -128,7 +144,8 @@ type config struct {
 type Option func(*config)
 
 // WithShards sets the number of worker shards queries are partitioned
-// over (default 1; n <= 0 is an error).
+// over (default 1; n <= 0 is an error). One shard at pipeline depth 1
+// with one writer is the inline schedule (see the package comment).
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithWriters sets the number of writer goroutines building each
@@ -169,16 +186,18 @@ func WithSharing(on bool) Option { return func(c *config) { c.sharing = on } }
 // intact. Batch boundaries always drain the pipeline.
 func WithPipelineDepth(n int) Option { return func(c *config) { c.depth = n } }
 
-// Engine is the sharded multi-query coordinator. It is driven by a
-// single goroutine (like every engine in this module): internal
-// concurrency is the engine's business, the API is not thread-safe.
-// Close releases the worker goroutines.
+// Engine is the multi-query coordinator. It is driven by a single
+// goroutine (like every engine in this module): internal concurrency is
+// the engine's business, the API is not thread-safe. Close releases the
+// worker goroutines of the pipelined schedule; the inline schedule
+// starts none.
 type Engine struct {
 	spec    window.Spec
 	g       *graph.Graph
-	app     *graph.Applier // plans + stripe-parallel-applies epoch mutations
+	app     *graph.Applier // plans + stripe-parallel-applies epoch mutations (pipelined)
 	win     *window.Manager
 	depth   int
+	inline  bool // one shard, depth 1, one writer: tuple at a time on the caller
 	workers []*worker
 	members []*member
 	groups  []*group // active Δ-index groups, creation order
@@ -201,7 +220,10 @@ type Engine struct {
 
 	// retain-all mode (see SetRetainAll): the graph stores every label
 	// so AddDynamic can bootstrap a new query from the live window.
-	// labelTS holds the per-label stream clocks (see core.Multi).
+	// labelTS records, per label, the timestamp of the last graph
+	// mutation that carried it — exactly the stream clock a member
+	// registered from the start would hold, since members advance their
+	// clock on every routed insert and successful delete.
 	retain  bool
 	labelTS []int64
 
@@ -216,8 +238,7 @@ type Engine struct {
 	wg       sync.WaitGroup
 	inflight []inflightSub // dispatched, uncollected sub-batches (≤ depth)
 	stepPool [][]step      // recycled step slices of collected sub-batches
-	tagged   []Result
-	results  []Result
+	results  []Result      // the batch's results; reused by the next batch
 }
 
 // pendingMember is a dynamically registered group between AddDynamic
@@ -267,6 +288,7 @@ type group struct {
 	key    string
 	subs   []int
 	w      *worker
+	out    []Result // the current tuple's emissions, before fan-out (see captureSink)
 }
 
 // step is one unit of work inside a sub-batch, shipped to every shard.
@@ -292,11 +314,13 @@ type reply struct {
 	err     error
 }
 
-// worker owns the groups of one shard and applies every sub-batch to
-// them on its own goroutine. rel is the shard's per-label dispatch
-// index over its own groups (positions into w.groups), rebuilt by the
-// coordinator on membership changes between batches; dispatches /
-// relevanceSkips count the (step, group) pairs it admitted and avoided.
+// worker owns the groups of one shard. Pipelined, it applies every
+// sub-batch to them on its own goroutine; the inline engine's single
+// worker has no goroutine and no channels — the coordinator drives its
+// groups directly. rel is the shard's per-label dispatch index over its
+// own groups (positions into w.groups), rebuilt by the coordinator on
+// membership changes between batches; dispatches / relevanceSkips count
+// the (step, group) pairs it admitted and avoided.
 type worker struct {
 	id     int
 	groups []*group
@@ -304,9 +328,16 @@ type worker struct {
 	in     chan job
 	out    chan reply
 
+	// bufs is the ring of capture buffers the pipelined worker cycles
+	// through, one per job: the coordinator has copied reply j-depth out
+	// before it sends job j, so depth buffers are never overwritten
+	// while being read. buf is the buffer emissions currently go to
+	// (inline: the engine's result buffer itself).
+	bufs           [][]Result
+	applied        int
 	buf            []Result
-	curTuple       int
-	curGroup       *group
+	emitted        []*group // groups holding emissions of the current tuple
+	fan            []fanOut // scratch of flush
 	dispatches     int64
 	relevanceSkips int64
 }
@@ -323,23 +354,56 @@ func (w *worker) rebuild() {
 	w.rel = core.BuildRelevanceIndex(bounds, tiebreak)
 }
 
-// captureSink collects a group engine's emissions into its worker's
-// buffer, tagged with the current tuple and fanned out to every
-// subscriber of the current group — one Result per subscribed query,
-// exactly what private engines would have appended. Buffer order within
-// a sub-batch is irrelevant: the merge sorts canonically.
-type captureSink struct{ w *worker }
+// captureSink collects a group engine's emissions for the tuple being
+// applied, once per emission; the worker's flush fans them out when the
+// tuple is done.
+type captureSink struct{ g *group }
 
-func (c captureSink) OnMatch(m core.Match) {
-	for _, q := range c.w.curGroup.subs {
-		c.w.buf = append(c.w.buf, Result{Tuple: c.w.curTuple, Query: q, Match: m})
+func (c captureSink) OnMatch(m core.Match) { c.emit(Result{Match: m}) }
+
+func (c captureSink) OnInvalidate(m core.Match) { c.emit(Result{Match: m, Invalidated: true}) }
+
+func (c captureSink) emit(r Result) {
+	if len(c.g.out) == 0 {
+		c.g.w.emitted = append(c.g.w.emitted, c.g)
 	}
+	c.g.out = append(c.g.out, r)
 }
 
-func (c captureSink) OnInvalidate(m core.Match) {
-	for _, q := range c.w.curGroup.subs {
-		c.w.buf = append(c.w.buf, Result{Tuple: c.w.curTuple, Query: q, Match: m, Invalidated: true})
+// fanOut is one (subscriber, group) delivery of the tuple being flushed.
+type fanOut struct {
+	query int
+	g     *group
+}
+
+// flush moves the emissions the groups collected for one tuple into the
+// worker's buffer in canonical order, fanned out to every subscriber —
+// one Result per subscribed query, exactly what private engines would
+// have appended. Each group's handful of emissions is sorted once,
+// whatever its subscriber count, and the subscribers are visited in
+// registration order, so the tuple's records need no sort of their own.
+func (w *worker) flush(tuple int) {
+	if len(w.emitted) == 0 {
+		return
 	}
+	w.fan = w.fan[:0]
+	for _, g := range w.emitted {
+		slices.SortFunc(g.out, compareResults)
+		for _, q := range g.subs {
+			w.fan = append(w.fan, fanOut{q, g})
+		}
+	}
+	slices.SortFunc(w.fan, func(a, b fanOut) int { return cmp.Compare(a.query, b.query) })
+	for _, f := range w.fan {
+		for _, r := range f.g.out {
+			r.Tuple, r.Query = tuple, f.query
+			w.buf = append(w.buf, r)
+		}
+	}
+	for _, g := range w.emitted {
+		g.out = g.out[:0]
+	}
+	w.emitted = w.emitted[:0]
 }
 
 // New creates a sharded engine with the shared window specification.
@@ -370,22 +434,28 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 		app:     graph.NewApplier(g, cfg.writers),
 		win:     window.NewManager(spec),
 		depth:   cfg.depth,
+		inline:  cfg.shards == 1 && cfg.depth == 1 && cfg.writers == 1,
 		workers: make([]*worker, cfg.shards),
 		sharing: cfg.sharing,
 	}
-	queue := max(cfg.queue, cfg.depth)
 	for i := range s.workers {
-		s.workers[i] = &worker{
-			id: i,
-			in: make(chan job, queue),
+		w := &worker{id: i}
+		if !s.inline {
+			w.in = make(chan job, max(cfg.queue, cfg.depth))
 			// Replies for every in-flight sub-batch must fit without
 			// blocking the shard, or a fast shard would stall behind the
 			// coordinator's lazy collection.
-			out: make(chan reply, cfg.depth),
+			w.out = make(chan reply, cfg.depth)
+			w.bufs = make([][]Result, cfg.depth)
 		}
+		s.workers[i] = w
 	}
 	return s, nil
 }
+
+// Inline reports whether the engine runs the inline schedule: batches
+// on the caller's goroutine, tuple at a time, no worker goroutines.
+func (s *Engine) Inline() bool { return s.inline }
 
 // NumShards returns the number of worker shards.
 func (s *Engine) NumShards() int { return len(s.workers) }
@@ -395,9 +465,6 @@ func (s *Engine) PipelineDepth() int { return s.depth }
 
 // NumWriters returns the configured epoch-construction writer count.
 func (s *Engine) NumWriters() int { return s.app.Writers() }
-
-// Sharing reports whether equivalent queries share one Δ-index group.
-func (s *Engine) Sharing() bool { return s.sharing }
 
 // Len returns the number of live (non-removed) queries.
 func (s *Engine) Len() int {
@@ -423,15 +490,12 @@ func (s *Engine) SetRetainAll(on bool) error {
 	return nil
 }
 
-// RetainAll reports whether the shared graph stores every label.
-func (s *Engine) RetainAll() bool { return s.retain }
-
 // Graph exposes the shared snapshot graph (read-only use).
 func (s *Engine) Graph() *graph.Graph { return s.g }
 
 // Err returns the sticky engine error, if any: the first internal
-// failure (e.g. a recovered member-engine panic on a shard goroutine)
-// that poisoned the engine. ProcessBatch and Close surface it too.
+// failure (e.g. a recovered member-engine panic) that poisoned the
+// engine. ProcessBatch and Close surface it too.
 func (s *Engine) Err() error { return s.err }
 
 // Add registers one RAPQ query and returns its engine (for Stats
@@ -447,9 +511,8 @@ func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 	if g := s.joinGroup(mb); g != nil {
 		return g.engine.(*core.RAPQ), nil
 	}
-	w := s.workers[mb.index%len(s.workers)]
-	e := core.NewRAPQ(a, s.spec, core.WithSink(captureSink{w}))
-	s.admit(w, e, mb)
+	e := core.NewRAPQ(a, s.spec)
+	s.activate(s.newGroup(e, mb))
 	return e, nil
 }
 
@@ -464,9 +527,8 @@ func (s *Engine) AddParallel(a *automaton.Bound, sink core.Sink, workers int) (*
 		return nil, err
 	}
 	mb := s.newMember(a, sink, fmt.Sprintf("#parallel%d", len(s.members)))
-	w := s.workers[mb.index%len(s.workers)]
-	e := core.NewParallelRAPQ(a, s.spec, workers, core.WithSink(captureSink{w}))
-	s.admit(w, e, mb)
+	e := core.NewParallelRAPQ(a, s.spec, workers)
+	s.activate(s.newGroup(e, mb))
 	return e, nil
 }
 
@@ -487,18 +549,28 @@ func (s *Engine) newMember(a *automaton.Bound, sink core.Sink, key string) *memb
 	return mb
 }
 
-// joinGroup subscribes the member to an existing active group with the
-// same key, if sharing is on. Returns nil when a new group is needed.
+// joinGroup subscribes the member to the group with its key, if sharing
+// is on: an active one, or one pending activation (both subscribers
+// then activate together at the next batch boundary, catch-up
+// included). Returns nil when a new group is needed.
 func (s *Engine) joinGroup(mb *member) *group {
 	if !s.sharing {
 		return nil
 	}
+	subscribe := func(g *group) *group {
+		g.subs = append(g.subs, mb.index)
+		mb.group = g
+		s.noteRelevant(mb.bound)
+		return g
+	}
+	for _, p := range s.pending {
+		if p.g.key == mb.key {
+			return subscribe(p.g)
+		}
+	}
 	for _, g := range s.groups {
 		if g.key == mb.key {
-			g.subs = append(g.subs, mb.index)
-			mb.group = g
-			s.noteRelevant(mb.bound)
-			return g
+			return subscribe(g)
 		}
 	}
 	return nil
@@ -530,15 +602,25 @@ func (s *Engine) checkLabelSpace(a *automaton.Bound) error {
 	return nil
 }
 
-// admit activates a new group for the member on worker w.
-func (s *Engine) admit(w *worker, e core.MemberEngine, mb *member) {
+// newGroup builds the member's own group around engine e, on the shard
+// its registration index selects. The union relevance table includes
+// the alphabet from here on, so every step the group needs is created.
+func (s *Engine) newGroup(e core.MemberEngine, mb *member) *group {
 	e.AttachGraph(s.g)
+	w := s.workers[mb.index%len(s.workers)]
 	g := &group{engine: e, bound: mb.bound, key: mb.key, subs: []int{mb.index}, w: w}
 	mb.group = g
-	s.groups = append(s.groups, g)
-	w.groups = append(w.groups, g)
-	w.rebuild()
 	s.noteRelevant(mb.bound)
+	return g
+}
+
+// activate attaches a group to its shard: from the next step on its
+// emissions are captured and it is dispatched to.
+func (s *Engine) activate(g *group) {
+	g.engine.SetSink(captureSink{g})
+	s.groups = append(s.groups, g)
+	g.w.groups = append(g.w.groups, g)
+	g.w.rebuild()
 }
 
 // noteRelevant folds one member's alphabet into the union relevance
@@ -561,15 +643,18 @@ func (s *Engine) noteRelevant(a *automaton.Bound) {
 // registered from stream start, so its future emissions are exactly
 // the suffix a from-start engine would emit; no bootstrap, no catch-up.
 // Otherwise the new group's Δ index is bootstrapped from the window
-// content at the current epoch on a background goroutine — ingest is
-// not paused — under a reader lease that keeps every later version
-// reconstructible. Activation is deterministic: at the end of the next
-// ProcessBatch (its sub-batches are captured and replayed to the group,
-// at their original epochs, after the bootstrap joins), so from its
-// registration batch onward the member emits exactly what a from-start
-// engine emits over the same suffix. Matches emitted during the
-// bootstrap replay itself — the window's current live result set — are
-// suppressed: a from-start engine emitted them before this point.
+// content at the current epoch. Pipelined, that runs on a background
+// goroutine — ingest is not paused — under a reader lease that keeps
+// every later version reconstructible, and activation is deterministic:
+// at the end of the next ProcessBatch (its sub-batches are captured and
+// replayed to the group, at their original epochs, after the bootstrap
+// joins). Inline, the caller's goroutine is the only writer, so the
+// bootstrap runs in place and the group is active on return. Either
+// way, from its registration batch onward the member emits exactly what
+// a from-start engine emits over the same suffix. Matches emitted
+// during the bootstrap replay itself — the window's current live result
+// set — are suppressed: a from-start engine emitted them before this
+// point.
 func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 	if s.closed {
 		return 0, fmt.Errorf("shard: AddDynamic on closed engine")
@@ -584,21 +669,11 @@ func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 		return 0, err
 	}
 	mb := s.newMember(a, sink, a.Fingerprint())
-	if g := mb.joinPending(s); g != nil {
-		return mb.index, nil
-	}
-	if g := s.joinGroup(mb); g != nil {
+	if s.joinGroup(mb) != nil {
 		return mb.index, nil
 	}
 	e := core.NewRAPQ(a, s.spec) // default discard sink while bootstrapping
-	e.AttachGraph(s.g)
-	w := s.workers[mb.index%len(s.workers)]
-	g := &group{engine: e, bound: a, key: mb.key, subs: []int{mb.index}, w: w}
-	mb.group = g
-	// The union relevance table includes the new alphabet immediately,
-	// so every step the member needs is created (and captured for its
-	// catch-up) from this point on.
-	s.noteRelevant(a)
+	g := s.newGroup(e, mb)
 	// The stream clock a from-start engine would hold now: the last
 	// timestamp that touched a relevant label, which may be newer than
 	// any surviving window edge (see labelTS).
@@ -609,38 +684,32 @@ func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 		}
 	}
 	ep := s.g.Epoch()
+	boot := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("shard: dynamic member %d bootstrap panic: %v", mb.index, r)
+			}
+		}()
+		e.BootstrapFromGraph(s.g, ep)
+		e.AlignClock(align)
+		return nil
+	}
+	if s.inline {
+		if s.err = boot(); s.err != nil {
+			s.members[mb.index] = nil // never activated
+			return 0, s.err
+		}
+		s.activate(g)
+		return mb.index, nil
+	}
 	s.g.AcquireEpoch(ep)
 	p := &pendingMember{g: g, epoch: ep, done: make(chan struct{})}
 	s.pending = append(s.pending, p)
 	go func() {
 		defer close(p.done)
-		defer func() {
-			if r := recover(); r != nil {
-				p.err = fmt.Errorf("shard: dynamic member %d bootstrap panic: %v", mb.index, r)
-			}
-		}()
-		e.BootstrapFromGraph(s.g, ep)
-		e.AlignClock(align)
+		p.err = boot()
 	}()
 	return mb.index, nil
-}
-
-// joinPending subscribes the member to a pending (not yet activated)
-// group with the same key, if sharing is on: both subscribers then
-// activate together at the next batch boundary, catch-up included.
-func (mb *member) joinPending(s *Engine) *group {
-	if !s.sharing {
-		return nil
-	}
-	for _, p := range s.pending {
-		if p.g.key == mb.key {
-			p.g.subs = append(p.g.subs, mb.index)
-			mb.group = p.g
-			s.noteRelevant(mb.bound)
-			return p.g
-		}
-	}
-	return nil
 }
 
 // RemoveDynamic detaches the query with the given registration index.
@@ -664,29 +733,13 @@ func (s *Engine) RemoveDynamic(index int) error {
 	// list while applying a job, and the next job send happens-after
 	// this mutation.
 	g := mb.group
-	for i, q := range g.subs {
-		if q == index {
-			g.subs = append(g.subs[:i], g.subs[i+1:]...)
-			break
-		}
+	g.subs = slices.DeleteFunc(g.subs, func(q int) bool { return q == index })
+	if len(g.subs) == 0 {
+		isG := func(c *group) bool { return c == g }
+		s.groups = slices.DeleteFunc(s.groups, isG)
+		g.w.groups = slices.DeleteFunc(g.w.groups, isG)
 	}
-	if len(g.subs) > 0 {
-		g.w.rebuild() // the dispatch tie-break (first subscriber) may change
-		return nil
-	}
-	for i, cand := range s.groups {
-		if cand == g {
-			s.groups = append(s.groups[:i], s.groups[i+1:]...)
-			break
-		}
-	}
-	for i, cand := range g.w.groups {
-		if cand == g {
-			g.w.groups = append(g.w.groups[:i], g.w.groups[i+1:]...)
-			break
-		}
-	}
-	g.w.rebuild()
+	g.w.rebuild() // the group list, or a dispatch tie-break (first subscriber), changed
 	return nil
 }
 
@@ -717,61 +770,42 @@ func (s *Engine) finishPending() {
 			}
 			continue
 		}
-		w := p.g.w
-		p.g.engine.SetSink(captureSink{w})
-		s.groups = append(s.groups, p.g)
-		w.groups = append(w.groups, p.g)
-		w.rebuild()
+		s.activate(p.g)
 	}
 	s.pending = s.pending[:0]
 	s.catch = s.catch[:0]
 }
 
 // catchUp replays the captured sub-batches through a freshly
-// bootstrapped group on the coordinator goroutine, tagging its
-// emissions (fanned out to every subscriber) for the current batch's
-// merge. The group reads the graph at each sub-batch's original epoch,
-// kept alive by the bootstrap lease, so it observes exactly the
+// bootstrapped group on the coordinator goroutine — its shard is
+// drained and idle — flushing its emissions into the current batch's
+// results. The group reads the graph at each sub-batch's original
+// epoch, kept alive by the bootstrap lease, so it observes exactly the
 // snapshots the live members did.
 func (s *Engine) catchUp(p *pendingMember) (err error) {
+	e, w := p.g.engine, p.g.w
+	e.SetSink(captureSink{p.g})
+	w.buf = s.results
 	defer func() {
+		s.results = w.buf
 		if r := recover(); r != nil {
 			err = fmt.Errorf("shard: dynamic member %d catch-up panic: %v", p.g.subs[0], r)
 		}
 	}()
-	cur := 0
-	e := p.g.engine
-	e.SetSink(core.FuncSink{
-		Match: func(m core.Match) {
-			for _, q := range p.g.subs {
-				s.tagged = append(s.tagged, Result{Tuple: cur, Query: q, Match: m})
-			}
-		},
-		Invalidate: func(m core.Match) {
-			for _, q := range p.g.subs {
-				s.tagged = append(s.tagged, Result{Tuple: cur, Query: q, Match: m, Invalidated: true})
-			}
-		},
-	})
 	for _, jb := range s.catch {
 		e.SetReadEpoch(jb.epoch)
 		for _, st := range jb.steps {
 			if st.expire {
-				cur = st.index
 				e.ApplyExpiry(st.deadline)
 			}
-			if st.skip {
-				continue
+			if !st.skip && e.RelevantLabel(st.tuple.Label) {
+				if st.del {
+					e.ApplyDelete(st.tuple)
+				} else {
+					e.ApplyInsert(st.tuple)
+				}
 			}
-			if !e.RelevantLabel(st.tuple.Label) {
-				continue
-			}
-			cur = st.index
-			if st.del {
-				e.ApplyDelete(st.tuple)
-			} else {
-				e.ApplyInsert(st.tuple)
-			}
+			w.flush(st.index)
 		}
 	}
 	return nil
@@ -781,12 +815,16 @@ func (s *Engine) relevantLabel(l stream.LabelID) bool {
 	return l >= 0 && int(l) < len(s.relevant) && s.relevant[l]
 }
 
-// start spawns the shard goroutines on first use.
+// start marks processing as begun and, pipelined, spawns the shard
+// goroutines on first use.
 func (s *Engine) start() {
 	if s.started {
 		return
 	}
 	s.started = true
+	if s.inline {
+		return
+	}
 	for _, w := range s.workers {
 		s.wg.Add(1)
 		go func(w *worker) {
@@ -813,7 +851,10 @@ func (w *worker) apply(jb job) (rep reply) {
 			rep = reply{err: fmt.Errorf("shard %d: member engine panic: %v", w.id, r)}
 		}
 	}()
-	w.buf = nil
+	slot := w.applied % len(w.bufs)
+	w.applied++
+	w.buf = w.bufs[slot][:0]
+	defer func() { w.bufs[slot] = w.buf }()
 	// Hand every group the epoch this sub-batch was cut against; the
 	// coordinator may already be mutating the graph at later epochs.
 	for _, g := range w.groups {
@@ -821,41 +862,40 @@ func (w *worker) apply(jb job) (rep reply) {
 	}
 	for _, st := range jb.steps {
 		if st.expire {
-			w.curTuple = st.index
 			for _, g := range w.groups {
-				w.curGroup = g
 				g.engine.ApplyExpiry(st.deadline)
 			}
 		}
-		if st.skip {
-			continue
+		if !st.skip {
+			w.dispatch(st.tuple, st.del)
 		}
-		w.curTuple = st.index
-		// Only the groups with a transition on this label, most selective
-		// first (the groups are independent — they share only the epoch-
-		// versioned snapshot graph — so order cannot change emissions).
-		order := w.rel.Groups(int(st.tuple.Label))
-		w.dispatches += int64(len(order))
-		w.relevanceSkips += int64(len(w.groups) - len(order))
-		for _, gi := range order {
-			g := w.groups[gi]
-			w.curGroup = g
-			if st.del {
-				g.engine.ApplyDelete(st.tuple)
-			} else {
-				g.engine.ApplyInsert(st.tuple)
-			}
-		}
+		w.flush(st.index)
 	}
 	return reply{results: w.buf}
+}
+
+// dispatch applies one graph mutation to the groups with a transition
+// on its label, most selective first (the groups are independent — they
+// share only the snapshot graph — so order cannot change emissions).
+func (w *worker) dispatch(t stream.Tuple, del bool) {
+	order := w.rel.Groups(int(t.Label))
+	w.dispatches += int64(len(order))
+	w.relevanceSkips += int64(len(w.groups) - len(order))
+	for _, gi := range order {
+		if g := w.groups[gi]; del {
+			g.engine.ApplyDelete(t)
+		} else {
+			g.engine.ApplyInsert(t)
+		}
+	}
 }
 
 // Process implements core.Engine for drop-in use in single-tuple
 // harnesses: a batch of one. Results flow to the member sinks. The
 // Engine interface has no error return, so conditions ProcessBatch
-// would report — an out-of-order tuple, a closed engine, a shard
+// would report — an out-of-order tuple, a closed engine, a member
 // fault — are recorded as the sticky engine error instead of
-// panicking mid-pipeline; check Err (or the error of a later
+// panicking mid-batch; check Err (or the error of a later
 // ProcessBatch/Close call).
 func (s *Engine) Process(t stream.Tuple) {
 	if _, err := s.ProcessBatch([]stream.Tuple{t}); err != nil && s.err == nil {
@@ -867,8 +907,8 @@ func (s *Engine) Process(t stream.Tuple) {
 // continuing from previous batches) and returns the merged results in
 // canonical order. The returned slice is reused by the next call.
 // Results are also delivered to the member sinks, in the same order.
-// The pipeline is fully drained before returning: batch boundaries are
-// the engine's globally consistent points.
+// The pipeline, if any, is fully drained before returning: batch
+// boundaries are the engine's globally consistent points.
 func (s *Engine) ProcessBatch(tuples []stream.Tuple) ([]Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("shard: ProcessBatch on closed engine")
@@ -884,17 +924,119 @@ func (s *Engine) ProcessBatch(tuples []stream.Tuple) ([]Result, error) {
 		last = t.TS
 	}
 	s.start()
-	s.tagged = s.tagged[:0]
-	for i := 0; i < len(tuples); {
-		i = s.subBatch(tuples, i)
+	s.results = s.results[:0]
+	if s.inline {
+		s.err = s.processInline(tuples)
+	} else {
+		for i := 0; i < len(tuples); {
+			i = s.subBatch(tuples, i)
+		}
+		s.drain()
+		s.finishPending() // activate queries registered before this batch
+		slices.SortFunc(s.results, compareResults)
 	}
-	s.drain()
-	s.finishPending() // activate queries registered before this batch
 	if s.err != nil {
 		return nil, s.err
 	}
-	s.merge()
+	for i := range s.results {
+		r := &s.results[i]
+		if sink := s.members[r.Query].sink; sink != nil {
+			if r.Invalidated {
+				sink.OnInvalidate(r.Match)
+			} else {
+				sink.OnMatch(r.Match)
+			}
+		}
+	}
 	return s.results, nil
+}
+
+// compareResults is the canonical result order: tuple index, query
+// registration index, matches before invalidations, then (From, To,
+// TS).
+func compareResults(a, b Result) int {
+	if c := cmp.Compare(a.Tuple, b.Tuple); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Query, b.Query); c != 0 {
+		return c
+	}
+	if a.Invalidated != b.Invalidated {
+		if b.Invalidated {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.Match.From, b.Match.From); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Match.To, b.Match.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Match.TS, b.Match.TS)
+}
+
+// processInline is the inline schedule: every tuple runs to completion
+// on the caller's goroutine — graph and window first, exactly once,
+// then the groups with a transition on its label, most selective first
+// — before the next one touches the graph, so the graph never runs
+// ahead of a member and needs no epochs. Each tuple's records are
+// flushed straight into the engine's result buffer, so tuple order is
+// free and the batch needs no merge. A member panic is recovered into
+// the returned (sticky) error.
+func (s *Engine) processInline(tuples []stream.Tuple) (err error) {
+	w := s.workers[0]
+	w.buf = s.results
+	defer func() {
+		s.results = w.buf
+		if r := recover(); r != nil {
+			err = fmt.Errorf("shard: member engine panic: %v", r)
+		}
+	}()
+	for i, t := range tuples {
+		s.stepInline(w, t)
+		w.flush(i)
+	}
+	return nil
+}
+
+// stepInline applies one tuple: expiry when it crosses a slide
+// boundary, the graph mutation, then the relevant groups.
+func (s *Engine) stepInline(w *worker, t stream.Tuple) {
+	s.observe(t)
+	if ex, due := s.win.ObserveAt(t.TS, uint64(s.g.Epoch())); due {
+		s.win.NoteRemoved(s.g.Expire(ex.Deadline, nil))
+		for _, g := range w.groups {
+			g.engine.ApplyExpiry(ex.Deadline)
+		}
+	}
+	relevant := len(w.rel.Groups(int(t.Label))) > 0
+	if !relevant {
+		s.dropped++
+		if !s.retain {
+			return
+		}
+	}
+	del := t.Op == stream.Delete
+	if del {
+		if !s.g.Delete(t.Key()) {
+			return // deleting an absent edge is a no-op
+		}
+	} else {
+		s.g.Insert(t.Src, t.Dst, t.Label, t.TS)
+	}
+	s.noteLabel(t)
+	if relevant { // else the graph is updated (retain-all) and no member has work
+		w.dispatch(t, del)
+	}
+}
+
+// observe counts one tuple and advances the stream clock.
+func (s *Engine) observe(t stream.Tuple) {
+	s.seen++
+	if t.TS > s.now {
+		s.now = t.TS
+	}
 }
 
 // noteLabel records the per-label stream clock in retain-all mode;
@@ -948,10 +1090,7 @@ func (s *Engine) subBatch(tuples []stream.Tuple, i int) int {
 				break // hazard: must start a fresh sub-batch
 			}
 		}
-		s.seen++
-		if t.TS > s.now {
-			s.now = t.TS
-		}
+		s.observe(t)
 		st := step{tuple: t, index: j}
 		if ex, due := s.win.ObserveAt(t.TS, uint64(epoch)); due {
 			// Expiry only ever fires at the first tuple (the Peek hazard
@@ -985,10 +1124,7 @@ func (s *Engine) subBatch(tuples []stream.Tuple, i int) int {
 // The expiry and the deletion are separate epochs, so in-flight
 // sub-batches observe neither.
 func (s *Engine) deleteStep(t stream.Tuple, index int) {
-	s.seen++
-	if t.TS > s.now {
-		s.now = t.TS
-	}
+	s.observe(t)
 	epoch := s.app.BeginEpoch()
 	if ex, due := s.win.ObserveAt(t.TS, uint64(epoch)); due {
 		s.win.NoteRemoved(s.app.PlanExpire(ex.Deadline))
@@ -1058,7 +1194,7 @@ func (s *Engine) collectOldest() {
 			}
 			continue
 		}
-		s.tagged = append(s.tagged, rep.results...)
+		s.results = append(s.results, rep.results...)
 	}
 	s.g.ReleaseEpoch(sub.epoch)
 	if sub.steps != nil {
@@ -1070,41 +1206,6 @@ func (s *Engine) collectOldest() {
 func (s *Engine) drain() {
 	for len(s.inflight) > 0 {
 		s.collectOldest()
-	}
-}
-
-// merge sorts the tagged results of a batch into the canonical order
-// and replays them to the member sinks.
-func (s *Engine) merge() {
-	sort.Slice(s.tagged, func(i, j int) bool {
-		a, b := &s.tagged[i], &s.tagged[j]
-		if a.Tuple != b.Tuple {
-			return a.Tuple < b.Tuple
-		}
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		if a.Invalidated != b.Invalidated {
-			return !a.Invalidated // matches before invalidations
-		}
-		if a.Match.From != b.Match.From {
-			return a.Match.From < b.Match.From
-		}
-		if a.Match.To != b.Match.To {
-			return a.Match.To < b.Match.To
-		}
-		return a.Match.TS < b.Match.TS
-	})
-	s.results = append(s.results[:0], s.tagged...)
-	for i := range s.results {
-		r := &s.results[i]
-		if sink := s.members[r.Query].sink; sink != nil {
-			if r.Invalidated {
-				sink.OnInvalidate(r.Match)
-			} else {
-				sink.OnMatch(r.Match)
-			}
-		}
 	}
 }
 
@@ -1136,17 +1237,23 @@ func (s *Engine) Stats() core.Stats {
 	for _, g := range s.groups {
 		addGroupStats(&st, g)
 	}
-	st.Dispatches = s.dispatchBase
-	st.RelevanceSkips = s.skipBase
-	for _, w := range s.workers {
-		st.Dispatches += w.dispatches
-		st.RelevanceSkips += w.relevanceSkips
-	}
+	st.Dispatches, st.RelevanceSkips = s.dispatchCounts()
 	st.TuplesSeen = s.seen
 	st.TuplesDropped = s.dropped
 	st.Edges = s.g.NumEdges()
 	st.Vertices = s.g.NumVertices()
 	return st
+}
+
+// dispatchCounts totals the relevance-filter counters: what a restored
+// snapshot carried plus what every worker has counted since.
+func (s *Engine) dispatchCounts() (dispatches, skips int64) {
+	dispatches, skips = s.dispatchBase, s.skipBase
+	for _, w := range s.workers {
+		dispatches += w.dispatches
+		skips += w.relevanceSkips
+	}
+	return dispatches, skips
 }
 
 // ShardStats returns, per shard, the aggregated statistics of the
@@ -1185,12 +1292,7 @@ func (s *Engine) SnapshotState() *core.MultiState {
 		Retain:  s.retain,
 		LabelTS: append([]int64(nil), s.labelTS...),
 	}
-	st.Dispatches = s.dispatchBase
-	st.RelevanceSkips = s.skipBase
-	for _, w := range s.workers {
-		st.Dispatches += w.dispatches
-		st.RelevanceSkips += w.relevanceSkips
-	}
+	st.Dispatches, st.RelevanceSkips = s.dispatchCounts()
 	// Groups ordered by lowest subscriber index: a canonical order that
 	// restore can reproduce without knowing group creation history.
 	ordered := append([]*group(nil), s.groups...)
@@ -1264,9 +1366,10 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 				}
 			}
 			w := s.workers[part[0]%len(s.workers)]
-			e := core.NewRAPQ(best.bound, s.spec, core.WithSink(captureSink{w}))
+			e := core.NewRAPQ(best.bound, s.spec)
 			e.AttachGraph(s.g)
 			g = &group{engine: e, bound: best.bound, key: best.key, subs: append([]int(nil), part...), w: w}
+			e.SetSink(captureSink{g})
 			for _, idx := range part {
 				s.members[idx].group = g
 			}
@@ -1289,9 +1392,9 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	return nil
 }
 
-// Close stops the shard goroutines and waits for them to drain, then
-// reports the sticky engine error, if any. The engine cannot be used
-// afterwards. Close is idempotent.
+// Close stops the shard goroutines, if any were started, and waits for
+// them to drain, then reports the sticky engine error, if any. The
+// engine cannot be used afterwards. Close is idempotent.
 func (s *Engine) Close() error {
 	if s.closed {
 		return s.err
@@ -1300,7 +1403,7 @@ func (s *Engine) Close() error {
 	s.finishPending() // join bootstrap goroutines, release their leases
 	s.closed = true
 	s.app.Close() // release the writer pool (idle once drained)
-	if s.started {
+	if s.started && !s.inline {
 		for _, w := range s.workers {
 			close(w.in)
 		}

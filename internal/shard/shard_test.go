@@ -177,7 +177,7 @@ func sameMatchMultiset(a, b []core.Match) bool {
 }
 
 // TestShardedMatchesMulti: several queries on a sharded engine must
-// reproduce the sequential core.Multi coordinator query by query.
+// reproduce the reference core.Multi coordinator query by query.
 func TestShardedMatchesMulti(t *testing.T) {
 	exprs := []string{"(a/b)+", "a/b*", "(a|b)+", "b/a", "a*"}
 	spec := window.Spec{Size: 30, Slide: 3}

@@ -11,8 +11,9 @@ import (
 )
 
 // runWriters drives one engine configuration over the stream and
-// returns the full merged result sequence, asserting the engine
-// quiesces (no reader epochs, no dead versions) at the end.
+// returns the full merged result sequence (stream-global tuple
+// indices), asserting the engine quiesces (no reader epochs, no dead
+// versions) at the end.
 func runWriters(t *testing.T, spec window.Spec, exprs []string, tuples []stream.Tuple, shards, depth, writers, batch int) []Result {
 	t.Helper()
 	s, err := New(spec, WithShards(shards), WithPipelineDepth(depth), WithWriters(writers))
@@ -29,12 +30,15 @@ func runWriters(t *testing.T, spec window.Spec, exprs []string, tuples []stream.
 		}
 	}
 	var all []Result
-	for _, b := range batches(tuples, batch) {
+	for bi, b := range batches(tuples, batch) {
 		rs, err := s.ProcessBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, rs...)
+		for _, r := range rs {
+			r.Tuple += bi * batch
+			all = append(all, r)
+		}
 		if n := s.Graph().DeadVersions(); n != 0 {
 			t.Fatalf("writers=%d shards=%d depth=%d: %d dead versions retained after a drained batch", writers, shards, depth, n)
 		}
@@ -51,7 +55,10 @@ func runWriters(t *testing.T, spec window.Spec, exprs []string, tuples []stream.
 // counts 2/4/8 must be byte-identical — results, order, timestamps,
 // invalidations — to the writers=1 engine at every shards × depth
 // configuration. Stripe-parallel epoch construction must be completely
-// invisible in the output.
+// invisible in the output. At one shard and depth 1 the writers=1
+// engine is the inline schedule, which agrees with the multi-writer
+// runs in the timestamp-keyed form (tie-group attribution is the one
+// thing tuple-at-a-time evaluation changes).
 func TestMultiWriterByteIdentical(t *testing.T) {
 	exprs := []string{"(a/b)+", "a/b*", "(a|b)+"}
 	spec := window.Spec{Size: 25, Slide: 5}
@@ -59,20 +66,24 @@ func TestMultiWriterByteIdentical(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 8} {
 		for _, depth := range []int{1, 2, 4} {
-			var base []Result
+			var base, inline []Result
 			for _, writers := range []int{1, 2, 4, 8} {
 				got := runWriters(t, spec, exprs, tuples, shards, depth, writers, 23)
-				if writers == 1 {
-					base = got
-					if len(base) == 0 {
-						t.Fatal("no results produced; test is vacuous")
-					}
-					continue
+				if len(got) == 0 {
+					t.Fatal("no results produced; test is vacuous")
 				}
-				if !reflect.DeepEqual(base, got) {
+				switch {
+				case shards == 1 && depth == 1 && writers == 1:
+					inline = got
+				case base == nil:
+					base = got
+				case !reflect.DeepEqual(base, got):
 					t.Fatalf("shards=%d depth=%d writers=%d: result stream diverged from single-writer engine (%d vs %d results)",
 						shards, depth, writers, len(got), len(base))
 				}
+			}
+			if inline != nil && !reflect.DeepEqual(byTimestamp(tuples, base), byTimestamp(tuples, inline)) {
+				t.Fatalf("shards=%d depth=%d: inline stream diverged from the multi-writer engines beyond tie-group attribution", shards, depth)
 			}
 		}
 	}

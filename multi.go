@@ -16,18 +16,22 @@ import (
 // sharing of the paper's future-work section).
 //
 // All queries share one window specification and one vertex/label
-// dictionary. Register queries with NewMultiEvaluator; optionally call
-// WithShards to partition them over concurrent worker shards, then
-// stream tuples through Ingest or IngestBatch. Call Close when done
-// (required to release worker goroutines once WithShards was used).
+// dictionary. Register queries with NewMultiEvaluator, then stream
+// tuples through Ingest or IngestBatch. One coordinator (internal/shard)
+// evaluates every configuration; by default it runs inline — on the
+// caller's goroutine, tuple at a time, starting no goroutine — and
+// WithShards, WithPipelineDepth and WithWriters select its pipelined
+// schedule, which partitions the queries over concurrent worker shards.
+// Call Close when done (it releases the worker goroutines of the
+// pipelined schedule and the persistence files).
 type MultiEvaluator struct {
 	vertices *stream.Dict
 	labels   *stream.Dict
 	spec     window.Spec
-	multi    *core.Multi   // sequential backend (default)
-	sharded  *shard.Engine // concurrent backend (after WithShards)
-	depth    int           // pipeline depth for the sharded backend (0 = engine default)
-	writers  int           // epoch-construction writers for the sharded backend (0 = engine default)
+	eng      *shard.Engine // the coordinator, rebuilt by every With* call
+	shards   int           // as configured by the With* calls; 0 = not called
+	depth    int
+	writers  int
 	queries  []*multiMember
 	persist  *persistState // nil unless WithPersistence/Recover was used
 	lastTS   int64
@@ -38,12 +42,9 @@ type MultiEvaluator struct {
 }
 
 type multiMember struct {
-	query    *Query
-	bound    *automaton.Bound
-	eng      *core.RAPQ // sequential backend engine (nil with a sharded backend)
-	removed  bool       // tombstone: RemoveQuery keeps indices stable
-	batch    []Match    // per-Ingest scratch of the sequential backend
-	invBatch []Match    // per-Ingest invalidation scratch
+	query   *Query
+	bound   *automaton.Bound
+	removed bool // tombstone: RemoveQuery keeps indices stable
 }
 
 // QueryResult couples one registered query with the matches the last
@@ -70,17 +71,14 @@ type BatchResult struct {
 // NewMultiEvaluator creates a shared evaluator. Register the queries,
 // then stream tuples through Ingest.
 func NewMultiEvaluator(size, slide int64, queries ...*Query) (*MultiEvaluator, error) {
-	spec := window.Spec{Size: size, Slide: slide}
-	multi, err := core.NewMulti(spec)
-	if err != nil {
-		return nil, err
-	}
 	m := &MultiEvaluator{
 		vertices: stream.NewDict(),
 		labels:   stream.NewDict(),
-		spec:     spec,
-		multi:    multi,
+		spec:     window.Spec{Size: size, Slide: slide},
 		sharing:  true,
+	}
+	if err := m.rebuild(); err != nil {
+		return nil, err
 	}
 	// The shared dense label space is the union of all query
 	// alphabets; it must be fixed before binding any member.
@@ -97,35 +95,24 @@ func NewMultiEvaluator(size, slide int64, queries ...*Query) (*MultiEvaluator, e
 	return m, nil
 }
 
-func (m *MultiEvaluator) addQuery(q *Query) error {
-	member := &multiMember{query: q}
-	member.bound = q.dfa.Bind(func(s string) int {
+// bind binds the query's automaton against the current label space.
+func (m *MultiEvaluator) bind(q *Query) *multiMember {
+	return &multiMember{query: q, bound: q.dfa.Bind(func(s string) int {
 		id, ok := m.labels.Lookup(s)
 		if !ok {
 			return -1
 		}
 		return id
-	}, m.labels.Len())
-	e, err := m.multi.Add(member.bound, core.WithSink(m.memberSink(member)))
-	if err != nil {
-		return err
-	}
-	member.eng = e
-	m.queries = append(m.queries, member)
-	return nil
+	}, m.labels.Len())}
 }
 
-// memberSink builds the sequential-backend sink that collects one
-// member's per-tuple emissions into its scratch slices.
-func (m *MultiEvaluator) memberSink(member *multiMember) core.FuncSink {
-	return core.FuncSink{
-		Match: func(cm core.Match) {
-			member.batch = append(member.batch, m.decode(cm))
-		},
-		Invalidate: func(cm core.Match) {
-			member.invBatch = append(member.invBatch, m.decode(cm))
-		},
+func (m *MultiEvaluator) addQuery(q *Query) error {
+	member := m.bind(q)
+	if _, err := m.eng.Add(member.bound, nil); err != nil {
+		return err
 	}
+	m.queries = append(m.queries, member)
+	return nil
 }
 
 func (m *MultiEvaluator) decode(cm core.Match) Match {
@@ -136,59 +123,76 @@ func (m *MultiEvaluator) decode(cm core.Match) Match {
 	}
 }
 
-// WithShards partitions the registered queries over n concurrent
-// worker shards (see internal/shard): each shard owns its queries' Δ
-// indexes and updates them on its own goroutine, while the snapshot
-// graph and window advance once per batch. Must be called before the
-// first Ingest. With sharding enabled the per-query match order within
-// one tuple is canonical ((From, To, TS)-sorted), so runs are exactly
-// reproducible; semantics are otherwise unchanged. Call Close when the
-// evaluator is no longer needed.
-func (m *MultiEvaluator) WithShards(n int) error {
-	if m.started {
-		return fmt.Errorf("streamrpq: WithShards after processing started")
+// rebuild replaces the coordinator with one of the current
+// configuration and re-registers every query slot. With nothing
+// configured that is the inline engine (one shard, depth 1, one
+// writer); WithShards makes the pipeline depth default to the engine's
+// own (2) unless WithPipelineDepth names one.
+func (m *MultiEvaluator) rebuild() error {
+	opts := []shard.Option{
+		shard.WithShards(max(m.shards, 1)),
+		shard.WithWriters(max(m.writers, 1)),
+		shard.WithSharing(m.sharing),
 	}
-	if m.persist != nil {
-		return fmt.Errorf("streamrpq: WithShards after WithPersistence (choose the shard count first: it is recorded in the checkpoint metadata)")
-	}
-	opts := []shard.Option{shard.WithShards(n), shard.WithSharing(m.sharing)}
 	if m.depth > 0 {
 		opts = append(opts, shard.WithPipelineDepth(m.depth))
-	}
-	if m.writers > 0 {
-		opts = append(opts, shard.WithWriters(m.writers))
+	} else if m.shards == 0 {
+		opts = append(opts, shard.WithPipelineDepth(1))
 	}
 	eng, err := shard.New(m.spec, opts...)
 	if err != nil {
 		return err
 	}
 	if m.dynamic {
-		if err := eng.SetRetainAll(true); err != nil {
-			eng.Close()
-			return err
-		}
+		err = eng.SetRetainAll(true)
 	}
 	// Re-register every slot — including removed ones, which are added
 	// and immediately tombstoned — so facade indices stay engine indices.
-	for i, member := range m.queries {
-		if _, err := eng.Add(member.bound, nil); err != nil {
-			eng.Close()
-			return err
+	for i := 0; err == nil && i < len(m.queries); i++ {
+		if _, err = eng.Add(m.queries[i].bound, nil); err == nil && m.queries[i].removed {
+			err = eng.RemoveDynamic(i)
 		}
-		if member.removed {
-			if err := eng.RemoveDynamic(i); err != nil {
-				eng.Close()
-				return err
-			}
-		}
-		member.eng = nil // emissions now flow through the shard merge
 	}
-	if m.sharded != nil {
-		m.sharded.Close()
+	if err != nil {
+		eng.Close()
+		return err
 	}
-	m.sharded = eng
-	m.multi = nil
+	if m.eng != nil {
+		m.eng.Close()
+	}
+	m.eng = eng
 	return nil
+}
+
+// reconfigure applies one engine setting and rebuilds the coordinator.
+// The engine is configured before the first tuple and before
+// persistence is enabled: the configuration is recorded in the
+// checkpoint metadata.
+func (m *MultiEvaluator) reconfigure(what string, set func()) error {
+	if m.started {
+		return fmt.Errorf("streamrpq: %s after processing started", what)
+	}
+	if m.persist != nil {
+		return fmt.Errorf("streamrpq: %s after WithPersistence (configure the engine before enabling durability)", what)
+	}
+	set()
+	return m.rebuild()
+}
+
+// WithShards partitions the registered queries over n concurrent
+// worker shards (see internal/shard): each shard owns its queries' Δ
+// indexes and updates them on its own goroutine, while the snapshot
+// graph and window advance once per sub-batch. Must be called before
+// the first Ingest. The result stream does not depend on the shard
+// count; against the default inline evaluator only the attribution of
+// a match to a tuple within one timestamp tie-group can differ (see
+// README "Determinism & deletions"). Call Close when the evaluator is
+// no longer needed: it releases the shard goroutines.
+func (m *MultiEvaluator) WithShards(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("streamrpq: shard count must be positive, got %d", n)
+	}
+	return m.reconfigure("WithShards", func() { m.shards = n })
 }
 
 // WithQuerySharing switches multi-query sharing on or off (default
@@ -202,124 +206,61 @@ func (m *MultiEvaluator) WithShards(n int) error {
 // first tuple; the setting is recorded in checkpoints and survives
 // recovery.
 func (m *MultiEvaluator) WithQuerySharing(on bool) error {
-	if m.started {
-		return fmt.Errorf("streamrpq: WithQuerySharing after processing started")
-	}
-	if m.persist != nil {
-		return fmt.Errorf("streamrpq: WithQuerySharing after WithPersistence (configure the engine before enabling durability)")
-	}
-	if on == m.sharing {
-		return nil
-	}
-	m.sharing = on
-	if m.sharded != nil {
-		// Rebuild the sharded backend with the new grouping.
-		return m.WithShards(m.sharded.NumShards())
-	}
-	if err := m.multi.SetSharing(on); err != nil {
-		return fmt.Errorf("streamrpq: %w", err)
-	}
-	// SetSharing regroups every slot onto fresh engines; refresh the
-	// members' engine handles from their registration slots.
-	for i, member := range m.queries {
-		if !member.removed {
-			member.eng = m.multi.EngineAt(i)
-		}
-	}
-	return nil
+	return m.reconfigure("WithQuerySharing", func() { m.sharing = on })
 }
 
 // QuerySharing reports whether multi-query sharing is enabled.
 func (m *MultiEvaluator) QuerySharing() bool { return m.sharing }
 
-// WithPipelineDepth bounds how many sub-batches the sharded backend
-// may run ahead of its slowest shard (see shard.WithPipelineDepth;
-// engine default 2). Depth 1 selects the fully barriered coordinator —
-// graph and window advance only between sub-batch fan-outs — and
-// reproduces its results exactly; depth ≥ 2 overlaps epoch k+1's
-// graph mutations with epoch k's fan-out on the epoch-versioned
-// snapshot graph. Call before the first tuple, in any order with
-// WithShards; without WithShards the sequential backend ignores it.
+// WithPipelineDepth bounds how many sub-batches the coordinator may
+// run ahead of its slowest shard (see shard.WithPipelineDepth; 2 once
+// WithShards was called, 1 otherwise). Depth 1 is the fully barriered
+// coordinator — graph and window advance only between sub-batch
+// fan-outs — and, with one shard and one writer, the inline schedule;
+// depth ≥ 2 overlaps epoch k+1's graph mutations with epoch k's
+// fan-out on the epoch-versioned snapshot graph, byte-identically to
+// the barriered run. Call before the first tuple, in any order with
+// WithShards and WithWriters.
 func (m *MultiEvaluator) WithPipelineDepth(n int) error {
-	if m.started {
-		return fmt.Errorf("streamrpq: WithPipelineDepth after processing started")
-	}
-	if m.persist != nil {
-		return fmt.Errorf("streamrpq: WithPipelineDepth after WithPersistence (configure the engine before enabling durability)")
-	}
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: pipeline depth must be positive, got %d", n)
 	}
-	m.depth = n
-	if m.sharded != nil {
-		// Rebuild the sharded backend with the new depth.
-		return m.WithShards(m.sharded.NumShards())
-	}
-	return nil
+	return m.reconfigure("WithPipelineDepth", func() { m.depth = n })
 }
 
-// PipelineDepth returns the sharded backend's pipeline depth (0 while
-// the sequential backend is active).
-func (m *MultiEvaluator) PipelineDepth() int {
-	if m.sharded == nil {
-		return 0
-	}
-	return m.sharded.PipelineDepth()
-}
+// PipelineDepth returns the coordinator's pipeline depth (1 for the
+// default evaluator).
+func (m *MultiEvaluator) PipelineDepth() int { return m.eng.PipelineDepth() }
 
-// WithWriters sets how many writer goroutines the sharded backend uses
-// to build each epoch's graph mutations (see shard.WithWriters; engine
-// default 1). Mutations are planned serially, partitioned by vertex
-// stripe, and applied concurrently before each sub-batch is
-// dispatched; the result stream is byte-identical at every writer
-// count, so this is purely a throughput knob. Call before the first
-// tuple, in any order with WithShards and WithPipelineDepth; without
-// WithShards the sequential backend ignores it.
+// WithWriters sets how many writer goroutines the coordinator uses to
+// build each epoch's graph mutations (see shard.WithWriters; default
+// 1). Mutations are planned serially, partitioned by vertex stripe,
+// and applied concurrently before each sub-batch is dispatched; the
+// result stream is byte-identical at every writer count, so this is
+// purely a throughput knob. Call before the first tuple, in any order
+// with WithShards and WithPipelineDepth.
 func (m *MultiEvaluator) WithWriters(n int) error {
-	if m.started {
-		return fmt.Errorf("streamrpq: WithWriters after processing started")
-	}
-	if m.persist != nil {
-		return fmt.Errorf("streamrpq: WithWriters after WithPersistence (configure the engine before enabling durability)")
-	}
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: writer count must be positive, got %d", n)
 	}
-	m.writers = n
-	if m.sharded != nil {
-		// Rebuild the sharded backend with the new writer count.
-		return m.WithShards(m.sharded.NumShards())
-	}
-	return nil
+	return m.reconfigure("WithWriters", func() { m.writers = n })
 }
 
-// Writers returns the sharded backend's epoch-construction writer
-// count (0 while the sequential backend is active).
-func (m *MultiEvaluator) Writers() int {
-	if m.sharded == nil {
-		return 0
-	}
-	return m.sharded.NumWriters()
-}
+// Writers returns the coordinator's epoch-construction writer count.
+func (m *MultiEvaluator) Writers() int { return m.eng.NumWriters() }
 
 // EnableDynamicQueries switches the evaluator to retain-all mode, the
 // prerequisite for registering or removing queries mid-stream (AddQuery
 // / RemoveQuery): the shared graph then stores every label — not just
 // the union of the registered alphabets — so a query registered later
 // can bootstrap its Δ index from the live window. Must be called before
-// the first tuple; the mode survives WithShards and, with persistence,
-// checkpoint/recovery.
+// the first tuple; the mode survives reconfiguration and, with
+// persistence, checkpoint/recovery.
 func (m *MultiEvaluator) EnableDynamicQueries() error {
 	if m.started {
 		return fmt.Errorf("streamrpq: EnableDynamicQueries after processing started")
 	}
-	var err error
-	if m.sharded != nil {
-		err = m.sharded.SetRetainAll(true)
-	} else {
-		err = m.multi.SetRetainAll(true)
-	}
-	if err != nil {
+	if err := m.eng.SetRetainAll(true); err != nil {
 		return fmt.Errorf("streamrpq: %w", err)
 	}
 	m.dynamic = true
@@ -334,11 +275,11 @@ func (m *MultiEvaluator) DynamicQueries() bool { return m.dynamic }
 // the id RemoveQuery and QueryByIndex take). Requires
 // EnableDynamicQueries before the first tuple. The registration takes
 // effect at the next batch boundary: the query's Δ index is
-// bootstrapped by replaying the retained window content — with the
-// sharded backend this runs on a background goroutine under an epoch
-// lease while ingest continues — and from the next batch on the query
-// emits exactly what it would have emitted had it been registered from
-// stream start (matches already live in the window are not re-emitted).
+// bootstrapped by replaying the retained window content — pipelined,
+// this runs on a background goroutine under an epoch lease while
+// ingest continues — and from the next batch on the query emits
+// exactly what it would have emitted had it been registered from stream
+// start (matches already live in the window are not re-emitted).
 // With persistence enabled the registration is made durable by an
 // immediate synchronous checkpoint before AddQuery returns.
 func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {
@@ -350,31 +291,15 @@ func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {
 	for _, l := range q.Alphabet() {
 		m.labels.ID(l)
 	}
-	member := &multiMember{query: q}
-	member.bound = q.dfa.Bind(func(s string) int {
-		id, ok := m.labels.Lookup(s)
-		if !ok {
-			return -1
-		}
-		return id
-	}, m.labels.Len())
-	if m.sharded != nil {
-		idx, err := m.sharded.AddDynamic(member.bound, nil)
-		if err != nil {
-			return 0, fmt.Errorf("streamrpq: %w", err)
-		}
-		if idx != len(m.queries) {
-			return 0, fmt.Errorf("streamrpq: internal error: registration index skew (%d vs %d)", idx, len(m.queries))
-		}
-	} else {
-		e, err := m.multi.AddDynamic(member.bound, core.WithSink(m.memberSink(member)))
-		if err != nil {
-			return 0, fmt.Errorf("streamrpq: %w", err)
-		}
-		member.eng = e
+	member := m.bind(q)
+	idx, err := m.eng.AddDynamic(member.bound, nil)
+	if err != nil {
+		return 0, fmt.Errorf("streamrpq: %w", err)
+	}
+	if idx != len(m.queries) {
+		return 0, fmt.Errorf("streamrpq: internal error: registration index skew (%d vs %d)", idx, len(m.queries))
 	}
 	m.queries = append(m.queries, member)
-	idx := len(m.queries) - 1
 	if m.persist != nil {
 		// A registration is durable only through a checkpoint: WAL batches
 		// replayed after recovery must see the query set they were
@@ -398,18 +323,10 @@ func (m *MultiEvaluator) RemoveQuery(index int) error {
 	if index < 0 || index >= len(m.queries) || m.queries[index].removed {
 		return fmt.Errorf("streamrpq: RemoveQuery: no query with index %d", index)
 	}
-	member := m.queries[index]
-	if m.sharded != nil {
-		if err := m.sharded.RemoveDynamic(index); err != nil {
-			return fmt.Errorf("streamrpq: %w", err)
-		}
-	} else {
-		if !m.multi.RemoveIndex(index) {
-			return fmt.Errorf("streamrpq: internal error: RemoveQuery: no live slot at index %d", index)
-		}
+	if err := m.eng.RemoveDynamic(index); err != nil {
+		return fmt.Errorf("streamrpq: %w", err)
 	}
-	member.removed = true
-	member.eng = nil
+	m.queries[index].removed = true
 	if m.persist != nil {
 		if err := m.Checkpoint(); err != nil {
 			return fmt.Errorf("streamrpq: RemoveQuery checkpoint: %w", err)
@@ -454,14 +371,9 @@ func (m *MultiEvaluator) AppliedBatches() uint64 {
 	return m.batches
 }
 
-// Err returns the sharded backend's sticky error (a recovered shard
-// fault that poisoned the engine), or nil with the sequential backend.
-func (m *MultiEvaluator) Err() error {
-	if m.sharded != nil {
-		return m.sharded.Err()
-	}
-	return nil
-}
+// Err returns the coordinator's sticky error (a recovered member-engine
+// fault that poisoned it), if any.
+func (m *MultiEvaluator) Err() error { return m.eng.Err() }
 
 // NumQueries returns the number of live (non-removed) queries.
 func (m *MultiEvaluator) NumQueries() int {
@@ -475,22 +387,14 @@ func (m *MultiEvaluator) NumQueries() int {
 }
 
 // NumShards returns the shard count (1 until WithShards is called).
-func (m *MultiEvaluator) NumShards() int {
-	if m.sharded != nil {
-		return m.sharded.NumShards()
-	}
-	return 1
-}
+func (m *MultiEvaluator) NumShards() int { return m.eng.NumShards() }
 
-// Close releases the shard worker goroutines and closes the
-// persistence WAL (when enabled). It reports the sharded backend's
-// sticky error (a recovered shard fault that poisoned the engine), if
-// any, or a WAL-close failure. It is idempotent.
+// Close releases the shard worker goroutines (when the pipelined
+// schedule started any) and closes the persistence WAL (when enabled).
+// It reports the coordinator's sticky error, if any, or a WAL-close
+// failure. It is idempotent.
 func (m *MultiEvaluator) Close() error {
-	var err error
-	if m.sharded != nil {
-		err = m.sharded.Close()
-	}
+	err := m.eng.Close()
 	if m.persist != nil {
 		if cerr := m.persist.mgr.Close(); err == nil {
 			err = cerr
@@ -514,64 +418,17 @@ func (m *MultiEvaluator) encode(t Tuple) stream.Tuple {
 }
 
 // Ingest consumes one tuple and returns, per registered query, the
-// matches it produced (queries with no new matches are omitted). The
-// returned slices are reused by the next call. With persistence enabled
-// the tuple is logged (and its results committed) as a batch of one.
+// matches it produced (queries with no new matches are omitted). It is
+// IngestBatch over a batch of one: with persistence enabled the tuple
+// is logged (and its results committed) as such.
 func (m *MultiEvaluator) Ingest(t Tuple) ([]QueryResult, error) {
-	if m.persist != nil {
-		brs, err := m.IngestBatch([]Tuple{t})
-		if err != nil {
-			return nil, err
-		}
-		out := make([]QueryResult, 0, len(brs))
-		for _, br := range brs {
-			out = append(out, QueryResult{Query: br.Query, Matches: br.Matches})
-		}
-		return out, nil
+	brs, err := m.IngestBatch([]Tuple{t})
+	if err != nil {
+		return nil, err
 	}
-	if m.started && t.TS < m.lastTS {
-		return nil, fmt.Errorf("streamrpq: out-of-order tuple: ts %d after %d", t.TS, m.lastTS)
-	}
-	m.started = true
-	m.lastTS = t.TS
-
-	if m.sharded != nil {
-		results, err := m.sharded.ProcessBatch([]stream.Tuple{m.encode(t)})
-		if err != nil {
-			return nil, fmt.Errorf("streamrpq: %w", err)
-		}
-		m.batches++
-		var out []QueryResult
-		for _, r := range results {
-			match := m.decode(r.Match)
-			q := m.queries[r.Query].query
-			if n := len(out); n == 0 || out[n-1].Query != q {
-				out = append(out, QueryResult{Query: q})
-			}
-			qr := &out[len(out)-1]
-			if r.Invalidated {
-				qr.Invalidations = append(qr.Invalidations, match)
-			} else {
-				qr.Matches = append(qr.Matches, match)
-			}
-		}
-		return out, nil
-	}
-
-	for _, member := range m.queries {
-		member.batch = member.batch[:0]
-		member.invBatch = member.invBatch[:0]
-	}
-	m.multi.Process(m.encode(t))
-	m.batches++
-	var out []QueryResult
-	for _, member := range m.queries {
-		if member.removed {
-			continue
-		}
-		if len(member.batch) > 0 || len(member.invBatch) > 0 {
-			out = append(out, QueryResult{Query: member.query, Matches: member.batch, Invalidations: member.invBatch})
-		}
+	out := make([]QueryResult, len(brs))
+	for i, br := range brs {
+		out[i] = QueryResult{Query: br.Query, Matches: br.Matches, Invalidations: br.Invalidations}
 	}
 	return out, nil
 }
@@ -579,10 +436,12 @@ func (m *MultiEvaluator) Ingest(t Tuple) ([]QueryResult, error) {
 // IngestBatch consumes a batch of tuples (timestamps non-decreasing,
 // continuing from previous calls) and returns the matches grouped by
 // (tuple, query), ordered by tuple index and then query registration
-// order. With a sharded backend the whole batch is evaluated with one
+// order; within one (tuple, query) group matches and invalidations are
+// each in canonical (From, To, TS) order, in every configuration. The
+// default inline coordinator runs the batch tuple by tuple on the
+// calling goroutine; the pipelined one evaluates it with one
 // coordinated fan-out per sub-batch, which is where the multicore
-// throughput comes from; with the sequential backend it is equivalent
-// to calling Ingest in a loop.
+// throughput comes from.
 func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 	// Validate the whole batch up front — against the stream clock and
 	// internally — so a rejected batch leaves no partial engine state.
@@ -623,83 +482,63 @@ func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 }
 
 // ingestEncoded drives one validated, dictionary-encoded batch through
-// the active backend and returns the grouped results. It is the shared
+// the coordinator and returns the grouped results. It is the shared
 // inner path of IngestBatch and of WAL replay during recovery (which
 // feeds logged id-tuples back in without re-encoding).
 func (m *MultiEvaluator) ingestEncoded(encoded []stream.Tuple) ([]BatchResult, error) {
 	if len(encoded) == 0 {
 		return nil, nil
 	}
-	last := encoded[len(encoded)-1].TS
-
-	if m.sharded != nil {
-		results, err := m.sharded.ProcessBatch(encoded)
-		if err != nil {
-			return nil, fmt.Errorf("streamrpq: %w", err)
-		}
-		m.started = true
-		m.lastTS = last
-		m.batches++
-		var out []BatchResult
-		for _, r := range results {
-			match := m.decode(r.Match)
-			q := m.queries[r.Query].query
-			if n := len(out); n == 0 || out[n-1].Tuple != r.Tuple || out[n-1].Query != q {
-				out = append(out, BatchResult{Tuple: r.Tuple, Query: q})
-			}
-			br := &out[len(out)-1]
-			if r.Invalidated {
-				br.Invalidations = append(br.Invalidations, match)
-			} else {
-				br.Matches = append(br.Matches, match)
-			}
-		}
-		return out, nil
+	results, err := m.eng.ProcessBatch(encoded)
+	if err != nil {
+		return nil, fmt.Errorf("streamrpq: %w", err)
 	}
-
-	var out []BatchResult
-	for i, t := range encoded {
-		for _, member := range m.queries {
-			member.batch = member.batch[:0]
-			member.invBatch = member.invBatch[:0]
-		}
-		m.multi.Process(t)
-		m.started = true
-		m.lastTS = t.TS
-		for _, member := range m.queries {
-			if member.removed {
-				continue
-			}
-			if len(member.batch) > 0 || len(member.invBatch) > 0 {
-				br := BatchResult{Tuple: i, Query: member.query}
-				if len(member.batch) > 0 {
-					br.Matches = append([]Match(nil), member.batch...)
-				}
-				if len(member.invBatch) > 0 {
-					br.Invalidations = append([]Match(nil), member.invBatch...)
-				}
-				out = append(out, br)
-			}
-		}
-	}
+	m.started = true
+	m.lastTS = encoded[len(encoded)-1].TS
 	m.batches++
-	return out, nil
+	return m.groupResults(results), nil
+}
+
+// groupResults folds the coordinator's results into one BatchResult
+// per (tuple, query). They arrive in canonical order, so every (tuple,
+// query, kind) run is contiguous: each run is decoded into one slice
+// of exactly its length.
+func (m *MultiEvaluator) groupResults(results []shard.Result) []BatchResult {
+	sameGroup := func(a, b *shard.Result) bool { return a.Tuple == b.Tuple && a.Query == b.Query }
+	groups := 0
+	for i := range results {
+		if i == 0 || !sameGroup(&results[i-1], &results[i]) {
+			groups++
+		}
+	}
+	out := make([]BatchResult, 0, groups)
+	for lo := 0; lo < len(results); {
+		first := &results[lo]
+		hi := lo + 1
+		for hi < len(results) && sameGroup(first, &results[hi]) && results[hi].Invalidated == first.Invalidated {
+			hi++
+		}
+		run := make([]Match, hi-lo)
+		for i := range run {
+			run[i] = m.decode(results[lo+i].Match)
+		}
+		if lo == 0 || !sameGroup(&results[lo-1], first) {
+			out = append(out, BatchResult{Tuple: first.Tuple, Query: m.queries[first.Query].query})
+		}
+		if br := &out[len(out)-1]; first.Invalidated {
+			br.Invalidations = run
+		} else {
+			br.Matches = run
+		}
+		lo = hi
+	}
+	return out
 }
 
 // Stats aggregates engine statistics across queries; graph sizes
 // describe the shared window content.
-func (m *MultiEvaluator) Stats() Stats {
-	if m.sharded != nil {
-		return m.sharded.Stats()
-	}
-	return m.multi.Stats()
-}
+func (m *MultiEvaluator) Stats() Stats { return m.eng.Stats() }
 
 // ShardStats reports, per shard, the aggregated statistics of the
-// queries it owns. It returns nil until WithShards is called.
-func (m *MultiEvaluator) ShardStats() []Stats {
-	if m.sharded == nil {
-		return nil
-	}
-	return m.sharded.ShardStats()
-}
+// queries it owns (one entry until WithShards is called).
+func (m *MultiEvaluator) ShardStats() []Stats { return m.eng.ShardStats() }

@@ -129,7 +129,7 @@ func (m *MultiEvaluator) Checkpoint() error {
 	}
 	snap := &persist.Snapshot{
 		Spec:           m.spec,
-		Sharded:        m.sharded != nil,
+		Sharded:        !m.eng.Inline(),
 		Shards:         m.NumShards(),
 		Sharing:        m.sharing,
 		Vertices:       m.vertices.Names(),
@@ -145,11 +145,7 @@ func (m *MultiEvaluator) Checkpoint() error {
 		}
 		snap.Queries = append(snap.Queries, member.query.String())
 	}
-	if m.sharded != nil {
-		snap.State = m.sharded.SnapshotState()
-	} else {
-		snap.State = m.multi.SnapshotState()
-	}
+	snap.State = m.eng.SnapshotState()
 	if err := p.mgr.WriteSnapshot(snap); err != nil {
 		return err
 	}
@@ -427,18 +423,17 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 	if err := m.WithQuerySharing(snap.Sharing); err != nil {
 		return nil, err
 	}
-	var restoreErr error
+	// Sharded records which schedule wrote the snapshot: false is the
+	// inline coordinator (and, in snapshots of older versions, the
+	// sequential backend it replaced — the state is shard-count-free).
 	if snap.Sharded {
 		if err := m.WithShards(snap.Shards); err != nil {
 			return nil, err
 		}
-		restoreErr = m.sharded.RestoreState(snap.State)
-	} else {
-		restoreErr = m.multi.RestoreState(snap.State)
 	}
-	if restoreErr != nil {
+	if err := m.eng.RestoreState(snap.State); err != nil {
 		m.Close()
-		return nil, fmt.Errorf("streamrpq: recover: %w", restoreErr)
+		return nil, fmt.Errorf("streamrpq: recover: %w", err)
 	}
 	m.lastTS = snap.LastTS
 	m.started = snap.Started

@@ -81,36 +81,17 @@ type flatResult struct {
 	TS    int64
 }
 
-// flatten appends the results of one ingested batch. canon sorts the
-// matches (and invalidations) within each (tuple, query) group —
-// needed for the sequential backend, whose within-group emission order
-// follows engine traversal order (the sharded backend already merges
-// canonically).
-func flatten(dst []flatResult, batchIdx int, brs []BatchResult, canon bool) []flatResult {
-	sortMatches := func(ms []Match) []Match {
-		if !canon {
-			return ms
-		}
-		ms = append([]Match(nil), ms...)
-		sort.Slice(ms, func(i, j int) bool {
-			if ms[i].From != ms[j].From {
-				return ms[i].From < ms[j].From
-			}
-			if ms[i].To != ms[j].To {
-				return ms[i].To < ms[j].To
-			}
-			return ms[i].TS < ms[j].TS
-		})
-		return ms
-	}
+// flatten appends the results of one ingested batch, in the order the
+// evaluator returned them (canonical in every configuration).
+func flatten(dst []flatResult, batchIdx int, brs []BatchResult) []flatResult {
 	for _, br := range brs {
-		for _, m := range sortMatches(br.Matches) {
+		for _, m := range br.Matches {
 			dst = append(dst, flatResult{
 				Batch: batchIdx, Tuple: br.Tuple, Query: br.Query.String(),
 				From: m.From, To: m.To, TS: m.TS,
 			})
 		}
-		for _, m := range sortMatches(br.Invalidations) {
+		for _, m := range br.Invalidations {
 			dst = append(dst, flatResult{
 				Batch: batchIdx, Tuple: br.Tuple, Query: br.Query.String(),
 				Inval: true, From: m.From, To: m.To, TS: m.TS,
@@ -123,12 +104,12 @@ func flatten(dst []flatResult, batchIdx int, brs []BatchResult, canon bool) []fl
 // TestKillRecoverDifferential is the acceptance test of the durability
 // subsystem: ingest a prefix, Checkpoint, ingest more, hard-drop the
 // evaluator without Close (the in-process kill -9), Recover, ingest the
-// rest — the concatenated result stream must be identical (canonical
-// order, timestamps included) to an uninterrupted run, for shard counts
-// 1 and 4 and for the sequential backend.
+// rest — the concatenated result stream must be identical (order and
+// timestamps included) to an uninterrupted run, for shard counts 1 and
+// 4 and for the default inline evaluator.
 func TestKillRecoverDifferential(t *testing.T) {
-	// shards 0 = sequential backend; depth 0 = the sharded engine's
-	// default pipeline depth (2, pipelined). Depth 1 pins the barriered
+	// shards 0 = the default inline evaluator; depth 0 = the pipeline
+	// depth WithShards defaults to (2). Depth 1 pins the barriered
 	// coordinator, depth 4 a deeper pipeline: checkpoints are taken at
 	// batch boundaries, where the pipeline is drained, so recovery must
 	// be depth-independent. writers 0 = the engine default (1); the
@@ -154,7 +135,6 @@ func TestKillRecoverDifferential(t *testing.T) {
 			// recovered engines' support counts (snapshot format v2) must
 			// reproduce the invalidation stream exactly.
 			batches := persistChurnStream(2026, 360, 16, 0.15)
-			canon := shards == 0
 			build := func() *MultiEvaluator {
 				m, err := NewMultiEvaluator(20, 2, persistTestQueries(t)...)
 				if err != nil {
@@ -192,7 +172,7 @@ func TestKillRecoverDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = flatten(want, i, brs, canon)
+				want = flatten(want, i, brs)
 			}
 			hasInval := false
 			for _, r := range want {
@@ -218,7 +198,7 @@ func TestKillRecoverDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = flatten(got, i, brs, canon)
+				got = flatten(got, i, brs)
 				if i == ckptAt {
 					if err := m.Checkpoint(); err != nil {
 						t.Fatal(err)
@@ -256,7 +236,7 @@ func TestKillRecoverDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = flatten(got, killAt+i, brs, canon)
+				got = flatten(got, killAt+i, brs)
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("post-recovery stream diverged from uninterrupted run:\nwant %d results\ngot  %d results\nfirst divergence: %v",
@@ -312,7 +292,7 @@ func TestRecoverRedeliversUncommittedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = flatten(want, i, brs, false)
+		want = flatten(want, i, brs)
 	}
 
 	dir := t.TempDir()
@@ -333,7 +313,7 @@ func TestRecoverRedeliversUncommittedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = flatten(got, i, brs, false)
+		got = flatten(got, i, brs)
 	}
 	// Simulate the torn moment: the batch reaches the WAL but the
 	// process dies before processing it and committing. The write-ahead
@@ -353,13 +333,13 @@ func TestRecoverRedeliversUncommittedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	got = flatten(got, crashAt, redelivered, false)
+	got = flatten(got, crashAt, redelivered)
 	for i, b := range batches[crashAt+1:] {
 		brs, err := m2.IngestBatch(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = flatten(got, crashAt+1+i, brs, false)
+		got = flatten(got, crashAt+1+i, brs)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("redelivery stream diverged: %s", firstDiff(want, got))
@@ -443,7 +423,7 @@ func TestRecoverFallsBackPastCorruptSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = flatten(want, i, brs, false)
+		want = flatten(want, i, brs)
 	}
 
 	dir := t.TempDir()
@@ -465,7 +445,7 @@ func TestRecoverFallsBackPastCorruptSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = flatten(got, i, brs, false)
+		got = flatten(got, i, brs)
 	}
 	m.Close() // kill -9 stand-in: fd/lock release only, state untouched
 
@@ -498,7 +478,7 @@ func TestRecoverFallsBackPastCorruptSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = flatten(got, killAt+i, brs, false)
+		got = flatten(got, killAt+i, brs)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("fallback recovery diverged: %s", firstDiff(want, got))
