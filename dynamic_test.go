@@ -253,6 +253,46 @@ func TestAddQueryGuards(t *testing.T) {
 	}
 }
 
+// TestRelevanceCountersAfterRemove: relevance follows the live query
+// set in both schedules. A label only a removed query listened to is
+// dropped again afterwards, and a group's catch-up applications count
+// as dispatches, so the inline and the pipelined schedule report the
+// same TuplesDropped, Dispatches and RelevanceSkips.
+func TestRelevanceCountersAfterRemove(t *testing.T) {
+	run := func(shards int) Stats {
+		m := dynEval(t, []*Query{MustCompile("a/b")}, shards, 0)
+		defer m.Close()
+		id, err := m.AddQuery(MustCompile("c+"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingest := func(ts int64) {
+			if _, err := m.Ingest(Tuple{TS: ts, Src: "x", Dst: fmt.Sprintf("y%d", ts), Label: "c"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ingest(1)
+		if err := m.RemoveQuery(id); err != nil {
+			t.Fatal(err)
+		}
+		for ts := int64(2); ts <= 11; ts++ {
+			ingest(ts)
+		}
+		return m.Stats()
+	}
+	inline, piped := run(0), run(2)
+	if inline.TuplesDropped != 10 || inline.Dispatches != 1 || inline.RelevanceSkips != 1 {
+		t.Errorf("inline: dropped=%d dispatches=%d skips=%d, want 10/1/1",
+			inline.TuplesDropped, inline.Dispatches, inline.RelevanceSkips)
+	}
+	if piped.TuplesDropped != inline.TuplesDropped || piped.Dispatches != inline.Dispatches ||
+		piped.RelevanceSkips != inline.RelevanceSkips {
+		t.Errorf("WithShards(2): dropped=%d dispatches=%d skips=%d, inline %d/%d/%d",
+			piped.TuplesDropped, piped.Dispatches, piped.RelevanceSkips,
+			inline.TuplesDropped, inline.Dispatches, inline.RelevanceSkips)
+	}
+}
+
 // TestDynamicPersistRecover: online registration composes with
 // durability — AddQuery checkpoints synchronously, so a kill -9 after
 // any completed call recovers the full query set, the retained graph

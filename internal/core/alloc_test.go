@@ -106,8 +106,8 @@ func TestMultiRelevanceDispatchAllocs(t *testing.T) {
 }
 
 // TestParallelRAPQFanOutAllocs: the tree-parallel fan-out may allocate
-// per call (one channel, one closure per worker goroutine), but never
-// per tree or per edge. A hub tuple touching 64 trees must stay within
+// per call (the work closure, one closure per worker goroutine), but
+// never per tree or per edge. A hub tuple touching 64 trees must stay within
 // a flat per-call budget; any per-tree allocation would blow past it
 // 64-fold.
 func TestParallelRAPQFanOutAllocs(t *testing.T) {
@@ -126,7 +126,7 @@ func TestParallelRAPQFanOutAllocs(t *testing.T) {
 		fan.TS = ts
 		p.Process(fan)
 	})
-	const budget = 24 // fan-out scaffolding only: channel + per-worker closures
+	const budget = 24 // fan-out scaffolding only: work + per-worker closures
 	if avg > budget {
 		t.Errorf("fan-out over %d trees allocates %.1f per call, want <= %d (per-tree allocation leak?)", roots, avg, budget)
 	}

@@ -61,11 +61,11 @@ type Engine interface {
 
 // MemberEngine is the contract between a multi-query coordinator
 // (the engine in internal/shard, or the reference Multi) and one member
-// query's index maintenance. The coordinator owns the shared snapshot
-// graph and the window clock: it attaches its graph to every member,
-// applies each graph mutation exactly once, and then drives the
-// members' Δ-index updates through Apply*. Members never mutate the
-// shared graph.
+// query's index maintenance; *RAPQ implements it, and tests substitute
+// fakes through it. The coordinator owns the shared snapshot graph and
+// the window clock: it attaches its graph to every member, applies each
+// graph mutation exactly once, and then drives the members' Δ-index
+// updates through Apply*. Members never mutate the shared graph.
 type MemberEngine interface {
 	// AttachGraph replaces the engine's private snapshot graph with the
 	// coordinator's shared one. Must precede the first Apply call.

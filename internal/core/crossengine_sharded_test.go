@@ -291,9 +291,8 @@ func TestShardedAgreesWithMulti(t *testing.T) {
 
 // TestShardedIngestStress is the -race stress test for the concurrent
 // batch path: several sharded engines run whole streams concurrently,
-// each fanning sub-batches out to its own shard goroutines (with an
-// intra-query parallel member mixed in), while the race detector
-// watches the shared-graph/worker handoffs.
+// each fanning sub-batches out to its own shard goroutines, while the
+// race detector watches the shared-graph/worker handoffs.
 func TestShardedIngestStress(t *testing.T) {
 	const engines = 4
 	var wg sync.WaitGroup
@@ -313,10 +312,6 @@ func TestShardedIngestStress(t *testing.T) {
 					errs <- err
 					return
 				}
-			}
-			if _, err := s.AddParallel(bindX(t, "(b/a)+", "a", "b"), nil, 4); err != nil {
-				errs <- err
-				return
 			}
 			tuples := randomTuplesX(rand.New(rand.NewSource(seed)), 1500, 12, 2, 1, 0.05)
 			for i := 0; i < len(tuples); i += 64 {

@@ -1,42 +1,24 @@
 package core
 
 import (
-	"sync"
+	"slices"
 
 	"streamrpq/internal/stream"
 )
 
-// invIndex is the vertex → tree-roots inverted index of §5.2, striped
-// by vertex so that concurrent tree updates (intra-query parallelism
-// across spanning trees, inter-query sharding across engines) contend
-// only on the stripe of the vertex they touch instead of one global
-// mutex. Stripe count is fixed at construction; 1 stripe reproduces
-// the sequential engine's behaviour with negligible overhead.
+// invIndex is the vertex → tree-roots inverted index of §5.2. Vertex
+// ids are dense (stream.Dict assigns them in first-seen order), so the
+// vertex's row is a direct offset into a flat slice rather than a hash
+// probe. Per-row root sets are a small linear-scanned slice
+// (trees-per-vertex is tiny for real workloads), promoted to a map past
+// invPromote roots.
 //
-// Vertex ids are dense (stream.Dict assigns them in first-seen order),
-// so the index exploits them directly instead of hashing raw vertex
-// values: stripe selection is a mask of the low bits (consecutive ids
-// spread round-robin across stripes), and within a stripe the vertex's
-// row is indexed by the remaining high bits into a flat slice — two
-// array offsets where the map-of-maps representation paid two hash
-// probes per lookup. Per-row root sets are a small linear-scanned
-// slice (trees-per-vertex is tiny for real workloads), promoted to a
-// map past invPromote roots.
-//
-// Epoch discipline: unlike the shared snapshot graph, the index needs
-// no version intervals. It is owned by exactly one member engine, and
-// that member applies its sub-batches strictly in epoch order (the
-// pipelined coordinator overlaps *different members'* sub-batches, and
-// the graph's epoch handle — SetReadEpoch — is what isolates those).
-// Every appendRoots snapshot therefore already reflects precisely the
-// prefix of sub-batches this member has applied, i.e. the state at the
-// member's current read epoch; within one member, index time and epoch
-// time coincide. The stripe locks exist only for the intra-member tree
-// fan-out of ParallelRAPQ, which is bracketed inside a single epoch.
+// The index belongs to one RAPQ engine and is only ever touched by the
+// goroutine driving that engine: a tree fan-out (ParallelRAPQ) reads
+// its candidate roots before the workers start and buffers their
+// updates until they have stopped.
 type invIndex struct {
-	stripes []invStripe
-	mask    uint32
-	shift   uint32 // log2(len(stripes)): row index is v >> shift
+	rows []invRow // indexed by vertex id, grown on demand
 }
 
 // invPromote is the root count above which a row's linear-scanned
@@ -50,61 +32,46 @@ type invRow struct {
 	big   map[stream.VertexID]struct{}
 }
 
-type invStripe struct {
-	mu   sync.Mutex
-	rows []invRow // indexed by v >> shift, grown on demand
-	_    [40]byte // pad to a cache line against false sharing
+// invOp is one index update, as a value a fan-out can buffer.
+type invOp struct {
+	v, root stream.VertexID
+	drop    bool
 }
 
-// newInvIndex returns an index with the given stripe count rounded up
-// to a power of two (minimum 1).
-func newInvIndex(stripes int) *invIndex {
-	n := 1
-	sh := uint32(0)
-	for n < stripes {
-		n <<= 1
-		sh++
+func (ix *invIndex) apply(op invOp) {
+	if op.drop {
+		ix.drop(op.v, op.root)
+	} else {
+		ix.add(op.v, op.root)
 	}
-	return &invIndex{stripes: make([]invStripe, n), mask: uint32(n - 1), shift: sh}
 }
 
-func (ix *invIndex) stripe(v stream.VertexID) *invStripe {
-	return &ix.stripes[uint32(v)&ix.mask]
-}
-
-// row returns the vertex's row in st, growing the stripe to cover it.
-func (ix *invIndex) row(st *invStripe, v stream.VertexID) *invRow {
-	r := int(uint32(v) >> ix.shift)
-	if r >= len(st.rows) {
-		n := len(st.rows)
-		if n == 0 {
-			n = 16
-		}
-		for n <= r {
-			n *= 2
-		}
-		rows := make([]invRow, n)
-		copy(rows, st.rows)
-		st.rows = rows
+// row returns the vertex's row, or nil if the index never covered it.
+func (ix *invIndex) row(v stream.VertexID) *invRow {
+	if int(v) >= len(ix.rows) {
+		return nil
 	}
-	return &st.rows[r]
+	return &ix.rows[v]
 }
 
 // add records that the tree rooted at root contains v.
 func (ix *invIndex) add(v, root stream.VertexID) {
-	st := ix.stripe(v)
-	st.mu.Lock()
-	row := ix.row(st, v)
+	if r := int(v); r >= len(ix.rows) {
+		n := max(len(ix.rows), 16)
+		for n <= r {
+			n *= 2
+		}
+		rows := make([]invRow, n)
+		copy(rows, ix.rows)
+		ix.rows = rows
+	}
+	row := &ix.rows[v]
 	if row.big != nil {
 		row.big[root] = struct{}{}
-		st.mu.Unlock()
 		return
 	}
-	for _, r := range row.small {
-		if r == root {
-			st.mu.Unlock()
-			return
-		}
+	if slices.Contains(row.small, root) {
+		return
 	}
 	if len(row.small) >= invPromote {
 		row.big = make(map[stream.VertexID]struct{}, 2*len(row.small))
@@ -113,100 +80,73 @@ func (ix *invIndex) add(v, root stream.VertexID) {
 		}
 		row.small = nil
 		row.big[root] = struct{}{}
-		st.mu.Unlock()
 		return
 	}
 	row.small = append(row.small, root)
-	st.mu.Unlock()
 }
 
 // drop removes the (v, root) entry.
 func (ix *invIndex) drop(v, root stream.VertexID) {
-	st := ix.stripe(v)
-	st.mu.Lock()
-	r := int(uint32(v) >> ix.shift)
-	if r < len(st.rows) {
-		row := &st.rows[r]
-		if row.big != nil {
-			delete(row.big, root)
-		} else {
-			for i, x := range row.small {
-				if x == root {
-					// Order-preserving removal: appendRoots snapshots
-					// feed the sequential engines' fan-out order, which
-					// must not depend on removal history more than the
-					// insertion order already does.
-					row.small = append(row.small[:i], row.small[i+1:]...)
-					break
-				}
-			}
+	row := ix.row(v)
+	if row == nil {
+		return
+	}
+	if row.big != nil {
+		delete(row.big, root)
+		return
+	}
+	for i, x := range row.small {
+		if x == root {
+			// Order-preserving removal: appendRoots snapshots feed the
+			// sequential engines' fan-out order, which must not depend
+			// on removal history more than the insertion order already
+			// does.
+			row.small = append(row.small[:i], row.small[i+1:]...)
+			return
 		}
 	}
-	st.mu.Unlock()
 }
 
 // has reports whether the (v, root) entry exists (invariant checks).
 func (ix *invIndex) has(v, root stream.VertexID) bool {
-	st := ix.stripe(v)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	r := int(uint32(v) >> ix.shift)
-	if r >= len(st.rows) {
+	row := ix.row(v)
+	if row == nil {
 		return false
 	}
-	row := &st.rows[r]
 	if row.big != nil {
 		_, ok := row.big[root]
 		return ok
 	}
-	for _, x := range row.small {
-		if x == root {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(row.small, root)
 }
 
 // forEach calls f for every (v, root) entry (invariant checks only; f
-// must not call back into the index).
+// must not mutate the index).
 func (ix *invIndex) forEach(f func(v, root stream.VertexID) bool) {
-	for i := range ix.stripes {
-		st := &ix.stripes[i]
-		st.mu.Lock()
-		for r := range st.rows {
-			v := stream.VertexID(uint32(r)<<ix.shift | uint32(i))
-			row := &st.rows[r]
-			for _, root := range row.small {
-				if !f(v, root) {
-					st.mu.Unlock()
-					return
-				}
-			}
-			for root := range row.big {
-				if !f(v, root) {
-					st.mu.Unlock()
-					return
-				}
+	for v := range ix.rows {
+		row := &ix.rows[v]
+		for _, root := range row.small {
+			if !f(stream.VertexID(v), root) {
+				return
 			}
 		}
-		st.mu.Unlock()
+		for root := range row.big {
+			if !f(stream.VertexID(v), root) {
+				return
+			}
+		}
 	}
 }
 
 // appendRoots appends the roots of all trees containing v to dst and
-// returns the extended slice. The snapshot is taken under the stripe
-// lock; callers iterate it without holding any lock.
+// returns the extended slice: a snapshot the caller may iterate while
+// the index changes under it.
 func (ix *invIndex) appendRoots(v stream.VertexID, dst []stream.VertexID) []stream.VertexID {
-	st := ix.stripe(v)
-	st.mu.Lock()
-	r := int(uint32(v) >> ix.shift)
-	if r < len(st.rows) {
-		row := &st.rows[r]
+	if row := ix.row(v); row != nil {
 		dst = append(dst, row.small...)
 		for root := range row.big {
 			dst = append(dst, root)
 		}
 	}
-	st.mu.Unlock()
 	return dst
 }

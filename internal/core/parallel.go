@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamrpq/internal/automaton"
@@ -18,38 +20,34 @@ import (
 // parallel that are accessed for each incoming edge. Window management
 // is parallelized similarly."
 //
-// Spanning trees are disjoint, so per-tuple tree updates and per-slide
-// tree expiries run concurrently across a worker pool; the snapshot
-// graph is updated once per tuple before the fan-out and is read-only
-// during it. Shared bookkeeping avoids the coarse global mutex of a
-// naive implementation: the vertex→trees inverted index is striped by
-// vertex (see invIndex), and result emission and statistics are
-// buffered per worker and merged after the fan-out barrier, so the
-// sink observes a deterministic (From, To)-sorted order per tuple and
-// never runs on a worker goroutine. This makes intra-query tree
-// parallelism compose with the inter-query sharding of internal/shard:
-// neither layer takes a whole-engine lock.
+// It is scheduling, not a second algorithm: a driver that fans the
+// candidate trees of a tuple (or all trees, at a slide boundary) over
+// worker goroutines, each running RAPQ's own Insert / ExpiryRAPQ with a
+// scratch of its own. Spanning trees are disjoint and a tree is owned
+// by one worker for the whole fan-out; the snapshot graph is updated
+// before it and read-only during it; and everything a worker would
+// write outside its trees — matches, InsertCalls, inverted-index
+// updates — is deferred into its scratch and merged here after the
+// barrier, so the sink observes a deterministic (From, To, TS)-sorted
+// order per tuple and never runs on a worker goroutine.
+//
+// Reachable through the facade's Evaluator.WithParallelism only; the
+// multi-query coordinator parallelizes across groups instead.
 type ParallelRAPQ struct {
-	inner   *RAPQ
-	workers int
-
-	pool []*treeWorker // per-goroutine scratch + result buffers, reused
+	inner  *RAPQ
+	pool   []*scratch // one per worker goroutine, deferred
+	merged []Match    // merge buffer, reused
 }
 
 // NewParallelRAPQ returns a tree-parallel RAPQ engine with the given
-// worker count (0 means GOMAXPROCS).
+// worker count (≤ 0 means GOMAXPROCS).
 func NewParallelRAPQ(a *automaton.Bound, spec window.Spec, workers int, opts ...Option) *ParallelRAPQ {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &ParallelRAPQ{workers: workers}
-	p.inner = NewRAPQ(a, spec, opts...)
-	// Replace the single-stripe index of the sequential engine with one
-	// wide enough that workers rarely collide on a stripe.
-	p.inner.inv = newInvIndex(4 * workers)
-	p.pool = make([]*treeWorker, workers)
+	p := &ParallelRAPQ{inner: NewRAPQ(a, spec, opts...), pool: make([]*scratch, workers)}
 	for i := range p.pool {
-		p.pool[i] = &treeWorker{}
+		p.pool[i] = &scratch{deferred: true}
 	}
 	return p
 }
@@ -57,381 +55,97 @@ func NewParallelRAPQ(a *automaton.Bound, spec window.Spec, workers int, opts ...
 // Graph implements Engine.
 func (p *ParallelRAPQ) Graph() *graph.Graph { return p.inner.g }
 
-// AttachGraph implements MemberEngine.
-func (p *ParallelRAPQ) AttachGraph(g *graph.Graph) { p.inner.g = g }
-
-// SetReadEpoch implements MemberEngine. Set before a fan-out; the tree
-// workers read it concurrently but never write it.
-func (p *ParallelRAPQ) SetReadEpoch(ep graph.Epoch) { p.inner.epoch = ep }
-
-// RelevantLabel implements MemberEngine.
-func (p *ParallelRAPQ) RelevantLabel(l stream.LabelID) bool { return p.inner.RelevantLabel(l) }
-
-// SetSink delegates to the inner engine; see RAPQ.SetSink.
-func (p *ParallelRAPQ) SetSink(s Sink) { p.inner.SetSink(s) }
-
-// AlignClock delegates to the inner engine; see RAPQ.AlignClock.
-func (p *ParallelRAPQ) AlignClock(now int64) { p.inner.AlignClock(now) }
-
-// BootstrapFromGraph delegates to the inner engine's sequential replay;
-// see RAPQ.BootstrapFromGraph.
-func (p *ParallelRAPQ) BootstrapFromGraph(g *graph.Graph, ep graph.Epoch) {
-	p.inner.BootstrapFromGraph(g, ep)
-}
-
-// LabelSpace implements MemberEngine.
-func (p *ParallelRAPQ) LabelSpace() int { return p.inner.LabelSpace() }
-
 // Stats implements Engine.
 func (p *ParallelRAPQ) Stats() Stats { return p.inner.Stats() }
 
-// Process implements Engine. The per-tuple work fans out over the
-// spanning trees that contain the tuple's source vertex; expiry fans
-// out over all trees.
-func (p *ParallelRAPQ) Process(t stream.Tuple) {
-	e := p.inner
-	e.stats.TuplesSeen++
-	if t.TS > e.now {
-		e.now = t.TS
-	}
-	if deadline, due := e.win.Observe(t.TS); due {
-		e.g.Expire(deadline, nil)
-		p.ApplyExpiry(deadline)
-	}
-	if !e.a.Relevant(int(t.Label)) {
-		e.stats.TuplesDropped++
-		return
-	}
-	if t.Op == stream.Delete {
-		// Deletions are rare (§5.4); process them sequentially with
-		// the uniform machinery.
-		if e.g.Delete(t.Key()) {
-			e.ApplyDelete(t)
-		}
-		return
-	}
-	e.g.Insert(t.Src, t.Dst, t.Label, t.TS)
-	p.ApplyInsert(t)
-}
+// Process implements Engine: the sequential engine's tuple routing,
+// with the Δ updates fanned out.
+func (p *ParallelRAPQ) Process(t stream.Tuple) { p.inner.process(t, p) }
 
-// ApplyInsert implements MemberEngine: the Δ update for an edge that
-// is already in the snapshot graph, fanned out over the trees that
+// ApplyInsert is RAPQ.ApplyInsert fanned out over the trees that
 // contain the source vertex.
 func (p *ParallelRAPQ) ApplyInsert(t stream.Tuple) {
 	e := p.inner
-	if t.TS > e.now {
-		e.now = t.TS
-	}
-	validFrom := e.win.Spec().ValidFrom(e.now)
+	roots, validFrom := e.candidateRoots(t)
+	p.fanOut(roots, func(sc *scratch, root stream.VertexID) { e.insertEdge(sc, root, t, validFrom) })
+}
 
-	if e.a.Step(e.a.Start, int(t.Label)) != automaton.NoState {
-		e.ensureTree(t.Src)
+// ApplyExpiry is RAPQ.ApplyExpiry fanned out over all trees ("window
+// management is parallelized similarly"). Trees that shrank to their
+// root are collected after the merge, on this goroutine.
+func (p *ParallelRAPQ) ApplyExpiry(deadline int64) {
+	e := p.inner
+	start := time.Now()
+	e.stats.ExpiryRuns++
+	e.deadline = deadline
+	roots := e.rootScratch[:0]
+	for root := range e.trees {
+		roots = append(roots, root)
 	}
-	roots := e.inv.appendRoots(t.Src, e.rootScratch[:0])
-	e.rootScratch = roots[:0]
-	if len(roots) == 0 {
-		return
+	e.rootScratch = roots
+	p.fanOut(roots, func(sc *scratch, root stream.VertexID) { e.expireTree(sc, e.trees[root], deadline, false) })
+	for _, root := range roots {
+		e.dropIfRootOnly(e.trees[root])
 	}
-	// Small fan-outs are cheaper sequentially; results still go
-	// through a worker buffer so every path emits in the same sorted
-	// order.
-	if len(roots) < 2*p.workers {
+	e.stats.ExpiryTime += time.Since(start)
+}
+
+// fanOut runs fn once per root — fn touches that root's tree only —
+// and merges what the workers deferred. Small fan-outs are cheaper on
+// one worker; they still go through a deferred scratch so every path
+// emits in the same sorted order. The trees map is not mutated during a
+// fan-out, so fn may look its tree up without a lock.
+func (p *ParallelRAPQ) fanOut(roots []stream.VertexID, fn func(sc *scratch, root stream.VertexID)) {
+	if len(roots) < 2*len(p.pool) {
 		for _, root := range roots {
-			p.updateTree(root, t, validFrom, p.pool[0])
+			fn(p.pool[0], root)
 		}
-		p.mergeWorkers()
+		p.merge()
 		return
 	}
-
+	var next atomic.Int64 // index of the next unclaimed root
 	var wg sync.WaitGroup
-	work := make(chan stream.VertexID, len(roots))
-	for _, r := range roots {
-		work <- r
-	}
-	close(work)
-	for w := 0; w < p.workers; w++ {
+	for _, sc := range p.pool {
 		wg.Add(1)
-		go func(local *treeWorker) {
+		go func() {
 			defer wg.Done()
-			for root := range work {
-				p.updateTree(root, t, validFrom, local)
+			for i := next.Add(1) - 1; i < int64(len(roots)); i = next.Add(1) - 1 {
+				fn(sc, roots[i])
 			}
-		}(p.pool[w])
+		}()
 	}
 	wg.Wait()
-	p.mergeWorkers()
+	p.merge()
 }
 
-// treeWorker carries per-goroutine scratch state and result buffers:
-// the cascade stack, the adjacency copies of the buffer traversal API,
-// and the expiry candidate list. Workers never touch the sink or the
-// shared statistics directly; the coordinator goroutine merges their
-// buffers after each fan-out.
-type treeWorker struct {
-	stack       []insertOp
-	outBuf      []graph.HalfEdge
-	inBuf       []graph.HalfEdge
-	cands       []nodeKey
-	matches     []Match
-	insertCalls int64
-}
-
-// mergeWorkers folds the per-worker buffers into the engine's shared
-// statistics and emits buffered matches to the sink in a deterministic
-// (From, To)-sorted order. Runs on the coordinating goroutine only.
-func (p *ParallelRAPQ) mergeWorkers() {
+// merge applies, on the driving goroutine, what the workers deferred:
+// it folds InsertCalls, replays the inverted-index updates (a tree's
+// updates sit in one scratch in order, and updates of different trees
+// commute) and emits the matches in (From, To, TS) order.
+func (p *ParallelRAPQ) merge() {
 	e := p.inner
-	var all []Match
-	for _, w := range p.pool {
-		e.stats.InsertCalls += w.insertCalls
-		w.insertCalls = 0
-		all = append(all, w.matches...)
-		w.matches = w.matches[:0]
-	}
-	if len(all) == 0 {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].From != all[j].From {
-			return all[i].From < all[j].From
+	all := p.merged[:0]
+	for _, sc := range p.pool {
+		e.stats.InsertCalls += sc.insertCalls
+		sc.insertCalls = 0
+		for _, op := range sc.invOps {
+			e.inv.apply(op)
 		}
-		if all[i].To != all[j].To {
-			return all[i].To < all[j].To
-		}
-		return all[i].TS < all[j].TS
-	})
+		sc.invOps = sc.invOps[:0]
+		all = append(all, sc.matches...)
+		sc.matches = sc.matches[:0]
+	}
+	slices.SortFunc(all, compareMatches)
 	for _, m := range all {
 		e.stats.Results++
 		e.sink.OnMatch(m)
 	}
+	p.merged = all[:0]
 }
 
-// updateTree applies the tuple to a single spanning tree, using the
-// given worker's scratch stack and result buffer. The trees map itself
-// is not mutated during a fan-out, so the lookup needs no lock.
-func (p *ParallelRAPQ) updateTree(root stream.VertexID, t stream.Tuple, validFrom int64, local *treeWorker) {
-	e := p.inner
-	tx := e.trees[root]
-	if tx == nil {
-		return
-	}
-	for _, tr := range e.a.ByLabel[t.Label] {
-		pslot := tx.ns.lookup(mkNodeKey(t.Src, tr.From))
-		if pslot < 0 || tx.ns.ts[pslot] <= validFrom {
-			continue
-		}
-		p.insertConcurrent(tx, pslot, t.Dst, tr.To, t.TS, validFrom, local)
-	}
+// compareMatches orders matches by (From, To, TS).
+func compareMatches(a, b Match) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.TS, b.TS))
 }
 
-// insertConcurrent is Algorithm Insert with a per-worker stack and
-// adjacency buffer. It takes no locks beyond the inverted index's
-// stripe mutexes and the graph's per-vertex stripe read locks (held
-// only while AppendOutAt copies the adjacency): tree-local mutations
-// are safe because each tree is owned by exactly one worker for the
-// duration of the fan-out, the graph is read-only during it, and
-// results and counters go to the worker's buffers.
-func (p *ParallelRAPQ) insertConcurrent(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS int64, validFrom int64, w *treeWorker) {
-	e := p.inner
-	ns := &tx.ns
-	stack := w.stack[:0]
-	stack = append(stack, insertOp{parent: parent, v: v, t: t, edgeTS: edgeTS})
-
-	for len(stack) > 0 {
-		op := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-		newTS := min(op.edgeTS, ns.ts[op.parent])
-		key := mkNodeKey(op.v, op.t)
-		slot := ns.lookup(key)
-		if slot >= 0 && ns.ts[slot] >= newTS {
-			continue
-		}
-		w.insertCalls++
-
-		if slot >= 0 {
-			// Stale witness re-entering the window: see RAPQ.insert.
-			if e.a.Final[op.t] && ns.ts[slot] <= validFrom && newTS > validFrom &&
-				!tx.preLive[op.v] && !e.isLive(tx, op.v, validFrom) {
-				w.matches = append(w.matches, Match{From: tx.root, To: op.v, TS: e.now})
-			}
-			ns.detach(slot)
-			ns.ts[slot] = newTS
-			ns.parent[slot] = op.parent
-			ns.attach(op.parent, slot)
-		} else {
-			wasLive := false
-			if e.a.Final[op.t] {
-				wasLive = tx.preLive[op.v] || e.isLive(tx, op.v, validFrom)
-			}
-			slot = ns.alloc(key, newTS, op.parent)
-			ns.attach(op.parent, slot)
-			tx.vcount[op.v]++
-			if tx.vcount[op.v] == 1 {
-				e.inv.add(op.v, tx.root)
-			}
-			if e.a.Final[op.t] {
-				tx.support[op.v]++
-				if newTS > validFrom && !wasLive {
-					w.matches = append(w.matches, Match{From: tx.root, To: op.v, TS: e.now})
-				}
-			}
-		}
-
-		w.outBuf = e.g.AppendOutAt(e.epoch, op.v, w.outBuf[:0])
-		nodeTS := ns.ts[slot]
-		for _, he := range w.outBuf {
-			if he.TS <= validFrom || he.TS > e.now {
-				continue
-			}
-			if he.L < 0 || int(he.L) >= len(e.a.ByLabel) {
-				continue // label bound after this member: outside its ΣQ
-			}
-			q := e.a.Trans[op.t][he.L]
-			if q == automaton.NoState {
-				continue
-			}
-			childTS := min(nodeTS, he.TS)
-			if cs := ns.lookup(mkNodeKey(he.V, q)); cs < 0 || ns.ts[cs] < childTS {
-				stack = append(stack, insertOp{parent: slot, v: he.V, t: q, edgeTS: he.TS})
-			}
-		}
-	}
-	w.stack = stack[:0]
-}
-
-// ApplyDelete implements MemberEngine. Deletions are rare (§5.4) and
-// run sequentially with the uniform machinery.
-func (p *ParallelRAPQ) ApplyDelete(t stream.Tuple) { p.inner.ApplyDelete(t) }
-
-// ApplyExpiry implements MemberEngine: the per-tree expiry pass fanned
-// over the worker pool ("window management is parallelized similarly").
-// The caller has already expired the snapshot graph.
-func (p *ParallelRAPQ) ApplyExpiry(deadline int64) {
-	e := p.inner
-	start := time.Now()
-	defer func() { e.stats.ExpiryTime += time.Since(start) }()
-	e.stats.ExpiryRuns++
-	e.deadline = deadline
-
-	roots := make([]stream.VertexID, 0, len(e.trees))
-	for root := range e.trees {
-		roots = append(roots, root)
-	}
-	var wg sync.WaitGroup
-	work := make(chan stream.VertexID, len(roots))
-	for _, r := range roots {
-		work <- r
-	}
-	close(work)
-	var gcMu sync.Mutex
-	var gc []stream.VertexID
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(local *treeWorker) {
-			defer wg.Done()
-			for root := range work {
-				tx := e.trees[root]
-				p.expireTreeConcurrent(tx, deadline, local)
-				if tx.ns.size() == 1 {
-					gcMu.Lock()
-					gc = append(gc, root)
-					gcMu.Unlock()
-				}
-			}
-		}(p.pool[w])
-	}
-	wg.Wait()
-	p.mergeWorkers()
-	for _, root := range gc {
-		tx := e.trees[root]
-		if tx != nil && tx.ns.size() == 1 {
-			e.remove(tx, tx.ns.lookup(mkNodeKey(root, e.a.Start)))
-			delete(e.trees, root)
-		}
-	}
-}
-
-// expireTreeConcurrent is ExpiryRAPQ over one tree; inverted-index
-// updates go through the striped index and reconnection inserts use
-// the worker's buffers. Graph reads are safe: the graph is not mutated
-// during the fan-out.
-func (p *ParallelRAPQ) expireTreeConcurrent(tx *tree, deadline int64, w *treeWorker) {
-	e := p.inner
-	ns := &tx.ns
-	candidates := w.cands[:0]
-	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
-		if !ns.live(slot) || ns.ts[slot] > deadline {
-			continue
-		}
-		key := ns.keys[slot]
-		candidates = append(candidates, key)
-		// Pre-pass liveness, as in RAPQ.expireTree: suppresses
-		// re-match emissions for pairs this pass cuts and
-		// reconnects. Tree-local state, so safe on a worker.
-		if e.a.Final[key.state()] {
-			if _, seen := tx.preLive[key.vertex()]; !seen {
-				if tx.preLive == nil {
-					tx.preLive = make(map[stream.VertexID]bool)
-				}
-				tx.preLive[key.vertex()] = e.isLive(tx, key.vertex(), deadline)
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		w.cands = candidates
-		tx.preLive = nil
-		return
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	for _, key := range candidates {
-		e.remove(tx, ns.lookup(key))
-	}
-	for _, key := range candidates {
-		v, t := key.vertex(), key.state()
-		bestParent := int32(-1)
-		var bestKey nodeKey
-		var bestEdgeTS, bestTS int64
-		w.inBuf = e.g.AppendInAt(e.epoch, v, w.inBuf[:0])
-		for _, he := range w.inBuf {
-			if he.TS <= deadline || he.TS > e.now {
-				continue
-			}
-			if he.L < 0 || int(he.L) >= len(e.rev) {
-				continue // label bound after this member: outside its ΣQ
-			}
-			rt := e.rev[he.L]
-			if rt == nil {
-				continue
-			}
-			for _, s := range rt[t] {
-				pk := mkNodeKey(he.V, s)
-				pslot := ns.lookup(pk)
-				if pslot < 0 || ns.ts[pslot] <= deadline {
-					continue
-				}
-				offer := min(he.TS, ns.ts[pslot])
-				if bestParent < 0 || offer > bestTS ||
-					(offer == bestTS && pk < bestKey) {
-					bestParent, bestKey, bestEdgeTS, bestTS = pslot, pk, he.TS, offer
-				}
-			}
-		}
-		if bestParent >= 0 {
-			p.insertConcurrent(tx, bestParent, v, t, bestEdgeTS, deadline, w)
-		}
-	}
-	w.cands = candidates[:0]
-	// Window expiry retracts nothing (implicit window semantics); the
-	// pre-pass liveness map only served match suppression above.
-	tx.preLive = nil
-}
-
-// CheckInvariants delegates to the sequential checker.
-func (p *ParallelRAPQ) CheckInvariants() error { return p.inner.CheckInvariants() }
-
-var (
-	_ Engine       = (*ParallelRAPQ)(nil)
-	_ MemberEngine = (*ParallelRAPQ)(nil)
-	_ MemberEngine = (*RAPQ)(nil)
-)
+var _ Engine = (*ParallelRAPQ)(nil)

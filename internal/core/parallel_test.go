@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
 	"streamrpq/internal/graph"
@@ -10,26 +10,20 @@ import (
 	"streamrpq/internal/window"
 )
 
-// lockedCollector is a CollectorSink safe for concurrent emission.
-type lockedCollector struct {
-	mu sync.Mutex
-	c  *CollectorSink
+// sortedTail returns a (From, To, TS)-sorted copy of log[from:].
+func sortedTail(log []Match, from int) []Match {
+	out := slices.Clone(log[from:])
+	slices.SortFunc(out, compareMatches)
+	return out
 }
 
-func (l *lockedCollector) OnMatch(m Match) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnMatch(m)
-}
-
-func (l *lockedCollector) OnInvalidate(m Match) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.c.OnInvalidate(m)
-}
-
-// TestParallelMatchesSequential: the tree-parallel engine must produce
-// exactly the same cumulative result set as the sequential engine.
+// TestParallelMatchesSequential: the fan-out is pure scheduling over
+// the sequential engine's Insert / ExpiryRAPQ, so on a stream with
+// deletions it must yield, per tuple, exactly the sequential engine's
+// matches and invalidations and leave identical counters and index
+// sizes. The periodic CheckInvariants is what exercises the deferred
+// inverted-index updates. The collectors are unlocked on purpose: the
+// sink must only ever run on the driving goroutine (-race checks it).
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, q := range []struct {
@@ -44,28 +38,36 @@ func TestParallelMatchesSequential(t *testing.T) {
 			a := bind(t, q.expr, q.labels...)
 			spec := window.Spec{Size: 30, Slide: 3}
 
-			seq := NewCollector()
-			par := &lockedCollector{c: NewCollector()}
+			seq, par := NewCollector(), NewCollector()
 			se := NewRAPQ(a, spec, WithSink(seq))
 			pe := NewParallelRAPQ(a, spec, workers, WithSink(par))
 
-			tuples := randomTuples(rng, 800, 12, 3, 2, 0.1)
-			for _, tu := range tuples {
+			for i, tu := range randomTuples(rng, 800, 12, 3, 2, 0.1) {
+				m, r := len(seq.Matched), len(seq.Retract)
+				if m != len(par.Matched) || r != len(par.Retract) {
+					t.Fatalf("workers=%d %q tuple %d: logs out of step", workers, q.expr, i)
+				}
 				se.Process(tu)
 				pe.Process(tu)
-			}
-			sp, pp := seq.Pairs(), par.c.Pairs()
-			if len(sp) != len(pp) {
-				t.Fatalf("workers=%d %q: sequential %d pairs, parallel %d",
-					workers, q.expr, len(sp), len(pp))
-			}
-			for p := range sp {
-				if _, ok := pp[p]; !ok {
-					t.Fatalf("workers=%d %q: pair %v missing from parallel run", workers, q.expr, p)
+				if want, got := sortedTail(seq.Matched, m), sortedTail(par.Matched, m); !slices.Equal(want, got) {
+					t.Fatalf("workers=%d %q tuple %d: matches\nsequential %v\nparallel   %v", workers, q.expr, i, want, got)
+				}
+				if want, got := sortedTail(seq.Retract, r), sortedTail(par.Retract, r); !slices.Equal(want, got) {
+					t.Fatalf("workers=%d %q tuple %d: invalidations\nsequential %v\nparallel   %v", workers, q.expr, i, want, got)
+				}
+				ss, ps := se.Stats(), pe.Stats()
+				if ss.Results != ps.Results || ss.Invalidations != ps.Invalidations || ss.InsertCalls != ps.InsertCalls ||
+					ss.Trees != ps.Trees || ss.Nodes != ps.Nodes {
+					t.Fatalf("workers=%d %q tuple %d: stats diverge\nsequential %+v\nparallel   %+v", workers, q.expr, i, ss, ps)
+				}
+				if (i+1)%50 == 0 {
+					if err := pe.inner.CheckInvariants(); err != nil {
+						t.Fatalf("workers=%d %q tuple %d: %v", workers, q.expr, i, err)
+					}
 				}
 			}
-			if err := pe.CheckInvariants(); err != nil {
-				t.Fatalf("workers=%d %q: %v", workers, q.expr, err)
+			if len(seq.Matched) == 0 || len(seq.Retract) == 0 {
+				t.Fatalf("workers=%d %q: %d matches, %d invalidations; test is vacuous", workers, q.expr, len(seq.Matched), len(seq.Retract))
 			}
 		}
 	}
@@ -77,7 +79,7 @@ func TestParallelOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	a := bind(t, "(a/b)+", "a", "b")
 	spec := window.Spec{Size: 20, Slide: 1}
-	sink := &lockedCollector{c: NewCollector()}
+	sink := NewCollector()
 	pe := NewParallelRAPQ(a, spec, 4, WithSink(sink))
 
 	oracle := graph.New()
@@ -91,7 +93,7 @@ func TestParallelOracle(t *testing.T) {
 		for p := range snap {
 			want[p] = struct{}{}
 		}
-		got := sink.c.Pairs()
+		got := sink.Pairs()
 		for p := range snap {
 			if _, ok := got[p]; !ok {
 				t.Fatalf("tuple %d: oracle pair %v missing", i, p)
@@ -108,8 +110,8 @@ func TestParallelOracle(t *testing.T) {
 func TestParallelWorkerDefault(t *testing.T) {
 	a := bind(t, "a", "a")
 	pe := NewParallelRAPQ(a, window.Spec{Size: 10, Slide: 1}, 0)
-	if pe.workers <= 0 {
-		t.Fatalf("workers = %d", pe.workers)
+	if len(pe.pool) == 0 {
+		t.Fatalf("workers = %d", len(pe.pool))
 	}
 	pe.Process(stream.Tuple{TS: 1, Src: 1, Dst: 2, Label: 0})
 	if pe.Stats().Results != 1 {

@@ -60,7 +60,7 @@ type RAPQ struct {
 	sink Sink
 
 	trees map[stream.VertexID]*tree // Δ: root vertex -> spanning tree
-	inv   *invIndex                 // vertex -> roots of trees containing it (striped)
+	inv   invIndex                  // vertex -> roots of trees containing it
 
 	// rev[label] lists transitions grouped by target state for expiry
 	// reconnection: rev[label][t] = states s with δ(s,label)=t.
@@ -85,17 +85,40 @@ type RAPQ struct {
 	// Exists for the ablation experiment; keep it off otherwise.
 	scanAllTrees bool
 
-	// Reused scratch buffers: the explicit DFS stack of the insert
-	// cascade, the adjacency copies of the buffer-based traversal API
-	// (graph.AppendOutAt/AppendInAt), the expiry candidate list and the
-	// subtree-marking stack. Steady-state processing allocates nothing
-	// per edge once these have grown (asserted by alloc_test.go).
-	insertStack []insertOp
-	outScratch  []graph.HalfEdge
-	inScratch   []graph.HalfEdge
-	candScratch []nodeKey
-	slotScratch []int32
+	// sc is the working set of Δ maintenance on the caller's goroutine;
+	// steady-state processing allocates nothing per edge once its buffers
+	// have grown (asserted by alloc_test.go). rootScratch is the per-tuple
+	// candidate-root snapshot, taken before any tree is touched.
+	sc          scratch
 	rootScratch []stream.VertexID
+}
+
+// scratch is the working set one goroutine mutates while it maintains
+// Δ: the explicit DFS stack of the insert cascade, the adjacency copies
+// of the buffer-based traversal API (graph.AppendOutAt/AppendInAt), the
+// expiry candidate list and the subtree-marking stack. Insert,
+// ExpiryRAPQ and Delete take it explicitly, so the algorithms exist
+// once whether one goroutine runs them (RAPQ.sc) or a fan-out hands
+// each worker its own (ParallelRAPQ).
+//
+// Everything else the algorithms write outside the tree they were
+// handed — the sink, the statistics, the inverted index — is shared
+// engine state. The sequential engine applies those effects at once; a
+// fan-out sets deferred, and they accumulate here until the driver
+// merges them on its own goroutine after the barrier. Nothing reads the
+// inverted index during a fan-out (the candidate roots are snapshotted
+// before it), so deferring its writes is unobservable.
+type scratch struct {
+	stack []insertOp
+	out   []graph.HalfEdge
+	in    []graph.HalfEdge
+	cands []nodeKey
+	slots []int32
+
+	deferred    bool
+	matches     []Match
+	insertCalls int64
+	invOps      []invOp
 }
 
 // insertOp is one pending step of the insert cascade. parent is a
@@ -139,7 +162,6 @@ func NewRAPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RAPQ {
 		win:          window.NewManager(spec),
 		sink:         cfg.sink,
 		trees:        make(map[stream.VertexID]*tree),
-		inv:          newInvIndex(1),
 		rev:          rev,
 		finals:       finals,
 		scanAllTrees: cfg.scanAllTrees,
@@ -253,9 +275,18 @@ func (e *RAPQ) Stats() Stats {
 // Now returns the largest stream timestamp processed so far.
 func (e *RAPQ) Now() int64 { return e.now }
 
+// deltaDriver is what the tuple routing of Process drives: the
+// sequential engine itself, or a fan-out over it (ParallelRAPQ).
+type deltaDriver interface {
+	ApplyInsert(t stream.Tuple)
+	ApplyExpiry(deadline int64)
+}
+
 // Process implements Engine: Algorithm RAPQ for insertions, Algorithm
 // Delete for negative tuples, with ExpiryRAPQ at slide boundaries.
-func (e *RAPQ) Process(t stream.Tuple) {
+func (e *RAPQ) Process(t stream.Tuple) { e.process(t, e) }
+
+func (e *RAPQ) process(t stream.Tuple, d deltaDriver) {
 	e.stats.TuplesSeen++
 	if t.TS > e.now {
 		e.now = t.TS
@@ -264,7 +295,7 @@ func (e *RAPQ) Process(t stream.Tuple) {
 	// expiration).
 	if deadline, due := e.win.Observe(t.TS); due {
 		e.g.Expire(deadline, nil)
-		e.ApplyExpiry(deadline)
+		d.ApplyExpiry(deadline)
 	}
 	// Drop tuples whose label is outside ΣQ: they can never be part of
 	// a resulting path (§5.2).
@@ -273,13 +304,14 @@ func (e *RAPQ) Process(t stream.Tuple) {
 		return
 	}
 	if t.Op == stream.Delete {
+		// Deletions are rare (§5.4): every driver runs them sequentially.
 		if e.g.Delete(t.Key()) {
 			e.ApplyDelete(t)
 		}
 		return
 	}
 	e.g.Insert(t.Src, t.Dst, t.Label, t.TS)
-	e.ApplyInsert(t)
+	d.ApplyInsert(t)
 }
 
 // ApplyInsert is Algorithm RAPQ lines 3–13: it updates the Δ index for
@@ -287,11 +319,19 @@ func (e *RAPQ) Process(t stream.Tuple) {
 // callers use Process; the multi-query coordinator calls ApplyInsert
 // directly after updating the shared graph once.
 func (e *RAPQ) ApplyInsert(t stream.Tuple) {
+	roots, validFrom := e.candidateRoots(t)
+	for _, root := range roots {
+		e.insertEdge(&e.sc, root, t, validFrom)
+	}
+}
+
+// candidateRoots advances the stream clock to t and returns the roots
+// of the trees the inserted edge can extend, with the window's lower
+// bound at that clock.
+func (e *RAPQ) candidateRoots(t stream.Tuple) ([]stream.VertexID, int64) {
 	if t.TS > e.now {
 		e.now = t.TS
 	}
-	validFrom := e.win.Spec().ValidFrom(e.now)
-
 	// Lazily materialize the tree rooted at the source vertex if the
 	// label moves the automaton out of the start state: Δ conceptually
 	// holds a tree for every vertex, but only trees that can grow past
@@ -299,32 +339,35 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 	if e.a.Step(e.a.Start, int(t.Label)) != automaton.NoState {
 		e.ensureTree(t.Src)
 	}
-
 	// Snapshot the candidate trees: insertion cascades may add this
 	// vertex to further trees, but those cascades already see the new
 	// edge in the graph, so they need no re-processing here. With the
 	// inverted index disabled (ablation), every tree is a candidate.
-	e.rootScratch = e.rootScratch[:0]
+	roots := e.rootScratch[:0]
 	if e.scanAllTrees {
 		for root := range e.trees {
-			e.rootScratch = append(e.rootScratch, root)
+			roots = append(roots, root)
 		}
 	} else {
-		e.rootScratch = e.inv.appendRoots(t.Src, e.rootScratch)
+		roots = e.inv.appendRoots(t.Src, roots)
 	}
+	e.rootScratch = roots
+	return roots, e.win.Spec().ValidFrom(e.now)
+}
 
-	for _, root := range e.rootScratch {
-		tx := e.trees[root]
-		if tx == nil {
+// insertEdge offers the edge to one candidate tree: every transition on
+// its label whose source node is in the window (line 6) runs Insert.
+func (e *RAPQ) insertEdge(sc *scratch, root stream.VertexID, t stream.Tuple, validFrom int64) {
+	tx := e.trees[root]
+	if tx == nil {
+		return
+	}
+	for _, tr := range e.a.ByLabel[t.Label] {
+		pslot := tx.ns.lookup(mkNodeKey(t.Src, tr.From))
+		if pslot < 0 || tx.ns.ts[pslot] <= validFrom {
 			continue
 		}
-		for _, tr := range e.a.ByLabel[t.Label] {
-			pslot := tx.ns.lookup(mkNodeKey(t.Src, tr.From))
-			if pslot < 0 || tx.ns.ts[pslot] <= validFrom {
-				continue // line 6: parent must be in the window
-			}
-			e.insert(tx, pslot, t.Dst, tr.To, t.TS, validFrom)
-		}
+		e.insert(sc, tx, pslot, t.Dst, tr.To, t.TS, validFrom)
 	}
 }
 
@@ -343,16 +386,23 @@ func (e *RAPQ) ensureTree(x stream.VertexID) *tree {
 	tx.ns.parent[slot] = slot // root parent: self-sentinel
 	tx.vcount[x] = 1
 	e.trees[x] = tx
-	e.addInv(x, x)
+	e.inv.add(x, x)
 	// A start state that is also final means the empty path matches;
 	// RPQ answers are conventionally over paths of length ≥ 1, and
 	// (x,x) via ε is reported by neither the paper nor this engine.
 	return tx
 }
 
-func (e *RAPQ) addInv(v, root stream.VertexID) { e.inv.add(v, root) }
-
-func (e *RAPQ) dropInv(v, root stream.VertexID) { e.inv.drop(v, root) }
+// noteInv records that the tree rooted at root gained (or, with drop,
+// lost) its last instance of v.
+func (e *RAPQ) noteInv(sc *scratch, v, root stream.VertexID, drop bool) {
+	op := invOp{v: v, root: root, drop: drop}
+	if sc.deferred {
+		sc.invOps = append(sc.invOps, op)
+		return
+	}
+	e.inv.apply(op)
+}
 
 // isLive reports whether the result pair (tx.root, v) is currently
 // live: some final-state witness node for v sits inside the window.
@@ -396,9 +446,10 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 // tree shape — are a pure function of the stream prefix. The sharded
 // multi-query coordinator relies on that canonicity for deterministic
 // result streams.
-func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS int64, validFrom int64) {
+func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t int32, edgeTS int64, validFrom int64) {
 	ns := &tx.ns
-	stack := e.insertStack[:0]
+	calls := int64(0)
+	stack := sc.stack[:0]
 	stack = append(stack, insertOp{parent: parent, v: v, t: t, edgeTS: edgeTS})
 
 	for len(stack) > 0 {
@@ -411,7 +462,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		if slot >= 0 && ns.ts[slot] >= newTS {
 			continue // line 7/9: no improvement possible
 		}
-		e.stats.InsertCalls++
+		calls++
 
 		if slot >= 0 {
 			// A stale witness re-entering the window flips the pair
@@ -420,7 +471,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			// exactly when no other in-window witness already covers it.
 			if e.a.Final[op.t] && ns.ts[slot] <= validFrom && newTS > validFrom &&
 				!tx.preLive[op.v] && !e.isLive(tx, op.v, validFrom) {
-				e.emit(tx.root, op.v)
+				e.emit(sc, tx.root, op.v)
 			}
 			// Timestamp refresh: re-parent to the fresher path.
 			ns.detach(slot)
@@ -436,12 +487,12 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			ns.attach(op.parent, slot)
 			tx.vcount[op.v]++
 			if tx.vcount[op.v] == 1 {
-				e.addInv(op.v, tx.root)
+				e.noteInv(sc, op.v, tx.root, false)
 			}
 			if e.a.Final[op.t] {
 				tx.support[op.v]++
 				if newTS > validFrom && !wasLive {
-					e.emit(tx.root, op.v) // line 6 of Insert: (root, v) went live
+					e.emit(sc, tx.root, op.v) // line 6 of Insert: (root, v) went live
 				}
 			}
 		}
@@ -455,9 +506,9 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		// outruns the stream clock). The scratch buffer is fully
 		// consumed into stack pushes before the next AppendOutAt reuses
 		// it.
-		e.outScratch = e.g.AppendOutAt(e.epoch, op.v, e.outScratch[:0])
+		sc.out = e.g.AppendOutAt(e.epoch, op.v, sc.out[:0])
 		nodeTS := ns.ts[slot]
-		for _, he := range e.outScratch {
+		for _, he := range sc.out {
 			if he.TS <= validFrom || he.TS > e.now {
 				continue // expired or not-yet-arrived: not in W_{G,τ}
 			}
@@ -474,12 +525,17 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			}
 		}
 	}
-	e.insertStack = stack[:0]
+	sc.stack = stack[:0]
+	if sc.deferred {
+		sc.insertCalls += calls
+	} else {
+		e.stats.InsertCalls += calls
+	}
 }
 
 // remove deletes the node in slot from the tree entirely, maintaining
 // the inverted index and the per-vertex witness support counts.
-func (e *RAPQ) remove(tx *tree, slot int32) {
+func (e *RAPQ) remove(sc *scratch, tx *tree, slot int32) {
 	ns := &tx.ns
 	key := ns.keys[slot]
 	v, s := key.vertex(), key.state()
@@ -493,14 +549,19 @@ func (e *RAPQ) remove(tx *tree, slot int32) {
 	tx.vcount[v]--
 	if tx.vcount[v] == 0 {
 		delete(tx.vcount, v)
-		e.dropInv(v, tx.root)
+		e.noteInv(sc, v, tx.root, true)
 	}
 }
 
 // emit reports a result pair.
-func (e *RAPQ) emit(x, v stream.VertexID) {
+func (e *RAPQ) emit(sc *scratch, x, v stream.VertexID) {
+	m := Match{From: x, To: v, TS: e.now}
+	if sc.deferred {
+		sc.matches = append(sc.matches, m)
+		return
+	}
 	e.stats.Results++
-	e.sink.OnMatch(Match{From: x, To: v, TS: e.now})
+	e.sink.OnMatch(m)
 }
 
 // ApplyExpiry runs ExpiryRAPQ over every tree for a slide-boundary
@@ -511,23 +572,31 @@ func (e *RAPQ) ApplyExpiry(deadline int64) {
 	start := time.Now()
 	e.stats.ExpiryRuns++
 	e.deadline = deadline
-	for root, tx := range e.trees {
-		e.expireTree(tx, deadline, false)
-		if tx.ns.size() == 1 { // root-only: no valid start edge remains
-			e.remove(tx, tx.ns.lookup(mkNodeKey(root, e.a.Start)))
-			delete(e.trees, root)
-		}
+	for _, tx := range e.trees {
+		e.expireTree(&e.sc, tx, deadline, false)
+		e.dropIfRootOnly(tx)
 	}
 	e.stats.ExpiryTime += time.Since(start)
 }
 
-// expireTree is Algorithm ExpiryRAPQ for one spanning tree.
-func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
+// dropIfRootOnly garbage-collects a tree that shrank to its root: no
+// valid start edge remains, so Δ need not represent it.
+func (e *RAPQ) dropIfRootOnly(tx *tree) {
+	if tx.ns.size() == 1 {
+		e.remove(&e.sc, tx, tx.ns.lookup(mkNodeKey(tx.root, e.a.Start)))
+		delete(e.trees, tx.root)
+	}
+}
+
+// expireTree is Algorithm ExpiryRAPQ for one spanning tree. Only the
+// sequential Delete path sets invalidate; its retractions go straight
+// to the sink.
+func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool) {
 	ns := &tx.ns
 	// Line 2: candidates with out-of-window timestamps. A child's
 	// timestamp never exceeds its parent's, so candidates form whole
 	// subtrees.
-	candidates := e.candScratch[:0]
+	candidates := sc.cands[:0]
 	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
 		if !ns.live(slot) || ns.ts[slot] > deadline {
 			continue
@@ -549,7 +618,7 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 		}
 	}
 	if len(candidates) == 0 {
-		e.candScratch = candidates
+		sc.cands = candidates
 		tx.preLive = nil
 		return
 	}
@@ -562,7 +631,7 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	// Line 3: prune all candidates from the tree. Every release happens
 	// before any reconnection insert allocates, so slots never dangle.
 	for _, key := range candidates {
-		e.remove(tx, ns.lookup(key))
+		e.remove(sc, tx, ns.lookup(key))
 	}
 	// Lines 4–9: try to reconnect each candidate through a valid edge
 	// from a valid node. Insert re-adds reachable descendants with
@@ -579,8 +648,8 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 		bestParent := int32(-1)
 		var bestKey nodeKey
 		var bestEdgeTS, bestTS int64
-		e.inScratch = e.g.AppendInAt(e.epoch, v, e.inScratch[:0])
-		for _, he := range e.inScratch {
+		sc.in = e.g.AppendInAt(e.epoch, v, sc.in[:0])
+		for _, he := range sc.in {
 			if he.TS <= deadline || he.TS > e.now {
 				continue // expired, or not yet arrived (batched graph)
 			}
@@ -605,10 +674,10 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 			}
 		}
 		if bestParent >= 0 {
-			e.insert(tx, bestParent, v, t, bestEdgeTS, deadline)
+			e.insert(sc, tx, bestParent, v, t, bestEdgeTS, deadline)
 		}
 	}
-	e.candScratch = candidates[:0]
+	sc.cands = candidates[:0]
 	// Lines 11–15, canonicalized: a pair (x,v) is retracted exactly when
 	// it was live before the deletion and no in-window final witness
 	// survived pruning + reconnection. The decision depends only on the
@@ -672,18 +741,15 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 			if pslot < 0 || ns.parent[childSlot] != pslot {
 				continue // not a tree edge w.r.t. Tx (Definition 13)
 			}
-			e.markSubtree(tx, childSlot, validFrom)
+			e.markSubtree(&e.sc, tx, childSlot, validFrom)
 			touched = true
 		}
 		if !touched {
 			continue // deleting a non-tree edge leaves Tx unchanged
 		}
 		// Line 9: uniform handling through ExpiryRAPQ.
-		e.expireTree(tx, validFrom, true)
-		if ns.size() == 1 {
-			e.remove(tx, ns.lookup(rootKey))
-			delete(e.trees, root)
-		}
+		e.expireTree(&e.sc, tx, validFrom, true)
+		e.dropIfRootOnly(tx)
 	}
 }
 
@@ -692,9 +758,9 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 // Before overwriting a final witness's timestamp it records whether its
 // pair was live, so the invalidation pass of expireTree decides against
 // the pre-deletion window state rather than the clobbered one.
-func (e *RAPQ) markSubtree(tx *tree, slot int32, validFrom int64) {
+func (e *RAPQ) markSubtree(sc *scratch, tx *tree, slot int32, validFrom int64) {
 	ns := &tx.ns
-	stack := append(e.slotScratch[:0], slot)
+	stack := append(sc.slots[:0], slot)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -712,7 +778,10 @@ func (e *RAPQ) markSubtree(tx *tree, slot int32, validFrom int64) {
 			stack = append(stack, c)
 		}
 	}
-	e.slotScratch = stack[:0]
+	sc.slots = stack[:0]
 }
 
-var _ Engine = (*RAPQ)(nil)
+var (
+	_ Engine       = (*RAPQ)(nil)
+	_ MemberEngine = (*RAPQ)(nil)
+)

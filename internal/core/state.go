@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"time"
 
@@ -99,8 +98,8 @@ type TreeState struct {
 	Support []SupportCount
 }
 
-// RAPQState is the checkpointable state of a RAPQ (or ParallelRAPQ)
-// engine, excluding the snapshot graph.
+// RAPQState is the checkpointable state of a RAPQ engine, excluding
+// the snapshot graph.
 type RAPQState struct {
 	Now      int64
 	Deadline int64
@@ -203,7 +202,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			store.parent[slot] = slot // placeholder until linked below
 			tx.vcount[n.V]++
 			if tx.vcount[n.V] == 1 {
-				e.addInv(n.V, tx.root)
+				e.inv.add(n.V, tx.root)
 			}
 			if e.a.Final[n.S] {
 				tx.support[n.V]++ // Nodes never contains the root
@@ -226,14 +225,6 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 	}
 	return nil
 }
-
-// SnapshotState implements the state API for the tree-parallel engine by
-// delegating to the sequential core (the Δ index is identical; only the
-// execution strategy differs).
-func (p *ParallelRAPQ) SnapshotState() *RAPQState { return p.inner.SnapshotState() }
-
-// RestoreState delegates to the sequential core.
-func (p *ParallelRAPQ) RestoreState(st *RAPQState) error { return p.inner.RestoreState(st) }
 
 // SPNodeState is one instance of an RSPQ spanning tree. Parent is the
 // index of the parent instance in SPTreeState.Nodes, or -1 for the root.
@@ -400,9 +391,7 @@ func (e *RSPQ) RestoreState(st *RSPQState) error {
 // window clock, and each Δ-index group's state. With query sharing,
 // Members holds one state per *group* (ordered by each group's lowest
 // live subscriber index) and MemberGroup records, for each live query
-// in registration order, which group it subscribes to. A nil
-// MemberGroup (snapshot format v3 and older) means one private group
-// per query, in order.
+// in registration order, which group it subscribes to.
 type MultiState struct {
 	Now     int64
 	Seen    int64
@@ -466,40 +455,11 @@ func RestoreEdges(g *graph.Graph, edges []graph.Edge) error {
 // PlanGroupPartition resolves a snapshot's query→group mapping into
 // slot partitions, one per restored group, each paired with its engine
 // state. liveIdx lists the coordinator's live registration indices in
-// order; key(idx) returns the group key of the query at that index. For
-// v3 snapshots (nil mapping: one private state per query) under a
-// sharing coordinator, equal-key slots whose states are byte-equal are
-// re-deduplicated into one shared group — sound because a deterministic
-// engine's state is a pure function of its inputs, so equal states plus
-// equal automata resume identically. For v4 snapshots the mapping is
-// authoritative: the partition is restored exactly as recorded.
-func PlanGroupPartition(st *MultiState, liveIdx []int, key func(int) string, sharing bool) ([][]int, []*RAPQState, error) {
-	if st.MemberGroup == nil {
-		if len(st.Members) != len(liveIdx) {
-			return nil, nil, fmt.Errorf("core: restore: snapshot has %d members, coordinator has %d",
-				len(st.Members), len(liveIdx))
-		}
-		var parts [][]int
-		var states []*RAPQState
-		for rank, idx := range liveIdx {
-			joined := false
-			if sharing {
-				for pi := range parts {
-					if key(parts[pi][0]) == key(idx) &&
-						reflect.DeepEqual(states[pi], st.Members[rank]) {
-						parts[pi] = append(parts[pi], idx)
-						joined = true
-						break
-					}
-				}
-			}
-			if !joined {
-				parts = append(parts, []int{idx})
-				states = append(states, st.Members[rank])
-			}
-		}
-		return parts, states, nil
-	}
+// order; key(idx) returns the group key of the query at that index. The
+// mapping is authoritative: the partition is restored exactly as
+// recorded, and only checked for shape and for groups spanning
+// inequivalent queries.
+func PlanGroupPartition(st *MultiState, liveIdx []int, key func(int) string) ([][]int, []*RAPQState, error) {
 	if len(st.MemberGroup) != len(liveIdx) {
 		return nil, nil, fmt.Errorf("core: restore: snapshot maps %d queries, coordinator has %d",
 			len(st.MemberGroup), len(liveIdx))

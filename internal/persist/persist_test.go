@@ -1,10 +1,13 @@
 package persist
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamrpq/internal/core"
@@ -73,22 +76,33 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	for _, mutate := range []struct {
 		name string
 		f    func([]byte) []byte
+		want string // substring the error must carry
 	}{
 		{"flip-middle-byte", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)/2] ^= 0x40
 			return c
-		}},
-		{"truncate-tail", func(b []byte) []byte { return b[:len(b)-5] }},
-		{"truncate-short", func(b []byte) []byte { return b[:6] }},
+		}, ""},
+		{"truncate-tail", func(b []byte) []byte { return b[:len(b)-5] }, ""},
+		{"truncate-short", func(b []byte) []byte { return b[:6] }, ""},
 		{"flip-crc", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)-1] ^= 0xff
 			return c
-		}},
+		}, ""},
+		// An intact file of the retired v3 layout: the checksum holds, so
+		// only the version check stands between it and a misparse.
+		{"version-3", func(b []byte) []byte {
+			c := append([]byte(nil), b[:len(b)-4]...)
+			c[len(snapMagic)] = 3
+			return binary.LittleEndian.AppendUint32(c, crc32.ChecksumIEEE(c))
+		}, "unsupported snapshot version 3"},
 	} {
-		if _, err := DecodeSnapshot(mutate.f(data)); err == nil {
+		_, err := DecodeSnapshot(mutate.f(data))
+		if err == nil {
 			t.Errorf("%s: corruption not detected", mutate.name)
+		} else if !strings.Contains(err.Error(), mutate.want) {
+			t.Errorf("%s: error %q does not mention %q", mutate.name, err, mutate.want)
 		}
 	}
 }

@@ -36,14 +36,12 @@ const (
 	// versions are rejected, as before. Version 4 added multi-query
 	// sharing: the facade sharing flag, the query→group mapping
 	// (core.MultiState.MemberGroup — Members then holds one Δ state per
-	// GROUP, not per query), and the dispatch/relevance-skip counters.
-	// Version-3 files are still read: their nil mapping restores one
-	// private group per query, which the coordinator re-deduplicates
-	// when sharing is on (see core.PlanGroupPartition).
+	// GROUP, not per query), and the dispatch/relevance-skip counters;
+	// version-3 files (one Δ state per query, no mapping) are rejected.
 	snapVersion = 4
 
 	// snapVersionMin is the oldest snapshot version recovery accepts.
-	snapVersionMin = 3
+	snapVersionMin = 4
 )
 
 // Snapshot is the full checkpointable state of a facade evaluator: the
@@ -56,7 +54,7 @@ type Snapshot struct {
 	Spec           window.Spec
 	Sharded        bool
 	Shards         int
-	Sharing        bool     // multi-query sharing enabled (v4+; v3 files read as true, the current default)
+	Sharing        bool     // multi-query sharing enabled
 	Queries        []string // source expressions, registration order
 	Vertices       []string // vertex dictionary, id order
 	Labels         []string // label dictionary, id order
@@ -294,12 +292,9 @@ func encodeMultiState(e *encoder, st *core.MultiState) {
 	e.i64(st.RelevanceSkips)
 }
 
-// decodeMultiState parses a coordinator state section; version selects
-// between the v3 layout (one Δ state per query, no group mapping) and
-// the v4 layout (one Δ state per group + MemberGroup + dispatch
-// counters). A v3 state keeps MemberGroup nil, the marker
-// core.PlanGroupPartition turns into one private group per query.
-func decodeMultiState(d *decoder, version uint8) *core.MultiState {
+// decodeMultiState parses a coordinator state section: one Δ state per
+// group, the query→group mapping and the dispatch counters.
+func decodeMultiState(d *decoder) *core.MultiState {
 	st := &core.MultiState{
 		Now:     d.i64(),
 		Seen:    d.i64(),
@@ -316,15 +311,13 @@ func decodeMultiState(d *decoder, version uint8) *core.MultiState {
 	for i := 0; i < nlabels && d.err == nil; i++ {
 		st.LabelTS = append(st.LabelTS, d.i64())
 	}
-	if version >= 4 {
-		nmap := d.count(1)
-		st.MemberGroup = make([]int, 0, nmap)
-		for i := 0; i < nmap && d.err == nil; i++ {
-			st.MemberGroup = append(st.MemberGroup, int(d.u64()))
-		}
-		st.Dispatches = d.i64()
-		st.RelevanceSkips = d.i64()
+	nmap := d.count(1)
+	st.MemberGroup = make([]int, 0, nmap)
+	for i := 0; i < nmap && d.err == nil; i++ {
+		st.MemberGroup = append(st.MemberGroup, int(d.u64()))
 	}
+	st.Dispatches = d.i64()
+	st.RelevanceSkips = d.i64()
 	return st
 }
 
@@ -378,8 +371,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	d := &decoder{buf: body, off: len(snapMagic)}
-	v := d.byte()
-	if v < snapVersionMin || v > snapVersion {
+	if v := d.byte(); v < snapVersionMin || v > snapVersion {
 		return nil, fmt.Errorf("persist: unsupported snapshot version %d", v)
 	}
 	s := &Snapshot{
@@ -388,14 +380,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	s.Sharded = d.bool()
 	s.Shards = int(d.u64())
-	if v >= 4 {
-		s.Sharing = d.bool()
-	} else {
-		// Pre-sharing snapshots restore under the current default; the
-		// private per-query Δ states they carry are re-deduplicated at
-		// restore (core.PlanGroupPartition).
-		s.Sharing = true
-	}
+	s.Sharing = d.bool()
 	s.Queries = d.strs()
 	s.Vertices = d.strs()
 	s.Labels = d.strs()
@@ -403,7 +388,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	s.Started = d.bool()
 	s.AppliedTuples = d.i64()
 	s.AppliedBatches = d.u64()
-	s.State = decodeMultiState(d, v)
+	s.State = decodeMultiState(d)
 	if d.err != nil {
 		return nil, d.err
 	}

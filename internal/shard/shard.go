@@ -6,7 +6,9 @@
 // The window content G_{W,τ} is query independent, so the snapshot
 // graph and the window clock are owned by the coordinator; registered
 // queries are partitioned round-robin over N worker shards, each
-// owning the Δ spanning-tree indexes of its queries.
+// owning the Δ spanning-tree indexes of its queries. Every group is one
+// sequential core.RAPQ: the coordinator's parallelism is across groups,
+// never inside one.
 //
 // # Two schedules
 //
@@ -202,9 +204,6 @@ type Engine struct {
 	members []*member
 	groups  []*group // active Δ-index groups, creation order
 	sharing bool     // equivalent queries share one group (WithSharing)
-	// relevant[l] reports whether label l is in any member's alphabet;
-	// tuples outside every alphabet skip the graph and the shards.
-	relevant []bool
 
 	// Relevance-filter counters restored from a snapshot; live counts
 	// accumulate per worker and are added on top (see Stats).
@@ -499,10 +498,11 @@ func (s *Engine) Graph() *graph.Graph { return s.g }
 func (s *Engine) Err() error { return s.err }
 
 // Add registers one RAPQ query and returns its engine (for Stats
-// probes). Queries must be added before the first batch; sink may be
-// nil. With sharing on, a query equivalent to an already-registered one
-// subscribes to the existing group and returns the shared engine; a new
-// group is assigned to shard index Len() mod NumShards().
+// probes; RestoreState replaces it). It is the only static
+// registration: queries must be added before the first batch; sink may
+// be nil. With sharing on, a query equivalent to an already-registered
+// one subscribes to the existing group and returns the shared engine; a
+// new group is assigned to shard index Len() mod NumShards().
 func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 	if err := s.precheck(a); err != nil {
 		return nil, err
@@ -512,22 +512,6 @@ func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 		return g.engine.(*core.RAPQ), nil
 	}
 	e := core.NewRAPQ(a, s.spec)
-	s.activate(s.newGroup(e, mb))
-	return e, nil
-}
-
-// AddParallel registers one query evaluated with intra-query tree
-// parallelism (core.ParallelRAPQ): per-tuple tree updates of this
-// member fan out over its own worker pool, composing with the
-// inter-query sharding (neither layer takes a whole-engine lock).
-// Parallel members never share a group (their key is a private nonce):
-// the worker-pool configuration is per query.
-func (s *Engine) AddParallel(a *automaton.Bound, sink core.Sink, workers int) (*core.ParallelRAPQ, error) {
-	if err := s.precheck(a); err != nil {
-		return nil, err
-	}
-	mb := s.newMember(a, sink, fmt.Sprintf("#parallel%d", len(s.members)))
-	e := core.NewParallelRAPQ(a, s.spec, workers)
 	s.activate(s.newGroup(e, mb))
 	return e, nil
 }
@@ -560,7 +544,6 @@ func (s *Engine) joinGroup(mb *member) *group {
 	subscribe := func(g *group) *group {
 		g.subs = append(g.subs, mb.index)
 		mb.group = g
-		s.noteRelevant(mb.bound)
 		return g
 	}
 	for _, p := range s.pending {
@@ -603,14 +586,12 @@ func (s *Engine) checkLabelSpace(a *automaton.Bound) error {
 }
 
 // newGroup builds the member's own group around engine e, on the shard
-// its registration index selects. The union relevance table includes
-// the alphabet from here on, so every step the group needs is created.
+// its registration index selects.
 func (s *Engine) newGroup(e core.MemberEngine, mb *member) *group {
 	e.AttachGraph(s.g)
 	w := s.workers[mb.index%len(s.workers)]
 	g := &group{engine: e, bound: mb.bound, key: mb.key, subs: []int{mb.index}, w: w}
 	mb.group = g
-	s.noteRelevant(mb.bound)
 	return g
 }
 
@@ -621,19 +602,6 @@ func (s *Engine) activate(g *group) {
 	s.groups = append(s.groups, g)
 	g.w.groups = append(g.w.groups, g)
 	g.w.rebuild()
-}
-
-// noteRelevant folds one member's alphabet into the union relevance
-// table that steers step creation.
-func (s *Engine) noteRelevant(a *automaton.Bound) {
-	for len(s.relevant) < len(a.ByLabel) {
-		s.relevant = append(s.relevant, false)
-	}
-	for l := range s.relevant {
-		if a.Relevant(l) {
-			s.relevant[l] = true
-		}
-	}
 }
 
 // AddDynamic registers one RAPQ query mid-stream and returns its
@@ -781,7 +749,9 @@ func (s *Engine) finishPending() {
 // drained and idle — flushing its emissions into the current batch's
 // results. The group reads the graph at each sub-batch's original
 // epoch, kept alive by the bootstrap lease, so it observes exactly the
-// snapshots the live members did.
+// snapshots the live members did. Each replayed application counts as
+// the dispatch or relevance skip the group's shard would have counted
+// had the group been active, as it is at once under the inline schedule.
 func (s *Engine) catchUp(p *pendingMember) (err error) {
 	e, w := p.g.engine, p.g.w
 	e.SetSink(captureSink{p.g})
@@ -798,12 +768,16 @@ func (s *Engine) catchUp(p *pendingMember) (err error) {
 			if st.expire {
 				e.ApplyExpiry(st.deadline)
 			}
-			if !st.skip && e.RelevantLabel(st.tuple.Label) {
-				if st.del {
-					e.ApplyDelete(st.tuple)
-				} else {
-					e.ApplyInsert(st.tuple)
-				}
+			switch {
+			case st.skip: // no group had work: nothing to apply or count
+			case !e.RelevantLabel(st.tuple.Label):
+				w.relevanceSkips++
+			case st.del:
+				w.dispatches++
+				e.ApplyDelete(st.tuple)
+			default:
+				w.dispatches++
+				e.ApplyInsert(st.tuple)
 			}
 			w.flush(st.index)
 		}
@@ -811,8 +785,24 @@ func (s *Engine) catchUp(p *pendingMember) (err error) {
 	return nil
 }
 
+// relevantLabel reports whether any group has a transition on the
+// label — an active one (the shards' dispatch indexes; the inline
+// schedule asks its single worker the same question) or one pending
+// activation, whose catch-up replays the steps planned meanwhile. Tuples
+// outside every alphabet get no step and, unless retain-all is on, skip
+// the graph.
 func (s *Engine) relevantLabel(l stream.LabelID) bool {
-	return l >= 0 && int(l) < len(s.relevant) && s.relevant[l]
+	for _, w := range s.workers {
+		if len(w.rel.Groups(int(l))) > 0 {
+			return true
+		}
+	}
+	for _, p := range s.pending {
+		if p.g.engine.RelevantLabel(l) {
+			return true
+		}
+	}
+	return false
 }
 
 // start marks processing as begun and, pipelined, spawns the shard
@@ -1010,7 +1000,7 @@ func (s *Engine) stepInline(w *worker, t stream.Tuple) {
 			g.engine.ApplyExpiry(ex.Deadline)
 		}
 	}
-	relevant := len(w.rel.Groups(int(t.Label))) > 0
+	relevant := s.relevantLabel(t.Label)
 	if !relevant {
 		s.dropped++
 		if !s.retain {
@@ -1314,11 +1304,10 @@ func (s *Engine) SnapshotState() *core.MultiState {
 // already be registered (same number, same order as at snapshot time)
 // and no batch processed yet. The restored graph starts at epoch 0
 // regardless of where the snapshotting engine's epoch counter stood.
-// The snapshot's query→group mapping is authoritative: groups formed at
-// registration are re-partitioned to match it, so a v4 snapshot
-// restores its exact sharing layout at any shard count, and a v3
-// snapshot restores private groups (re-deduplicated into shared ones
-// when sharing is on and the member states are identical).
+// The snapshot's query→group mapping is authoritative: the groups
+// formed at registration (and the engines Add returned for them) are
+// replaced by groups rebuilt to match it, so a snapshot restores its
+// exact sharing layout at any shard count.
 func (s *Engine) RestoreState(st *core.MultiState) error {
 	if s.closed {
 		return fmt.Errorf("shard: RestoreState on closed engine")
@@ -1332,7 +1321,7 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 			liveIdx = append(liveIdx, i)
 		}
 	}
-	parts, states, err := core.PlanGroupPartition(st, liveIdx, func(i int) string { return s.members[i].key }, s.sharing)
+	parts, states, err := core.PlanGroupPartition(st, liveIdx, func(i int) string { return s.members[i].key })
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
@@ -1347,34 +1336,25 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	s.labelTS = append([]int64(nil), st.LabelTS...)
 	s.dispatchBase = st.Dispatches
 	s.skipBase = st.RelevanceSkips
-	// Reuse registration-formed groups whose subscriber sets already
-	// match a snapshot partition (the common path, which keeps
-	// AddParallel members on their ParallelRAPQ engines); re-form the
-	// rest as RAPQ groups over the widest bound of the partition.
-	existing := make(map[string]*group, len(s.groups))
-	for _, g := range s.groups {
-		existing[fmt.Sprint(g.subs)] = g
-	}
+	// Every restored group is a fresh RAPQ group over the widest bound of
+	// its partition, replacing the ones registration formed.
 	groups := make([]*group, len(parts))
 	for gi, part := range parts {
-		g, ok := existing[fmt.Sprint(part)]
-		if !ok {
-			best := s.members[part[0]]
-			for _, idx := range part[1:] {
-				if len(s.members[idx].bound.ByLabel) > len(best.bound.ByLabel) {
-					best = s.members[idx]
-				}
-			}
-			w := s.workers[part[0]%len(s.workers)]
-			e := core.NewRAPQ(best.bound, s.spec)
-			e.AttachGraph(s.g)
-			g = &group{engine: e, bound: best.bound, key: best.key, subs: append([]int(nil), part...), w: w}
-			e.SetSink(captureSink{g})
-			for _, idx := range part {
-				s.members[idx].group = g
+		best := s.members[part[0]]
+		for _, idx := range part[1:] {
+			if len(s.members[idx].bound.ByLabel) > len(best.bound.ByLabel) {
+				best = s.members[idx]
 			}
 		}
-		if err := g.engine.RestoreState(states[gi]); err != nil {
+		w := s.workers[part[0]%len(s.workers)]
+		e := core.NewRAPQ(best.bound, s.spec)
+		e.AttachGraph(s.g)
+		g := &group{engine: e, bound: best.bound, key: best.key, subs: append([]int(nil), part...), w: w}
+		e.SetSink(captureSink{g})
+		for _, idx := range part {
+			s.members[idx].group = g
+		}
+		if err := e.RestoreState(states[gi]); err != nil {
 			return fmt.Errorf("shard: restore group %d: %w", gi, err)
 		}
 		groups[gi] = g

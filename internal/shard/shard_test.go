@@ -319,41 +319,6 @@ func TestShardedDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestShardedParallelMembers: intra-query tree parallelism
-// (AddParallel) composes with inter-query sharding without changing
-// the result stream.
-func TestShardedParallelMembers(t *testing.T) {
-	spec := window.Spec{Size: 40, Slide: 4}
-	ref := core.NewCollector()
-	seq := core.NewRAPQ(bind(t, "(a/b)+", "a", "b"), spec, core.WithSink(ref))
-
-	got := core.NewCollector()
-	s, err := New(spec, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddParallel(bind(t, "(a/b)+", "a", "b"), got, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Add(bind(t, "a+", "a", "b"), nil); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	tuples := randomTuples(rand.New(rand.NewSource(5)), 700, 8, 2, 1, 0)
-	for _, tu := range tuples {
-		seq.Process(tu)
-	}
-	for _, b := range batches(tuples, 50) {
-		if _, err := s.ProcessBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sameMatchMultiset(ref.Matched, got.Matched) {
-		t.Fatalf("parallel member diverged: %d vs %d matches", len(ref.Matched), len(got.Matched))
-	}
-}
-
 // TestShardStats: every shard that owns queries reports work on a
 // stream that touches all alphabets. Sharing is pinned off — with it
 // on, the six identical queries would collapse into one group on one

@@ -415,11 +415,10 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 			return nil, fmt.Errorf("streamrpq: recover: vertex dictionary: %w", err)
 		}
 	}
-	// The sharing mode must be in force before RestoreState: the
-	// snapshot's query→group mapping is restored verbatim either way,
-	// but registration-formed groups that already match it are reused,
-	// and a v3 snapshot's private states only re-deduplicate under a
-	// sharing coordinator.
+	// The snapshot's query→group mapping is restored verbatim whatever
+	// the mode; the sharing mode it was written under governs how
+	// queries registered after recovery are grouped. Set before
+	// RestoreState: reconfiguring rebuilds the coordinator.
 	if err := m.WithQuerySharing(snap.Sharing); err != nil {
 		return nil, err
 	}

@@ -182,7 +182,7 @@ func WithParallelism(workers int) Option {
 	return func(c *evalConfig) {
 		c.workers = workers
 		if c.workers <= 0 {
-			c.workers = -1 // sentinel: GOMAXPROCS
+			c.workers = -1 // 0 means "off"; core resolves ≤ 0 to GOMAXPROCS
 		}
 	}
 }
@@ -279,11 +279,7 @@ func NewEvaluator(q *Query, opts ...Option) (*Evaluator, error) {
 	switch cfg.semantics {
 	case Arbitrary:
 		if cfg.workers != 0 {
-			workers := cfg.workers
-			if workers < 0 {
-				workers = 0 // ParallelRAPQ resolves 0 to GOMAXPROCS
-			}
-			ev.engine = core.NewParallelRAPQ(bound, spec, workers, core.WithSink(sink))
+			ev.engine = core.NewParallelRAPQ(bound, spec, cfg.workers, core.WithSink(sink))
 		} else {
 			ev.engine = core.NewRAPQ(bound, spec, core.WithSink(sink))
 		}
