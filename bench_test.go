@@ -10,7 +10,6 @@
 package streamrpq_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -19,8 +18,6 @@ import (
 	"streamrpq/internal/core"
 	"streamrpq/internal/datasets"
 	"streamrpq/internal/pattern"
-	"streamrpq/internal/shard"
-	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 	"streamrpq/internal/workload"
 )
@@ -282,122 +279,6 @@ func BenchmarkFig11Baseline(b *testing.B) {
 		engine := baseline.NewRescan(q.Bound, spec)
 		replay(b, engine, d)
 	})
-}
-
-// BenchmarkMultiQueryShards measures the sharded concurrent
-// multi-query engine (internal/shard) running a doubled SO workload
-// (22 persistent queries) over one shared window, at 1, 2 and 8 worker
-// shards. Each op is one tuple pushed through a 256-tuple IngestBatch
-// pipeline; on a multicore runner (GOMAXPROCS >= 8) the 8-shard
-// variant should beat the 1-shard variant in tuples/s, since shards
-// update their queries' Δ indexes concurrently between the per-batch
-// graph advances.
-func BenchmarkMultiQueryShards(b *testing.B) {
-	benchData()
-	d := benchSO
-	qs := workload.MustQueries(d)
-	queries := append(append([]workload.Query{}, qs...), qs...)
-	span := d.Tuples[len(d.Tuples)-1].TS + 1
-
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			eng, err := shard.New(benchWindow(d), shard.WithShards(shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			for _, q := range queries {
-				if _, err := eng.Add(q.Bound, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			const batchSize = 256
-			batch := make([]stream.Tuple, 0, batchSize)
-			var offset int64
-			flush := func() {
-				if len(batch) == 0 {
-					return
-				}
-				if _, err := eng.ProcessBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				batch = batch[:0]
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := d.Tuples[i%len(d.Tuples)]
-				if i > 0 && i%len(d.Tuples) == 0 {
-					flush() // timestamps rebase here; keep batches ordered
-					offset += span
-				}
-				t.TS += offset
-				batch = append(batch, t)
-				if len(batch) == batchSize {
-					flush()
-				}
-			}
-			flush()
-		})
-	}
-}
-
-// BenchmarkMultiQueryPipeline measures barriered (depth 1) vs
-// pipelined (depth 2 and 4) sub-batch execution at 1 and 8 shards on
-// the same doubled SO workload. On a multicore runner the pipelined
-// variants should be at least as fast as depth 1 at ≥ 2 shards: the
-// coordinator's graph/window advance for epoch k+1 overlaps the
-// shards' Δ-index fan-out for epoch k instead of waiting behind it.
-// The structured sweep equivalent is `rpqbench -exp pipeline -json`
-// (recorded as BENCH_pipeline.json / the pipeline-sweep CI artifact).
-func BenchmarkMultiQueryPipeline(b *testing.B) {
-	benchData()
-	d := benchSO
-	qs := workload.MustQueries(d)
-	queries := append(append([]workload.Query{}, qs...), qs...)
-	span := d.Tuples[len(d.Tuples)-1].TS + 1
-
-	for _, shards := range []int{1, 8} {
-		for _, depth := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("shards%d/depth%d", shards, depth), func(b *testing.B) {
-				eng, err := shard.New(benchWindow(d), shard.WithShards(shards), shard.WithPipelineDepth(depth))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				for _, q := range queries {
-					if _, err := eng.Add(q.Bound, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				const batchSize = 256
-				batch := make([]stream.Tuple, 0, batchSize)
-				var offset int64
-				flush := func() {
-					if len(batch) == 0 {
-						return
-					}
-					if _, err := eng.ProcessBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-					batch = batch[:0]
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t := d.Tuples[i%len(d.Tuples)]
-					if i > 0 && i%len(d.Tuples) == 0 {
-						flush() // timestamps rebase here; keep batches ordered
-						offset += span
-					}
-					t.TS += offset
-					batch = append(batch, t)
-					if len(batch) == batchSize {
-						flush()
-					}
-				}
-				flush()
-			})
-		}
-	}
 }
 
 // BenchmarkTable1Amortized probes the amortized insert bound of Table 1

@@ -6,18 +6,11 @@
 //	rpqbench -list
 //	rpqbench -exp fig4 [-scale 40000] [-seed 1]
 //	rpqbench -exp all
-//	rpqbench -exp multiq -json > BENCH_multiq.json
-//	rpqbench -exp multiq-shared -shards 1,2,8 -json > BENCH_multiq_shared.json
-//	rpqbench -exp pipeline -shards 1,2,4,8 -pipeline 1,2,4 -json > BENCH_pipeline.json
-//	rpqbench -exp churn -json > BENCH_churn.json
-//	rpqbench -exp writers -writers 1,2,4,8 -json > BENCH_writers.json
 //
-// -json emits machine-readable results (ns/op, tuples/s, per-shard
-// stats) for experiments with structured drivers, so benchmark
-// trajectories can be recorded as BENCH_*.json files across commits.
-// -shards, -pipeline and -writers override the sweep grids of the
-// multiq, multiq-shared, pipeline and writers experiments
-// (comma-separated lists).
+// These are the paper's exhibits plus the design-choice ablation, for
+// reading orderings and trends. Performance claims about the engine
+// are made on the benchmark harness (BENCHMARK.json, benchmark/run.sh),
+// not here.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the
 // selected experiments (CPU over the whole run; heap snapshotted after
@@ -31,28 +24,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"streamrpq/internal/experiments"
 )
-
-// parseIntList parses a comma-separated list of positive ints.
-func parseIntList(flagName, s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("-%s: %q is not a positive integer", flagName, part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
 
 func main() {
 	var (
@@ -60,10 +35,6 @@ func main() {
 		scale   = flag.Int("scale", 40000, "stream length in tuples for the primary runs")
 		seed    = flag.Int64("seed", 1, "random seed for dataset and workload generation")
 		list    = flag.Bool("list", false, "list available experiments and exit")
-		jsonOut = flag.Bool("json", false, "emit machine-readable JSON instead of tables (structured experiments only)")
-		shards  = flag.String("shards", "", "comma-separated shard counts for the multiq/multiq-shared/pipeline sweeps (default grid if empty)")
-		depths  = flag.String("pipeline", "", "comma-separated pipeline depths for the pipeline sweep (default 1,2,4; 1 = barriered)")
-		writers = flag.String("writers", "", "comma-separated writer counts for the writers sweep (default 1,2,4,8; 1 = sequential apply)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile (after the selected experiments) to this file")
 	)
@@ -102,48 +73,12 @@ func main() {
 
 	if *list {
 		for _, r := range experiments.All() {
-			mark := " "
-			if experiments.JSONCapable(r.ID) {
-				mark = "*"
-			}
-			fmt.Printf("  %-8s%s %s\n", r.ID, mark, r.Title)
-		}
-		fmt.Println("  (* supports -json)")
-		return
-	}
-
-	shardCounts, err := parseIntList("shards", *shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpqbench: %v\n", err)
-		os.Exit(2)
-	}
-	pipelineDepths, err := parseIntList("pipeline", *depths)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpqbench: %v\n", err)
-		os.Exit(2)
-	}
-	writerCounts, err := parseIntList("writers", *writers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpqbench: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := experiments.Config{
-		Scale: *scale, Out: os.Stdout, Seed: *seed,
-		ShardCounts: shardCounts, PipelineDepths: pipelineDepths,
-		WriterCounts: writerCounts,
-	}
-
-	if *jsonOut {
-		if !experiments.JSONCapable(*exp) {
-			fmt.Fprintf(os.Stderr, "rpqbench: -json requires a structured experiment (use -exp multiq); %q has none\n", *exp)
-			os.Exit(2)
-		}
-		if err := experiments.WriteJSON(cfg, *exp, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "rpqbench: %s: %v\n", *exp, err)
-			os.Exit(1)
+			fmt.Printf("  %-8s  %s\n", r.ID, r.Title)
 		}
 		return
 	}
+
+	cfg := experiments.Config{Scale: *scale, Out: os.Stdout, Seed: *seed}
 	run := func(r experiments.Runner) {
 		start := time.Now()
 		if err := r.Run(cfg); err != nil {

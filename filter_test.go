@@ -1,6 +1,11 @@
 package streamrpq
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"streamrpq/internal/stream"
+)
 
 func TestEdgeFilterRejects(t *testing.T) {
 	ev, err := NewEvaluator(MustCompile("pays/pays"),
@@ -58,5 +63,74 @@ func TestEdgeFilterExemptsDeletions(t *testing.T) {
 	ev.MustIngest(Tuple{TS: 2, Src: "u", Dst: "v", Label: "a", Delete: true})
 	if retracted != 1 {
 		t.Fatalf("retracted = %d, want 1", retracted)
+	}
+}
+
+// A filter-rejected tuple is still a tuple of the stream: it is held
+// to the same order check as an accepted one and cannot move the
+// stream clock backwards.
+func TestEdgeFilterKeepsStreamOrder(t *testing.T) {
+	ev, err := NewEvaluator(MustCompile("a/b"),
+		WithWindow(100, 1),
+		WithEdgeFilter(func(tu Tuple) bool { return tu.Props["ok"] != "no" }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	no := map[string]string{"ok": "no"}
+
+	ev.MustIngest(Tuple{TS: 10, Src: "x", Dst: "y", Label: "a"})
+	if _, err := ev.Ingest(Tuple{TS: 5, Src: "p", Dst: "q", Label: "a", Props: no}); err == nil {
+		t.Fatal("rejected tuple at ts 5 after ts 10 was accepted")
+	}
+	// The clock is still at 10, so ts 7 is out of order too.
+	if ms, err := ev.Ingest(Tuple{TS: 7, Src: "y", Dst: "z", Label: "b"}); err == nil {
+		t.Fatalf("ts 7 after ts 10 was accepted: %v", ms)
+	}
+	ms := ev.MustIngest(Tuple{TS: 10, Src: "y", Dst: "z", Label: "b"})
+	if len(ms) != 1 || ms[0] != (Match{From: "x", To: "z", TS: 10}) {
+		t.Fatalf("matches = %v, want [{x z 10}]", ms)
+	}
+}
+
+// With WithSlack a rejected tuple goes through the reorder buffer like
+// any other: it is released in timestamp order, never ahead of
+// buffered tuples, and it is late when it is behind the watermark.
+func TestEdgeFilterRespectsSlack(t *testing.T) {
+	newEv := func() *Evaluator {
+		ev, err := NewEvaluator(MustCompile("a/b"),
+			WithWindow(100, 1),
+			WithSlack(5),
+			WithEdgeFilter(func(tu Tuple) bool { return tu.Props["ok"] != "no" }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	no := map[string]string{"ok": "no"}
+
+	ev := newEv()
+	ev.MustIngest(Tuple{TS: 10, Src: "x", Dst: "y", Label: "a"})
+	ev.MustIngest(Tuple{TS: 13, Src: "p", Dst: "q", Label: "a", Props: no})
+	ev.MustIngest(Tuple{TS: 11, Src: "y", Dst: "z", Label: "b"})
+	if ms := ev.Flush(); len(ms) != 1 || ms[0] != (Match{From: "x", To: "z", TS: 11}) {
+		t.Fatalf("Flush = %v, want [{x z 11}]", ms)
+	}
+
+	// A rejected tuple far ahead moves the watermark as an accepted one
+	// would (here to 45), which makes ts 11 late instead of letting it
+	// reach the engine behind ts 50.
+	ev = newEv()
+	ev.MustIngest(Tuple{TS: 10, Src: "x", Dst: "y", Label: "a"})
+	ev.MustIngest(Tuple{TS: 50, Src: "p", Dst: "q", Label: "a", Props: no})
+	var late *stream.ErrLate
+	if ms, err := ev.Ingest(Tuple{TS: 11, Src: "y", Dst: "z", Label: "b"}); !errors.As(err, &late) {
+		t.Fatalf("ts 11 behind watermark 45: matches %v, err %v, want a late-tuple error", ms, err)
+	}
+	// And a rejected tuple behind the watermark is late itself.
+	if _, err := ev.Ingest(Tuple{TS: 20, Src: "p", Dst: "q", Label: "a", Props: no}); !errors.As(err, &late) {
+		t.Fatalf("rejected tuple at ts 20 behind watermark 45: err %v, want a late-tuple error", err)
+	}
+	if ms := ev.Flush(); len(ms) != 0 {
+		t.Fatalf("Flush = %v, want no match", ms)
 	}
 }

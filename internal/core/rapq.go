@@ -218,10 +218,10 @@ func (e *RAPQ) AlignClock(now int64) {
 func (e *RAPQ) BootstrapFromGraph(g *graph.Graph, ep graph.Epoch) {
 	e.g = g
 	e.epoch = ep
-	// Buffer-based sweep rather than the EdgesAt callback: this runs on
-	// a background goroutine concurrent with the writer, and the dense
-	// id upper bound (not Vertices) guarantees vertices whose edges are
-	// visible only at the leased epoch ep are not skipped.
+	// This may run on a background goroutine concurrent with the
+	// writer; sweeping the dense id upper bound (not Vertices)
+	// guarantees vertices whose edges are visible only at the leased
+	// epoch ep are not skipped.
 	var edges []graph.Edge
 	var buf []graph.HalfEdge
 	for v, n := stream.VertexID(0), g.VertexUpperBound(); v < n; v++ {
@@ -433,9 +433,9 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 // once under the graph's stripe lock, then consumed lock-free with no
 // per-edge closure or map lookup.
 //
-// Deviation from the paper (documented in DESIGN.md): timestamp
-// improvements of existing nodes are propagated recursively rather than
-// left to the expiry pass; propagation is guarded by a strict timestamp
+// Deviation from the paper: timestamp improvements of existing nodes
+// are propagated recursively rather than left to the expiry pass;
+// propagation is guarded by a strict timestamp
 // increase, so total work stays within the amortized bound. Strictness
 // also keeps the tree acyclic under re-parenting: a descendant's
 // timestamp never strictly exceeds an ancestor's, so an improvement

@@ -17,8 +17,8 @@ import (
 // prefix: the spanning trees, the stream clock, the window-manager
 // position and the statistics counters. The snapshot graph is NOT part
 // of an engine state — it is owned by the coordinator in multi-query
-// setups and serialized once (see MultiState); standalone engines pair
-// their state with Graph().Snapshot().
+// setups and serialized once (see MultiState); a standalone engine's
+// state pairs with SnapshotEdges(Graph()).
 //
 // Restore is only legal on a freshly constructed engine (same automaton,
 // same window spec); restoring rebuilds the derived structures (children
@@ -222,166 +222,6 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 		if err := checkSupport(tx.support, ts.Support, ts.Root); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// SPNodeState is one instance of an RSPQ spanning tree. Parent is the
-// index of the parent instance in SPTreeState.Nodes, or -1 for the root.
-type SPNodeState struct {
-	V      stream.VertexID
-	S      int32
-	TS     int64
-	Parent int32
-}
-
-// SPTreeState is one RSPQ spanning tree: the instance list (index 0 is
-// the root), in an order that reproduces the per-(vertex,state) instance
-// list order on restore, plus the marking set Mx as packed (v,s) keys
-// and the per-vertex final-witness support counts (ascending vertex
-// order, root instance excluded; see SupportCount).
-type SPTreeState struct {
-	RootV   stream.VertexID
-	Nodes   []SPNodeState
-	Marked  []uint64
-	Support []SupportCount
-}
-
-// RSPQState is the checkpointable state of an RSPQ engine, excluding the
-// snapshot graph.
-type RSPQState struct {
-	Now       int64
-	Win       window.State
-	Stats     StatState
-	BudgetHit bool
-	Trees     []SPTreeState
-}
-
-// SnapshotState captures the RSPQ engine's Δ index: automaton-state
-// instance lists (with their order, which steers traversal order) and
-// the marking sets.
-func (e *RSPQ) SnapshotState() *RSPQState {
-	st := &RSPQState{
-		Now:       e.now,
-		Win:       e.win.State(),
-		Stats:     statStateOf(e.stats),
-		BudgetHit: e.budgetHit,
-	}
-	roots := make([]stream.VertexID, 0, len(e.trees))
-	for root := range e.trees {
-		roots = append(roots, root)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, root := range roots {
-		tx := e.trees[root]
-		ts := SPTreeState{RootV: root}
-		// Index every instance: root first, then sorted (v,s) keys with
-		// each key's instances in list order, so restore can rebuild the
-		// inst lists exactly.
-		index := map[*spNode]int32{tx.root: 0}
-		order := []*spNode{tx.root}
-		keys := make([]nodeKey, 0, len(tx.inst))
-		rootKey := mkNodeKey(root, e.a.Start)
-		for key := range tx.inst {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, key := range keys {
-			for _, n := range tx.inst[key] {
-				if key == rootKey && n == tx.root {
-					continue
-				}
-				index[n] = int32(len(order))
-				order = append(order, n)
-			}
-		}
-		for _, n := range order {
-			ns := SPNodeState{V: n.v, S: n.s, TS: n.ts, Parent: -1}
-			if n.parent != nil {
-				pi, ok := index[n.parent]
-				if !ok {
-					// A live instance always has a live parent; a miss
-					// would mean the index is corrupt. Surface it loudly.
-					panic("core: RSPQ snapshot: instance with unindexed parent")
-				}
-				ns.Parent = pi
-			}
-			ts.Nodes = append(ts.Nodes, ns)
-		}
-		for key := range tx.marked {
-			ts.Marked = append(ts.Marked, uint64(key))
-		}
-		sort.Slice(ts.Marked, func(i, j int) bool { return ts.Marked[i] < ts.Marked[j] })
-		ts.Support = supportStateOf(tx.support)
-		st.Trees = append(st.Trees, ts)
-	}
-	return st
-}
-
-// RestoreState rebuilds the RSPQ Δ index from a snapshot. The engine
-// must be freshly constructed with the same bound automaton and window
-// spec; the snapshot graph is restored separately by the caller.
-func (e *RSPQ) RestoreState(st *RSPQState) error {
-	if e.stats.TuplesSeen != 0 || len(e.trees) != 0 {
-		return fmt.Errorf("core: RestoreState on a non-fresh RSPQ engine")
-	}
-	e.now = st.Now
-	e.win.SetState(st.Win)
-	st.Stats.apply(&e.stats)
-	e.budgetHit = st.BudgetHit
-	for _, ts := range st.Trees {
-		if len(ts.Nodes) == 0 || ts.Nodes[0].Parent != -1 ||
-			ts.Nodes[0].V != ts.RootV || ts.Nodes[0].S != e.a.Start {
-			return fmt.Errorf("core: restore: tree %d has no valid root instance", ts.RootV)
-		}
-		nodes := make([]*spNode, len(ts.Nodes))
-		for i, ns := range ts.Nodes {
-			nodes[i] = &spNode{v: ns.V, s: ns.S, ts: ns.TS}
-		}
-		tx := &sptree{
-			rootV:   ts.RootV,
-			root:    nodes[0],
-			inst:    make(map[nodeKey][]*spNode, len(ts.Nodes)),
-			marked:  make(map[nodeKey]struct{}, len(ts.Marked)),
-			vcount:  make(map[stream.VertexID]int32),
-			support: make(map[stream.VertexID]int32),
-		}
-		for i, ns := range ts.Nodes {
-			n := nodes[i]
-			if ns.Parent >= 0 {
-				if int(ns.Parent) >= len(nodes) || int(ns.Parent) == i {
-					return fmt.Errorf("core: restore: tree %d instance %d has bad parent index %d", ts.RootV, i, ns.Parent)
-				}
-				p := nodes[ns.Parent]
-				n.parent = p
-				if p.children == nil {
-					p.children = make(map[*spNode]struct{})
-				}
-				p.children[n] = struct{}{}
-			} else if i != 0 {
-				return fmt.Errorf("core: restore: tree %d has a second root at instance %d", ts.RootV, i)
-			}
-			key := mkNodeKey(ns.V, ns.S)
-			tx.inst[key] = append(tx.inst[key], n)
-			tx.size++
-			tx.vcount[ns.V]++
-			if tx.vcount[ns.V] == 1 {
-				e.addInv(ns.V, tx.rootV)
-			}
-			if e.a.Final[ns.S] && i != 0 {
-				tx.support[ns.V]++ // index 0 is the root instance
-			}
-		}
-		for _, mk := range ts.Marked {
-			tx.marked[nodeKey(mk)] = struct{}{}
-		}
-		if err := checkSupport(tx.support, ts.Support, ts.RootV); err != nil {
-			return err
-		}
-		if _, dup := e.trees[ts.RootV]; dup {
-			return fmt.Errorf("core: restore: duplicate tree %d", ts.RootV)
-		}
-		e.trees[ts.RootV] = tx
 	}
 	return nil
 }

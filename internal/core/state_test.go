@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"streamrpq/internal/graph"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
@@ -124,93 +123,5 @@ func TestRAPQRestoreValidation(t *testing.T) {
 	bad.Trees[0].Nodes[0].ParentV = 99 // dangling parent
 	if err := NewRAPQ(a, spec).RestoreState(&bad); err == nil {
 		t.Fatal("restore with dangling parent accepted")
-	}
-}
-
-// TestRSPQSnapshotRestoreMidStream: the simple-path engine's instance
-// lists and markings survive a snapshot/restore cycle: the restored
-// engine must keep matching the brute-force simple-path oracle on the
-// stream suffix, and its structural invariants must hold. (The exact
-// result multiset is not compared: RSPQ traversal order is
-// map-iteration dependent even sequentially — see the ROADMAP lazy
-// expiry item — so the oracle is the correctness bar, as in the other
-// RSPQ tests.)
-func TestRSPQSnapshotRestoreMidStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, expr := range []string{"(a/b)+", "a/b*", "(a|b)*"} {
-		a := bind(t, expr, "a", "b")
-		for trial := 0; trial < 5; trial++ {
-			tuples := randomTuples(rng, 120, 7, 2, 2, 0)
-			cut := len(tuples) / 2
-			spec := window.Spec{Size: 18, Slide: 1}
-
-			ref := NewRSPQ(a, spec, WithSink(NewCollector()))
-			for _, tu := range tuples[:cut] {
-				ref.Process(tu)
-			}
-			snap := ref.SnapshotState()
-			edges := SnapshotEdges(ref.Graph())
-
-			sink := NewCollector()
-			restored := NewRSPQ(a, spec, WithSink(sink))
-			if err := RestoreEdges(restored.Graph(), edges); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.RestoreState(snap); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.CheckInvariants(); err != nil {
-				t.Fatalf("%s trial %d: restored invariants: %v", expr, trial, err)
-			}
-
-			// The restored engine must agree with the oracle on every
-			// suffix snapshot (cumulatively: pairs discovered before the
-			// cut are known to the pre-crash process, not to sink).
-			oracle := graph.New()
-			for _, ed := range edges {
-				oracle.Insert(ed.Src, ed.Dst, ed.Label, ed.TS)
-			}
-			for _, tu := range tuples[cut:] {
-				restored.Process(tu)
-				if a.Relevant(int(tu.Label)) && tu.Op == stream.Insert {
-					oracle.Insert(tu.Src, tu.Dst, tu.Label, tu.TS)
-				}
-				oracle.Expire(tu.TS-spec.Size, nil)
-				for p := range BatchSimple(oracle, a, tu.TS-spec.Size) {
-					tx := restored.trees[p.From]
-					if tx == nil || !restored.hasFinalInstance(tx, p.To) {
-						t.Fatalf("%s trial %d: oracle pair %v missing from restored index after resume",
-							expr, trial, p)
-					}
-				}
-			}
-			if err := restored.CheckInvariants(); err != nil {
-				t.Fatalf("%s trial %d: invariants after resume: %v", expr, trial, err)
-			}
-		}
-	}
-}
-
-// TestRSPQSnapshotRoundTripExact: snapshot → restore → snapshot is a
-// fixpoint (instance lists, their order, markings and clocks all
-// survive), the property the persistence format needs.
-func TestRSPQSnapshotRoundTripExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	a := bind(t, "(a/b)+", "a", "b")
-	spec := window.Spec{Size: 25, Slide: 2}
-	e := NewRSPQ(a, spec)
-	for _, tu := range randomTuples(rng, 150, 7, 2, 2, 0.1) {
-		e.Process(tu)
-	}
-	snap := e.SnapshotState()
-	restored := NewRSPQ(a, spec)
-	if err := RestoreEdges(restored.Graph(), SnapshotEdges(e.Graph())); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RestoreState(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, restored.SnapshotState()) {
-		t.Fatal("snapshot → restore → snapshot is not a fixpoint")
 	}
 }

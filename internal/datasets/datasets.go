@@ -1,7 +1,7 @@
 // Package datasets generates the synthetic streaming graphs used by
 // the experiment harness. Each generator reproduces the structural
 // properties the paper attributes to its real-world counterpart
-// (§5.1.2); DESIGN.md documents the substitutions:
+// (§5.1.2), in place of the dataset itself:
 //
 //   - SO: the Stackoverflow temporal interaction graph — one vertex
 //     type, three labels (a2q, c2a, c2q), dense and highly cyclic.

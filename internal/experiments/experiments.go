@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // evaluation section (§5) of Pacaci et al. (SIGMOD 2020) on the
 // synthetic datasets of internal/datasets. Each driver prints the same
-// rows/series the paper reports; EXPERIMENTS.md records the paper's
-// numbers next to measured ones.
+// rows/series the paper reports; README.md "Benchmarks and experiments"
+// says how to run them and where performance claims are made instead.
 //
 // Absolute numbers differ from the paper (laptop-scale synthetic
 // streams vs. a 32-core server on 63M–220M-edge graphs); the
@@ -33,21 +33,6 @@ type Config struct {
 	Out io.Writer
 	// Seed makes dataset generation reproducible.
 	Seed int64
-	// ShardCounts overrides the shard-count grid of the sweep
-	// experiments (multiq, pipeline); empty selects the default.
-	ShardCounts []int
-	// PipelineDepths overrides the pipeline-depth grid of the pipeline
-	// experiment; empty selects the default (1, 2, 4).
-	PipelineDepths []int
-	// WriterCounts overrides the epoch-construction writer grid of the
-	// writers experiment; empty selects the default (1, 2, 4, 8).
-	WriterCounts []int
-}
-
-// DefaultConfig returns a laptop-scale configuration (~1–2 minutes for
-// the full suite).
-func DefaultConfig(out io.Writer) Config {
-	return Config{Scale: 40000, Out: out, Seed: 1}
 }
 
 // Runner is one registered experiment.
@@ -71,11 +56,6 @@ func All() []Runner {
 		{"table4", "Simple-path semantics: feasibility & overhead (Table 4)", Table4},
 		{"fig11", "Speedup over the per-tuple rescan baseline (Figure 11)", Fig11},
 		{"ablation", "Design-choice ablations: inverted index, tree parallelism, multi-query sharing", Ablation},
-		{"multiq", "Sharded concurrent multi-query engine: shard-count sweep (§7 + internal/shard)", MultiQ},
-		{"multiq-shared", "Multi-query sharing: canonical automaton dedup + relevance scheduling, shared vs private per shard count", MultiQShared},
-		{"pipeline", "Pipelined sub-batches: barriered (depth 1) vs pipelined (depth ≥ 2) per shard count", Pipeline},
-		{"churn", "Delete/re-insert churn: support-counting deletion overhead per shard count", Churn},
-		{"writers", "Multi-writer epoch construction: sequential vs stripe-parallel apply per shard count", Writers},
 	}
 }
 

@@ -13,8 +13,8 @@ func tinyConfig(buf *bytes.Buffer) Config {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 16 {
-		t.Fatalf("registry has %d experiments, want 16", len(all))
+	if len(all) != 11 {
+		t.Fatalf("registry has %d experiments, want 11", len(all))
 	}
 	ids := map[string]bool{}
 	for _, r := range all {

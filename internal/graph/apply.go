@@ -271,52 +271,9 @@ func (a *Applier) applyStripes(w int) {
 		mu := &a.g.stripes[si]
 		mu.Lock()
 		for i := range q {
-			applyHalf(a.tab, &q[i], a.epoch, a.minR)
+			m := &q[i]
+			a.tab.editSide(m.out, m.v, m.other, m.label, m.ts, m.del, a.epoch, a.minR)
 		}
 		mu.Unlock()
-	}
-}
-
-// applyHalf applies one half-mutation to its slab; the owning stripe
-// lock is held. The slab edits are exactly those of Graph.Insert /
-// Graph.Delete for the corresponding side.
-func applyHalf(t *table, m *halfMut, epoch, minR Epoch) {
-	var s *slab
-	if m.out {
-		if s = t.out[m.v]; s == nil {
-			if m.del {
-				return
-			}
-			s = newSlab(epoch)
-			t.out[m.v] = s
-		}
-	} else {
-		if s = t.in[m.v]; s == nil {
-			if m.del {
-				return
-			}
-			s = newSlab(epoch)
-			t.in[m.v] = s
-		}
-	}
-	if !m.del {
-		s.upsert(m.other, m.label, m.ts, epoch, minR)
-		return
-	}
-	keep := minR < epoch
-	var rd uint32
-	if keep {
-		rd = s.deltaFor(epoch, minR) // may rebase: resolve before find
-	}
-	idx := s.find(m.other, m.label)
-	if idx < 0 || s.edges[idx].removed != liveDelta {
-		return
-	}
-	pe := &s.edges[idx]
-	if keep {
-		pe.removed = rd
-	} else {
-		s.freeChain(pe)
-		s.swapRemove(idx)
 	}
 }

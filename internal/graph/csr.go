@@ -269,6 +269,49 @@ type table struct {
 	in  []*slab
 }
 
+// editSide applies one half of an edge mutation to vertex v's out
+// slab (out) or in slab, which must be within the table; the caller
+// holds stripe(v). It reports whether (other,label) had a live version
+// before the edit. An insert creates the slab on first use and upserts.
+// A delete ends the live version, if any: a tombstone is kept only
+// while some reader may still observe the removed version (minR <
+// epoch); when none is needed, every older version is unobservable too
+// (their removal epochs are even earlier), so the whole cell goes.
+func (t *table) editSide(out bool, v, other stream.VertexID, label stream.LabelID, ts int64, del bool, epoch, minR Epoch) bool {
+	side := t.in
+	if out {
+		side = t.out
+	}
+	s := side[v]
+	if !del {
+		if s == nil {
+			s = newSlab(epoch)
+			side[v] = s
+		}
+		return s.upsert(other, label, ts, epoch, minR)
+	}
+	if s == nil {
+		return false
+	}
+	keep := minR < epoch
+	var rd uint32
+	if keep {
+		rd = s.deltaFor(epoch, minR) // may rebase: resolve before find
+	}
+	idx := s.find(other, label)
+	if idx < 0 || s.edges[idx].removed != liveDelta {
+		return false
+	}
+	pe := &s.edges[idx]
+	if keep {
+		pe.removed = rd
+	} else {
+		s.freeChain(pe)
+		s.swapRemove(idx)
+	}
+	return true
+}
+
 // grown returns a copy of t with capacity for vertex id v.
 func (t *table) grown(v stream.VertexID) *table {
 	n := len(t.out)

@@ -57,7 +57,7 @@
 // caller may freely re-enter graph read methods while consuming it —
 // even for the same stripe, even with concurrent writer goroutines —
 // and the walk is allocation-free once the buffer has grown. The
-// whole-graph callbacks (Edges/EdgesAt) are built on the same copy.
+// whole-graph callback (Edges) is built on the same copy.
 package graph
 
 import (
@@ -301,22 +301,12 @@ func (g *Graph) Insert(src, dst stream.VertexID, label stream.LabelID, ts int64)
 
 	st := g.stripeFor(src)
 	st.Lock()
-	so := t.out[src]
-	if so == nil {
-		so = newSlab(epoch)
-		t.out[src] = so
-	}
-	wasLive := so.upsert(dst, label, ts, epoch, minR)
+	wasLive := t.editSide(true, src, dst, label, ts, false, epoch, minR)
 	st.Unlock()
 
 	st = g.stripeFor(dst)
 	st.Lock()
-	si := t.in[dst]
-	if si == nil {
-		si = newSlab(epoch)
-		t.in[dst] = si
-	}
-	si.upsert(src, label, ts, epoch, minR)
+	t.editSide(false, dst, src, label, ts, false, epoch, minR)
 	st.Unlock()
 
 	key := stream.EdgeKey{Src: src, Dst: dst, Label: label}
@@ -379,36 +369,16 @@ func (s *slab) upsert(other stream.VertexID, label stream.LabelID, ts int64, epo
 func (g *Graph) Delete(key stream.EdgeKey) bool {
 	epoch := g.Epoch()
 	minR := g.minReader(epoch)
-	keep := minR < epoch
 
 	t := g.tab.Load()
 	if int(key.Src) >= len(t.out) || int(key.Dst) >= len(t.in) {
 		return false
 	}
 
-	// Out side decides liveness; a tombstone is kept only while some
-	// reader may still observe the removed version. When no tombstone
-	// is needed, every older version is unobservable too (their removal
-	// epochs are even earlier), so the whole cell goes.
+	// The out side decides liveness.
 	st := g.stripeFor(key.Src)
 	st.Lock()
-	removed := false
-	if so := t.out[key.Src]; so != nil {
-		var rd uint32
-		if keep {
-			rd = so.deltaFor(epoch, minR) // may rebase: resolve before find
-		}
-		if idx := so.find(key.Dst, key.Label); idx >= 0 && so.edges[idx].removed == liveDelta {
-			pe := &so.edges[idx]
-			if keep {
-				pe.removed = rd
-			} else {
-				so.freeChain(pe)
-				so.swapRemove(idx)
-			}
-			removed = true
-		}
-	}
+	removed := t.editSide(true, key.Src, key.Dst, key.Label, 0, true, epoch, minR)
 	st.Unlock()
 	if !removed {
 		return false
@@ -416,25 +386,11 @@ func (g *Graph) Delete(key stream.EdgeKey) bool {
 
 	st = g.stripeFor(key.Dst)
 	st.Lock()
-	if si := t.in[key.Dst]; si != nil {
-		var rd uint32
-		if keep {
-			rd = si.deltaFor(epoch, minR)
-		}
-		if idx := si.find(key.Src, key.Label); idx >= 0 && si.edges[idx].removed == liveDelta {
-			pe := &si.edges[idx]
-			if keep {
-				pe.removed = rd
-			} else {
-				si.freeChain(pe)
-				si.swapRemove(idx)
-			}
-		}
-	}
+	t.editSide(false, key.Dst, key.Src, key.Label, 0, true, epoch, minR)
 	st.Unlock()
 
 	g.numEdges.Add(-1)
-	if keep {
+	if minR < epoch {
 		g.gcMu.Lock()
 		g.pending = append(g.pending, gcEntry{key: key, removed: epoch})
 		g.gcLocked()
@@ -519,14 +475,17 @@ func (g *Graph) AppendInAt(e Epoch, dst stream.VertexID, buf []HalfEdge) []HalfE
 	return g.appendSide(false, e, dst, buf)
 }
 
-// edgesAt calls f for every edge visible at epoch e. Each vertex's
-// half-edges are copied out under its stripe lock before f runs, so f
-// may re-enter graph read methods.
-func (g *Graph) edgesAt(e Epoch, f func(ed Edge) bool) {
+// Edges calls f for every edge live at the current epoch — the flat
+// fold of the version intervals that checkpoint serialization records
+// (the on-disk format stays epoch-free). Each vertex's half-edges are
+// copied out under its stripe lock before f runs, so f may re-enter
+// graph read methods. Returning false stops the iteration early.
+func (g *Graph) Edges(f func(e Edge) bool) {
+	ep := g.Epoch()
 	t := g.tab.Load()
 	var buf []HalfEdge
 	for v := range t.out {
-		buf = g.appendSide(true, e, stream.VertexID(v), buf[:0])
+		buf = g.appendSide(true, ep, stream.VertexID(v), buf[:0])
 		for i := range buf {
 			if !f(Edge{Src: stream.VertexID(v), Dst: buf[i].V, Label: buf[i].L, TS: buf[i].TS}) {
 				return
@@ -534,19 +493,6 @@ func (g *Graph) edgesAt(e Epoch, f func(ed Edge) bool) {
 		}
 	}
 }
-
-// Edges calls f for every edge live at the current epoch — the flat
-// fold of the version intervals that checkpoint serialization records
-// (the on-disk format stays epoch-free). Returning false stops the
-// iteration early.
-func (g *Graph) Edges(f func(e Edge) bool) { g.edgesAt(g.Epoch(), f) }
-
-// EdgesAt calls f for every edge visible at epoch e. A reader holding a
-// lease on e (AcquireEpoch) may iterate concurrently with the single
-// writer advancing later epochs — this is how a dynamically registered
-// query bootstraps its Δ index from the live window without pausing
-// ingest. Returning false stops the iteration early.
-func (g *Graph) EdgesAt(e Epoch, f func(ed Edge) bool) { g.edgesAt(e, f) }
 
 // Vertices calls f for every vertex incident to at least one edge live
 // at the current epoch, in ascending dense-id order.

@@ -107,49 +107,6 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestEngineSnapshotRoundTripRSPQ(t *testing.T) {
-	want := &EngineSnapshot{
-		Kind: KindRSPQ,
-		Spec: window.Spec{Size: 18, Slide: 4},
-		Edges: []graph.Edge{
-			{Src: 3, Dst: 4, Label: 0, TS: 10},
-		},
-		RSPQ: &core.RSPQState{
-			Now:       12,
-			Win:       window.State{Boundary: 12, Started: true},
-			Stats:     core.StatState{Results: 2, ConflictsFound: 1, Unmarkings: 1},
-			BudgetHit: false,
-			Trees: []core.SPTreeState{
-				{
-					RootV: 3,
-					Nodes: []core.SPNodeState{
-						{V: 3, S: 0, TS: 1<<62 + 1, Parent: -1},
-						{V: 4, S: 1, TS: 10, Parent: 0},
-						{V: 4, S: 2, TS: 10, Parent: 1}, // second instance of vertex 4
-					},
-					Marked: []uint64{1<<16 | 1, 4<<16 | 2},
-				},
-			},
-		},
-	}
-	data, err := EncodeEngineSnapshot(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeEngineSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("round trip diverged:\nwant %+v\ngot  %+v", want, got)
-	}
-	// And corruption is caught here too.
-	data[len(data)/2] ^= 1
-	if _, err := DecodeEngineSnapshot(data); err == nil {
-		t.Fatal("corrupt engine snapshot accepted")
-	}
-}
-
 func walTuples(n int, base int64) []stream.Tuple {
 	out := make([]stream.Tuple, n)
 	for i := range out {

@@ -211,62 +211,6 @@ func decodeRAPQState(d *decoder) *core.RAPQState {
 	return st
 }
 
-// EncodeRSPQState serializes a simple-path engine's Δ index: the
-// instance lists (with order and parent links) and the marking sets.
-func encodeRSPQState(e *encoder, st *core.RSPQState) {
-	e.i64(st.Now)
-	encodeWinState(e, st.Win)
-	encodeStats(e, st.Stats)
-	e.bool(st.BudgetHit)
-	e.u64(uint64(len(st.Trees)))
-	for _, tr := range st.Trees {
-		e.u64(uint64(tr.RootV))
-		e.u64(uint64(len(tr.Nodes)))
-		for _, n := range tr.Nodes {
-			e.u64(uint64(n.V))
-			e.u64(uint64(uint32(n.S)))
-			e.i64(n.TS)
-			e.i64(int64(n.Parent))
-		}
-		e.u64(uint64(len(tr.Marked)))
-		for _, mk := range tr.Marked {
-			e.u64(mk)
-		}
-		encodeSupport(e, tr.Support)
-	}
-}
-
-func decodeRSPQState(d *decoder) *core.RSPQState {
-	st := &core.RSPQState{
-		Now:   d.i64(),
-		Win:   decodeWinState(d),
-		Stats: decodeStats(d),
-	}
-	st.BudgetHit = d.bool()
-	ntrees := d.count(2)
-	for i := 0; i < ntrees && d.err == nil; i++ {
-		tr := core.SPTreeState{RootV: stream.VertexID(d.u64())}
-		nnodes := d.count(4)
-		tr.Nodes = make([]core.SPNodeState, 0, nnodes)
-		for j := 0; j < nnodes && d.err == nil; j++ {
-			tr.Nodes = append(tr.Nodes, core.SPNodeState{
-				V:      stream.VertexID(d.u64()),
-				S:      int32(uint32(d.u64())),
-				TS:     d.i64(),
-				Parent: int32(d.i64()),
-			})
-		}
-		nmarked := d.count(1)
-		tr.Marked = make([]uint64, 0, nmarked)
-		for j := 0; j < nmarked && d.err == nil; j++ {
-			tr.Marked = append(tr.Marked, d.u64())
-		}
-		tr.Support = decodeSupport(d)
-		st.Trees = append(st.Trees, tr)
-	}
-	return st
-}
-
 func encodeMultiState(e *encoder, st *core.MultiState) {
 	e.i64(st.Now)
 	e.i64(st.Seen)
@@ -321,21 +265,21 @@ func decodeMultiState(d *decoder) *core.MultiState {
 	return st
 }
 
-// verifyEnvelope checks a checksummed file's framing — minimum length,
+// verifyEnvelope checks a snapshot file's framing — minimum length,
 // magic, and the trailing whole-file CRC32 — and returns the body (the
-// bytes under the checksum, magic included) for decoding. Every
-// checksummed format (snapshot, engine snapshot) validates through
-// this one helper so the rules cannot diverge between readers.
-func verifyEnvelope(magic string, data []byte) ([]byte, error) {
-	if len(data) < len(magic)+1+4 {
-		return nil, fmt.Errorf("persist: %s file too short (%d bytes)", magic, len(data))
+// bytes under the checksum, magic included) for decoding. Both readers
+// of a snapshot file (the full decode and the pruning probe) validate
+// through this one helper so the rules cannot diverge between them.
+func verifyEnvelope(data []byte) ([]byte, error) {
+	if len(data) < len(snapMagic)+1+4 {
+		return nil, fmt.Errorf("persist: %s file too short (%d bytes)", snapMagic, len(data))
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("persist: bad magic %q (want %s)", data[:len(magic)], magic)
+	if string(data[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("persist: bad magic %q (want %s)", data[:len(snapMagic)], snapMagic)
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("persist: %s checksum mismatch (file %08x, computed %08x)", magic, want, got)
+		return nil, fmt.Errorf("persist: %s checksum mismatch (file %08x, computed %08x)", snapMagic, want, got)
 	}
 	return body, nil
 }
@@ -366,7 +310,7 @@ func EncodeSnapshot(s *Snapshot) []byte {
 
 // DecodeSnapshot parses and verifies a snapshot file's contents.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	body, err := verifyEnvelope(snapMagic, data)
+	body, err := verifyEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +405,7 @@ func snapshotFileGen(path string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	body, err := verifyEnvelope(snapMagic, data)
+	body, err := verifyEnvelope(data)
 	if err != nil {
 		return 0, fmt.Errorf("%w (%s)", err, path)
 	}
@@ -471,91 +415,4 @@ func snapshotFileGen(path string) (uint64, error) {
 	}
 	g := d.u64()
 	return g, d.err
-}
-
-// Engine snapshot: the standalone single-engine variant of the facade
-// snapshot, pairing one engine's Δ state with its private graph. It is
-// the unit the multi-query format is built from and what a future
-// single-query facade persistence would use; the RSPQ arm is what makes
-// simple-path state (instance lists, markings) expressible in the file
-// format.
-
-// Engine snapshot kinds.
-const (
-	KindRAPQ = uint8(0)
-	KindRSPQ = uint8(1)
-)
-
-const (
-	engineMagic = "SRPQENGS"
-	// Bumped alongside snapVersion: tree states now carry support counts.
-	engineVersion = 2
-)
-
-// EngineSnapshot is a standalone engine checkpoint.
-type EngineSnapshot struct {
-	Kind  uint8
-	Spec  window.Spec
-	Edges []graph.Edge
-	RAPQ  *core.RAPQState // set when Kind == KindRAPQ
-	RSPQ  *core.RSPQState // set when Kind == KindRSPQ
-}
-
-// EncodeEngineSnapshot renders a standalone engine checkpoint in the
-// versioned, checksummed format.
-func EncodeEngineSnapshot(s *EngineSnapshot) ([]byte, error) {
-	e := &encoder{buf: make([]byte, 0, 1024)}
-	e.buf = append(e.buf, engineMagic...)
-	e.byte(engineVersion)
-	e.byte(s.Kind)
-	e.i64(s.Spec.Size)
-	e.i64(s.Spec.Slide)
-	encodeEdges(e, s.Edges)
-	switch s.Kind {
-	case KindRAPQ:
-		if s.RAPQ == nil {
-			return nil, fmt.Errorf("persist: RAPQ engine snapshot without state")
-		}
-		encodeRAPQState(e, s.RAPQ)
-	case KindRSPQ:
-		if s.RSPQ == nil {
-			return nil, fmt.Errorf("persist: RSPQ engine snapshot without state")
-		}
-		encodeRSPQState(e, s.RSPQ)
-	default:
-		return nil, fmt.Errorf("persist: unknown engine kind %d", s.Kind)
-	}
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
-	return e.buf, nil
-}
-
-// DecodeEngineSnapshot parses and verifies a standalone engine
-// checkpoint.
-func DecodeEngineSnapshot(data []byte) (*EngineSnapshot, error) {
-	body, err := verifyEnvelope(engineMagic, data)
-	if err != nil {
-		return nil, err
-	}
-	d := &decoder{buf: body, off: len(engineMagic)}
-	if v := d.byte(); v != engineVersion {
-		return nil, fmt.Errorf("persist: unsupported engine snapshot version %d", v)
-	}
-	s := &EngineSnapshot{Kind: d.byte()}
-	s.Spec = window.Spec{Size: d.i64(), Slide: d.i64()}
-	s.Edges = decodeEdges(d)
-	switch s.Kind {
-	case KindRAPQ:
-		s.RAPQ = decodeRAPQState(d)
-	case KindRSPQ:
-		s.RSPQ = decodeRSPQState(d)
-	default:
-		return nil, fmt.Errorf("persist: unknown engine kind %d", s.Kind)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after engine snapshot payload", d.remaining())
-	}
-	return s, nil
 }

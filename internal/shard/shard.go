@@ -136,7 +136,6 @@ type Result struct {
 
 type config struct {
 	shards  int
-	queue   int
 	depth   int
 	writers int
 	sharing bool
@@ -160,12 +159,6 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // writer count; writers == 1 applies inline with no pool at all.
 // Composes freely with WithShards and WithPipelineDepth.
 func WithWriters(n int) Option { return func(c *config) { c.writers = n } }
-
-// WithQueueDepth bounds each shard's job channel (default 2). The
-// coordinator blocks when a shard's queue is full: backpressure, not
-// unbounded buffering. The effective capacity is at least the pipeline
-// depth.
-func WithQueueDepth(n int) Option { return func(c *config) { c.queue = n } }
 
 // WithSharing toggles shared-group evaluation (default on): queries
 // whose bound automata are structurally identical (equal
@@ -410,15 +403,12 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := config{shards: 1, queue: 2, depth: 2, writers: 1, sharing: true}
+	cfg := config{shards: 1, depth: 2, writers: 1, sharing: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count must be positive, got %d", cfg.shards)
-	}
-	if cfg.queue <= 0 {
-		return nil, fmt.Errorf("shard: queue depth must be positive, got %d", cfg.queue)
 	}
 	if cfg.depth <= 0 {
 		return nil, fmt.Errorf("shard: pipeline depth must be positive, got %d", cfg.depth)
@@ -440,7 +430,10 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	for i := range s.workers {
 		w := &worker{id: i}
 		if !s.inline {
-			w.in = make(chan job, max(cfg.queue, cfg.depth))
+			// The coordinator blocks when a shard's job queue is full:
+			// backpressure, not unbounded buffering. Room for at least two
+			// jobs, and for every sub-batch the pipeline keeps in flight.
+			w.in = make(chan job, max(2, cfg.depth))
 			// Replies for every in-flight sub-batch must fit without
 			// blocking the shard, or a fast shard would stall behind the
 			// coordinator's lazy collection.

@@ -201,10 +201,10 @@ func (m *MultiEvaluator) WithShards(n int) error {
 // patterns, which minimization canonicalizes — share ONE Δ-index tree
 // set, maintained once per tuple; each registered query still receives
 // its own complete result stream, byte-identical to what a private
-// copy would emit. Off restores one private engine per query (the
-// pre-sharing layout, useful for ablation). Must be called before the
-// first tuple; the setting is recorded in checkpoints and survives
-// recovery.
+// copy would emit. Off restores one private engine per query, the
+// layout the shared-group differentials compare against. Must be
+// called before the first tuple; the setting is recorded in
+// checkpoints and survives recovery.
 func (m *MultiEvaluator) WithQuerySharing(on bool) error {
 	return m.reconfigure("WithQuerySharing", func() { m.sharing = on })
 }

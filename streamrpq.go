@@ -310,17 +310,17 @@ func (ev *Evaluator) Semantics() Semantics { return ev.semantics }
 // tolerance are rejected with an error before touching engine state.
 // The returned slice is reused by the next Ingest call.
 func (ev *Evaluator) Ingest(t Tuple) ([]Match, error) {
+	var encoded stream.Tuple
 	if ev.filter != nil && !t.Delete && !ev.filter(t) {
-		// Rejected tuples still advance the stream clock (window
-		// expiry must not stall); an out-of-alphabet label makes the
-		// engine treat the tuple as irrelevant.
-		ev.batch = ev.batch[:0]
-		ev.engine.Process(stream.Tuple{TS: t.TS, Label: -1})
-		ev.lastTS = t.TS
-		ev.started = true
-		return ev.batch, nil
+		// A rejected tuple still advances the stream clock (window
+		// expiry must not stall), so it keeps its place in the stream
+		// as a clock-only tuple: no vertex is interned, and the
+		// out-of-alphabet label makes the engine treat it as
+		// irrelevant.
+		encoded = stream.Tuple{TS: t.TS, Label: -1}
+	} else {
+		encoded = ev.encode(t)
 	}
-	encoded := ev.encode(t)
 	if ev.reorder != nil {
 		released, err := ev.reorder.Offer(encoded)
 		if err != nil {
