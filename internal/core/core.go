@@ -1,15 +1,19 @@
 // Package core implements the streaming RPQ evaluation algorithms of
 // Pacaci, Bonifati and Özsu, "Regular Path Query Evaluation on
-// Streaming Graphs" (SIGMOD 2020):
+// Streaming Graphs" (SIGMOD 2020). The paper evaluates both path
+// semantics "in a uniform manner", and so does the package: one Δ
+// substrate (delta.go, tree_store.go, inv.go) — spanning trees in a slot
+// store, the vertex → trees inverted index, the tuple routing, Algorithm
+// Delete's subtree marking (§3.2: negative tuples go through the expiry
+// machinery) and the canonical liveness bookkeeping behind every match
+// and invalidation — with two policies over it, and oracles beside them:
 //
-//   - RAPQ (§3): incremental evaluation under arbitrary path semantics
-//     over sliding windows, via the Δ spanning-tree index (Algorithm
-//     RAPQ, Insert, ExpiryRAPQ).
-//   - Explicit deletions (§3.2): negative tuples handled with the same
-//     expiry machinery (Algorithm Delete).
-//   - RSPQ (§4): incremental evaluation under simple path semantics
-//     with conflict detection over the suffix-language containment
-//     relation (Algorithms RSPQ, Extend, Unmark, ExpiryRSPQ).
+//   - RAPQ (§3): arbitrary path semantics. Algorithm Insert and
+//     ExpiryRAPQ over a unique (vertex, state) → node index.
+//   - RSPQ (§4): simple path semantics. Algorithms Extend, Unmark and
+//     ExpiryRSPQ — markings and conflict detection over the
+//     suffix-language containment relation — over per-key instance
+//     lists.
 //   - Batch oracles: the polynomial product-graph algorithm for
 //     arbitrary semantics and a simple-path enumerator, used both for
 //     testing and as the substrate of the rescan baseline (§5.6).
@@ -142,10 +146,14 @@ type Stats struct {
 	RelevanceSkips int64 // (tuple, group) applications the filter avoided
 }
 
-// nodeKey packs a (vertex, automaton state) pair. State counts are
-// bounded by the DFA size, far below 2^16 in practice; Bind enforces
-// the dense id space.
+// nodeKey packs a (vertex, automaton state) pair, the state in the low
+// 16 bits. An automaton with more than MaxStates states would alias
+// distinct nodes: streamrpq.Compile rejects such a pattern with an
+// error, and the engine constructors panic on one that slipped through.
 type nodeKey uint64
+
+// MaxStates is the largest automaton the engines can index.
+const MaxStates = 1 << 16
 
 func mkNodeKey(v stream.VertexID, s int32) nodeKey {
 	return nodeKey(uint64(v)<<16 | uint64(uint16(s)))

@@ -35,6 +35,7 @@ import (
 // multi-query coordinator parallelizes across groups instead.
 type ParallelRAPQ struct {
 	inner  *RAPQ
+	ops    deltaOps   // the inner engine's, with insert and expire fanned out
 	pool   []*scratch // one per worker goroutine, deferred
 	merged []Match    // merge buffer, reused
 }
@@ -46,6 +47,8 @@ func NewParallelRAPQ(a *automaton.Bound, spec window.Spec, workers int, opts ...
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &ParallelRAPQ{inner: NewRAPQ(a, spec, opts...), pool: make([]*scratch, workers)}
+	// Deletions are rare (§5.4): they run on the sequential engine.
+	p.ops = deltaOps{insert: p.ApplyInsert, del: p.inner.ApplyDelete, expire: p.ApplyExpiry}
 	for i := range p.pool {
 		p.pool[i] = &scratch{deferred: true}
 	}
@@ -60,7 +63,7 @@ func (p *ParallelRAPQ) Stats() Stats { return p.inner.Stats() }
 
 // Process implements Engine: the sequential engine's tuple routing,
 // with the Δ updates fanned out.
-func (p *ParallelRAPQ) Process(t stream.Tuple) { p.inner.process(t, p) }
+func (p *ParallelRAPQ) Process(t stream.Tuple) { p.inner.process(t, &p.ops) }
 
 // ApplyInsert is RAPQ.ApplyInsert fanned out over the trees that
 // contain the source vertex.
@@ -78,11 +81,7 @@ func (p *ParallelRAPQ) ApplyExpiry(deadline int64) {
 	start := time.Now()
 	e.stats.ExpiryRuns++
 	e.deadline = deadline
-	roots := e.rootScratch[:0]
-	for root := range e.trees {
-		roots = append(roots, root)
-	}
-	e.rootScratch = roots
+	roots := e.allRoots()
 	p.fanOut(roots, func(sc *scratch, root stream.VertexID) { e.expireTree(sc, e.trees[root], deadline, false) })
 	for _, root := range roots {
 		e.dropIfRootOnly(e.trees[root])

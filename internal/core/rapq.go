@@ -20,105 +20,22 @@ const rootTS = int64(math.MaxInt64)
 // expired candidates.
 const expiredTS = int64(math.MinInt64)
 
-// tree is one spanning tree Tx of the Δ index, rooted at (x, s0). The
-// second invariant of Lemma 1 guarantees each (vertex,state) node
-// appears at most once, so nodes are keyed by nodeKey; they live in a
-// struct-of-arrays store (tree_store.go) and are addressed by slot on
-// the hot paths.
-type tree struct {
-	root   stream.VertexID
-	ns     treeStore
-	vcount map[stream.VertexID]int32 // instances per vertex, for the inverted index
-
-	// support counts the final-state witness nodes per result vertex
-	// (the root node is excluded: it only witnesses the empty path).
-	// A result pair (root, v) is live iff one of the counted witnesses
-	// is inside the window; support[v] == 0 is the O(1) fast path for
-	// "not live". Unlike the incidental tree shape, the witness set is
-	// a pure function of the stream prefix, so every emission decision
-	// made through it is canonical.
-	support map[stream.VertexID]int32
-
-	// preLive is non-nil only during one expiry/delete pass. It records,
-	// for each vertex about to lose a final witness, whether the pair
-	// (root, v) was live when the pass started — captured before any
-	// pruning (for delete-marked subtrees: before the timestamps are
-	// overwritten). It suppresses re-match emissions for pairs the pass
-	// merely cuts and reconnects, and at the end of a delete the pairs
-	// with preLive true that did not come back live are exactly the
-	// canonical invalidation set.
-	preLive map[stream.VertexID]bool
-}
-
 // RAPQ is the incremental engine for Regular Arbitrary Path Queries
 // over sliding windows (Algorithm RAPQ, §3.1), with explicit-deletion
-// support (Algorithm Delete, §3.2).
+// support (Algorithm Delete, §3.2): the Δ substrate plus Algorithm
+// Insert, ExpiryRAPQ and the unique key index Lemma 1 allows. Steady-
+// state processing allocates nothing per edge once the scratch buffers
+// have grown (asserted by alloc_test.go).
 type RAPQ struct {
-	a    *automaton.Bound
-	g    *graph.Graph
-	win  *window.Manager
-	sink Sink
+	delta
 
-	trees map[stream.VertexID]*tree // Δ: root vertex -> spanning tree
-	inv   invIndex                  // vertex -> roots of trees containing it
-
-	// rev[label] lists transitions grouped by target state for expiry
-	// reconnection: rev[label][t] = states s with δ(s,label)=t.
-	rev [][][]int32
-
-	// finals lists the accepting states once, for the liveness scans.
-	finals []int32
-
-	// epoch is the graph epoch this engine's traversals read at (the
-	// explicit epoch handle of the versioned snapshot graph). A
-	// coordinator sets it per sub-batch via SetReadEpoch; standalone it
-	// stays 0, matching the private graph's never-advanced epoch.
-	epoch graph.Epoch
-
-	now      int64 // largest timestamp seen
 	deadline int64 // last expiry deadline (W^e - |W|)
-	stats    Stats
 
 	// scanAllTrees disables the inverted index (vertex → trees) and
 	// makes every tuple visit every spanning tree, as a naive
 	// implementation of the paper's pseudocode would ("foreach Tx ∈ Δ").
 	// Exists for the ablation experiment; keep it off otherwise.
 	scanAllTrees bool
-
-	// sc is the working set of Δ maintenance on the caller's goroutine;
-	// steady-state processing allocates nothing per edge once its buffers
-	// have grown (asserted by alloc_test.go). rootScratch is the per-tuple
-	// candidate-root snapshot, taken before any tree is touched.
-	sc          scratch
-	rootScratch []stream.VertexID
-}
-
-// scratch is the working set one goroutine mutates while it maintains
-// Δ: the explicit DFS stack of the insert cascade, the adjacency copies
-// of the buffer-based traversal API (graph.AppendOutAt/AppendInAt), the
-// expiry candidate list and the subtree-marking stack. Insert,
-// ExpiryRAPQ and Delete take it explicitly, so the algorithms exist
-// once whether one goroutine runs them (RAPQ.sc) or a fan-out hands
-// each worker its own (ParallelRAPQ).
-//
-// Everything else the algorithms write outside the tree they were
-// handed — the sink, the statistics, the inverted index — is shared
-// engine state. The sequential engine applies those effects at once; a
-// fan-out sets deferred, and they accumulate here until the driver
-// merges them on its own goroutine after the barrier. Nothing reads the
-// inverted index during a fan-out (the candidate roots are snapshotted
-// before it), so deferring its writes is unobservable.
-type scratch struct {
-	stack []insertOp
-	out   []graph.HalfEdge
-	in    []graph.HalfEdge
-	cands []nodeKey
-	slots []int32
-
-	deferred    bool
-	matches     []Match
-	insertCalls int64
-	invOps      []invOp
 }
 
 // insertOp is one pending step of the insert cascade. parent is a
@@ -135,41 +52,12 @@ type insertOp struct {
 // NewRAPQ returns a RAPQ engine for the bound automaton and window
 // specification.
 func NewRAPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RAPQ {
-	cfg := config{spec: spec, sink: discardSink{}}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	rev := make([][][]int32, len(a.ByLabel))
-	for l, trans := range a.ByLabel {
-		if len(trans) == 0 {
-			continue
-		}
-		byTarget := make([][]int32, a.K)
-		for _, tr := range trans {
-			byTarget[tr.To] = append(byTarget[tr.To], tr.From)
-		}
-		rev[l] = byTarget
-	}
-	var finals []int32
-	for s := int32(0); s < int32(a.K); s++ {
-		if a.Final[s] {
-			finals = append(finals, s)
-		}
-	}
-	return &RAPQ{
-		a:            a,
-		g:            graph.New(),
-		win:          window.NewManager(spec),
-		sink:         cfg.sink,
-		trees:        make(map[stream.VertexID]*tree),
-		rev:          rev,
-		finals:       finals,
-		scanAllTrees: cfg.scanAllTrees,
-	}
+	e := &RAPQ{}
+	e.scanAllTrees = e.init(a, spec, opts).scanAllTrees
+	e.live = e.isLive
+	e.ops = deltaOps{insert: e.ApplyInsert, del: e.ApplyDelete, expire: e.ApplyExpiry}
+	return e
 }
-
-// Graph implements Engine.
-func (e *RAPQ) Graph() *graph.Graph { return e.g }
 
 // AttachGraph makes the engine index paths over a snapshot graph owned
 // by a multi-query coordinator, which maintains it (inserts, deletes,
@@ -259,61 +147,6 @@ func (e *RAPQ) RelevantLabel(l stream.LabelID) bool { return e.a.Relevant(int(l)
 // was bound against. All members of one coordinator must agree on it.
 func (e *RAPQ) LabelSpace() int { return len(e.a.ByLabel) }
 
-// Stats implements Engine.
-func (e *RAPQ) Stats() Stats {
-	s := e.stats
-	s.Trees = len(e.trees)
-	s.Nodes = 0
-	for _, tx := range e.trees {
-		s.Nodes += tx.ns.size()
-	}
-	s.Edges = e.g.NumEdges()
-	s.Vertices = e.g.NumVertices()
-	return s
-}
-
-// Now returns the largest stream timestamp processed so far.
-func (e *RAPQ) Now() int64 { return e.now }
-
-// deltaDriver is what the tuple routing of Process drives: the
-// sequential engine itself, or a fan-out over it (ParallelRAPQ).
-type deltaDriver interface {
-	ApplyInsert(t stream.Tuple)
-	ApplyExpiry(deadline int64)
-}
-
-// Process implements Engine: Algorithm RAPQ for insertions, Algorithm
-// Delete for negative tuples, with ExpiryRAPQ at slide boundaries.
-func (e *RAPQ) Process(t stream.Tuple) { e.process(t, e) }
-
-func (e *RAPQ) process(t stream.Tuple, d deltaDriver) {
-	e.stats.TuplesSeen++
-	if t.TS > e.now {
-		e.now = t.TS
-	}
-	// Lazy expiration at slide boundaries (§2: eager evaluation, lazy
-	// expiration).
-	if deadline, due := e.win.Observe(t.TS); due {
-		e.g.Expire(deadline, nil)
-		d.ApplyExpiry(deadline)
-	}
-	// Drop tuples whose label is outside ΣQ: they can never be part of
-	// a resulting path (§5.2).
-	if !e.a.Relevant(int(t.Label)) {
-		e.stats.TuplesDropped++
-		return
-	}
-	if t.Op == stream.Delete {
-		// Deletions are rare (§5.4): every driver runs them sequentially.
-		if e.g.Delete(t.Key()) {
-			e.ApplyDelete(t)
-		}
-		return
-	}
-	e.g.Insert(t.Src, t.Dst, t.Label, t.TS)
-	d.ApplyInsert(t)
-}
-
 // ApplyInsert is Algorithm RAPQ lines 3–13: it updates the Δ index for
 // an inserted edge that is already present in the snapshot graph. Most
 // callers use Process; the multi-query coordinator calls ApplyInsert
@@ -333,26 +166,19 @@ func (e *RAPQ) candidateRoots(t stream.Tuple) ([]stream.VertexID, int64) {
 		e.now = t.TS
 	}
 	// Lazily materialize the tree rooted at the source vertex if the
-	// label moves the automaton out of the start state: Δ conceptually
-	// holds a tree for every vertex, but only trees that can grow past
-	// their root are represented.
+	// label moves the automaton out of the start state.
 	if e.a.Step(e.a.Start, int(t.Label)) != automaton.NoState {
-		e.ensureTree(t.Src)
+		e.rootedTree(t.Src)
 	}
 	// Snapshot the candidate trees: insertion cascades may add this
 	// vertex to further trees, but those cascades already see the new
 	// edge in the graph, so they need no re-processing here. With the
 	// inverted index disabled (ablation), every tree is a candidate.
-	roots := e.rootScratch[:0]
 	if e.scanAllTrees {
-		for root := range e.trees {
-			roots = append(roots, root)
-		}
-	} else {
-		roots = e.inv.appendRoots(t.Src, roots)
+		return e.allRoots(), e.win.Spec().ValidFrom(e.now)
 	}
-	e.rootScratch = roots
-	return roots, e.win.Spec().ValidFrom(e.now)
+	e.rootScratch = e.inv.appendRoots(t.Src, e.rootScratch[:0])
+	return e.rootScratch, e.win.Spec().ValidFrom(e.now)
 }
 
 // insertEdge offers the edge to one candidate tree: every transition on
@@ -371,37 +197,14 @@ func (e *RAPQ) insertEdge(sc *scratch, root stream.VertexID, t stream.Tuple, val
 	}
 }
 
-// ensureTree materializes Tx with its root node (x, s0).
-func (e *RAPQ) ensureTree(x stream.VertexID) *tree {
-	if tx, ok := e.trees[x]; ok {
-		return tx
+// rootedTree returns Tx, materializing it first if Δ does not represent
+// it yet; a new tree's root enters the key index here.
+func (e *RAPQ) rootedTree(x stream.VertexID) *tree {
+	tx := e.ensureTree(x)
+	if tx.ns.idx == nil {
+		tx.ns.idx = map[nodeKey]int32{mkNodeKey(x, e.a.Start): rootSlot}
 	}
-	tx := &tree{
-		root:    x,
-		vcount:  make(map[stream.VertexID]int32),
-		support: make(map[stream.VertexID]int32),
-	}
-	tx.ns.init()
-	slot := tx.ns.alloc(mkNodeKey(x, e.a.Start), rootTS, 0)
-	tx.ns.parent[slot] = slot // root parent: self-sentinel
-	tx.vcount[x] = 1
-	e.trees[x] = tx
-	e.inv.add(x, x)
-	// A start state that is also final means the empty path matches;
-	// RPQ answers are conventionally over paths of length ≥ 1, and
-	// (x,x) via ε is reported by neither the paper nor this engine.
 	return tx
-}
-
-// noteInv records that the tree rooted at root gained (or, with drop,
-// lost) its last instance of v.
-func (e *RAPQ) noteInv(sc *scratch, v, root stream.VertexID, drop bool) {
-	op := invOp{v: v, root: root, drop: drop}
-	if sc.deferred {
-		sc.invOps = append(sc.invOps, op)
-		return
-	}
-	e.inv.apply(op)
 }
 
 // isLive reports whether the result pair (tx.root, v) is currently
@@ -533,35 +336,10 @@ func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t 
 	}
 }
 
-// remove deletes the node in slot from the tree entirely, maintaining
-// the inverted index and the per-vertex witness support counts.
+// remove deletes the node in slot from the tree entirely.
 func (e *RAPQ) remove(sc *scratch, tx *tree, slot int32) {
-	ns := &tx.ns
-	key := ns.keys[slot]
-	v, s := key.vertex(), key.state()
-	ns.detach(slot)
-	ns.release(slot)
-	if e.a.Final[s] && !(v == tx.root && s == e.a.Start) {
-		if tx.support[v]--; tx.support[v] == 0 {
-			delete(tx.support, v)
-		}
-	}
-	tx.vcount[v]--
-	if tx.vcount[v] == 0 {
-		delete(tx.vcount, v)
-		e.noteInv(sc, v, tx.root, true)
-	}
-}
-
-// emit reports a result pair.
-func (e *RAPQ) emit(sc *scratch, x, v stream.VertexID) {
-	m := Match{From: x, To: v, TS: e.now}
-	if sc.deferred {
-		sc.matches = append(sc.matches, m)
-		return
-	}
-	e.stats.Results++
-	e.sink.OnMatch(m)
+	e.unlink(sc, tx, slot)
+	tx.ns.release(slot)
 }
 
 // ApplyExpiry runs ExpiryRAPQ over every tree for a slide-boundary
@@ -579,15 +357,6 @@ func (e *RAPQ) ApplyExpiry(deadline int64) {
 	e.stats.ExpiryTime += time.Since(start)
 }
 
-// dropIfRootOnly garbage-collects a tree that shrank to its root: no
-// valid start edge remains, so Δ need not represent it.
-func (e *RAPQ) dropIfRootOnly(tx *tree) {
-	if tx.ns.size() == 1 {
-		e.remove(&e.sc, tx, tx.ns.lookup(mkNodeKey(tx.root, e.a.Start)))
-		delete(e.trees, tx.root)
-	}
-}
-
 // expireTree is Algorithm ExpiryRAPQ for one spanning tree. Only the
 // sequential Delete path sets invalidate; its retractions go straight
 // to the sink.
@@ -601,21 +370,13 @@ func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool
 		if !ns.live(slot) || ns.ts[slot] > deadline {
 			continue
 		}
-		key := ns.keys[slot]
-		candidates = append(candidates, key)
+		candidates = append(candidates, ns.keys[slot])
 		// Record, before any pruning, whether each pair about to
 		// lose a final witness was live when the pass started.
 		// Delete-marked subtrees were recorded by markSubtree while
 		// their timestamps were still intact; everything else is
 		// genuinely stale and recorded here.
-		if e.a.Final[key.state()] {
-			if _, seen := tx.preLive[key.vertex()]; !seen {
-				if tx.preLive == nil {
-					tx.preLive = make(map[stream.VertexID]bool)
-				}
-				tx.preLive[key.vertex()] = e.isLive(tx, key.vertex(), deadline)
-			}
-		}
+		e.notePreLive(tx, slot, deadline)
 	}
 	if len(candidates) == 0 {
 		sc.cands = candidates
@@ -678,32 +439,8 @@ func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool
 		}
 	}
 	sc.cands = candidates[:0]
-	// Lines 11–15, canonicalized: a pair (x,v) is retracted exactly when
-	// it was live before the deletion and no in-window final witness
-	// survived pruning + reconnection. The decision depends only on the
-	// canonical witness set, never on which nodes the incidental tree
-	// shape happened to route the deletion through — deleting a non-tree
-	// edge can never make a witness unreachable (if it could, the tree
-	// path would use the deleted edge too), so the invalidation stream is
-	// a pure function of the input stream. Window expiry (invalidate ==
-	// false) retracts nothing: results carry implicit window semantics.
-	if invalidate && len(tx.preLive) > 0 {
-		vs := make([]stream.VertexID, 0, len(tx.preLive))
-		for v, was := range tx.preLive {
-			if was {
-				vs = append(vs, v)
-			}
-		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		for _, v := range vs {
-			if e.isLive(tx, v, deadline) {
-				continue
-			}
-			e.stats.Invalidations++
-			e.sink.OnInvalidate(Match{From: tx.root, To: v, TS: e.now})
-		}
-	}
-	tx.preLive = nil
+	// Lines 11–15, canonicalized.
+	e.endPass(tx, deadline, invalidate)
 }
 
 // ApplyDelete is Algorithm Delete (§3.2): explicit deletion via the
@@ -724,25 +461,16 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 		}
 		ns := &tx.ns
 		touched := false
-		rootKey := mkNodeKey(tx.root, e.a.Start)
 		// Lines 2–8: find tree edges matching the deleted edge and mark
-		// their subtrees as expired.
+		// their subtrees as expired. A tree edge w.r.t. Tx (Definition 13):
+		// the target node exists and hangs under the source node (the root
+		// hangs under itself).
 		for _, tr := range e.a.ByLabel[t.Label] {
-			childKey := mkNodeKey(t.Dst, tr.To)
-			if childKey == rootKey {
-				continue // the root has no incoming tree edge (its
-				// parent pointer is a self-sentinel)
+			c := ns.lookup(mkNodeKey(t.Dst, tr.To))
+			if c > rootSlot && ns.keys[ns.parent[c]] == mkNodeKey(t.Src, tr.From) {
+				e.markSubtree(&e.sc, tx, c, validFrom)
+				touched = true
 			}
-			childSlot := ns.lookup(childKey)
-			if childSlot < 0 {
-				continue
-			}
-			pslot := ns.lookup(mkNodeKey(t.Src, tr.From))
-			if pslot < 0 || ns.parent[childSlot] != pslot {
-				continue // not a tree edge w.r.t. Tx (Definition 13)
-			}
-			e.markSubtree(&e.sc, tx, childSlot, validFrom)
-			touched = true
 		}
 		if !touched {
 			continue // deleting a non-tree edge leaves Tx unchanged
@@ -751,34 +479,6 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 		e.expireTree(&e.sc, tx, validFrom, true)
 		e.dropIfRootOnly(tx)
 	}
-}
-
-// markSubtree sets the timestamps of the subtree rooted at slot to -∞,
-// marking every node in it as expired (Algorithm Delete lines 4–7).
-// Before overwriting a final witness's timestamp it records whether its
-// pair was live, so the invalidation pass of expireTree decides against
-// the pre-deletion window state rather than the clobbered one.
-func (e *RAPQ) markSubtree(sc *scratch, tx *tree, slot int32, validFrom int64) {
-	ns := &tx.ns
-	stack := append(sc.slots[:0], slot)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		key := ns.keys[s]
-		if e.a.Final[key.state()] {
-			if _, seen := tx.preLive[key.vertex()]; !seen {
-				if tx.preLive == nil {
-					tx.preLive = make(map[stream.VertexID]bool)
-				}
-				tx.preLive[key.vertex()] = e.isLive(tx, key.vertex(), validFrom)
-			}
-		}
-		ns.ts[s] = expiredTS
-		for c := ns.firstChild[s]; c >= 0; c = ns.nextSib[c] {
-			stack = append(stack, c)
-		}
-	}
-	sc.slots = stack[:0]
 }
 
 var (

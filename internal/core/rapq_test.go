@@ -421,3 +421,25 @@ func TestRAPQDuplicateEdgeRefresh(t *testing.T) {
 		t.Fatalf("(2,1) not refreshed: ts=%d ok=%v", ts, ok)
 	}
 }
+
+// TestEnginesRejectOversizedAutomaton: a node key holds the automaton
+// state in 16 bits, so an automaton beyond MaxStates would alias nodes.
+// streamrpq.Compile refuses such patterns; the constructors assert it.
+func TestEnginesRejectOversizedAutomaton(t *testing.T) {
+	spec := window.Spec{Size: 10, Slide: 1}
+	for name, construct := range map[string]func(a *automaton.Bound){
+		"RAPQ":         func(a *automaton.Bound) { NewRAPQ(a, spec) },
+		"RSPQ":         func(a *automaton.Bound) { NewRSPQ(a, spec) },
+		"ParallelRAPQ": func(a *automaton.Bound) { NewParallelRAPQ(a, spec, 2) },
+	} {
+		construct(&automaton.Bound{K: MaxStates, Final: make([]bool, MaxStates)})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an automaton of MaxStates+1 states", name)
+				}
+			}()
+			construct(&automaton.Bound{K: MaxStates + 1, Final: make([]bool, MaxStates+1)})
+		}()
+	}
+}

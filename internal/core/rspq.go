@@ -1,213 +1,93 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"streamrpq/internal/automaton"
-	"streamrpq/internal/graph"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
 
-// spNode is a node instance in an RSPQ spanning tree. Unlike the RAPQ
-// index, a (vertex, state) pair may have multiple instances in the same
-// tree when conflicts force re-traversal (§4.1), so instances carry
-// explicit parent pointers and identity.
-type spNode struct {
-	v        stream.VertexID
-	s        int32
-	ts       int64
-	parent   *spNode
-	children map[*spNode]struct{}
-	dead     bool // detached by expiry or deletion
-}
-
-// sptree is one spanning tree of the RSPQ engine, with its set of
-// markings Mx.
-type sptree struct {
-	rootV  stream.VertexID
-	root   *spNode
-	inst   map[nodeKey][]*spNode // live instances per (vertex,state)
-	marked map[nodeKey]struct{}  // Mx
-	vcount map[stream.VertexID]int32
-	size   int // live instances, including the root
-
-	// support counts the final-state witness instances per result
-	// vertex (the root instance is excluded). A result pair (rootV, v)
-	// is live iff a counted witness is inside the window; support[v] ==
-	// 0 is the O(1) fast path for "not live". See tree.support in
-	// rapq.go — the role is identical, adapted to instance lists.
-	support map[stream.VertexID]int32
-
-	// preLive is non-nil only during one expiry/delete pass: per vertex
-	// losing a final witness, whether (rootV, v) was live when the pass
-	// started. See tree.preLive in rapq.go.
-	preLive map[stream.VertexID]bool
+// instances is the key-index entry of one (vertex, state) pair in an
+// RSPQ tree: conflicts force re-traversals (§4.1), so a pair may have
+// several instances, each a slot whose prefix path is the parent-slot
+// walk to the root. An entry exists exactly while its key has an
+// instance, so the marking Mx is a bit on it.
+type instances struct {
+	slots  []int32 // live instances, in creation order
+	marked bool    // key ∈ Mx
 }
 
 // RSPQ is the incremental engine for Regular Simple Path Queries over
-// sliding windows (Algorithms RSPQ, Extend, Unmark, ExpiryRSPQ in §4).
-// In the absence of conflicts it matches the amortized complexity of
-// the RAPQ engine; with conflicts the problem is NP-hard and the engine
-// may take exponential time (bounded by WithMaxExtends if set).
+// sliding windows (Algorithms RSPQ, Extend, Unmark, ExpiryRSPQ in §4):
+// the Δ substrate plus markings and conflict detection. Without
+// conflicts it matches the amortized complexity of the RAPQ engine; with
+// them the problem is NP-hard and the engine may take exponential time
+// (bounded by WithMaxExtends if set).
+//
+// Its result stream is canonical because three orders are: instance-list
+// creation order, the best-offer order of collectOffers, and ascending
+// root order across trees (they share the Extend budget counter). None
+// may depend on map iteration.
 type RSPQ struct {
-	a    *automaton.Bound
-	g    *graph.Graph
-	win  *window.Manager
-	sink Sink
+	delta
 
-	trees map[stream.VertexID]*sptree
-	inv   map[stream.VertexID]map[stream.VertexID]struct{}
-	rev   [][][]int32 // rev[label][t] = states s with δ(s,label)=t
-
-	// finals lists the accepting states once, for the liveness scans.
-	finals []int32
-
-	// epoch is the explicit epoch handle RSPQ traversals read the
-	// snapshot graph at. The engine is strictly single-goroutine and
-	// owns its graph, so the epoch stays 0 (the private graph's current
-	// epoch); it exists so the traversals use the same versioned-read
-	// discipline as the RAPQ family.
-	epoch graph.Epoch
-
-	now        int64
-	stats      Stats
 	maxExtends int64
 	extends    int64 // extends so far for the current tuple
 	budgetHit  bool  // some tuple exceeded maxExtends
 
-	instScratch []*spNode
-	rootScratch []stream.VertexID
-	// heScratch is the reused adjacency buffer of the graph's
-	// AppendOutAt/AppendInAt traversal API. It is safe to share across
-	// the recursive Extend/Unmark cascade: every use fully drains the
-	// buffer into an independent slice (conts, offers) before anything
-	// that could refill it runs.
-	heScratch []graph.HalfEdge
+	instScratch []int32     // instance-list snapshot
+	removed     []spRemoved // instances pruned by the current expiry pass
 }
 
 // NewRSPQ returns an RSPQ engine for the bound automaton and window
 // specification.
 func NewRSPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RSPQ {
-	cfg := config{spec: spec, sink: discardSink{}}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	rev := make([][][]int32, len(a.ByLabel))
-	for l, trans := range a.ByLabel {
-		if len(trans) == 0 {
-			continue
-		}
-		byTarget := make([][]int32, a.K)
-		for _, tr := range trans {
-			byTarget[tr.To] = append(byTarget[tr.To], tr.From)
-		}
-		rev[l] = byTarget
-	}
-	var finals []int32
-	for s := int32(0); s < int32(a.K); s++ {
-		if a.Final[s] {
-			finals = append(finals, s)
-		}
-	}
-	return &RSPQ{
-		a:          a,
-		g:          graph.New(),
-		win:        window.NewManager(spec),
-		sink:       cfg.sink,
-		trees:      make(map[stream.VertexID]*sptree),
-		inv:        make(map[stream.VertexID]map[stream.VertexID]struct{}),
-		rev:        rev,
-		finals:     finals,
-		maxExtends: cfg.maxExtends,
-	}
+	e := &RSPQ{}
+	e.maxExtends = e.init(a, spec, opts).maxExtends
+	e.live = e.isLive
+	e.ops = deltaOps{insert: e.applyInsert, del: e.applyDelete, expire: e.applyExpiry}
+	return e
 }
-
-// Graph implements Engine.
-func (e *RSPQ) Graph() *graph.Graph { return e.g }
-
-// Stats implements Engine.
-func (e *RSPQ) Stats() Stats {
-	s := e.stats
-	s.Trees = len(e.trees)
-	s.Nodes = 0
-	for _, tx := range e.trees {
-		s.Nodes += tx.size
-	}
-	s.Edges = e.g.NumEdges()
-	s.Vertices = e.g.NumVertices()
-	return s
-}
-
-// Now returns the largest stream timestamp processed so far.
-func (e *RSPQ) Now() int64 { return e.now }
 
 // BudgetExceeded reports whether any tuple's Extend cascade was cut off
-// by WithMaxExtends. Once true, the engine's results may be incomplete
-// — §4 shows the underlying problem is NP-hard in the presence of
-// conflicts, and the experiment drivers use this flag to report a query
-// as infeasible under simple path semantics.
+// by WithMaxExtends. Once true, results may be incomplete (§4: the
+// problem is NP-hard in the presence of conflicts); the experiment
+// drivers report such a query as infeasible under simple path semantics.
 func (e *RSPQ) BudgetExceeded() bool { return e.budgetHit }
 
-// Process implements Engine.
-func (e *RSPQ) Process(t stream.Tuple) {
-	e.stats.TuplesSeen++
-	if t.TS > e.now {
-		e.now = t.TS
-	}
-	if deadline, due := e.win.Observe(t.TS); due {
-		e.expireAll(deadline, false)
-	}
-	if !e.a.Relevant(int(t.Label)) {
-		e.stats.TuplesDropped++
-		return
-	}
-	e.extends = 0
-	if t.Op == stream.Delete {
-		e.processDelete(t)
-		return
-	}
-	e.processInsert(t)
+// sortedRoots snapshots the roots of the trees containing v, ascending
+// (the index hands promoted rows back in map order).
+func (e *RSPQ) sortedRoots(v stream.VertexID) []stream.VertexID {
+	e.rootScratch = e.inv.appendRoots(v, e.rootScratch[:0])
+	slices.Sort(e.rootScratch)
+	return e.rootScratch
 }
 
-// processInsert is Algorithm RSPQ lines 3–13.
-func (e *RSPQ) processInsert(t stream.Tuple) {
-	e.g.Insert(t.Src, t.Dst, t.Label, t.TS)
+// applyInsert is Algorithm RSPQ lines 3–13.
+func (e *RSPQ) applyInsert(t stream.Tuple) {
+	e.extends = 0
 	validFrom := e.win.Spec().ValidFrom(e.now)
-
 	if e.a.Step(e.a.Start, int(t.Label)) != automaton.NoState {
-		e.ensureTree(t.Src)
-	}
-
-	e.rootScratch = e.rootScratch[:0]
-	for root := range e.inv[t.Src] {
-		e.rootScratch = append(e.rootScratch, root)
-	}
-	// Canonical tree order: the Extend budget counter (WithMaxExtends) is
-	// shared across trees and instance-list append order steers later
-	// traversals, so the fan-out must not depend on map iteration order.
-	sort.Slice(e.rootScratch, func(i, j int) bool { return e.rootScratch[i] < e.rootScratch[j] })
-	for _, root := range e.rootScratch {
-		tx := e.trees[root]
-		if tx == nil {
-			continue
+		if tx := e.ensureTree(t.Src); tx.inst == nil {
+			tx.inst = map[nodeKey]instances{mkNodeKey(t.Src, e.a.Start): {slots: []int32{rootSlot}}}
 		}
+	}
+	for _, root := range e.sortedRoots(t.Src) {
+		tx := e.trees[root]
+		ns := &tx.ns.slotStore
 		for _, tr := range e.a.ByLabel[t.Label] {
+			target := mkNodeKey(t.Dst, tr.To)
 			// Snapshot the instance list: Extend may append to it, and
 			// freshly created instances have already seen the new edge
 			// through their own expansion.
-			e.instScratch = append(e.instScratch[:0], tx.inst[mkNodeKey(t.Src, tr.From)]...)
+			e.instScratch = append(e.instScratch[:0], tx.inst[mkNodeKey(t.Src, tr.From)].slots...)
 			for _, p := range e.instScratch {
-				if p.dead || p.ts <= validFrom {
-					continue
-				}
-				// Line 8 guards: no product cycle on the prefix path,
-				// and the target is not marked.
-				if pathVisits(p, t.Dst, tr.To) {
-					continue
-				}
-				if _, m := tx.marked[mkNodeKey(t.Dst, tr.To)]; m {
+				// Line 8 guards: the source is in the window, the prefix
+				// path closes no product cycle, the target is not marked.
+				if ns.ts[p] <= validFrom || pathVisits(ns, p, target) || tx.inst[target].marked {
 					continue
 				}
 				e.extend(tx, p, t.Dst, tr.To, t.TS, validFrom)
@@ -216,82 +96,43 @@ func (e *RSPQ) processInsert(t stream.Tuple) {
 	}
 }
 
-func (e *RSPQ) ensureTree(x stream.VertexID) *sptree {
-	if tx, ok := e.trees[x]; ok {
-		return tx
-	}
-	root := &spNode{v: x, s: e.a.Start, ts: rootTS}
-	tx := &sptree{
-		rootV:   x,
-		root:    root,
-		inst:    map[nodeKey][]*spNode{mkNodeKey(x, e.a.Start): {root}},
-		marked:  make(map[nodeKey]struct{}),
-		vcount:  map[stream.VertexID]int32{x: 1},
-		size:    1,
-		support: make(map[stream.VertexID]int32),
-	}
-	e.trees[x] = tx
-	e.addInv(x, x)
-	return tx
-}
-
-func (e *RSPQ) addInv(v, root stream.VertexID) {
-	m := e.inv[v]
-	if m == nil {
-		m = make(map[stream.VertexID]struct{})
-		e.inv[v] = m
-	}
-	m[root] = struct{}{}
-}
-
-func (e *RSPQ) dropInv(v, root stream.VertexID) {
-	m := e.inv[v]
-	if m == nil {
-		return
-	}
-	delete(m, root)
-	if len(m) == 0 {
-		delete(e.inv, v)
-	}
-}
-
-// pathVisits reports whether the prefix path ending at p visits vertex
-// v in state t (the cycle guard t ∈ p[v]).
-func pathVisits(p *spNode, v stream.VertexID, t int32) bool {
-	for n := p; n != nil; n = n.parent {
-		if n.v == v && n.s == t {
+// pathVisits reports whether the prefix path ending at slot p visits
+// key (the cycle guard t ∈ p[v]).
+func pathVisits(ns *slotStore, p int32, key nodeKey) bool {
+	for n := p; ; n = ns.parent[n] {
+		if ns.keys[n] == key {
 			return true
 		}
+		if n == rootSlot {
+			return false
+		}
 	}
-	return false
 }
 
 // firstStateAt returns the state of the first occurrence of vertex v on
-// the prefix path ending at p (FIRST(p[v]) in the paper), walking from
-// p to the root and keeping the last match seen.
-func firstStateAt(p *spNode, v stream.VertexID) (int32, bool) {
-	var state int32
-	found := false
-	for n := p; n != nil; n = n.parent {
-		if n.v == v {
-			state = n.s
-			found = true
+// the prefix path ending at slot p (FIRST(p[v]) in the paper), walking
+// from p to the root and keeping the last match seen.
+func firstStateAt(ns *slotStore, p int32, v stream.VertexID) (state int32, found bool) {
+	for n := p; ; n = ns.parent[n] {
+		if k := ns.keys[n]; k.vertex() == v {
+			state, found = k.state(), true
+		}
+		if n == rootSlot {
+			return state, found
 		}
 	}
-	return state, found
 }
 
-// isLiveSP reports whether the result pair (tx.rootV, v) is currently
-// live: some final-state instance for v sits inside the window. Stale
-// instances (lazy expiry leaves them until the next slide boundary) do
-// not count, and neither does the root instance.
-func (e *RSPQ) isLiveSP(tx *sptree, v stream.VertexID, validFrom int64) bool {
+// isLive reports whether the result pair (tx.root, v) is live: some
+// final-state instance for v other than the root sits inside the window
+// (lazy expiry leaves stale ones until the next slide boundary).
+func (e *RSPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 	if tx.support[v] == 0 {
 		return false
 	}
 	for _, s := range e.finals {
-		for _, n := range tx.inst[mkNodeKey(v, s)] {
-			if n != tx.root && n.ts > validFrom {
+		for _, slot := range tx.inst[mkNodeKey(v, s)].slots {
+			if slot != rootSlot && tx.ns.ts[slot] > validFrom {
 				return true
 			}
 		}
@@ -299,19 +140,18 @@ func (e *RSPQ) isLiveSP(tx *sptree, v stream.VertexID, validFrom int64) bool {
 	return false
 }
 
-// spCont is one pending out-edge continuation of an Extend expansion,
-// collected so the expansion can run in canonical order.
+// spCont is one pending out-edge continuation of an Extend expansion.
 type spCont struct {
-	w  stream.VertexID
-	r  int32
-	l  stream.LabelID
-	ts int64
+	key nodeKey
+	l   stream.LabelID
+	ts  int64
 }
 
 // extend is Algorithm Extend: it attempts to grow the prefix path
-// ending at parent with the node (v,t) reached over an edge with
-// timestamp edgeTS.
-func (e *RSPQ) extend(tx *sptree, parent *spNode, v stream.VertexID, t int32, edgeTS int64, validFrom int64) {
+// ending at slot parent with the node (v,t) reached over an edge with
+// timestamp edgeTS. No slot is released during a cascade, so the parent
+// slots it carries stay valid.
+func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS int64, validFrom int64) {
 	if e.maxExtends > 0 {
 		if e.extends >= e.maxExtends {
 			e.budgetHit = true
@@ -320,10 +160,11 @@ func (e *RSPQ) extend(tx *sptree, parent *spNode, v stream.VertexID, t int32, ed
 		e.extends++
 	}
 	e.stats.InsertCalls++
+	ns := &tx.ns.slotStore
 
 	// Lines 2–3: conflict detection between the first state visiting v
 	// on this path and t, via suffix-language containment.
-	if q, ok := firstStateAt(parent, v); ok && !e.a.Cont[q][t] {
+	if q, ok := firstStateAt(ns, parent, v); ok && !e.a.Cont[q][t] {
 		e.stats.ConflictsFound++
 		e.unmark(tx, parent, validFrom)
 		return
@@ -334,461 +175,304 @@ func (e *RSPQ) extend(tx *sptree, parent *spNode, v stream.VertexID, t int32, ed
 	// handled every continuation from (x,t) is subsumed by traversals
 	// from the root (x,s0) itself: [s0] ⊇ [t]. Extending would emit the
 	// spurious pair (x,x), whose only witness is the empty path.
-	if v == tx.rootV {
+	if v == tx.root {
 		return
 	}
 
 	// Lines 5–13: extend the path. A result is emitted exactly when the
-	// pair (rootV, v) flips from dead to live: duplicate witnesses and
+	// pair (root, v) flips from dead to live: duplicate witnesses and
 	// pairs an expiry/delete pass merely cuts and reconnects (preLive)
 	// stay silent, so the result stream is canonical.
-	newTS := min(edgeTS, parent.ts)
-	if e.a.Final[t] && newTS > validFrom &&
-		!tx.preLive[v] && !e.isLiveSP(tx, v, validFrom) {
-		e.emit(tx.rootV, v)
+	newTS := min(edgeTS, ns.ts[parent])
+	if e.a.Final[t] && newTS > validFrom && !tx.preLive[v] && !e.isLive(tx, v, validFrom) {
+		e.emit(&e.sc, tx.root, v)
 	}
 	key := mkNodeKey(v, t)
-	if len(tx.inst[key]) == 0 {
-		tx.marked[key] = struct{}{} // line 9: first instance gets marked
+	ent := tx.inst[key]
+	if len(ent.slots) == 0 {
+		ent.marked = true // line 9: first instance gets marked
 	}
-	node := &spNode{v: v, s: t, ts: newTS, parent: parent}
-	if parent.children == nil {
-		parent.children = make(map[*spNode]struct{})
-	}
-	parent.children[node] = struct{}{}
-	tx.inst[key] = append(tx.inst[key], node)
-	tx.size++
+	node := ns.alloc(key, newTS, parent)
+	ns.attach(parent, node)
+	ent.slots = append(ent.slots, node)
+	tx.inst[key] = ent
 	tx.vcount[v]++
 	if tx.vcount[v] == 1 {
-		e.addInv(v, tx.rootV)
+		e.noteInv(&e.sc, v, tx.root, false)
 	}
 	if e.a.Final[t] {
 		tx.support[v]++
 	}
 
-	// Lines 14–18: expand out-edges inside the window, in canonical
-	// (target key, label) order. Instance-list append order steers every
-	// later traversal (snapshots, re-exploration, expiry collection), so
-	// the expansion order must be a pure function of the stream, not of
-	// the adjacency map's iteration order.
+	// Lines 14–18: expand out-edges inside the window in canonical
+	// (target key, label) order, not adjacency order: it becomes
+	// instance-list order. The shared adjacency buffer is drained into
+	// conts before the recursion can refill it.
 	var conts []spCont
-	e.heScratch = e.g.AppendOutAt(e.epoch, v, e.heScratch[:0])
-	for _, he := range e.heScratch {
+	e.sc.out = e.g.AppendOutAt(e.epoch, v, e.sc.out[:0])
+	for _, he := range e.sc.out {
 		if he.TS <= validFrom {
 			continue
 		}
-		r := e.a.Trans[t][he.L]
-		if r == automaton.NoState {
-			continue
+		if r := e.a.Trans[t][he.L]; r != automaton.NoState {
+			conts = append(conts, spCont{key: mkNodeKey(he.V, r), l: he.L, ts: he.TS})
 		}
-		conts = append(conts, spCont{w: he.V, r: r, l: he.L, ts: he.TS})
 	}
-	sort.Slice(conts, func(i, j int) bool {
-		ki, kj := mkNodeKey(conts[i].w, conts[i].r), mkNodeKey(conts[j].w, conts[j].r)
-		if ki != kj {
-			return ki < kj
-		}
-		return conts[i].l < conts[j].l
+	slices.SortFunc(conts, func(a, b spCont) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.l, b.l))
 	})
 	for _, c := range conts {
-		if pathVisits(node, c.w, c.r) {
-			continue // line 15: r ∈ pnew[w]
+		// Line 15: r ∈ pnew[w], or (w,r) ∈ Mx.
+		if pathVisits(ns, node, c.key) || tx.inst[c.key].marked {
+			continue
 		}
-		if _, m := tx.marked[mkNodeKey(c.w, c.r)]; m {
-			continue // line 15: (w,r) ∈ Mx
-		}
-		e.extend(tx, node, c.w, c.r, c.ts, validFrom)
+		e.extend(tx, node, c.key.vertex(), c.key.state(), c.ts, validFrom)
 	}
+}
+
+// setMarked sets the marking of a key that has an instance.
+func (tx *tree) setMarked(key nodeKey, marked bool) {
+	ent := tx.inst[key]
+	ent.marked = marked
+	tx.inst[key] = ent
 }
 
 // unmark is Algorithm Unmark: starting from the end of the prefix path
 // it removes markings from the maximal marked suffix of ancestors, then
 // re-explores the incoming edges of every unmarked node, since paths
 // through them may have been pruned by case 2 of Algorithm RSPQ.
-func (e *RSPQ) unmark(tx *sptree, last *spNode, validFrom int64) {
+func (e *RSPQ) unmark(tx *tree, last int32, validFrom int64) {
+	ns := &tx.ns.slotStore
 	var queue []nodeKey
-	for n := last; n != nil; n = n.parent {
-		key := mkNodeKey(n.v, n.s)
-		if _, m := tx.marked[key]; !m {
-			break // lines 2–6: stop at the first unmarked ancestor
-		}
-		delete(tx.marked, key)
+	// Lines 2–6: stop at the first unmarked ancestor (the root at last).
+	for n := last; tx.inst[ns.keys[n]].marked; n = ns.parent[n] {
+		tx.setMarked(ns.keys[n], false)
 		e.stats.Unmarkings++
-		queue = append(queue, key)
+		queue = append(queue, ns.keys[n])
 	}
 	// Lines 7–13: for each unmarked (v,t), re-run the traversals that
-	// were pruned while it was marked, visiting the candidate parents in
-	// the canonical best-offer order so whatever instances the cascade
-	// builds are a pure function of the stream.
+	// were pruned while it was marked. Each keeps an instance (the
+	// ancestor) throughout, so none is re-marked and every offer is made.
 	for _, key := range queue {
-		v, t := key.vertex(), key.state()
-		for _, of := range e.collectOffers(tx, v, t, validFrom) {
-			if _, m := tx.marked[key]; m {
-				continue // re-marked during this cascade
-			}
-			if hasEquivalentChild(of.parent, v, t, of.offer) {
-				continue // identical extension already present
-			}
-			e.extend(tx, of.parent, v, t, of.ts, validFrom)
+		e.reexplore(tx, key, validFrom)
+	}
+}
+
+// reexplore presents the offers into key to Extend, best first, until
+// key is marked — which Extend does when it restores the first instance
+// of a key that had lost them all. Visiting the candidate parents in the
+// canonical order makes whatever the cascade builds a pure function of
+// the stream.
+func (e *RSPQ) reexplore(tx *tree, key nodeKey, validFrom int64) {
+	for _, of := range e.collectOffers(tx, key, validFrom) {
+		if tx.inst[key].marked {
+			return
+		}
+		if !hasEquivalentChild(&tx.ns.slotStore, of.parent, key, of.offer) {
+			e.extend(tx, of.parent, key.vertex(), key.state(), of.ts, validFrom)
 		}
 	}
 }
 
 // spOffer is one candidate (parent instance, in-edge) pair that could
-// extend into a key being restored or re-explored, with the fields that
-// define the canonical scan order.
+// extend into a key, with the fields that define the canonical order.
 type spOffer struct {
 	offer  int64 // min(edge ts, parent path ts): timestamp of the offered path
 	pkey   nodeKey
 	pidx   int32 // index in the parent key's instance list
 	l      stream.LabelID
 	ts     int64 // edge timestamp
-	parent *spNode
+	parent int32 // slot
 }
 
 // collectOffers gathers every viable (parent instance, edge) pair that
-// could extend into (v,t), sorted best offer first: higher offered path
-// timestamp wins, ties break on parent key, instance-list index, then
-// label. Both the expiry reconnection and Unmark's re-exploration scan
-// this order instead of the graph's map-ordered adjacency lists, which
-// is what makes the restored instances — and with them every later
-// traversal — a pure function of the stream.
-func (e *RSPQ) collectOffers(tx *sptree, v stream.VertexID, t int32, validFrom int64) []spOffer {
+// could extend into key, best offer first: higher offered path timestamp
+// wins, ties break on parent key, instance-list index, then label. Expiry
+// reconnection and Unmark's re-exploration scan this order instead of
+// the graph's adjacency order, which makes the restored instances — and
+// with them every later traversal — a pure function of the stream.
+func (e *RSPQ) collectOffers(tx *tree, key nodeKey, validFrom int64) []spOffer {
+	ns := &tx.ns.slotStore
 	var offers []spOffer
-	e.heScratch = e.g.AppendInAt(e.epoch, v, e.heScratch[:0])
-	for _, he := range e.heScratch {
-		if he.TS <= validFrom {
+	e.sc.in = e.g.AppendInAt(e.epoch, key.vertex(), e.sc.in[:0])
+	for _, he := range e.sc.in {
+		if he.TS <= validFrom || e.rev[he.L] == nil {
 			continue
 		}
-		rt := e.rev[he.L]
-		if rt == nil {
-			continue
-		}
-		for _, s := range rt[t] {
+		for _, s := range e.rev[he.L][key.state()] {
 			pk := mkNodeKey(he.V, s)
-			for i, p := range tx.inst[pk] {
-				if p.dead || p.ts <= validFrom {
-					continue
-				}
-				if pathVisits(p, v, t) {
+			for i, p := range tx.inst[pk].slots {
+				if ns.ts[p] <= validFrom || pathVisits(ns, p, key) {
 					continue
 				}
 				offers = append(offers, spOffer{
-					offer: min(he.TS, p.ts), pkey: pk, pidx: int32(i),
+					offer: min(he.TS, ns.ts[p]), pkey: pk, pidx: int32(i),
 					l: he.L, ts: he.TS, parent: p,
 				})
 			}
 		}
 	}
-	sort.Slice(offers, func(i, j int) bool {
-		a, b := offers[i], offers[j]
-		if a.offer != b.offer {
-			return a.offer > b.offer
-		}
-		if a.pkey != b.pkey {
-			return a.pkey < b.pkey
-		}
-		if a.pidx != b.pidx {
-			return a.pidx < b.pidx
-		}
-		return a.l < b.l
+	slices.SortFunc(offers, func(a, b spOffer) int {
+		return cmp.Or(cmp.Compare(b.offer, a.offer), cmp.Compare(a.pkey, b.pkey),
+			cmp.Compare(a.pidx, b.pidx), cmp.Compare(a.l, b.l))
 	})
 	return offers
 }
 
-// hasEquivalentChild reports whether parent already has a live child
-// instance (v,t) with a timestamp at least ts. Such a child covers
-// exactly the same prefix-path constraints, so re-extending would build
-// a duplicate subtree. This guard is an optimization over the paper's
-// pseudocode; it never prunes a traversal that could discover new
-// results.
-func hasEquivalentChild(parent *spNode, v stream.VertexID, t int32, ts int64) bool {
-	for c := range parent.children {
-		if !c.dead && c.v == v && c.s == t && c.ts >= ts {
+// hasEquivalentChild reports whether parent already has a child
+// instance of key with a timestamp at least ts. Such a child covers the
+// same prefix-path constraints, so re-extending would build a duplicate
+// subtree (an optimization over the paper's pseudocode; it never prunes
+// a traversal that could discover new results). Like allChildrenMarked
+// it asks any/all over a child set: sibling order is unobservable.
+func hasEquivalentChild(ns *slotStore, parent int32, key nodeKey, ts int64) bool {
+	for c := ns.firstChild[parent]; c >= 0; c = ns.nextSib[c] {
+		if ns.keys[c] == key && ns.ts[c] >= ts {
 			return true
 		}
 	}
 	return false
 }
 
-func (e *RSPQ) emit(x, v stream.VertexID) {
-	e.stats.Results++
-	e.sink.OnMatch(Match{From: x, To: v, TS: e.now})
-}
-
-// expireAll runs ExpiryRSPQ over every tree (in canonical root order —
-// the Extend budget counter is shared across trees) and purges expired
-// edges from the snapshot graph.
-func (e *RSPQ) expireAll(deadline int64, invalidate bool) {
-	start := time.Now()
-	e.stats.ExpiryRuns++
-	e.g.Expire(deadline, nil)
-	roots := make([]stream.VertexID, 0, len(e.trees))
-	for root := range e.trees {
-		roots = append(roots, root)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, root := range roots {
-		tx := e.trees[root]
-		e.expireTree(tx, deadline, invalidate)
-		if tx.size == 1 {
-			e.removeNode(tx, tx.root)
-			delete(e.trees, root)
-		}
-	}
-	e.stats.ExpiryTime += time.Since(start)
-}
-
-// expireTree is Algorithm ExpiryRSPQ for one spanning tree.
-func (e *RSPQ) expireTree(tx *sptree, deadline int64, invalidate bool) {
-	// Line 2: expired instances, collected in canonical (key, list
-	// index) order — pruning, reconnection and the re-marking pass all
-	// inherit it. Children of an expired instance are themselves expired
-	// (path timestamps are non-increasing).
-	keys := make([]nodeKey, 0, len(tx.inst))
-	for key := range tx.inst {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var expired []*spNode
-	for _, key := range keys {
-		for _, n := range tx.inst[key] {
-			if n.ts <= deadline {
-				expired = append(expired, n)
-				// Record pre-pass liveness before pruning mutates the
-				// witness set; delete-marked subtrees were recorded by
-				// markSubtreeExpired while their timestamps were intact.
-				if e.a.Final[n.s] && n != tx.root {
-					if _, seen := tx.preLive[n.v]; !seen {
-						if tx.preLive == nil {
-							tx.preLive = make(map[stream.VertexID]bool)
-						}
-						tx.preLive[n.v] = e.isLiveSP(tx, n.v, deadline)
-					}
-				}
-			}
-		}
-	}
-	if len(expired) == 0 {
-		tx.preLive = nil
-		return
-	}
-	// Remember parents for the re-marking pass (lines 12–14).
-	type removedInfo struct {
-		key    nodeKey
-		parent *spNode
-	}
-	infos := make([]removedInfo, 0, len(expired))
-	// Lines 3–5: prune Tx and Mx. The paper reconnects only the marked
-	// candidates (P ← Mx ∩ E), arguing that Unmark already re-explored
-	// the incoming edges of unmarked keys when their markings were
-	// removed; under lazy expiry and explicit deletions that shortcut is
-	// unsound — the alternative instances Unmark created may sit in the
-	// pruned subtree themselves — so reconnection is attempted for every
-	// key that lost its last instance (the checked-in fixture stream in
-	// testdata/ exercises exactly this gap).
-	candSet := make(map[nodeKey]struct{}, len(expired))
-	var candidates []nodeKey // canonical order: expired is key-sorted
-	for _, n := range expired {
-		key := mkNodeKey(n.v, n.s)
-		if _, dup := candSet[key]; !dup {
-			candSet[key] = struct{}{}
-			candidates = append(candidates, key)
-		}
-		infos = append(infos, removedInfo{key: key, parent: n.parent})
-		e.removeNode(tx, n)
-	}
-	kept := candidates[:0]
-	for _, key := range candidates {
-		if len(tx.inst[key]) > 0 {
-			continue // a live instance survives; stays marked
-		}
-		delete(tx.marked, key) // Mx ← Mx \ E
-		kept = append(kept, key)
-	}
-	candidates = kept
-	// Lines 6–11: reconnect candidates through valid edges, best offer
-	// first in the canonical scan order of collectOffers. The first
-	// offer Extend accepts re-marks the key and ends the scan, so which
-	// instance gets restored — and everything its cascade builds — is a
-	// pure function of the stream.
-	validFrom := deadline
-	for _, key := range candidates {
-		v, t := key.vertex(), key.state()
-		for _, of := range e.collectOffers(tx, v, t, validFrom) {
-			if _, m := tx.marked[key]; m {
-				break // reconnected (extend re-marks first instances)
-			}
-			if hasEquivalentChild(of.parent, v, t, of.offer) {
-				continue
-			}
-			e.extend(tx, of.parent, v, t, of.ts, validFrom)
-		}
-	}
-	// Lines 12–14: parents whose conflicting descendants expired are
-	// marked again once every remaining child is marked.
-	for _, info := range infos {
-		if len(tx.inst[info.key]) > 0 {
-			continue // some instance survives or was reconnected
-		}
-		if p := info.parent; p != nil && !p.dead && p.parent != nil {
-			if allChildrenMarked(tx, p) {
-				tx.marked[mkNodeKey(p.v, p.s)] = struct{}{}
-			}
-		}
-	}
-	// Lines 15–18, canonicalized: a pair (x,v) is retracted exactly when
-	// it was live before the pass and no in-window final witness
-	// survived pruning + reconnection (see RAPQ.expireTree for the
-	// shape-independence argument). Window expiry (invalidate == false)
-	// retracts nothing: results carry implicit window semantics.
-	if invalidate && len(tx.preLive) > 0 {
-		vs := make([]stream.VertexID, 0, len(tx.preLive))
-		for v, was := range tx.preLive {
-			if was {
-				vs = append(vs, v)
-			}
-		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		for _, v := range vs {
-			if e.isLiveSP(tx, v, deadline) {
-				continue
-			}
-			e.stats.Invalidations++
-			e.sink.OnInvalidate(Match{From: tx.rootV, To: v, TS: e.now})
-		}
-	}
-	tx.preLive = nil
-}
-
-func allChildrenMarked(tx *sptree, p *spNode) bool {
-	for c := range p.children {
-		if c.dead {
-			continue
-		}
-		if _, m := tx.marked[mkNodeKey(c.v, c.s)]; !m {
+func allChildrenMarked(tx *tree, p int32) bool {
+	for c := tx.ns.firstChild[p]; c >= 0; c = tx.ns.nextSib[c] {
+		if !tx.inst[tx.ns.keys[c]].marked {
 			return false
 		}
 	}
 	return true
 }
 
-// hasFinalInstance reports whether any final-state instance for v —
-// fresh or stale — remains in tx. Tests use it as the index-completeness
-// probe: under lazy expiry a valid pair may be witnessed only by a stale
-// instance whose marking blocks a fresher duplicate until the next
-// slide boundary. Liveness decisions use isLiveSP instead.
-func (e *RSPQ) hasFinalInstance(tx *sptree, v stream.VertexID) bool {
-	for _, s := range e.finals {
-		if len(tx.inst[mkNodeKey(v, s)]) > 0 {
-			return true
-		}
+// applyExpiry runs ExpiryRSPQ over every tree, in canonical root order.
+func (e *RSPQ) applyExpiry(deadline int64) {
+	start := time.Now()
+	e.stats.ExpiryRuns++
+	roots := e.allRoots()
+	slices.Sort(roots)
+	for _, root := range roots {
+		tx := e.trees[root]
+		e.expireTree(tx, deadline, false)
+		e.dropIfRootOnly(tx)
 	}
-	return false
+	e.stats.ExpiryTime += time.Since(start)
 }
 
-// removeNode detaches one instance from the tree and updates all
-// indexes. Descendants are not touched; callers remove them separately
-// (expiry collects whole subtrees because timestamps are monotone).
-// Removal preserves the instance-list order: the list order steers
-// traversal order, so it must stay a pure function of the stream
-// (swap-removal would scramble it with map-iteration noise).
-func (e *RSPQ) removeNode(tx *sptree, n *spNode) {
-	if n.dead {
-		return
-	}
-	n.dead = true
-	if n.parent != nil {
-		delete(n.parent.children, n)
-	}
-	key := mkNodeKey(n.v, n.s)
-	insts := tx.inst[key]
-	for i, m := range insts {
-		if m == n {
-			insts = append(insts[:i], insts[i+1:]...)
-			break
+// spRemoved remembers one pruned instance for the re-marking pass.
+type spRemoved struct {
+	key    nodeKey
+	parent int32 // slot
+}
+
+// expireTree is Algorithm ExpiryRSPQ for one spanning tree.
+func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
+	ns := &tx.ns.slotStore
+	// Line 2: the keys with an expired instance. Path timestamps are
+	// non-increasing, so what goes is whole subtrees. Liveness is recorded
+	// before pruning mutates the witness set (for delete-marked subtrees
+	// markSubtree did, while their timestamps were intact).
+	cands := e.sc.cands[:0]
+	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
+		if ns.live(slot) && ns.ts[slot] <= deadline {
+			cands = append(cands, ns.keys[slot])
+			e.notePreLive(tx, slot, deadline)
 		}
 	}
-	if len(insts) == 0 {
+	e.sc.cands = cands[:0]
+	if len(cands) == 0 {
+		tx.preLive = nil
+		return
+	}
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
+	// Lines 3–5: prune Tx and Mx in canonical (key, instance index) order
+	// — reconnection and the re-marking pass inherit it. The paper
+	// reconnects only the marked candidates (P ← Mx ∩ E), arguing that
+	// Unmark already re-explored the in-edges of unmarked keys; under
+	// lazy expiry and explicit deletions that is unsound — the instances
+	// Unmark created may sit in the pruned subtree themselves — so every
+	// key that lost its last instance, and with its index entry its
+	// marking, is reconnected (testdata/rspq-lazy-expiry-trial4.stream
+	// exercises this gap).
+	removed := e.removed[:0]
+	lost := cands[:0]
+	for _, key := range cands {
+		e.instScratch = append(e.instScratch[:0], tx.inst[key].slots...)
+		for _, slot := range e.instScratch {
+			if ns.ts[slot] <= deadline {
+				removed = append(removed, spRemoved{key: key, parent: ns.parent[slot]})
+				e.remove(tx, slot)
+			}
+		}
+		if len(tx.inst[key].slots) == 0 {
+			lost = append(lost, key)
+		}
+	}
+	// The re-marking pass looks at the parents of what was pruned. Every
+	// release of this pass has happened and no allocation has: keep only
+	// the non-root parents still live now, because a reconnection may
+	// recycle a released parent's slot and make it look live.
+	parents := removed[:0]
+	for _, r := range removed {
+		if r.parent != rootSlot && ns.live(r.parent) {
+			parents = append(parents, r)
+		}
+	}
+	// Lines 6–11: reconnect the lost keys through valid edges. The first
+	// offer Extend accepts re-marks the key and ends its scan.
+	for _, key := range lost {
+		e.reexplore(tx, key, deadline)
+	}
+	// Lines 12–14: parents whose conflicting descendants expired are
+	// marked again once every remaining child is marked.
+	for _, r := range parents {
+		if len(tx.inst[r.key].slots) == 0 && allChildrenMarked(tx, r.parent) {
+			tx.setMarked(ns.keys[r.parent], true)
+		}
+	}
+	e.removed = removed[:0]
+	// Lines 15–18, canonicalized.
+	e.endPass(tx, deadline, invalidate)
+}
+
+// remove deletes one instance (not its descendants: the expiry pass
+// removes them separately). The instance list keeps its order, which
+// steers traversal order.
+func (e *RSPQ) remove(tx *tree, slot int32) {
+	e.unlink(&e.sc, tx, slot)
+	key := tx.ns.keys[slot]
+	if ent := tx.inst[key]; len(ent.slots) == 1 {
 		delete(tx.inst, key)
 	} else {
-		tx.inst[key] = insts
+		i := slices.Index(ent.slots, slot)
+		ent.slots = slices.Delete(ent.slots, i, i+1)
+		tx.inst[key] = ent
 	}
-	if e.a.Final[n.s] && n != tx.root {
-		if tx.support[n.v]--; tx.support[n.v] == 0 {
-			delete(tx.support, n.v)
-		}
-	}
-	tx.size--
-	tx.vcount[n.v]--
-	if tx.vcount[n.v] == 0 {
-		delete(tx.vcount, n.v)
-		e.dropInv(n.v, tx.rootV)
-	}
+	tx.ns.slotStore.release(slot)
 }
 
-// processDelete handles negative tuples with the expiry machinery, as
+// applyDelete handles negative tuples with the expiry machinery, as
 // §4.1 prescribes ("the algorithm RSPQ processes explicit deletions in
 // the same manner as its RAPQ counterpart").
-func (e *RSPQ) processDelete(t stream.Tuple) {
-	if !e.g.Delete(t.Key()) {
-		return
-	}
+func (e *RSPQ) applyDelete(t stream.Tuple) {
+	e.extends = 0
 	validFrom := e.win.Spec().ValidFrom(e.now)
-
-	e.rootScratch = e.rootScratch[:0]
-	for root := range e.inv[t.Src] {
-		e.rootScratch = append(e.rootScratch, root)
-	}
-	sort.Slice(e.rootScratch, func(i, j int) bool { return e.rootScratch[i] < e.rootScratch[j] })
-	for _, root := range e.rootScratch {
+	for _, root := range e.sortedRoots(t.Src) {
 		tx := e.trees[root]
-		if tx == nil {
-			continue
-		}
 		touched := false
 		for _, tr := range e.a.ByLabel[t.Label] {
-			for _, c := range tx.inst[mkNodeKey(t.Dst, tr.To)] {
-				p := c.parent
-				if p == nil || p.dead || p.v != t.Src || p.s != tr.From {
-					continue
+			src := mkNodeKey(t.Src, tr.From)
+			for _, c := range tx.inst[mkNodeKey(t.Dst, tr.To)].slots {
+				// A tree edge w.r.t. Tx: c hangs under an instance of the
+				// source key (the root hangs under itself).
+				if c != rootSlot && tx.ns.keys[tx.ns.parent[c]] == src {
+					e.markSubtree(&e.sc, tx, c, validFrom)
+					touched = true
 				}
-				e.markSubtreeExpired(tx, c, validFrom)
-				touched = true
 			}
 		}
-		if !touched {
-			continue
-		}
-		e.expireTree(tx, validFrom, true)
-		if tx.size == 1 {
-			e.removeNode(tx, tx.root)
-			delete(e.trees, root)
-		}
-	}
-}
-
-// markSubtreeExpired sets the timestamps of the subtree rooted at n to
-// -∞ so the expiry pass treats it as expired. Before overwriting a
-// final witness's timestamp it records whether its pair was live, so
-// the invalidation pass decides against the pre-deletion window state
-// rather than the clobbered one.
-func (e *RSPQ) markSubtreeExpired(tx *sptree, n *spNode, validFrom int64) {
-	stack := []*spNode{n}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if e.a.Final[cur.s] && cur != tx.root {
-			if _, seen := tx.preLive[cur.v]; !seen {
-				if tx.preLive == nil {
-					tx.preLive = make(map[stream.VertexID]bool)
-				}
-				tx.preLive[cur.v] = e.isLiveSP(tx, cur.v, validFrom)
-			}
-		}
-		cur.ts = expiredTS
-		for c := range cur.children {
-			stack = append(stack, c)
+		if touched {
+			e.expireTree(tx, validFrom, true)
+			e.dropIfRootOnly(tx)
 		}
 	}
 }

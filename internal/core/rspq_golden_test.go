@@ -187,3 +187,36 @@ func TestRSPQGoldenStream(t *testing.T) {
 		}
 	}
 }
+
+// TestRSPQReplayDeterminism states the property the golden recording
+// relies on directly: the result stream of the simple-path engine is a
+// function of its input. Replays of seeded lazy-expiry, eager-expiry and
+// deletion streams must agree on the match sequence, the invalidation
+// sequence and every counter — whatever order the runtime iterates the
+// engine's maps in this time.
+func TestRSPQReplayDeterminism(t *testing.T) {
+	a := bind(t, "(a/b)+", "a", "b")
+	const replays = 12
+	for _, c := range []struct {
+		name     string
+		spec     window.Spec
+		delRatio float64
+	}{
+		{"lazy", window.Spec{Size: 18, Slide: 4}, 0},
+		{"eager", window.Spec{Size: 12, Slide: 1}, 0},
+		{"deletions", window.Spec{Size: 18, Slide: 4}, 0.15},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tuples := randomTuples(rand.New(rand.NewSource(8989)), 400, 7, 2, 2, c.delRatio)
+			first := rspqReplayRecord(t, c.name, a, c.spec, tuples, false)
+			if first.ConflictsFound == 0 || first.ExpiryRuns == 0 {
+				t.Fatalf("stream exercises no conflict or no expiry: %+v", first)
+			}
+			for i := 1; i < replays; i++ {
+				if got := rspqReplayRecord(t, c.name, a, c.spec, tuples, false); got != first {
+					t.Fatalf("replay %d diverges:\n got %+v\nwant %+v", i, got, first)
+				}
+			}
+		})
+	}
+}

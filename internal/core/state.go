@@ -77,11 +77,11 @@ type TreeNodeState struct {
 }
 
 // SupportCount is one entry of a tree's result-support index: N
-// final-state witness nodes (or instances, for RSPQ) for result vertex
-// V. Support drives the canonical match/invalidation decisions — a
-// pair is retracted exactly when its last in-window witness goes — so
-// it is checkpointed with the tree and cross-checked against the node
-// list on restore rather than silently recomputed.
+// final-state witness nodes for result vertex V. Support drives the
+// canonical match/invalidation decisions — a pair is retracted exactly
+// when its last in-window witness goes — so it is checkpointed with the
+// tree and cross-checked against the node list on restore rather than
+// silently recomputed.
 type SupportCount struct {
 	V stream.VertexID
 	N int32
@@ -126,10 +126,9 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 		tx := e.trees[root]
 		ns := &tx.ns
 		ts := TreeState{Root: root, Nodes: make([]TreeNodeState, 0, ns.size()-1)}
-		rootKey := mkNodeKey(root, e.a.Start)
 		keys := make([]nodeKey, 0, ns.size())
-		for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
-			if ns.live(slot) && ns.keys[slot] != rootKey {
+		for slot := rootSlot + 1; slot < int32(len(ns.keys)); slot++ {
+			if ns.live(slot) {
 				keys = append(keys, ns.keys[slot])
 			}
 		}
@@ -189,7 +188,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 	e.win.SetState(st.Win)
 	st.Stats.apply(&e.stats)
 	for _, ts := range st.Trees {
-		tx := e.ensureTree(ts.Root)
+		tx := e.rootedTree(ts.Root)
 		store := &tx.ns
 		// First pass: materialize every node (parent slots resolve in
 		// the second pass, once every node has one).

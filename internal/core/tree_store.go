@@ -1,24 +1,21 @@
 package core
 
-// treeStore holds the nodes of one RAPQ spanning tree in
-// struct-of-arrays form: parallel slot-indexed arrays for the hot
-// fields (key, timestamp, parent) plus intrusive sibling lists for the
-// child sets, replacing the per-node heap objects and per-node child
-// maps of the pointer-based representation. The insert cascade touches
-// ts/parent/keys as flat array reads with no pointer chasing; only the
-// key→slot map remains a hash probe, and lookups that already hold a
-// slot skip it entirely.
+// slotStore holds the nodes of one spanning tree in struct-of-arrays
+// form: parallel slot-indexed arrays for the hot fields (key, timestamp,
+// parent) plus intrusive sibling lists for the child sets, instead of
+// per-node heap objects and per-node child maps. Both engines keep their
+// trees in it; they differ in the key index laid over the slots (see
+// tree).
 //
 // Slot lifecycle: alloc returns a free slot (reusing released ones),
 // release marks a slot free (parent == freeSlot) and recycles it
 // later. Slots are stable while a node lives, and nothing is released
-// during an insert cascade, so the cascade's explicit stack can carry
-// parent slots instead of keys. The expiry pass releases candidate
-// slots strictly before its reconnection inserts allocate, and
-// candidates always form whole subtrees, so no live node ever points
-// at a released slot.
-type treeStore struct {
-	idx  map[nodeKey]int32 // key → slot for the lookups that need it
+// during an insert cascade, so a cascade can carry parent slots instead
+// of keys. An expiry pass releases slots strictly before its
+// reconnection allocates, and what it releases always forms whole
+// subtrees, so no live node ever points at a released slot. The root is
+// its tree's first node: it sits in rootSlot for the tree's whole life.
+type slotStore struct {
 	keys []nodeKey
 	ts   []int64
 	// parent is the parent's slot; the root is its own parent
@@ -36,22 +33,15 @@ type treeStore struct {
 // have a real parent slot (the root points at itself).
 const freeSlot = int32(-1)
 
-func (ns *treeStore) init() { ns.idx = make(map[nodeKey]int32) }
+// rootSlot is the slot of every tree's root node.
+const rootSlot = int32(0)
 
 // size returns the number of live nodes.
-func (ns *treeStore) size() int { return len(ns.idx) }
-
-// lookup returns the slot of key k, or -1.
-func (ns *treeStore) lookup(k nodeKey) int32 {
-	if slot, ok := ns.idx[k]; ok {
-		return slot
-	}
-	return -1
-}
+func (ns *slotStore) size() int { return len(ns.keys) - len(ns.free) }
 
 // alloc creates a node with the given key, timestamp and parent slot
 // and returns its slot (not yet linked into the parent's child list).
-func (ns *treeStore) alloc(k nodeKey, ts int64, parent int32) int32 {
+func (ns *slotStore) alloc(k nodeKey, ts int64, parent int32) int32 {
 	var slot int32
 	if n := len(ns.free); n > 0 {
 		slot = ns.free[n-1]
@@ -67,12 +57,11 @@ func (ns *treeStore) alloc(k nodeKey, ts int64, parent int32) int32 {
 		ns.nextSib = append(ns.nextSib, -1)
 		ns.prevSib = append(ns.prevSib, -1)
 	}
-	ns.idx[k] = slot
 	return slot
 }
 
 // attach links child at the head of parent's sibling list.
-func (ns *treeStore) attach(parent, child int32) {
+func (ns *slotStore) attach(parent, child int32) {
 	fc := ns.firstChild[parent]
 	ns.nextSib[child] = fc
 	ns.prevSib[child] = -1
@@ -85,7 +74,7 @@ func (ns *treeStore) attach(parent, child int32) {
 // detach unlinks child from its parent's sibling list. A no-op for the
 // root: its parent slot is a self-sentinel and it is never linked into
 // any child list.
-func (ns *treeStore) detach(child int32) {
+func (ns *slotStore) detach(child int32) {
 	p, n := ns.prevSib[child], ns.nextSib[child]
 	if p >= 0 {
 		ns.nextSib[p] = n
@@ -105,15 +94,44 @@ func (ns *treeStore) detach(child int32) {
 // release frees the slot (the caller must have detached it). The
 // slot's child list is left as-is: a released node's children are
 // always released in the same pass, before any slot is reused.
-func (ns *treeStore) release(slot int32) {
-	delete(ns.idx, ns.keys[slot])
+func (ns *slotStore) release(slot int32) {
 	ns.parent[slot] = freeSlot
 	ns.free = append(ns.free, slot)
 }
 
 // live reports whether the slot holds a live node (cold-path iteration
 // over all slots).
-func (ns *treeStore) live(slot int32) bool { return ns.parent[slot] != freeSlot }
+func (ns *slotStore) live(slot int32) bool { return ns.parent[slot] != freeSlot }
+
+// treeStore is the slot store of a RAPQ tree together with its unique
+// key → slot index. The insert cascade touches ts/parent/keys as flat
+// array reads with no pointer chasing; only the index remains a hash
+// probe, and lookups that already hold a slot skip it entirely.
+type treeStore struct {
+	slotStore
+	idx map[nodeKey]int32
+}
+
+// lookup returns the slot of key k, or -1.
+func (ns *treeStore) lookup(k nodeKey) int32 {
+	if slot, ok := ns.idx[k]; ok {
+		return slot
+	}
+	return -1
+}
+
+// alloc creates a node under its key; see slotStore.alloc.
+func (ns *treeStore) alloc(k nodeKey, ts int64, parent int32) int32 {
+	slot := ns.slotStore.alloc(k, ts, parent)
+	ns.idx[k] = slot
+	return slot
+}
+
+// release unindexes and frees the slot; see slotStore.release.
+func (ns *treeStore) release(slot int32) {
+	delete(ns.idx, ns.keys[slot])
+	ns.slotStore.release(slot)
+}
 
 // nodeTS returns the timestamp of the node keyed k and whether it
 // exists (white-box test access).

@@ -72,7 +72,18 @@ func Compile(expr string) (*Query, error) {
 		return nil, err
 	}
 	e = pattern.Simplify(e) // language-preserving normalization
-	return &Query{src: expr, expr: e, dfa: automaton.Compile(e)}, nil
+	return newQuery(expr, e, automaton.Compile(e))
+}
+
+// newQuery wraps a compiled automaton, refusing one with more states
+// than the engines' node keys can tell apart (pattern text arrives from
+// outside, and such a query would alias nodes and answer wrongly).
+func newQuery(src string, e *pattern.Expr, dfa *automaton.DFA) (*Query, error) {
+	if n := dfa.NumStates(); n > core.MaxStates {
+		return nil, fmt.Errorf("streamrpq: pattern compiles to %d automaton states, more than the %d the engines can index",
+			n, core.MaxStates)
+	}
+	return &Query{src: src, expr: e, dfa: dfa}, nil
 }
 
 // MustCompile is like Compile but panics on error.
@@ -169,7 +180,10 @@ func WithOnInvalidate(f func(Match)) Option {
 
 // WithMaxExtends bounds the per-tuple work of the simple-path engine
 // on conflict-heavy inputs (the NP-hard case); 0 means unlimited.
-// Ignored under arbitrary semantics.
+// Ignored under arbitrary semantics. A tuple whose Extend cascade
+// reaches the bound is cut off there: the evaluator keeps running, but
+// from then on it may miss results, and Evaluator.BudgetExceeded
+// reports true for the rest of its life.
 func WithMaxExtends(n int64) Option {
 	return func(c *evalConfig) { c.maxExtends = n }
 }
@@ -296,6 +310,14 @@ func NewEvaluator(q *Query, opts ...Option) (*Evaluator, error) {
 	}
 	ev.filter = cfg.filter
 	return ev, nil
+}
+
+// BudgetExceeded reports whether a WithMaxExtends bound has cut off
+// some tuple's work, so the result stream may be incomplete. Always
+// false under Arbitrary semantics and without a bound.
+func (ev *Evaluator) BudgetExceeded() bool {
+	sp, ok := ev.engine.(*core.RSPQ)
+	return ok && sp.BudgetExceeded()
 }
 
 // Query returns the compiled query this evaluator runs.

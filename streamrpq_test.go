@@ -1,7 +1,13 @@
 package streamrpq
 
 import (
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
+
+	"streamrpq/internal/automaton"
+	"streamrpq/internal/core"
 )
 
 func TestCompile(t *testing.T) {
@@ -114,6 +120,64 @@ func TestEvaluatorSimpleSemantics(t *testing.T) {
 	}
 	if !got[[2]string{"x", "y"}] {
 		t.Errorf("(x,y) missing under simple semantics: %v", got)
+	}
+}
+
+// TestCompileRejectsOversizedAutomaton: the engines key tree nodes by
+// (vertex, 16-bit state), so a pattern whose minimal DFA has more states
+// would alias distinct nodes; Compile must say no instead of returning a
+// query that answers wrongly. Determinizing a real pattern of that size
+// ("(a|b)*/a" followed by sixteen "/(a|b)": 2^17 states) costs 18 s and
+// 280 MB with this compiler, so the oversized automaton is synthetic and
+// enters where Compile hands its own to.
+func TestCompileRejectsOversizedAutomaton(t *testing.T) {
+	fits := "(a|b)*/a" + strings.Repeat("/(a|b)", 6)
+	q, err := Compile(fits)
+	if err != nil {
+		t.Fatalf("Compile(%q): %v", fits, err)
+	}
+	if q.NumStates() != 1<<7 {
+		t.Fatalf("%q: NumStates = %d, want %d", fits, q.NumStates(), 1<<7)
+	}
+	if _, err := newQuery("max", q.expr, &automaton.DFA{Trans: make([]map[string]int, core.MaxStates)}); err != nil {
+		t.Errorf("an automaton of exactly MaxStates states was rejected: %v", err)
+	}
+	_, err = newQuery("oversized", q.expr, &automaton.DFA{Trans: make([]map[string]int, core.MaxStates+1)})
+	if err == nil || !strings.Contains(err.Error(), "automaton states") {
+		t.Errorf("an automaton of MaxStates+1 states: err = %v, want a state-count error", err)
+	}
+}
+
+// TestEvaluatorBudgetExceeded: a tripped WithMaxExtends bound drops
+// results, so it must be visible through the facade.
+func TestEvaluatorBudgetExceeded(t *testing.T) {
+	q := MustCompile("(a/b)+") // conflict-prone: no containment property
+	replay := func(opts ...Option) *Evaluator {
+		ev, err := NewEvaluator(q, append([]Option{WithWindow(18, 1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 300; i++ {
+			ev.MustIngest(Tuple{
+				TS:    int64(i),
+				Src:   "v" + strconv.Itoa(rng.Intn(7)),
+				Dst:   "v" + strconv.Itoa(rng.Intn(7)),
+				Label: string("ab"[rng.Intn(2)]),
+			})
+		}
+		return ev
+	}
+	if !replay(WithSemantics(Simple), WithMaxExtends(3)).BudgetExceeded() {
+		t.Error("a 3-extend budget on a conflict-heavy stream did not report BudgetExceeded")
+	}
+	if ev := replay(WithSemantics(Simple)); ev.BudgetExceeded() {
+		t.Error("BudgetExceeded without a budget")
+	} else if ev.Stats().ConflictsFound == 0 {
+		t.Error("the stream is not conflict-heavy: no conflict found")
+	}
+	if replay(WithMaxExtends(3)).BudgetExceeded() {
+		t.Error("BudgetExceeded under Arbitrary semantics")
 	}
 }
 
