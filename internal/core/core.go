@@ -2,8 +2,9 @@
 // Pacaci, Bonifati and Özsu, "Regular Path Query Evaluation on
 // Streaming Graphs" (SIGMOD 2020). The paper evaluates both path
 // semantics "in a uniform manner", and so does the package: one Δ
-// substrate (delta.go, tree_store.go, inv.go) — spanning trees in a slot
-// store, the vertex → trees inverted index, the tuple routing, Algorithm
+// substrate (delta.go, tree_store.go, vertex_table.go, inv.go) — spanning
+// trees in a slot store under flat slot-addressed tables, the vertex →
+// trees inverted index, the tuple routing, Algorithm
 // Delete's subtree marking (§3.2: negative tuples go through the expiry
 // machinery) and the canonical liveness bookkeeping behind every match
 // and invalidation — with two policies over it, and oracles beside them:

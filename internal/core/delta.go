@@ -13,33 +13,24 @@ import (
 // nodes live in a struct-of-arrays slot store (tree_store.go) and are
 // addressed by slot on the hot paths. The key index over the slots is
 // what the path semantics disagree on: RAPQ, where Lemma 1 allows a
-// (vertex,state) key at most one node, uses ns.idx; RSPQ leaves that
-// nil, works on the embedded slotStore and lists each key's instances
-// in inst (rspq.go).
+// (vertex,state) key at most one node, uses the flat table of ns; RSPQ
+// leaves that empty, works on the embedded slotStore and lists each
+// key's instances in inst (rspq.go).
 type tree struct {
-	root   stream.VertexID
-	ns     treeStore
-	inst   map[nodeKey]instances
-	vcount map[stream.VertexID]int32 // nodes per vertex, for the inverted index
+	root stream.VertexID
+	ns   treeStore
+	inst map[nodeKey]instances
 
-	// support counts the final-state witness nodes per result vertex
-	// (the root node is excluded: it only witnesses the empty path).
-	// A result pair (root, v) is live iff one of the counted witnesses
-	// is inside the window; support[v] == 0 is the O(1) fast path for
-	// "not live". Unlike the incidental tree shape, the witness set is
-	// a pure function of the stream prefix, so every emission decision
-	// made through it is canonical.
-	support map[stream.VertexID]int32
-
-	// preLive is non-nil only during one expiry/delete pass. It records,
-	// for each vertex about to lose a final witness, whether the pair
-	// (root, v) was live when the pass started — captured before any
-	// pruning (for delete-marked subtrees: before the timestamps are
-	// overwritten). It suppresses re-match emissions for pairs the pass
-	// merely cuts and reconnects, and at the end of a delete the pairs
-	// with preLive true that did not come back live are exactly the
-	// canonical invalidation set.
-	preLive map[stream.VertexID]bool
+	// verts is the per-vertex census: the nodes of each vertex (a vertex
+	// is in the inverted index while it has one) and, as the record's
+	// support, the final-state witness nodes of each result vertex (the
+	// root node is excluded: it only witnesses the empty path). A result
+	// pair (root, v) is live iff one of the counted witnesses is inside
+	// the window; no record or support == 0 is the O(1) fast path for
+	// "not live". Unlike the incidental tree shape, the witness set is a
+	// pure function of the stream prefix, so every emission decision made
+	// through it is canonical.
+	verts vertexTable
 }
 
 // delta is the Δ substrate both engines maintain (§3, §4): the snapshot
@@ -119,10 +110,30 @@ type scratch struct {
 	cands []nodeKey
 	slots []int32
 
+	// pre and noted are the record of the one expiry/delete pass open on
+	// this scratch (empty between passes): for each vertex about to lose
+	// a final witness, whether the pair (root, v) was live when the pass
+	// started — captured before any pruning (for delete-marked subtrees:
+	// before the timestamps are overwritten), as support 1 or 0 of its
+	// record. It suppresses re-match emissions for pairs the pass merely
+	// cuts and reconnects, and at the end of a delete the pairs recorded
+	// live that did not come back live are exactly the canonical
+	// invalidation set. noted lists the recorded vertices, so closing a
+	// pass costs what the pass touched.
+	pre   vertexTable
+	noted []stream.VertexID
+
 	deferred    bool
 	matches     []Match
 	insertCalls int64
 	invOps      []invOp
+}
+
+// wasLive reports whether the pass open on the scratch, if any, recorded
+// the pair of v as live at its start.
+func (sc *scratch) wasLive(v stream.VertexID) bool {
+	r := sc.pre.find(v)
+	return r != nil && r.support > 0
 }
 
 // init sets up the substrate for the bound automaton and window
@@ -218,27 +229,33 @@ func (d *delta) ensureTree(x stream.VertexID) *tree {
 	if tx, ok := d.trees[x]; ok {
 		return tx
 	}
-	tx := &tree{
-		root:    x,
-		vcount:  map[stream.VertexID]int32{x: 1},
-		support: make(map[stream.VertexID]int32),
-	}
+	tx := &tree{root: x}
 	// A store's first slot is rootSlot, so the root becomes its own
 	// parent (self-sentinel). A start state that is also final means the
 	// empty path matches; RPQ answers are conventionally over paths of
 	// length ≥ 1, and neither the paper nor the engines report (x,x) via ε.
 	tx.ns.slotStore.alloc(mkNodeKey(x, d.a.Start), rootTS, rootSlot)
+	tx.verts.inc(x, false)
 	d.trees[x] = tx
 	d.inv.add(x, x)
 	return tx
 }
 
-// allRoots snapshots the roots of every tree, in map order.
+// rootsOf snapshots the roots of the trees containing v, ascending.
+func (d *delta) rootsOf(v stream.VertexID) []stream.VertexID {
+	d.rootScratch = d.inv.appendRoots(v, d.rootScratch[:0])
+	return d.rootScratch
+}
+
+// allRoots snapshots the roots of every tree, ascending: the order every
+// all-tree pass visits them in, so that no emission order depends on map
+// iteration.
 func (d *delta) allRoots() []stream.VertexID {
 	roots := d.rootScratch[:0]
 	for root := range d.trees {
 		roots = append(roots, root)
 	}
+	slices.Sort(roots)
 	d.rootScratch = roots
 	return roots
 }
@@ -272,14 +289,7 @@ func (d *delta) unlink(sc *scratch, tx *tree, slot int32) {
 	key := tx.ns.keys[slot]
 	v := key.vertex()
 	tx.ns.detach(slot)
-	if d.a.Final[key.state()] && slot != rootSlot {
-		if tx.support[v]--; tx.support[v] == 0 {
-			delete(tx.support, v)
-		}
-	}
-	tx.vcount[v]--
-	if tx.vcount[v] == 0 {
-		delete(tx.vcount, v)
+	if tx.verts.dec(v, d.a.Final[key.state()] && slot != rootSlot) {
 		d.noteInv(sc, v, tx.root, true)
 	}
 }
@@ -296,18 +306,13 @@ func (d *delta) dropIfRootOnly(tx *tree) {
 // notePreLive records, the first time a pass is about to take a final
 // witness of some vertex away, whether that vertex's pair was live at
 // validFrom. Call it while the witness timestamps are still intact.
-func (d *delta) notePreLive(tx *tree, slot int32, validFrom int64) {
+func (d *delta) notePreLive(sc *scratch, tx *tree, slot int32, validFrom int64) {
 	key := tx.ns.keys[slot]
-	if !d.a.Final[key.state()] {
+	if !d.a.Final[key.state()] || sc.pre.find(key.vertex()) != nil {
 		return
 	}
-	if _, seen := tx.preLive[key.vertex()]; seen {
-		return
-	}
-	if tx.preLive == nil {
-		tx.preLive = make(map[stream.VertexID]bool)
-	}
-	tx.preLive[key.vertex()] = d.live(tx, key.vertex(), validFrom)
+	sc.pre.inc(key.vertex(), d.live(tx, key.vertex(), validFrom))
+	sc.noted = append(sc.noted, key.vertex())
 }
 
 // markSubtree sets the timestamps of the subtree rooted at slot to -∞,
@@ -321,7 +326,7 @@ func (d *delta) markSubtree(sc *scratch, tx *tree, slot int32, validFrom int64) 
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		d.notePreLive(tx, s, validFrom)
+		d.notePreLive(sc, tx, s, validFrom)
 		ns.ts[s] = expiredTS
 		for c := ns.firstChild[s]; c >= 0; c = ns.nextSib[c] {
 			stack = append(stack, c)
@@ -339,22 +344,22 @@ func (d *delta) markSubtree(sc *scratch, tx *tree, slot int32, validFrom int64) 
 // a witness unreachable (the tree path would use the deleted edge too)
 // — so the invalidation stream is a pure function of the input. Window
 // expiry retracts nothing: results carry implicit window semantics.
-func (d *delta) endPass(tx *tree, deadline int64, invalidate bool) {
-	if invalidate && len(tx.preLive) > 0 {
-		vs := make([]stream.VertexID, 0, len(tx.preLive))
-		for v, was := range tx.preLive {
-			if was {
-				vs = append(vs, v)
-			}
-		}
-		slices.Sort(vs)
-		for _, v := range vs {
-			if d.live(tx, v, deadline) {
-				continue
-			}
-			d.stats.Invalidations++
-			d.sink.OnInvalidate(Match{From: tx.root, To: v, TS: d.now})
+func (d *delta) endPass(sc *scratch, tx *tree, deadline int64, invalidate bool) {
+	was := sc.noted[:0]
+	for _, v := range sc.noted {
+		live := sc.wasLive(v)
+		sc.pre.dec(v, live)
+		if live && invalidate {
+			was = append(was, v)
 		}
 	}
-	tx.preLive = nil
+	sc.noted = was[:0]
+	slices.Sort(was)
+	for _, v := range was {
+		if d.live(tx, v, deadline) {
+			continue
+		}
+		d.stats.Invalidations++
+		d.sink.OnInvalidate(Match{From: tx.root, To: v, TS: d.now})
+	}
 }

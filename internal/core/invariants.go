@@ -17,12 +17,16 @@ import (
 //     back.
 //  2. Timestamp monotonicity: a child's timestamp never exceeds its
 //     parent's (path timestamps are minima over tree paths).
-//  3. Index consistency: per-tree vertex counts and the global
-//     inverted index agree with tree contents.
-//  4. Support counts: per-tree result-support counters equal the number
-//     of final-state nodes per vertex (root excluded), stale or not.
+//  3. Census: the per-vertex records of a tree equal a fresh count of
+//     its nodes per vertex and, as support, of its final-state nodes per
+//     vertex (root excluded), stale or not; the record table holds
+//     nothing else, finds every record under its vertex, and stays at
+//     load ≤ ½, so no probe sequence meets a full table.
+//  4. Inverted index: every row is strictly ascending, and the index is
+//     exactly the union of the trees' vertex sets.
+//  5. No expiry/delete pass is left open on the engine's scratch.
 func (d *delta) checkTrees() error {
-	invSeen := map[stream.VertexID]map[stream.VertexID]bool{}
+	invEntries := 0
 	for root, tx := range d.trees {
 		if tx.root != root {
 			return fmt.Errorf("tree keyed %d has root %d", root, tx.root)
@@ -38,20 +42,20 @@ func (d *delta) checkTrees() error {
 			return fmt.Errorf("tree %d: root ts = %d", root, ns.ts[rootSlot])
 		}
 		liveSlots := 0
-		vcount := map[stream.VertexID]int32{}
-		support := map[stream.VertexID]int32{}
+		census := map[stream.VertexID]vrec{}
 		for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
 			if !ns.live(slot) {
 				continue
 			}
 			liveSlots++
 			nv, nstate := ns.keys[slot].vertex(), ns.keys[slot].state()
-			vcount[nv]++
-			if m := invSeen[nv]; m == nil {
-				invSeen[nv] = map[stream.VertexID]bool{root: true}
-			} else {
-				m[root] = true
+			rec := census[nv]
+			rec.v = nv
+			rec.nodes++
+			if slot != rootSlot && d.a.Final[nstate] {
+				rec.support++
 			}
+			census[nv] = rec
 			// Children must be live and point back.
 			for c := ns.firstChild[slot]; c >= 0; c = ns.nextSib[c] {
 				if !ns.live(c) {
@@ -64,9 +68,6 @@ func (d *delta) checkTrees() error {
 			}
 			if slot == rootSlot {
 				continue
-			}
-			if d.a.Final[nstate] {
-				support[nv]++
 			}
 			pslot := ns.parent[slot]
 			if pslot < 0 || pslot >= int32(len(ns.keys)) || !ns.live(pslot) {
@@ -92,45 +93,97 @@ func (d *delta) checkTrees() error {
 		if liveSlots != ns.size() {
 			return fmt.Errorf("tree %d: %d live slots but the store counts %d", root, liveSlots, ns.size())
 		}
-		for v, n := range vcount {
-			if tx.vcount[v] != n {
-				return fmt.Errorf("tree %d: vcount[%d]=%d, actual %d", root, v, tx.vcount[v], n)
-			}
+		if err := checkVertexTable(&tx.verts, census); err != nil {
+			return fmt.Errorf("tree %d: %w", root, err)
 		}
-		for v, n := range tx.vcount {
-			if vcount[v] != n {
-				return fmt.Errorf("tree %d: vcount has stale vertex %d", root, v)
-			}
-		}
-		if err := checkSupportMaps(root, tx.support, support); err != nil {
-			return err
-		}
-	}
-	// Global inverted index must match union of trees.
-	for v, roots := range invSeen {
-		for root := range roots {
+		for v := range census {
 			if !d.inv.has(v, root) {
 				return fmt.Errorf("inv[%d] missing root %d", v, root)
 			}
 		}
+		invEntries += len(census)
 	}
-	var staleErr error
-	d.inv.forEach(func(v, root stream.VertexID) bool {
-		if !invSeen[v][root] {
-			staleErr = fmt.Errorf("inv[%d] has stale root %d", v, root)
-			return false
+	// Every tree's vertices are in the index; equal entry counts over
+	// duplicate-free rows mean the index holds nothing else.
+	for v, row := range d.inv.rows {
+		for i := 1; i < len(row); i++ {
+			if row[i-1] >= row[i] {
+				return fmt.Errorf("inv[%d] is not strictly ascending: %v", v, row)
+			}
 		}
-		return true
-	})
-	return staleErr
+		invEntries -= len(row)
+	}
+	if invEntries != 0 {
+		return fmt.Errorf("inverted index holds %d entries more than the trees have vertices", -invEntries)
+	}
+	if d.sc.pre.n != 0 || len(d.sc.noted) != 0 {
+		return fmt.Errorf("an expiry pass is still open: %d vertices noted", d.sc.pre.n)
+	}
+	return nil
+}
+
+// checkVertexTable validates a per-vertex record table against the
+// records it should hold.
+func checkVertexTable(t *vertexTable, want map[stream.VertexID]vrec) error {
+	if n := len(t.recs); n != 0 && (n&(n-1) != 0 || t.shift != tableShift(n)) {
+		return fmt.Errorf("vertex table: %d buckets with shift %d", n, t.shift)
+	}
+	if t.n != len(want) || 2*t.n > len(t.recs) {
+		return fmt.Errorf("vertex table: %d records in %d buckets, want %d at load ≤ ½", t.n, len(t.recs), len(want))
+	}
+	occupied := 0
+	for i := range t.recs {
+		r := &t.recs[i]
+		if r.nodes == 0 {
+			if *r != (vrec{}) {
+				return fmt.Errorf("vertex table: empty bucket holds %+v", *r)
+			}
+			continue
+		}
+		occupied++
+		if *r != want[r.v] {
+			return fmt.Errorf("vertex table: record %+v, actual %+v", *r, want[r.v])
+		}
+		if t.find(r.v) != r {
+			return fmt.Errorf("vertex table: vertex %d is not found in its bucket", r.v)
+		}
+	}
+	if occupied != t.n {
+		return fmt.Errorf("vertex table: %d occupied buckets, count says %d", occupied, t.n)
+	}
+	return nil
+}
+
+// checkKeyTable validates the key index of a RAPQ tree against its slot
+// store.
+func checkKeyTable(ns *treeStore) error {
+	nb, indexed := len(ns.buckets), 0
+	for _, b := range ns.buckets {
+		if b != 0 {
+			indexed++
+		}
+	}
+	if indexed != ns.size() || 2*indexed > nb || nb&(nb-1) != 0 || ns.shift != tableShift(nb) {
+		return fmt.Errorf("key table: %d live slots, %d indexed in %d buckets (shift %d)", ns.size(), indexed, nb, ns.shift)
+	}
+	// Distinct live slots found under their keys sit in distinct buckets,
+	// so with equal counts no bucket points anywhere else.
+	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
+		if ns.live(slot) && ns.lookup(ns.keys[slot]) != slot {
+			return fmt.Errorf("key table: slot %d not found under its key (%d,%d)", slot, ns.keys[slot].vertex(), ns.keys[slot].state())
+		}
+	}
+	return nil
 }
 
 // CheckInvariants validates the RAPQ Δ index (Lemma 1 plus
 // implementation-level bookkeeping): the shared tree invariants of
 // checkTrees, and on top of them
 //
-//  1. Key index: every live node is indexed under its key and the index
-//     holds nothing else (at most one node per key).
+//  1. Key index: the table's population is the live slots, every live
+//     node is found under its own key and the table holds nothing else
+//     (at most one node per key), at load ≤ ½ of a power-of-two bucket
+//     array, so no probe sequence meets a full table.
 //  2. Edge support: every tree edge whose child is still inside the
 //     window corresponds to a graph edge with a matching automaton
 //     transition such that the child's timestamp is min(parent.ts,
@@ -144,18 +197,14 @@ func (e *RAPQ) CheckInvariants() error {
 	validFrom := e.win.Spec().ValidFrom(e.now)
 	for root, tx := range e.trees {
 		ns := &tx.ns
-		if len(ns.idx) != ns.size() {
-			return fmt.Errorf("tree %d: %d live slots but index has %d keys", root, ns.size(), len(ns.idx))
+		if err := checkKeyTable(ns); err != nil {
+			return fmt.Errorf("tree %d: %w", root, err)
 		}
 		for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
 			if !ns.live(slot) {
 				continue
 			}
-			key := ns.keys[slot]
-			nv, nstate := key.vertex(), key.state()
-			if ns.lookup(key) != slot {
-				return fmt.Errorf("tree %d: slot %d not indexed under its key (%d,%d)", root, slot, nv, nstate)
-			}
+			nv, nstate := ns.keys[slot].vertex(), ns.keys[slot].state()
 			if slot == rootSlot || ns.ts[slot] <= validFrom {
 				continue
 			}
@@ -172,22 +221,6 @@ func (e *RAPQ) CheckInvariants() error {
 				return fmt.Errorf("tree %d: tree edge (%d,%d)->(%d,%d) ts=%d has no supporting graph edge",
 					root, pk.vertex(), pk.state(), nv, nstate, ns.ts[slot])
 			}
-		}
-	}
-	return nil
-}
-
-// checkSupportMaps compares an engine's maintained result-support
-// counters against a freshly recomputed census for one tree.
-func checkSupportMaps(root stream.VertexID, got, want map[stream.VertexID]int32) error {
-	for v, n := range want {
-		if got[v] != n {
-			return fmt.Errorf("tree %d: support[%d]=%d, actual %d", root, v, got[v], n)
-		}
-	}
-	for v := range got {
-		if want[v] == 0 {
-			return fmt.Errorf("tree %d: support has stale vertex %d", root, v)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -177,8 +178,7 @@ func (e *RAPQ) candidateRoots(t stream.Tuple) ([]stream.VertexID, int64) {
 	if e.scanAllTrees {
 		return e.allRoots(), e.win.Spec().ValidFrom(e.now)
 	}
-	e.rootScratch = e.inv.appendRoots(t.Src, e.rootScratch[:0])
-	return e.rootScratch, e.win.Spec().ValidFrom(e.now)
+	return e.rootsOf(t.Src), e.win.Spec().ValidFrom(e.now)
 }
 
 // insertEdge offers the edge to one candidate tree: every transition on
@@ -201,8 +201,8 @@ func (e *RAPQ) insertEdge(sc *scratch, root stream.VertexID, t stream.Tuple, val
 // it yet; a new tree's root enters the key index here.
 func (e *RAPQ) rootedTree(x stream.VertexID) *tree {
 	tx := e.ensureTree(x)
-	if tx.ns.idx == nil {
-		tx.ns.idx = map[nodeKey]int32{mkNodeKey(x, e.a.Start): rootSlot}
+	if tx.ns.buckets == nil {
+		tx.ns.grow()
 	}
 	return tx
 }
@@ -214,7 +214,7 @@ func (e *RAPQ) rootedTree(x stream.VertexID) *tree {
 // witness set — unlike the tree shape — is canonical, so liveness is a
 // pure function of the stream prefix.
 func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
-	if tx.support[v] == 0 {
+	if r := tx.verts.find(v); r == nil || r.support == 0 {
 		return false
 	}
 	for _, s := range e.finals {
@@ -273,7 +273,7 @@ func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t 
 			// the only trace of that transition, so it must emit here
 			// exactly when no other in-window witness already covers it.
 			if e.a.Final[op.t] && ns.ts[slot] <= validFrom && newTS > validFrom &&
-				!tx.preLive[op.v] && !e.isLive(tx, op.v, validFrom) {
+				!sc.wasLive(op.v) && !e.isLive(tx, op.v, validFrom) {
 				e.emit(sc, tx.root, op.v)
 			}
 			// Timestamp refresh: re-parent to the fresher path.
@@ -284,19 +284,15 @@ func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t 
 		} else {
 			wasLive := false
 			if e.a.Final[op.t] {
-				wasLive = tx.preLive[op.v] || e.isLive(tx, op.v, validFrom)
+				wasLive = sc.wasLive(op.v) || e.isLive(tx, op.v, validFrom)
 			}
 			slot = ns.alloc(key, newTS, op.parent)
 			ns.attach(op.parent, slot)
-			tx.vcount[op.v]++
-			if tx.vcount[op.v] == 1 {
+			if tx.verts.inc(op.v, e.a.Final[op.t]) {
 				e.noteInv(sc, op.v, tx.root, false)
 			}
-			if e.a.Final[op.t] {
-				tx.support[op.v]++
-				if newTS > validFrom && !wasLive {
-					e.emit(sc, tx.root, op.v) // line 6 of Insert: (root, v) went live
-				}
+			if e.a.Final[op.t] && newTS > validFrom && !wasLive {
+				e.emit(sc, tx.root, op.v) // line 6 of Insert: (root, v) went live
 			}
 		}
 
@@ -350,7 +346,8 @@ func (e *RAPQ) ApplyExpiry(deadline int64) {
 	start := time.Now()
 	e.stats.ExpiryRuns++
 	e.deadline = deadline
-	for _, tx := range e.trees {
+	for _, root := range e.allRoots() {
+		tx := e.trees[root]
 		e.expireTree(&e.sc, tx, deadline, false)
 		e.dropIfRootOnly(tx)
 	}
@@ -376,19 +373,18 @@ func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool
 		// Delete-marked subtrees were recorded by markSubtree while
 		// their timestamps were still intact; everything else is
 		// genuinely stale and recorded here.
-		e.notePreLive(tx, slot, deadline)
+		e.notePreLive(sc, tx, slot, deadline)
 	}
 	if len(candidates) == 0 {
 		sc.cands = candidates
-		tx.preLive = nil
-		return
+		return // nothing stale, so nothing noted: no pass to close
 	}
 	// Canonical candidate order: the reconnection below converges to the
 	// same witness set and timestamps in any order, but visiting keys in
 	// sorted order makes the sequential emission order within the pass a
 	// pure function of the stream as well. (Slot order is mutation-
 	// history order, which sub-batch pipelining does not canonicalize.)
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	slices.Sort(candidates)
 	// Line 3: prune all candidates from the tree. Every release happens
 	// before any reconnection insert allocates, so slots never dangle.
 	for _, key := range candidates {
@@ -440,7 +436,7 @@ func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool
 	}
 	sc.cands = candidates[:0]
 	// Lines 11–15, canonicalized.
-	e.endPass(tx, deadline, invalidate)
+	e.endPass(sc, tx, deadline, invalidate)
 }
 
 // ApplyDelete is Algorithm Delete (§3.2): explicit deletion via the
@@ -453,8 +449,7 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 	}
 	validFrom := e.win.Spec().ValidFrom(e.now)
 
-	e.rootScratch = e.inv.appendRoots(t.Src, e.rootScratch[:0])
-	for _, root := range e.rootScratch {
+	for _, root := range e.rootsOf(t.Src) {
 		tx := e.trees[root]
 		if tx == nil {
 			continue

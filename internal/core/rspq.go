@@ -58,14 +58,6 @@ func NewRSPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RSPQ {
 // drivers report such a query as infeasible under simple path semantics.
 func (e *RSPQ) BudgetExceeded() bool { return e.budgetHit }
 
-// sortedRoots snapshots the roots of the trees containing v, ascending
-// (the index hands promoted rows back in map order).
-func (e *RSPQ) sortedRoots(v stream.VertexID) []stream.VertexID {
-	e.rootScratch = e.inv.appendRoots(v, e.rootScratch[:0])
-	slices.Sort(e.rootScratch)
-	return e.rootScratch
-}
-
 // applyInsert is Algorithm RSPQ lines 3–13.
 func (e *RSPQ) applyInsert(t stream.Tuple) {
 	e.extends = 0
@@ -75,7 +67,7 @@ func (e *RSPQ) applyInsert(t stream.Tuple) {
 			tx.inst = map[nodeKey]instances{mkNodeKey(t.Src, e.a.Start): {slots: []int32{rootSlot}}}
 		}
 	}
-	for _, root := range e.sortedRoots(t.Src) {
+	for _, root := range e.rootsOf(t.Src) {
 		tx := e.trees[root]
 		ns := &tx.ns.slotStore
 		for _, tr := range e.a.ByLabel[t.Label] {
@@ -127,7 +119,7 @@ func firstStateAt(ns *slotStore, p int32, v stream.VertexID) (state int32, found
 // final-state instance for v other than the root sits inside the window
 // (lazy expiry leaves stale ones until the next slide boundary).
 func (e *RSPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
-	if tx.support[v] == 0 {
+	if r := tx.verts.find(v); r == nil || r.support == 0 {
 		return false
 	}
 	for _, s := range e.finals {
@@ -184,7 +176,7 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	// pairs an expiry/delete pass merely cuts and reconnects (preLive)
 	// stay silent, so the result stream is canonical.
 	newTS := min(edgeTS, ns.ts[parent])
-	if e.a.Final[t] && newTS > validFrom && !tx.preLive[v] && !e.isLive(tx, v, validFrom) {
+	if e.a.Final[t] && newTS > validFrom && !e.sc.wasLive(v) && !e.isLive(tx, v, validFrom) {
 		e.emit(&e.sc, tx.root, v)
 	}
 	key := mkNodeKey(v, t)
@@ -196,12 +188,8 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	ns.attach(parent, node)
 	ent.slots = append(ent.slots, node)
 	tx.inst[key] = ent
-	tx.vcount[v]++
-	if tx.vcount[v] == 1 {
+	if tx.verts.inc(v, e.a.Final[t]) {
 		e.noteInv(&e.sc, v, tx.root, false)
-	}
-	if e.a.Final[t] {
-		tx.support[v]++
 	}
 
 	// Lines 14–18: expand out-edges inside the window in canonical
@@ -347,9 +335,7 @@ func allChildrenMarked(tx *tree, p int32) bool {
 func (e *RSPQ) applyExpiry(deadline int64) {
 	start := time.Now()
 	e.stats.ExpiryRuns++
-	roots := e.allRoots()
-	slices.Sort(roots)
-	for _, root := range roots {
+	for _, root := range e.allRoots() {
 		tx := e.trees[root]
 		e.expireTree(tx, deadline, false)
 		e.dropIfRootOnly(tx)
@@ -374,13 +360,12 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
 		if ns.live(slot) && ns.ts[slot] <= deadline {
 			cands = append(cands, ns.keys[slot])
-			e.notePreLive(tx, slot, deadline)
+			e.notePreLive(&e.sc, tx, slot, deadline)
 		}
 	}
 	e.sc.cands = cands[:0]
 	if len(cands) == 0 {
-		tx.preLive = nil
-		return
+		return // nothing stale, so nothing noted: no pass to close
 	}
 	slices.Sort(cands)
 	cands = slices.Compact(cands)
@@ -431,7 +416,7 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	}
 	e.removed = removed[:0]
 	// Lines 15–18, canonicalized.
-	e.endPass(tx, deadline, invalidate)
+	e.endPass(&e.sc, tx, deadline, invalidate)
 }
 
 // remove deletes one instance (not its descendants: the expiry pass
@@ -456,7 +441,7 @@ func (e *RSPQ) remove(tx *tree, slot int32) {
 func (e *RSPQ) applyDelete(t stream.Tuple) {
 	e.extends = 0
 	validFrom := e.win.Spec().ValidFrom(e.now)
-	for _, root := range e.sortedRoots(t.Src) {
+	for _, root := range e.rootsOf(t.Src) {
 		tx := e.trees[root]
 		touched := false
 		for _, tr := range e.a.ByLabel[t.Label] {

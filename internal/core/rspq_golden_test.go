@@ -220,3 +220,49 @@ func TestRSPQReplayDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestRAPQReplayDeterminism is the same property for the arbitrary-path
+// engine standing alone, where no coordinator sorts each tuple's results:
+// replays of one stream must agree on the match sequence, the
+// invalidation sequence and every counter. The streams put every vertex
+// in far more trees than a row once held as a slice, and cross hundreds
+// of slide boundaries, so both per-tuple candidate order and the order an
+// expiry pass visits the trees in are on the line.
+func TestRAPQReplayDeterminism(t *testing.T) {
+	a := bind(t, "(a|b)+", "a", "b")
+	spec := window.Spec{Size: 200, Slide: 10}
+	const replays = 4
+	replay := func(tuples []stream.Tuple) (string, string, Stats, int) {
+		sink := &seqHashSink{match: sha256.New(), inv: sha256.New()}
+		e := NewRAPQ(a, spec, WithSink(sink))
+		widest := 0
+		for i, tu := range tuples {
+			sink.tuple = i
+			e.Process(tu)
+			widest = max(widest, len(e.inv.appendRoots(tu.Src, nil)))
+		}
+		st := e.Stats()
+		st.ExpiryTime = 0 // wall clock
+		return hex.EncodeToString(sink.match.Sum(nil)), hex.EncodeToString(sink.inv.Sum(nil)), st, widest
+	}
+	for _, c := range []struct {
+		name     string
+		delRatio float64
+	}{
+		{"append", 0},
+		{"deletions", 0.10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tuples := randomTuples(rand.New(rand.NewSource(4242)), 3000, 60, 2, 1, c.delRatio)
+			m0, i0, st0, widest := replay(tuples)
+			if widest <= 32 || st0.ExpiryRuns < 100 || (c.delRatio > 0) != (st0.Invalidations > 0) {
+				t.Fatalf("stream too tame: widest row %d, stats %+v", widest, st0)
+			}
+			for i := 1; i < replays; i++ {
+				if m, inv, st, _ := replay(tuples); m != m0 || inv != i0 || st != st0 {
+					t.Fatalf("replay %d diverges:\n got %s %s %+v\nwant %s %s %+v", i, m, inv, st, m0, i0, st0)
+				}
+			}
+		})
+	}
+}

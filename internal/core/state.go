@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -141,36 +143,40 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 				ParentV: pk.vertex(), ParentS: pk.state(),
 			})
 		}
-		ts.Support = supportStateOf(tx.support)
+		ts.Support = supportStateOf(&tx.verts)
 		st.Trees = append(st.Trees, ts)
 	}
 	return st
 }
 
-// supportStateOf flattens a support map in ascending vertex order.
-func supportStateOf(support map[stream.VertexID]int32) []SupportCount {
-	if len(support) == 0 {
-		return nil
+// supportStateOf flattens a census's support counts in ascending vertex
+// order.
+func supportStateOf(verts *vertexTable) []SupportCount {
+	var out []SupportCount
+	for _, r := range verts.recs {
+		if r.support > 0 {
+			out = append(out, SupportCount{V: r.v, N: r.support})
+		}
 	}
-	out := make([]SupportCount, 0, len(support))
-	for v, n := range support {
-		out = append(out, SupportCount{V: v, N: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
+	slices.SortFunc(out, func(a, b SupportCount) int { return cmp.Compare(a.V, b.V) })
 	return out
 }
 
 // checkSupport verifies that the support counts rebuilt from a restored
 // node list agree with the checkpointed ones.
-func checkSupport(rebuilt map[stream.VertexID]int32, want []SupportCount, root stream.VertexID) error {
-	if len(want) != len(rebuilt) {
+func checkSupport(rebuilt *vertexTable, want []SupportCount, root stream.VertexID) error {
+	if got := len(supportStateOf(rebuilt)); len(want) != got {
 		return fmt.Errorf("core: restore: tree %d support has %d vertices, nodes imply %d",
-			root, len(want), len(rebuilt))
+			root, len(want), got)
 	}
 	for _, sc := range want {
-		if rebuilt[sc.V] != sc.N {
+		var n int32
+		if r := rebuilt.find(sc.V); r != nil {
+			n = r.support
+		}
+		if n != sc.N {
 			return fmt.Errorf("core: restore: tree %d support[%d]=%d, nodes imply %d",
-				root, sc.V, sc.N, rebuilt[sc.V])
+				root, sc.V, sc.N, n)
 		}
 	}
 	return nil
@@ -199,12 +205,9 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			}
 			slot := store.alloc(key, n.TS, 0)
 			store.parent[slot] = slot // placeholder until linked below
-			tx.vcount[n.V]++
-			if tx.vcount[n.V] == 1 {
+			// Nodes never contains the root: every final node is a witness.
+			if tx.verts.inc(n.V, e.a.Final[n.S]) {
 				e.inv.add(n.V, tx.root)
-			}
-			if e.a.Final[n.S] {
-				tx.support[n.V]++ // Nodes never contains the root
 			}
 		}
 		// Second pass: link children and validate parents.
@@ -218,7 +221,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			store.parent[slot] = pslot
 			store.attach(pslot, slot)
 		}
-		if err := checkSupport(tx.support, ts.Support, ts.Root); err != nil {
+		if err := checkSupport(&tx.verts, ts.Support, ts.Root); err != nil {
 			return err
 		}
 	}

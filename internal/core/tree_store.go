@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // slotStore holds the nodes of one spanning tree in struct-of-arrays
 // form: parallel slot-indexed arrays for the hot fields (key, timestamp,
 // parent) plus intrusive sibling lists for the child sets, instead of
@@ -104,32 +106,102 @@ func (ns *slotStore) release(slot int32) {
 func (ns *slotStore) live(slot int32) bool { return ns.parent[slot] != freeSlot }
 
 // treeStore is the slot store of a RAPQ tree together with its unique
-// key → slot index. The insert cascade touches ts/parent/keys as flat
-// array reads with no pointer chasing; only the index remains a hash
-// probe, and lookups that already hold a slot skip it entirely.
+// key → slot index: an open-addressing table laid over the slot store's
+// own keys array. A bucket holds slot+1 (the zero value is "empty", so
+// no key needs a sentinel) and a probe compares through keys[slot], so
+// the table costs 4 bytes a bucket and stores no key twice. Buckets are
+// a power of two at load ≤ ½, hashed multiplicatively, probed linearly
+// and deleted by backward shift: there are no tombstones, so a tree that
+// churns for hours probes no further than a fresh one. The insert
+// cascade touches ts/parent/keys as flat array reads with no pointer
+// chasing; lookups that already hold a slot skip the table entirely.
 type treeStore struct {
 	slotStore
-	idx map[nodeKey]int32
+	buckets []int32
+	shift   uint8 // 64 - log2(len(buckets))
 }
 
-// lookup returns the slot of key k, or -1.
+// hashMul is the 64-bit golden-ratio multiplier of the flat tables'
+// multiplicative hash: the home bucket is the top bits of key*hashMul.
+const hashMul = 0x9E3779B97F4A7C15
+
+// minBuckets is the size a flat table starts at.
+const minBuckets = 8
+
+// tableShift returns the hash shift of a table of n (a power of two)
+// buckets.
+func tableShift(n int) uint8 { return uint8(64 - bits.TrailingZeros(uint(n))) }
+
+// fillsHole is the backward-shift test of the flat tables' deletion:
+// with a hole at bucket i, the entry at bucket j of the same cluster,
+// whose home is h, may move into the hole unless h lies inside (i, j] —
+// there its probe sequence starts past the hole and moving it would put
+// it out of its own reach. Pulling every later entry that may move into
+// the hole (which then moves to j) leaves no probe sequence cut, so the
+// tables need no tombstones.
+func fillsHole(i, j, h, mask uint32) bool { return (j-h)&mask >= (j-i)&mask }
+
+func (ns *treeStore) home(k nodeKey) uint32 { return uint32(uint64(k) * hashMul >> ns.shift) }
+
+// lookup returns the slot of key k, or -1. Load ≤ ½ guarantees every
+// probe sequence meets an empty bucket.
 func (ns *treeStore) lookup(k nodeKey) int32 {
-	if slot, ok := ns.idx[k]; ok {
-		return slot
+	mask := uint32(len(ns.buckets) - 1)
+	for i := ns.home(k); ; i++ {
+		b := ns.buckets[i&mask]
+		if b == 0 || ns.keys[b-1] == k {
+			return b - 1
+		}
 	}
-	return -1
 }
 
 // alloc creates a node under its key; see slotStore.alloc.
 func (ns *treeStore) alloc(k nodeKey, ts int64, parent int32) int32 {
 	slot := ns.slotStore.alloc(k, ts, parent)
-	ns.idx[k] = slot
+	if 2*ns.size() > len(ns.buckets) {
+		ns.grow()
+	} else {
+		ns.index(slot)
+	}
 	return slot
 }
 
-// release unindexes and frees the slot; see slotStore.release.
+// index enters a live, not yet indexed slot under its key.
+func (ns *treeStore) index(slot int32) {
+	mask := uint32(len(ns.buckets) - 1)
+	i := ns.home(ns.keys[slot])
+	for ns.buckets[i&mask] != 0 {
+		i++
+	}
+	ns.buckets[i&mask] = slot + 1
+}
+
+// grow doubles the table (or creates it) and re-enters every live slot.
+func (ns *treeStore) grow() {
+	n := max(minBuckets, 2*len(ns.buckets))
+	ns.buckets, ns.shift = make([]int32, n), tableShift(n)
+	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
+		if ns.live(slot) {
+			ns.index(slot)
+		}
+	}
+}
+
+// release unindexes and frees the slot; see slotStore.release. The
+// bucket goes while keys[slot] still holds the key it was entered
+// under: a recycled slot is indexed afresh under its new key.
 func (ns *treeStore) release(slot int32) {
-	delete(ns.idx, ns.keys[slot])
+	mask := uint32(len(ns.buckets) - 1)
+	i := ns.home(ns.keys[slot])
+	for ns.buckets[i] != slot+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; ns.buckets[j] != 0; j = (j + 1) & mask {
+		if fillsHole(i, j, ns.home(ns.keys[ns.buckets[j]-1]), mask) {
+			ns.buckets[i], i = ns.buckets[j], j
+		}
+	}
+	ns.buckets[i] = 0
 	ns.slotStore.release(slot)
 }
 
