@@ -79,6 +79,9 @@ func main() {
 		if len(qs) > 0 {
 			fmt.Fprintln(os.Stderr, "rpqserve: ignoring -q flags on -resume (the query set comes from the checkpoint; register more via POST /queries)")
 		}
+		if *shards > 0 || *depth > 0 {
+			fmt.Fprintln(os.Stderr, "rpqserve: ignoring -shards and -depth on -resume (the shard count comes from the checkpoint; the pipeline depth reverts to its default)")
+		}
 	} else {
 		compiled := make([]*streamrpq.Query, len(qs))
 		for i, src := range qs {

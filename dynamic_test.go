@@ -108,10 +108,10 @@ func dynEval(t *testing.T, queries []*Query, shards, depth int) *MultiEvaluator 
 // the result stream (matches AND invalidations, in the same order) of
 // an oracle that ran the query from stream start — and nothing before
 // it. Then RemoveQuery must truncate the query's stream at the next
-// batch boundary without disturbing the other queries. Covered for the
-// inline schedule (where the bootstrap runs in place) and the pipelined
-// one (background bootstrap plus catch-up; shards 1/2/8 × pipeline
-// depth 1/2) on append-only and 15%-churn streams.
+// batch boundary without disturbing the other queries. The bootstrap
+// runs in place at the batch boundary in both schedules; covered for
+// the inline one and the pipelined one (shards 1/2/8 × pipeline depth
+// 1/2) on append-only and 15%-churn streams.
 func TestAddQueryMatchesFromStartOracle(t *testing.T) {
 	static := func() []*Query {
 		return []*Query{MustCompile("(a/b)+"), MustCompile("a/b*")}
@@ -255,9 +255,9 @@ func TestAddQueryGuards(t *testing.T) {
 
 // TestRelevanceCountersAfterRemove: relevance follows the live query
 // set in both schedules. A label only a removed query listened to is
-// dropped again afterwards, and a group's catch-up applications count
-// as dispatches, so the inline and the pipelined schedule report the
-// same TuplesDropped, Dispatches and RelevanceSkips.
+// dropped again afterwards, and a registered group is dispatched to
+// from the next batch on, so the inline and the pipelined schedule
+// report the same TuplesDropped, Dispatches and RelevanceSkips.
 func TestRelevanceCountersAfterRemove(t *testing.T) {
 	run := func(shards int) Stats {
 		m := dynEval(t, []*Query{MustCompile("a/b")}, shards, 0)

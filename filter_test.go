@@ -134,3 +134,26 @@ func TestEdgeFilterRespectsSlack(t *testing.T) {
 		t.Fatalf("Flush = %v, want no match", ms)
 	}
 }
+
+// TestFlushKeepsStreamOrder: Flush hands the engine every buffered
+// tuple, so a tuple older than one it released is late afterwards even
+// when it is within slack of the maximum — it must not reach the engine
+// behind its successor and come back stamped with the later timestamp.
+func TestFlushKeepsStreamOrder(t *testing.T) {
+	ev, err := NewEvaluator(MustCompile("a/b"), WithWindow(100, 1), WithSlack(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev.MustIngest(Tuple{TS: 100, Src: "x", Dst: "y", Label: "a"})
+	if ms := ev.Flush(); len(ms) != 0 {
+		t.Fatalf("Flush = %v, want no match", ms)
+	}
+	var late *stream.ErrLate
+	if ms, err := ev.Ingest(Tuple{TS: 97, Src: "y", Dst: "z", Label: "b"}); !errors.As(err, &late) {
+		t.Fatalf("ts 97 after flushing ts 100: matches %v, err %v, want a late-tuple error", ms, err)
+	}
+	ev.MustIngest(Tuple{TS: 101, Src: "y", Dst: "z", Label: "b"})
+	if ms := ev.Flush(); len(ms) != 1 || ms[0] != (Match{From: "x", To: "z", TS: 101}) {
+		t.Fatalf("Flush = %v, want [{x z 101}]", ms)
+	}
+}

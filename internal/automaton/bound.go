@@ -29,13 +29,7 @@ type Bound struct {
 // labelID maps label strings to dense ids in [0, numLabels); labels of
 // the DFA alphabet that the mapper does not know (returns <0) are
 // unreachable in the bound graph and their transitions are dropped.
-// Calls with the same DFA and the same resolved label mapping return a
-// shared cached *Bound (bounds are read-only after construction).
 func (d *DFA) Bind(labelID func(string) int, numLabels int) *Bound {
-	return bindMemoized(d, labelID, numLabels)
-}
-
-func (d *DFA) bindUncached(labelID func(string) int, numLabels int) *Bound {
 	k := d.NumStates()
 	b := &Bound{
 		K:       k,

@@ -5,12 +5,9 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync"
-
-	"streamrpq/internal/pattern"
 )
 
-// Canonical forms and registration-time memoization.
+// Canonical forms.
 //
 // Two RPQ expressions denote the same path language iff their minimal
 // DFAs are isomorphic, and Minimize already renumbers states by a BFS
@@ -171,105 +168,4 @@ func (b *Bound) Fingerprint() string {
 		}
 	}
 	return sb.String()
-}
-
-// RelevantLabelCount returns the number of label ids with at least one
-// transition — the pattern-visible selectivity proxy used to order
-// per-tuple dispatch (fewest relevant labels first).
-func (b *Bound) RelevantLabelCount() int {
-	n := 0
-	for _, trs := range b.ByLabel {
-		if len(trs) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// compileMemo caches Compile results two levels deep: an exact-match
-// table keyed by the expression's rendered form (duplicate patterns in
-// a workload skip the whole pipeline), and an interning table keyed by
-// CanonicalKey (equivalent-but-distinct patterns share one *DFA, so
-// downstream Bind memoization and group dedup see pointer equality).
-// DFAs are never mutated after construction, so sharing is safe.
-var compileMemo = struct {
-	sync.Mutex
-	byExpr  map[string]*DFA
-	byCanon map[string]*DFA
-}{
-	byExpr:  make(map[string]*DFA),
-	byCanon: make(map[string]*DFA),
-}
-
-// memoCap bounds the memo tables; randomized workloads (fig7/8/9
-// generators) would otherwise grow them without limit. On overflow the
-// tables reset — correctness never depends on a hit.
-const memoCap = 4096
-
-func compileMemoized(e *pattern.Expr) *DFA {
-	k := e.String()
-	compileMemo.Lock()
-	if d, ok := compileMemo.byExpr[k]; ok {
-		compileMemo.Unlock()
-		return d
-	}
-	compileMemo.Unlock()
-
-	d := Determinize(Thompson(e)).Minimize()
-	ck := d.CanonicalKey()
-
-	compileMemo.Lock()
-	defer compileMemo.Unlock()
-	if len(compileMemo.byExpr) >= memoCap {
-		compileMemo.byExpr = make(map[string]*DFA)
-	}
-	if len(compileMemo.byCanon) >= memoCap {
-		compileMemo.byCanon = make(map[string]*DFA)
-	}
-	if prior, ok := compileMemo.byCanon[ck]; ok {
-		d = prior
-	} else {
-		compileMemo.byCanon[ck] = d
-	}
-	compileMemo.byExpr[k] = d
-	return d
-}
-
-// bindKey identifies a Bind call: the DFA (interned by Compile, so
-// equivalent patterns collapse to one pointer) plus the resolved label
-// ids and target width. Two calls with the same resolved mapping yield
-// structurally identical bounds, so the cached *Bound is shared.
-type bindKey struct {
-	d   *DFA
-	sig string
-}
-
-var bindMemo = struct {
-	sync.Mutex
-	m map[bindKey]*Bound
-}{m: make(map[bindKey]*Bound)}
-
-func bindMemoized(d *DFA, labelID func(string) int, numLabels int) *Bound {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n%d;", numLabels)
-	for _, l := range d.Alphabet {
-		fmt.Fprintf(&sb, "%d,", labelID(l))
-	}
-	key := bindKey{d: d, sig: sb.String()}
-	bindMemo.Lock()
-	if b, ok := bindMemo.m[key]; ok {
-		bindMemo.Unlock()
-		return b
-	}
-	bindMemo.Unlock()
-
-	b := d.bindUncached(labelID, numLabels)
-
-	bindMemo.Lock()
-	defer bindMemo.Unlock()
-	if len(bindMemo.m) >= memoCap {
-		bindMemo.m = make(map[bindKey]*Bound)
-	}
-	bindMemo.m[key] = b
-	return b
 }

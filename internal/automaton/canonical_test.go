@@ -40,9 +40,6 @@ func TestCanonicalKeyEquivalence(t *testing.T) {
 		if d1.CanonicalHash() != d2.CanonicalHash() {
 			t.Errorf("equivalent %q vs %q: hashes differ", p[0], p[1])
 		}
-		if d1 != d2 {
-			t.Errorf("equivalent %q vs %q: Compile did not intern to one *DFA", p[0], p[1])
-		}
 	}
 	for _, p := range inequivalentPairs {
 		d1 := Compile(pattern.MustParse(p[0]))
@@ -126,73 +123,5 @@ func TestBoundFingerprintWidthIndependent(t *testing.T) {
 	wide := d.Bind(lookup, 5)
 	if narrow.Fingerprint() != wide.Fingerprint() {
 		t.Fatalf("fingerprint depends on label-space width:\n  %s\n  %s", narrow.Fingerprint(), wide.Fingerprint())
-	}
-	if narrow.RelevantLabelCount() != 2 || wide.RelevantLabelCount() != 2 {
-		t.Fatalf("RelevantLabelCount = %d/%d, want 2/2", narrow.RelevantLabelCount(), wide.RelevantLabelCount())
-	}
-}
-
-// TestBindMemoized: binding the same DFA against the same resolved
-// mapping returns the shared cached bound; a different mapping does
-// not.
-func TestBindMemoized(t *testing.T) {
-	d := Compile(pattern.MustParse("a/b"))
-	ids := map[string]int{"a": 0, "b": 1}
-	lookup := func(l string) int { return ids[l] }
-	b1 := d.Bind(lookup, 2)
-	b2 := d.Bind(lookup, 2)
-	if b1 != b2 {
-		t.Fatalf("same mapping: Bind returned distinct bounds")
-	}
-	other := map[string]int{"a": 1, "b": 0}
-	b3 := d.Bind(func(l string) int { return other[l] }, 2)
-	if b3 == b1 {
-		t.Fatalf("different mapping: Bind returned the cached bound")
-	}
-}
-
-// BenchmarkRegisterDuplicate measures registration cost for a pattern
-// the memo has already seen — the common case in the SO workload where
-// templates repeat. Parse is included (it is part of registration);
-// compile and bind must be cache hits.
-func BenchmarkRegisterDuplicate(b *testing.B) {
-	ids := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
-	lookup := func(l string) int {
-		if id, ok := ids[l]; ok {
-			return id
-		}
-		return -1
-	}
-	src := "(a|b|c)/d*"
-	Compile(pattern.MustParse(src)).Bind(lookup, 4) // warm the memo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compile(pattern.MustParse(src)).Bind(lookup, 4)
-	}
-}
-
-// BenchmarkRegisterCold measures the full pipeline with cold caches by
-// resetting the memo tables each iteration.
-func BenchmarkRegisterCold(b *testing.B) {
-	ids := map[string]int{"a": 0, "b": 1, "c": 2, "d": 3}
-	lookup := func(l string) int {
-		if id, ok := ids[l]; ok {
-			return id
-		}
-		return -1
-	}
-	src := "(a|b|c)/d*"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		compileMemo.Lock()
-		compileMemo.byExpr = make(map[string]*DFA)
-		compileMemo.byCanon = make(map[string]*DFA)
-		compileMemo.Unlock()
-		bindMemo.Lock()
-		bindMemo.m = make(map[bindKey]*Bound)
-		bindMemo.Unlock()
-		Compile(pattern.MustParse(src)).Bind(lookup, 4)
 	}
 }

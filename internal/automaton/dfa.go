@@ -317,11 +317,9 @@ func (d *DFA) Minimize() *DFA {
 
 // Compile parses nothing: it runs the full pipeline expr → Thompson NFA
 // → subset DFA → minimal DFA, as done at query-registration time in the
-// paper. Results are memoized by rendered expression and interned by
-// canonical form (see canonical.go), so registering a duplicate or
-// equivalent pattern never recompiles and yields the same *DFA.
+// paper.
 func Compile(e *pattern.Expr) *DFA {
-	return compileMemoized(e)
+	return Determinize(Thompson(e)).Minimize()
 }
 
 // Containment computes the suffix-language containment matrix of the

@@ -92,8 +92,6 @@ type MemberEngine interface {
 	// ApplyExpiry runs the window-expiry pass for a slide-boundary
 	// deadline; the coordinator has already expired the shared graph.
 	ApplyExpiry(deadline int64)
-	// RelevantLabel reports whether the label is in the query alphabet.
-	RelevantLabel(l stream.LabelID) bool
 	// LabelSpace returns the dense label-space size the automaton was
 	// bound against; all members of one coordinator must agree.
 	LabelSpace() int
@@ -110,16 +108,6 @@ type MemberEngine interface {
 	// dynamically registered member bootstraps into a discard sink, then
 	// gets the coordinator's capture sink installed at activation.
 	SetSink(s Sink)
-	// BootstrapFromGraph builds the Δ index of a fresh engine from the
-	// window content visible at one epoch of the shared graph; see
-	// RAPQ.BootstrapFromGraph.
-	BootstrapFromGraph(g *graph.Graph, ep graph.Epoch)
-	// AlignClock advances the engine's stream clock to now if it is
-	// behind. After a window bootstrap this re-creates the clock a
-	// from-start engine would hold when the newest relevant tuple is no
-	// longer in the window (deleted or expired): the edge is gone, the
-	// clock survives.
-	AlignClock(now int64)
 }
 
 // Stats captures the internal state sizes and costs the paper reports

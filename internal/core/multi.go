@@ -34,7 +34,7 @@ import (
 // not the number of queries.
 //
 // Per tuple, dispatch consults a RelevanceIndex: only groups with a
-// transition on the incoming label are touched, most selective first.
+// transition on the incoming label are touched.
 type Multi struct {
 	g       *graph.Graph
 	win     *window.Manager
@@ -140,12 +140,10 @@ func (m *Multi) Add(a *automaton.Bound, opts ...Option) (*RAPQ, error) {
 	g.eng.AttachGraph(m.g)
 	m.groups = append(m.groups, g)
 	bounds := make([]*automaton.Bound, len(m.groups))
-	tiebreak := make([]int, len(m.groups))
 	for i, g := range m.groups {
 		bounds[i] = g.eng.a
-		tiebreak[i] = g.subs[0]
 	}
-	m.rel = BuildRelevanceIndex(bounds, tiebreak)
+	m.rel = BuildRelevanceIndex(bounds)
 	return g.eng, nil
 }
 
@@ -170,10 +168,10 @@ func (m *Multi) Len() int { return len(m.sinks) }
 func (m *Multi) Graph() *graph.Graph { return m.g }
 
 // Process routes one tuple to every group whose alphabet contains its
-// label, most selective first (the groups are independent — they share
-// only the read-only snapshot graph — so evaluation order cannot change
-// any group's emissions). Graph and window maintenance happen exactly
-// once regardless of the number of queries.
+// label (the groups are independent — they share only the read-only
+// snapshot graph — so evaluation order cannot change any group's
+// emissions). Graph and window maintenance happen exactly once
+// regardless of the number of queries.
 func (m *Multi) Process(t stream.Tuple) {
 	m.seen++
 	if t.TS > m.now {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"streamrpq/internal/automaton"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
@@ -138,5 +140,28 @@ func TestScanAllTreesAblation(t *testing.T) {
 	}
 	if err := slow.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildRelevanceIndex: each label lists the groups with a
+// transition on it in ascending position order — whatever their
+// alphabets' sizes — and a label outside the indexed space lists none.
+func TestBuildRelevanceIndex(t *testing.T) {
+	exprs := []string{"(a|b|c)+", "b", "c/b*", "a/b/c"} // broadest alphabet first
+	bounds := make([]*automaton.Bound, len(exprs))
+	for i, expr := range exprs {
+		bounds[i] = bind(t, expr, "a", "b", "c", "d")
+	}
+	ri := BuildRelevanceIndex(bounds)
+	want := [][]int32{{0, 3}, {0, 1, 2, 3}, {0, 2, 3}, nil}
+	for l, w := range want {
+		if got := ri.Groups(l); !reflect.DeepEqual(got, w) {
+			t.Errorf("Groups(%d) = %v, want %v", l, got, w)
+		}
+	}
+	for _, l := range []int{-1, len(want), len(want) + 7} {
+		if got := ri.Groups(l); got != nil {
+			t.Errorf("Groups(%d) = %v, want nil", l, got)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"streamrpq/internal/automaton"
@@ -82,7 +81,11 @@ func (e *RAPQ) SetSink(s Sink) {
 	e.sink = s
 }
 
-// AlignClock implements MemberEngine.
+// AlignClock advances the engine's stream clock to now if it is
+// behind. After a window bootstrap this re-creates the clock a
+// from-start engine would hold when the newest relevant tuple is no
+// longer in the window (deleted or expired): the edge is gone, the
+// clock survives.
 func (e *RAPQ) AlignClock(now int64) {
 	if now > e.now {
 		e.now = now
@@ -90,49 +93,24 @@ func (e *RAPQ) AlignClock(now int64) {
 }
 
 // BootstrapFromGraph builds the Δ index of a freshly created engine
-// from the window content visible at epoch ep of g: the edges are
-// replayed in canonical (TS, Src, Dst, Label) order through ApplyInsert,
-// which reproduces the engine's canonical node timestamps and witness
-// sets for the retained window — re-insertion refreshes and deleted
-// edges have already been folded into the stored timestamps, and both
-// folds agree with the max-min fixpoint an engine fed the full stream
-// would have converged to. Matches emitted during the replay are the
-// window's current live result set (they flow to the engine's sink);
-// they correspond to results an engine registered from stream start
-// would have emitted earlier, not to new stream tuples.
+// from the window content of g at its current epoch: the edges are
+// replayed in canonical (TS, Src, Dst, Label) order (SnapshotEdges)
+// through ApplyInsert, which reproduces the engine's canonical node
+// timestamps and witness sets for the retained window — re-insertion
+// refreshes and deleted edges have already been folded into the stored
+// timestamps, and both folds agree with the max-min fixpoint an engine
+// fed the full stream would have converged to. Matches emitted during
+// the replay are the window's current live result set (they flow to the
+// engine's sink); they correspond to results an engine registered from
+// stream start would have emitted earlier, not to new stream tuples.
 //
-// The caller must hold a reader lease on ep (graph.AcquireEpoch) for
-// the duration of the call if a writer may be advancing later epochs
-// concurrently. The engine reads at ep until the next SetReadEpoch.
-func (e *RAPQ) BootstrapFromGraph(g *graph.Graph, ep graph.Epoch) {
+// No writer may be mutating g during the call: coordinators bootstrap
+// between batches. The engine reads at that epoch until the next
+// SetReadEpoch.
+func (e *RAPQ) BootstrapFromGraph(g *graph.Graph) {
 	e.g = g
-	e.epoch = ep
-	// This may run on a background goroutine concurrent with the
-	// writer; sweeping the dense id upper bound (not Vertices)
-	// guarantees vertices whose edges are visible only at the leased
-	// epoch ep are not skipped.
-	var edges []graph.Edge
-	var buf []graph.HalfEdge
-	for v, n := stream.VertexID(0), g.VertexUpperBound(); v < n; v++ {
-		buf = g.AppendOutAt(ep, v, buf[:0])
-		for _, he := range buf {
-			edges = append(edges, graph.Edge{Src: v, Dst: he.V, Label: he.L, TS: he.TS})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Label < b.Label
-	})
-	for _, ed := range edges {
+	e.epoch = g.Epoch()
+	for _, ed := range SnapshotEdges(g) {
 		if !e.a.Relevant(int(ed.Label)) {
 			continue
 		}

@@ -13,9 +13,9 @@ import "math"
 // epoch of refs[head], and whenever total > 0, refs[head] > 0 (release
 // advances head past zero slots), so the minimum held epoch is simply
 // base. The span of the ring is bounded by the epoch distance between
-// the oldest and newest lease — pipeline depth plus at most one
-// batch's sub-batches while a dynamic-registration bootstrap holds its
-// lease — a few hundred uint32 slots in the worst case.
+// the oldest and newest lease: the coordinator's dispatch is the only
+// lessee, FIFO and at most pipeline depth deep, so a handful of uint32
+// slots.
 //
 // All methods require the caller to hold the owning Graph's gcMu.
 type leaseRing struct {

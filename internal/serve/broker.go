@@ -307,9 +307,10 @@ func (b *Broker) Unsubscribe(s *subscriber) {
 	}
 }
 
-// AddQuery compiles and registers a query online; it takes effect at
-// the next batch boundary (its index is bootstrapped from the live
-// window without pausing ingest). Returns the registration id.
+// AddQuery compiles and registers a query online, between batches (the
+// broker's lock serializes it with ingest): its index is bootstrapped
+// from the live window before the call returns. Returns the
+// registration id.
 func (b *Broker) AddQuery(pattern string) (int, error) {
 	q, err := streamrpq.Compile(pattern)
 	if err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -46,16 +47,21 @@ func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream
 		}
 	}
 	all := runGlobal(t, s, tuples, batch)
-	// The engine must quiesce at batch boundaries: every reader epoch
-	// released and every superseded version compacted, or checkpoints
-	// (and memory) would accumulate pipeline residue.
+	assertQuiesced(t, s, fmt.Sprintf("shards=%d depth=%d, after drain", shards, depth))
+	return all
+}
+
+// assertQuiesced: between batches every reader epoch is released and
+// every superseded version compacted, or checkpoints (and memory) would
+// accumulate pipeline residue.
+func assertQuiesced(t *testing.T, s *Engine, when string) {
+	t.Helper()
 	if n := s.Graph().ActiveReaders(); n != 0 {
-		t.Fatalf("shards=%d depth=%d: %d reader epochs still active after drain", shards, depth, n)
+		t.Fatalf("%s: %d reader epochs still active", when, n)
 	}
 	if n := s.Graph().DeadVersions(); n != 0 {
-		t.Fatalf("shards=%d depth=%d: %d dead versions retained after drain", shards, depth, n)
+		t.Fatalf("%s: %d dead versions retained", when, n)
 	}
-	return all
 }
 
 // TestPipelinedByteIdenticalAcrossDepths is the pipelining acceptance
@@ -184,15 +190,18 @@ func TestPipelinedDeletionHazards(t *testing.T) {
 // deeply pipelined engine is identical to one taken from the barriered
 // engine at the same batch boundary — the on-disk state folds the
 // version intervals away and carries no epoch residue — and restoring
-// it into an engine of any depth continues the stream byte-identically.
+// it into an engine of any depth continues the stream byte-identically,
+// whatever groups registration had formed there: the restoring engine
+// registers all-private, so the snapshot's shared layout leaves one of
+// its populated shards empty.
 func TestPipelinedSnapshotEpochFree(t *testing.T) {
-	exprs := []string{"(a/b)+", "b/a*"}
+	exprs := []string{"(a/b)+", "b/a*", "(a/b)+"}
 	spec := window.Spec{Size: 18, Slide: 3}
 	tuples := hazardTuples(rand.New(rand.NewSource(99)), 600)
 	half := len(tuples) / 2
 
-	mkEngine := func(depth int) *Engine {
-		s, err := New(spec, WithShards(4), WithPipelineDepth(depth))
+	mkEngine := func(depth int, sharing bool) *Engine {
+		s, err := New(spec, WithShards(4), WithPipelineDepth(depth), WithSharing(sharing))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +224,7 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 		return all
 	}
 
-	deep, flat := mkEngine(4), mkEngine(1)
+	deep, flat := mkEngine(4, true), mkEngine(1, true)
 	run(deep, tuples[:half])
 	run(flat, tuples[:half])
 	deepState, flatState := deep.SnapshotState(), flat.SnapshotState()
@@ -235,7 +244,7 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 	flat.Close()
 	deep.Close()
 
-	restored := mkEngine(2)
+	restored := mkEngine(2, false)
 	if err := restored.RestoreState(deepState); err != nil {
 		t.Fatal(err)
 	}
@@ -410,3 +419,88 @@ func TestPipelineOptionValidation(t *testing.T) {
 }
 
 var _ core.MemberEngine = (*faultyMember)(nil)
+
+// TestAddDynamicInPlace: registration leaves nothing behind. On a
+// started pipelined retain-all engine AddDynamic returns with the new
+// group built and attached and no epoch lease held, a second equivalent
+// registration in the same inter-batch gap subscribes to that group,
+// the very next batch dispatches to it, and both subscribers emit
+// exactly what they emit in an engine that had them from stream start.
+func TestAddDynamicInPlace(t *testing.T) {
+	spec := window.Spec{Size: 25, Slide: 5}
+	static := []string{"(a/b)+", "a/b*"}
+	dynamic := []string{"c/(a|b)*", "c/(b|a)*"} // equivalent: one group
+	bs := batches(randomTuples(rand.New(rand.NewSource(77)), 600, 7, 3, 1, 0.15), 20)
+	cut := len(bs) / 2
+
+	newEngine := func(exprs ...string) *Engine {
+		s, err := New(spec, WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetRetainAll(true); err != nil {
+			t.Fatal(err)
+		}
+		for _, expr := range exprs {
+			if _, err := s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	// feed runs batches [from, to) and returns, per batch, its results
+	// and the dispatches it counted.
+	feed := func(s *Engine, from, to int) (rs [][]Result, dispatches []int64) {
+		for _, b := range bs[from:to] {
+			before := s.Stats().Dispatches
+			out, err := s.ProcessBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs = append(rs, append([]Result(nil), out...))
+			dispatches = append(dispatches, s.Stats().Dispatches-before)
+		}
+		return rs, dispatches
+	}
+	oracle := newEngine(append(static, dynamic...)...)
+	defer oracle.Close()
+	wantRS, wantDispatches := feed(oracle, 0, len(bs))
+
+	s := newEngine(static...)
+	defer s.Close()
+	feed(s, 0, cut)
+	groups := s.Stats().Groups
+	for i, expr := range dynamic {
+		idx, err := s.AddDynamic(bind(t, expr, "a", "b", "c"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx != len(static)+i {
+			t.Fatalf("registration index = %d, want %d", idx, len(static)+i)
+		}
+		if st := s.Stats(); st.Groups != groups+1 {
+			t.Fatalf("after AddDynamic %d: %d groups, want %d (one new group, active on return)", i, st.Groups, groups+1)
+		}
+		assertQuiesced(t, s, "after AddDynamic")
+	}
+	gotRS, gotDispatches := feed(s, cut, len(bs))
+	assertQuiesced(t, s, "after the batches following registration")
+	if !reflect.DeepEqual(gotDispatches, wantDispatches[cut:]) {
+		t.Fatalf("dispatches per batch after registration differ from the from-start engine:\n got %v\nwant %v",
+			gotDispatches, wantDispatches[cut:])
+	}
+	if !reflect.DeepEqual(gotRS, wantRS[cut:]) {
+		t.Fatal("result stream after registration differs from the from-start engine")
+	}
+	var dyn int
+	for _, rs := range gotRS {
+		for _, r := range rs {
+			if r.Query >= len(static) {
+				dyn++
+			}
+		}
+	}
+	if dyn == 0 {
+		t.Fatal("the registered queries emitted nothing; test is vacuous")
+	}
+}

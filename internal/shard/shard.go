@@ -59,7 +59,11 @@
 // therefore remain the engine's globally consistent points — exactly
 // where internal/persist takes its checkpoints, and the checkpoint
 // serialization folds the version intervals back into a flat,
-// epoch-free graph. Depth 1 reproduces the fully barriered engine:
+// epoch-free graph. They are also where queries join and leave
+// (AddDynamic, RemoveDynamic), on the caller's goroutine: with the
+// pipeline drained no reader holds an epoch lease, so the only leases
+// the graph ever sees are dispatch's — FIFO, at most depth deep.
+// Depth 1 reproduces the fully barriered engine:
 // every sub-batch is collected immediately after dispatch, before the
 // next sub-batch's mutations are applied.
 //
@@ -219,37 +223,10 @@ type Engine struct {
 	retain  bool
 	labelTS []int64
 
-	// pending holds members registered with AddDynamic whose background
-	// window bootstrap has not yet been joined; catch accumulates the
-	// sub-batches dispatched since the oldest registration (with their
-	// epochs) so the member can replay exactly what it missed. Both are
-	// settled by finishPending at the next consistency point.
-	pending []*pendingMember
-	catch   []catchJob
-
 	wg       sync.WaitGroup
 	inflight []inflightSub // dispatched, uncollected sub-batches (≤ depth)
 	stepPool [][]step      // recycled step slices of collected sub-batches
 	results  []Result      // the batch's results; reused by the next batch
-}
-
-// pendingMember is a dynamically registered group between AddDynamic
-// and activation: its Δ index is being bootstrapped from the window
-// content at epoch (under a reader lease) on a background goroutine.
-// Further equivalent AddDynamic calls in the same inter-batch gap
-// subscribe to the pending group rather than bootstrapping again.
-type pendingMember struct {
-	g     *group
-	epoch graph.Epoch   // bootstrap epoch; leased until activation
-	done  chan struct{} // closed when the background replay finishes
-	err   error         // recovered bootstrap panic, if any
-}
-
-// catchJob is one dispatched sub-batch retained (steps copied, epoch
-// recorded) for pending members to replay at activation.
-type catchJob struct {
-	epoch graph.Epoch
-	steps []step
 }
 
 // inflightSub is one dispatched sub-batch awaiting collection.
@@ -338,12 +315,10 @@ type worker struct {
 // between batches only (the worker goroutine reads rel while applying).
 func (w *worker) rebuild() {
 	bounds := make([]*automaton.Bound, len(w.groups))
-	tiebreak := make([]int, len(w.groups))
 	for i, g := range w.groups {
 		bounds[i] = g.bound
-		tiebreak[i] = g.subs[0]
 	}
-	w.rel = core.BuildRelevanceIndex(bounds, tiebreak)
+	w.rel = core.BuildRelevanceIndex(bounds)
 }
 
 // captureSink collects a group engine's emissions for the tuple being
@@ -527,26 +502,16 @@ func (s *Engine) newMember(a *automaton.Bound, sink core.Sink, key string) *memb
 }
 
 // joinGroup subscribes the member to the group with its key, if sharing
-// is on: an active one, or one pending activation (both subscribers
-// then activate together at the next batch boundary, catch-up
-// included). Returns nil when a new group is needed.
+// is on and one exists. Returns nil when a new group is needed.
 func (s *Engine) joinGroup(mb *member) *group {
 	if !s.sharing {
 		return nil
 	}
-	subscribe := func(g *group) *group {
-		g.subs = append(g.subs, mb.index)
-		mb.group = g
-		return g
-	}
-	for _, p := range s.pending {
-		if p.g.key == mb.key {
-			return subscribe(p.g)
-		}
-	}
 	for _, g := range s.groups {
 		if g.key == mb.key {
-			return subscribe(g)
+			g.subs = append(g.subs, mb.index)
+			mb.group = g
+			return g
 		}
 	}
 	return nil
@@ -599,23 +564,20 @@ func (s *Engine) activate(g *group) {
 
 // AddDynamic registers one RAPQ query mid-stream and returns its
 // registration index (the stable id results carry). The engine must be
-// in retain-all mode. With sharing on, a query equivalent to an active
-// group simply subscribes to its fan-out — the shared engine was
-// registered from stream start, so its future emissions are exactly
-// the suffix a from-start engine would emit; no bootstrap, no catch-up.
-// Otherwise the new group's Δ index is bootstrapped from the window
-// content at the current epoch. Pipelined, that runs on a background
-// goroutine — ingest is not paused — under a reader lease that keeps
-// every later version reconstructible, and activation is deterministic:
-// at the end of the next ProcessBatch (its sub-batches are captured and
-// replayed to the group, at their original epochs, after the bootstrap
-// joins). Inline, the caller's goroutine is the only writer, so the
-// bootstrap runs in place and the group is active on return. Either
-// way, from its registration batch onward the member emits exactly what
-// a from-start engine emits over the same suffix. Matches emitted
-// during the bootstrap replay itself — the window's current live result
-// set — are suppressed: a from-start engine emitted them before this
-// point.
+// in retain-all mode; call between batches. With sharing on, a query
+// equivalent to an active group simply subscribes to its fan-out — the
+// shared engine was registered from stream start, so its future
+// emissions are exactly the suffix a from-start engine would emit; no
+// bootstrap. Otherwise the new group's Δ index is bootstrapped from the
+// window content in place, on the caller's goroutine, in both
+// schedules: between batches the pipeline is drained, no sub-batch
+// holds an epoch lease and the shard goroutines are parked on their job
+// channels, so the current epoch is read without a lease and the group
+// is active on return. From the next batch onward the member emits
+// exactly what a from-start engine emits over the same suffix. Matches
+// emitted during the bootstrap replay itself — the window's current
+// live result set — are suppressed: a from-start engine emitted them
+// before this point.
 func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 	if s.closed {
 		return 0, fmt.Errorf("shard: AddDynamic on closed engine")
@@ -644,32 +606,21 @@ func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 			align = ts
 		}
 	}
-	ep := s.g.Epoch()
 	boot := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("shard: dynamic member %d bootstrap panic: %v", mb.index, r)
 			}
 		}()
-		e.BootstrapFromGraph(s.g, ep)
+		e.BootstrapFromGraph(s.g)
 		e.AlignClock(align)
 		return nil
 	}
-	if s.inline {
-		if s.err = boot(); s.err != nil {
-			s.members[mb.index] = nil // never activated
-			return 0, s.err
-		}
-		s.activate(g)
-		return mb.index, nil
+	if s.err = boot(); s.err != nil {
+		s.members[mb.index] = nil // never activated
+		return 0, s.err
 	}
-	s.g.AcquireEpoch(ep)
-	p := &pendingMember{g: g, epoch: ep, done: make(chan struct{})}
-	s.pending = append(s.pending, p)
-	go func() {
-		defer close(p.done)
-		p.err = boot()
-	}()
+	s.activate(g)
 	return mb.index, nil
 }
 
@@ -681,7 +632,6 @@ func (s *Engine) RemoveDynamic(index int) error {
 	if s.closed {
 		return fmt.Errorf("shard: RemoveDynamic on closed engine")
 	}
-	s.finishPending() // settle worker membership first
 	if s.err != nil {
 		return s.err
 	}
@@ -699,99 +649,18 @@ func (s *Engine) RemoveDynamic(index int) error {
 		isG := func(c *group) bool { return c == g }
 		s.groups = slices.DeleteFunc(s.groups, isG)
 		g.w.groups = slices.DeleteFunc(g.w.groups, isG)
-	}
-	g.w.rebuild() // the group list, or a dispatch tie-break (first subscriber), changed
-	return nil
-}
-
-// finishPending activates every pending member: join its background
-// bootstrap, replay the sub-batches captured since registration (at
-// their original epochs), release its bootstrap lease, and attach it
-// to its shard. Runs at the end of the first ProcessBatch after
-// registration — the catch-up results merge into that batch — and from
-// SnapshotState/RemoveDynamic/Close, so every consistency point sees a
-// settled member list. Outside ProcessBatch the catch list is empty
-// (every batch settles it), so activation there emits nothing.
-func (s *Engine) finishPending() {
-	if len(s.pending) == 0 {
-		return
-	}
-	for _, p := range s.pending {
-		<-p.done
-		if p.err == nil {
-			p.err = s.catchUp(p)
-		}
-		s.g.ReleaseEpoch(p.epoch)
-		if p.err != nil {
-			if s.err == nil {
-				s.err = p.err
-			}
-			for _, q := range p.g.subs {
-				s.members[q] = nil // never activated
-			}
-			continue
-		}
-		s.activate(p.g)
-	}
-	s.pending = s.pending[:0]
-	s.catch = s.catch[:0]
-}
-
-// catchUp replays the captured sub-batches through a freshly
-// bootstrapped group on the coordinator goroutine — its shard is
-// drained and idle — flushing its emissions into the current batch's
-// results. The group reads the graph at each sub-batch's original
-// epoch, kept alive by the bootstrap lease, so it observes exactly the
-// snapshots the live members did. Each replayed application counts as
-// the dispatch or relevance skip the group's shard would have counted
-// had the group been active, as it is at once under the inline schedule.
-func (s *Engine) catchUp(p *pendingMember) (err error) {
-	e, w := p.g.engine, p.g.w
-	e.SetSink(captureSink{p.g})
-	w.buf = s.results
-	defer func() {
-		s.results = w.buf
-		if r := recover(); r != nil {
-			err = fmt.Errorf("shard: dynamic member %d catch-up panic: %v", p.g.subs[0], r)
-		}
-	}()
-	for _, jb := range s.catch {
-		e.SetReadEpoch(jb.epoch)
-		for _, st := range jb.steps {
-			if st.expire {
-				e.ApplyExpiry(st.deadline)
-			}
-			switch {
-			case st.skip: // no group had work: nothing to apply or count
-			case !e.RelevantLabel(st.tuple.Label):
-				w.relevanceSkips++
-			case st.del:
-				w.dispatches++
-				e.ApplyDelete(st.tuple)
-			default:
-				w.dispatches++
-				e.ApplyInsert(st.tuple)
-			}
-			w.flush(st.index)
-		}
+		g.w.rebuild()
 	}
 	return nil
 }
 
 // relevantLabel reports whether any group has a transition on the
-// label — an active one (the shards' dispatch indexes; the inline
-// schedule asks its single worker the same question) or one pending
-// activation, whose catch-up replays the steps planned meanwhile. Tuples
-// outside every alphabet get no step and, unless retain-all is on, skip
-// the graph.
+// label (the shards' dispatch indexes; the inline schedule asks its
+// single worker the same question). Tuples outside every alphabet get
+// no step and, unless retain-all is on, skip the graph.
 func (s *Engine) relevantLabel(l stream.LabelID) bool {
 	for _, w := range s.workers {
 		if len(w.rel.Groups(int(l))) > 0 {
-			return true
-		}
-	}
-	for _, p := range s.pending {
-		if p.g.engine.RelevantLabel(l) {
 			return true
 		}
 	}
@@ -858,8 +727,8 @@ func (w *worker) apply(jb job) (rep reply) {
 }
 
 // dispatch applies one graph mutation to the groups with a transition
-// on its label, most selective first (the groups are independent — they
-// share only the snapshot graph — so order cannot change emissions).
+// on its label (the groups are independent — they share only the
+// snapshot graph — so order cannot change emissions).
 func (w *worker) dispatch(t stream.Tuple, del bool) {
 	order := w.rel.Groups(int(t.Label))
 	w.dispatches += int64(len(order))
@@ -915,7 +784,6 @@ func (s *Engine) ProcessBatch(tuples []stream.Tuple) ([]Result, error) {
 			i = s.subBatch(tuples, i)
 		}
 		s.drain()
-		s.finishPending() // activate queries registered before this batch
 		slices.SortFunc(s.results, compareResults)
 	}
 	if s.err != nil {
@@ -961,12 +829,11 @@ func compareResults(a, b Result) int {
 
 // processInline is the inline schedule: every tuple runs to completion
 // on the caller's goroutine — graph and window first, exactly once,
-// then the groups with a transition on its label, most selective first
-// — before the next one touches the graph, so the graph never runs
-// ahead of a member and needs no epochs. Each tuple's records are
-// flushed straight into the engine's result buffer, so tuple order is
-// free and the batch needs no merge. A member panic is recovered into
-// the returned (sticky) error.
+// then the groups with a transition on its label — before the next one
+// touches the graph, so the graph never runs ahead of a member and needs
+// no epochs. Each tuple's records are flushed straight into the engine's
+// result buffer, so tuple order is free and the batch needs no merge. A
+// member panic is recovered into the returned (sticky) error.
 func (s *Engine) processInline(tuples []stream.Tuple) (err error) {
 	w := s.workers[0]
 	w.buf = s.results
@@ -1145,11 +1012,6 @@ func (s *Engine) dispatch(steps []step, epoch graph.Epoch) {
 		s.stepPool = append(s.stepPool, steps)
 		return
 	}
-	if len(s.pending) > 0 {
-		// Pending members replay this sub-batch at activation; steps are
-		// copied because the originals recycle through the pool.
-		s.catch = append(s.catch, catchJob{epoch: epoch, steps: append([]step(nil), steps...)})
-	}
 	// The shards traverse the graph at this sub-batch's epoch until
 	// collected; register the reader before the first shard could start.
 	s.g.AcquireEpoch(epoch)
@@ -1265,7 +1127,6 @@ func (s *Engine) ShardStats() []core.Stats {
 // any shard count and pipeline depth can be restored at any other
 // (queries re-partition round-robin on restore).
 func (s *Engine) SnapshotState() *core.MultiState {
-	s.finishPending() // a pending bootstrap is not checkpointable state
 	st := &core.MultiState{
 		Now:     s.now,
 		Seen:    s.seen,
@@ -1331,7 +1192,11 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	s.skipBase = st.RelevanceSkips
 	// Every restored group is a fresh RAPQ group over the widest bound of
 	// its partition, replacing the ones registration formed.
-	groups := make([]*group, len(parts))
+	s.groups = nil
+	for _, w := range s.workers {
+		w.groups = w.groups[:0]
+		w.rebuild() // a shard the snapshot's layout leaves empty dispatches to nothing
+	}
 	for gi, part := range parts {
 		best := s.members[part[0]]
 		for _, idx := range part[1:] {
@@ -1339,28 +1204,17 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 				best = s.members[idx]
 			}
 		}
-		w := s.workers[part[0]%len(s.workers)]
 		e := core.NewRAPQ(best.bound, s.spec)
-		e.AttachGraph(s.g)
-		g := &group{engine: e, bound: best.bound, key: best.key, subs: append([]int(nil), part...), w: w}
-		e.SetSink(captureSink{g})
-		for _, idx := range part {
+		g := s.newGroup(e, s.members[part[0]])
+		g.bound = best.bound
+		for _, idx := range part[1:] {
+			g.subs = append(g.subs, idx)
 			s.members[idx].group = g
 		}
 		if err := e.RestoreState(states[gi]); err != nil {
 			return fmt.Errorf("shard: restore group %d: %w", gi, err)
 		}
-		groups[gi] = g
-	}
-	s.groups = groups
-	for _, w := range s.workers {
-		w.groups = w.groups[:0]
-	}
-	for _, g := range groups {
-		g.w.groups = append(g.w.groups, g)
-	}
-	for _, w := range s.workers {
-		w.rebuild()
+		s.activate(g)
 	}
 	return nil
 }
@@ -1372,8 +1226,7 @@ func (s *Engine) Close() error {
 	if s.closed {
 		return s.err
 	}
-	s.drain()         // defensive: ProcessBatch drains on every exit path
-	s.finishPending() // join bootstrap goroutines, release their leases
+	s.drain() // defensive: ProcessBatch drains on every exit path
 	s.closed = true
 	s.app.Close() // release the writer pool (idle once drained)
 	if s.started && !s.inline {

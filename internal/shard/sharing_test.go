@@ -83,8 +83,8 @@ func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards, d
 // merged result stream with sharing ON must be byte-identical —
 // results, order, timestamps, invalidations, query ids — to the
 // all-private engine at every shards × depth × writers configuration.
-// Canonical-automaton dedup and relevance-ordered dispatch must be
-// completely invisible in the output.
+// Canonical-automaton dedup and relevance dispatch must be completely
+// invisible in the output.
 func TestSharedGroupsByteIdentical(t *testing.T) {
 	spec := window.Spec{Size: 25, Slide: 5}
 	tuples := randomTuples(rand.New(rand.NewSource(4242)), 700, 7, 2, 1, 0.20)

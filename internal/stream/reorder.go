@@ -59,11 +59,15 @@ func (o *Reorder) Offer(t Tuple) ([]Tuple, error) {
 }
 
 // Flush releases every buffered tuple regardless of the watermark
-// (end-of-stream).
+// (end-of-stream) and raises the watermark to the largest timestamp
+// released, so a tuple offered afterwards cannot land behind them.
 func (o *Reorder) Flush() []Tuple {
 	var out []Tuple
 	for o.heap.Len() > 0 {
 		out = append(out, heap.Pop(&o.heap).(tupleEntry).t)
+	}
+	if n := len(out); n > 0 && out[n-1].TS > o.watermark {
+		o.watermark = out[n-1].TS
 	}
 	return out
 }

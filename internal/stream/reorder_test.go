@@ -55,6 +55,18 @@ func TestReorderBuffersWithinSlack(t *testing.T) {
 	if len(rest) != 2 || rest[0].TS != 10 || rest[1].TS != 13 {
 		t.Fatalf("flush = %v", rest)
 	}
+	// Flush released ts 13, so the watermark stands there: a tuple still
+	// within slack of the maximum must not be released behind it.
+	if o.Watermark() != 13 {
+		t.Fatalf("watermark after flush = %d, want 13", o.Watermark())
+	}
+	var late *ErrLate
+	if out, err := o.Offer(mkT(11, 4)); !errors.As(err, &late) {
+		t.Fatalf("ts 11 after flushing ts 13: out=%v err=%v, want ErrLate", out, err)
+	}
+	if out, err := o.Offer(mkT(14, 5)); err != nil || len(out) != 0 || o.Pending() != 1 {
+		t.Fatalf("ts 14 after flush: out=%v err=%v pending=%d", out, err, o.Pending())
+	}
 }
 
 func TestReorderLateRejected(t *testing.T) {

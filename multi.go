@@ -270,16 +270,14 @@ func (m *MultiEvaluator) EnableDynamicQueries() error {
 // DynamicQueries reports whether online registration is enabled.
 func (m *MultiEvaluator) DynamicQueries() bool { return m.dynamic }
 
-// AddQuery registers a query online, without pausing ingest, and
-// returns its registration index (stable for the evaluator's lifetime;
-// the id RemoveQuery and QueryByIndex take). Requires
-// EnableDynamicQueries before the first tuple. The registration takes
-// effect at the next batch boundary: the query's Δ index is
-// bootstrapped by replaying the retained window content — pipelined,
-// this runs on a background goroutine under an epoch lease while
-// ingest continues — and from the next batch on the query emits
-// exactly what it would have emitted had it been registered from stream
-// start (matches already live in the window are not re-emitted).
+// AddQuery registers a query online and returns its registration index
+// (stable for the evaluator's lifetime; the id RemoveQuery and
+// QueryByIndex take). Requires EnableDynamicQueries before the first
+// tuple. Call between batches: the query's Δ index is bootstrapped in
+// place, on the caller's goroutine, by replaying the retained window
+// content, and from the next batch on the query emits exactly what it
+// would have emitted had it been registered from stream start (matches
+// already live in the window are not re-emitted).
 // With persistence enabled the registration is made durable by an
 // immediate synchronous checkpoint before AddQuery returns.
 func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {

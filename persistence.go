@@ -280,6 +280,13 @@ func (p *persistState) pendingError() error {
 // on append-only streams the concatenation of pre-crash results,
 // redelivered results and post-recovery results is identical to an
 // uninterrupted run.
+//
+// The checkpoint carries the shard count, the query-sharing mode and
+// the dynamic-queries (retain-all) mode, and the evaluator comes back
+// with them. Pipeline depth and writer count are not recorded: they
+// revert to their defaults, and a recovered evaluator — persistent
+// already — refuses every With* reconfiguration. None of them changes
+// the result stream.
 func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult, error) {
 	var cfg persistConfig
 	for _, o := range opts {

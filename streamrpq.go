@@ -365,8 +365,9 @@ func (ev *Evaluator) Ingest(t Tuple) ([]Match, error) {
 }
 
 // Flush drains the out-of-order buffer (WithSlack) at end-of-stream,
-// returning any matches the buffered tuples produce. Without slack it
-// is a no-op.
+// returning any matches the buffered tuples produce; a tuple ingested
+// afterwards must be newer than everything flushed. Without slack it is
+// a no-op.
 func (ev *Evaluator) Flush() []Match {
 	ev.batch = ev.batch[:0]
 	if ev.reorder == nil {
