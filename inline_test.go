@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"streamrpq/internal/core"
@@ -88,12 +89,41 @@ func TestInlineMatchesReference(t *testing.T) {
 	}
 }
 
+// streamrpqGoroutines returns the stack of every goroutine except the
+// caller's that runs streamrpq code or was started by it, keyed by its
+// goroutine id.
+func streamrpqGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	// The caller's goroutine is dumped first; the others follow, one
+	// blank line apart.
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		for _, l := range strings.Split(g, "\n") {
+			l = strings.TrimPrefix(l, "created by ")
+			if strings.HasPrefix(l, "streamrpq.") || strings.HasPrefix(l, "streamrpq/") {
+				out[strings.Fields(g)[1]] = g // "goroutine <id> [<state>]:"
+				break
+			}
+		}
+	}
+	return out
+}
+
 // TestDefaultEvaluatorStartsNoGoroutine: the default mode runs on the
-// caller — nothing to release, so nothing may be started: the goroutine
-// count is unchanged across construction and 1000 batches with no
-// Close.
+// caller — nothing to release, so nothing may be started: no goroutine
+// running engine code appears across construction and 1000 batches
+// with no Close. Goroutines other tests left behind, or unrelated ones
+// that come and go, do not count.
 func TestDefaultEvaluatorStartsNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := streamrpqGoroutines()
 	m, err := NewMultiEvaluator(20, 2, shardQueries()...)
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +134,10 @@ func TestDefaultEvaluatorStartsNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("goroutines: %d before, %d after 1000 batches on the default evaluator", before, after)
+	for id, stack := range streamrpqGoroutines() {
+		if _, ok := before[id]; !ok {
+			t.Fatalf("1000 batches on the default evaluator left a goroutine running engine code:\n%s", stack)
+		}
 	}
 }
 

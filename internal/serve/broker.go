@@ -1,16 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"streamrpq"
 )
 
-// Record is one published result in the NDJSON stream: a match or a
-// deletion-triggered invalidation of one query, stamped with its
-// sequence position (the resume token). Field order is the wire order.
+// Record is the wire schema of one line of the NDJSON stream: a match
+// or a deletion-triggered invalidation of one query, stamped with its
+// sequence position (the resume token), or the stream's final EOF
+// record. Field order is the wire order. The broker writes each
+// published record's line once (appendResult) and hands the bytes to
+// the ring and every subscriber; the JSON tags are the reference the
+// appender is tested against.
 type Record struct {
 	Token       string `json:"token"`
 	Batch       uint64 `json:"batch,omitempty"`
@@ -26,8 +32,6 @@ type Record struct {
 	// evicted the subscriber. Token then holds the resume position.
 	EOF    bool   `json:"eof,omitempty"`
 	Reason string `json:"reason,omitempty"`
-
-	seq Seq
 }
 
 // Errors the HTTP layer maps to status codes.
@@ -35,32 +39,46 @@ var (
 	// ErrShutdown: the broker is draining; no new work is accepted.
 	ErrShutdown = errors.New("serve: broker is shut down")
 	// ErrGone: the resume position was truncated out of the replay
-	// window (or predates this process); the client must re-sync.
+	// window (or predates this process). The error Subscribe returns
+	// names the oldest resumable position (the 410 body's "floor"
+	// token): the client re-syncs from that token, accepting the gap,
+	// or from the live tail.
 	ErrGone = errors.New("serve: resume position is beyond the replay window")
 	// ErrFuture: the resume position is ahead of the published stream.
 	ErrFuture = errors.New("serve: resume position is in the future")
 )
 
+// goneError is ErrGone carrying the replay floor: the oldest position a
+// subscription can resume from when the error is returned.
+type goneError struct{ floor Seq }
+
+func (e *goneError) Error() string {
+	return ErrGone.Error() + "; oldest resumable position is " + e.floor.Token()
+}
+
+func (e *goneError) Unwrap() error { return ErrGone }
+
 // subscriber is one attached result stream. The broker is the only
 // sender on ch and closes it (under its lock); the HTTP handler is the
-// only receiver. final, when set before close, is the stream's
+// only receiver. ch carries the shared, immutable lines of the
+// published entries. final, when set before close, is the stream's
 // trailing EOF record.
 type subscriber struct {
-	ch       chan Record
+	ch       chan []byte
 	final    *Record
 	ids      map[int]bool    // filter by registration index; nil = no id filter
 	patterns map[string]bool // filter by pattern source; nil = no pattern filter
 	last     Seq             // position of the newest record enqueued
 }
 
-// matches reports whether the subscriber's filter admits the record.
-// With no filter at all every record matches; with filters, a record
+// matches reports whether the subscriber's filter admits the entry.
+// With no filter at all every entry matches; with filters, an entry
 // matches if either its query id or its pattern source is selected.
-func (s *subscriber) matches(r Record) bool {
+func (s *subscriber) matches(e *entry) bool {
 	if s.ids == nil && s.patterns == nil {
 		return true
 	}
-	return s.ids[r.QueryID] || s.patterns[r.Query]
+	return s.ids[e.queryID] || s.patterns[e.query]
 }
 
 // Broker serializes access to a MultiEvaluator (which is not
@@ -83,6 +101,12 @@ type Broker struct {
 	subBuf int
 	closed bool
 
+	// flatten's per-batch scratch, reused under the lock: the entries
+	// handed to publish and the buffer the batch's lines are encoded
+	// into before they are copied to the batch's own slab.
+	pending []entry
+	enc     []byte
+
 	// metrics (read via Metrics)
 	published uint64
 	evictions uint64
@@ -93,11 +117,14 @@ type Broker struct {
 // BrokerConfig sizes the broker's bounded buffers.
 type BrokerConfig struct {
 	// ReplayWindow is the number of recent records retained for
-	// reattachment (default 65536).
+	// reattachment (default 65536). The ring's backing array never
+	// exceeds it: 64 bytes a record, plus the encoded lines of the
+	// batches the retained records belong to.
 	ReplayWindow int
 	// SubscriberBuffer is the per-subscriber live-record buffer
-	// (default 1024). A reattaching subscriber's buffer is grown by its
-	// replay burst, so reattachment within the window never evicts.
+	// (default 1024), counted in records; a slot is a 24-byte reference
+	// to a shared line. A reattaching subscriber's buffer is grown by
+	// its replay burst, so reattachment within the window never evicts.
 	SubscriberBuffer int
 }
 
@@ -164,66 +191,85 @@ func (b *Broker) Ingest(tuples []streamrpq.Tuple) (IngestReply, error) {
 	}
 	b.batches = b.ev.AppliedBatches()
 	b.tuples += uint64(len(tuples))
-	recs := b.flatten(brs, b.batches)
-	b.publish(recs)
+	es := b.flatten(brs, b.batches)
+	b.publish(es)
 	return IngestReply{
 		Batch:   b.batches,
 		Tuples:  len(tuples),
-		Records: len(recs),
+		Records: len(es),
 		Token:   b.rng.tail().Token(),
 	}, nil
 }
 
-// flatten turns one batch's grouped results into the record sequence,
+// flatten turns one batch's grouped results into the entry sequence,
 // assigning in-batch ranks in the canonical merge order (tuple, query
-// registration index, matches before invalidations).
-func (b *Broker) flatten(brs []streamrpq.BatchResult, batch uint64) []Record {
-	var recs []Record
-	var idx uint64
-	add := func(br streamrpq.BatchResult, m streamrpq.Match, inv bool) {
-		seq := Seq{Batch: batch, Index: idx}
-		idx++
-		recs = append(recs, Record{
-			Token:       seq.Token(),
+// registration index, matches before invalidations), and writes every
+// entry's NDJSON line once, into one slab allocated for the batch. The
+// returned slice is the broker's scratch, valid until the next call.
+// Called with the lock held.
+func (b *Broker) flatten(brs []streamrpq.BatchResult, batch uint64) []entry {
+	n := 0
+	for _, br := range brs {
+		n += len(br.Matches) + len(br.Invalidations)
+	}
+	// Scratch entries past this batch's would keep an older slab alive.
+	clear(b.pending[min(n, len(b.pending)):])
+	if n == 0 {
+		return nil
+	}
+	es := slices.Grow(b.pending[:0], n)
+	enc := b.enc[:0]
+	add := func(br *streamrpq.BatchResult, m *streamrpq.Match, inv bool) {
+		e := entry{seq: Seq{Batch: batch, Index: uint64(len(es))}, queryID: b.ids[br.Query], query: br.Query.String()}
+		enc = appendResult(enc, e.seq, &Record{
 			Batch:       batch,
 			Tuple:       br.Tuple,
-			QueryID:     b.ids[br.Query],
-			Query:       br.Query.String(),
+			QueryID:     e.queryID,
+			Query:       e.query,
 			From:        m.From,
 			To:          m.To,
 			TS:          m.TS,
 			Invalidated: inv,
-			seq:         seq,
 		})
+		es = append(es, e)
 	}
-	for _, br := range brs {
-		for _, m := range br.Matches {
-			add(br, m, false)
+	for i := range brs {
+		br := &brs[i]
+		for j := range br.Matches {
+			add(br, &br.Matches[j], false)
 		}
-		for _, m := range br.Invalidations {
-			add(br, m, true)
+		for j := range br.Invalidations {
+			add(br, &br.Invalidations[j], true)
 		}
 	}
-	return recs
+	b.pending, b.enc = es, enc
+	// Each line's only raw newline is its last byte (see ndjson.go).
+	slab := bytes.Clone(enc)
+	for i := range es {
+		k := bytes.IndexByte(slab, '\n') + 1
+		es[i].line, slab = slab[:k:k], slab[k:]
+	}
+	return es
 }
 
-// publish appends to the replay ring and fans out, evicting any
-// subscriber whose buffer is full. Called with the lock held.
-func (b *Broker) publish(recs []Record) {
-	if len(recs) == 0 {
+// publish appends to the replay ring and fans the lines out, evicting
+// any subscriber whose buffer is full. Called with the lock held.
+func (b *Broker) publish(es []entry) {
+	if len(es) == 0 {
 		return
 	}
-	b.rng.append(recs...)
-	b.published += uint64(len(recs))
+	b.rng.append(es...)
+	b.published += uint64(len(es))
 	for s := range b.sub {
 	deliver:
-		for _, rec := range recs {
-			if !s.matches(rec) {
+		for i := range es {
+			e := &es[i]
+			if !s.matches(e) {
 				continue
 			}
 			select {
-			case s.ch <- rec:
-				s.last = rec.seq
+			case s.ch <- e.line:
+				s.last = e.seq
 			default:
 				b.evict(s, "slow consumer")
 				break deliver
@@ -249,7 +295,8 @@ func (b *Broker) evict(s *subscriber, reason string) {
 // the filter) are pre-buffered, giving the byte-identical continuation
 // of a stream detached at that position. Returns ErrGone when the
 // position was truncated out of the replay window and ErrFuture when
-// it is ahead of the published stream.
+// it is ahead of the published stream; the ErrGone error names the
+// oldest resumable position.
 func (b *Broker) Subscribe(ids []int, patterns []string, from *Seq) (*subscriber, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -269,28 +316,24 @@ func (b *Broker) Subscribe(ids []int, patterns []string, from *Seq) (*subscriber
 			s.patterns[p] = true
 		}
 	}
-	var replay []Record
+	var replay []entry
 	tail := b.rng.tail()
 	s.last = tail
 	if from != nil {
 		if tail.Less(*from) {
 			return nil, ErrFuture
 		}
-		recs, ok := b.rng.since(*from)
-		if !ok {
-			return nil, ErrGone
+		var ok bool
+		if replay, ok = b.rng.since(*from); !ok {
+			return nil, &goneError{floor: b.rng.floor}
 		}
-		for _, rec := range recs {
-			if s.matches(rec) {
-				replay = append(replay, rec)
-			}
-		}
+		replay = slices.DeleteFunc(replay, func(e entry) bool { return !s.matches(&e) })
 		s.last = *from
 	}
-	s.ch = make(chan Record, len(replay)+b.subBuf)
-	for _, rec := range replay {
-		s.ch <- rec
-		s.last = rec.seq
+	s.ch = make(chan []byte, len(replay)+b.subBuf)
+	for _, e := range replay {
+		s.ch <- e.line
+		s.last = e.seq
 	}
 	b.sub[s] = struct{}{}
 	return s, nil

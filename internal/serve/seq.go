@@ -13,6 +13,12 @@
 // of the input stream (PR 1/PR 6) and the merge order is canonical, a
 // subscriber that detaches after token t and reattaches with ?from=t
 // receives the byte-identical continuation of its stream.
+//
+// Each published record exists once, as its encoded NDJSON line: the
+// broker writes a batch's lines into one slab when it publishes the
+// batch, and the replay ring (a fixed-capacity circular buffer of
+// ReplayWindow entries) and every subscriber buffer hold references to
+// those immutable bytes. Encode once, write N times.
 package serve
 
 import (
@@ -37,8 +43,14 @@ func (s Seq) Less(o Seq) bool {
 }
 
 // Token renders the position as a resume token.
-func (s Seq) Token() string {
-	return "v1-" + strconv.FormatUint(s.Batch, 10) + "-" + strconv.FormatUint(s.Index, 10)
+func (s Seq) Token() string { return string(s.appendToken(nil)) }
+
+// appendToken appends the resume token's bytes to dst.
+func (s Seq) appendToken(dst []byte) []byte {
+	dst = append(dst, "v1-"...)
+	dst = strconv.AppendUint(dst, s.Batch, 10)
+	dst = append(dst, '-')
+	return strconv.AppendUint(dst, s.Index, 10)
 }
 
 // ParseToken parses a resume token produced by Seq.Token. The alias

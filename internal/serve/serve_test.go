@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -37,15 +38,14 @@ func TestTokenRoundTrip(t *testing.T) {
 
 func TestReplayRing(t *testing.T) {
 	r := newReplayRing(3, Seq{})
-	mk := func(b, i uint64) Record { return Record{seq: Seq{Batch: b, Index: i}} }
-	r.append(mk(1, 0), mk(1, 1))
+	r.append(mkEntry(1, 0), mkEntry(1, 1))
 	if recs, ok := r.since(Seq{}); !ok || len(recs) != 2 {
 		t.Fatalf("since(zero) = %d, %v", len(recs), ok)
 	}
 	if recs, ok := r.since(Seq{Batch: 1, Index: 0}); !ok || len(recs) != 1 {
 		t.Fatalf("since(1-0) = %d, %v", len(recs), ok)
 	}
-	r.append(mk(2, 0), mk(2, 1)) // evicts 1-0
+	r.append(mkEntry(2, 0), mkEntry(2, 1)) // evicts 1-0
 	if _, ok := r.since(Seq{}); ok {
 		t.Fatal("since(zero) after eviction: want gone")
 	}
@@ -321,6 +321,95 @@ func TestResumeTokenBounds(t *testing.T) {
 	}
 	if code := get("not-a-token"); code != http.StatusBadRequest {
 		t.Fatalf("malformed token: got %d, want 400", code)
+	}
+}
+
+// TestSubscribeGoneNamesFloor: once the stream start is out of reach —
+// after ring eviction, or after a restart — from=start answers 410
+// with the oldest resumable position in the body, and resuming from
+// that token replays exactly the retained window.
+func TestSubscribeGoneNamesFloor(t *testing.T) {
+	ingest := func(t *testing.T, base string, from, to int) {
+		for i := from; i < to; i++ {
+			postIngest(t, base, fmt.Sprintf("%d s%d d%d a\n", i+1, i, i)) // one record per batch
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		previous int    // batches applied before the broker started
+		batches  int    // batches ingested through the server
+		floor    string // the oldest resumable position
+		replay   []string
+	}{
+		// Window 4 retains batches 7..10.
+		{"eviction", 0, 10, "v1-6-0", []string{"v1-7-0", "v1-8-0", "v1-9-0", "v1-10-0"}},
+		// Batches 1..3 belong to the previous process.
+		{"restart", 3, 2, "v1-3-18446744073709551615", []string{"v1-4-0", "v1-5-0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev, err := streamrpq.NewMultiEvaluator(1<<30, 1<<29, streamrpq.MustCompile("a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ev.Close()
+			for i := 0; i < tc.previous; i++ {
+				if _, err := ev.IngestBatch([]streamrpq.Tuple{{TS: int64(i + 1), Src: "p", Dst: "q", Label: "a"}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := NewServer(ev, BrokerConfig{ReplayWindow: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv.Handler())
+			defer hs.Close()
+			defer srv.Broker().Shutdown()
+			ingest(t, hs.URL, tc.previous, tc.previous+tc.batches)
+
+			if _, err := srv.Broker().Subscribe(nil, nil, &Seq{}); !errors.Is(err, ErrGone) {
+				t.Fatalf("broker: from=start = %v, want ErrGone", err)
+			}
+			resp, err := http.Post(hs.URL+"/subscribe?from=start", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gone struct {
+				Error string `json:"error"`
+				Floor string `json:"floor"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&gone)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusGone || gone.Error == "" || gone.Floor != tc.floor {
+				t.Fatalf("from=start: %d %+v (%v), want 410 naming floor %s", resp.StatusCode, gone, err, tc.floor)
+			}
+
+			// Resume from the floor; Shutdown then ends the stream, so the
+			// replay is read to its EOF record and nothing can hide behind it.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/subscribe?from="+gone.Floor, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err = http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("from=%s: %d, want 200", gone.Floor, resp.StatusCode)
+			}
+			srv.Broker().Shutdown() // the handler subscribed before it sent the headers
+			var got []string
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				got = append(got, lineToken(t, sc.Text()))
+			}
+			want := append(tc.replay, tc.replay[len(tc.replay)-1]) // the EOF record resumes at the tail
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Fatalf("from=%s replayed tokens %v, want %v", gone.Floor, got, want)
+			}
+		})
 	}
 }
 

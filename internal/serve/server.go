@@ -28,7 +28,10 @@ import (
 // The result stream is NDJSON: one Record per line, each carrying its
 // resume token. A client that remembers the last token it processed
 // reattaches with ?from=<token> (or "from" in the JSON body) and
-// receives the byte-identical continuation.
+// receives the byte-identical continuation. A token older than the
+// replay window answers 410 Gone with the oldest resumable position in
+// the body's "floor". Each line is encoded once, when its batch is
+// published, and the same bytes are written to every subscriber.
 type Server struct {
 	broker *Broker
 	mux    *http.ServeMux
@@ -76,18 +79,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	writeJSONError(w, code, map[string]string{"error": err.Error()})
 }
 
-// brokerError maps broker sentinel errors onto status codes.
+func writeJSONError(w http.ResponseWriter, code int, body map[string]string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(body)
+}
+
+// brokerError maps broker sentinel errors onto status codes. A 410
+// names the oldest resumable position next to the error.
 func brokerError(w http.ResponseWriter, err error) {
+	var gone *goneError
 	switch {
 	case errors.Is(err, ErrShutdown):
 		httpError(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, ErrGone):
-		httpError(w, http.StatusGone, err)
+	case errors.As(err, &gone):
+		writeJSONError(w, http.StatusGone, map[string]string{"error": err.Error(), "floor": gone.floor.Token()})
 	case errors.Is(err, ErrFuture):
 		httpError(w, http.StatusBadRequest, err)
 	case strings.Contains(err.Error(), "out-of-order"):
@@ -182,18 +191,17 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if fl != nil {
 		fl.Flush() // commit headers before the first (possibly distant) record
 	}
-	enc := json.NewEncoder(w)
 	ctx := r.Context()
 	for {
 		select {
-		case rec, ok := <-sub.ch:
+		case line, ok := <-sub.ch:
 			if !ok {
 				if sub.final != nil {
-					enc.Encode(sub.final)
+					w.Write(appendRecord(nil, sub.final))
 				}
 				return
 			}
-			if err := enc.Encode(rec); err != nil {
+			if _, err := w.Write(line); err != nil {
 				s.broker.Unsubscribe(sub)
 				return
 			}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"streamrpq/internal/core"
@@ -139,11 +140,41 @@ func TestInlineMatchesReferenceExactly(t *testing.T) {
 	}
 }
 
+// streamrpqGoroutines returns the stack of every goroutine except the
+// caller's that runs streamrpq code or was started by it, keyed by its
+// goroutine id.
+func streamrpqGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	// The caller's goroutine is dumped first; the others follow, one
+	// blank line apart.
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		for _, l := range strings.Split(g, "\n") {
+			l = strings.TrimPrefix(l, "created by ")
+			if strings.HasPrefix(l, "streamrpq.") || strings.HasPrefix(l, "streamrpq/") {
+				out[strings.Fields(g)[1]] = g // "goroutine <id> [<state>]:"
+				break
+			}
+		}
+	}
+	return out
+}
+
 // TestInlineStartsNothing: the inline schedule runs on the caller — no
-// goroutine across construction, registration and 1000 batches without
-// Close, and no channel behind its worker.
+// goroutine running engine code appears across construction,
+// registration and 1000 batches without Close, and no channel sits
+// behind its worker. Goroutines other tests left behind, or unrelated
+// ones that come and go, do not count.
 func TestInlineStartsNothing(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := streamrpqGoroutines()
 	s, err := New(window.Spec{Size: 20, Slide: 2}, inlineOpts...)
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +190,10 @@ func TestInlineStartsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("goroutines: %d before, %d after 1000 inline batches", before, after)
+	for id, stack := range streamrpqGoroutines() {
+		if _, ok := before[id]; !ok {
+			t.Fatalf("1000 inline batches left a goroutine running engine code:\n%s", stack)
+		}
 	}
 	if w := s.workers[0]; len(s.workers) != 1 || w.in != nil || w.out != nil {
 		t.Fatal("inline worker owns channels")
