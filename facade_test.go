@@ -1,10 +1,6 @@
 package streamrpq
 
-import (
-	"math/rand"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestMultiEvaluator(t *testing.T) {
 	q1 := MustCompile("knows+")
@@ -66,55 +62,6 @@ func TestMultiEvaluatorOutOfOrder(t *testing.T) {
 func TestMultiEvaluatorBadWindow(t *testing.T) {
 	if _, err := NewMultiEvaluator(0, 1, MustCompile("a")); err == nil {
 		t.Fatal("invalid window accepted")
-	}
-}
-
-// TestParallelEvaluatorAgrees: WithParallelism must not change results.
-func TestParallelEvaluatorAgrees(t *testing.T) {
-	q := MustCompile("(a/b)+")
-	seqEv, err := NewEvaluator(q, WithWindow(40, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parEv, err := NewEvaluator(q, WithWindow(40, 4), WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(21))
-	names := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7"}
-	seqGot := map[[2]string]bool{}
-	parGot := map[[2]string]bool{}
-	ts := int64(0)
-	for i := 0; i < 600; i++ {
-		ts += rng.Int63n(3)
-		tu := Tuple{
-			TS:    ts,
-			Src:   names[rng.Intn(len(names))],
-			Dst:   names[rng.Intn(len(names))],
-			Label: []string{"a", "b"}[rng.Intn(2)],
-		}
-		for _, m := range seqEv.MustIngest(tu) {
-			seqGot[[2]string{m.From, m.To}] = true
-		}
-		for _, m := range parEv.MustIngest(tu) {
-			parGot[[2]string{m.From, m.To}] = true
-		}
-	}
-	if len(seqGot) != len(parGot) {
-		t.Fatalf("sequential %d pairs, parallel %d pairs", len(seqGot), len(parGot))
-	}
-	for p := range seqGot {
-		if !parGot[p] {
-			t.Fatalf("pair %v missing from parallel run", p)
-		}
-	}
-}
-
-func TestParallelSimpleRejected(t *testing.T) {
-	_, err := NewEvaluator(MustCompile("a*"), WithSemantics(Simple), WithParallelism(2))
-	if err == nil || !strings.Contains(err.Error(), "Parallelism") {
-		t.Fatalf("err = %v", err)
 	}
 }
 

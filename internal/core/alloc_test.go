@@ -200,30 +200,3 @@ func TestMultiRelevanceDispatchAllocs(t *testing.T) {
 		t.Errorf("relevance dispatch allocates %.2f/tuple (avg %.1f per %d-tuple run), want < 0.5", perTuple, avg, n)
 	}
 }
-
-// TestParallelRAPQFanOutAllocs: the tree-parallel fan-out may allocate
-// per call (the work closure, one closure per worker goroutine), but
-// never per tree or per edge. A hub tuple touching 64 trees must stay within
-// a flat per-call budget; any per-tree allocation would blow past it
-// 64-fold.
-func TestParallelRAPQFanOutAllocs(t *testing.T) {
-	a := bind(t, "a/b", "a", "b")
-	p := NewParallelRAPQ(a, window.Spec{Size: 1 << 40, Slide: 1 << 40}, 4, WithSink(discardSink{}))
-	const roots = 64
-	const hub = stream.VertexID(1000)
-	for i := 0; i < roots; i++ {
-		p.Process(stream.Tuple{TS: 1, Src: stream.VertexID(i), Dst: hub, Label: 0})
-	}
-	fan := stream.Tuple{TS: 2, Src: hub, Dst: 2000, Label: 1}
-	p.Process(fan) // materialize the (2000, final) node in every tree
-	ts := int64(2)
-	avg := testing.AllocsPerRun(50, func() {
-		ts++
-		fan.TS = ts
-		p.Process(fan)
-	})
-	const budget = 24 // fan-out scaffolding only: work + per-worker closures
-	if avg > budget {
-		t.Errorf("fan-out over %d trees allocates %.1f per call, want <= %d (per-tree allocation leak?)", roots, avg, budget)
-	}
-}

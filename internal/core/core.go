@@ -18,6 +18,11 @@
 //   - Batch oracles: the polynomial product-graph algorithm for
 //     arbitrary semantics and a simple-path enumerator, used both for
 //     testing and as the substrate of the rescan baseline (§5.6).
+//
+// An engine maintains its Δ on the goroutine that drives it, through
+// one reused scratch, and applies every emission, counter and index
+// update as it happens. Parallelism is the coordinator's business
+// (internal/shard), across engines, never inside one.
 package core
 
 import (
@@ -159,8 +164,6 @@ type config struct {
 	// engine as a safety valve against the NP-hard worst case; 0 means
 	// unlimited.
 	maxExtends int64
-	// scanAllTrees disables the RAPQ inverted index (ablation only).
-	scanAllTrees bool
 }
 
 // Option configures an engine.
@@ -173,12 +176,6 @@ func WithSink(s Sink) Option { return func(c *config) { c.sink = s } }
 // WithMaxExtends bounds the RSPQ Extend cascade per tuple (0 =
 // unlimited). The RAPQ engine ignores it.
 func WithMaxExtends(n int64) Option { return func(c *config) { c.maxExtends = n } }
-
-// WithoutInvertedIndex disables the vertex→trees inverted index in the
-// RAPQ engine, so every tuple visits every spanning tree (the literal
-// "foreach Tx ∈ Δ" of the pseudocode). Provided for the ablation
-// experiment quantifying the index's benefit; never use it otherwise.
-func WithoutInvertedIndex() Option { return func(c *config) { c.scanAllTrees = true } }
 
 // MultiSink fans the result stream out to several sinks in order.
 type MultiSink []Sink

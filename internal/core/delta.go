@@ -66,9 +66,8 @@ type delta struct {
 	now   int64 // largest timestamp seen
 	stats Stats
 
-	// sc is the working set of Δ maintenance on the caller's goroutine;
-	// rootScratch is the per-tuple candidate-root snapshot, taken before
-	// any tree is touched.
+	// sc is the working set of Δ maintenance; rootScratch is the
+	// per-tuple candidate-root snapshot, taken before any tree is touched.
 	sc          scratch
 	rootScratch []stream.VertexID
 
@@ -79,30 +78,20 @@ type delta struct {
 	live func(tx *tree, v stream.VertexID, validFrom int64) bool
 }
 
-// deltaOps is what the tuple routing of process drives: an engine's own
-// Δ maintenance, or a fan-out over it (ParallelRAPQ). The snapshot graph
-// has already been updated when one of them runs.
+// deltaOps is the engine's Δ maintenance that the tuple routing of
+// Process drives. The snapshot graph has already been updated when one
+// of them runs.
 type deltaOps struct {
 	insert func(t stream.Tuple)
 	del    func(t stream.Tuple)
 	expire func(deadline int64)
 }
 
-// scratch is the working set one goroutine mutates while it maintains
-// Δ: the explicit DFS stack of the insert cascade, the adjacency copies
-// of the buffer-based traversal API (graph.AppendOutAt/AppendInAt), the
-// expiry candidate list and the subtree-marking stack. The maintenance
-// algorithms take it explicitly, so they exist once whether one
-// goroutine runs them (delta.sc) or a fan-out hands each worker its own
-// (ParallelRAPQ).
-//
-// Everything else the algorithms write outside the tree they were
-// handed — the sink, the statistics, the inverted index — is shared
-// engine state. The sequential engines apply those effects at once; a
-// fan-out sets deferred, and they accumulate here until the driver
-// merges them on its own goroutine after the barrier. Nothing reads the
-// inverted index during a fan-out (the candidate roots are snapshotted
-// before it), so deferring its writes is unobservable.
+// scratch is the engine's reused working set of Δ maintenance: the
+// explicit DFS stack of the insert cascade, the adjacency copies of the
+// buffer-based traversal API (graph.AppendOutAt/AppendInAt), the expiry
+// candidate list, the subtree-marking stack and the record of the open
+// pass.
 type scratch struct {
 	stack []insertOp
 	out   []graph.HalfEdge
@@ -122,11 +111,6 @@ type scratch struct {
 	// pass costs what the pass touched.
 	pre   vertexTable
 	noted []stream.VertexID
-
-	deferred    bool
-	matches     []Match
-	insertCalls int64
-	invOps      []invOp
 }
 
 // wasLive reports whether the pass open on the scratch, if any, recorded
@@ -192,9 +176,7 @@ func (d *delta) Now() int64 { return d.now }
 // Process implements Engine: the engine's insert algorithm for positive
 // tuples, Algorithm Delete for negative ones, and its expiry algorithm
 // at slide boundaries.
-func (d *delta) Process(t stream.Tuple) { d.process(t, &d.ops) }
-
-func (d *delta) process(t stream.Tuple, ops *deltaOps) {
+func (d *delta) Process(t stream.Tuple) {
 	d.stats.TuplesSeen++
 	if t.TS > d.now {
 		d.now = t.TS
@@ -203,7 +185,7 @@ func (d *delta) process(t stream.Tuple, ops *deltaOps) {
 	// expiration).
 	if deadline, due := d.win.Observe(t.TS); due {
 		d.g.Expire(deadline, nil)
-		ops.expire(deadline)
+		d.ops.expire(deadline)
 	}
 	// Drop tuples whose label is outside ΣQ: they can never be part of
 	// a resulting path (§5.2).
@@ -213,12 +195,12 @@ func (d *delta) process(t stream.Tuple, ops *deltaOps) {
 	}
 	if t.Op == stream.Delete {
 		if d.g.Delete(t.Key()) {
-			ops.del(t)
+			d.ops.del(t)
 		}
 		return
 	}
 	d.g.Insert(t.Src, t.Dst, t.Label, t.TS)
-	ops.insert(t)
+	d.ops.insert(t)
 }
 
 // ensureTree materializes Tx with its root node (x, s0) in rootSlot (Δ
@@ -260,37 +242,21 @@ func (d *delta) allRoots() []stream.VertexID {
 	return roots
 }
 
-// noteInv records that the tree rooted at root gained (or, with drop,
-// lost) its last instance of v.
-func (d *delta) noteInv(sc *scratch, v, root stream.VertexID, drop bool) {
-	op := invOp{v: v, root: root, drop: drop}
-	if sc.deferred {
-		sc.invOps = append(sc.invOps, op)
-		return
-	}
-	d.inv.apply(op)
-}
-
 // emit reports a result pair.
-func (d *delta) emit(sc *scratch, x, v stream.VertexID) {
-	m := Match{From: x, To: v, TS: d.now}
-	if sc.deferred {
-		sc.matches = append(sc.matches, m)
-		return
-	}
+func (d *delta) emit(x, v stream.VertexID) {
 	d.stats.Results++
-	d.sink.OnMatch(m)
+	d.sink.OnMatch(Match{From: x, To: v, TS: d.now})
 }
 
 // unlink takes the node in slot out of its parent's child list and out
 // of the per-vertex witness support counts and the inverted index. The
 // engine then drops it from its key index and releases the slot.
-func (d *delta) unlink(sc *scratch, tx *tree, slot int32) {
+func (d *delta) unlink(tx *tree, slot int32) {
 	key := tx.ns.keys[slot]
 	v := key.vertex()
 	tx.ns.detach(slot)
 	if tx.verts.dec(v, d.a.Final[key.state()] && slot != rootSlot) {
-		d.noteInv(sc, v, tx.root, true)
+		d.inv.drop(v, tx.root)
 	}
 }
 
@@ -298,7 +264,7 @@ func (d *delta) unlink(sc *scratch, tx *tree, slot int32) {
 // valid start edge remains, so Δ need not represent it.
 func (d *delta) dropIfRootOnly(tx *tree) {
 	if tx.ns.size() == 1 {
-		d.unlink(&d.sc, tx, rootSlot)
+		d.unlink(tx, rootSlot)
 		delete(d.trees, tx.root)
 	}
 }
@@ -306,13 +272,13 @@ func (d *delta) dropIfRootOnly(tx *tree) {
 // notePreLive records, the first time a pass is about to take a final
 // witness of some vertex away, whether that vertex's pair was live at
 // validFrom. Call it while the witness timestamps are still intact.
-func (d *delta) notePreLive(sc *scratch, tx *tree, slot int32, validFrom int64) {
+func (d *delta) notePreLive(tx *tree, slot int32, validFrom int64) {
 	key := tx.ns.keys[slot]
-	if !d.a.Final[key.state()] || sc.pre.find(key.vertex()) != nil {
+	if !d.a.Final[key.state()] || d.sc.pre.find(key.vertex()) != nil {
 		return
 	}
-	sc.pre.inc(key.vertex(), d.live(tx, key.vertex(), validFrom))
-	sc.noted = append(sc.noted, key.vertex())
+	d.sc.pre.inc(key.vertex(), d.live(tx, key.vertex(), validFrom))
+	d.sc.noted = append(d.sc.noted, key.vertex())
 }
 
 // markSubtree sets the timestamps of the subtree rooted at slot to -∞,
@@ -320,19 +286,19 @@ func (d *delta) notePreLive(sc *scratch, tx *tree, slot int32, validFrom int64) 
 // pre-deletion liveness of each final witness is recorded first, so the
 // invalidation pass decides against the window state before the
 // deletion rather than the clobbered one.
-func (d *delta) markSubtree(sc *scratch, tx *tree, slot int32, validFrom int64) {
+func (d *delta) markSubtree(tx *tree, slot int32, validFrom int64) {
 	ns := &tx.ns
-	stack := append(sc.slots[:0], slot)
+	stack := append(d.sc.slots[:0], slot)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		d.notePreLive(sc, tx, s, validFrom)
+		d.notePreLive(tx, s, validFrom)
 		ns.ts[s] = expiredTS
 		for c := ns.firstChild[s]; c >= 0; c = ns.nextSib[c] {
 			stack = append(stack, c)
 		}
 	}
-	sc.slots = stack[:0]
+	d.sc.slots = stack[:0]
 }
 
 // endPass closes an expiry/delete pass over tx. With invalidate set
@@ -344,7 +310,8 @@ func (d *delta) markSubtree(sc *scratch, tx *tree, slot int32, validFrom int64) 
 // a witness unreachable (the tree path would use the deleted edge too)
 // — so the invalidation stream is a pure function of the input. Window
 // expiry retracts nothing: results carry implicit window semantics.
-func (d *delta) endPass(sc *scratch, tx *tree, deadline int64, invalidate bool) {
+func (d *delta) endPass(tx *tree, deadline int64, invalidate bool) {
+	sc := &d.sc
 	was := sc.noted[:0]
 	for _, v := range sc.noted {
 		live := sc.wasLive(v)

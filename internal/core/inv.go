@@ -14,27 +14,8 @@ import (
 // source sits in T trees goes on to probe T trees, so the 4·T-byte move
 // of an update is never what it waits for — and ascending root order is
 // the canonical candidate order of both engines.
-//
-// The index belongs to one engine and is only ever touched by the
-// goroutine driving that engine: a tree fan-out (ParallelRAPQ) reads
-// its candidate roots before the workers start and buffers their
-// updates until they have stopped.
 type invIndex struct {
 	rows [][]stream.VertexID // indexed by vertex id, grown on demand
-}
-
-// invOp is one index update, as a value a fan-out can buffer.
-type invOp struct {
-	v, root stream.VertexID
-	drop    bool
-}
-
-func (ix *invIndex) apply(op invOp) {
-	if op.drop {
-		ix.drop(op.v, op.root)
-	} else {
-		ix.add(op.v, op.root)
-	}
 }
 
 // row returns the vertex's row, nil if the index never covered it.

@@ -115,34 +115,6 @@ func TestMultiIrrelevantDropped(t *testing.T) {
 	}
 }
 
-// TestScanAllTreesAblation: disabling the inverted index must not
-// change results, only cost.
-func TestScanAllTreesAblation(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	a := bind(t, "(a/b)+", "a", "b")
-	spec := window.Spec{Size: 20, Slide: 2}
-	s1, s2 := NewCollector(), NewCollector()
-	fast := NewRAPQ(a, spec, WithSink(s1))
-	slow := NewRAPQ(a, spec, WithSink(s2), WithoutInvertedIndex())
-	tuples := randomTuples(rng, 500, 10, 2, 2, 0.05)
-	for _, tu := range tuples {
-		fast.Process(tu)
-		slow.Process(tu)
-	}
-	fp, sp := s1.Pairs(), s2.Pairs()
-	if len(fp) != len(sp) {
-		t.Fatalf("indexed %d pairs, scan-all %d pairs", len(fp), len(sp))
-	}
-	for p := range fp {
-		if _, ok := sp[p]; !ok {
-			t.Fatalf("pair %v missing from scan-all run", p)
-		}
-	}
-	if err := slow.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBuildRelevanceIndex: each label lists the groups with a
 // transition on it in ascending position order — whatever their
 // alphabets' sizes — and a label outside the indexed space lists none.

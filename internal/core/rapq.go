@@ -30,12 +30,6 @@ type RAPQ struct {
 	delta
 
 	deadline int64 // last expiry deadline (W^e - |W|)
-
-	// scanAllTrees disables the inverted index (vertex → trees) and
-	// makes every tuple visit every spanning tree, as a naive
-	// implementation of the paper's pseudocode would ("foreach Tx ∈ Δ").
-	// Exists for the ablation experiment; keep it off otherwise.
-	scanAllTrees bool
 }
 
 // insertOp is one pending step of the insert cascade. parent is a
@@ -53,7 +47,7 @@ type insertOp struct {
 // specification.
 func NewRAPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RAPQ {
 	e := &RAPQ{}
-	e.scanAllTrees = e.init(a, spec, opts).scanAllTrees
+	e.init(a, spec, opts)
 	e.live = e.isLive
 	e.ops = deltaOps{insert: e.ApplyInsert, del: e.ApplyDelete, expire: e.ApplyExpiry}
 	return e
@@ -131,19 +125,10 @@ func (e *RAPQ) LabelSpace() int { return len(e.a.ByLabel) }
 // callers use Process; the multi-query coordinator calls ApplyInsert
 // directly after updating the shared graph once.
 func (e *RAPQ) ApplyInsert(t stream.Tuple) {
-	roots, validFrom := e.candidateRoots(t)
-	for _, root := range roots {
-		e.insertEdge(&e.sc, root, t, validFrom)
-	}
-}
-
-// candidateRoots advances the stream clock to t and returns the roots
-// of the trees the inserted edge can extend, with the window's lower
-// bound at that clock.
-func (e *RAPQ) candidateRoots(t stream.Tuple) ([]stream.VertexID, int64) {
 	if t.TS > e.now {
 		e.now = t.TS
 	}
+	validFrom := e.win.Spec().ValidFrom(e.now)
 	// Lazily materialize the tree rooted at the source vertex if the
 	// label moves the automaton out of the start state.
 	if e.a.Step(e.a.Start, int(t.Label)) != automaton.NoState {
@@ -151,27 +136,18 @@ func (e *RAPQ) candidateRoots(t stream.Tuple) ([]stream.VertexID, int64) {
 	}
 	// Snapshot the candidate trees: insertion cascades may add this
 	// vertex to further trees, but those cascades already see the new
-	// edge in the graph, so they need no re-processing here. With the
-	// inverted index disabled (ablation), every tree is a candidate.
-	if e.scanAllTrees {
-		return e.allRoots(), e.win.Spec().ValidFrom(e.now)
-	}
-	return e.rootsOf(t.Src), e.win.Spec().ValidFrom(e.now)
-}
-
-// insertEdge offers the edge to one candidate tree: every transition on
-// its label whose source node is in the window (line 6) runs Insert.
-func (e *RAPQ) insertEdge(sc *scratch, root stream.VertexID, t stream.Tuple, validFrom int64) {
-	tx := e.trees[root]
-	if tx == nil {
-		return
-	}
-	for _, tr := range e.a.ByLabel[t.Label] {
-		pslot := tx.ns.lookup(mkNodeKey(t.Src, tr.From))
-		if pslot < 0 || tx.ns.ts[pslot] <= validFrom {
-			continue
+	// edge in the graph, so they need no re-processing here. Each
+	// candidate runs Insert for every transition on the label whose
+	// source node is in the window (line 6).
+	for _, root := range e.rootsOf(t.Src) {
+		tx := e.trees[root]
+		for _, tr := range e.a.ByLabel[t.Label] {
+			pslot := tx.ns.lookup(mkNodeKey(t.Src, tr.From))
+			if pslot < 0 || tx.ns.ts[pslot] <= validFrom {
+				continue
+			}
+			e.insert(tx, pslot, t.Dst, tr.To, t.TS, validFrom)
 		}
-		e.insert(sc, tx, pslot, t.Dst, tr.To, t.TS, validFrom)
 	}
 }
 
@@ -227,8 +203,8 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 // tree shape — are a pure function of the stream prefix. The sharded
 // multi-query coordinator relies on that canonicity for deterministic
 // result streams.
-func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t int32, edgeTS int64, validFrom int64) {
-	ns := &tx.ns
+func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS int64, validFrom int64) {
+	ns, sc := &tx.ns, &e.sc
 	calls := int64(0)
 	stack := sc.stack[:0]
 	stack = append(stack, insertOp{parent: parent, v: v, t: t, edgeTS: edgeTS})
@@ -252,7 +228,7 @@ func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t 
 			// exactly when no other in-window witness already covers it.
 			if e.a.Final[op.t] && ns.ts[slot] <= validFrom && newTS > validFrom &&
 				!sc.wasLive(op.v) && !e.isLive(tx, op.v, validFrom) {
-				e.emit(sc, tx.root, op.v)
+				e.emit(tx.root, op.v)
 			}
 			// Timestamp refresh: re-parent to the fresher path.
 			ns.detach(slot)
@@ -267,10 +243,10 @@ func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t 
 			slot = ns.alloc(key, newTS, op.parent)
 			ns.attach(op.parent, slot)
 			if tx.verts.inc(op.v, e.a.Final[op.t]) {
-				e.noteInv(sc, op.v, tx.root, false)
+				e.inv.add(op.v, tx.root)
 			}
 			if e.a.Final[op.t] && newTS > validFrom && !wasLive {
-				e.emit(sc, tx.root, op.v) // line 6 of Insert: (root, v) went live
+				e.emit(tx.root, op.v) // line 6 of Insert: (root, v) went live
 			}
 		}
 
@@ -303,16 +279,12 @@ func (e *RAPQ) insert(sc *scratch, tx *tree, parent int32, v stream.VertexID, t 
 		}
 	}
 	sc.stack = stack[:0]
-	if sc.deferred {
-		sc.insertCalls += calls
-	} else {
-		e.stats.InsertCalls += calls
-	}
+	e.stats.InsertCalls += calls
 }
 
 // remove deletes the node in slot from the tree entirely.
-func (e *RAPQ) remove(sc *scratch, tx *tree, slot int32) {
-	e.unlink(sc, tx, slot)
+func (e *RAPQ) remove(tx *tree, slot int32) {
+	e.unlink(tx, slot)
 	tx.ns.release(slot)
 }
 
@@ -326,17 +298,16 @@ func (e *RAPQ) ApplyExpiry(deadline int64) {
 	e.deadline = deadline
 	for _, root := range e.allRoots() {
 		tx := e.trees[root]
-		e.expireTree(&e.sc, tx, deadline, false)
+		e.expireTree(tx, deadline, false)
 		e.dropIfRootOnly(tx)
 	}
 	e.stats.ExpiryTime += time.Since(start)
 }
 
 // expireTree is Algorithm ExpiryRAPQ for one spanning tree. Only the
-// sequential Delete path sets invalidate; its retractions go straight
-// to the sink.
-func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool) {
-	ns := &tx.ns
+// Delete path sets invalidate.
+func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
+	ns, sc := &tx.ns, &e.sc
 	// Line 2: candidates with out-of-window timestamps. A child's
 	// timestamp never exceeds its parent's, so candidates form whole
 	// subtrees.
@@ -351,7 +322,7 @@ func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool
 		// Delete-marked subtrees were recorded by markSubtree while
 		// their timestamps were still intact; everything else is
 		// genuinely stale and recorded here.
-		e.notePreLive(sc, tx, slot, deadline)
+		e.notePreLive(tx, slot, deadline)
 	}
 	if len(candidates) == 0 {
 		sc.cands = candidates
@@ -366,7 +337,7 @@ func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool
 	// Line 3: prune all candidates from the tree. Every release happens
 	// before any reconnection insert allocates, so slots never dangle.
 	for _, key := range candidates {
-		e.remove(sc, tx, ns.lookup(key))
+		e.remove(tx, ns.lookup(key))
 	}
 	// Lines 4–9: try to reconnect each candidate through a valid edge
 	// from a valid node. Insert re-adds reachable descendants with
@@ -409,12 +380,12 @@ func (e *RAPQ) expireTree(sc *scratch, tx *tree, deadline int64, invalidate bool
 			}
 		}
 		if bestParent >= 0 {
-			e.insert(sc, tx, bestParent, v, t, bestEdgeTS, deadline)
+			e.insert(tx, bestParent, v, t, bestEdgeTS, deadline)
 		}
 	}
 	sc.cands = candidates[:0]
 	// Lines 11–15, canonicalized.
-	e.endPass(sc, tx, deadline, invalidate)
+	e.endPass(tx, deadline, invalidate)
 }
 
 // ApplyDelete is Algorithm Delete (§3.2): explicit deletion via the
@@ -441,7 +412,7 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 		for _, tr := range e.a.ByLabel[t.Label] {
 			c := ns.lookup(mkNodeKey(t.Dst, tr.To))
 			if c > rootSlot && ns.keys[ns.parent[c]] == mkNodeKey(t.Src, tr.From) {
-				e.markSubtree(&e.sc, tx, c, validFrom)
+				e.markSubtree(tx, c, validFrom)
 				touched = true
 			}
 		}
@@ -449,7 +420,7 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 			continue // deleting a non-tree edge leaves Tx unchanged
 		}
 		// Line 9: uniform handling through ExpiryRAPQ.
-		e.expireTree(&e.sc, tx, validFrom, true)
+		e.expireTree(tx, validFrom, true)
 		e.dropIfRootOnly(tx)
 	}
 }

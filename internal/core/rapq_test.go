@@ -428,9 +428,8 @@ func TestRAPQDuplicateEdgeRefresh(t *testing.T) {
 func TestEnginesRejectOversizedAutomaton(t *testing.T) {
 	spec := window.Spec{Size: 10, Slide: 1}
 	for name, construct := range map[string]func(a *automaton.Bound){
-		"RAPQ":         func(a *automaton.Bound) { NewRAPQ(a, spec) },
-		"RSPQ":         func(a *automaton.Bound) { NewRSPQ(a, spec) },
-		"ParallelRAPQ": func(a *automaton.Bound) { NewParallelRAPQ(a, spec, 2) },
+		"RAPQ": func(a *automaton.Bound) { NewRAPQ(a, spec) },
+		"RSPQ": func(a *automaton.Bound) { NewRSPQ(a, spec) },
 	} {
 		construct(&automaton.Bound{K: MaxStates, Final: make([]bool, MaxStates)})
 		func() {

@@ -177,7 +177,7 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	// stay silent, so the result stream is canonical.
 	newTS := min(edgeTS, ns.ts[parent])
 	if e.a.Final[t] && newTS > validFrom && !e.sc.wasLive(v) && !e.isLive(tx, v, validFrom) {
-		e.emit(&e.sc, tx.root, v)
+		e.emit(tx.root, v)
 	}
 	key := mkNodeKey(v, t)
 	ent := tx.inst[key]
@@ -189,7 +189,7 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	ent.slots = append(ent.slots, node)
 	tx.inst[key] = ent
 	if tx.verts.inc(v, e.a.Final[t]) {
-		e.noteInv(&e.sc, v, tx.root, false)
+		e.inv.add(v, tx.root)
 	}
 
 	// Lines 14–18: expand out-edges inside the window in canonical
@@ -360,7 +360,7 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
 		if ns.live(slot) && ns.ts[slot] <= deadline {
 			cands = append(cands, ns.keys[slot])
-			e.notePreLive(&e.sc, tx, slot, deadline)
+			e.notePreLive(tx, slot, deadline)
 		}
 	}
 	e.sc.cands = cands[:0]
@@ -416,14 +416,14 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	}
 	e.removed = removed[:0]
 	// Lines 15–18, canonicalized.
-	e.endPass(&e.sc, tx, deadline, invalidate)
+	e.endPass(tx, deadline, invalidate)
 }
 
 // remove deletes one instance (not its descendants: the expiry pass
 // removes them separately). The instance list keeps its order, which
 // steers traversal order.
 func (e *RSPQ) remove(tx *tree, slot int32) {
-	e.unlink(&e.sc, tx, slot)
+	e.unlink(tx, slot)
 	key := tx.ns.keys[slot]
 	if ent := tx.inst[key]; len(ent.slots) == 1 {
 		delete(tx.inst, key)
@@ -450,7 +450,7 @@ func (e *RSPQ) applyDelete(t stream.Tuple) {
 				// A tree edge w.r.t. Tx: c hangs under an instance of the
 				// source key (the root hangs under itself).
 				if c != rootSlot && tx.ns.keys[tx.ns.parent[c]] == src {
-					e.markSubtree(&e.sc, tx, c, validFrom)
+					e.markSubtree(tx, c, validFrom)
 					touched = true
 				}
 			}

@@ -19,21 +19,13 @@ type AblationRow struct {
 	Mean       time.Duration
 }
 
-// AblationData quantifies the implementation's design choices, which
-// the paper describes but does not ablate:
-//
-//   - inverted index (vertex → trees): without it every tuple visits
-//     every spanning tree, the literal reading of the pseudocode's
-//     "foreach Tx ∈ Δ";
-//   - intra-query tree parallelism (§5.1.1's thread pool);
-//   - multi-query sharing of the window content (§7 future work),
-//     measured as the aggregate cost of running the whole workload in
-//     one shared evaluator vs separate engines.
+// AblationData measures the sequential engine on two Yago queries and
+// quantifies multi-query sharing of the window content (§7 future
+// work), which the paper describes but does not ablate: the aggregate
+// cost of running the whole workload in one shared evaluator vs
+// separate engines. Yago is sparse, so Δ holds many trees while each
+// vertex occurs in few of them — the regime the inverted index targets.
 func AblationData(cfg Config) ([]AblationRow, []string, error) {
-	// Yago is the interesting dataset for the index ablation: it is
-	// sparse, so Δ holds many trees while each vertex occurs in few of
-	// them — exactly the regime the inverted index targets. (On SO,
-	// hub vertices appear in almost every tree and the index is moot.)
 	d := datasets.Yago(datasets.DefaultYago(cfg.Scale / 2))
 	spec := defaultWindow(d)
 	qs := workload.MustQueries(d)
@@ -49,15 +41,6 @@ func AblationData(cfg Config) ([]AblationRow, []string, error) {
 		seq := bench.Run(core.NewRAPQ(q.Bound, spec), d.Tuples, rel, q.Name, d.Name)
 		rows = append(rows, AblationRow{Variant: "indexed (default)", Query: q.Name,
 			Throughput: seq.Throughput, P99: seq.P99, Mean: seq.Mean})
-
-		scan := bench.Run(core.NewRAPQ(q.Bound, spec, core.WithoutInvertedIndex()),
-			d.Tuples, rel, q.Name, d.Name)
-		rows = append(rows, AblationRow{Variant: "no inverted index", Query: q.Name,
-			Throughput: scan.Throughput, P99: scan.P99, Mean: scan.Mean})
-
-		par := bench.Run(core.NewParallelRAPQ(q.Bound, spec, 0), d.Tuples, rel, q.Name, d.Name)
-		rows = append(rows, AblationRow{Variant: "tree-parallel", Query: q.Name,
-			Throughput: par.Throughput, P99: par.P99, Mean: par.Mean})
 	}
 
 	// Multi-query sharing: run the full workload in one shared

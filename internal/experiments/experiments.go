@@ -55,7 +55,7 @@ func All() []Runner {
 		{"fig10", "Tail latency vs explicit-deletion ratio (Figure 10)", Fig10},
 		{"table4", "Simple-path semantics: feasibility & overhead (Table 4)", Table4},
 		{"fig11", "Speedup over the per-tuple rescan baseline (Figure 11)", Fig11},
-		{"ablation", "Design-choice ablations: inverted index, tree parallelism, multi-query sharing", Ablation},
+		{"ablation", "Design-choice ablation: sequential engine rows, multi-query sharing", Ablation},
 	}
 }
 

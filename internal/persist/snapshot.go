@@ -54,7 +54,7 @@ type Snapshot struct {
 	Spec           window.Spec
 	Sharded        bool
 	Shards         int
-	Sharing        bool     // multi-query sharing enabled
+	Sharing        bool     // format v4's sharing flag; the facade writes true and ignores it on recovery
 	Queries        []string // source expressions, registration order
 	Vertices       []string // vertex dictionary, id order
 	Labels         []string // label dictionary, id order

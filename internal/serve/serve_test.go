@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -321,6 +323,94 @@ func TestResumeTokenBounds(t *testing.T) {
 	}
 	if code := get("not-a-token"); code != http.StatusBadRequest {
 		t.Fatalf("malformed token: got %d, want 400", code)
+	}
+}
+
+// TestRequestBodyBounded: a POST body over maxBodyBytes — on /ingest,
+// /queries or /subscribe — answers 413 with a JSON error naming the
+// limit, and applies nothing: no batch, no WAL record, no registration,
+// no subscriber. A body at the limit is still accepted.
+func TestRequestBodyBounded(t *testing.T) {
+	dir := t.TempDir()
+	ev, err := streamrpq.NewMultiEvaluator(1000, 100, streamrpq.MustCompile("a/b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.EnableDynamicQueries(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ev, BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Broker().Shutdown()
+		hs.Close()
+		ev.Close()
+	})
+	postIngest(t, hs.URL, "1 x y a\n1 y z b\n")
+
+	files := func() map[string]int64 {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := map[string]int64{}
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[e.Name()] = info.Size()
+		}
+		return sizes
+	}
+	batches, queries, onDisk := ev.AppliedBatches(), ev.NumQueries(), files()
+
+	// Each oversized body is well-formed up to the bound: only its size
+	// is wrong.
+	line := "2 x y a\n"
+	ingest := strings.Repeat(line, maxBodyBytes/len(line)+1)
+	query := `{"pattern":"c"}` + strings.Repeat(" ", maxBodyBytes)
+	subscribe := `{"from":"start"}` + strings.Repeat(" ", maxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/ingest", ingest}, {"/queries", query}, {"/subscribe", subscribe},
+	} {
+		resp, err := http.Post(hs.URL+c.path, "", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct{ Error, Limit string }
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil {
+			t.Fatalf("POST %s with %d bytes: %d (%v), want 413", c.path, len(c.body), resp.StatusCode, err)
+		}
+		if want := fmt.Sprint(maxBodyBytes); reply.Limit != want || !strings.Contains(reply.Error, want) {
+			t.Fatalf("POST %s: 413 body %+v does not name the %s-byte limit", c.path, reply, want)
+		}
+	}
+	if got := ev.AppliedBatches(); got != batches {
+		t.Fatalf("AppliedBatches %d after oversized ingest, want %d", got, batches)
+	}
+	if got := ev.NumQueries(); got != queries {
+		t.Fatalf("%d queries after oversized registration, want %d", got, queries)
+	}
+	if got := srv.Broker().Snapshot().Subscribers; got != 0 {
+		t.Fatalf("%d subscribers after oversized subscribe, want 0", got)
+	}
+	if got := files(); !reflect.DeepEqual(got, onDisk) {
+		t.Fatalf("persistence directory changed:\nbefore %v\nafter  %v", onDisk, got)
+	}
+
+	// A body of exactly the bound is applied.
+	atLimit := "3 x y a" + strings.Repeat(" ", maxBodyBytes-len("3 x y a"))
+	if rep := postIngest(t, hs.URL, atLimit); rep.Batch != batches+1 {
+		t.Fatalf("body at the limit applied as batch %d, want %d", rep.Batch, batches+1)
 	}
 }
 

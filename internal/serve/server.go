@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +32,9 @@ import (
 // replay window answers 410 Gone with the oldest resumable position in
 // the body's "floor". Each line is encoded once, when its batch is
 // published, and the same bytes are written to every subscriber.
+//
+// Every request body is bounded by maxBodyBytes: a larger one answers
+// 413 and applies nothing.
 type Server struct {
 	broker *Broker
 	mux    *http.ServeMux
@@ -78,6 +81,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// maxBodyBytes bounds the body of POST /ingest, /subscribe and /queries,
+// so one request cannot make the server buffer an unbounded batch.
+const maxBodyBytes = 8 << 20
+
+// readBody reads the whole request body, at most maxBodyBytes of it. On
+// failure it has answered the request: 413 naming the limit for an
+// oversized body, 400 for any other read error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSONError(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("serve: request body exceeds the limit of %d bytes", tooBig.Limit),
+			"limit": strconv.FormatInt(tooBig.Limit, 10),
+		})
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: reading body: %w", err))
+	default:
+		return body, true
+	}
+	return nil, false
+}
+
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSONError(w, code, map[string]string{"error": err.Error()})
 }
@@ -107,26 +134,24 @@ func brokerError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var tuples []streamrpq.Tuple
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	line := 0
-	for sc.Scan() {
+	for text := range bytes.Lines(body) {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text = bytes.TrimSpace(text)
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		t, err := streamrpq.ParseTuple(text)
+		t, err := streamrpq.ParseTuple(string(text))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("line %d: %w", line, err))
 			return
 		}
 		tuples = append(tuples, t)
-	}
-	if err := sc.Err(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
 	}
 	rep, err := s.broker.Ingest(tuples)
 	if err != nil {
@@ -148,8 +173,12 @@ type subscribeRequest struct {
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req subscribeRequest
-	if body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20)); err == nil && len(body) > 0 {
+	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad subscribe body: %w", err))
 			return
@@ -224,10 +253,14 @@ func (s *Server) handleListQueries(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleAddQuery(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req struct {
 		Pattern string `json:"pattern"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: bad query body: %w", err))
 		return
 	}

@@ -191,9 +191,11 @@ func TestPipelinedDeletionHazards(t *testing.T) {
 // engine at the same batch boundary — the on-disk state folds the
 // version intervals away and carries no epoch residue — and restoring
 // it into an engine of any depth continues the stream byte-identically,
-// whatever groups registration had formed there: the restoring engine
-// registers all-private, so the snapshot's shared layout leaves one of
-// its populated shards empty.
+// whatever groups registration had formed there. The restore keeps the
+// snapshot's query→group layout whichever sharing mode either engine
+// runs: a shared layout restored all-private leaves one of its
+// populated shards empty, and a private layout restored into a sharing
+// engine keeps the equivalent pair in two groups.
 func TestPipelinedSnapshotEpochFree(t *testing.T) {
 	exprs := []string{"(a/b)+", "b/a*", "(a/b)+"}
 	spec := window.Spec{Size: 18, Slide: 3}
@@ -224,37 +226,51 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 		return all
 	}
 
-	deep, flat := mkEngine(4, true), mkEngine(1, true)
-	run(deep, tuples[:half])
-	run(flat, tuples[:half])
-	deepState, flatState := deep.SnapshotState(), flat.SnapshotState()
-	// The canonical parts of the checkpoint — the folded graph, the
-	// clocks, the tuple counters — are a pure function of the stream
-	// prefix and must not depend on the pipeline depth. (Tree shapes
-	// and cost counters are map-iteration dependent even sequentially
-	// and are deliberately not compared; results below are.)
-	if !reflect.DeepEqual(deepState.Edges, flatState.Edges) {
-		t.Fatal("folded graph differs between pipeline depths at the same batch boundary")
-	}
-	if deepState.Now != flatState.Now || deepState.Seen != flatState.Seen ||
-		deepState.Dropped != flatState.Dropped || deepState.Win != flatState.Win {
-		t.Fatal("coordinator clocks differ between pipeline depths at the same batch boundary")
-	}
-	wantTail := run(flat, tuples[half:])
-	flat.Close()
-	deep.Close()
+	for _, c := range []struct {
+		name                    string
+		writeShared, readShared bool
+	}{
+		{"shared-into-private", true, false},
+		{"private-into-shared", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			deep, flat := mkEngine(4, c.writeShared), mkEngine(1, c.writeShared)
+			run(deep, tuples[:half])
+			run(flat, tuples[:half])
+			deepState, flatState := deep.SnapshotState(), flat.SnapshotState()
+			// The canonical parts of the checkpoint — the folded graph, the
+			// clocks, the tuple counters — are a pure function of the stream
+			// prefix and must not depend on the pipeline depth. (Tree shapes
+			// and cost counters are map-iteration dependent even sequentially
+			// and are deliberately not compared; results below are.)
+			if !reflect.DeepEqual(deepState.Edges, flatState.Edges) {
+				t.Fatal("folded graph differs between pipeline depths at the same batch boundary")
+			}
+			if deepState.Now != flatState.Now || deepState.Seen != flatState.Seen ||
+				deepState.Dropped != flatState.Dropped || deepState.Win != flatState.Win {
+				t.Fatal("coordinator clocks differ between pipeline depths at the same batch boundary")
+			}
+			wantGroups := flat.Stats().Groups
+			wantTail := run(flat, tuples[half:])
+			flat.Close()
+			deep.Close()
 
-	restored := mkEngine(2, false)
-	if err := restored.RestoreState(deepState); err != nil {
-		t.Fatal(err)
-	}
-	gotTail := run(restored, tuples[half:])
-	restored.Close()
-	if !reflect.DeepEqual(wantTail, gotTail) {
-		t.Fatalf("restored engine's tail diverged (%d vs %d results)", len(gotTail), len(wantTail))
-	}
-	if len(wantTail) == 0 {
-		t.Fatal("no tail results; test is vacuous")
+			restored := mkEngine(2, c.readShared)
+			if err := restored.RestoreState(deepState); err != nil {
+				t.Fatal(err)
+			}
+			if got := restored.Stats().Groups; got != wantGroups {
+				t.Fatalf("restored layout has %d groups, the snapshot %d", got, wantGroups)
+			}
+			gotTail := run(restored, tuples[half:])
+			restored.Close()
+			if !reflect.DeepEqual(wantTail, gotTail) {
+				t.Fatalf("restored engine's tail diverged (%d vs %d results)", len(gotTail), len(wantTail))
+			}
+			if len(wantTail) == 0 {
+				t.Fatal("no tail results; test is vacuous")
+			}
+		})
 	}
 }
 

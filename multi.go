@@ -37,7 +37,6 @@ type MultiEvaluator struct {
 	lastTS   int64
 	started  bool
 	dynamic  bool   // EnableDynamicQueries: online add/remove allowed
-	sharing  bool   // multi-query sharing: isomorphic automata share one Δ index
 	batches  uint64 // batches applied (without persistence; see AppliedBatches)
 }
 
@@ -75,7 +74,6 @@ func NewMultiEvaluator(size, slide int64, queries ...*Query) (*MultiEvaluator, e
 		vertices: stream.NewDict(),
 		labels:   stream.NewDict(),
 		spec:     window.Spec{Size: size, Slide: slide},
-		sharing:  true,
 	}
 	if err := m.rebuild(); err != nil {
 		return nil, err
@@ -132,7 +130,6 @@ func (m *MultiEvaluator) rebuild() error {
 	opts := []shard.Option{
 		shard.WithShards(max(m.shards, 1)),
 		shard.WithWriters(max(m.writers, 1)),
-		shard.WithSharing(m.sharing),
 	}
 	if m.depth > 0 {
 		opts = append(opts, shard.WithPipelineDepth(m.depth))
@@ -194,23 +191,6 @@ func (m *MultiEvaluator) WithShards(n int) error {
 	}
 	return m.reconfigure("WithShards", func() { m.shards = n })
 }
-
-// WithQuerySharing switches multi-query sharing on or off (default
-// on). With sharing on, queries whose bound automata are structurally
-// identical — including syntactically different but equivalent
-// patterns, which minimization canonicalizes — share ONE Δ-index tree
-// set, maintained once per tuple; each registered query still receives
-// its own complete result stream, byte-identical to what a private
-// copy would emit. Off restores one private engine per query, the
-// layout the shared-group differentials compare against. Must be
-// called before the first tuple; the setting is recorded in
-// checkpoints and survives recovery.
-func (m *MultiEvaluator) WithQuerySharing(on bool) error {
-	return m.reconfigure("WithQuerySharing", func() { m.sharing = on })
-}
-
-// QuerySharing reports whether multi-query sharing is enabled.
-func (m *MultiEvaluator) QuerySharing() bool { return m.sharing }
 
 // WithPipelineDepth bounds how many sub-batches the coordinator may
 // run ahead of its slowest shard (see shard.WithPipelineDepth; 2 once

@@ -131,7 +131,7 @@ func (m *MultiEvaluator) Checkpoint() error {
 		Spec:           m.spec,
 		Sharded:        !m.eng.Inline(),
 		Shards:         m.NumShards(),
-		Sharing:        m.sharing,
+		Sharing:        true, // format v4 keeps the byte; Recover ignores it
 		Vertices:       m.vertices.Names(),
 		Labels:         m.labels.Names(),
 		LastTS:         m.lastTS,
@@ -281,12 +281,11 @@ func (p *persistState) pendingError() error {
 // redelivered results and post-recovery results is identical to an
 // uninterrupted run.
 //
-// The checkpoint carries the shard count, the query-sharing mode and
-// the dynamic-queries (retain-all) mode, and the evaluator comes back
-// with them. Pipeline depth and writer count are not recorded: they
-// revert to their defaults, and a recovered evaluator — persistent
-// already — refuses every With* reconfiguration. None of them changes
-// the result stream.
+// The checkpoint carries the shard count and the dynamic-queries
+// (retain-all) mode, and the evaluator comes back with them. Pipeline
+// depth and writer count are not recorded: they revert to their
+// defaults, and a recovered evaluator — persistent already — refuses
+// every With* reconfiguration. None of them changes the result stream.
 func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult, error) {
 	var cfg persistConfig
 	for _, o := range opts {
@@ -422,13 +421,9 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 			return nil, fmt.Errorf("streamrpq: recover: vertex dictionary: %w", err)
 		}
 	}
-	// The snapshot's query→group mapping is restored verbatim whatever
-	// the mode; the sharing mode it was written under governs how
-	// queries registered after recovery are grouped. Set before
-	// RestoreState: reconfiguring rebuilds the coordinator.
-	if err := m.WithQuerySharing(snap.Sharing); err != nil {
-		return nil, err
-	}
+	// The snapshot's query→group mapping is restored verbatim, so its
+	// sharing byte is not read: queries registered after recovery join
+	// equivalent groups like any other.
 	// Sharded records which schedule wrote the snapshot: false is the
 	// inline coordinator (and, in snapshots of older versions, the
 	// sequential backend it replaced — the state is shard-count-free).

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"streamrpq/internal/shard"
 	"streamrpq/internal/stream"
 )
 
@@ -117,9 +118,10 @@ func TestKillRecoverDifferential(t *testing.T) {
 	// leaves no residue in checkpoints either — snapshots are
 	// writer-count-free, and a snapshot taken at one writer count
 	// restores into any other.
-	// private = multi-query sharing off: the workload's equivalent pair
-	// then keeps two private Δ indexes, and recovery must restore the
-	// persisted sharing flag rather than the default.
+	// private = the persisted run's coordinator has multi-query sharing
+	// off (see usePrivateLayout): the workload's equivalent pair keeps
+	// two private Δ indexes, and Recover, whose coordinator shares, must
+	// restore that layout verbatim rather than regroup the pair.
 	for _, cfg := range []struct {
 		shards, depth, writers int
 		private                bool
@@ -140,11 +142,6 @@ func TestKillRecoverDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if private {
-					if err := m.WithQuerySharing(false); err != nil {
-						t.Fatal(err)
-					}
-				}
 				if depth > 0 {
 					if err := m.WithPipelineDepth(depth); err != nil {
 						t.Fatal(err)
@@ -159,6 +156,9 @@ func TestKillRecoverDifferential(t *testing.T) {
 					if err := m.WithWriters(writers); err != nil {
 						t.Fatal(err)
 					}
+				}
+				if private {
+					usePrivateLayout(t, m)
 				}
 				return m
 			}
@@ -206,6 +206,7 @@ func TestKillRecoverDifferential(t *testing.T) {
 				}
 			}
 			applied := m.AppliedTuples()
+			groups := m.Stats().Groups
 			// Crash point. Close here is the in-process stand-in for
 			// kill -9: it only releases file descriptors and the
 			// directory flock — no commit, no checkpoint, no truncation
@@ -228,8 +229,8 @@ func TestKillRecoverDifferential(t *testing.T) {
 			if m2.NumShards() != max(shards, 1) || m2.NumQueries() != 4 {
 				t.Fatalf("recovered topology: %d shards, %d queries", m2.NumShards(), m2.NumQueries())
 			}
-			if m2.QuerySharing() != !private {
-				t.Fatalf("recovered sharing mode = %v, want %v", m2.QuerySharing(), !private)
+			if got := m2.Stats().Groups; got != groups {
+				t.Fatalf("recovered layout has %d groups, the killed evaluator %d", got, groups)
 			}
 			for i, b := range batches[killAt:] {
 				brs, err := m2.IngestBatch(b)
@@ -257,6 +258,33 @@ func TestKillRecoverDifferential(t *testing.T) {
 				t.Fatalf("clean checkpoint, yet %d results redelivered", len(redelivered))
 			}
 		})
+	}
+}
+
+// usePrivateLayout replaces m's coordinator with one of the same
+// schedule that has multi-query sharing off, so every query keeps a
+// private Δ index and m's checkpoints carry a private query→group
+// layout. The facade has no sharing switch; this is the oracle layout
+// of shard.WithSharing(false).
+func usePrivateLayout(t *testing.T, m *MultiEvaluator) {
+	t.Helper()
+	eng, err := shard.New(m.spec,
+		shard.WithShards(m.NumShards()),
+		shard.WithPipelineDepth(m.PipelineDepth()),
+		shard.WithWriters(m.Writers()),
+		shard.WithSharing(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range m.queries {
+		if _, err := eng.Add(q.bound, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.eng.Close()
+	m.eng = eng
+	if st := m.Stats(); st.Groups != len(m.queries) {
+		t.Fatalf("private layout has %d groups for %d queries", st.Groups, len(m.queries))
 	}
 }
 

@@ -151,7 +151,6 @@ type evalConfig struct {
 	semantics    Semantics
 	onInvalidate func(Match)
 	maxExtends   int64
-	workers      int
 	slack        int64
 	filter       func(Tuple) bool
 }
@@ -186,19 +185,6 @@ func WithOnInvalidate(f func(Match)) Option {
 // reports true for the rest of its life.
 func WithMaxExtends(n int64) Option {
 	return func(c *evalConfig) { c.maxExtends = n }
-}
-
-// WithParallelism enables the intra-query tree parallelism of the
-// paper's prototype (§5.1.1): per-tuple spanning-tree updates and
-// window expiry fan out over a worker pool. workers ≤ 0 uses
-// GOMAXPROCS. Only supported under Arbitrary semantics.
-func WithParallelism(workers int) Option {
-	return func(c *evalConfig) {
-		c.workers = workers
-		if c.workers <= 0 {
-			c.workers = -1 // 0 means "off"; core resolves ≤ 0 to GOMAXPROCS
-		}
-	}
 }
 
 // WithEdgeFilter installs an attribute predicate evaluated before a
@@ -292,15 +278,8 @@ func NewEvaluator(q *Query, opts ...Option) (*Evaluator, error) {
 
 	switch cfg.semantics {
 	case Arbitrary:
-		if cfg.workers != 0 {
-			ev.engine = core.NewParallelRAPQ(bound, spec, cfg.workers, core.WithSink(sink))
-		} else {
-			ev.engine = core.NewRAPQ(bound, spec, core.WithSink(sink))
-		}
+		ev.engine = core.NewRAPQ(bound, spec, core.WithSink(sink))
 	case Simple:
-		if cfg.workers != 0 {
-			return nil, fmt.Errorf("streamrpq: WithParallelism is not supported under Simple semantics")
-		}
 		ev.engine = core.NewRSPQ(bound, spec, core.WithSink(sink), core.WithMaxExtends(cfg.maxExtends))
 	default:
 		return nil, fmt.Errorf("streamrpq: unknown semantics %d", int(cfg.semantics))
