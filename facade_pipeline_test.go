@@ -142,3 +142,39 @@ func TestWithPipelineDepthValidation(t *testing.T) {
 		t.Fatal("WithPipelineDepth after processing started accepted")
 	}
 }
+
+// TestWithWritersKeepsSchedule: the deprecated WithWriters rejects
+// n <= 0 and otherwise changes nothing. On an evaluator without
+// WithShards the batch still runs inline, so a match inside a
+// timestamp tie-group is attributed to the tuple that completed it,
+// exactly as in the default evaluator.
+func TestWithWritersKeepsSchedule(t *testing.T) {
+	batch := []Tuple{{TS: 1, Src: "x", Dst: "y", Label: "a"}, {TS: 1, Src: "y", Dst: "z", Label: "b"}}
+	run := func(writers int) []BatchResult {
+		m, err := NewMultiEvaluator(10, 1, MustCompile("a/b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if writers > 0 {
+			if err := m.WithWriters(writers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.WithWriters(0); err == nil {
+			t.Fatal("zero writer count accepted")
+		}
+		brs, err := m.IngestBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return brs
+	}
+	want := run(0)
+	if len(want) != 1 || want[0].Tuple != 1 || len(want[0].Matches) != 1 {
+		t.Fatalf("default evaluator: %+v, want one match at tuple 1", want)
+	}
+	if got := run(2); !reflect.DeepEqual(want, got) {
+		t.Fatalf("WithWriters(2) changed the batch results:\ngot  %+v\nwant %+v", got, want)
+	}
+}

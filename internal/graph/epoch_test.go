@@ -209,6 +209,118 @@ func TestEpochConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestEpochWritePathAllocs pins the steady-state allocation cost of the
+// pipelined coordinator's write path: once the slabs, the FIFO and the
+// GC queue have reached capacity, a cycle of AdvanceEpoch, an expiry
+// sweep and 16 refreshes, written while the previous epoch is leased,
+// must not allocate (FIFO, GC-queue and lease-ring compaction amortize
+// to well under one allocation per cycle).
+func TestEpochWritePathAllocs(t *testing.T) {
+	g := New()
+	ts := int64(0)
+	lease := g.Epoch()
+	g.AcquireEpoch(lease)
+	cycle := func() {
+		g.AdvanceEpoch()
+		g.Expire(ts-40, nil)
+		for v := 0; v < 16; v++ {
+			ts++
+			g.Insert(stream.VertexID(v), stream.VertexID((v+1)%16), 0, ts)
+		}
+		// Hand the new epoch to a reader and retire the previous one, as
+		// a coordinator at pipeline depth 2 does.
+		e := g.Epoch()
+		g.AcquireEpoch(e)
+		g.ReleaseEpoch(lease)
+		lease = e
+	}
+	for i := 0; i < 300; i++ {
+		cycle() // reach steady state: slabs, overflow arenas, FIFO, GC queue all warm
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg > 1 {
+		t.Fatalf("write path allocates %.2f per epoch cycle, want ≤1", avg)
+	}
+	g.ReleaseEpoch(lease)
+	if dv := g.DeadVersions(); dv != 0 {
+		t.Fatalf("%d dead versions after the last lease was released", dv)
+	}
+}
+
+// TestEpochDeltaRebase drives the slabs' uint32 epoch deltas out of
+// range: slabs written near epoch 0, the writer epoch moved past 2^32
+// with recent leases held, then refreshes, deletions, inserts and an
+// expiry in those old slabs, each of which rebases the slab it touches.
+// Every leased epoch must keep its edge set, the current epoch must see
+// the writes, and no dead version may survive the leases' release. A
+// lease held across 2^32 epochs cannot be rebased away and must panic.
+func TestEpochDeltaRebase(t *testing.T) {
+	const vertices = 8
+	g := New()
+	for v := 0; v < vertices; v++ {
+		g.AdvanceEpoch()
+		g.Insert(stream.VertexID(v), stream.VertexID((v+1)%vertices), 0, int64(v))
+		g.Insert(stream.VertexID(v), stream.VertexID((v+2)%vertices), 1, int64(v))
+	}
+	g.epoch.Store(1<<32 + 7)
+	var leases []Epoch
+	want := map[Epoch]map[Edge]struct{}{}
+	lease := func() {
+		e := g.Epoch()
+		g.AcquireEpoch(e)
+		leases = append(leases, e)
+		want[e] = collectAt(g, e, vertices)
+	}
+
+	lease()
+	g.AdvanceEpoch()
+	g.Insert(0, 1, 0, 100) // refresh
+	g.Delete(key(2, 4, 1))
+	g.Insert(3, 5, 0, 101) // new edge between two old slabs
+	lease()
+	g.AdvanceEpoch()
+	g.Insert(4, 5, 0, 102)             // refresh
+	g.Delete(key(0, 1, 0))             // delete a refreshed edge
+	if n := g.Expire(3, nil); n != 6 { // ts ≤ 3, minus the deleted (2,4,1)
+		t.Fatalf("Expire removed %d edges, want 6", n)
+	}
+
+	for _, e := range leases {
+		if got := collectAt(g, e, vertices); !reflect.DeepEqual(got, want[e]) {
+			t.Fatalf("leased epoch %d changed across the rebase (%d vs %d edges)", e, len(got), len(want[e]))
+		}
+	}
+	for _, c := range []struct {
+		k    stream.EdgeKey
+		ts   int64
+		live bool
+	}{
+		{key(0, 1, 0), 0, false}, {key(2, 4, 1), 0, false}, {key(3, 4, 0), 0, false},
+		{key(3, 5, 0), 101, true}, {key(4, 5, 0), 102, true}, {key(7, 1, 1), 7, true},
+	} {
+		if ts, ok := g.TS(c.k); ok != c.live || ts != c.ts {
+			t.Fatalf("current epoch: TS(%v) = %d,%v, want %d,%v", c.k, ts, ok, c.ts, c.live)
+		}
+	}
+	for _, e := range leases {
+		g.ReleaseEpoch(e)
+	}
+	if dv := g.DeadVersions(); dv != 0 {
+		t.Fatalf("%d dead versions after the leases were released", dv)
+	}
+
+	stuck := New()
+	stuck.Insert(1, 2, 0, 1)
+	stuck.AcquireEpoch(stuck.Epoch())
+	stuck.epoch.Store(1<<32 + 1)
+	defer func() {
+		const msg = "graph: epoch delta overflow: reader lease held across 2^32 epochs"
+		if r := recover(); r != msg {
+			t.Fatalf("write under a lease 2^32 epochs old: recovered %v, want panic %q", r, msg)
+		}
+	}()
+	stuck.Insert(1, 2, 0, 2)
+}
+
 // TestEpochEdgesFold: Edges folds the version intervals back to the
 // flat live edge set of the current epoch (what checkpoints serialize).
 func TestEpochEdgesFold(t *testing.T) {

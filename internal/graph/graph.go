@@ -43,21 +43,23 @@
 //
 // # Concurrency
 //
-// All methods are safe for one writer goroutine concurrent with any
-// number of reader goroutines. The single global RWMutex of earlier
-// versions is replaced by a table of 64 stripe RWMutexes: stripe(v)
-// guards vertex v's out- and in-slabs, so concurrent readers of
-// different vertices never contend with each other or (usually) with
-// the writer. The top-level slab table is published via an atomic
-// pointer and grown copy-on-write; slabs never move once allocated.
+// The graph has one writer and one write API: AdvanceEpoch, Insert,
+// Delete and Expire, called from one goroutine (the coordinator, in
+// both of its schedules). All methods are safe for that writer
+// concurrent with any number of reader goroutines. A table of 64
+// stripe RWMutexes guards the slabs: stripe(v) guards vertex v's out-
+// and in-slabs, so concurrent readers of different vertices never
+// contend with each other or (usually) with the writer. The top-level
+// slab table is published via an atomic pointer and grown
+// copy-on-write; slabs never move once allocated.
 //
 // Traversal is buffer-based: AppendOutAt/AppendInAt copy the visible
 // half-edges of one vertex side into a caller-owned buffer under the
 // vertex's stripe read lock and return with no lock held, so the
 // caller may freely re-enter graph read methods while consuming it —
-// even for the same stripe, even with concurrent writer goroutines —
-// and the walk is allocation-free once the buffer has grown. The
-// whole-graph callback (Edges) is built on the same copy.
+// even for the same stripe, even while the writer mutates it — and the
+// walk is allocation-free once the buffer has grown. The whole-graph
+// callback (Edges) is built on the same copy.
 package graph
 
 import (

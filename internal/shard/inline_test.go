@@ -15,7 +15,7 @@ import (
 )
 
 // inlineOpts is the configuration that selects the inline schedule.
-var inlineOpts = []Option{WithShards(1), WithPipelineDepth(1), WithWriters(1)}
+var inlineOpts = []Option{WithShards(1), WithPipelineDepth(1)}
 
 // runGlobal drives an engine over the stream in batches and returns the
 // results with stream-global tuple indices.
@@ -111,7 +111,7 @@ func TestInlineMatchesReferenceExactly(t *testing.T) {
 	inline := build(inlineOpts...)
 	defer inline.Close()
 	if !inline.Inline() {
-		t.Fatal("one shard, depth 1, one writer did not select the inline schedule")
+		t.Fatal("one shard at depth 1 did not select the inline schedule")
 	}
 	got := runGlobal(t, inline, tuples, 23)
 	if len(got) == 0 {

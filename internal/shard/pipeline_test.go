@@ -186,6 +186,58 @@ func TestPipelinedDeletionHazards(t *testing.T) {
 	}
 }
 
+// TestMultiWriterOracle cross-checks the engine against the sequential
+// oracle on heavier churn (30% deletions, many timestamp ties) with the
+// deprecated WithWriters option set: the coordinator stays the graph's
+// one writer, so the pair sets must agree exactly, member invariants
+// must hold at every batch boundary, and every invalidation must retract
+// a previously emitted pair.
+func TestMultiWriterOracle(t *testing.T) {
+	spec := window.Spec{Size: 25, Slide: 5}
+	tuples := randomTuples(rand.New(rand.NewSource(515)), 700, 7, 2, 1, 0.30)
+
+	ref := core.NewCollector()
+	seq := core.NewRAPQ(bind(t, "(a/b)+", "a", "b"), spec, core.WithSink(ref))
+	for _, tu := range tuples {
+		seq.Process(tu)
+	}
+
+	for _, shards := range []int{1, 8} {
+		for _, writers := range []int{2, 8} {
+			got := core.NewCollector()
+			s, err := New(spec, WithShards(shards), WithPipelineDepth(2), WithWriters(writers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			member, err := s.Add(bind(t, "(a/b)+", "a", "b"), got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches(tuples, 23) {
+				if _, err := s.ProcessBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				if err := member.CheckInvariants(); err != nil {
+					t.Fatalf("shards=%d writers=%d: %v", shards, writers, err)
+				}
+			}
+			assertQuiesced(t, s, fmt.Sprintf("shards=%d writers=%d, after drain", shards, writers))
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ref.Pairs(), got.Pairs()) {
+				t.Fatalf("shards=%d writers=%d: pair sets differ from sequential oracle", shards, writers)
+			}
+			pairs := got.Pairs()
+			for _, inval := range got.Retract {
+				if _, ok := pairs[core.Pair{From: inval.From, To: inval.To}]; !ok {
+					t.Fatalf("shards=%d writers=%d: invalidated pair %v was never matched", shards, writers, inval)
+				}
+			}
+		}
+	}
+}
+
 // TestPipelinedSnapshotEpochFree: a mid-stream checkpoint taken from a
 // deeply pipelined engine is identical to one taken from the barriered
 // engine at the same batch boundary — the on-disk state folds the
@@ -431,6 +483,25 @@ func TestPipelineOptionValidation(t *testing.T) {
 	defer s4.Close()
 	if d := s4.PipelineDepth(); d != 4 {
 		t.Fatalf("PipelineDepth = %d, want 4", d)
+	}
+}
+
+// TestWritersOptionValidation: the deprecated WithWriters still rejects
+// n <= 0 and otherwise leaves the schedule alone.
+func TestWritersOptionValidation(t *testing.T) {
+	if _, err := New(window.Spec{Size: 10, Slide: 1}, WithWriters(0)); err == nil {
+		t.Fatal("zero writer count accepted")
+	}
+	if _, err := New(window.Spec{Size: 10, Slide: 1}, WithWriters(-2)); err == nil {
+		t.Fatal("negative writer count accepted")
+	}
+	s, err := New(window.Spec{Size: 10, Slide: 1}, append(inlineOpts, WithWriters(4))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.Inline() {
+		t.Fatal("WithWriters(4) moved one shard at depth 1 off the inline schedule")
 	}
 }
 

@@ -13,16 +13,18 @@
 // # Two schedules
 //
 // The configuration selects how a batch is run, not what it computes.
-// With one shard, pipeline depth 1 and one writer the engine is
+// Both schedules run the same per-tuple coordinator step (graphStep):
+// count the tuple, expire the graph at a slide boundary, decide
+// relevance, mutate the graph through its one write API, note the
+// label clock. With one shard and pipeline depth 1 the engine is
 // inline: ProcessBatch runs on the caller's goroutine, tuple at a
-// time — graph apply, expiry at slide boundaries, then the relevant
-// groups — with no worker goroutine, no channel and no plan overlay,
-// and never advances the graph epoch (the unversioned fast path of
-// internal/graph). Every other configuration is pipelined: each shard
-// runs on its own goroutine behind a bounded job channel, so a slow
-// shard exerts backpressure on the coordinator instead of queueing
-// unboundedly, and the sections below describe how batches are cut and
-// overlapped.
+// time — the coordinator step, then the relevant groups — with no
+// worker goroutine and no channel, and never advances the graph epoch
+// (the unversioned fast path of internal/graph). Every other
+// configuration is pipelined: each shard runs on its own goroutine
+// behind a bounded job channel, so a slow shard exerts backpressure on
+// the coordinator instead of queueing unboundedly, and the sections
+// below describe how batches are cut and overlapped.
 //
 // # Batching and sub-batch hazards
 //
@@ -67,21 +69,12 @@
 // every sub-batch is collected immediately after dispatch, before the
 // next sub-batch's mutations are applied.
 //
-// # Multi-writer epoch construction
-//
-// Within one sub-batch the mutations themselves are built by N writer
-// goroutines (WithWriters): the coordinator plans the sub-batch
-// serially — hazard checks consult a plan overlay so they observe the
-// sub-batch's own unapplied inserts — partitioning every edge mutation
-// into two half-mutations owned by the vertex stripes of its
-// endpoints, and graph.Applier.Flush applies the per-stripe queues
-// concurrently before dispatch. A slab belongs to exactly one stripe
-// and each stripe's queue preserves plan order, so every slab sees the
-// identical mutation history at any writer count (the deterministic
-// stripe-ordered two-phase apply); visibility still flips only at the
-// single atomic epoch advance that precedes planning. writers=1
-// applies inline and reproduces the single-writer engine byte for
-// byte.
+// The coordinator is the graph's one writer in both schedules. A
+// sub-batch is written at its fresh epoch through Insert, Delete and
+// Expire while the shards read older epochs: leases change only on the
+// coordinator, so the readers' lower bound is fixed while an epoch is
+// built, and the hazard check (Has at the current epoch) sees the
+// sub-batch's own inserts.
 //
 // Under this discipline the pipelined schedule produces, per query, the
 // result stream of the inline schedule (and of the tuple-at-a-time
@@ -141,8 +134,8 @@ type Result struct {
 type config struct {
 	shards  int
 	depth   int
-	writers int
 	sharing bool
+	err     error // a rejected option argument
 }
 
 // Option configures an Engine.
@@ -150,19 +143,21 @@ type Option func(*config)
 
 // WithShards sets the number of worker shards queries are partitioned
 // over (default 1; n <= 0 is an error). One shard at pipeline depth 1
-// with one writer is the inline schedule (see the package comment).
+// is the inline schedule (see the package comment).
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
-// WithWriters sets the number of writer goroutines building each
-// epoch's graph mutations (default 1; n <= 0 is an error). The
-// coordinator plans every sub-batch serially, partitions the resulting
-// half-mutations by vertex stripe, and n writers apply the per-stripe
-// queues concurrently before the sub-batch is dispatched (see
-// graph.Applier). Visibility still flips only at the single atomic
-// epoch advance, so the result stream is byte-identical at every
-// writer count; writers == 1 applies inline with no pool at all.
-// Composes freely with WithShards and WithPipelineDepth.
-func WithWriters(n int) Option { return func(c *config) { c.writers = n } }
+// WithWriters has no effect; n <= 0 is still an error.
+//
+// Deprecated: the coordinator is the graph's one writer in every
+// schedule. WithWriters remains only for its callers in benchmark/ and
+// goes with them (ROADMAP item 4).
+func WithWriters(n int) Option {
+	return func(c *config) {
+		if n <= 0 {
+			c.err = fmt.Errorf("shard: writer count must be positive, got %d", n)
+		}
+	}
+}
 
 // WithSharing toggles shared-group evaluation (default on): queries
 // whose bound automata are structurally identical (equal
@@ -193,10 +188,9 @@ func WithPipelineDepth(n int) Option { return func(c *config) { c.depth = n } }
 type Engine struct {
 	spec    window.Spec
 	g       *graph.Graph
-	app     *graph.Applier // plans + stripe-parallel-applies epoch mutations (pipelined)
 	win     *window.Manager
 	depth   int
-	inline  bool // one shard, depth 1, one writer: tuple at a time on the caller
+	inline  bool // one shard, depth 1: tuple at a time on the caller
 	workers []*worker
 	members []*member
 	groups  []*group // active Δ-index groups, creation order
@@ -378,9 +372,12 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := config{shards: 1, depth: 2, writers: 1, sharing: true}
+	cfg := config{shards: 1, depth: 2, sharing: true}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.err != nil {
+		return nil, cfg.err
 	}
 	if cfg.shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count must be positive, got %d", cfg.shards)
@@ -388,17 +385,12 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	if cfg.depth <= 0 {
 		return nil, fmt.Errorf("shard: pipeline depth must be positive, got %d", cfg.depth)
 	}
-	if cfg.writers <= 0 {
-		return nil, fmt.Errorf("shard: writer count must be positive, got %d", cfg.writers)
-	}
-	g := graph.New()
 	s := &Engine{
 		spec:    spec,
-		g:       g,
-		app:     graph.NewApplier(g, cfg.writers),
+		g:       graph.New(),
 		win:     window.NewManager(spec),
 		depth:   cfg.depth,
-		inline:  cfg.shards == 1 && cfg.depth == 1 && cfg.writers == 1,
+		inline:  cfg.shards == 1 && cfg.depth == 1,
 		workers: make([]*worker, cfg.shards),
 		sharing: cfg.sharing,
 	}
@@ -429,9 +421,6 @@ func (s *Engine) NumShards() int { return len(s.workers) }
 
 // PipelineDepth returns the configured bound on in-flight sub-batches.
 func (s *Engine) PipelineDepth() int { return s.depth }
-
-// NumWriters returns the configured epoch-construction writer count.
-func (s *Engine) NumWriters() int { return s.app.Writers() }
 
 // Len returns the number of live (non-removed) queries.
 func (s *Engine) Len() int {
@@ -714,9 +703,7 @@ func (w *worker) apply(jb job) (rep reply) {
 	}
 	for _, st := range jb.steps {
 		if st.expire {
-			for _, g := range w.groups {
-				g.engine.ApplyExpiry(st.deadline)
-			}
+			w.expire(st.deadline)
 		}
 		if !st.skip {
 			w.dispatch(st.tuple, st.del)
@@ -724,6 +711,13 @@ func (w *worker) apply(jb job) (rep reply) {
 		w.flush(st.index)
 	}
 	return reply{results: w.buf}
+}
+
+// expire runs every group's expiry pass to the deadline.
+func (w *worker) expire(deadline int64) {
+	for _, g := range w.groups {
+		g.engine.ApplyExpiry(deadline)
+	}
 }
 
 // dispatch applies one graph mutation to the groups with a transition
@@ -828,7 +822,7 @@ func compareResults(a, b Result) int {
 }
 
 // processInline is the inline schedule: every tuple runs to completion
-// on the caller's goroutine — graph and window first, exactly once,
+// on the caller's goroutine — the coordinator step first, exactly once,
 // then the groups with a transition on its label — before the next one
 // touches the graph, so the graph never runs ahead of a member and needs
 // no epochs. Each tuple's records are flushed straight into the engine's
@@ -844,49 +838,48 @@ func (s *Engine) processInline(tuples []stream.Tuple) (err error) {
 		}
 	}()
 	for i, t := range tuples {
-		s.stepInline(w, t)
+		if del, work := s.graphStep(t, w.expire); work {
+			w.dispatch(t, del)
+		}
 		w.flush(i)
 	}
 	return nil
 }
 
-// stepInline applies one tuple: expiry when it crosses a slide
-// boundary, the graph mutation, then the relevant groups.
-func (s *Engine) stepInline(w *worker, t stream.Tuple) {
-	s.observe(t)
-	if ex, due := s.win.ObserveAt(t.TS, uint64(s.g.Epoch())); due {
-		s.win.NoteRemoved(s.g.Expire(ex.Deadline, nil))
-		for _, g := range w.groups {
-			g.engine.ApplyExpiry(ex.Deadline)
-		}
+// graphStep is the coordinator's part of one tuple in both schedules:
+// count it and advance the stream clock; at a slide boundary expire the
+// graph and call expired with the deadline, before the graph takes the
+// tuple; then, if some group has a transition on its label or
+// retain-all keeps every label, insert or delete the edge and note the
+// label's clock. It reports whether the tuple is a deletion and whether
+// any group has work for it: a relevant insert, or a relevant deletion
+// that removed a live edge.
+func (s *Engine) graphStep(t stream.Tuple, expired func(deadline int64)) (del, work bool) {
+	s.seen++
+	if t.TS > s.now {
+		s.now = t.TS
+	}
+	if deadline, due := s.win.Observe(t.TS); due {
+		s.g.Expire(deadline, nil)
+		expired(deadline)
 	}
 	relevant := s.relevantLabel(t.Label)
 	if !relevant {
 		s.dropped++
 		if !s.retain {
-			return
+			return false, false
 		}
 	}
-	del := t.Op == stream.Delete
+	del = t.Op == stream.Delete
 	if del {
 		if !s.g.Delete(t.Key()) {
-			return // deleting an absent edge is a no-op
+			return true, false // deleting an absent edge is a no-op
 		}
 	} else {
 		s.g.Insert(t.Src, t.Dst, t.Label, t.TS)
 	}
 	s.noteLabel(t)
-	if relevant { // else the graph is updated (retain-all) and no member has work
-		w.dispatch(t, del)
-	}
-}
-
-// observe counts one tuple and advances the stream clock.
-func (s *Engine) observe(t stream.Tuple) {
-	s.seen++
-	if t.TS > s.now {
-		s.now = t.TS
-	}
+	return del, relevant // retain-all writes the graph even when no member has work
 }
 
 // noteLabel records the per-label stream clock in retain-all mode;
@@ -915,91 +908,52 @@ func (s *Engine) getSteps() []step {
 	return nil
 }
 
-// subBatch builds, applies and dispatches one sub-batch starting at
-// tuple index i, returning the index of the first tuple of the next
-// sub-batch. Shared-state changes happen in two phases at a fresh
-// epoch: the coordinator plans every mutation serially (hazard checks
-// read the plan overlay, so they see the sub-batch's own unapplied
-// inserts), then Flush applies the per-stripe queues with the
-// configured writers and barriers before any shard sees the steps.
+// subBatch writes and dispatches one sub-batch starting at tuple index
+// i, returning the index of the first tuple of the next sub-batch. The
+// sub-batch is written tuple by tuple through graphStep at a fresh
+// epoch, before any shard sees its steps, and ends before a tuple that
+// cuts. A deletion is a sub-batch of its own, and so is the expiry it
+// may trigger, one epoch before it: the members' expiry pass must see
+// the graph as it was before the deletion, as in a sequential engine,
+// and the deletion must be processed before any later insert becomes
+// visible.
 func (s *Engine) subBatch(tuples []stream.Tuple, i int) int {
-	if tuples[i].Op == stream.Delete {
-		s.deleteStep(tuples[i], i)
-		return i + 1
-	}
-	epoch := s.app.BeginEpoch()
+	epoch := s.g.AdvanceEpoch()
 	steps := s.getSteps()
 	j := i
-	for ; j < len(tuples); j++ {
+	for ; j < len(tuples) && (j == i || !s.cuts(tuples[j-1], tuples[j])); j++ {
 		t := tuples[j]
-		rel := s.relevantLabel(t.Label)
-		ins := rel || s.retain // retain-all mode stores every label
-		if j > i {
-			_, due := s.win.Peek(t.TS)
-			if due || t.Op == stream.Delete || (ins && s.app.Live(t.Key())) {
-				break // hazard: must start a fresh sub-batch
-			}
-		}
-		s.observe(t)
 		st := step{tuple: t, index: j}
-		if ex, due := s.win.ObserveAt(t.TS, uint64(epoch)); due {
-			// Expiry only ever fires at the first tuple (the Peek hazard
-			// above cuts otherwise), so the plan is empty here — the
-			// precondition PlanExpire's FIFO probe needs.
-			s.win.NoteRemoved(s.app.PlanExpire(ex.Deadline))
-			st.expire, st.deadline = true, ex.Deadline
-		}
-		if ins {
-			s.app.PlanInsert(t.Src, t.Dst, t.Label, t.TS)
-			s.noteLabel(t)
-		}
-		if !rel {
-			s.dropped++
-			st.skip = true
-			if !st.expire {
-				continue // nothing for the shards to do
+		var work bool
+		st.del, work = s.graphStep(t, func(deadline int64) {
+			if t.Op != stream.Delete {
+				st.expire, st.deadline = true, deadline
+				return
 			}
+			s.dispatch(append(steps, step{index: j, deadline: deadline, expire: true, skip: true}), epoch)
+			steps, epoch = s.getSteps(), s.g.AdvanceEpoch()
+		})
+		st.skip = !work
+		if work || st.expire {
+			steps = append(steps, st)
 		}
-		steps = append(steps, st)
 	}
-	s.app.Flush()
 	s.dispatch(steps, epoch)
 	return j
 }
 
-// deleteStep handles one explicit deletion as its own sub-batch(es):
-// members must run a due expiry pass against the graph as it was
-// before the deletion (sequential engines expire before deleting), and
-// must process the deletion before any later insert becomes visible.
-// The expiry and the deletion are separate epochs, so in-flight
-// sub-batches observe neither.
-func (s *Engine) deleteStep(t stream.Tuple, index int) {
-	s.observe(t)
-	epoch := s.app.BeginEpoch()
-	if ex, due := s.win.ObserveAt(t.TS, uint64(epoch)); due {
-		s.win.NoteRemoved(s.app.PlanExpire(ex.Deadline))
-		s.app.Flush()
-		steps := append(s.getSteps(), step{index: index, deadline: ex.Deadline, expire: true, skip: true})
-		s.dispatch(steps, epoch)
-		epoch = s.app.BeginEpoch()
+// cuts reports whether tuple t must start a fresh sub-batch after prev
+// (the hazards of the package comment): a deletion on either side, a
+// slide-boundary crossing, or a re-insertion of an edge live at the
+// current epoch.
+func (s *Engine) cuts(prev, t stream.Tuple) bool {
+	if prev.Op == stream.Delete || t.Op == stream.Delete {
+		return true
 	}
-	rel := s.relevantLabel(t.Label)
-	if !rel {
-		s.dropped++
-		if !s.retain {
-			return
-		}
+	if _, due := s.win.Peek(t.TS); due {
+		return true
 	}
-	if !s.app.PlanDelete(t.Key()) {
-		return // deleting an absent edge is a no-op
-	}
-	s.app.Flush()
-	s.noteLabel(t)
-	if !rel {
-		return // graph updated (retain-all); no member work
-	}
-	steps := append(s.getSteps(), step{tuple: t, index: index, del: true})
-	s.dispatch(steps, epoch)
+	return (s.retain || s.relevantLabel(t.Label)) && s.g.Has(t.Key())
 }
 
 // dispatch fans one sub-batch out to every shard and registers it as
@@ -1228,7 +1182,6 @@ func (s *Engine) Close() error {
 	}
 	s.drain() // defensive: ProcessBatch drains on every exit path
 	s.closed = true
-	s.app.Close() // release the writer pool (idle once drained)
 	if s.started && !s.inline {
 		for _, w := range s.workers {
 			close(w.in)

@@ -112,47 +112,50 @@ func TestShardedMatchesSingleQuery(t *testing.T) {
 // Delete cuts along tree edges, and which edge is a tree edge is
 // map-iteration dependent even sequentially), so the engines are
 // compared on the shape-independent observables: the set of pairs ever
-// matched, internal invalidation consistency, and index invariants.
+// matched, internal invalidation consistency, and index invariants. The
+// inputs are a 10%-churn stream and a 30%-churn one with many timestamp
+// ties.
 func TestShardedMatchesSingleQueryDeletions(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		for _, batch := range []int{1, 13, 64} {
-			a := bind(t, "(a/b)+", "a", "b")
-			spec := window.Spec{Size: 25, Slide: 5}
-
-			ref := core.NewCollector()
-			seq := core.NewRAPQ(a, spec, core.WithSink(ref))
-
-			got := core.NewCollector()
-			s, err := New(spec, WithShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			member, err := s.Add(bind(t, "(a/b)+", "a", "b"), got)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			tuples := randomTuples(rand.New(rand.NewSource(17)), 600, 8, 2, 2, 0.1)
-			for _, tu := range tuples {
-				seq.Process(tu)
-			}
-			for _, b := range batches(tuples, batch) {
-				if _, err := s.ProcessBatch(b); err != nil {
+	inputs := map[string][]stream.Tuple{
+		"churn=10%": randomTuples(rand.New(rand.NewSource(17)), 600, 8, 2, 2, 0.1),
+		"churn=30%": randomTuples(rand.New(rand.NewSource(515)), 700, 7, 2, 1, 0.30),
+	}
+	spec := window.Spec{Size: 25, Slide: 5}
+	for name, tuples := range inputs {
+		ref := core.NewCollector()
+		seq := core.NewRAPQ(bind(t, "(a/b)+", "a", "b"), spec, core.WithSink(ref))
+		for _, tu := range tuples {
+			seq.Process(tu)
+		}
+		for _, shards := range []int{1, 2, 8} {
+			for _, batch := range []int{1, 13, 64} {
+				got := core.NewCollector()
+				s, err := New(spec, WithShards(shards))
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := member.CheckInvariants(); err != nil {
-					t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
+				member, err := s.Add(bind(t, "(a/b)+", "a", "b"), got)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			s.Close()
+				for _, b := range batches(tuples, batch) {
+					if _, err := s.ProcessBatch(b); err != nil {
+						t.Fatal(err)
+					}
+					if err := member.CheckInvariants(); err != nil {
+						t.Fatalf("%s shards=%d batch=%d: %v", name, shards, batch, err)
+					}
+				}
+				s.Close()
 
-			if !reflect.DeepEqual(ref.Pairs(), got.Pairs()) {
-				t.Fatalf("shards=%d batch=%d: pair sets differ", shards, batch)
-			}
-			pairs := got.Pairs()
-			for _, inval := range got.Retract {
-				if _, ok := pairs[core.Pair{From: inval.From, To: inval.To}]; !ok {
-					t.Fatalf("shards=%d batch=%d: invalidated pair %v was never matched", shards, batch, inval)
+				if !reflect.DeepEqual(ref.Pairs(), got.Pairs()) {
+					t.Fatalf("%s shards=%d batch=%d: pair sets differ", name, shards, batch)
+				}
+				pairs := got.Pairs()
+				for _, inval := range got.Retract {
+					if _, ok := pairs[core.Pair{From: inval.From, To: inval.To}]; !ok {
+						t.Fatalf("%s shards=%d batch=%d: invalidated pair %v was never matched", name, shards, batch, inval)
+					}
 				}
 			}
 		}

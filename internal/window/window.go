@@ -40,7 +40,6 @@ type Manager struct {
 	spec     Spec
 	boundary int64 // W^e of the last expiry run
 	started  bool
-	last     Expiry // most recent epoch-stamped expiry (ObserveAt)
 }
 
 // NewManager returns a Manager for the given specification.
@@ -75,54 +74,6 @@ func (m *Manager) Peek(ts int64) (deadline int64, due bool) {
 	}
 	return we - m.spec.Size, true
 }
-
-// Expiry describes one retirement of window content: every element with
-// ts ≤ Deadline has left the window, and Epoch is the graph epoch at
-// which the retirement was applied. An epoch-versioned snapshot graph
-// (internal/graph) keeps the expired edges visible to readers of
-// earlier epochs; the stamp records which epoch's readers are the first
-// to observe the post-expiry window. Removed is the number of edges the
-// pass retired, annotated after the fact via NoteRemoved: with
-// stripe-parallel epoch construction the removals are applied by
-// several writers partitioned by vertex stripe, and the count is their
-// deterministic merge (a plan-order sum, independent of writer count).
-type Expiry struct {
-	Deadline int64
-	Epoch    uint64
-	Removed  int
-}
-
-// ObserveAt is Observe for an epoch-versioned coordinator: when the
-// tuple timestamp crosses a slide boundary it commits the boundary and
-// stamps the resulting expiry with the epoch that retires it. The stamp
-// of the most recent boundary is retained (see LastExpiry).
-//
-// Today the stamp is bookkeeping only — recovery and the epoch-GC are
-// driven by the graph's reader leases, not by it. It exists as the log
-// sequence number for replicated window movement: a distributed shard
-// replaying a peer's mutation log needs to know at which epoch each
-// expiry pass ran (see ROADMAP, "Distributed sharding"). Like the
-// epoch counter itself, the stamp is run-local: restored state is
-// epoch-free (the graph restarts at epoch 0 after recovery), so the
-// stamp is deliberately NOT part of State — persisting it would carry
-// a reference into a dead epoch numbering.
-func (m *Manager) ObserveAt(ts int64, epoch uint64) (Expiry, bool) {
-	deadline, due := m.Observe(ts)
-	if !due {
-		return Expiry{}, false
-	}
-	m.last = Expiry{Deadline: deadline, Epoch: epoch}
-	return m.last, true
-}
-
-// LastExpiry returns the most recent epoch-stamped expiry committed via
-// ObserveAt (zero value if none).
-func (m *Manager) LastExpiry() Expiry { return m.last }
-
-// NoteRemoved annotates the most recent expiry with the number of edges
-// its pass retired. Like the epoch stamp, the count is run-local
-// bookkeeping and deliberately not part of State.
-func (m *Manager) NoteRemoved(n int) { m.last.Removed = n }
 
 // Boundary returns W^e of the last expiry run.
 func (m *Manager) Boundary() int64 { return m.boundary }

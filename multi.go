@@ -20,8 +20,7 @@ import (
 // tuples through Ingest or IngestBatch. One coordinator (internal/shard)
 // evaluates every configuration; by default it runs inline — on the
 // caller's goroutine, tuple at a time, starting no goroutine — and
-// WithShards, WithPipelineDepth and WithWriters select its pipelined
-// schedule, which partitions the queries over concurrent worker shards.
+// WithShards and WithPipelineDepth select its pipelined schedule, which partitions the queries over concurrent worker shards.
 // Call Close when done (it releases the worker goroutines of the
 // pipelined schedule and the persistence files).
 type MultiEvaluator struct {
@@ -31,7 +30,6 @@ type MultiEvaluator struct {
 	eng      *shard.Engine // the coordinator, rebuilt by every With* call
 	shards   int           // as configured by the With* calls; 0 = not called
 	depth    int
-	writers  int
 	queries  []*multiMember
 	persist  *persistState // nil unless WithPersistence/Recover was used
 	lastTS   int64
@@ -123,14 +121,11 @@ func (m *MultiEvaluator) decode(cm core.Match) Match {
 
 // rebuild replaces the coordinator with one of the current
 // configuration and re-registers every query slot. With nothing
-// configured that is the inline engine (one shard, depth 1, one
-// writer); WithShards makes the pipeline depth default to the engine's
-// own (2) unless WithPipelineDepth names one.
+// configured that is the inline engine (one shard, depth 1); WithShards
+// makes the pipeline depth default to the engine's own (2) unless
+// WithPipelineDepth names one.
 func (m *MultiEvaluator) rebuild() error {
-	opts := []shard.Option{
-		shard.WithShards(max(m.shards, 1)),
-		shard.WithWriters(max(m.writers, 1)),
-	}
+	opts := []shard.Option{shard.WithShards(max(m.shards, 1))}
 	if m.depth > 0 {
 		opts = append(opts, shard.WithPipelineDepth(m.depth))
 	} else if m.shards == 0 {
@@ -196,11 +191,10 @@ func (m *MultiEvaluator) WithShards(n int) error {
 // run ahead of its slowest shard (see shard.WithPipelineDepth; 2 once
 // WithShards was called, 1 otherwise). Depth 1 is the fully barriered
 // coordinator — graph and window advance only between sub-batch
-// fan-outs — and, with one shard and one writer, the inline schedule;
-// depth ≥ 2 overlaps epoch k+1's graph mutations with epoch k's
-// fan-out on the epoch-versioned snapshot graph, byte-identically to
-// the barriered run. Call before the first tuple, in any order with
-// WithShards and WithWriters.
+// fan-outs — and, with one shard, the inline schedule; depth ≥ 2
+// overlaps epoch k+1's graph mutations with epoch k's fan-out on the
+// epoch-versioned snapshot graph, byte-identically to the barriered
+// run. Call before the first tuple, in any order with WithShards.
 func (m *MultiEvaluator) WithPipelineDepth(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: pipeline depth must be positive, got %d", n)
@@ -212,22 +206,17 @@ func (m *MultiEvaluator) WithPipelineDepth(n int) error {
 // default evaluator).
 func (m *MultiEvaluator) PipelineDepth() int { return m.eng.PipelineDepth() }
 
-// WithWriters sets how many writer goroutines the coordinator uses to
-// build each epoch's graph mutations (see shard.WithWriters; default
-// 1). Mutations are planned serially, partitioned by vertex stripe,
-// and applied concurrently before each sub-batch is dispatched; the
-// result stream is byte-identical at every writer count, so this is
-// purely a throughput knob. Call before the first tuple, in any order
-// with WithShards and WithPipelineDepth.
+// WithWriters has no effect; n <= 0 is still an error.
+//
+// Deprecated: the coordinator is the graph's one writer in every
+// schedule (see shard.WithWriters). WithWriters remains only for its
+// callers in benchmark/ and goes with them (ROADMAP item 4).
 func (m *MultiEvaluator) WithWriters(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: writer count must be positive, got %d", n)
 	}
-	return m.reconfigure("WithWriters", func() { m.writers = n })
+	return nil
 }
-
-// Writers returns the coordinator's epoch-construction writer count.
-func (m *MultiEvaluator) Writers() int { return m.eng.NumWriters() }
 
 // EnableDynamicQueries switches the evaluator to retain-all mode, the
 // prerequisite for registering or removing queries mid-stream (AddQuery

@@ -282,10 +282,10 @@ func (p *persistState) pendingError() error {
 // uninterrupted run.
 //
 // The checkpoint carries the shard count and the dynamic-queries
-// (retain-all) mode, and the evaluator comes back with them. Pipeline
-// depth and writer count are not recorded: they revert to their
-// defaults, and a recovered evaluator — persistent already — refuses
-// every With* reconfiguration. None of them changes the result stream.
+// (retain-all) mode, and the evaluator comes back with them. The
+// pipeline depth is not recorded: it reverts to its default, and a
+// recovered evaluator — persistent already — refuses every With*
+// reconfiguration. The depth does not change the result stream.
 func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult, error) {
 	var cfg persistConfig
 	for _, o := range opts {
