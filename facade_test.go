@@ -1,6 +1,9 @@
 package streamrpq
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func TestMultiEvaluator(t *testing.T) {
 	q1 := MustCompile("knows+")
@@ -56,6 +59,49 @@ func TestMultiEvaluatorOutOfOrder(t *testing.T) {
 	m.Ingest(Tuple{TS: 5, Src: "u", Dst: "v", Label: "a"})
 	if _, err := m.Ingest(Tuple{TS: 4, Src: "u", Dst: "v", Label: "a"}); err == nil {
 		t.Fatal("out-of-order accepted")
+	}
+}
+
+// TestIngestBatchAllocs pins the facade's allocations per 32-tuple
+// IngestBatch on the default evaluator: admission, encoding, the
+// engine and result decoding together. The window drops every batch
+// before the next, so each one rebuilds the same graph and finds the
+// same 52 matches.
+func TestIngestBatchAllocs(t *testing.T) {
+	m, err := NewMultiEvaluator(1, 1, shardQueries()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	batch := make([]Tuple, 32)
+	for i := range batch {
+		batch[i] = Tuple{Src: "v" + strconv.Itoa(i%8), Dst: "v" + strconv.Itoa((i*3+1)%8), Label: []string{"a", "b"}[i%2]}
+	}
+	var ts int64
+	matches := 0
+	ingest := func() {
+		ts += 2
+		for i := range batch {
+			batch[i].TS = ts
+		}
+		brs, err := m.IngestBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches = 0
+		for _, br := range brs {
+			matches += len(br.Matches)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		ingest() // grow the dictionaries and the engines' buffers
+	}
+	avg := testing.AllocsPerRun(100, ingest)
+	if matches != 52 {
+		t.Fatalf("batch found %d matches, want 52", matches)
+	}
+	if avg > 493 {
+		t.Errorf("IngestBatch of 32 tuples allocates %.0f times, want at most 493", avg)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestInlineMatchesReference(t *testing.T) {
 	for qi, member := range inline.queries {
 		emit := func(inval bool) func(core.Match) {
 			return func(m core.Match) {
-				refCanon = append(refCanon, facadeEntry{TS: ts, Query: qi, Inval: inval, M: inline.decode(m)})
+				refCanon = append(refCanon, facadeEntry{TS: ts, Query: qi, Inval: inval, M: inline.fe.decode(m)})
 			}
 		}
 		sink := core.FuncSink{Match: emit(false), Invalidate: emit(true)}
@@ -73,7 +73,7 @@ func TestInlineMatchesReference(t *testing.T) {
 	}
 	for _, tu := range stream {
 		ts = tu.TS
-		ref.Process(inline.encode(tu))
+		ref.Process(inline.fe.encode(tu))
 	}
 	sort.Slice(refCanon, func(i, j int) bool { return lessEntry(&refCanon[i], &refCanon[j]) })
 	if !reflect.DeepEqual(want, refCanon) {

@@ -1,5 +1,11 @@
 package automaton
 
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
+
 // NoState marks a missing transition in a Bound automaton.
 const NoState = int32(-1)
 
@@ -72,4 +78,57 @@ func (b *Bound) Step(s int32, label int) int32 {
 // i.e. whether a tuple carrying it can possibly affect results.
 func (b *Bound) Relevant(label int) bool {
 	return label >= 0 && label < len(b.ByLabel) && len(b.ByLabel[label]) > 0
+}
+
+// Fingerprint serializes the bound automaton's structure over the dense
+// label-id space: state count, start, final set, and per label id the
+// sorted transition pairs. Trailing label-space width does not enter
+// the fingerprint — a bound automaton re-bound against a wider label
+// dictionary has no transitions on the new ids, so it steps (and
+// therefore emits) identically, and the two fingerprints match.
+// Equal fingerprints ⇒ the engines driven by the two bounds produce
+// byte-identical result streams on every input, which is the safety
+// condition for evaluating them on one shared Δ-index tree set.
+func (b *Bound) Fingerprint() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "k%d;s%d;f", b.K, b.Start)
+	for s, f := range b.Final {
+		if f {
+			fmt.Fprintf(&sb, "%d,", s)
+		}
+	}
+	sb.WriteByte(';')
+	for id, trs := range b.ByLabel {
+		if len(trs) == 0 {
+			continue
+		}
+		sorted := append([]Transition(nil), trs...)
+		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].From != sorted[j].From {
+				return sorted[i].From < sorted[j].From
+			}
+			return sorted[i].To < sorted[j].To
+		})
+		fmt.Fprintf(&sb, "l%d:", id)
+		for _, tr := range sorted {
+			fmt.Fprintf(&sb, "%d>%d,", tr.From, tr.To)
+		}
+		sb.WriteByte(';')
+	}
+	// The containment matrix feeds the RSPQ arm; include it so bounds
+	// that step identically but carry different containment metadata are
+	// never conflated.
+	if b.HasCont {
+		sb.WriteString("c")
+		for _, row := range b.Cont {
+			for _, v := range row {
+				if v {
+					sb.WriteByte('1')
+				} else {
+					sb.WriteByte('0')
+				}
+			}
+		}
+	}
+	return sb.String()
 }

@@ -16,6 +16,31 @@ import (
 // whitespace-free strings, and the optional op defaults to '+'.
 // Lines starting with '#' and blank lines are ignored.
 
+// ParseLine parses one line of the text format into its fields. It is
+// the format's only parser: Reader, and the facade's ParseTuple and
+// Replay functions, all read lines through it. Skipping comments and
+// blank lines is the caller's business; here they are malformed.
+func ParseLine(line string) (ts int64, src, dst, label string, op Op, err error) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 || len(fields) > 5 {
+		return 0, "", "", "", Insert, fmt.Errorf("want 4 or 5 fields, got %d", len(fields))
+	}
+	ts, err = strconv.ParseInt(fields[0], 10, 64)
+	if err != nil {
+		return 0, "", "", "", Insert, fmt.Errorf("bad timestamp %q: %v", fields[0], err)
+	}
+	if len(fields) == 5 {
+		switch fields[4] {
+		case "+":
+		case "-":
+			op = Delete
+		default:
+			return 0, "", "", "", Insert, fmt.Errorf("bad op %q (want + or -)", fields[4])
+		}
+	}
+	return ts, fields[1], fields[2], fields[3], op, nil
+}
+
 // Reader decodes a text-encoded tuple stream, dictionary-encoding
 // vertices and labels on the fly.
 type Reader struct {
@@ -47,45 +72,22 @@ func (r *Reader) Read() (Tuple, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		t, err := r.parse(line)
+		ts, src, dst, label, op, err := ParseLine(line)
 		if err != nil {
 			return Tuple{}, fmt.Errorf("stream: line %d: %w", r.line, err)
 		}
-		return t, nil
+		return Tuple{
+			TS:    ts,
+			Src:   VertexID(r.vertices.ID(src)),
+			Dst:   VertexID(r.vertices.ID(dst)),
+			Label: LabelID(r.labels.ID(label)),
+			Op:    op,
+		}, nil
 	}
 	if err := r.s.Err(); err != nil {
 		return Tuple{}, err
 	}
 	return Tuple{}, io.EOF
-}
-
-func (r *Reader) parse(line string) (Tuple, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || len(fields) > 5 {
-		return Tuple{}, fmt.Errorf("want 4 or 5 fields, got %d", len(fields))
-	}
-	ts, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("bad timestamp %q: %v", fields[0], err)
-	}
-	op := Insert
-	if len(fields) == 5 {
-		switch fields[4] {
-		case "+":
-			op = Insert
-		case "-":
-			op = Delete
-		default:
-			return Tuple{}, fmt.Errorf("bad op %q (want + or -)", fields[4])
-		}
-	}
-	return Tuple{
-		TS:    ts,
-		Src:   VertexID(r.vertices.ID(fields[1])),
-		Dst:   VertexID(r.vertices.ID(fields[2])),
-		Label: LabelID(r.labels.ID(fields[3])),
-		Op:    op,
-	}, nil
 }
 
 // ReadAll reads the remaining tuples.
@@ -102,31 +104,3 @@ func (r *Reader) ReadAll() ([]Tuple, error) {
 		out = append(out, t)
 	}
 }
-
-// Writer encodes tuples in the text format.
-type Writer struct {
-	w        *bufio.Writer
-	vertices *Dict
-	labels   *Dict
-}
-
-// NewWriter returns a Writer; the dictionaries translate ids back to
-// names.
-func NewWriter(w io.Writer, vertices, labels *Dict) *Writer {
-	return &Writer{w: bufio.NewWriter(w), vertices: vertices, labels: labels}
-}
-
-// Write encodes one tuple.
-func (w *Writer) Write(t Tuple) error {
-	op := ""
-	if t.Op == Delete {
-		op = " -"
-	}
-	_, err := fmt.Fprintf(w.w, "%d %s %s %s%s\n",
-		t.TS, w.vertices.Name(int(t.Src)), w.vertices.Name(int(t.Dst)),
-		w.labels.Name(int(t.Label)), op)
-	return err
-}
-
-// Flush flushes buffered output.
-func (w *Writer) Flush() error { return w.w.Flush() }

@@ -32,13 +32,15 @@ func NewReorder(slack int64) *Reorder {
 }
 
 // ErrLate is returned (wrapped) for tuples older than the watermark.
+// A caller that checks lateness before dictionary-encoding the tuple
+// (the streamrpq facade) sets only Tuple.TS.
 type ErrLate struct {
 	Tuple     Tuple
 	Watermark int64
 }
 
 func (e *ErrLate) Error() string {
-	return fmt.Sprintf("stream: late tuple %v behind watermark %d", e.Tuple, e.Watermark)
+	return fmt.Sprintf("stream: late tuple at ts %d behind watermark %d", e.Tuple.TS, e.Watermark)
 }
 
 // Offer inserts a tuple and returns the tuples released by the

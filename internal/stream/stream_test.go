@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -84,37 +83,6 @@ func TestReaderErrors(t *testing.T) {
 		r := NewReader(strings.NewReader(in), NewDict(), NewDict())
 		if _, err := r.Read(); err == nil || err == io.EOF {
 			t.Errorf("input %q: want parse error, got %v", in, err)
-		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	vd, ld := NewDict(), NewDict()
-	in := []Tuple{
-		{TS: 1, Src: VertexID(vd.ID("x")), Dst: VertexID(vd.ID("y")), Label: LabelID(ld.ID("knows"))},
-		{TS: 2, Src: VertexID(vd.ID("y")), Dst: VertexID(vd.ID("z")), Label: LabelID(ld.ID("likes")), Op: Delete},
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf, vd, ld)
-	for _, t2 := range in {
-		if err := w.Write(t2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf, vd, ld)
-	out, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip length %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Errorf("tuple %d: %v != %v", i, in[i], out[i])
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package stream defines the streaming-graph data model of the paper
 // (Definitions 2–3): streaming graph tuples (sgts), dictionary encoding
-// of vertices and labels, and a line-oriented text codec for stream
-// files.
+// of vertices and labels, and the line-oriented text format of stream
+// files (ParseLine, Reader).
 package stream
 
 import "fmt"

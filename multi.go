@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"streamrpq/internal/automaton"
-	"streamrpq/internal/core"
 	"streamrpq/internal/shard"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
@@ -24,18 +23,15 @@ import (
 // Call Close when done (it releases the worker goroutines of the
 // pipelined schedule and the persistence files).
 type MultiEvaluator struct {
-	vertices *stream.Dict
-	labels   *stream.Dict
-	spec     window.Spec
-	eng      *shard.Engine // the coordinator, rebuilt by every With* call
-	shards   int           // as configured by the With* calls; 0 = not called
-	depth    int
-	queries  []*multiMember
-	persist  *persistState // nil unless WithPersistence/Recover was used
-	lastTS   int64
-	started  bool
-	dynamic  bool   // EnableDynamicQueries: online add/remove allowed
-	batches  uint64 // batches applied (without persistence; see AppliedBatches)
+	fe      frontEnd
+	spec    window.Spec
+	eng     *shard.Engine // the coordinator, rebuilt by every With* call
+	shards  int           // as configured by the With* calls; 0 = not called
+	depth   int
+	queries []*multiMember
+	persist *persistState // nil unless WithPersistence/Recover was used
+	dynamic bool          // EnableDynamicQueries: online add/remove allowed
+	batches uint64        // batches applied (without persistence; see AppliedBatches)
 }
 
 type multiMember struct {
@@ -68,21 +64,13 @@ type BatchResult struct {
 // NewMultiEvaluator creates a shared evaluator. Register the queries,
 // then stream tuples through Ingest.
 func NewMultiEvaluator(size, slide int64, queries ...*Query) (*MultiEvaluator, error) {
-	m := &MultiEvaluator{
-		vertices: stream.NewDict(),
-		labels:   stream.NewDict(),
-		spec:     window.Spec{Size: size, Slide: slide},
-	}
+	m := &MultiEvaluator{fe: newFrontEnd(0, nil), spec: window.Spec{Size: size, Slide: slide}}
 	if err := m.rebuild(); err != nil {
 		return nil, err
 	}
 	// The shared dense label space is the union of all query
 	// alphabets; it must be fixed before binding any member.
-	for _, q := range queries {
-		for _, l := range q.Alphabet() {
-			m.labels.ID(l)
-		}
-	}
+	m.fe.intern(queries...)
 	for _, q := range queries {
 		if err := m.addQuery(q); err != nil {
 			return nil, err
@@ -91,32 +79,13 @@ func NewMultiEvaluator(size, slide int64, queries ...*Query) (*MultiEvaluator, e
 	return m, nil
 }
 
-// bind binds the query's automaton against the current label space.
-func (m *MultiEvaluator) bind(q *Query) *multiMember {
-	return &multiMember{query: q, bound: q.dfa.Bind(func(s string) int {
-		id, ok := m.labels.Lookup(s)
-		if !ok {
-			return -1
-		}
-		return id
-	}, m.labels.Len())}
-}
-
 func (m *MultiEvaluator) addQuery(q *Query) error {
-	member := m.bind(q)
+	member := &multiMember{query: q, bound: m.fe.bind(q)}
 	if _, err := m.eng.Add(member.bound, nil); err != nil {
 		return err
 	}
 	m.queries = append(m.queries, member)
 	return nil
-}
-
-func (m *MultiEvaluator) decode(cm core.Match) Match {
-	return Match{
-		From: m.vertices.Name(int(cm.From)),
-		To:   m.vertices.Name(int(cm.To)),
-		TS:   cm.TS,
-	}
 }
 
 // rebuild replaces the coordinator with one of the current
@@ -161,7 +130,7 @@ func (m *MultiEvaluator) rebuild() error {
 // persistence is enabled: the configuration is recorded in the
 // checkpoint metadata.
 func (m *MultiEvaluator) reconfigure(what string, set func()) error {
-	if m.started {
+	if m.fe.clock.started {
 		return fmt.Errorf("streamrpq: %s after processing started", what)
 	}
 	if m.persist != nil {
@@ -226,7 +195,7 @@ func (m *MultiEvaluator) WithWriters(n int) error {
 // the first tuple; the mode survives reconfiguration and, with
 // persistence, checkpoint/recovery.
 func (m *MultiEvaluator) EnableDynamicQueries() error {
-	if m.started {
+	if m.fe.clock.started {
 		return fmt.Errorf("streamrpq: EnableDynamicQueries after processing started")
 	}
 	if err := m.eng.SetRetainAll(true); err != nil {
@@ -253,12 +222,9 @@ func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {
 	if !m.dynamic {
 		return 0, fmt.Errorf("streamrpq: AddQuery requires EnableDynamicQueries before the first tuple")
 	}
-	// Grow the shared label dictionary by the new alphabet, then bind
+	// Grow the shared label dictionary by the new alphabet and bind
 	// against the full space (older members bounds-check beyond theirs).
-	for _, l := range q.Alphabet() {
-		m.labels.ID(l)
-	}
-	member := m.bind(q)
+	member := &multiMember{query: q, bound: m.fe.bind(q)}
 	idx, err := m.eng.AddDynamic(member.bound, nil)
 	if err != nil {
 		return 0, fmt.Errorf("streamrpq: %w", err)
@@ -370,20 +336,6 @@ func (m *MultiEvaluator) Close() error {
 	return err
 }
 
-func (m *MultiEvaluator) encode(t Tuple) stream.Tuple {
-	op := stream.Insert
-	if t.Delete {
-		op = stream.Delete
-	}
-	return stream.Tuple{
-		TS:    t.TS,
-		Src:   stream.VertexID(m.vertices.ID(t.Src)),
-		Dst:   stream.VertexID(m.vertices.ID(t.Dst)),
-		Label: stream.LabelID(m.labels.ID(t.Label)),
-		Op:    op,
-	}
-}
-
 // Ingest consumes one tuple and returns, per registered query, the
 // matches it produced (queries with no new matches are omitted). It is
 // IngestBatch over a batch of one: with persistence enabled the tuple
@@ -412,12 +364,9 @@ func (m *MultiEvaluator) Ingest(t Tuple) ([]QueryResult, error) {
 func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 	// Validate the whole batch up front — against the stream clock and
 	// internally — so a rejected batch leaves no partial engine state.
-	last, checking := m.lastTS, m.started
-	for _, t := range tuples {
-		if checking && t.TS < last {
-			return nil, fmt.Errorf("streamrpq: out-of-order tuple: ts %d after %d", t.TS, last)
-		}
-		last, checking = t.TS, true
+	c, err := m.fe.admit(m.fe.clock, tuples...)
+	if err != nil {
+		return nil, fmt.Errorf("streamrpq: %w", err)
 	}
 	if len(tuples) == 0 {
 		return nil, nil
@@ -429,7 +378,7 @@ func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 	}
 	encoded := make([]stream.Tuple, len(tuples))
 	for i, t := range tuples {
-		encoded[i] = m.encode(t)
+		encoded[i] = m.fe.encode(t)
 	}
 	if m.persist != nil {
 		if err := m.persist.appendBatch(m, encoded); err != nil {
@@ -441,7 +390,7 @@ func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 		return nil, err
 	}
 	if m.persist != nil {
-		if err := m.persist.commitBatch(m, last, out); err != nil {
+		if err := m.persist.commitBatch(m, c.last, out); err != nil {
 			return nil, err
 		}
 	}
@@ -460,8 +409,7 @@ func (m *MultiEvaluator) ingestEncoded(encoded []stream.Tuple) ([]BatchResult, e
 	if err != nil {
 		return nil, fmt.Errorf("streamrpq: %w", err)
 	}
-	m.started = true
-	m.lastTS = encoded[len(encoded)-1].TS
+	m.fe.clock = clock{last: encoded[len(encoded)-1].TS, started: true}
 	m.batches++
 	return m.groupResults(results), nil
 }
@@ -487,7 +435,7 @@ func (m *MultiEvaluator) groupResults(results []shard.Result) []BatchResult {
 		}
 		run := make([]Match, hi-lo)
 		for i := range run {
-			run[i] = m.decode(results[lo+i].Match)
+			run[i] = m.fe.decode(results[lo+i].Match)
 		}
 		if lo == 0 || !sameGroup(&results[lo-1], first) {
 			out = append(out, BatchResult{Tuple: first.Tuple, Query: m.queries[first.Query].query})

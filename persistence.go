@@ -89,7 +89,7 @@ type pendingCommit struct {
 // Ingest call is logged before it is processed. Call after WithShards
 // and before the first tuple.
 func (m *MultiEvaluator) WithPersistence(dir string, opts ...PersistOption) error {
-	if m.started {
+	if m.fe.clock.started {
 		return fmt.Errorf("streamrpq: WithPersistence after processing started")
 	}
 	if m.persist != nil {
@@ -132,10 +132,10 @@ func (m *MultiEvaluator) Checkpoint() error {
 		Sharded:        !m.eng.Inline(),
 		Shards:         m.NumShards(),
 		Sharing:        true, // format v4 keeps the byte; Recover ignores it
-		Vertices:       m.vertices.Names(),
-		Labels:         m.labels.Names(),
-		LastTS:         m.lastTS,
-		Started:        m.started,
+		Vertices:       m.fe.vertices.Names(),
+		Labels:         m.fe.labels.Names(),
+		LastTS:         m.fe.clock.last,
+		Started:        m.fe.clock.started,
 		AppliedTuples:  p.appliedTuples,
 		AppliedBatches: p.appliedBatches,
 	}
@@ -153,8 +153,8 @@ func (m *MultiEvaluator) Checkpoint() error {
 	// recovery starts here — so a commit append still pending for that
 	// segment is moot.
 	p.pendingCommit = nil
-	p.vMark = m.vertices.Len()
-	p.lMark = m.labels.Len()
+	p.vMark = m.fe.vertices.Len()
+	p.lMark = m.fe.labels.Len()
 	p.batchesSince = 0
 	return nil
 }
@@ -194,13 +194,13 @@ func (p *persistState) appendBatch(m *MultiEvaluator, encoded []stream.Tuple) er
 		}
 	}
 	try := func() error {
-		vdelta := m.vertices.Names()[p.vMark:]
-		ldelta := m.labels.Names()[p.lMark:]
+		vdelta := m.fe.vertices.Names()[p.vMark:]
+		ldelta := m.fe.labels.Names()[p.lMark:]
 		if err := p.mgr.AppendBatch(vdelta, ldelta, encoded); err != nil {
 			return err
 		}
-		p.vMark = m.vertices.Len()
-		p.lMark = m.labels.Len()
+		p.vMark = m.fe.vertices.Len()
+		p.lMark = m.fe.labels.Len()
 		p.appliedTuples += int64(len(encoded))
 		p.appliedBatches++
 		return nil
@@ -303,8 +303,8 @@ func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult,
 	p := &persistState{
 		mgr:            mgr,
 		cfg:            cfg,
-		vMark:          m.vertices.Len(),
-		lMark:          m.labels.Len(),
+		vMark:          m.fe.vertices.Len(),
+		lMark:          m.fe.labels.Len(),
 		appliedTuples:  snap.AppliedTuples,
 		appliedBatches: snap.AppliedBatches,
 	}
@@ -323,10 +323,10 @@ func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult,
 			return nil
 		}
 		for _, name := range rec.VDelta {
-			m.vertices.ID(name)
+			m.fe.vertices.ID(name)
 		}
 		for _, name := range rec.LDelta {
-			m.labels.ID(name)
+			m.fe.labels.ID(name)
 		}
 		out, err := m.ingestEncoded(rec.Tuples)
 		if err != nil {
@@ -334,7 +334,7 @@ func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult,
 		}
 		p.appliedTuples += int64(len(rec.Tuples))
 		p.appliedBatches++
-		p.vMark, p.lMark = m.vertices.Len(), m.labels.Len()
+		p.vMark, p.lMark = m.fe.vertices.Len(), m.fe.labels.Len()
 		unacked = append(unacked, out...)
 		unackedBatches++
 		if n := len(rec.Tuples); n > 0 {
@@ -366,59 +366,36 @@ func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult,
 }
 
 // rebuildFromSnapshot reconstructs the evaluator a snapshot describes:
-// recompile the queries (compilation is deterministic, so the bound
-// automata and the label-id prefix come out identical), reload the
-// dictionaries, re-shard, and restore the engine state.
+// an empty evaluator loads both dictionaries and takes the snapshot's
+// retain-all mode, every query is recompiled and bound against the
+// loaded label space, the evaluator re-shards, and the engine state is
+// restored. Binding a query against a wider label space than it was
+// first bound against is emission-equivalent: the extra labels have no
+// transitions, and the Δ-index group fingerprint ignores trailing label
+// width.
 func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
-	queries := make([]*Query, len(snap.Queries))
+	m, err := NewMultiEvaluator(snap.Spec.Size, snap.Spec.Slide)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.fe.labels.Load(snap.Labels); err != nil {
+		return nil, fmt.Errorf("streamrpq: recover: label dictionary: %w", err)
+	}
+	if err := m.fe.vertices.Load(snap.Vertices); err != nil {
+		return nil, fmt.Errorf("streamrpq: recover: vertex dictionary: %w", err)
+	}
+	if snap.State != nil && snap.State.Retain {
+		if err := m.EnableDynamicQueries(); err != nil {
+			return nil, err
+		}
+	}
 	for i, src := range snap.Queries {
 		q, err := Compile(src)
 		if err != nil {
 			return nil, fmt.Errorf("streamrpq: recover: recompiling query %d (%q): %w", i, src, err)
 		}
-		queries[i] = q
-	}
-	var m *MultiEvaluator
-	var err error
-	if snap.State != nil && snap.State.Retain {
-		// Dynamic (retain-all) evaluator: labels of queries registered
-		// mid-stream interleave with stream labels in the dictionary, so
-		// the static intern-alphabets-then-Load sequence cannot reproduce
-		// the persisted id assignment. Instead construct an empty
-		// evaluator, load the full dictionaries, and bind every query
-		// against the complete label space — each alphabet label is
-		// already in the dictionary, and binding older queries against a
-		// larger space than at first registration is emission-equivalent
-		// (the ΣQ bounds guards in core skip labels outside a member's
-		// alphabet regardless of binding width).
-		m, err = NewMultiEvaluator(snap.Spec.Size, snap.Spec.Slide)
-		if err != nil {
+		if err := m.addQuery(q); err != nil {
 			return nil, err
-		}
-		if err := m.labels.Load(snap.Labels); err != nil {
-			return nil, fmt.Errorf("streamrpq: recover: label dictionary: %w", err)
-		}
-		if err := m.vertices.Load(snap.Vertices); err != nil {
-			return nil, fmt.Errorf("streamrpq: recover: vertex dictionary: %w", err)
-		}
-		if err := m.EnableDynamicQueries(); err != nil {
-			return nil, err
-		}
-		for _, q := range queries {
-			if err := m.addQuery(q); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		m, err = NewMultiEvaluator(snap.Spec.Size, snap.Spec.Slide, queries...)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.labels.Load(snap.Labels); err != nil {
-			return nil, fmt.Errorf("streamrpq: recover: label dictionary: %w", err)
-		}
-		if err := m.vertices.Load(snap.Vertices); err != nil {
-			return nil, fmt.Errorf("streamrpq: recover: vertex dictionary: %w", err)
 		}
 	}
 	// The snapshot's query→group mapping is restored verbatim, so its
@@ -436,7 +413,6 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 		m.Close()
 		return nil, fmt.Errorf("streamrpq: recover: %w", err)
 	}
-	m.lastTS = snap.LastTS
-	m.started = snap.Started
+	m.fe.clock = clock{last: snap.LastTS, started: snap.Started}
 	return m, nil
 }

@@ -339,7 +339,7 @@ func TestRecoverRedeliversUncommittedBatch(t *testing.T) {
 	crashBatch := batches[crashAt]
 	encoded := make([]stream.Tuple, len(crashBatch))
 	for i, tu := range crashBatch {
-		encoded[i] = m.encode(tu)
+		encoded[i] = m.fe.encode(tu)
 	}
 	if err := m.persist.appendBatch(m, encoded); err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestRecoverRedeliversExactlyOnce(t *testing.T) {
 	// Crash window: batch in the WAL, no commit, results never returned.
 	encoded := make([]stream.Tuple, len(batches[5]))
 	for i, tu := range batches[5] {
-		encoded[i] = m.encode(tu)
+		encoded[i] = m.fe.encode(tu)
 	}
 	if err := m.persist.appendBatch(m, encoded); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
+
+	"streamrpq/internal/stream"
 )
 
 // Replay reads a text-encoded tuple stream ("ts src dst label [+|-]"
@@ -15,7 +16,7 @@ import (
 func Replay(r io.Reader, ev *Evaluator, onMatch func(Match)) (int64, error) {
 	var n int64
 	err := scanTupleLines(r, func(line int, t Tuple) error {
-		ms, err := ev.Ingest(t)
+		ms, err := ev.ingest(t)
 		if err != nil {
 			return fmt.Errorf("streamrpq: line %d: %w", line, err)
 		}
@@ -43,9 +44,9 @@ func scanTupleLines(r io.Reader, fn func(line int, t Tuple) error) error {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		t, err := parseTupleLine(line, text)
+		t, err := parseTuple(text)
 		if err != nil {
-			return fmt.Errorf("streamrpq: %w", err)
+			return fmt.Errorf("streamrpq: line %d: %w", line, err)
 		}
 		if err := fn(line, t); err != nil {
 			return err
@@ -66,8 +67,8 @@ func ReplayMulti(r io.Reader, m *MultiEvaluator, batchSize int, skip int64, onRe
 	if batchSize <= 0 {
 		batchSize = 256
 	}
-	var n, lastTS int64
-	started := false
+	var n int64
+	var c clock // the file's own order, skipped tuples included
 	lastLine, batchFirstLine := 0, 0
 	batch := make([]Tuple, 0, batchSize)
 	flush := func() error {
@@ -92,14 +93,14 @@ func ReplayMulti(r io.Reader, m *MultiEvaluator, batchSize int, skip int64, onRe
 	}
 	err := scanTupleLines(r, func(line int, t Tuple) error {
 		lastLine = line
-		// Validate timestamp order here, against the stream as a whole,
-		// so the error names the offending line instead of surfacing at
-		// the next batch flush. Skipped tuples advance the clock too:
-		// they were applied by the run being resumed.
-		if started && t.TS < lastTS {
-			return fmt.Errorf("streamrpq: line %d: out-of-order tuple: ts %d after %d", line, t.TS, lastTS)
+		// Check order here, against the file as a whole, so the error
+		// names the offending line instead of surfacing at the next batch
+		// flush. Skipped tuples advance the clock too: they were applied
+		// by the run being resumed.
+		var err error
+		if c, err = m.fe.admit(c, t); err != nil {
+			return fmt.Errorf("streamrpq: line %d: %w", line, err)
 		}
-		started, lastTS = true, t.TS
 		if skip > 0 {
 			skip--
 			return nil
@@ -127,42 +128,17 @@ func ReplayMulti(r io.Reader, m *MultiEvaluator, batchSize int, skip int64, onRe
 // input format, exported for callers that receive tuples one at a time
 // (e.g. the serving layer's ingest endpoint).
 func ParseTuple(text string) (Tuple, error) {
-	t, err := parseTupleText(strings.TrimSpace(text))
+	t, err := parseTuple(text)
 	if err != nil {
 		return Tuple{}, fmt.Errorf("streamrpq: %w", err)
 	}
 	return t, nil
 }
 
-// parseTupleLine parses one stream-file line. line is the 1-based line
-// number, included in errors so malformed stream files point at the
-// offending line.
-func parseTupleLine(line int, text string) (Tuple, error) {
-	t, err := parseTupleText(text)
+func parseTuple(text string) (Tuple, error) {
+	ts, src, dst, label, op, err := stream.ParseLine(text)
 	if err != nil {
-		return Tuple{}, fmt.Errorf("line %d: %w", line, err)
+		return Tuple{}, err
 	}
-	return t, nil
-}
-
-func parseTupleText(text string) (Tuple, error) {
-	fields := strings.Fields(text)
-	if len(fields) < 4 || len(fields) > 5 {
-		return Tuple{}, fmt.Errorf("want 4 or 5 fields, got %d", len(fields))
-	}
-	ts, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("bad timestamp %q: %v", fields[0], err)
-	}
-	t := Tuple{TS: ts, Src: fields[1], Dst: fields[2], Label: fields[3]}
-	if len(fields) == 5 {
-		switch fields[4] {
-		case "+":
-		case "-":
-			t.Delete = true
-		default:
-			return Tuple{}, fmt.Errorf("bad op %q (want + or -)", fields[4])
-		}
-	}
-	return t, nil
+	return Tuple{TS: ts, Src: src, Dst: dst, Label: label, Delete: op == stream.Delete}, nil
 }

@@ -165,10 +165,21 @@ func TestReplayDeletion(t *testing.T) {
 	}
 }
 
+// TestReplayOutOfOrderSurfacesError: both replay paths reject an
+// out-of-order stream with the same message, naming the line.
 func TestReplayOutOfOrderSurfacesError(t *testing.T) {
 	in := "5 a b l\n3 a b l\n"
+	const want = "streamrpq: line 2: out-of-order tuple: ts 3 after 5"
 	ev, _ := NewEvaluator(MustCompile("l"), WithWindow(10, 1))
-	if _, err := Replay(strings.NewReader(in), ev, nil); err == nil {
-		t.Fatal("out-of-order stream accepted")
+	if _, err := Replay(strings.NewReader(in), ev, nil); err == nil || err.Error() != want {
+		t.Fatalf("Replay: error %v, want %q", err, want)
+	}
+	m, err := NewMultiEvaluator(10, 1, MustCompile("l"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := ReplayMulti(strings.NewReader(in), m, 8, 0, nil); err == nil || err.Error() != want {
+		t.Fatalf("ReplayMulti: error %v, want %q", err, want)
 	}
 }

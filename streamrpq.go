@@ -27,7 +27,6 @@ import (
 	"streamrpq/internal/automaton"
 	"streamrpq/internal/core"
 	"streamrpq/internal/pattern"
-	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
 
@@ -213,16 +212,11 @@ func WithSlack(slack int64) Option {
 type Evaluator struct {
 	query     *Query
 	semantics Semantics
-	vertices  *stream.Dict
-	labels    *stream.Dict
+	fe        frontEnd
 	engine    core.Engine
-	reorder   *stream.Reorder  // nil unless WithSlack was given
-	filter    func(Tuple) bool // nil unless WithEdgeFilter was given
 
 	batch   []Match // matches produced by the current Ingest call
 	onInval func(Match)
-	lastTS  int64
-	started bool
 }
 
 // NewEvaluator creates an evaluator for the compiled query.
@@ -239,42 +233,20 @@ func NewEvaluator(q *Query, opts ...Option) (*Evaluator, error) {
 	ev := &Evaluator{
 		query:     q,
 		semantics: cfg.semantics,
-		vertices:  stream.NewDict(),
-		labels:    stream.NewDict(),
+		fe:        newFrontEnd(cfg.slack, cfg.filter),
+		onInval:   cfg.onInvalidate,
 	}
-	// Pre-intern the query alphabet so the bound automaton's dense
-	// label space covers exactly ΣQ; stream labels outside it receive
-	// larger ids and are dropped by the engines.
-	for _, l := range q.Alphabet() {
-		ev.labels.ID(l)
-	}
-	bound := q.dfa.Bind(func(s string) int {
-		id, ok := ev.labels.Lookup(s)
-		if !ok {
-			return -1
-		}
-		return id
-	}, ev.labels.Len())
-
+	// The bound automaton's dense label space covers exactly ΣQ; stream
+	// labels outside it receive larger ids and are dropped by the engines.
+	bound := ev.fe.bind(q)
 	sink := core.FuncSink{
-		Match: func(m core.Match) {
-			ev.batch = append(ev.batch, Match{
-				From: ev.vertices.Name(int(m.From)),
-				To:   ev.vertices.Name(int(m.To)),
-				TS:   m.TS,
-			})
-		},
+		Match: func(m core.Match) { ev.batch = append(ev.batch, ev.fe.decode(m)) },
 		Invalidate: func(m core.Match) {
 			if ev.onInval != nil {
-				ev.onInval(Match{
-					From: ev.vertices.Name(int(m.From)),
-					To:   ev.vertices.Name(int(m.To)),
-					TS:   m.TS,
-				})
+				ev.onInval(ev.fe.decode(m))
 			}
 		},
 	}
-	ev.onInval = cfg.onInvalidate
 
 	switch cfg.semantics {
 	case Arbitrary:
@@ -284,10 +256,6 @@ func NewEvaluator(q *Query, opts ...Option) (*Evaluator, error) {
 	default:
 		return nil, fmt.Errorf("streamrpq: unknown semantics %d", int(cfg.semantics))
 	}
-	if cfg.slack > 0 {
-		ev.reorder = stream.NewReorder(cfg.slack)
-	}
-	ev.filter = cfg.filter
 	return ev, nil
 }
 
@@ -311,35 +279,34 @@ func (ev *Evaluator) Semantics() Semantics { return ev.semantics }
 // tolerance are rejected with an error before touching engine state.
 // The returned slice is reused by the next Ingest call.
 func (ev *Evaluator) Ingest(t Tuple) ([]Match, error) {
-	var encoded stream.Tuple
-	if ev.filter != nil && !t.Delete && !ev.filter(t) {
-		// A rejected tuple still advances the stream clock (window
-		// expiry must not stall), so it keeps its place in the stream
-		// as a clock-only tuple: no vertex is interned, and the
-		// out-of-alphabet label makes the engine treat it as
-		// irrelevant.
-		encoded = stream.Tuple{TS: t.TS, Label: -1}
-	} else {
-		encoded = ev.encode(t)
+	ms, err := ev.ingest(t)
+	if err != nil {
+		return nil, fmt.Errorf("streamrpq: %w", err)
 	}
-	if ev.reorder != nil {
-		released, err := ev.reorder.Offer(encoded)
-		if err != nil {
-			return nil, err
-		}
-		ev.batch = ev.batch[:0]
-		for _, rt := range released {
-			ev.engine.Process(rt)
-		}
+	return ms, nil
+}
+
+// ingest is Ingest without the package prefix on its errors, which
+// Replay replaces with the line number.
+func (ev *Evaluator) ingest(t Tuple) ([]Match, error) {
+	c, err := ev.fe.admit(ev.fe.clock, t)
+	if err != nil {
+		return nil, err
+	}
+	ev.fe.clock = c
+	encoded := ev.fe.encode(t)
+	ev.batch = ev.batch[:0]
+	if ev.fe.reorder == nil {
+		ev.engine.Process(encoded)
 		return ev.batch, nil
 	}
-	if ev.started && t.TS < ev.lastTS {
-		return nil, fmt.Errorf("streamrpq: out-of-order tuple: ts %d after %d", t.TS, ev.lastTS)
+	released, err := ev.fe.reorder.Offer(encoded)
+	if err != nil {
+		return nil, err
 	}
-	ev.started = true
-	ev.lastTS = t.TS
-	ev.batch = ev.batch[:0]
-	ev.engine.Process(encoded)
+	for _, rt := range released {
+		ev.engine.Process(rt)
+	}
 	return ev.batch, nil
 }
 
@@ -349,27 +316,13 @@ func (ev *Evaluator) Ingest(t Tuple) ([]Match, error) {
 // a no-op.
 func (ev *Evaluator) Flush() []Match {
 	ev.batch = ev.batch[:0]
-	if ev.reorder == nil {
+	if ev.fe.reorder == nil {
 		return nil
 	}
-	for _, rt := range ev.reorder.Flush() {
+	for _, rt := range ev.fe.reorder.Flush() {
 		ev.engine.Process(rt)
 	}
 	return ev.batch
-}
-
-func (ev *Evaluator) encode(t Tuple) stream.Tuple {
-	op := stream.Insert
-	if t.Delete {
-		op = stream.Delete
-	}
-	return stream.Tuple{
-		TS:    t.TS,
-		Src:   stream.VertexID(ev.vertices.ID(t.Src)),
-		Dst:   stream.VertexID(ev.vertices.ID(t.Dst)),
-		Label: stream.LabelID(ev.labels.ID(t.Label)),
-		Op:    op,
-	}
 }
 
 // MustIngest is like Ingest but panics on out-of-order input; it keeps

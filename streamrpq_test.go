@@ -209,6 +209,37 @@ func TestEvaluatorOutOfOrderRejected(t *testing.T) {
 	}
 }
 
+// TestRejectedTupleInternsNothing: a tuple rejected as out of order,
+// or as late under WithSlack, leaves the dictionaries as they were —
+// its names are never interned.
+func TestRejectedTupleInternsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		opts     []Option
+		accepted Tuple
+		rejected Tuple
+	}{
+		{"out-of-order", nil,
+			Tuple{TS: 5, Src: "u", Dst: "v", Label: "a"}, Tuple{TS: 4, Src: "p", Dst: "q", Label: "z"}},
+		{"late", []Option{WithSlack(2)},
+			Tuple{TS: 10, Src: "u", Dst: "v", Label: "a"}, Tuple{TS: 7, Src: "p", Dst: "q", Label: "z"}},
+	} {
+		ev, err := NewEvaluator(MustCompile("a"), append([]Option{WithWindow(50, 1)}, tc.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.MustIngest(tc.accepted)
+		vertices, labels := ev.fe.vertices.Len(), ev.fe.labels.Len()
+		if _, err := ev.Ingest(tc.rejected); err == nil {
+			t.Fatalf("%s: tuple accepted", tc.name)
+		}
+		if ev.fe.vertices.Len() != vertices || ev.fe.labels.Len() != labels {
+			t.Fatalf("%s: rejected tuple grew the dictionaries: vertices %d -> %d, labels %d -> %d",
+				tc.name, vertices, ev.fe.vertices.Len(), labels, ev.fe.labels.Len())
+		}
+	}
+}
+
 func TestEvaluatorBadWindow(t *testing.T) {
 	if _, err := NewEvaluator(MustCompile("a"), WithWindow(0, 1)); err == nil {
 		t.Fatal("zero window accepted")
