@@ -44,7 +44,7 @@ func main() {
 	window := flag.Int64("window", 1000, "window size (time units)")
 	slide := flag.Int64("slide", 100, "window slide (time units)")
 	shards := flag.Int("shards", 0, "query shards (0 = evaluate inline on the ingest goroutine)")
-	depth := flag.Int("depth", 0, "pipeline depth (0 = default: 2 with -shards, else 1)")
+	depth := flag.Int("depth", 0, "pipeline depth; only selects the schedule of one shard: 1 inline, >= 2 on a shard goroutine (0 = default: 2 with -shards, else 1)")
 	persistDir := flag.String("persist", "", "persistence directory (empty = no durability)")
 	resume := flag.Bool("resume", false, "recover from an existing persistence directory")
 	ckEvery := flag.Int("checkpoint-every", 0, "automatic checkpoint every n batches (0 = manual only)")

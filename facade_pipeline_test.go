@@ -21,12 +21,10 @@ func collectBatches(t *testing.T, m *MultiEvaluator, stream []Tuple, batch int) 
 	return out
 }
 
-// TestWithPipelineDepthAgrees: the pipelined coordinator (depths 2 and
-// 4) must produce the byte-identical IngestBatch result sequence of the
-// barriered depth-1 one, at several shard counts, and every run must
-// agree with the default inline evaluator's match multisets. (One shard
-// at depth 1 is itself the inline schedule, whose tie-group attribution
-// is tuple by tuple: it is held to the multisets only.)
+// TestWithPipelineDepthAgrees: at shard counts 1/2/8 × pipeline depths
+// 1/2/4 the IngestBatch result sequence must be byte-identical to the
+// default inline evaluator's (one shard at depth 1 is the inline
+// schedule itself).
 func TestWithPipelineDepthAgrees(t *testing.T) {
 	stream := shardStream(77, 800)
 
@@ -34,11 +32,13 @@ func TestWithPipelineDepthAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := collectMulti(t, seq, stream)
+	want := collectBatches(t, seq, stream, 37)
 	seq.Close()
+	if len(want) == 0 {
+		t.Fatal("no results; test is vacuous")
+	}
 
 	for _, shards := range []int{1, 2, 8} {
-		var base []BatchResult
 		for _, depth := range []int{1, 2, 4} {
 			m, err := NewMultiEvaluator(25, 5, shardQueries()...)
 			if err != nil {
@@ -53,30 +53,13 @@ func TestWithPipelineDepthAgrees(t *testing.T) {
 			if got := m.PipelineDepth(); got != depth {
 				t.Fatalf("PipelineDepth = %d, want %d", got, depth)
 			}
-			inline := m.eng.Inline()
 			got := collectBatches(t, m, stream, 37)
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			gotMulti := map[string]map[Match]int{}
-			for _, br := range got {
-				name := br.Query.String()
-				if gotMulti[name] == nil {
-					gotMulti[name] = map[Match]int{}
-				}
-				for _, match := range br.Matches {
-					gotMulti[name][match]++
-				}
-			}
-			if !reflect.DeepEqual(want, gotMulti) {
-				t.Fatalf("shards=%d depth=%d: diverges from the inline evaluator", shards, depth)
-			}
-			switch {
-			case inline:
-			case base == nil:
-				base = got
-			case !reflect.DeepEqual(base, got):
-				t.Fatalf("shards=%d depth=%d: pipelined results diverge from the shallowest pipelined run", shards, depth)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("shards=%d depth=%d: diverges from the inline evaluator (%d vs %d result groups)",
+					shards, depth, len(got), len(want))
 			}
 		}
 	}
@@ -144,10 +127,9 @@ func TestWithPipelineDepthValidation(t *testing.T) {
 }
 
 // TestWithWritersKeepsSchedule: the deprecated WithWriters rejects
-// n <= 0 and otherwise changes nothing. On an evaluator without
-// WithShards the batch still runs inline, so a match inside a
-// timestamp tie-group is attributed to the tuple that completed it,
-// exactly as in the default evaluator.
+// n <= 0 and otherwise changes nothing: the batch's one match is
+// attributed to the tuple that completed it, exactly as in the default
+// evaluator.
 func TestWithWritersKeepsSchedule(t *testing.T) {
 	batch := []Tuple{{TS: 1, Src: "x", Dst: "y", Label: "a"}, {TS: 1, Src: "y", Dst: "z", Label: "b"}}
 	run := func(writers int) []BatchResult {

@@ -19,8 +19,8 @@ import (
 // on seeded random streams whose tuples re-delete earlier edges with
 // probability delRatio, the sharded engine must reproduce the
 // sequential Multi oracle's full result stream — matches AND
-// invalidations, with timestamps, canonically ordered per timestamp
-// tie-group — across shard counts and pipeline depths, and survive a
+// invalidations, with timestamps and triggering tuples, in canonical
+// order — across shard counts and pipeline depths, and survive a
 // SnapshotState/RestoreState round-trip taken mid-churn (the restore
 // path cross-checks the persisted support counts against the
 // materialized trees, and CheckInvariants recomputes them from
@@ -47,7 +47,6 @@ func TestChurnDifferential(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			tuples := randomTuplesX(rand.New(rand.NewSource(tc.seed)), tc.n, tc.vertices, 2, 2, tc.delRatio)
-			tupleTS := func(i int) int64 { return tuples[i].TS }
 
 			// Sequential Multi oracle, results tagged per (tuple, query).
 			var want []shard.Result
@@ -66,9 +65,9 @@ func TestChurnDifferential(t *testing.T) {
 				tupleIdx = i
 				multi.Process(tu)
 			}
-			wantCanon := canonicalize(want, tupleTS)
+			sortCanonical(want)
 			invals := 0
-			for _, r := range wantCanon {
+			for _, r := range want {
 				if r.Invalidated {
 					invals++
 				}
@@ -130,21 +129,13 @@ func TestChurnDifferential(t *testing.T) {
 			}
 			s2.Close()
 
-			haveCanon := canonicalize(have, tupleTS)
-			if !reflect.DeepEqual(wantCanon, haveCanon) {
-				n := min(len(wantCanon), len(haveCanon))
-				diverge := n
-				for i := 0; i < n; i++ {
-					if wantCanon[i] != haveCanon[i] {
-						diverge = i
-						break
-					}
-				}
-				for i := max(0, diverge-3); i < min(n, diverge+5); i++ {
-					t.Logf("[%d] want %+v  have %+v", i, wantCanon[i], haveCanon[i])
+			if !reflect.DeepEqual(want, have) {
+				diverge := firstDifference(want, have)
+				for i := max(0, diverge-3); i < min(len(want), len(have), diverge+5); i++ {
+					t.Logf("[%d] want %+v  have %+v", i, want[i], have[i])
 				}
 				t.Fatalf("%s: sharded churn stream diverges from sequential Multi oracle (%d vs %d results, %d invalidations expected, first divergence at %d)",
-					tc.name, len(wantCanon), len(haveCanon), invals, diverge)
+					tc.name, len(want), len(have), invals, diverge)
 			}
 		})
 	}

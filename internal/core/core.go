@@ -81,12 +81,11 @@ type MemberEngine interface {
 	// coordinator's shared one. Must precede the first Apply call.
 	AttachGraph(g *graph.Graph)
 	// SetReadEpoch hands the engine the epoch at which subsequent Apply
-	// traversals observe the shared graph. A pipelined coordinator keeps
-	// mutating the graph at later epochs while this engine is still
-	// applying an older sub-batch; the epoch handle makes the engine see
-	// exactly the logical snapshot its sub-batch was cut against.
-	// Standalone engines leave it at 0, which is their private graph's
-	// (never advanced) current epoch.
+	// traversals observe the shared graph. A pipelined coordinator writes
+	// a whole batch, one epoch per tuple, before its members apply it;
+	// the epoch handle makes the engine see exactly the snapshot as of
+	// the tuple it applies. Standalone engines leave it at 0, which is
+	// their private graph's (never advanced) current epoch.
 	SetReadEpoch(e graph.Epoch)
 	// ApplyInsert updates the Δ index for an edge the coordinator has
 	// already inserted into the shared graph.

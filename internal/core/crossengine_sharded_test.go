@@ -5,9 +5,10 @@
 package core_test
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -74,50 +75,31 @@ func (s tagSink) OnInvalidate(m core.Match) {
 	*s.out = append(*s.out, shard.Result{Tuple: *s.tuple, Query: s.qi, Match: m, Invalidated: true})
 }
 
-// canonResult is a shard.Result with the batch tuple index replaced by
-// the tuple's timestamp. The sharded coordinator applies a whole
-// sub-batch of graph mutations before the members run, so a member
-// processing tuple i already sees later edges bearing the same
-// timestamp and may discover a match a few positions earlier than the
-// tuple-at-a-time sequential engine — attribution inside one timestamp
-// tie-group is the one representation detail the backends do not share.
-// Keying by timestamp instead of tuple index erases exactly that and
-// nothing else: across tie-groups the order must still agree exactly.
-type canonResult struct {
-	TS          int64 // timestamp of the triggering tuple
-	Query       int
-	Invalidated bool
-	Match       core.Match
+// sortCanonical sorts tagged results into the coordinator's canonical
+// order: tuple index, query registration index, matches before
+// invalidations, then (From, To, TS).
+func sortCanonical(rs []shard.Result) {
+	inval := func(r shard.Result) int {
+		if r.Invalidated {
+			return 1
+		}
+		return 0
+	}
+	slices.SortFunc(rs, func(a, b shard.Result) int {
+		return cmp.Or(cmp.Compare(a.Tuple, b.Tuple), cmp.Compare(a.Query, b.Query),
+			cmp.Compare(inval(a), inval(b)), cmp.Compare(a.Match.From, b.Match.From),
+			cmp.Compare(a.Match.To, b.Match.To), cmp.Compare(a.Match.TS, b.Match.TS))
+	})
 }
 
-// canonicalize maps tagged results to timestamp-keyed form and sorts
-// each tie-group into the canonical order (query registration index,
-// matches before invalidations, then (From, To, TS)).
-func canonicalize(rs []shard.Result, tupleTS func(int) int64) []canonResult {
-	out := make([]canonResult, len(rs))
-	for i, r := range rs {
-		out[i] = canonResult{TS: tupleTS(r.Tuple), Query: r.Query, Invalidated: r.Invalidated, Match: r.Match}
+// firstDifference returns the index of the first record where two
+// result streams differ (the shorter length if one is a prefix).
+func firstDifference(a, b []shard.Result) int {
+	i := 0
+	for i < min(len(a), len(b)) && a[i] == b[i] {
+		i++
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		if a.Invalidated != b.Invalidated {
-			return !a.Invalidated
-		}
-		if a.Match.From != b.Match.From {
-			return a.Match.From < b.Match.From
-		}
-		if a.Match.To != b.Match.To {
-			return a.Match.To < b.Match.To
-		}
-		return a.Match.TS < b.Match.TS
-	})
-	return out
+	return i
 }
 
 // TestShardedAgreesWithRAPQ: for shard counts 1, 2 and 8 crossed with
@@ -125,7 +107,8 @@ func canonicalize(rs []shard.Result, tupleTS func(int) int64) []canonResult {
 // query, byte-identical results to a standalone sequential RAPQ engine
 // on randomized streams with window expiry AND explicit deletions: the
 // exact merged result sequence — matches and invalidations, with
-// timestamps, in canonical order — plus the live result sets. With
+// timestamps and triggering tuples, in canonical order — plus the live
+// result sets. With
 // support-counting deletes the invalidation stream is a pure function
 // of the input stream (no spanning-tree-shape dependence), so deletion
 // streams get the same exact comparison as append-only ones.
@@ -153,10 +136,8 @@ func TestShardedAgreesWithRAPQ(t *testing.T) {
 				e.Process(tu)
 			}
 		}
-		tupleTS := func(i int) int64 { return tuples[i].TS }
-		wantCanon := canonicalize(want, tupleTS)
+		sortCanonical(want)
 
-		var firstRaw []shard.Result
 		for _, shards := range []int{1, 2, 8} {
 			for _, depth := range []int{1, 2, 4} {
 				s, err := shard.New(spec, shard.WithShards(shards), shard.WithPipelineDepth(depth))
@@ -183,33 +164,13 @@ func TestShardedAgreesWithRAPQ(t *testing.T) {
 					}
 				}
 				s.Close()
-				haveCanon := canonicalize(have, tupleTS)
-				if !reflect.DeepEqual(wantCanon, haveCanon) {
-					n := min(len(wantCanon), len(haveCanon))
-					diverge := n
-					for i := 0; i < n; i++ {
-						if wantCanon[i] != haveCanon[i] {
-							diverge = i
-							break
-						}
-					}
-					for i := max(0, diverge-3); i < min(n, diverge+5); i++ {
-						t.Logf("[%d] want %+v  have %+v", i, wantCanon[i], haveCanon[i])
+				if !reflect.DeepEqual(want, have) {
+					diverge := firstDifference(want, have)
+					for i := max(0, diverge-3); i < min(len(want), len(have), diverge+5); i++ {
+						t.Logf("[%d] want %+v  have %+v", i, want[i], have[i])
 					}
 					t.Fatalf("shards=%d depth=%d del=%v: merged result streams differ from sequential oracle (%d vs %d results, first divergence at %d)",
-						shards, depth, delRatio, len(wantCanon), len(haveCanon), diverge)
-				}
-				// Among pipelined configurations the raw merged streams —
-				// tuple attribution included — must be byte-identical. (One
-				// shard at depth 1 runs inline, tuple at a time; its raw
-				// stream is pinned by shard.TestInlineMatchesReferenceExactly.)
-				switch {
-				case s.Inline():
-				case firstRaw == nil:
-					firstRaw = have
-				case !reflect.DeepEqual(firstRaw, have):
-					t.Fatalf("shards=%d depth=%d del=%v: raw merged stream differs from the first pipelined run",
-						shards, depth, delRatio)
+						shards, depth, delRatio, len(want), len(have), diverge)
 				}
 				for qi, expr := range exprs {
 					if !reflect.DeepEqual(refs[qi].Live, gots[qi].Live) {
@@ -291,7 +252,7 @@ func TestShardedAgreesWithMulti(t *testing.T) {
 
 // TestShardedIngestStress is the -race stress test for the concurrent
 // batch path: several sharded engines run whole streams concurrently,
-// each fanning sub-batches out to its own shard goroutines, while the
+// each fanning batches out to its own shard goroutines, while the
 // race detector watches the shared-graph/worker handoffs.
 func TestShardedIngestStress(t *testing.T) {
 	const engines = 4

@@ -59,7 +59,7 @@ type delta struct {
 
 	// epoch is the graph epoch this engine's traversals read at (the
 	// explicit epoch handle of the versioned snapshot graph). A
-	// coordinator sets it per sub-batch via SetReadEpoch; standalone it
+	// coordinator sets it per tuple via SetReadEpoch; standalone it
 	// stays 0, matching the private graph's never-advanced epoch.
 	epoch graph.Epoch
 

@@ -251,19 +251,15 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		}
 
 		// Lines 8–10: expand out-edges of v that are inside the window.
-		// The traversal reads at the engine's epoch handle (sub-batch
-		// granularity); within the sub-batch the graph still runs ahead
-		// of the tuple being applied, so edges with ts > e.now have not
-		// arrived yet from this engine's point of view and are skipped.
-		// Sequentially both filters are vacuous (epoch 0, no edge
-		// outruns the stream clock). The scratch buffer is fully
-		// consumed into stack pushes before the next AppendOutAt reuses
-		// it.
+		// The traversal reads at the engine's epoch handle, which a
+		// coordinator sets to the sequential prefix as of the tuple being
+		// applied. The scratch buffer is fully consumed into stack pushes
+		// before the next AppendOutAt reuses it.
 		sc.out = e.g.AppendOutAt(e.epoch, op.v, sc.out[:0])
 		nodeTS := ns.ts[slot]
 		for _, he := range sc.out {
-			if he.TS <= validFrom || he.TS > e.now {
-				continue // expired or not-yet-arrived: not in W_{G,τ}
+			if he.TS <= validFrom {
+				continue // expired: not in W_{G,τ}
 			}
 			if he.L < 0 || int(he.L) >= len(e.a.ByLabel) {
 				continue // label bound after this member: outside its ΣQ
@@ -332,7 +328,8 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	// same witness set and timestamps in any order, but visiting keys in
 	// sorted order makes the sequential emission order within the pass a
 	// pure function of the stream as well. (Slot order is mutation-
-	// history order, which sub-batch pipelining does not canonicalize.)
+	// history order, which follows the graph's adjacency order, and that
+	// differs between the versioned and the unversioned graph.)
 	slices.Sort(candidates)
 	// Line 3: prune all candidates from the tree. Every release happens
 	// before any reconnection insert allocates, so slots never dangle.
@@ -356,8 +353,8 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 		var bestEdgeTS, bestTS int64
 		sc.in = e.g.AppendInAt(e.epoch, v, sc.in[:0])
 		for _, he := range sc.in {
-			if he.TS <= deadline || he.TS > e.now {
-				continue // expired, or not yet arrived (batched graph)
+			if he.TS <= deadline {
+				continue // expired
 			}
 			if he.L < 0 || int(he.L) >= len(byTarget) {
 				continue // label bound after this member: outside its ΣQ

@@ -215,7 +215,7 @@ func (s *slab) deltaFor(epoch, minR Epoch) uint32 {
 	d = epoch - s.base
 	if d >= Epoch(liveDelta) {
 		// Only reachable if a single lease was held across 2^32 epoch
-		// advances; the coordinator releases leases every sub-batch.
+		// advances; the coordinator releases its lease every batch.
 		panic("graph: epoch delta overflow: reader lease held across 2^32 epochs")
 	}
 	return uint32(d)

@@ -109,7 +109,7 @@ func TestEpochGCCompaction(t *testing.T) {
 
 		steps := 200 + rng.Intn(200)
 		for i := 0; i < steps; i++ {
-			// Writer advances one epoch per "sub-batch" of mutations.
+			// Writer advances one epoch per group of mutations.
 			versioned.AdvanceEpoch()
 			nMut := 1 + rng.Intn(4)
 			for m := 0; m < nMut; m++ {

@@ -12,14 +12,14 @@
 //
 // # Epoch versioning
 //
-// The graph is multi-versioned at sub-batch granularity so a pipelined
-// coordinator (internal/shard) can keep mutating it while reader
-// goroutines still traverse an older logical snapshot. Every edge
-// version carries a validity interval [added, removed) in epochs; the
-// single writer advances the epoch with AdvanceEpoch before each group
-// of mutations, and readers observe exactly the versions valid at the
-// epoch they were handed (AppendOutAt/AppendInAt/TSAt/...). Readers
-// register the epoch they traverse with AcquireEpoch/ReleaseEpoch;
+// The graph is multi-versioned so a pipelined coordinator
+// (internal/shard) can write a whole batch, one epoch per tuple, and
+// then let reader goroutines traverse each tuple's logical snapshot.
+// Every edge version carries a validity interval [added, removed) in
+// epochs; the single writer advances the epoch with AdvanceEpoch before
+// each group of mutations, and readers observe exactly the versions
+// valid at the epoch they were handed (AppendOutAt/AppendInAt/TSAt/...).
+// Readers register the epoch they traverse with AcquireEpoch/ReleaseEpoch;
 // versions no reader can see anymore are compacted away by an
 // amortized-O(1) garbage collector, so a graph whose readers have all
 // retired is byte-identical in content to a never-versioned graph fed
@@ -171,9 +171,9 @@ func (g *Graph) Epoch() Epoch { return Epoch(g.epoch.Load()) }
 // epochs.
 func (g *Graph) AdvanceEpoch() Epoch { return Epoch(g.epoch.Add(1)) }
 
-// AcquireEpoch registers an active reader at epoch e (normally the
-// current epoch, captured right after the writer's mutations for a
-// sub-batch). Versions visible at e are retained until the matching
+// AcquireEpoch registers an active reader at epoch e (the coordinator
+// takes one lease per batch, at its first epoch, before writing it).
+// Versions visible at e or later are retained until the matching
 // ReleaseEpoch.
 func (g *Graph) AcquireEpoch(e Epoch) {
 	g.gcMu.Lock()

@@ -3,8 +3,8 @@ package graph
 import "math"
 
 // leaseRing tracks active reader refcounts per epoch. Leases are
-// near-monotone — the coordinator acquires at the current epoch and
-// releases the oldest in-flight one a few sub-batches later — so a
+// near-monotone — the coordinator acquires one at a batch's first epoch
+// and releases it when the batch is done — so a
 // dense ring indexed by epoch offset beats the refcount map it
 // replaced: acquire and release are O(1) amortized instead of the
 // O(active leases) rescan the map needed to recompute the minimum.
@@ -13,9 +13,8 @@ import "math"
 // epoch of refs[head], and whenever total > 0, refs[head] > 0 (release
 // advances head past zero slots), so the minimum held epoch is simply
 // base. The span of the ring is bounded by the epoch distance between
-// the oldest and newest lease: the coordinator's dispatch is the only
-// lessee, FIFO and at most pipeline depth deep, so a handful of uint32
-// slots.
+// the oldest and newest lease: the coordinator's batch is the only
+// lessee, one lease at a time, so a single uint32 slot.
 //
 // All methods require the caller to hold the owning Graph's gcMu.
 type leaseRing struct {

@@ -12,12 +12,11 @@ import (
 	"streamrpq/internal/window"
 )
 
-// hazardTuples generates an append-only stream engineered to hit every
-// non-delete hazard hard: a small vertex set forces frequent
-// re-insertion refreshes (sub-batch cuts mid-tie-group included, since
-// the timestamp step is often 0), and slide > 1 with a small window
-// forces regular expiry passes.
-func hazardTuples(rng *rand.Rand, n int) []stream.Tuple {
+// refreshTuples generates an append-only stream that refreshes edges
+// and expires often: a small vertex set forces frequent re-insertions,
+// the timestamp step is often 0 (long tie-groups), and slide > 1 with a
+// small window forces regular expiry passes.
+func refreshTuples(rng *rand.Rand, n int) []stream.Tuple {
 	var out []stream.Tuple
 	ts := int64(0)
 	for i := 0; i < n; i++ {
@@ -65,46 +64,29 @@ func assertQuiesced(t *testing.T, s *Engine, when string) {
 }
 
 // TestPipelinedByteIdenticalAcrossDepths is the pipelining acceptance
-// differential on hazard-heavy append-only streams (expiry +
-// re-insertion): for shards 1/2/8 the merged result stream at pipeline
-// depths 2 and 4 must be byte-identical to depth 1 (the barriered
-// engine) — and across shard counts too, since member emissions are a
-// pure function of the stream prefix. One shard at depth 1 is the
-// inline schedule, which attributes matches inside a timestamp
-// tie-group tuple by tuple: it must agree in the timestamp-keyed form.
-// The baseline is further cross-checked against the sequential
-// core.Multi oracle per query.
+// differential on append-only streams with long timestamp tie-groups,
+// frequent re-insertion refreshes and regular expiry passes: at shards
+// 1/2/8 × pipeline depths 1/2/4 × batch sizes 17/64 the merged result
+// stream, with stream-global tuple indices, must be byte-identical to
+// the inline schedule's tuple-at-a-time one (one shard at depth 1 is
+// the inline schedule itself). The baseline is further cross-checked
+// against the sequential core.Multi oracle per query.
 func TestPipelinedByteIdenticalAcrossDepths(t *testing.T) {
 	exprs := []string{"(a/b)+", "a/b*", "(a|b)+", "a*"}
 	spec := window.Spec{Size: 20, Slide: 4}
-	tuples := hazardTuples(rand.New(rand.NewSource(4242)), 900)
+	tuples := refreshTuples(rand.New(rand.NewSource(4242)), 900)
 
-	// Tuple attribution inside a timestamp tie-group depends on where
-	// sub-batches are cut, and batch boundaries force cuts — so byte
-	// identity is asserted per batch size, across every shard count and
-	// pipeline depth.
-	var ref []Result // the first batch size's baseline, for the oracle check
+	ref := runPipeline(t, spec, exprs, tuples, 1, 1, 1)
+	if len(ref) == 0 {
+		t.Fatal("no results produced; test is vacuous")
+	}
 	for _, batch := range []int{17, 64} {
-		// The depth-1 barriered run at two shards is the baseline.
-		base := runPipeline(t, spec, exprs, tuples, 2, 1, batch)
-		if len(base) == 0 {
-			t.Fatal("no results produced; test is vacuous")
-		}
-		if ref == nil {
-			ref = base
-		}
 		for _, shards := range []int{1, 2, 8} {
 			for _, depth := range []int{1, 2, 4} {
 				got := runPipeline(t, spec, exprs, tuples, shards, depth, batch)
-				if shards == 1 && depth == 1 {
-					if !reflect.DeepEqual(byTimestamp(tuples, base), byTimestamp(tuples, got)) {
-						t.Fatalf("batch=%d: inline stream diverged from barriered baseline beyond tie-group attribution", batch)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("shards=%d depth=%d batch=%d: result stream diverged from barriered baseline (%d vs %d results)",
-						shards, depth, batch, len(got), len(base))
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("shards=%d depth=%d batch=%d: result stream diverged from the inline one (%d vs %d results)",
+						shards, depth, batch, len(got), len(ref))
 				}
 			}
 		}
@@ -137,10 +119,127 @@ func TestPipelinedByteIdenticalAcrossDepths(t *testing.T) {
 	}
 }
 
+// TestPipelinedEqualsInlineExactly: every step of the pipelined schedule
+// reads the graph at its own epoch — the sequential prefix as of its
+// tuple — so on churn streams (timestamp ties, 20% deletions,
+// re-insertions) its result stream equals the inline one record for
+// record, tuple attribution included, at every shard count, pipeline
+// depth and batch size, and so do the counters. InsertCalls is left out:
+// it counts timestamp improvements, whose number depends on adjacency
+// order, and the versioned graph compacts a deleted edge's cell when the
+// batch's lease is released instead of at once, which can reorder a
+// vertex's adjacency.
+func TestPipelinedEqualsInlineExactly(t *testing.T) {
+	exprs := []string{"(a/b)+", "a/b*", "(a/b)+", "a|(a/b*)", "(a|b)+", "c*"}
+	spec := window.Spec{Size: 25, Slide: 5}
+	configs := []struct{ shards, depth int }{{2, 2}, {3, 4}, {1, 2}}
+	run := func(tuples []stream.Tuple, batch int, opts ...Option) ([]Result, core.Stats) {
+		s, err := New(spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, expr := range exprs {
+			if _, err := s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all := runGlobal(t, s, tuples, batch)
+		assertQuiesced(t, s, "after the stream")
+		st := s.Stats()
+		st.ExpiryTime, st.InsertCalls = 0, 0
+		return all, st
+	}
+	invals := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		tuples := randomTuples(rand.New(rand.NewSource(seed)), 300, 8, 3, 1, 0.20)
+		want, wantStats := run(tuples, 1, inlineOpts...)
+		for _, r := range want {
+			if r.Invalidated {
+				invals++
+			}
+		}
+		for _, c := range configs {
+			for _, batch := range []int{1, 17, 64} {
+				got, gotStats := run(tuples, batch, WithShards(c.shards), WithPipelineDepth(c.depth))
+				if gotStats != wantStats {
+					t.Fatalf("seed %d shards=%d depth=%d batch=%d: counters differ:\ninline    %+v\npipelined %+v",
+						seed, c.shards, c.depth, batch, wantStats, gotStats)
+				}
+				if reflect.DeepEqual(want, got) {
+					continue
+				}
+				i := 0
+				for i < min(len(want), len(got)) && want[i] == got[i] {
+					i++
+				}
+				t.Fatalf("seed %d shards=%d depth=%d batch=%d: %d vs %d records, first difference at record %d:\ninline    %+v\npipelined %+v",
+					seed, c.shards, c.depth, batch, len(want), len(got), i, want[i:min(i+1, len(want))], got[i:min(i+1, len(got))])
+			}
+		}
+	}
+	if invals == 0 {
+		t.Fatal("no invalidations; deletion coverage is vacuous")
+	}
+}
+
+// TestPipelinedBatchAllocs pins what a steady-state pipelined batch of
+// 32 tuples at two shards allocates. A lasting edge 0 -a-> 1 keeps one
+// tree per group alive; every batch then inserts 16 edges 1 -b-> k and
+// deletes them again, so each one writes and retires graph versions
+// under its lease, dispatches to both shards, emits matches and
+// invalidations on both, and merges them.
+func TestPipelinedBatchAllocs(t *testing.T) {
+	s, err := New(window.Spec{Size: 1 << 40, Slide: 1 << 40}, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, expr := range []string{"a/b", "a/b*", "a/(b|c)", "a/b+"} {
+		if _, err := s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.ProcessBatch([]stream.Tuple{{TS: 1, Src: 0, Dst: 1, Label: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	tuples := make([]stream.Tuple, n)
+	for i := range n / 2 {
+		ins := stream.Tuple{TS: 1, Src: 1, Dst: stream.VertexID(2 + i), Label: 1}
+		del := ins
+		del.Op = stream.Delete
+		tuples[i], tuples[n/2+i] = ins, del
+	}
+	var inval bool
+	for range 3 {
+		rs, err := s.ProcessBatch(tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			inval = inval || r.Invalidated
+		}
+	}
+	if !inval {
+		t.Fatal("warm-up emitted no invalidations; test is vacuous")
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		if _, err := s.ProcessBatch(tuples); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 0 {
+		t.Errorf("a pipelined %d-tuple batch allocates %.1f times, want 0", n, avg)
+	}
+}
+
 // TestPipelinedDeletionHazards: with explicit deletions in the stream
-// the byte-level contract is reduced to the shape-independent
-// observables (see the package comment), which must agree between the
-// pipelined engine at any depth and a sequential RAPQ oracle.
+// the pipelined engine at any shard count and depth agrees with a
+// standalone sequential RAPQ engine on the pairs ever matched, every
+// invalidation retracts a matched pair, and the member's invariants hold
+// at every batch boundary (the record-for-record contract is
+// TestPipelinedEqualsInlineExactly's).
 func TestPipelinedDeletionHazards(t *testing.T) {
 	spec := window.Spec{Size: 25, Slide: 5}
 	tuples := randomTuples(rand.New(rand.NewSource(616)), 700, 7, 2, 1, 0.15)
@@ -239,10 +338,10 @@ func TestMultiWriterOracle(t *testing.T) {
 }
 
 // TestPipelinedSnapshotEpochFree: a mid-stream checkpoint taken from a
-// deeply pipelined engine is identical to one taken from the barriered
+// four-shard pipelined engine is identical to one taken from the inline
 // engine at the same batch boundary — the on-disk state folds the
 // version intervals away and carries no epoch residue — and restoring
-// it into an engine of any depth continues the stream byte-identically,
+// it into another pipelined engine continues the stream byte-identically,
 // whatever groups registration had formed there. The restore keeps the
 // snapshot's query→group layout whichever sharing mode either engine
 // runs: a shared layout restored all-private leaves one of its
@@ -251,11 +350,11 @@ func TestMultiWriterOracle(t *testing.T) {
 func TestPipelinedSnapshotEpochFree(t *testing.T) {
 	exprs := []string{"(a/b)+", "b/a*", "(a/b)+"}
 	spec := window.Spec{Size: 18, Slide: 3}
-	tuples := hazardTuples(rand.New(rand.NewSource(99)), 600)
+	tuples := refreshTuples(rand.New(rand.NewSource(99)), 600)
 	half := len(tuples) / 2
 
-	mkEngine := func(depth int, sharing bool) *Engine {
-		s, err := New(spec, WithShards(4), WithPipelineDepth(depth), WithSharing(sharing))
+	mkEngine := func(sharing bool, opts ...Option) *Engine {
+		s, err := New(spec, append(opts, WithSharing(sharing))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,28 +385,28 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 		{"private-into-shared", false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			deep, flat := mkEngine(4, c.writeShared), mkEngine(1, c.writeShared)
+			deep, flat := mkEngine(c.writeShared, WithShards(4), WithPipelineDepth(4)), mkEngine(c.writeShared, inlineOpts...)
 			run(deep, tuples[:half])
 			run(flat, tuples[:half])
 			deepState, flatState := deep.SnapshotState(), flat.SnapshotState()
 			// The canonical parts of the checkpoint — the folded graph, the
 			// clocks, the tuple counters — are a pure function of the stream
-			// prefix and must not depend on the pipeline depth. (Tree shapes
+			// prefix and must not depend on the schedule. (Tree shapes
 			// and cost counters are map-iteration dependent even sequentially
 			// and are deliberately not compared; results below are.)
 			if !reflect.DeepEqual(deepState.Edges, flatState.Edges) {
-				t.Fatal("folded graph differs between pipeline depths at the same batch boundary")
+				t.Fatal("folded graph differs between the schedules at the same batch boundary")
 			}
 			if deepState.Now != flatState.Now || deepState.Seen != flatState.Seen ||
 				deepState.Dropped != flatState.Dropped || deepState.Win != flatState.Win {
-				t.Fatal("coordinator clocks differ between pipeline depths at the same batch boundary")
+				t.Fatal("coordinator clocks differ between the schedules at the same batch boundary")
 			}
 			wantGroups := flat.Stats().Groups
 			wantTail := run(flat, tuples[half:])
 			flat.Close()
 			deep.Close()
 
-			restored := mkEngine(2, c.readShared)
+			restored := mkEngine(c.readShared, WithShards(4), WithPipelineDepth(2))
 			if err := restored.RestoreState(deepState); err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +426,7 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 }
 
 // TestEpochGCFoldsToUnversionedGraph is the epoch-GC compaction
-// property at the engine level: after a hazard-heavy stream (expiry,
+// property at the engine level: after a churn stream (expiry,
 // deletions, re-insertions) through the deeply pipelined engine, the
 // serialized graph state — core.SnapshotEdges, exactly what
 // SnapshotState records on disk — must be byte-identical to that of
@@ -419,7 +518,7 @@ func stickyWorkerError(t *testing.T, opts ...Option) {
 	mb := s.newMember(fa, nil, fa.Fingerprint())
 	s.activate(s.newGroup(&faultyMember{RAPQ: core.NewRAPQ(fa, s.spec), failAt: 30}, mb))
 
-	tuples := hazardTuples(rand.New(rand.NewSource(3)), 400)
+	tuples := refreshTuples(rand.New(rand.NewSource(3)), 400)
 	var firstErr error
 	for _, b := range batches(tuples, 20) {
 		if _, err := s.ProcessBatch(b); err != nil {

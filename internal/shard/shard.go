@@ -22,80 +22,51 @@
 // worker goroutine and no channel, and never advances the graph epoch
 // (the unversioned fast path of internal/graph). Every other
 // configuration is pipelined: each shard runs on its own goroutine
-// behind a bounded job channel, so a slow shard exerts backpressure on
-// the coordinator instead of queueing unboundedly, and the sections
-// below describe how batches are cut and overlapped.
+// and receives one job per batch, as the next section describes.
 //
-// # Batching and sub-batch hazards
+// # Pipelined batches: every step reads its own epoch
 //
-// ProcessBatch applies a whole sub-batch of graph mutations before
-// waking the shards, which amortizes coordination to one channel
-// round-trip per sub-batch instead of per tuple. Because the graph
-// then runs ahead of the tuple a shard is currently applying, the core
-// engines ignore edges with ts beyond their stream clock (see the
-// horizon filters in core's insert/expiry traversals); with that
-// filter a shard processing tuple i observes exactly the sequential
-// prefix G_{W,τi}. Three events would let the graph diverge from the
-// sequential prefix inside one sub-batch, so they cut a batch into
-// sub-batches and are only ever applied as the first step of one:
+// The snapshot graph is epoch-versioned (internal/graph). The pipelined
+// coordinator first writes the whole batch through graphStep, tuple by
+// tuple, advancing the epoch once per tuple and once more between a
+// slide-boundary expiry and the mutation of the tuple that crossed it.
+// Each step records the epoch after its tuple's mutation: reading there,
+// a member sees exactly the sequential prefix G_{W,τi} of Definition 5,
+// and an expiry pass, reading one epoch earlier, sees the expired graph
+// before the tuple arrives. Then every shard gets the batch's steps as
+// one job, applies them in stream order, each at its own epoch, and
+// replies with its records in canonical order; the coordinator k-way
+// merges the replies.
 //
-//   - a slide-boundary crossing (expiry physically removes edges that
-//     earlier tuples of the batch may still need),
-//   - an explicit deletion (its sub-batch is a singleton: tuples after
-//     the delete must not be visible while members process it, and the
-//     deleted edge must not be visible to tuples after it),
-//   - a re-insertion that refreshes an existing edge's timestamp
-//     (earlier tuples must observe the pre-refresh timestamp).
+// The batch holds one epoch lease, taken at its first epoch before the
+// first write and released once every shard has replied: a refresh or
+// deletion drops a superseded version on the spot unless an older
+// reader holds it, so without the lease a later write would destroy the
+// version an earlier step still reads. Batch boundaries are therefore
+// the engine's globally consistent points: no lease is held and every
+// superseded version is compacted — exactly where internal/persist takes
+// its checkpoints (the checkpoint serialization folds the version
+// intervals back into a flat, epoch-free graph), and where queries join
+// and leave (AddDynamic, RemoveDynamic) on the caller's goroutine.
 //
-// # Pipelined sub-batches
+// The coordinator is the graph's one writer in both schedules, and it
+// writes only while no shard reads.
 //
-// The snapshot graph is epoch-versioned (internal/graph): each
-// sub-batch's mutations are applied at a fresh epoch, and the shards
-// traverse the graph at the epoch their sub-batch was cut against.
-// Because readers of epoch k cannot observe epoch-k+1 removals,
-// refreshes or inserts, the coordinator no longer has to barrier on a
-// hazard: it advances epoch k+1 — expiry, deletion, re-insertion
-// included — while the shards are still fanning out epoch k. The
-// pipeline is bounded (WithPipelineDepth, default 2 sub-batches in
-// flight); the full barrier survives only at batch boundaries, which
-// therefore remain the engine's globally consistent points — exactly
-// where internal/persist takes its checkpoints, and the checkpoint
-// serialization folds the version intervals back into a flat,
-// epoch-free graph. They are also where queries join and leave
-// (AddDynamic, RemoveDynamic), on the caller's goroutine: with the
-// pipeline drained no reader holds an epoch lease, so the only leases
-// the graph ever sees are dispatch's — FIFO, at most depth deep.
-// Depth 1 reproduces the fully barriered engine:
-// every sub-batch is collected immediately after dispatch, before the
-// next sub-batch's mutations are applied.
-//
-// The coordinator is the graph's one writer in both schedules. A
-// sub-batch is written at its fresh epoch through Insert, Delete and
-// Expire while the shards read older epochs: leases change only on the
-// coordinator, so the readers' lower bound is fixed while an epoch is
-// built, and the hazard check (Has at the current epoch) sees the
-// sub-batch's own inserts.
-//
-// Under this discipline the pipelined schedule produces, per query, the
-// result stream of the inline schedule (and of the tuple-at-a-time
-// reference coordinator core.Multi), at any pipeline depth — on
-// arbitrary update streams, explicit deletions included. The member
-// engines emit on liveness transitions backed by support counting (a
-// match exactly when a (root, v) pair gains its first in-window
-// final-state witness, an invalidation exactly when a deletion removes
-// the last one), so the full result stream — invalidations and their
-// multiplicities included — is a pure function of the input stream,
-// independent of incidental spanning-tree shape (the paper's Algorithm
-// Delete cuts along tree edges, but which witnesses a cut removes can
-// no longer change what is reported). Two runs over the same stream
-// therefore yield byte-identical merged result sequences; only the
-// attribution of a match to a tuple inside one timestamp tie-group can
-// differ between the pipelined schedule and the tuple-at-a-time inline
-// one (the sub-batch's same-timestamp edges are already visible), and
-// even that attribution is deterministic across pipelined runs and
-// configurations. Both schedules return results in one canonical order
-// (tuple index, query registration index, matches before invalidations,
-// then (From, To, TS)).
+// Since each step reads what the inline schedule reads when it applies
+// the same tuple, the pipelined schedule produces the inline result
+// stream (and that of the tuple-at-a-time reference coordinator
+// core.Multi) record for record, tuple attribution included, at any
+// shard count and batch size — on arbitrary update streams, explicit
+// deletions included. The member engines emit on liveness transitions
+// backed by support counting (a match exactly when a (root, v) pair
+// gains its first in-window final-state witness, an invalidation exactly
+// when a deletion removes the last one), so the full result stream —
+// invalidations and their multiplicities included — is a pure function
+// of the input stream, independent of incidental spanning-tree shape,
+// of which shard owns a group and of how the stream is cut into
+// batches. Both schedules return results in one canonical order (tuple
+// index, query registration index, matches before invalidations, then
+// (From, To, TS)).
 //
 // # Errors
 //
@@ -169,15 +140,11 @@ func WithWriters(n int) Option {
 // Off restores one private group per query.
 func WithSharing(on bool) Option { return func(c *config) { c.sharing = on } }
 
-// WithPipelineDepth bounds how many sub-batches may be in flight —
-// dispatched to the shards but not yet collected — at once (default 2;
-// n <= 0 is an error). Depth 1 reproduces the fully barriered
-// coordinator exactly: the graph and window advance only after every
-// shard has finished the previous sub-batch. Depth ≥ 2 lets the
-// coordinator apply epoch k+1's graph mutations (expiry, deletions,
-// re-insertions included) while the shards still traverse epoch k; the
-// epoch-versioned graph keeps each in-flight sub-batch's snapshot
-// intact. Batch boundaries always drain the pipeline.
+// WithPipelineDepth selects the schedule of a one-shard engine (default
+// 2; n <= 0 is an error): depth 1 is the inline schedule, any larger
+// depth runs the shard on a goroutine of its own like the pipelined
+// schedule of several shards. With more than one shard it has no
+// effect: every batch is one job per shard, whatever the depth.
 func WithPipelineDepth(n int) Option { return func(c *config) { c.depth = n } }
 
 // Engine is the multi-query coordinator. It is driven by a single
@@ -217,16 +184,10 @@ type Engine struct {
 	retain  bool
 	labelTS []int64
 
-	wg       sync.WaitGroup
-	inflight []inflightSub // dispatched, uncollected sub-batches (≤ depth)
-	stepPool [][]step      // recycled step slices of collected sub-batches
-	results  []Result      // the batch's results; reused by the next batch
-}
-
-// inflightSub is one dispatched sub-batch awaiting collection.
-type inflightSub struct {
-	epoch graph.Epoch
-	steps []step
+	wg      sync.WaitGroup
+	steps   []step     // the pipelined batch's steps; reused by the next batch
+	runs    [][]Result // the shards' replies being merged (collect)
+	results []Result   // the batch's results; reused by the next batch
 }
 
 // member is one registered query: its bound automaton, its user sink,
@@ -254,31 +215,28 @@ type group struct {
 	out    []Result // the current tuple's emissions, before fan-out (see captureSink)
 }
 
-// step is one unit of work inside a sub-batch, shipped to every shard.
+// step is one tuple's work in a pipelined batch, shipped to every shard.
 type step struct {
-	tuple    stream.Tuple
-	index    int   // tuple index in the user batch, for attribution
+	tuple stream.Tuple
+	index int // tuple index in the user batch, for attribution
+	// epoch is the graph epoch the tuple's member work reads: the
+	// sequential prefix up to and including the tuple. An expiry pass
+	// reads epoch-1, the expired graph before the tuple's mutation.
+	epoch    graph.Epoch
 	deadline int64 // expiry deadline, when expire is set
 	expire   bool  // run ApplyExpiry(deadline) before applying the tuple
 	del      bool  // tuple is a deletion that removed a live edge
 	skip     bool  // no member work (irrelevant label or no-op delete)
 }
 
-// job is one sub-batch dispatched to a shard, tagged with the graph
-// epoch its steps were cut against.
-type job struct {
-	steps []step
-	epoch graph.Epoch
-}
-
-// reply is a shard's response to one job.
+// reply is a shard's response to one batch's steps.
 type reply struct {
 	results []Result
 	err     error
 }
 
 // worker owns the groups of one shard. Pipelined, it applies every
-// sub-batch to them on its own goroutine; the inline engine's single
+// batch to them on its own goroutine; the inline engine's single
 // worker has no goroutine and no channels — the coordinator drives its
 // groups directly. rel is the shard's per-label dispatch index over its
 // own groups (positions into w.groups), rebuilt by the coordinator on
@@ -288,16 +246,12 @@ type worker struct {
 	id     int
 	groups []*group
 	rel    core.RelevanceIndex
-	in     chan job
+	in     chan []step
 	out    chan reply
 
-	// bufs is the ring of capture buffers the pipelined worker cycles
-	// through, one per job: the coordinator has copied reply j-depth out
-	// before it sends job j, so depth buffers are never overwritten
-	// while being read. buf is the buffer emissions currently go to
-	// (inline: the engine's result buffer itself).
-	bufs           [][]Result
-	applied        int
+	// buf is the buffer emissions go to: pipelined, the shard's reply,
+	// which the coordinator has merged before it sends the next batch;
+	// inline, the engine's result buffer itself.
 	buf            []Result
 	emitted        []*group // groups holding emissions of the current tuple
 	fan            []fanOut // scratch of flush
@@ -397,15 +351,9 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	for i := range s.workers {
 		w := &worker{id: i}
 		if !s.inline {
-			// The coordinator blocks when a shard's job queue is full:
-			// backpressure, not unbounded buffering. Room for at least two
-			// jobs, and for every sub-batch the pipeline keeps in flight.
-			w.in = make(chan job, max(2, cfg.depth))
-			// Replies for every in-flight sub-batch must fit without
-			// blocking the shard, or a fast shard would stall behind the
-			// coordinator's lazy collection.
-			w.out = make(chan reply, cfg.depth)
-			w.bufs = make([][]Result, cfg.depth)
+			// One job per batch, and one reply to it.
+			w.in = make(chan []step, 1)
+			w.out = make(chan reply, 1)
 		}
 		s.workers[i] = w
 	}
@@ -419,7 +367,8 @@ func (s *Engine) Inline() bool { return s.inline }
 // NumShards returns the number of worker shards.
 func (s *Engine) NumShards() int { return len(s.workers) }
 
-// PipelineDepth returns the configured bound on in-flight sub-batches.
+// PipelineDepth returns the configured pipeline depth (see
+// WithPipelineDepth).
 func (s *Engine) PipelineDepth() int { return s.depth }
 
 // Len returns the number of live (non-removed) queries.
@@ -559,9 +508,9 @@ func (s *Engine) activate(g *group) {
 // emissions are exactly the suffix a from-start engine would emit; no
 // bootstrap. Otherwise the new group's Δ index is bootstrapped from the
 // window content in place, on the caller's goroutine, in both
-// schedules: between batches the pipeline is drained, no sub-batch
-// holds an epoch lease and the shard goroutines are parked on their job
-// channels, so the current epoch is read without a lease and the group
+// schedules: between batches no batch holds an epoch lease and the
+// shard goroutines are parked on their job channels, so the current
+// epoch is read without a lease and the group
 // is active on return. From the next batch onward the member emits
 // exactly what a from-start engine emits over the same suffix. Matches
 // emitted during the bootstrap replay itself — the window's current
@@ -675,60 +624,58 @@ func (s *Engine) start() {
 	}
 }
 
-// run is the shard goroutine: apply each sub-batch to the shard's
-// queries in stream order, then hand the tagged results back.
+// run is the shard goroutine: apply each batch to the shard's queries
+// in stream order, then hand the tagged results back.
 func (w *worker) run() {
-	for jb := range w.in {
-		w.out <- w.apply(jb)
+	for steps := range w.in {
+		w.out <- w.apply(steps)
 	}
 }
 
-// apply processes one job. A panic in a member engine is recovered
-// into the reply — the coordinator turns it into the sticky engine
-// error — so a fault cannot take the whole process down mid-pipeline.
-func (w *worker) apply(jb job) (rep reply) {
+// apply processes one batch's steps, each at its own epoch, into the
+// shard's reply buffer in canonical order. A panic in a member engine
+// is recovered into the reply — the coordinator turns it into the
+// sticky engine error — so a fault cannot take the whole process down.
+func (w *worker) apply(steps []step) (rep reply) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep = reply{err: fmt.Errorf("shard %d: member engine panic: %v", w.id, r)}
 		}
 	}()
-	slot := w.applied % len(w.bufs)
-	w.applied++
-	w.buf = w.bufs[slot][:0]
-	defer func() { w.bufs[slot] = w.buf }()
-	// Hand every group the epoch this sub-batch was cut against; the
-	// coordinator may already be mutating the graph at later epochs.
-	for _, g := range w.groups {
-		g.engine.SetReadEpoch(jb.epoch)
-	}
-	for _, st := range jb.steps {
+	w.buf = w.buf[:0]
+	for _, st := range steps {
 		if st.expire {
-			w.expire(st.deadline)
+			w.expire(st.deadline, st.epoch-1)
 		}
 		if !st.skip {
-			w.dispatch(st.tuple, st.del)
+			w.dispatch(st.tuple, st.del, st.epoch)
 		}
 		w.flush(st.index)
 	}
 	return reply{results: w.buf}
 }
 
-// expire runs every group's expiry pass to the deadline.
-func (w *worker) expire(deadline int64) {
+// expire runs every group's expiry pass to the deadline, reading the
+// graph at epoch ep.
+func (w *worker) expire(deadline int64, ep graph.Epoch) {
 	for _, g := range w.groups {
+		g.engine.SetReadEpoch(ep)
 		g.engine.ApplyExpiry(deadline)
 	}
 }
 
-// dispatch applies one graph mutation to the groups with a transition
-// on its label (the groups are independent — they share only the
-// snapshot graph — so order cannot change emissions).
-func (w *worker) dispatch(t stream.Tuple, del bool) {
+// dispatch applies one graph mutation, reading the graph at epoch ep,
+// to the groups with a transition on its label (the groups are
+// independent — they share only the snapshot graph — so order cannot
+// change emissions).
+func (w *worker) dispatch(t stream.Tuple, del bool, ep graph.Epoch) {
 	order := w.rel.Groups(int(t.Label))
 	w.dispatches += int64(len(order))
 	w.relevanceSkips += int64(len(w.groups) - len(order))
 	for _, gi := range order {
-		if g := w.groups[gi]; del {
+		g := w.groups[gi]
+		g.engine.SetReadEpoch(ep)
+		if del {
 			g.engine.ApplyDelete(t)
 		} else {
 			g.engine.ApplyInsert(t)
@@ -753,7 +700,7 @@ func (s *Engine) Process(t stream.Tuple) {
 // continuing from previous batches) and returns the merged results in
 // canonical order. The returned slice is reused by the next call.
 // Results are also delivered to the member sinks, in the same order.
-// The pipeline, if any, is fully drained before returning: batch
+// Every shard has finished the batch before it returns: batch
 // boundaries are the engine's globally consistent points.
 func (s *Engine) ProcessBatch(tuples []stream.Tuple) ([]Result, error) {
 	if s.closed {
@@ -774,11 +721,7 @@ func (s *Engine) ProcessBatch(tuples []stream.Tuple) ([]Result, error) {
 	if s.inline {
 		s.err = s.processInline(tuples)
 	} else {
-		for i := 0; i < len(tuples); {
-			i = s.subBatch(tuples, i)
-		}
-		s.drain()
-		slices.SortFunc(s.results, compareResults)
+		s.processPipelined(tuples)
 	}
 	if s.err != nil {
 		return nil, s.err
@@ -824,10 +767,11 @@ func compareResults(a, b Result) int {
 // processInline is the inline schedule: every tuple runs to completion
 // on the caller's goroutine — the coordinator step first, exactly once,
 // then the groups with a transition on its label — before the next one
-// touches the graph, so the graph never runs ahead of a member and needs
-// no epochs. Each tuple's records are flushed straight into the engine's
-// result buffer, so tuple order is free and the batch needs no merge. A
-// member panic is recovered into the returned (sticky) error.
+// touches the graph, so every read is of the graph's one epoch, which
+// inline never advances. Each tuple's records are flushed straight into
+// the engine's result buffer, so tuple order is free and the batch needs
+// no merge. A member panic is recovered into the returned (sticky)
+// error.
 func (s *Engine) processInline(tuples []stream.Tuple) (err error) {
 	w := s.workers[0]
 	w.buf = s.results
@@ -837,13 +781,45 @@ func (s *Engine) processInline(tuples []stream.Tuple) (err error) {
 			err = fmt.Errorf("shard: member engine panic: %v", r)
 		}
 	}()
+	ep := s.g.Epoch()
 	for i, t := range tuples {
-		if del, work := s.graphStep(t, w.expire); work {
-			w.dispatch(t, del)
+		if del, work := s.graphStep(t, func(deadline int64) { w.expire(deadline, ep) }); work {
+			w.dispatch(t, del, ep)
 		}
 		w.flush(i)
 	}
 	return nil
+}
+
+// processPipelined is the pipelined schedule (see the package comment):
+// write the whole batch through graphStep, one epoch per step, under the
+// batch's lease; then send every shard the steps as one job and merge
+// the replies.
+func (s *Engine) processPipelined(tuples []stream.Tuple) {
+	// The lease is on the epoch the first step opens, taken before the
+	// first write (see the package comment).
+	lease := s.g.Epoch() + 1
+	s.g.AcquireEpoch(lease)
+	steps := s.steps[:0]
+	for i, t := range tuples {
+		st := step{tuple: t, index: i, epoch: s.g.AdvanceEpoch()}
+		var work bool
+		st.del, work = s.graphStep(t, func(deadline int64) {
+			// The expiry pass reads this epoch; the tuple goes in the next.
+			st.expire, st.deadline, st.epoch = true, deadline, s.g.AdvanceEpoch()
+		})
+		if st.skip = !work; work || st.expire {
+			steps = append(steps, st)
+		}
+	}
+	s.steps = steps
+	if len(steps) > 0 {
+		for _, w := range s.workers {
+			w.in <- steps
+		}
+		s.collect()
+	}
+	s.g.ReleaseEpoch(lease)
 }
 
 // graphStep is the coordinator's part of one tuple in both schedules:
@@ -896,95 +872,13 @@ func (s *Engine) noteLabel(t stream.Tuple) {
 	}
 }
 
-// getSteps returns a recycled step slice (empty, capacity preserved).
-// Step slices cannot be reused while a sub-batch referencing them is in
-// flight, so they cycle through the pool on collection.
-func (s *Engine) getSteps() []step {
-	if n := len(s.stepPool); n > 0 {
-		st := s.stepPool[n-1]
-		s.stepPool = s.stepPool[:n-1]
-		return st[:0]
-	}
-	return nil
-}
-
-// subBatch writes and dispatches one sub-batch starting at tuple index
-// i, returning the index of the first tuple of the next sub-batch. The
-// sub-batch is written tuple by tuple through graphStep at a fresh
-// epoch, before any shard sees its steps, and ends before a tuple that
-// cuts. A deletion is a sub-batch of its own, and so is the expiry it
-// may trigger, one epoch before it: the members' expiry pass must see
-// the graph as it was before the deletion, as in a sequential engine,
-// and the deletion must be processed before any later insert becomes
-// visible.
-func (s *Engine) subBatch(tuples []stream.Tuple, i int) int {
-	epoch := s.g.AdvanceEpoch()
-	steps := s.getSteps()
-	j := i
-	for ; j < len(tuples) && (j == i || !s.cuts(tuples[j-1], tuples[j])); j++ {
-		t := tuples[j]
-		st := step{tuple: t, index: j}
-		var work bool
-		st.del, work = s.graphStep(t, func(deadline int64) {
-			if t.Op != stream.Delete {
-				st.expire, st.deadline = true, deadline
-				return
-			}
-			s.dispatch(append(steps, step{index: j, deadline: deadline, expire: true, skip: true}), epoch)
-			steps, epoch = s.getSteps(), s.g.AdvanceEpoch()
-		})
-		st.skip = !work
-		if work || st.expire {
-			steps = append(steps, st)
-		}
-	}
-	s.dispatch(steps, epoch)
-	return j
-}
-
-// cuts reports whether tuple t must start a fresh sub-batch after prev
-// (the hazards of the package comment): a deletion on either side, a
-// slide-boundary crossing, or a re-insertion of an edge live at the
-// current epoch.
-func (s *Engine) cuts(prev, t stream.Tuple) bool {
-	if prev.Op == stream.Delete || t.Op == stream.Delete {
-		return true
-	}
-	if _, due := s.win.Peek(t.TS); due {
-		return true
-	}
-	return (s.retain || s.relevantLabel(t.Label)) && s.g.Has(t.Key())
-}
-
-// dispatch fans one sub-batch out to every shard and registers it as
-// in flight. Collection is lazy: older sub-batches are collected only
-// when the pipeline is full (so at depth 1 this is a full barrier, and
-// at depth n the coordinator runs up to n-1 sub-batches ahead of the
-// slowest shard). The bounded in-channels provide backpressure.
-func (s *Engine) dispatch(steps []step, epoch graph.Epoch) {
-	if len(steps) == 0 {
-		s.stepPool = append(s.stepPool, steps)
-		return
-	}
-	// The shards traverse the graph at this sub-batch's epoch until
-	// collected; register the reader before the first shard could start.
-	s.g.AcquireEpoch(epoch)
-	jb := job{steps: steps, epoch: epoch}
-	for _, w := range s.workers {
-		w.in <- jb
-	}
-	s.inflight = append(s.inflight, inflightSub{epoch: epoch, steps: steps})
-	for len(s.inflight) >= s.depth {
-		s.collectOldest()
-	}
-}
-
-// collectOldest gathers every shard's reply for the oldest in-flight
-// sub-batch, retires its reader epoch (which lets the graph compact
-// versions only that sub-batch could see) and recycles its steps.
-func (s *Engine) collectOldest() {
-	sub := s.inflight[0]
-	s.inflight = s.inflight[1:]
+// collect gathers every shard's reply to the batch and merges them into
+// the result buffer. Each reply is in canonical order already, and all
+// records of one (tuple, query) pair come from the shard that owns the
+// query's group, so repeatedly taking the smallest head yields the
+// canonical order of the whole batch.
+func (s *Engine) collect() {
+	runs := s.runs[:0]
 	for _, w := range s.workers {
 		rep := <-w.out
 		if rep.err != nil {
@@ -993,19 +887,24 @@ func (s *Engine) collectOldest() {
 			}
 			continue
 		}
-		s.results = append(s.results, rep.results...)
+		if len(rep.results) > 0 {
+			runs = append(runs, rep.results)
+		}
 	}
-	s.g.ReleaseEpoch(sub.epoch)
-	if sub.steps != nil {
-		s.stepPool = append(s.stepPool, sub.steps)
+	for len(runs) > 0 {
+		best := 0
+		for i := 1; i < len(runs); i++ {
+			if compareResults(runs[i][0], runs[best][0]) < 0 {
+				best = i
+			}
+		}
+		s.results = append(s.results, runs[best][0])
+		if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
+			runs[best] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
 	}
-}
-
-// drain collects every in-flight sub-batch: the batch-boundary barrier.
-func (s *Engine) drain() {
-	for len(s.inflight) > 0 {
-		s.collectOldest()
-	}
+	s.runs = runs
 }
 
 // addGroupStats folds one group's engine counters into an aggregate:
@@ -1074,8 +973,8 @@ func (s *Engine) ShardStats() []core.Stats {
 // SnapshotState captures the engine's full state — shared graph, window
 // clock, and every member's Δ index in registration order — for a
 // checkpoint. It must be called between ProcessBatch calls: batch
-// boundaries drain the pipeline, so they are the only globally
-// consistent points of the sharded engine. The serialized graph is the
+// boundaries are the only globally consistent points of the pipelined
+// schedule. The serialized graph is the
 // flat fold of the version intervals at the current epoch (see
 // core.SnapshotEdges); the state is epoch-free, so a snapshot taken at
 // any shard count and pipeline depth can be restored at any other
@@ -1174,13 +1073,12 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 }
 
 // Close stops the shard goroutines, if any were started, and waits for
-// them to drain, then reports the sticky engine error, if any. The
+// them to exit, then reports the sticky engine error, if any. The
 // engine cannot be used afterwards. Close is idempotent.
 func (s *Engine) Close() error {
 	if s.closed {
 		return s.err
 	}
-	s.drain() // defensive: ProcessBatch drains on every exit path
 	s.closed = true
 	if s.started && !s.inline {
 		for _, w := range s.workers {

@@ -53,25 +53,18 @@ func (m *Manager) Spec() Spec { return m.spec }
 // Observe is called with each tuple timestamp in non-decreasing order.
 // It reports whether a slide boundary was crossed since the previous
 // call and, if so, the expiry deadline: every element with ts ≤ deadline
-// has left the window (W^b = ⌊τ/β⌋·β − |W|). Observe is Peek plus the
-// commit of the crossed boundary.
+// has left the window (W^b = ⌊τ/β⌋·β − |W|). The first observation only
+// establishes the boundary.
 func (m *Manager) Observe(ts int64) (deadline int64, due bool) {
-	deadline, due = m.Peek(ts)
-	if !m.started || due {
-		m.started = true
-		m.boundary = floorDiv(ts, m.spec.Slide) * m.spec.Slide
-	}
-	return deadline, due
-}
-
-// Peek reports what Observe(ts) would return without mutating the
-// manager. Batch coordinators use it to detect slide boundaries before
-// deciding where to cut a batch.
-func (m *Manager) Peek(ts int64) (deadline int64, due bool) {
 	we := floorDiv(ts, m.spec.Slide) * m.spec.Slide
-	if !m.started || we <= m.boundary {
+	if !m.started {
+		m.started, m.boundary = true, we
 		return 0, false
 	}
+	if we <= m.boundary {
+		return 0, false
+	}
+	m.boundary = we
 	return we - m.spec.Size, true
 }
 

@@ -114,19 +114,28 @@ func TestDeadlineMonotone(t *testing.T) {
 	}
 }
 
-func TestPeekMatchesObserve(t *testing.T) {
-	// Peek must predict Observe exactly and never mutate the manager.
+func TestObserveMatchesModel(t *testing.T) {
+	// Observe reports a crossing exactly when the slide boundary
+	// ⌊ts/β⌋·β moves past the last one recorded (the first observation
+	// records without reporting), with deadline boundary − |W|.
 	f := func(steps []uint8, size8, slide8 uint8) bool {
 		size := int64(size8%50) + 10
 		slide := int64(slide8%10) + 1
 		m := NewManager(Spec{Size: size, Slide: slide})
 		ts := int64(0)
-		for _, s := range steps {
+		var boundary int64
+		for i, s := range steps {
 			ts += int64(s % 7)
-			pd, pdue := m.Peek(ts)
-			pd2, pdue2 := m.Peek(ts) // idempotent
-			od, odue := m.Observe(ts)
-			if pd != pd2 || pdue != pdue2 || pd != od || pdue != odue {
+			we := (ts / slide) * slide // ts >= 0
+			wantDue := i > 0 && we > boundary
+			d, due := m.Observe(ts)
+			if due != wantDue || (due && d != we-size) {
+				return false
+			}
+			if i == 0 || due {
+				boundary = we
+			}
+			if m.Boundary() != boundary {
 				return false
 			}
 		}

@@ -142,13 +142,12 @@ func (m *MultiEvaluator) reconfigure(what string, set func()) error {
 
 // WithShards partitions the registered queries over n concurrent
 // worker shards (see internal/shard): each shard owns its queries' Δ
-// indexes and updates them on its own goroutine, while the snapshot
-// graph and window advance once per sub-batch. Must be called before
-// the first Ingest. The result stream does not depend on the shard
-// count; against the default inline evaluator only the attribution of
-// a match to a tuple within one timestamp tie-group can differ (see
-// README "Determinism & deletions"). Call Close when the evaluator is
-// no longer needed: it releases the shard goroutines.
+// indexes and updates them on its own goroutine, each tuple against the
+// snapshot graph as of that tuple. Must be called before the first
+// Ingest. The result stream does not depend on the shard count: it
+// equals the default inline evaluator's record for record (see README
+// "Determinism & deletions"). Call Close when the evaluator is no longer
+// needed: it releases the shard goroutines.
 func (m *MultiEvaluator) WithShards(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: shard count must be positive, got %d", n)
@@ -156,14 +155,12 @@ func (m *MultiEvaluator) WithShards(n int) error {
 	return m.reconfigure("WithShards", func() { m.shards = n })
 }
 
-// WithPipelineDepth bounds how many sub-batches the coordinator may
-// run ahead of its slowest shard (see shard.WithPipelineDepth; 2 once
-// WithShards was called, 1 otherwise). Depth 1 is the fully barriered
-// coordinator — graph and window advance only between sub-batch
-// fan-outs — and, with one shard, the inline schedule; depth ≥ 2
-// overlaps epoch k+1's graph mutations with epoch k's fan-out on the
-// epoch-versioned snapshot graph, byte-identically to the barriered
-// run. Call before the first tuple, in any order with WithShards.
+// WithPipelineDepth selects the schedule of a one-shard evaluator (see
+// shard.WithPipelineDepth; 2 once WithShards was called, 1 otherwise):
+// depth 1 is the inline schedule, a larger depth runs the one shard on
+// a goroutine of its own. With more than one shard it has no effect.
+// The result stream is the same either way. Call before the first
+// tuple, in any order with WithShards.
 func (m *MultiEvaluator) WithPipelineDepth(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: pipeline depth must be positive, got %d", n)
@@ -358,9 +355,9 @@ func (m *MultiEvaluator) Ingest(t Tuple) ([]QueryResult, error) {
 // order; within one (tuple, query) group matches and invalidations are
 // each in canonical (From, To, TS) order, in every configuration. The
 // default inline coordinator runs the batch tuple by tuple on the
-// calling goroutine; the pipelined one evaluates it with one
-// coordinated fan-out per sub-batch, which is where the multicore
-// throughput comes from.
+// calling goroutine; the pipelined one writes the batch to the graph
+// and then evaluates it with one fan-out to its shards, which is where
+// the multicore throughput comes from.
 func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 	// Validate the whole batch up front — against the stream clock and
 	// internally — so a rejected batch leaves no partial engine state.

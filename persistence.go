@@ -24,8 +24,7 @@ import (
 // to the caller is at-most-once under kill -9 — the usual exactly-once
 // boundary of a sink outside the commit transaction (see README,
 // "Durability & recovery"). Checkpoints are taken between batches —
-// sub-batch barriers, the sharded engine's only globally consistent
-// points.
+// the pipelined engine's only globally consistent points.
 
 // PersistOption configures persistence behaviour for WithPersistence
 // and Recover.

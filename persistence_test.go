@@ -110,10 +110,9 @@ func flatten(dst []flatResult, batchIdx int, brs []BatchResult) []flatResult {
 // 4 and for the default inline evaluator.
 func TestKillRecoverDifferential(t *testing.T) {
 	// shards 0 = the default inline evaluator; depth 0 = the pipeline
-	// depth WithShards defaults to (2). Depth 1 pins the barriered
-	// coordinator, depth 4 a deeper pipeline: checkpoints are taken at
-	// batch boundaries, where the pipeline is drained, so recovery must
-	// be depth-independent.
+	// depth WithShards defaults to (2). Depth 1 and 4 pin the option's
+	// other values: checkpoints are taken at batch boundaries, where no
+	// shard is working, so recovery must be depth-independent.
 	// private = the persisted run's coordinator has multi-query sharing
 	// off (see usePrivateLayout): the workload's equivalent pair keeps
 	// two private Δ indexes, and Recover, whose coordinator shares, must
