@@ -2,6 +2,7 @@ package streamrpq
 
 import (
 	"fmt"
+	"math"
 
 	"streamrpq/internal/automaton"
 	"streamrpq/internal/core"
@@ -65,9 +66,13 @@ func (f *frontEnd) bind(q *Query) *automaton.Bound {
 // stream standing at clock c — in non-decreasing timestamp order, or,
 // with a reorder buffer, ahead of its watermark — and returns the clock
 // after them. It changes nothing, so a rejected batch is rejected whole
-// and before any of its names is interned.
+// and before any of its names is interned. Timestamp math.MinInt64 is
+// reserved: the engines mark tree nodes cut off by a deletion with it.
 func (f *frontEnd) admit(c clock, tuples ...Tuple) (clock, error) {
 	for _, t := range tuples {
+		if t.TS == math.MinInt64 {
+			return c, fmt.Errorf("timestamp %d is reserved", t.TS)
+		}
 		if c.started {
 			if f.reorder != nil {
 				if wm := f.reorder.Watermark(); t.TS <= wm {

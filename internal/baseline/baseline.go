@@ -9,6 +9,8 @@
 package baseline
 
 import (
+	"math"
+
 	"streamrpq/internal/automaton"
 	"streamrpq/internal/core"
 	"streamrpq/internal/graph"
@@ -42,6 +44,7 @@ func NewRescan(a *automaton.Bound, spec window.Spec, opts ...Option) *Rescan {
 		g:    graph.New(),
 		win:  window.NewManager(spec),
 		sink: cfg.sink,
+		now:  math.MinInt64,
 		seen: make(map[core.Pair]struct{}),
 	}
 }

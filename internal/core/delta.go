@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"streamrpq/internal/automaton"
@@ -63,7 +64,7 @@ type delta struct {
 	// stays 0, matching the private graph's never-advanced epoch.
 	epoch graph.Epoch
 
-	now   int64 // largest timestamp seen
+	now   int64 // largest timestamp seen; math.MinInt64 before the first
 	stats Stats
 
 	// sc is the working set of Δ maintenance; rootScratch is the
@@ -147,6 +148,7 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 		}
 	}
 	d.a = a
+	d.now = math.MinInt64
 	d.g = graph.New()
 	d.win = window.NewManager(spec)
 	d.sink = cfg.sink

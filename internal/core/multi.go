@@ -41,7 +41,6 @@ type Multi struct {
 	sinks   []Sink        // per registered query, registration order
 	groups  []*multiGroup // creation order
 	rel     RelevanceIndex
-	now     int64
 	seen    int64
 	dropped int64
 
@@ -174,9 +173,6 @@ func (m *Multi) Graph() *graph.Graph { return m.g }
 // regardless of the number of queries.
 func (m *Multi) Process(t stream.Tuple) {
 	m.seen++
-	if t.TS > m.now {
-		m.now = t.TS
-	}
 	if deadline, due := m.win.Observe(t.TS); due {
 		m.g.Expire(deadline, nil)
 		for _, g := range m.groups {

@@ -186,9 +186,8 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 // (v,t) to tx as a child of the node in slot parent (or improves its
 // timestamp and re-parents it), reports results for final states, and
 // expands the node's out-edges transitively. Expansion goes through
-// graph.AppendOutAt into a reused buffer: the adjacency copy is taken
-// once under the graph's stripe lock, then consumed lock-free with no
-// per-edge closure or map lookup.
+// graph.AppendOutAt into a reused buffer: the adjacency is copied once,
+// then consumed with no per-edge closure or map lookup.
 //
 // Deviation from the paper: timestamp improvements of existing nodes
 // are propagated recursively rather than left to the expiry pass;

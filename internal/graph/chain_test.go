@@ -7,16 +7,15 @@ import (
 )
 
 // TestLongVersionChainPerEpochVisibility: one edge refreshed at many
-// consecutive epochs with a reader on each; every reader sees exactly
-// its epoch's timestamp, and releases compact incrementally.
+// consecutive epochs of one batch; every epoch sees exactly its own
+// timestamp, and EndBatch compacts the whole chain.
 func TestLongVersionChainPerEpochVisibility(t *testing.T) {
 	g := New()
+	g.BeginBatch()
 	var epochs []Epoch
 	for i := 0; i < 20; i++ {
-		e := g.AdvanceEpoch()
+		epochs = append(epochs, g.AdvanceEpoch())
 		g.Insert(1, 2, 0, int64(100+i))
-		g.AcquireEpoch(e)
-		epochs = append(epochs, e)
 	}
 	for i, e := range epochs {
 		if ts, ok := g.TSAt(e, stream.EdgeKey{Src: 1, Dst: 2, Label: 0}); !ok || ts != int64(100+i) {
@@ -26,38 +25,11 @@ func TestLongVersionChainPerEpochVisibility(t *testing.T) {
 	if dv := g.DeadVersions(); dv != 19 {
 		t.Fatalf("DeadVersions = %d, want 19", dv)
 	}
-	// Release in order; chain shrinks monotonically.
-	for i, e := range epochs {
-		g.ReleaseEpoch(e)
-		want := 19 - (i + 1)
-		if want < 0 {
-			want = 0
-		}
-		if dv := g.DeadVersions(); dv != want {
-			t.Fatalf("after releasing epoch %d: DeadVersions = %d, want %d", e, dv, want)
-		}
+	g.EndBatch()
+	if dv := g.DeadVersions(); dv != 0 {
+		t.Fatalf("DeadVersions = %d after EndBatch", dv)
 	}
 	if ts, ok := g.TS(stream.EdgeKey{Src: 1, Dst: 2, Label: 0}); !ok || ts != 119 {
 		t.Fatalf("final ts=%d ok=%v", ts, ok)
-	}
-	// Out-of-order release: acquire three epochs, release the middle
-	// one first — versions the oldest reader still needs must survive.
-	e1 := g.AdvanceEpoch()
-	g.Insert(1, 2, 0, 200)
-	g.AcquireEpoch(e1)
-	e2 := g.AdvanceEpoch()
-	g.Insert(1, 2, 0, 201)
-	g.AcquireEpoch(e2)
-	e3 := g.AdvanceEpoch()
-	g.Insert(1, 2, 0, 202)
-	g.AcquireEpoch(e3)
-	g.ReleaseEpoch(e2)
-	if ts, ok := g.TSAt(e1, stream.EdgeKey{Src: 1, Dst: 2, Label: 0}); !ok || ts != 200 {
-		t.Fatalf("oldest reader lost its version after middle release: ts=%d ok=%v", ts, ok)
-	}
-	g.ReleaseEpoch(e1)
-	g.ReleaseEpoch(e3)
-	if dv := g.DeadVersions(); dv != 0 {
-		t.Fatalf("DeadVersions = %d after all released", dv)
 	}
 }

@@ -24,8 +24,9 @@ const lookupThreshold = 24
 // packedEdge is one (other, label) adjacency cell with its newest
 // version inlined: 32 bytes, pointer-free. Epochs are stored as uint32
 // deltas against the owning slab's base epoch (liveDelta = still
-// live); superseded versions that leased readers may still observe
-// live in the slab's overflow arena, chained from ovf (-1 = none).
+// live); superseded versions that the open batch's readers may still
+// observe live in the slab's overflow arena, chained from ovf (-1 =
+// none).
 type packedEdge struct {
 	ts      int64
 	other   uint32 // the other endpoint (dst in out-slabs, src in in-slabs)
@@ -35,9 +36,9 @@ type packedEdge struct {
 	ovf     int32  // head of the overflow version chain, -1 if none
 }
 
-// ovfVersion is a superseded version retained for leased readers, in
+// ovfVersion is a superseded version retained for the open batch, in
 // the slab's flat overflow arena. Overflow is the rare path (only
-// taken while a reader actually holds an older epoch), so it keeps
+// taken inside a batch, for a version an earlier step reads), so it keeps
 // full epochs rather than deltas; next chains versions of the same
 // cell, and doubles as the free-list link.
 type ovfVersion struct {
@@ -50,7 +51,8 @@ type ovfVersion struct {
 // slab is the contiguous adjacency of one vertex side: a growable
 // array of packed edge cells plus the overflow arena their version
 // chains live in. Slabs are allocated once per (vertex, side) and
-// never move; the stripe lock of the owning vertex guards all access.
+// never move; only the graph's one writer edits them, never while a
+// reader runs (see the package comment).
 type slab struct {
 	base    Epoch // epoch that packed deltas are relative to
 	edges   []packedEdge
@@ -205,7 +207,7 @@ func (s *slab) versionAt(pe *packedEdge, e Epoch) (int64, bool) {
 // deltaFor converts an absolute epoch to the slab's delta space,
 // rebasing the slab when the writer epoch has outrun the uint32 range.
 // minR bounds how far back any reader can observe, so rebasing to it
-// never changes what a live lease sees.
+// never changes what the open batch sees.
 func (s *slab) deltaFor(epoch, minR Epoch) uint32 {
 	d := epoch - s.base
 	if d < Epoch(liveDelta) {
@@ -214,9 +216,9 @@ func (s *slab) deltaFor(epoch, minR Epoch) uint32 {
 	s.rebase(minR)
 	d = epoch - s.base
 	if d >= Epoch(liveDelta) {
-		// Only reachable if a single lease was held across 2^32 epoch
-		// advances; the coordinator releases its lease every batch.
-		panic("graph: epoch delta overflow: reader lease held across 2^32 epochs")
+		// Only reachable if one batch stays open across 2^32 epoch
+		// advances; the coordinator closes its batch every batch.
+		panic("graph: epoch delta overflow: batch open across 2^32 epochs")
 	}
 	return uint32(d)
 }
@@ -260,19 +262,27 @@ func (s *slab) hasLive() bool {
 }
 
 // table is the top-level dense-id adjacency: slab pointers per vertex
-// and side. The writer grows it copy-on-write and publishes via an
-// atomic pointer; slabs themselves never move, so a reader holding a
-// stale table sees exactly the slabs that existed when it loaded —
-// anything missing holds only versions newer than the reader's epoch.
+// and side. The writer grows it in place; slabs themselves never move.
 type table struct {
 	out []*slab
 	in  []*slab
 }
 
+// slab returns vertex v's out slab (out) or in slab, nil if it has none.
+func (t *table) slab(out bool, v stream.VertexID) *slab {
+	if int(v) >= len(t.out) {
+		return nil
+	}
+	if out {
+		return t.out[v]
+	}
+	return t.in[v]
+}
+
 // editSide applies one half of an edge mutation to vertex v's out
-// slab (out) or in slab, which must be within the table; the caller
-// holds stripe(v). It reports whether (other,label) had a live version
-// before the edit. An insert creates the slab on first use and upserts.
+// slab (out) or in slab, which must be within the table. It reports
+// whether (other,label) had a live version before the edit. An insert
+// creates the slab on first use and upserts.
 // A delete ends the live version, if any: a tombstone is kept only
 // while some reader may still observe the removed version (minR <
 // epoch); when none is needed, every older version is unobservable too
@@ -312,17 +322,15 @@ func (t *table) editSide(out bool, v, other stream.VertexID, label stream.LabelI
 	return true
 }
 
-// grown returns a copy of t with capacity for vertex id v.
-func (t *table) grown(v stream.VertexID) *table {
-	n := len(t.out)
-	if n == 0 {
-		n = 64
+// grow extends t in place to cover vertex id v.
+func (t *table) grow(v stream.VertexID) {
+	if int(v) < len(t.out) {
+		return
 	}
+	n := max(len(t.out), 64)
 	for n <= int(v) {
 		n *= 2
 	}
-	nt := &table{out: make([]*slab, n), in: make([]*slab, n)}
-	copy(nt.out, t.out)
-	copy(nt.in, t.in)
-	return nt
+	t.out = append(t.out, make([]*slab, n-len(t.out))...)
+	t.in = append(t.in, make([]*slab, n-len(t.in))...)
 }

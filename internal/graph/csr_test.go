@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"streamrpq/internal/stream"
@@ -57,13 +56,13 @@ func equalHalf(a, b []HalfEdge) bool {
 }
 
 // TestAppendMatchesPointLookups: the buffer traversal agrees with point
-// lookups, under a random mutation history with leased epochs, on every
-// vertex and every still-leased epoch.
+// lookups, under a random history of batches, on every vertex and every
+// epoch of the batch still open at the end.
 func TestAppendMatchesPointLookups(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := New()
-	type lease struct{ e Epoch }
-	var leases []lease
+	g.BeginBatch()
+	epochs := []Epoch{g.AdvanceEpoch()} // the open batch's epochs
 	var keys []stream.EdgeKey
 	for step := 0; step < 2000; step++ {
 		switch {
@@ -76,14 +75,12 @@ func TestAppendMatchesPointLookups(t *testing.T) {
 			keys = append(keys, k)
 		}
 		if rng.Float64() < 0.05 {
-			e := g.AdvanceEpoch()
-			g.AcquireEpoch(e)
-			leases = append(leases, lease{e: e})
+			epochs = append(epochs, g.AdvanceEpoch())
 		}
-		if len(leases) > 0 && rng.Float64() < 0.04 {
-			i := rng.Intn(len(leases))
-			g.ReleaseEpoch(leases[i].e)
-			leases = append(leases[:i], leases[i+1:]...)
+		if rng.Float64() < 0.004 {
+			g.EndBatch()
+			g.BeginBatch()
+			epochs = append(epochs[:0], g.AdvanceEpoch())
 		}
 	}
 	check := func(e Epoch) {
@@ -103,15 +100,12 @@ func TestAppendMatchesPointLookups(t *testing.T) {
 			}
 		}
 	}
-	for _, l := range leases {
-		check(l.e)
+	for _, e := range epochs {
+		check(e)
 	}
-	check(g.Epoch())
-	for _, l := range leases {
-		g.ReleaseEpoch(l.e)
-	}
+	g.EndBatch()
 	if n := g.DeadVersions(); n != 0 {
-		t.Fatalf("DeadVersions = %d after all leases released", n)
+		t.Fatalf("DeadVersions = %d after EndBatch", n)
 	}
 }
 
@@ -159,80 +153,28 @@ func TestSlabLookupIndexPromotion(t *testing.T) {
 
 // TestOverflowArenaPrunes: superseded versions overflow into the arena
 // only while a reader could still see them, and the arena drains back
-// to zero once the last lease is released.
+// to zero at EndBatch.
 func TestOverflowArenaPrunes(t *testing.T) {
 	g := New()
 	g.Insert(1, 2, 0, 10)
+	g.BeginBatch()
 	e := g.AdvanceEpoch()
-	g.AcquireEpoch(e)
 	// Supersede the version epoch e sees, several times over.
 	for i := 0; i < 5; i++ {
 		g.AdvanceEpoch()
 		g.Insert(1, 2, 0, int64(20+i))
 	}
 	if ts, ok := g.TSAt(e, key(1, 2, 0)); !ok || ts != 10 {
-		t.Fatalf("leased epoch sees ts=%d,%v, want 10,true", ts, ok)
+		t.Fatalf("the batch's first epoch sees ts=%d,%v, want 10,true", ts, ok)
 	}
-	if g.DeadVersions() == 0 {
-		t.Fatal("expected superseded versions retained for the lease")
+	if n := g.DeadVersions(); n != 5 {
+		t.Fatalf("DeadVersions = %d inside the batch, want 5", n)
 	}
-	g.ReleaseEpoch(e)
+	g.EndBatch()
 	if n := g.DeadVersions(); n != 0 {
-		t.Fatalf("DeadVersions = %d after release, want 0", n)
+		t.Fatalf("DeadVersions = %d after EndBatch, want 0", n)
 	}
 	if ts, ok := g.TS(key(1, 2, 0)); !ok || ts != 24 {
 		t.Fatalf("current ts = %d,%v, want 24,true", ts, ok)
-	}
-}
-
-// TestStripedConcurrentReaders: one writer mutating while reader
-// goroutines traverse leased epochs through the buffer API; run under
-// -race this pins the stripe-lock discipline.
-func TestStripedConcurrentReaders(t *testing.T) {
-	g := New()
-	for i := 0; i < 100; i++ {
-		g.Insert(stream.VertexID(i%20), stream.VertexID((i+1)%20), 0, int64(i))
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			var buf []HalfEdge
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				e := g.Epoch()
-				g.AcquireEpoch(e)
-				for i := 0; i < 20; i++ {
-					v := stream.VertexID(rng.Intn(20))
-					buf = g.AppendOutAt(e, v, buf[:0])
-					buf = g.AppendInAt(e, v, buf[:0])
-				}
-				g.ReleaseEpoch(e)
-			}
-		}(int64(r))
-	}
-	rng := rand.New(rand.NewSource(99))
-	for step := 0; step < 3000; step++ {
-		if rng.Float64() < 0.3 {
-			g.Delete(key(stream.VertexID(rng.Intn(20)), stream.VertexID(rng.Intn(20)), 0))
-		} else {
-			g.Insert(stream.VertexID(rng.Intn(20)), stream.VertexID(rng.Intn(20)), 0, int64(1000+step))
-		}
-		if step%100 == 0 {
-			g.AdvanceEpoch()
-		}
-	}
-	close(stop)
-	wg.Wait()
-	g.AdvanceEpoch()
-	if n := g.DeadVersions(); n != 0 {
-		t.Fatalf("DeadVersions = %d after quiescence, want 0", n)
 	}
 }

@@ -21,15 +21,15 @@ func collectAt(g *Graph, e Epoch, vertices int) map[Edge]struct{} {
 	return out
 }
 
-// TestEpochVisibility: a reader holding an older epoch keeps seeing the
-// pre-mutation state across refreshes, deletions and expiry, while the
-// current epoch sees the newest state.
+// TestEpochVisibility: an earlier epoch of the open batch keeps seeing
+// the pre-mutation state across refreshes, deletions and inserts, while
+// the current epoch sees the newest state.
 func TestEpochVisibility(t *testing.T) {
 	g := New()
 	g.Insert(1, 2, 0, 10)
 	g.Insert(2, 3, 0, 12)
-	e0 := g.Epoch()
-	g.AcquireEpoch(e0)
+	g.BeginBatch()
+	e0 := g.AdvanceEpoch() // a first step that writes nothing
 
 	e1 := g.AdvanceEpoch()
 	g.Insert(1, 2, 0, 20) // refresh
@@ -61,20 +61,20 @@ func TestEpochVisibility(t *testing.T) {
 		t.Fatalf("AppendInAt(e0, 3) = %v", in0)
 	}
 
-	g.ReleaseEpoch(e0)
+	g.EndBatch()
 	if dv := g.DeadVersions(); dv != 0 {
-		t.Fatalf("after last reader released: %d dead versions retained", dv)
+		t.Fatalf("after EndBatch: %d dead versions retained", dv)
 	}
 }
 
-// TestEpochExpiryRetained: window expiry at a new epoch keeps expired
-// edges visible to a reader of the previous epoch.
+// TestEpochExpiryRetained: window expiry at a later step of the batch
+// keeps expired edges visible to the batch's earlier epochs.
 func TestEpochExpiryRetained(t *testing.T) {
 	g := New()
 	g.Insert(1, 2, 0, 5)
 	g.Insert(2, 3, 0, 20)
-	e0 := g.Epoch()
-	g.AcquireEpoch(e0)
+	g.BeginBatch()
+	e0 := g.AdvanceEpoch()
 
 	g.AdvanceEpoch()
 	if n := g.Expire(10, nil); n != 1 {
@@ -86,173 +86,116 @@ func TestEpochExpiryRetained(t *testing.T) {
 	if g.Has(key(1, 2, 0)) {
 		t.Fatal("expired edge still live at current epoch")
 	}
-	g.ReleaseEpoch(e0)
+	g.EndBatch()
 	if dv := g.DeadVersions(); dv != 0 {
-		t.Fatalf("%d dead versions after release", dv)
+		t.Fatalf("%d dead versions after EndBatch", dv)
 	}
 }
 
-// TestEpochGCCompaction is the epoch-GC property test: a versioned
-// graph driven with epoch advances, reader acquire/release and
-// interleaved hazards compacts — once the last reader of an epoch
-// retires — to content identical to a never-versioned graph fed the
-// same stream (same live edge set, same NumEdges/NumVertices, zero
-// retained dead versions).
-func TestEpochGCCompaction(t *testing.T) {
+// TestBatchModel is the batch-bracket property test: a versioned graph
+// and a plain one (never in a batch) take the same random batches of
+// 1–8 steps, one epoch per step, mixing inserts, refreshes, deletions
+// and expiry. Once a batch is written, concurrent readers of every step's
+// epoch must see exactly the plain graph after that step (run under
+// -race); after EndBatch no dead version survives; at the end both
+// graphs have the same content, NumEdges and NumVertices.
+func TestBatchModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	const vertices = 12
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		versioned, plain := New(), New()
 		ts := int64(0)
-		type reader struct{ e Epoch }
-		var readers []reader
-
-		steps := 200 + rng.Intn(200)
-		for i := 0; i < steps; i++ {
-			// Writer advances one epoch per group of mutations.
-			versioned.AdvanceEpoch()
-			nMut := 1 + rng.Intn(4)
-			for m := 0; m < nMut; m++ {
-				ts += int64(rng.Intn(3))
-				src := stream.VertexID(rng.Intn(vertices))
-				dst := stream.VertexID(rng.Intn(vertices))
-				l := stream.LabelID(rng.Intn(2))
-				switch rng.Intn(12) {
-				case 0:
-					versioned.Delete(stream.EdgeKey{Src: src, Dst: dst, Label: l})
-					plain.Delete(stream.EdgeKey{Src: src, Dst: dst, Label: l})
-				case 1:
-					deadline := ts - int64(rng.Intn(8))
-					versioned.Expire(deadline, nil)
-					plain.Expire(deadline, nil)
-				default:
-					versioned.Insert(src, dst, l, ts)
-					plain.Insert(src, dst, l, ts)
+		for batch := 0; batch < 40; batch++ {
+			versioned.BeginBatch()
+			epochs := make([]Epoch, 1+rng.Intn(8))
+			want := make([]map[Edge]struct{}, len(epochs))
+			for i := range epochs {
+				epochs[i] = versioned.AdvanceEpoch()
+				for m := 1 + rng.Intn(4); m > 0; m-- {
+					ts += int64(rng.Intn(3))
+					k := key(stream.VertexID(rng.Intn(vertices)), stream.VertexID(rng.Intn(vertices)), stream.LabelID(rng.Intn(2)))
+					switch rng.Intn(12) {
+					case 0:
+						versioned.Delete(k)
+						plain.Delete(k)
+					case 1:
+						deadline := ts - int64(rng.Intn(8))
+						versioned.Expire(deadline, nil)
+						plain.Expire(deadline, nil)
+					default:
+						versioned.Insert(k.Src, k.Dst, k.Label, ts)
+						plain.Insert(k.Src, k.Dst, k.Label, ts)
+					}
 				}
+				want[i] = collectAt(plain, plain.Epoch(), vertices)
 			}
-			// Randomly acquire the new epoch and release old ones, like a
-			// pipelined coordinator with bounded depth.
-			if rng.Intn(2) == 0 {
-				e := versioned.Epoch()
-				versioned.AcquireEpoch(e)
-				readers = append(readers, reader{e})
+			var wg sync.WaitGroup
+			for i, e := range epochs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got := collectAt(versioned, e, vertices); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("trial %d batch %d step %d: epoch %d shows %d edges, the plain graph %d", trial, batch, i, e, len(got), len(want[i]))
+					}
+				}()
 			}
-			for len(readers) > 3 || (len(readers) > 0 && rng.Intn(3) == 0) {
-				versioned.ReleaseEpoch(readers[0].e)
-				readers = readers[1:]
-			}
-		}
-		for _, r := range readers {
-			versioned.ReleaseEpoch(r.e)
-		}
-
-		if dv := versioned.DeadVersions(); dv != 0 {
-			t.Fatalf("trial %d: %d dead versions survive full reader retirement", trial, dv)
-		}
-		if versioned.ActiveReaders() != 0 {
-			t.Fatalf("trial %d: readers leaked", trial)
-		}
-		got := collectAt(versioned, versioned.Epoch(), vertices)
-		want := collectAt(plain, plain.Epoch(), vertices)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: versioned graph content diverged from never-versioned oracle:\ngot  %d edges\nwant %d edges", trial, len(got), len(want))
-		}
-		if versioned.NumEdges() != plain.NumEdges() {
-			t.Fatalf("trial %d: NumEdges %d vs %d", trial, versioned.NumEdges(), plain.NumEdges())
-		}
-		if versioned.NumVertices() != plain.NumVertices() {
-			t.Fatalf("trial %d: NumVertices %d vs %d", trial, versioned.NumVertices(), plain.NumVertices())
-		}
-	}
-}
-
-// TestEpochConcurrentReaders: readers traversing an acquired epoch race
-// a writer applying later-epoch mutations; each reader must observe
-// exactly its epoch's frozen edge set (checked under -race).
-func TestEpochConcurrentReaders(t *testing.T) {
-	g := New()
-	const vertices = 10
-	rng := rand.New(rand.NewSource(7))
-	ts := int64(0)
-	var wg sync.WaitGroup
-	for round := 0; round < 60; round++ {
-		g.AdvanceEpoch()
-		for m := 0; m < 5; m++ {
-			ts++
-			src := stream.VertexID(rng.Intn(vertices))
-			dst := stream.VertexID(rng.Intn(vertices))
-			switch rng.Intn(10) {
-			case 0:
-				g.Delete(stream.EdgeKey{Src: src, Dst: dst, Label: 0})
-			case 1:
-				g.Expire(ts-5, nil)
-			default:
-				g.Insert(src, dst, 0, ts)
+			wg.Wait()
+			versioned.EndBatch()
+			if dv := versioned.DeadVersions(); dv != 0 {
+				t.Fatalf("trial %d batch %d: %d dead versions after EndBatch", trial, batch, dv)
 			}
 		}
-		e := g.Epoch()
-		g.AcquireEpoch(e)
-		want := collectAt(g, e, vertices) // before any later mutation
-		wg.Add(1)
-		go func(e Epoch, want map[Edge]struct{}) {
-			defer wg.Done()
-			defer g.ReleaseEpoch(e)
-			got := collectAt(g, e, vertices)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("epoch %d: concurrent reader saw a drifting snapshot (%d vs %d edges)", e, len(got), len(want))
-			}
-		}(e, want)
-	}
-	wg.Wait()
-	if dv := g.DeadVersions(); dv != 0 {
-		t.Fatalf("%d dead versions after all readers released", dv)
+		if got, want := collectAt(versioned, versioned.Epoch(), vertices), collectAt(plain, plain.Epoch(), vertices); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: content %d edges, the plain graph %d", trial, len(got), len(want))
+		}
+		if versioned.NumEdges() != plain.NumEdges() || versioned.NumVertices() != plain.NumVertices() {
+			t.Fatalf("trial %d: NumEdges %d vs %d, NumVertices %d vs %d", trial,
+				versioned.NumEdges(), plain.NumEdges(), versioned.NumVertices(), plain.NumVertices())
+		}
 	}
 }
 
 // TestEpochWritePathAllocs pins the steady-state allocation cost of the
-// pipelined coordinator's write path: once the slabs, the FIFO and the
-// GC queue have reached capacity, a cycle of AdvanceEpoch, an expiry
-// sweep and 16 refreshes, written while the previous epoch is leased,
-// must not allocate (FIFO, GC-queue and lease-ring compaction amortize
-// to well under one allocation per cycle).
+// pipelined coordinator's write path: once the slabs, the overflow
+// arenas, the FIFO and the pending queue have reached capacity, a batch
+// of four steps — each an AdvanceEpoch, an expiry sweep and 16
+// refreshes, three of them superseding versions the batch keeps — must
+// allocate at most once (FIFO compaction amortizes to well under one
+// allocation per batch).
 func TestEpochWritePathAllocs(t *testing.T) {
 	g := New()
 	ts := int64(0)
-	lease := g.Epoch()
-	g.AcquireEpoch(lease)
-	cycle := func() {
-		g.AdvanceEpoch()
-		g.Expire(ts-40, nil)
-		for v := 0; v < 16; v++ {
-			ts++
-			g.Insert(stream.VertexID(v), stream.VertexID((v+1)%16), 0, ts)
+	batch := func() {
+		g.BeginBatch()
+		for step := 0; step < 4; step++ {
+			g.AdvanceEpoch()
+			g.Expire(ts-40, nil)
+			for v := 0; v < 16; v++ {
+				ts++
+				g.Insert(stream.VertexID(v), stream.VertexID((v+1)%16), 0, ts)
+			}
 		}
-		// Hand the new epoch to a reader and retire the previous one, as
-		// a coordinator at pipeline depth 2 does.
-		e := g.Epoch()
-		g.AcquireEpoch(e)
-		g.ReleaseEpoch(lease)
-		lease = e
+		g.EndBatch()
 	}
 	for i := 0; i < 300; i++ {
-		cycle() // reach steady state: slabs, overflow arenas, FIFO, GC queue all warm
+		batch() // reach steady state
 	}
-	if avg := testing.AllocsPerRun(100, cycle); avg > 1 {
-		t.Fatalf("write path allocates %.2f per epoch cycle, want ≤1", avg)
+	if avg := testing.AllocsPerRun(100, batch); avg > 1 {
+		t.Fatalf("write path allocates %.2f per batch, want ≤1", avg)
 	}
-	g.ReleaseEpoch(lease)
 	if dv := g.DeadVersions(); dv != 0 {
-		t.Fatalf("%d dead versions after the last lease was released", dv)
+		t.Fatalf("%d dead versions after EndBatch", dv)
 	}
 }
 
 // TestEpochDeltaRebase drives the slabs' uint32 epoch deltas out of
-// range: slabs written near epoch 0, the writer epoch moved past 2^32
-// with recent leases held, then refreshes, deletions, inserts and an
-// expiry in those old slabs, each of which rebases the slab it touches.
-// Every leased epoch must keep its edge set, the current epoch must see
-// the writes, and no dead version may survive the leases' release. A
-// lease held across 2^32 epochs cannot be rebased away and must panic.
+// range: slabs written near epoch 0, the writer epoch moved past 2^32,
+// then a batch whose refreshes, deletions, inserts and expiry in those
+// old slabs each rebase the slab they touch. Every epoch of the batch
+// must keep its edge set, the current epoch must see the writes, and no
+// dead version may survive EndBatch. A batch open across 2^32 epochs —
+// floor below 2^32, epoch past it — cannot be rebased away and must
+// panic.
 func TestEpochDeltaRebase(t *testing.T) {
 	const vertices = 8
 	g := New()
@@ -261,32 +204,28 @@ func TestEpochDeltaRebase(t *testing.T) {
 		g.Insert(stream.VertexID(v), stream.VertexID((v+1)%vertices), 0, int64(v))
 		g.Insert(stream.VertexID(v), stream.VertexID((v+2)%vertices), 1, int64(v))
 	}
-	g.epoch.Store(1<<32 + 7)
-	var leases []Epoch
+	g.epoch = 1<<32 + 7
 	want := map[Epoch]map[Edge]struct{}{}
-	lease := func() {
-		e := g.Epoch()
-		g.AcquireEpoch(e)
-		leases = append(leases, e)
-		want[e] = collectAt(g, e, vertices)
-	}
+	mark := func() { want[g.Epoch()] = collectAt(g, g.Epoch(), vertices) }
 
-	lease()
+	g.BeginBatch()
+	g.AdvanceEpoch()
+	mark()
 	g.AdvanceEpoch()
 	g.Insert(0, 1, 0, 100) // refresh
 	g.Delete(key(2, 4, 1))
 	g.Insert(3, 5, 0, 101) // new edge between two old slabs
-	lease()
+	mark()
 	g.AdvanceEpoch()
 	g.Insert(4, 5, 0, 102)             // refresh
 	g.Delete(key(0, 1, 0))             // delete a refreshed edge
-	if n := g.Expire(3, nil); n != 6 { // ts ≤ 3, minus the deleted (2,4,1)
+	if n := g.Expire(3, nil); n != 6 { // ts ≤ 3, minus the deleted (2,4,1) and (0,1,0)
 		t.Fatalf("Expire removed %d edges, want 6", n)
 	}
 
-	for _, e := range leases {
-		if got := collectAt(g, e, vertices); !reflect.DeepEqual(got, want[e]) {
-			t.Fatalf("leased epoch %d changed across the rebase (%d vs %d edges)", e, len(got), len(want[e]))
+	for e, w := range want {
+		if got := collectAt(g, e, vertices); !reflect.DeepEqual(got, w) {
+			t.Fatalf("batch epoch %d changed across the rebase (%d vs %d edges)", e, len(got), len(w))
 		}
 	}
 	for _, c := range []struct {
@@ -301,36 +240,40 @@ func TestEpochDeltaRebase(t *testing.T) {
 			t.Fatalf("current epoch: TS(%v) = %d,%v, want %d,%v", c.k, ts, ok, c.ts, c.live)
 		}
 	}
-	for _, e := range leases {
-		g.ReleaseEpoch(e)
-	}
+	g.EndBatch()
 	if dv := g.DeadVersions(); dv != 0 {
-		t.Fatalf("%d dead versions after the leases were released", dv)
+		t.Fatalf("%d dead versions after EndBatch", dv)
 	}
 
 	stuck := New()
 	stuck.Insert(1, 2, 0, 1)
-	stuck.AcquireEpoch(stuck.Epoch())
-	stuck.epoch.Store(1<<32 + 1)
+	stuck.BeginBatch()
+	stuck.AdvanceEpoch()
+	stuck.epoch = 1<<32 + 1
 	defer func() {
-		const msg = "graph: epoch delta overflow: reader lease held across 2^32 epochs"
+		const msg = "graph: epoch delta overflow: batch open across 2^32 epochs"
 		if r := recover(); r != msg {
-			t.Fatalf("write under a lease 2^32 epochs old: recovered %v, want panic %q", r, msg)
+			t.Fatalf("write in a batch open across 2^32 epochs: recovered %v, want panic %q", r, msg)
 		}
 	}()
 	stuck.Insert(1, 2, 0, 2)
 }
 
 // TestEpochEdgesFold: Edges folds the version intervals back to the
-// flat live edge set of the current epoch (what checkpoints serialize).
+// flat live edge set of the current epoch (what checkpoints serialize),
+// even while the batch keeps superseded versions.
 func TestEpochEdgesFold(t *testing.T) {
 	g := New()
 	g.Insert(1, 2, 0, 1)
-	g.AcquireEpoch(g.Epoch())
+	g.BeginBatch()
+	g.AdvanceEpoch()
 	g.AdvanceEpoch()
 	g.Insert(1, 2, 0, 5)
 	g.Insert(2, 3, 1, 6)
 	g.Delete(key(1, 2, 0))
+	if g.DeadVersions() == 0 {
+		t.Fatal("the batch kept no superseded version")
+	}
 
 	var flat []Edge
 	g.Edges(func(e Edge) bool { flat = append(flat, e); return true })

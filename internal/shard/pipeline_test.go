@@ -50,14 +50,11 @@ func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream
 	return all
 }
 
-// assertQuiesced: between batches every reader epoch is released and
-// every superseded version compacted, or checkpoints (and memory) would
-// accumulate pipeline residue.
+// assertQuiesced: between batches every superseded version is
+// compacted, or checkpoints (and memory) would accumulate pipeline
+// residue.
 func assertQuiesced(t *testing.T, s *Engine, when string) {
 	t.Helper()
-	if n := s.Graph().ActiveReaders(); n != 0 {
-		t.Fatalf("%s: %d reader epochs still active", when, n)
-	}
 	if n := s.Graph().DeadVersions(); n != 0 {
 		t.Fatalf("%s: %d dead versions retained", when, n)
 	}
@@ -127,8 +124,8 @@ func TestPipelinedByteIdenticalAcrossDepths(t *testing.T) {
 // depth and batch size, and so do the counters. InsertCalls is left out:
 // it counts timestamp improvements, whose number depends on adjacency
 // order, and the versioned graph compacts a deleted edge's cell when the
-// batch's lease is released instead of at once, which can reorder a
-// vertex's adjacency.
+// batch closes instead of at once, which can reorder a vertex's
+// adjacency.
 func TestPipelinedEqualsInlineExactly(t *testing.T) {
 	exprs := []string{"(a/b)+", "a/b*", "(a/b)+", "a|(a/b*)", "(a|b)+", "c*"}
 	spec := window.Spec{Size: 25, Slide: 5}
@@ -187,7 +184,7 @@ func TestPipelinedEqualsInlineExactly(t *testing.T) {
 // 32 tuples at two shards allocates. A lasting edge 0 -a-> 1 keeps one
 // tree per group alive; every batch then inserts 16 edges 1 -b-> k and
 // deletes them again, so each one writes and retires graph versions
-// under its lease, dispatches to both shards, emits matches and
+// inside its batch bracket, dispatches to both shards, emits matches and
 // invalidations on both, and merges them.
 func TestPipelinedBatchAllocs(t *testing.T) {
 	s, err := New(window.Spec{Size: 1 << 40, Slide: 1 << 40}, WithShards(2))
@@ -529,6 +526,10 @@ func stickyWorkerError(t *testing.T, opts ...Option) {
 	if firstErr == nil || !strings.Contains(firstErr.Error(), "injected member fault") {
 		t.Fatalf("fault did not surface from ProcessBatch: %v", firstErr)
 	}
+	// The failed batch still closed its bracket.
+	if n := s.Graph().DeadVersions(); n != 0 {
+		t.Fatalf("%d dead versions after the failed batch", n)
+	}
 	if _, err := s.ProcessBatch(tuples[:1]); err == nil {
 		t.Fatal("poisoned engine accepted another batch")
 	}
@@ -608,7 +609,7 @@ var _ core.MemberEngine = (*faultyMember)(nil)
 
 // TestAddDynamicInPlace: registration leaves nothing behind. On a
 // started pipelined retain-all engine AddDynamic returns with the new
-// group built and attached and no epoch lease held, a second equivalent
+// group built and attached and no graph batch open, a second equivalent
 // registration in the same inter-batch gap subscribes to that group,
 // the very next batch dispatches to it, and both subscribers emit
 // exactly what they emit in an engine that had them from stream start.

@@ -38,19 +38,20 @@
 // replies with its records in canonical order; the coordinator k-way
 // merges the replies.
 //
-// The batch holds one epoch lease, taken at its first epoch before the
-// first write and released once every shard has replied: a refresh or
-// deletion drops a superseded version on the spot unless an older
-// reader holds it, so without the lease a later write would destroy the
-// version an earlier step still reads. Batch boundaries are therefore
-// the engine's globally consistent points: no lease is held and every
+// The coordinator brackets the batch with the graph's BeginBatch, before
+// the first write, and EndBatch, once every shard has replied: a refresh
+// or deletion drops a superseded version on the spot unless a batch is
+// open, so outside the bracket a later write would destroy the version
+// an earlier step still reads. Batch boundaries are therefore the
+// engine's globally consistent points: no batch is open and every
 // superseded version is compacted — exactly where internal/persist takes
 // its checkpoints (the checkpoint serialization folds the version
 // intervals back into a flat, epoch-free graph), and where queries join
 // and leave (AddDynamic, RemoveDynamic) on the caller's goroutine.
 //
 // The coordinator is the graph's one writer in both schedules, and it
-// writes only while no shard reads.
+// writes only while no shard reads: the job send and the reply receive
+// are the only synchronization the graph needs.
 //
 // Since each step reads what the inline schedule reads when it applies
 // the same tuple, the pipelined schedule produces the inline result
@@ -81,6 +82,7 @@ package shard
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -168,7 +170,7 @@ type Engine struct {
 	dispatchBase int64
 	skipBase     int64
 
-	now     int64
+	now     int64 // largest timestamp seen; math.MinInt64 before the first
 	seen    int64
 	dropped int64
 	started bool
@@ -178,9 +180,10 @@ type Engine struct {
 	// retain-all mode (see SetRetainAll): the graph stores every label
 	// so AddDynamic can bootstrap a new query from the live window.
 	// labelTS records, per label, the timestamp of the last graph
-	// mutation that carried it — exactly the stream clock a member
-	// registered from the start would hold, since members advance their
-	// clock on every routed insert and successful delete.
+	// mutation that carried it (math.MinInt64 for none) — exactly the
+	// stream clock a member registered from the start would hold, since
+	// members advance their clock on every routed insert and successful
+	// delete.
 	retain  bool
 	labelTS []int64
 
@@ -343,6 +346,7 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 		spec:    spec,
 		g:       graph.New(),
 		win:     window.NewManager(spec),
+		now:     math.MinInt64,
 		depth:   cfg.depth,
 		inline:  cfg.shards == 1 && cfg.depth == 1,
 		workers: make([]*worker, cfg.shards),
@@ -508,10 +512,10 @@ func (s *Engine) activate(g *group) {
 // emissions are exactly the suffix a from-start engine would emit; no
 // bootstrap. Otherwise the new group's Δ index is bootstrapped from the
 // window content in place, on the caller's goroutine, in both
-// schedules: between batches no batch holds an epoch lease and the
-// shard goroutines are parked on their job channels, so the current
-// epoch is read without a lease and the group
-// is active on return. From the next batch onward the member emits
+// schedules: between batches no batch is open and the shard goroutines
+// are parked on their job channels, so the bootstrap reads the current
+// epoch alone and the group is active on return. From the next batch
+// onward the member emits
 // exactly what a from-start engine emits over the same suffix. Matches
 // emitted during the bootstrap replay itself — the window's current
 // live result set — are suppressed: a from-start engine emitted them
@@ -538,7 +542,7 @@ func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 	// The stream clock a from-start engine would hold now: the last
 	// timestamp that touched a relevant label, which may be newer than
 	// any surviving window edge (see labelTS).
-	var align int64
+	align := int64(math.MinInt64)
 	for l, ts := range s.labelTS {
 		if e.RelevantLabel(stream.LabelID(l)) && ts > align {
 			align = ts
@@ -792,14 +796,11 @@ func (s *Engine) processInline(tuples []stream.Tuple) (err error) {
 }
 
 // processPipelined is the pipelined schedule (see the package comment):
-// write the whole batch through graphStep, one epoch per step, under the
-// batch's lease; then send every shard the steps as one job and merge
-// the replies.
+// open the graph's batch bracket, write the whole batch through
+// graphStep, one epoch per step; then send every shard the steps as one
+// job, merge the replies and close the bracket.
 func (s *Engine) processPipelined(tuples []stream.Tuple) {
-	// The lease is on the epoch the first step opens, taken before the
-	// first write (see the package comment).
-	lease := s.g.Epoch() + 1
-	s.g.AcquireEpoch(lease)
+	s.g.BeginBatch()
 	steps := s.steps[:0]
 	for i, t := range tuples {
 		st := step{tuple: t, index: i, epoch: s.g.AdvanceEpoch()}
@@ -819,7 +820,7 @@ func (s *Engine) processPipelined(tuples []stream.Tuple) {
 		}
 		s.collect()
 	}
-	s.g.ReleaseEpoch(lease)
+	s.g.EndBatch()
 }
 
 // graphStep is the coordinator's part of one tuple in both schedules:
@@ -865,7 +866,7 @@ func (s *Engine) noteLabel(t stream.Tuple) {
 		return
 	}
 	for int(t.Label) >= len(s.labelTS) {
-		s.labelTS = append(s.labelTS, 0)
+		s.labelTS = append(s.labelTS, math.MinInt64)
 	}
 	if t.TS > s.labelTS[t.Label] {
 		s.labelTS[t.Label] = t.TS

@@ -8,7 +8,10 @@
 // slide boundary has been crossed and which deadline to expire to.
 package window
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Spec describes a time-based sliding window: Size is |W| and Slide is
 // the slide interval β, both in stream time units.
@@ -33,7 +36,17 @@ func (s Spec) Validate() error {
 
 // ValidFrom returns the exclusive lower bound of valid timestamps at
 // time now: an edge or tree node is inside the window iff ts > ValidFrom.
-func (s Spec) ValidFrom(now int64) int64 { return now - s.Size }
+func (s Spec) ValidFrom(now int64) int64 { return satSub(now, s.Size) }
+
+// satSub returns a-b for b > 0, saturating at math.MinInt64 instead of
+// wrapping around to a huge positive bound near the bottom of the
+// timestamp range.
+func satSub(a, b int64) int64 {
+	if a < math.MinInt64+b {
+		return math.MinInt64
+	}
+	return a - b
+}
 
 // Manager tracks slide boundaries for lazy expiration.
 type Manager struct {
@@ -65,7 +78,7 @@ func (m *Manager) Observe(ts int64) (deadline int64, due bool) {
 		return 0, false
 	}
 	m.boundary = we
-	return we - m.spec.Size, true
+	return satSub(we, m.spec.Size), true
 }
 
 // Boundary returns W^e of the last expiry run.

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,21 @@ func TestValidFrom(t *testing.T) {
 	s := Spec{Size: 15, Slide: 1}
 	if got := s.ValidFrom(18); got != 3 {
 		t.Fatalf("ValidFrom(18) = %d, want 3", got)
+	}
+}
+
+// TestBoundsSaturate: near math.MinInt64 the window bounds clamp to it
+// instead of wrapping around to huge positive values that would expire
+// everything.
+func TestBoundsSaturate(t *testing.T) {
+	s := Spec{Size: 10, Slide: 1}
+	if got := s.ValidFrom(math.MinInt64 + 3); got != math.MinInt64 {
+		t.Fatalf("ValidFrom(MinInt64+3) = %d, want MinInt64", got)
+	}
+	m := NewManager(s)
+	m.Observe(math.MinInt64 + 1)
+	if d, due := m.Observe(math.MinInt64 + 2); !due || d != math.MinInt64 {
+		t.Fatalf("Observe(MinInt64+2) = %d,%v, want MinInt64,true", d, due)
 	}
 }
 

@@ -123,7 +123,7 @@ func (q *Query) ConflictFreeEverywhere() bool { return q.dfa.HasContainmentPrope
 // inspect them; install a WithEdgeFilter to evaluate attribute-based
 // predicates at the ingestion boundary.
 type Tuple struct {
-	TS     int64             // application timestamp, non-decreasing across Ingest calls
+	TS     int64             // application timestamp, non-decreasing across Ingest calls; any value but math.MinInt64
 	Src    string            // source vertex
 	Dst    string            // destination vertex
 	Label  string            // edge label

@@ -1,0 +1,106 @@
+package streamrpq
+
+import (
+	"math"
+	"reflect"
+	"testing"
+)
+
+// TestTimestampShiftInvariance: every stream clock starts unset, not at
+// 0, and the window bounds saturate instead of wrapping, so shifting a
+// churn stream's timestamps by a multiple K of the slide shifts every
+// result's TS by K and changes nothing else — for the Evaluator under
+// both semantics, the inline MultiEvaluator and the sharded one — down
+// to K = math.MinInt64/2.
+func TestTimestampShiftInvariance(t *testing.T) {
+	const size, slide = 20, 4
+	stream := churnStream(17, 400, 0.1)
+	shifted := func(k int64) []Tuple {
+		out := append([]Tuple(nil), stream...)
+		for i := range out {
+			out[i].TS += k
+		}
+		return out
+	}
+	evaluator := func(sem Semantics) func(k int64) []facadeEntry {
+		return func(k int64) []facadeEntry {
+			var got []facadeEntry
+			i := 0
+			ev, err := NewEvaluator(MustCompile("(a/b)+"), WithWindow(size, slide), WithSemantics(sem),
+				WithOnInvalidate(func(m Match) { got = append(got, facadeEntry{Tuple: i, Inval: true, M: m}) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tu := range shifted(k) {
+				ms, err := ev.Ingest(tu)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range ms {
+					got = append(got, facadeEntry{Tuple: i, M: m})
+				}
+				i++
+			}
+			return got
+		}
+	}
+	multi := func(shards int) func(k int64) []facadeEntry {
+		return func(k int64) []facadeEntry {
+			qs := shardQueries()
+			qidx := make(map[*Query]int, len(qs))
+			for i, q := range qs {
+				qidx[q] = i
+			}
+			m, err := NewMultiEvaluator(size, slide, qs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if shards > 1 {
+				if err := m.WithShards(shards); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, _ := collectCanon(t, m, qidx, shifted(k), 16)
+			return got
+		}
+	}
+	runs := []struct {
+		name string
+		run  func(k int64) []facadeEntry
+	}{
+		{"Evaluator/arbitrary", evaluator(Arbitrary)},
+		{"Evaluator/simple", evaluator(Simple)},
+		{"MultiEvaluator/inline", multi(1)},
+		{"MultiEvaluator/shards=2", multi(2)},
+	}
+	for _, r := range runs {
+		want := r.run(0)
+		inval := 0
+		for _, e := range want {
+			if e.Inval {
+				inval++
+			}
+		}
+		if len(want) == 0 || inval == 0 {
+			t.Fatalf("%s: %d results, %d invalidations; the test is vacuous", r.name, len(want), inval)
+		}
+		for _, k := range []int64{-1_000_000, math.MinInt64 / 2} {
+			got := r.run(k)
+			for i := range got {
+				got[i].M.TS -= k
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: shifting the stream by %d changed the results (%d vs %d)", r.name, k, len(got), len(want))
+			}
+		}
+	}
+
+	ev, err := NewEvaluator(MustCompile("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.Ingest(Tuple{TS: math.MinInt64, Src: "x", Dst: "y", Label: "a"}); err == nil {
+		t.Fatal("the reserved timestamp math.MinInt64 was admitted")
+	}
+}
