@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"streamrpq/internal/stream"
@@ -176,5 +178,85 @@ func TestOverflowArenaPrunes(t *testing.T) {
 	}
 	if ts, ok := g.TS(key(1, 2, 0)); !ok || ts != 24 {
 		t.Fatalf("current ts = %d,%v, want 24,true", ts, ok)
+	}
+}
+
+// TestStripedConcurrentReaders: the graph takes no lock, so a pool of
+// long-lived readers, like the shard workers, may traverse slabs through
+// the buffer API only inside the batch bracket, ordered by a job send
+// after the batch's writes and a reply receive before EndBatch. Each
+// reader counts, at every epoch of the batch, the half-edges on both
+// sides of every vertex; both counts must equal NumEdges after that step.
+// Run under -race this pins that reads share no mutable state with each
+// other and that the bracket is the only ordering they need.
+func TestStripedConcurrentReaders(t *testing.T) {
+	const vertices, readers = 20, 4
+	g := New()
+	for i := 0; i < 100; i++ {
+		g.Insert(stream.VertexID(i%vertices), stream.VertexID((i+1)%vertices), 0, int64(i))
+	}
+	type job struct {
+		epochs []Epoch
+		want   []int
+	}
+	jobs := make([]chan job, readers)
+	replies := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := range jobs {
+		jobs[r] = make(chan job)
+		wg.Add(1)
+		go func(jobs <-chan job) {
+			defer wg.Done()
+			var buf []HalfEdge
+			for j := range jobs {
+				var err error
+				for i, e := range j.epochs {
+					out, in := 0, 0
+					for v := 0; v < vertices; v++ {
+						buf = g.AppendOutAt(e, stream.VertexID(v), buf[:0])
+						out += len(buf)
+						buf = g.AppendInAt(e, stream.VertexID(v), buf[:0])
+						in += len(buf)
+					}
+					if out != j.want[i] || in != j.want[i] {
+						err = fmt.Errorf("epoch %d: %d out and %d in half-edges, want %d", e, out, in, j.want[i])
+					}
+				}
+				replies <- err
+			}
+		}(jobs[r])
+	}
+	rng := rand.New(rand.NewSource(99))
+	for step := 0; step < 3000; {
+		g.BeginBatch()
+		var j job
+		for s := 1 + rng.Intn(8); s > 0; s-- {
+			j.epochs = append(j.epochs, g.AdvanceEpoch())
+			for m := 0; m < 5; m, step = m+1, step+1 {
+				k := key(stream.VertexID(rng.Intn(vertices)), stream.VertexID(rng.Intn(vertices)), 0)
+				if rng.Float64() < 0.3 {
+					g.Delete(k)
+				} else {
+					g.Insert(k.Src, k.Dst, 0, int64(1000+step))
+				}
+			}
+			j.want = append(j.want, g.NumEdges())
+		}
+		for _, c := range jobs {
+			c <- j
+		}
+		for range jobs {
+			if err := <-replies; err != nil {
+				t.Error(err)
+			}
+		}
+		g.EndBatch()
+	}
+	for _, c := range jobs {
+		close(c)
+	}
+	wg.Wait()
+	if n := g.DeadVersions(); n != 0 {
+		t.Fatalf("DeadVersions = %d after quiescence, want 0", n)
 	}
 }

@@ -155,6 +155,134 @@ func TestBatchModel(t *testing.T) {
 	}
 }
 
+// TestEpochGCCompaction is the epoch-GC property test across both write
+// paths: one versioned graph takes a random stream in which batched
+// stretches (BeginBatch … EndBatch, one epoch per step) alternate with
+// unbatched steps (the inline schedule's in-place path). No superseded
+// version may outlive its batch — none is retained after an unbatched
+// step or after EndBatch — and at the end the graph holds the same
+// content, NumEdges and NumVertices as a never-versioned graph fed the
+// same stream.
+func TestEpochGCCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	const vertices = 12
+	for trial := 0; trial < 50; trial++ {
+		versioned, plain := New(), New()
+		ts := int64(0)
+		step := func() {
+			versioned.AdvanceEpoch()
+			for m := 1 + rng.Intn(4); m > 0; m-- {
+				ts += int64(rng.Intn(3))
+				k := key(stream.VertexID(rng.Intn(vertices)), stream.VertexID(rng.Intn(vertices)), stream.LabelID(rng.Intn(2)))
+				switch rng.Intn(12) {
+				case 0:
+					versioned.Delete(k)
+					plain.Delete(k)
+				case 1:
+					deadline := ts - int64(rng.Intn(8))
+					versioned.Expire(deadline, nil)
+					plain.Expire(deadline, nil)
+				default:
+					versioned.Insert(k.Src, k.Dst, k.Label, ts)
+					plain.Insert(k.Src, k.Dst, k.Label, ts)
+				}
+			}
+		}
+		for i, n := 0, 40+rng.Intn(40); i < n; i++ {
+			if rng.Intn(3) == 0 {
+				step()
+				if dv := versioned.DeadVersions(); dv != 0 {
+					t.Fatalf("trial %d: %d dead versions after an unbatched step", trial, dv)
+				}
+				continue
+			}
+			versioned.BeginBatch()
+			for s := 1 + rng.Intn(8); s > 0; s-- {
+				step()
+			}
+			versioned.EndBatch()
+			if dv := versioned.DeadVersions(); dv != 0 {
+				t.Fatalf("trial %d: %d dead versions survive EndBatch", trial, dv)
+			}
+		}
+
+		got := collectAt(versioned, versioned.Epoch(), vertices)
+		want := collectAt(plain, plain.Epoch(), vertices)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: versioned graph content diverged from never-versioned oracle:\ngot  %d edges\nwant %d edges", trial, len(got), len(want))
+		}
+		if versioned.NumEdges() != plain.NumEdges() {
+			t.Fatalf("trial %d: NumEdges %d vs %d", trial, versioned.NumEdges(), plain.NumEdges())
+		}
+		if versioned.NumVertices() != plain.NumVertices() {
+			t.Fatalf("trial %d: NumVertices %d vs %d", trial, versioned.NumVertices(), plain.NumVertices())
+		}
+	}
+}
+
+// TestEpochConcurrentReaders: each step's epoch is snapshotted right
+// after the step's writes, before any later mutation of the batch; once
+// the batch is written, several readers per epoch traverse it
+// concurrently, Out and In sides, and each must observe exactly the
+// epoch's frozen edge set (checked under -race).
+func TestEpochConcurrentReaders(t *testing.T) {
+	g := New()
+	const vertices = 10
+	rng := rand.New(rand.NewSource(7))
+	ts := int64(0)
+	collectIn := func(e Epoch) map[Edge]struct{} {
+		in := map[Edge]struct{}{}
+		for v := 0; v < vertices; v++ {
+			for _, he := range g.AppendInAt(e, stream.VertexID(v), nil) {
+				in[Edge{Src: he.V, Dst: stream.VertexID(v), Label: he.L, TS: he.TS}] = struct{}{}
+			}
+		}
+		return in
+	}
+	for round := 0; round < 20; round++ {
+		g.BeginBatch()
+		var epochs []Epoch
+		var want []map[Edge]struct{}
+		for s := 1 + rng.Intn(6); s > 0; s-- {
+			e := g.AdvanceEpoch()
+			for m := 0; m < 5; m++ {
+				ts++
+				k := key(stream.VertexID(rng.Intn(vertices)), stream.VertexID(rng.Intn(vertices)), 0)
+				switch rng.Intn(10) {
+				case 0:
+					g.Delete(k)
+				case 1:
+					g.Expire(ts-5, nil)
+				default:
+					g.Insert(k.Src, k.Dst, 0, ts)
+				}
+			}
+			epochs = append(epochs, e)
+			want = append(want, collectAt(g, e, vertices)) // before any later mutation
+		}
+		var wg sync.WaitGroup
+		for i, e := range epochs {
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got := collectAt(g, e, vertices); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("epoch %d: concurrent reader saw a drifting snapshot (%d vs %d edges)", e, len(got), len(want[i]))
+					}
+					if got := collectIn(e); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("epoch %d: In side disagrees with the Out snapshot (%d vs %d edges)", e, len(got), len(want[i]))
+					}
+				}()
+			}
+		}
+		wg.Wait()
+		g.EndBatch()
+	}
+	if dv := g.DeadVersions(); dv != 0 {
+		t.Fatalf("%d dead versions after the last EndBatch", dv)
+	}
+}
+
 // TestEpochWritePathAllocs pins the steady-state allocation cost of the
 // pipelined coordinator's write path: once the slabs, the overflow
 // arenas, the FIFO and the pending queue have reached capacity, a batch
