@@ -1,6 +1,8 @@
 package streamrpq
 
 import (
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -100,8 +102,46 @@ func TestIngestBatchAllocs(t *testing.T) {
 	if matches != 52 {
 		t.Fatalf("batch found %d matches, want 52", matches)
 	}
-	if avg > 493 {
-		t.Errorf("IngestBatch of 32 tuples allocates %.0f times, want at most 493", avg)
+	if avg > 159 {
+		t.Errorf("IngestBatch of 32 tuples allocates %.0f times, want at most 159", avg)
+	}
+}
+
+// TestBatchResultRunsDoNotAlias: the runs of one batch share a backing
+// array, so appending to one BatchResult's Matches or Invalidations must
+// copy rather than overwrite the records of the run after it. Tuples 1
+// and 2 each yield a run for both queries; the match runs of tuple 1 sit
+// right before the invalidation runs of tuple 2.
+func TestBatchResultRunsDoNotAlias(t *testing.T) {
+	m, err := NewMultiEvaluator(100, 1, MustCompile("a+"), MustCompile("a/a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	brs, err := m.IngestBatch([]Tuple{
+		{TS: 1, Src: "x", Dst: "y", Label: "a"},
+		{TS: 1, Src: "y", Dst: "z", Label: "a"},
+		{TS: 2, Src: "x", Dst: "y", Label: "a", Delete: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(brs) != 5 || brs[1].Tuple != 1 || brs[2].Tuple != 1 || brs[3].Tuple != 2 || brs[4].Tuple != 2 ||
+		len(brs[1].Matches) != 2 || len(brs[3].Invalidations) != 2 {
+		t.Fatalf("batch does not have the expected runs: %+v", brs)
+	}
+	want := make([]BatchResult, len(brs))
+	for i, br := range brs {
+		want[i] = br
+		want[i].Matches, want[i].Invalidations = slices.Clone(br.Matches), slices.Clone(br.Invalidations)
+	}
+	sentinel := Match{From: "appended", To: "appended", TS: -1}
+	for _, br := range brs {
+		_ = append(br.Matches, sentinel)
+		_ = append(br.Invalidations, sentinel)
+	}
+	if !reflect.DeepEqual(brs, want) {
+		t.Fatalf("an append to one run overwrote another:\n got %+v\nwant %+v", brs, want)
 	}
 }
 

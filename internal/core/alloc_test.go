@@ -168,6 +168,49 @@ func TestRAPQDeleteSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRAPQTreeChurnAllocs: trees that come and go with the window are
+// the one growth that never stops. With a one-tick window and the clock
+// advancing two ticks a round, every round's first tuple expires the
+// whole previous round, so all 64 trees of the chain are dropped and
+// grown again from their roots (2 144 nodes). A tree's growth must cost
+// a few re-allocations of its one node array and key table, not one per
+// node field: at most 16 allocations per rebuilt tree.
+func TestRAPQTreeChurnAllocs(t *testing.T) {
+	a := bind(t, "a+", "a")
+	const n = 64
+	var tuples []stream.Tuple
+	for i := stream.VertexID(0); i < n; i++ {
+		tuples = append(tuples, stream.Tuple{Src: i, Dst: i + 1})
+	}
+	e := NewRAPQ(a, window.Spec{Size: 1, Slide: 1}, WithSink(discardSink{}))
+	ts := int64(0)
+	round := func() {
+		ts += 2
+		for _, tu := range tuples {
+			tu.TS = ts
+			e.Process(tu)
+		}
+	}
+	for range 4 {
+		round()
+	}
+	before := e.Stats()
+	avg := testing.AllocsPerRun(50, round)
+	after := e.Stats()
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Every pair went dead with its round and is matched again: the trees
+	// were rebuilt, not refreshed.
+	const pairs = n * (n + 1) / 2
+	if after.Trees != n || after.Nodes != pairs+n || after.Results-before.Results != 51*pairs {
+		t.Fatalf("not a steady state of tree churn:\nbefore %+v\n after %+v", before, after)
+	}
+	if perTree := avg / n; perTree > 16 {
+		t.Errorf("tree churn allocates %.1f per rebuilt tree (avg %.0f per %d-tree round), want at most 16", perTree, avg, n)
+	}
+}
+
 // TestMultiRelevanceDispatchAllocs: the relevance-ordered dispatch of
 // the multi-query coordinator must add no allocations of its own — the
 // per-label group lists are built at registration and Groups() returns

@@ -3,8 +3,9 @@
 // Streaming Graphs" (SIGMOD 2020). The paper evaluates both path
 // semantics "in a uniform manner", and so does the package: one Δ
 // substrate (delta.go, tree_store.go, vertex_table.go, inv.go) — spanning
-// trees in a slot store under flat slot-addressed tables, the vertex →
-// trees inverted index, the tuple routing, Algorithm
+// trees as one array of 32-byte node records each, under flat
+// slot-addressed tables, the vertex → trees inverted index, the tuple
+// routing, Algorithm
 // Delete's subtree marking (§3.2: negative tuples go through the expiry
 // machinery) and the canonical liveness bookkeeping behind every match
 // and invalidation — with two policies over it, and oracles beside them:

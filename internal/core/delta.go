@@ -11,8 +11,8 @@ import (
 )
 
 // tree is one spanning tree Tx of the Δ index, rooted at (x, s0). Its
-// nodes live in a struct-of-arrays slot store (tree_store.go) and are
-// addressed by slot on the hot paths. The key index over the slots is
+// nodes live in a slot store, one 32-byte record per node (tree_store.go),
+// and are addressed by slot on the hot paths. The key index over the slots is
 // what the path semantics disagree on: RAPQ, where Lemma 1 allows a
 // (vertex,state) key at most one node, uses the flat table of ns; RSPQ
 // leaves that empty, works on the embedded slotStore and lists each
@@ -254,7 +254,7 @@ func (d *delta) emit(x, v stream.VertexID) {
 // of the per-vertex witness support counts and the inverted index. The
 // engine then drops it from its key index and releases the slot.
 func (d *delta) unlink(tx *tree, slot int32) {
-	key := tx.ns.keys[slot]
+	key := tx.ns.nodes[slot].key
 	v := key.vertex()
 	tx.ns.detach(slot)
 	if tx.verts.dec(v, d.a.Final[key.state()] && slot != rootSlot) {
@@ -275,7 +275,7 @@ func (d *delta) dropIfRootOnly(tx *tree) {
 // witness of some vertex away, whether that vertex's pair was live at
 // validFrom. Call it while the witness timestamps are still intact.
 func (d *delta) notePreLive(tx *tree, slot int32, validFrom int64) {
-	key := tx.ns.keys[slot]
+	key := tx.ns.nodes[slot].key
 	if !d.a.Final[key.state()] || d.sc.pre.find(key.vertex()) != nil {
 		return
 	}
@@ -295,8 +295,8 @@ func (d *delta) markSubtree(tx *tree, slot int32, validFrom int64) {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		d.notePreLive(tx, s, validFrom)
-		ns.ts[s] = expiredTS
-		for c := ns.firstChild[s]; c >= 0; c = ns.nextSib[c] {
+		ns.nodes[s].ts = expiredTS
+		for c := ns.nodes[s].firstChild; c >= 0; c = ns.nodes[c].nextSib {
 			stack = append(stack, c)
 		}
 	}

@@ -163,7 +163,11 @@ func runFlatOps(t testing.TB, ops []byte) {
 		}
 
 		// Everything the structures can be asked, against the models.
-		if err := checkKeyTable(&ns); err != nil || ns.size() != len(slots) {
+		err := checkKeyTable(&ns)
+		if err == nil {
+			err = checkFreeList(&ns.slotStore, len(ns.nodes)-len(slots))
+		}
+		if err != nil || ns.size() != len(slots) {
 			t.Fatalf("step %d: %d keys, %d live slots: %v", step, len(slots), ns.size(), err)
 		}
 		for _, k := range flatKeys {
@@ -247,6 +251,60 @@ func TestFlatTableModel(t *testing.T) {
 			runFlatOps(t, ops)
 		}
 	})
+}
+
+// TestSlotStoreFreeListModel runs random alloc/release sequences against
+// a stack of released slots as the model. The intrusive free list must
+// hand out exactly the slot the stack pops — LIFO reuse is what keeps
+// tree shapes, InsertCalls and the checkpoint's node order independent
+// of how the free slots are kept — and size, live and the free-chain
+// check must agree with the model after every step.
+func TestSlotStoreFreeListModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 20; trial++ {
+		var ns slotStore
+		var stack, live []int32 // the model: released slots (top last), live slots
+		next := int32(0)        // slots created so far
+		for step := 0; step < 400; step++ {
+			// Allocations win in the first half and releases in the second:
+			// grow, then drain to a long free list.
+			if len(live) == 0 || (rng.Intn(3) != 0) == (step < 200) {
+				want := next
+				if n := len(stack); n > 0 {
+					want, stack = stack[n-1], stack[:n-1]
+				} else {
+					next++
+				}
+				k, ts := nodeKey(step), int64(step)
+				got := ns.alloc(k, ts, rootSlot)
+				if got != want {
+					t.Fatalf("trial %d step %d: alloc = slot %d, the stack pops %d", trial, step, got, want)
+				}
+				if n := ns.nodes[got]; n != (node{key: k, ts: ts, parent: rootSlot, firstChild: -1, nextSib: -1, prevSib: -1}) {
+					t.Fatalf("trial %d step %d: fresh node %+v", trial, step, n)
+				}
+				live = append(live, got)
+			} else {
+				i := rng.Intn(len(live))
+				slot := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				ns.release(slot)
+				stack = append(stack, slot)
+			}
+			if ns.size() != len(live) || len(ns.nodes) != int(next) {
+				t.Fatalf("trial %d step %d: size %d of %d slots, model %d of %d", trial, step, ns.size(), len(ns.nodes), len(live), next)
+			}
+			for s := int32(0); s < next; s++ {
+				if ns.live(s) == slices.Contains(stack, s) {
+					t.Fatalf("trial %d step %d: live(%d) = %v", trial, step, s, ns.live(s))
+				}
+			}
+			if err := checkFreeList(&ns, len(stack)); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+		}
+	}
 }
 
 // FuzzFlatTable lets the fuzzer look for an op stream the tables and

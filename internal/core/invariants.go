@@ -13,8 +13,8 @@ import (
 //  1. Tree shape: the root sits in rootSlot under key (x, s0), is its own
 //     parent and never expires; every other live node's parent is a live
 //     slot of the same tree (no live slot under a free one) that lists
-//     the node as a child, and child lists hold live nodes that point
-//     back.
+//     the node as a child, child lists hold live nodes that point back,
+//     and the free list chains exactly the released slots.
 //  2. Timestamp monotonicity: a child's timestamp never exceeds its
 //     parent's (path timestamps are minima over tree paths).
 //  3. Census: the per-vertex records of a tree equal a fresh count of
@@ -32,23 +32,23 @@ func (d *delta) checkTrees() error {
 			return fmt.Errorf("tree keyed %d has root %d", root, tx.root)
 		}
 		ns := &tx.ns
-		if len(ns.keys) == 0 || !ns.live(rootSlot) || ns.keys[rootSlot] != mkNodeKey(root, d.a.Start) {
+		if len(ns.nodes) == 0 || !ns.live(rootSlot) || ns.nodes[rootSlot].key != mkNodeKey(root, d.a.Start) {
 			return fmt.Errorf("tree %d: root node missing", root)
 		}
-		if ns.parent[rootSlot] != rootSlot {
+		if ns.nodes[rootSlot].parent != rootSlot {
 			return fmt.Errorf("tree %d: root parent not self", root)
 		}
-		if ns.ts[rootSlot] != rootTS {
-			return fmt.Errorf("tree %d: root ts = %d", root, ns.ts[rootSlot])
+		if ns.nodes[rootSlot].ts != rootTS {
+			return fmt.Errorf("tree %d: root ts = %d", root, ns.nodes[rootSlot].ts)
 		}
 		liveSlots := 0
 		census := map[stream.VertexID]vrec{}
-		for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
+		for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
 			if !ns.live(slot) {
 				continue
 			}
 			liveSlots++
-			nv, nstate := ns.keys[slot].vertex(), ns.keys[slot].state()
+			nv, nstate := ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state()
 			rec := census[nv]
 			rec.v = nv
 			rec.nodes++
@@ -57,25 +57,25 @@ func (d *delta) checkTrees() error {
 			}
 			census[nv] = rec
 			// Children must be live and point back.
-			for c := ns.firstChild[slot]; c >= 0; c = ns.nextSib[c] {
+			for c := ns.nodes[slot].firstChild; c >= 0; c = ns.nodes[c].nextSib {
 				if !ns.live(c) {
 					return fmt.Errorf("tree %d: node (%d,%d) lists dead child slot %d", root, nv, nstate, c)
 				}
-				if ns.parent[c] != slot {
+				if ns.nodes[c].parent != slot {
 					return fmt.Errorf("tree %d: node (%d,%d) lists child (%d,%d) with a different parent",
-						root, nv, nstate, ns.keys[c].vertex(), ns.keys[c].state())
+						root, nv, nstate, ns.nodes[c].key.vertex(), ns.nodes[c].key.state())
 				}
 			}
 			if slot == rootSlot {
 				continue
 			}
-			pslot := ns.parent[slot]
-			if pslot < 0 || pslot >= int32(len(ns.keys)) || !ns.live(pslot) {
+			pslot := ns.nodes[slot].parent
+			if pslot < 0 || pslot >= int32(len(ns.nodes)) || !ns.live(pslot) {
 				return fmt.Errorf("tree %d: node (%d,%d) has dangling parent slot %d", root, nv, nstate, pslot)
 			}
-			pk := ns.keys[pslot]
+			pk := ns.nodes[pslot].key
 			listed := false
-			for c := ns.firstChild[pslot]; c >= 0; c = ns.nextSib[c] {
+			for c := ns.nodes[pslot].firstChild; c >= 0; c = ns.nodes[c].nextSib {
 				if c == slot {
 					listed = true
 					break
@@ -85,13 +85,13 @@ func (d *delta) checkTrees() error {
 				return fmt.Errorf("tree %d: parent (%d,%d) does not list child (%d,%d)",
 					root, pk.vertex(), pk.state(), nv, nstate)
 			}
-			if ns.ts[slot] > ns.ts[pslot] {
+			if ns.nodes[slot].ts > ns.nodes[pslot].ts {
 				return fmt.Errorf("tree %d: child (%d,%d).ts=%d exceeds parent (%d,%d).ts=%d",
-					root, nv, nstate, ns.ts[slot], pk.vertex(), pk.state(), ns.ts[pslot])
+					root, nv, nstate, ns.nodes[slot].ts, pk.vertex(), pk.state(), ns.nodes[pslot].ts)
 			}
 		}
-		if liveSlots != ns.size() {
-			return fmt.Errorf("tree %d: %d live slots but the store counts %d", root, liveSlots, ns.size())
+		if err := checkFreeList(&ns.slotStore, len(ns.nodes)-liveSlots); err != nil {
+			return fmt.Errorf("tree %d: %w", root, err)
 		}
 		if err := checkVertexTable(&tx.verts, census); err != nil {
 			return fmt.Errorf("tree %d: %w", root, err)
@@ -118,6 +118,27 @@ func (d *delta) checkTrees() error {
 	}
 	if d.sc.pre.n != 0 || len(d.sc.noted) != 0 {
 		return fmt.Errorf("an expiry pass is still open: %d vertices noted", d.sc.pre.n)
+	}
+	return nil
+}
+
+// checkFreeList validates a slot store's free list against the number
+// of released slots (parent == freeSlot): the chain from free through
+// nextSib holds released slots only, is acyclic and as long as both
+// that number and nfree, so it holds exactly the released slots and
+// size() counts the live ones.
+func checkFreeList(ns *slotStore, released int) error {
+	n := 0
+	for f := ns.free - 1; f >= 0; f = ns.nodes[f].nextSib {
+		// Every link so far was a released slot: one more than there are
+		// means the chain repeats one.
+		if f >= int32(len(ns.nodes)) || ns.live(f) || n == released {
+			return fmt.Errorf("free list: link %d after %d of %d released slots", f, n, released)
+		}
+		n++
+	}
+	if n != released || int(ns.nfree) != released {
+		return fmt.Errorf("free list: %d slots chained, %d counted, %d released", n, ns.nfree, released)
 	}
 	return nil
 }
@@ -168,9 +189,9 @@ func checkKeyTable(ns *treeStore) error {
 	}
 	// Distinct live slots found under their keys sit in distinct buckets,
 	// so with equal counts no bucket points anywhere else.
-	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
-		if ns.live(slot) && ns.lookup(ns.keys[slot]) != slot {
-			return fmt.Errorf("key table: slot %d not found under its key (%d,%d)", slot, ns.keys[slot].vertex(), ns.keys[slot].state())
+	for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
+		if ns.live(slot) && ns.lookup(ns.nodes[slot].key) != slot {
+			return fmt.Errorf("key table: slot %d not found under its key (%d,%d)", slot, ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state())
 		}
 	}
 	return nil
@@ -200,26 +221,26 @@ func (e *RAPQ) CheckInvariants() error {
 		if err := checkKeyTable(ns); err != nil {
 			return fmt.Errorf("tree %d: %w", root, err)
 		}
-		for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
+		for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
 			if !ns.live(slot) {
 				continue
 			}
-			nv, nstate := ns.keys[slot].vertex(), ns.keys[slot].state()
-			if slot == rootSlot || ns.ts[slot] <= validFrom {
+			nv, nstate := ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state()
+			if slot == rootSlot || ns.nodes[slot].ts <= validFrom {
 				continue
 			}
-			pslot := ns.parent[slot]
-			pk := ns.keys[pslot]
+			pslot := ns.nodes[slot].parent
+			pk := ns.nodes[pslot].key
 			supported := false
 			for _, he := range e.g.AppendOutAt(e.g.Epoch(), pk.vertex(), nil) {
-				if he.V == nv && e.a.Trans[pk.state()][he.L] == nstate && min(ns.ts[pslot], he.TS) == ns.ts[slot] {
+				if he.V == nv && e.a.Trans[pk.state()][he.L] == nstate && min(ns.nodes[pslot].ts, he.TS) == ns.nodes[slot].ts {
 					supported = true
 					break
 				}
 			}
 			if !supported {
 				return fmt.Errorf("tree %d: tree edge (%d,%d)->(%d,%d) ts=%d has no supporting graph edge",
-					root, pk.vertex(), pk.state(), nv, nstate, ns.ts[slot])
+					root, pk.vertex(), pk.state(), nv, nstate, ns.nodes[slot].ts)
 			}
 		}
 	}
@@ -243,12 +264,12 @@ func (e *RSPQ) CheckInvariants() error {
 				return fmt.Errorf("tree %d: empty instance list for (%d,%d)", root, key.vertex(), key.state())
 			}
 			for i, slot := range ent.slots {
-				if slot < 0 || slot >= int32(len(ns.keys)) || !ns.live(slot) {
+				if slot < 0 || slot >= int32(len(ns.nodes)) || !ns.live(slot) {
 					return fmt.Errorf("tree %d: dead instance (%d,%d) still indexed", root, key.vertex(), key.state())
 				}
-				if ns.keys[slot] != key {
+				if ns.nodes[slot].key != key {
 					return fmt.Errorf("tree %d: instance (%d,%d) under key (%d,%d)",
-						root, ns.keys[slot].vertex(), ns.keys[slot].state(), key.vertex(), key.state())
+						root, ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state(), key.vertex(), key.state())
 				}
 				if slices.Contains(ent.slots[:i], slot) {
 					return fmt.Errorf("tree %d: slot %d listed twice under (%d,%d)", root, slot, key.vertex(), key.state())
@@ -261,7 +282,7 @@ func (e *RSPQ) CheckInvariants() error {
 		if listed != ns.size() {
 			return fmt.Errorf("tree %d: %d live slots, %d listed instances", root, ns.size(), listed)
 		}
-		if tx.inst[ns.keys[rootSlot]].marked {
+		if tx.inst[ns.nodes[rootSlot].key].marked {
 			return fmt.Errorf("tree %d: root key is marked", root)
 		}
 	}

@@ -25,7 +25,8 @@ const expiredTS = int64(math.MinInt64)
 // support (Algorithm Delete, §3.2): the Δ substrate plus Algorithm
 // Insert, ExpiryRAPQ and the unique key index Lemma 1 allows. Steady-
 // state processing allocates nothing per edge once the scratch buffers
-// have grown (asserted by alloc_test.go).
+// have grown, and a tree that grows re-allocates only its node array and
+// key table (both asserted by alloc_test.go).
 type RAPQ struct {
 	delta
 
@@ -143,7 +144,7 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 		tx := e.trees[root]
 		for _, tr := range e.a.ByLabel[t.Label] {
 			pslot := tx.ns.lookup(mkNodeKey(t.Src, tr.From))
-			if pslot < 0 || tx.ns.ts[pslot] <= validFrom {
+			if pslot < 0 || tx.ns.nodes[pslot].ts <= validFrom {
 				continue
 			}
 			e.insert(tx, pslot, t.Dst, tr.To, t.TS, validFrom)
@@ -175,7 +176,7 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 		if v == tx.root && s == e.a.Start {
 			continue // the root witnesses only the empty path
 		}
-		if slot := tx.ns.lookup(mkNodeKey(v, s)); slot >= 0 && tx.ns.ts[slot] > validFrom {
+		if slot := tx.ns.lookup(mkNodeKey(v, s)); slot >= 0 && tx.ns.nodes[slot].ts > validFrom {
 			return true
 		}
 	}
@@ -212,10 +213,10 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		op := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		newTS := min(op.edgeTS, ns.ts[op.parent])
+		newTS := min(op.edgeTS, ns.nodes[op.parent].ts)
 		key := mkNodeKey(op.v, op.t)
 		slot := ns.lookup(key)
-		if slot >= 0 && ns.ts[slot] >= newTS {
+		if slot >= 0 && ns.nodes[slot].ts >= newTS {
 			continue // line 7/9: no improvement possible
 		}
 		calls++
@@ -225,14 +226,13 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			// (root, v) live again; under lazy expiry this refresh is
 			// the only trace of that transition, so it must emit here
 			// exactly when no other in-window witness already covers it.
-			if e.a.Final[op.t] && ns.ts[slot] <= validFrom && newTS > validFrom &&
+			if e.a.Final[op.t] && ns.nodes[slot].ts <= validFrom && newTS > validFrom &&
 				!sc.wasLive(op.v) && !e.isLive(tx, op.v, validFrom) {
 				e.emit(tx.root, op.v)
 			}
 			// Timestamp refresh: re-parent to the fresher path.
 			ns.detach(slot)
-			ns.ts[slot] = newTS
-			ns.parent[slot] = op.parent
+			ns.nodes[slot].ts, ns.nodes[slot].parent = newTS, op.parent
 			ns.attach(op.parent, slot)
 		} else {
 			wasLive := false
@@ -255,7 +255,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		// applied. The scratch buffer is fully consumed into stack pushes
 		// before the next AppendOutAt reuses it.
 		sc.out = e.g.AppendOutAt(e.epoch, op.v, sc.out[:0])
-		nodeTS := ns.ts[slot]
+		nodeTS := ns.nodes[slot].ts
 		for _, he := range sc.out {
 			if he.TS <= validFrom {
 				continue // expired: not in W_{G,τ}
@@ -268,7 +268,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 				continue
 			}
 			childTS := min(nodeTS, he.TS)
-			if cs := ns.lookup(mkNodeKey(he.V, q)); cs < 0 || ns.ts[cs] < childTS {
+			if cs := ns.lookup(mkNodeKey(he.V, q)); cs < 0 || ns.nodes[cs].ts < childTS {
 				stack = append(stack, insertOp{parent: slot, v: he.V, t: q, edgeTS: he.TS})
 			}
 		}
@@ -307,11 +307,11 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	// timestamp never exceeds its parent's, so candidates form whole
 	// subtrees.
 	candidates := sc.cands[:0]
-	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
-		if !ns.live(slot) || ns.ts[slot] > deadline {
+	for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
+		if !ns.live(slot) || ns.nodes[slot].ts > deadline {
 			continue
 		}
-		candidates = append(candidates, ns.keys[slot])
+		candidates = append(candidates, ns.nodes[slot].key)
 		// Record, before any pruning, whether each pair about to
 		// lose a final witness was live when the pass started.
 		// Delete-marked subtrees were recorded by markSubtree while
@@ -365,10 +365,10 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 			for _, s := range rt[t] {
 				pk := mkNodeKey(he.V, s)
 				pslot := ns.lookup(pk)
-				if pslot < 0 || ns.ts[pslot] <= deadline {
+				if pslot < 0 || ns.nodes[pslot].ts <= deadline {
 					continue
 				}
-				offer := min(he.TS, ns.ts[pslot])
+				offer := min(he.TS, ns.nodes[pslot].ts)
 				if bestParent < 0 || offer > bestTS ||
 					(offer == bestTS && pk < bestKey) {
 					bestParent, bestKey, bestEdgeTS, bestTS = pslot, pk, he.TS, offer
@@ -407,7 +407,7 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 		// hangs under itself).
 		for _, tr := range e.a.ByLabel[t.Label] {
 			c := ns.lookup(mkNodeKey(t.Dst, tr.To))
-			if c > rootSlot && ns.keys[ns.parent[c]] == mkNodeKey(t.Src, tr.From) {
+			if c > rootSlot && ns.nodes[ns.nodes[c].parent].key == mkNodeKey(t.Src, tr.From) {
 				e.markSubtree(tx, c, validFrom)
 				touched = true
 			}

@@ -28,6 +28,35 @@ func bind(t testing.TB, expr string, labels ...string) *automaton.Bound {
 	}, len(labels))
 }
 
+// nodeTS returns the timestamp of the node keyed k and whether it
+// exists.
+func (tx *tree) nodeTS(k nodeKey) (int64, bool) {
+	slot := tx.ns.lookup(k)
+	if slot < 0 {
+		return 0, false
+	}
+	return tx.ns.nodes[slot].ts, true
+}
+
+// nodeParent returns the key of the node's parent and whether the node
+// exists.
+func (tx *tree) nodeParent(k nodeKey) (nodeKey, bool) {
+	slot := tx.ns.lookup(k)
+	if slot < 0 {
+		return 0, false
+	}
+	return tx.ns.nodes[tx.ns.nodes[slot].parent].key, true
+}
+
+// forEachNode calls f for every live node.
+func (tx *tree) forEachNode(f func(k nodeKey, ts int64)) {
+	for slot, n := range tx.ns.nodes {
+		if tx.ns.live(int32(slot)) {
+			f(n.key, n.ts)
+		}
+	}
+}
+
 // paperStream is the streaming graph of Figure 1(a): labels follows=f,
 // mentions=m.
 func paperStream() []stream.Tuple {

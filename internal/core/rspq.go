@@ -79,7 +79,7 @@ func (e *RSPQ) applyInsert(t stream.Tuple) {
 			for _, p := range e.instScratch {
 				// Line 8 guards: the source is in the window, the prefix
 				// path closes no product cycle, the target is not marked.
-				if ns.ts[p] <= validFrom || pathVisits(ns, p, target) || tx.inst[target].marked {
+				if ns.nodes[p].ts <= validFrom || pathVisits(ns, p, target) || tx.inst[target].marked {
 					continue
 				}
 				e.extend(tx, p, t.Dst, tr.To, t.TS, validFrom)
@@ -91,8 +91,8 @@ func (e *RSPQ) applyInsert(t stream.Tuple) {
 // pathVisits reports whether the prefix path ending at slot p visits
 // key (the cycle guard t ∈ p[v]).
 func pathVisits(ns *slotStore, p int32, key nodeKey) bool {
-	for n := p; ; n = ns.parent[n] {
-		if ns.keys[n] == key {
+	for n := p; ; n = ns.nodes[n].parent {
+		if ns.nodes[n].key == key {
 			return true
 		}
 		if n == rootSlot {
@@ -105,8 +105,8 @@ func pathVisits(ns *slotStore, p int32, key nodeKey) bool {
 // the prefix path ending at slot p (FIRST(p[v]) in the paper), walking
 // from p to the root and keeping the last match seen.
 func firstStateAt(ns *slotStore, p int32, v stream.VertexID) (state int32, found bool) {
-	for n := p; ; n = ns.parent[n] {
-		if k := ns.keys[n]; k.vertex() == v {
+	for n := p; ; n = ns.nodes[n].parent {
+		if k := ns.nodes[n].key; k.vertex() == v {
 			state, found = k.state(), true
 		}
 		if n == rootSlot {
@@ -124,7 +124,7 @@ func (e *RSPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 	}
 	for _, s := range e.finals {
 		for _, slot := range tx.inst[mkNodeKey(v, s)].slots {
-			if slot != rootSlot && tx.ns.ts[slot] > validFrom {
+			if slot != rootSlot && tx.ns.nodes[slot].ts > validFrom {
 				return true
 			}
 		}
@@ -175,7 +175,7 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	// pair (root, v) flips from dead to live: duplicate witnesses and
 	// pairs an expiry/delete pass merely cuts and reconnects (preLive)
 	// stay silent, so the result stream is canonical.
-	newTS := min(edgeTS, ns.ts[parent])
+	newTS := min(edgeTS, ns.nodes[parent].ts)
 	if e.a.Final[t] && newTS > validFrom && !e.sc.wasLive(v) && !e.isLive(tx, v, validFrom) {
 		e.emit(tx.root, v)
 	}
@@ -233,10 +233,10 @@ func (e *RSPQ) unmark(tx *tree, last int32, validFrom int64) {
 	ns := &tx.ns.slotStore
 	var queue []nodeKey
 	// Lines 2–6: stop at the first unmarked ancestor (the root at last).
-	for n := last; tx.inst[ns.keys[n]].marked; n = ns.parent[n] {
-		tx.setMarked(ns.keys[n], false)
+	for n := last; tx.inst[ns.nodes[n].key].marked; n = ns.nodes[n].parent {
+		tx.setMarked(ns.nodes[n].key, false)
 		e.stats.Unmarkings++
-		queue = append(queue, ns.keys[n])
+		queue = append(queue, ns.nodes[n].key)
 	}
 	// Lines 7–13: for each unmarked (v,t), re-run the traversals that
 	// were pruned while it was marked. Each keeps an instance (the
@@ -290,11 +290,11 @@ func (e *RSPQ) collectOffers(tx *tree, key nodeKey, validFrom int64) []spOffer {
 		for _, s := range e.rev[he.L][key.state()] {
 			pk := mkNodeKey(he.V, s)
 			for i, p := range tx.inst[pk].slots {
-				if ns.ts[p] <= validFrom || pathVisits(ns, p, key) {
+				if ns.nodes[p].ts <= validFrom || pathVisits(ns, p, key) {
 					continue
 				}
 				offers = append(offers, spOffer{
-					offer: min(he.TS, ns.ts[p]), pkey: pk, pidx: int32(i),
+					offer: min(he.TS, ns.nodes[p].ts), pkey: pk, pidx: int32(i),
 					l: he.L, ts: he.TS, parent: p,
 				})
 			}
@@ -314,8 +314,8 @@ func (e *RSPQ) collectOffers(tx *tree, key nodeKey, validFrom int64) []spOffer {
 // a traversal that could discover new results). Like allChildrenMarked
 // it asks any/all over a child set: sibling order is unobservable.
 func hasEquivalentChild(ns *slotStore, parent int32, key nodeKey, ts int64) bool {
-	for c := ns.firstChild[parent]; c >= 0; c = ns.nextSib[c] {
-		if ns.keys[c] == key && ns.ts[c] >= ts {
+	for c := ns.nodes[parent].firstChild; c >= 0; c = ns.nodes[c].nextSib {
+		if ns.nodes[c].key == key && ns.nodes[c].ts >= ts {
 			return true
 		}
 	}
@@ -323,8 +323,8 @@ func hasEquivalentChild(ns *slotStore, parent int32, key nodeKey, ts int64) bool
 }
 
 func allChildrenMarked(tx *tree, p int32) bool {
-	for c := tx.ns.firstChild[p]; c >= 0; c = tx.ns.nextSib[c] {
-		if !tx.inst[tx.ns.keys[c]].marked {
+	for c := tx.ns.nodes[p].firstChild; c >= 0; c = tx.ns.nodes[c].nextSib {
+		if !tx.inst[tx.ns.nodes[c].key].marked {
 			return false
 		}
 	}
@@ -357,9 +357,9 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	// before pruning mutates the witness set (for delete-marked subtrees
 	// markSubtree did, while their timestamps were intact).
 	cands := e.sc.cands[:0]
-	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
-		if ns.live(slot) && ns.ts[slot] <= deadline {
-			cands = append(cands, ns.keys[slot])
+	for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
+		if ns.live(slot) && ns.nodes[slot].ts <= deadline {
+			cands = append(cands, ns.nodes[slot].key)
 			e.notePreLive(tx, slot, deadline)
 		}
 	}
@@ -383,8 +383,8 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	for _, key := range cands {
 		e.instScratch = append(e.instScratch[:0], tx.inst[key].slots...)
 		for _, slot := range e.instScratch {
-			if ns.ts[slot] <= deadline {
-				removed = append(removed, spRemoved{key: key, parent: ns.parent[slot]})
+			if ns.nodes[slot].ts <= deadline {
+				removed = append(removed, spRemoved{key: key, parent: ns.nodes[slot].parent})
 				e.remove(tx, slot)
 			}
 		}
@@ -411,7 +411,7 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	// marked again once every remaining child is marked.
 	for _, r := range parents {
 		if len(tx.inst[r.key].slots) == 0 && allChildrenMarked(tx, r.parent) {
-			tx.setMarked(ns.keys[r.parent], true)
+			tx.setMarked(ns.nodes[r.parent].key, true)
 		}
 	}
 	e.removed = removed[:0]
@@ -424,7 +424,7 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 // steers traversal order.
 func (e *RSPQ) remove(tx *tree, slot int32) {
 	e.unlink(tx, slot)
-	key := tx.ns.keys[slot]
+	key := tx.ns.nodes[slot].key
 	if ent := tx.inst[key]; len(ent.slots) == 1 {
 		delete(tx.inst, key)
 	} else {
@@ -449,7 +449,7 @@ func (e *RSPQ) applyDelete(t stream.Tuple) {
 			for _, c := range tx.inst[mkNodeKey(t.Dst, tr.To)].slots {
 				// A tree edge w.r.t. Tx: c hangs under an instance of the
 				// source key (the root hangs under itself).
-				if c != rootSlot && tx.ns.keys[tx.ns.parent[c]] == src {
+				if c != rootSlot && tx.ns.nodes[tx.ns.nodes[c].parent].key == src {
 					e.markSubtree(tx, c, validFrom)
 					touched = true
 				}

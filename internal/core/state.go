@@ -129,17 +129,17 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 		ns := &tx.ns
 		ts := TreeState{Root: root, Nodes: make([]TreeNodeState, 0, ns.size()-1)}
 		keys := make([]nodeKey, 0, ns.size())
-		for slot := rootSlot + 1; slot < int32(len(ns.keys)); slot++ {
+		for slot := rootSlot + 1; slot < int32(len(ns.nodes)); slot++ {
 			if ns.live(slot) {
-				keys = append(keys, ns.keys[slot])
+				keys = append(keys, ns.nodes[slot].key)
 			}
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, key := range keys {
 			slot := ns.lookup(key)
-			pk := ns.keys[ns.parent[slot]]
+			pk := ns.nodes[ns.nodes[slot].parent].key
 			ts.Nodes = append(ts.Nodes, TreeNodeState{
-				V: key.vertex(), S: key.state(), TS: ns.ts[slot],
+				V: key.vertex(), S: key.state(), TS: ns.nodes[slot].ts,
 				ParentV: pk.vertex(), ParentS: pk.state(),
 			})
 		}
@@ -204,7 +204,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 				return fmt.Errorf("core: restore: duplicate node (%d,%d) in tree %d", n.V, n.S, ts.Root)
 			}
 			slot := store.alloc(key, n.TS, 0)
-			store.parent[slot] = slot // placeholder until linked below
+			store.nodes[slot].parent = slot // placeholder until linked below
 			// Nodes never contains the root: every final node is a witness.
 			if tx.verts.inc(n.V, e.a.Final[n.S]) {
 				e.inv.add(n.V, tx.root)
@@ -218,7 +218,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 				return fmt.Errorf("core: restore: node (%d,%d) in tree %d has missing parent (%d,%d)",
 					n.V, n.S, ts.Root, n.ParentV, n.ParentS)
 			}
-			store.parent[slot] = pslot
+			store.nodes[slot].parent = pslot
 			store.attach(pslot, slot)
 		}
 		if err := checkSupport(&tx.verts, ts.Support, ts.Root); err != nil {

@@ -2,119 +2,125 @@ package core
 
 import "math/bits"
 
-// slotStore holds the nodes of one spanning tree in struct-of-arrays
-// form: parallel slot-indexed arrays for the hot fields (key, timestamp,
-// parent) plus intrusive sibling lists for the child sets, instead of
-// per-node heap objects and per-node child maps. Both engines keep their
-// trees in it; they differ in the key index laid over the slots (see
-// tree).
+// node is one node of a spanning tree: its (vertex, state) key, its path
+// timestamp and its links, 32 bytes, so two nodes share a cache line and
+// a key probe loads the timestamp and links its caller reads next.
+type node struct {
+	key nodeKey
+	ts  int64
+	// parent is the parent's slot; the root is its own parent
+	// (self-sentinel), freeSlot marks a released slot.
+	parent int32
+	// Child sets as intrusive doubly-linked sibling lists: firstChild
+	// heads a node's children, nextSib/prevSib link siblings. On a
+	// released slot nextSib links the free list instead.
+	firstChild, nextSib, prevSib int32
+}
+
+// slotStore holds the nodes of one spanning tree as one slot-indexed
+// array of records, with intrusive sibling lists for the child sets
+// instead of per-node heap objects and per-node child maps: a tree that
+// grows re-allocates one array. Both engines keep their trees in it;
+// they differ in the key index laid over the slots (see tree).
 //
 // Slot lifecycle: alloc returns a free slot (reusing released ones),
 // release marks a slot free (parent == freeSlot) and recycles it
-// later. Slots are stable while a node lives, and nothing is released
-// during an insert cascade, so a cascade can carry parent slots instead
-// of keys. An expiry pass releases slots strictly before its
-// reconnection allocates, and what it releases always forms whole
-// subtrees, so no live node ever points at a released slot. The root is
-// its tree's first node: it sits in rootSlot for the tree's whole life.
+// later. Released slots form a LIFO list chained through nextSib, so
+// alloc reuses the most recently released slot first. Slots are stable
+// while a node lives, and nothing is released during an insert cascade,
+// so a cascade can carry parent slots instead of keys. An expiry pass
+// releases slots strictly before its reconnection allocates, and what
+// it releases always forms whole subtrees, so no live node ever points
+// at a released slot. The root is its tree's first node: it sits in
+// rootSlot for the tree's whole life.
 type slotStore struct {
-	keys []nodeKey
-	ts   []int64
-	// parent is the parent's slot; the root is its own parent
-	// (self-sentinel), freeSlot marks a released slot.
-	parent []int32
-	// Child sets as intrusive doubly-linked sibling lists: firstChild
-	// heads a node's children, nextSib/prevSib link siblings.
-	firstChild []int32
-	nextSib    []int32
-	prevSib    []int32
-	free       []int32
+	nodes []node
+	free  int32 // head of the free list + 1 (0: empty)
+	nfree int32 // length of the free list
 }
 
-// freeSlot marks a released slot in the parent array; live nodes always
-// have a real parent slot (the root points at itself).
+// freeSlot marks a released slot's parent; live nodes always have a
+// real parent slot (the root points at itself).
 const freeSlot = int32(-1)
 
 // rootSlot is the slot of every tree's root node.
 const rootSlot = int32(0)
 
 // size returns the number of live nodes.
-func (ns *slotStore) size() int { return len(ns.keys) - len(ns.free) }
+func (ns *slotStore) size() int { return len(ns.nodes) - int(ns.nfree) }
 
 // alloc creates a node with the given key, timestamp and parent slot
 // and returns its slot (not yet linked into the parent's child list).
 func (ns *slotStore) alloc(k nodeKey, ts int64, parent int32) int32 {
-	var slot int32
-	if n := len(ns.free); n > 0 {
-		slot = ns.free[n-1]
-		ns.free = ns.free[:n-1]
-		ns.keys[slot], ns.ts[slot], ns.parent[slot] = k, ts, parent
-		ns.firstChild[slot], ns.nextSib[slot], ns.prevSib[slot] = -1, -1, -1
-	} else {
-		slot = int32(len(ns.keys))
-		ns.keys = append(ns.keys, k)
-		ns.ts = append(ns.ts, ts)
-		ns.parent = append(ns.parent, parent)
-		ns.firstChild = append(ns.firstChild, -1)
-		ns.nextSib = append(ns.nextSib, -1)
-		ns.prevSib = append(ns.prevSib, -1)
+	n := node{key: k, ts: ts, parent: parent, firstChild: -1, nextSib: -1, prevSib: -1}
+	if ns.free == 0 {
+		ns.nodes = append(ns.nodes, n)
+		return int32(len(ns.nodes) - 1)
 	}
+	slot := ns.free - 1
+	ns.free = ns.nodes[slot].nextSib + 1
+	ns.nfree--
+	ns.nodes[slot] = n
 	return slot
 }
 
 // attach links child at the head of parent's sibling list.
 func (ns *slotStore) attach(parent, child int32) {
-	fc := ns.firstChild[parent]
-	ns.nextSib[child] = fc
-	ns.prevSib[child] = -1
+	p, c := &ns.nodes[parent], &ns.nodes[child]
+	fc := p.firstChild
+	c.nextSib, c.prevSib = fc, -1
 	if fc >= 0 {
-		ns.prevSib[fc] = child
+		ns.nodes[fc].prevSib = child
 	}
-	ns.firstChild[parent] = child
+	p.firstChild = child
 }
 
 // detach unlinks child from its parent's sibling list. A no-op for the
 // root: its parent slot is a self-sentinel and it is never linked into
 // any child list.
 func (ns *slotStore) detach(child int32) {
-	p, n := ns.prevSib[child], ns.nextSib[child]
+	c := &ns.nodes[child]
+	p, n := c.prevSib, c.nextSib
 	if p >= 0 {
-		ns.nextSib[p] = n
+		ns.nodes[p].nextSib = n
 	} else {
-		par := ns.parent[child]
-		if ns.firstChild[par] != child {
+		par := &ns.nodes[c.parent]
+		if par.firstChild != child {
 			return // root self-sentinel: not on any list
 		}
-		ns.firstChild[par] = n
+		par.firstChild = n
 	}
 	if n >= 0 {
-		ns.prevSib[n] = p
+		ns.nodes[n].prevSib = p
 	}
-	ns.nextSib[child], ns.prevSib[child] = -1, -1
+	c.nextSib, c.prevSib = -1, -1
 }
 
-// release frees the slot (the caller must have detached it). The
-// slot's child list is left as-is: a released node's children are
+// release frees the slot (the caller must have detached it, so no
+// sibling list runs through its nextSib) and pushes it on the free list.
+// The slot's child list is left as-is: a released node's children are
 // always released in the same pass, before any slot is reused.
 func (ns *slotStore) release(slot int32) {
-	ns.parent[slot] = freeSlot
-	ns.free = append(ns.free, slot)
+	n := &ns.nodes[slot]
+	n.parent, n.nextSib = freeSlot, ns.free-1
+	ns.free = slot + 1
+	ns.nfree++
 }
 
 // live reports whether the slot holds a live node (cold-path iteration
 // over all slots).
-func (ns *slotStore) live(slot int32) bool { return ns.parent[slot] != freeSlot }
+func (ns *slotStore) live(slot int32) bool { return ns.nodes[slot].parent != freeSlot }
 
 // treeStore is the slot store of a RAPQ tree together with its unique
 // key → slot index: an open-addressing table laid over the slot store's
-// own keys array. A bucket holds slot+1 (the zero value is "empty", so
-// no key needs a sentinel) and a probe compares through keys[slot], so
-// the table costs 4 bytes a bucket and stores no key twice. Buckets are
-// a power of two at load ≤ ½, hashed multiplicatively, probed linearly
-// and deleted by backward shift: there are no tombstones, so a tree that
-// churns for hours probes no further than a fresh one. The insert
-// cascade touches ts/parent/keys as flat array reads with no pointer
-// chasing; lookups that already hold a slot skip the table entirely.
+// own records. A bucket holds slot+1 (the zero value is "empty", so no
+// key needs a sentinel) and a probe compares through nodes[slot].key,
+// so the table costs 4 bytes a bucket, stores no key twice, and a hit
+// leaves the node's timestamp and links in cache for the caller.
+// Buckets are a power of two at load ≤ ½, hashed multiplicatively,
+// probed linearly and deleted by backward shift: there are no
+// tombstones, so a tree that churns for hours probes no further than a
+// fresh one. Lookups that already hold a slot skip the table entirely.
 type treeStore struct {
 	slotStore
 	buckets []int32
@@ -149,7 +155,7 @@ func (ns *treeStore) lookup(k nodeKey) int32 {
 	mask := uint32(len(ns.buckets) - 1)
 	for i := ns.home(k); ; i++ {
 		b := ns.buckets[i&mask]
-		if b == 0 || ns.keys[b-1] == k {
+		if b == 0 || ns.nodes[b-1].key == k {
 			return b - 1
 		}
 	}
@@ -169,7 +175,7 @@ func (ns *treeStore) alloc(k nodeKey, ts int64, parent int32) int32 {
 // index enters a live, not yet indexed slot under its key.
 func (ns *treeStore) index(slot int32) {
 	mask := uint32(len(ns.buckets) - 1)
-	i := ns.home(ns.keys[slot])
+	i := ns.home(ns.nodes[slot].key)
 	for ns.buckets[i&mask] != 0 {
 		i++
 	}
@@ -180,7 +186,7 @@ func (ns *treeStore) index(slot int32) {
 func (ns *treeStore) grow() {
 	n := max(minBuckets, 2*len(ns.buckets))
 	ns.buckets, ns.shift = make([]int32, n), tableShift(n)
-	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
+	for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
 		if ns.live(slot) {
 			ns.index(slot)
 		}
@@ -188,49 +194,19 @@ func (ns *treeStore) grow() {
 }
 
 // release unindexes and frees the slot; see slotStore.release. The
-// bucket goes while keys[slot] still holds the key it was entered
+// bucket goes while the slot still holds the key it was entered
 // under: a recycled slot is indexed afresh under its new key.
 func (ns *treeStore) release(slot int32) {
 	mask := uint32(len(ns.buckets) - 1)
-	i := ns.home(ns.keys[slot])
+	i := ns.home(ns.nodes[slot].key)
 	for ns.buckets[i] != slot+1 {
 		i = (i + 1) & mask
 	}
 	for j := (i + 1) & mask; ns.buckets[j] != 0; j = (j + 1) & mask {
-		if fillsHole(i, j, ns.home(ns.keys[ns.buckets[j]-1]), mask) {
+		if fillsHole(i, j, ns.home(ns.nodes[ns.buckets[j]-1].key), mask) {
 			ns.buckets[i], i = ns.buckets[j], j
 		}
 	}
 	ns.buckets[i] = 0
 	ns.slotStore.release(slot)
-}
-
-// nodeTS returns the timestamp of the node keyed k and whether it
-// exists (white-box test access).
-func (tx *tree) nodeTS(k nodeKey) (int64, bool) {
-	slot := tx.ns.lookup(k)
-	if slot < 0 {
-		return 0, false
-	}
-	return tx.ns.ts[slot], true
-}
-
-// nodeParent returns the key of the node's parent and whether the node
-// exists (white-box test access).
-func (tx *tree) nodeParent(k nodeKey) (nodeKey, bool) {
-	slot := tx.ns.lookup(k)
-	if slot < 0 {
-		return 0, false
-	}
-	return tx.ns.keys[tx.ns.parent[slot]], true
-}
-
-// forEachNode calls f for every live node (white-box test access).
-func (tx *tree) forEachNode(f func(k nodeKey, ts int64)) {
-	ns := &tx.ns
-	for slot := int32(0); slot < int32(len(ns.keys)); slot++ {
-		if ns.live(slot) {
-			f(ns.keys[slot], ns.ts[slot])
-		}
-	}
 }

@@ -413,15 +413,18 @@ func (m *MultiEvaluator) ingestEncoded(encoded []stream.Tuple) ([]BatchResult, e
 
 // groupResults folds the coordinator's results into one BatchResult
 // per (tuple, query). They arrive in canonical order, so every (tuple,
-// query, kind) run is contiguous: each run is decoded into one slice
-// of exactly its length.
+// query, kind) run is contiguous: the batch is decoded into one slice
+// and each run gets its stretch of it, capped at its length so that an
+// append to one run copies instead of overwriting the next.
 func (m *MultiEvaluator) groupResults(results []shard.Result) []BatchResult {
 	sameGroup := func(a, b *shard.Result) bool { return a.Tuple == b.Tuple && a.Query == b.Query }
 	groups := 0
+	all := make([]Match, len(results))
 	for i := range results {
 		if i == 0 || !sameGroup(&results[i-1], &results[i]) {
 			groups++
 		}
+		all[i] = m.fe.decode(results[i].Match)
 	}
 	out := make([]BatchResult, 0, groups)
 	for lo := 0; lo < len(results); {
@@ -430,10 +433,7 @@ func (m *MultiEvaluator) groupResults(results []shard.Result) []BatchResult {
 		for hi < len(results) && sameGroup(first, &results[hi]) && results[hi].Invalidated == first.Invalidated {
 			hi++
 		}
-		run := make([]Match, hi-lo)
-		for i := range run {
-			run[i] = m.fe.decode(results[lo+i].Match)
-		}
+		run := all[lo:hi:hi]
 		if lo == 0 || !sameGroup(&results[lo-1], first) {
 			out = append(out, BatchResult{Tuple: first.Tuple, Query: m.queries[first.Query].query})
 		}
