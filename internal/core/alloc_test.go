@@ -168,6 +168,39 @@ func TestRAPQDeleteSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRAPQIndexReentryAllocs: a vertex that leaves its last tree gives
+// up its inverted-index row, and its row array is parked for the next
+// row. Tree r stays alive through r -> y; deleting r -> x takes x out of
+// the only tree it is in, and re-inserting the edge brings it back.
+// Once warm, the pair of tuples must not allocate.
+func TestRAPQIndexReentryAllocs(t *testing.T) {
+	a := bind(t, "a+", "a")
+	const r, x, y = 0, 1, 2
+	e := NewRAPQ(a, window.Spec{Size: 1 << 40, Slide: 1 << 40}, WithSink(discardSink{}))
+	e.Process(stream.Tuple{TS: 1, Src: r, Dst: y})
+	ts := int64(1)
+	left := true
+	round := func() {
+		ts++
+		e.Process(stream.Tuple{TS: ts, Src: r, Dst: x, Op: stream.Delete})
+		left = left && e.inv.row(x) == nil
+		e.Process(stream.Tuple{TS: ts, Src: r, Dst: x})
+	}
+	for range 4 {
+		round()
+	}
+	avg := testing.AllocsPerRun(100, round)
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !left || !e.inv.has(x, r) || e.Stats().Trees != 1 {
+		t.Fatalf("x did not leave and re-enter the one tree: left %v, %+v", left, e.Stats())
+	}
+	if avg != 0 {
+		t.Errorf("leaving the last tree and re-entering allocates %.0f times per round", avg)
+	}
+}
+
 // TestRAPQTreeChurnAllocs: trees that come and go with the window are
 // the one growth that never stops. With a one-tick window and the clock
 // advancing two ticks a round, every round's first tuple expires the

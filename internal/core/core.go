@@ -4,11 +4,12 @@
 // semantics "in a uniform manner", and so does the package: one Δ
 // substrate (delta.go, tree_store.go, vertex_table.go, inv.go) — spanning
 // trees as one array of 32-byte node records each, under flat
-// slot-addressed tables, the vertex → trees inverted index, the tuple
-// routing, Algorithm
-// Delete's subtree marking (§3.2: negative tuples go through the expiry
-// machinery) and the canonical liveness bookkeeping behind every match
-// and invalidation — with two policies over it, and oracles beside them:
+// slot-addressed tables, the vertex → trees inverted index (a flat table
+// with a row only for each vertex in some tree), the tuple routing,
+// Algorithm Delete's subtree marking (§3.2: negative tuples go through
+// the expiry machinery) and the canonical liveness bookkeeping behind
+// every match and invalidation — with two policies over it, and oracles
+// beside them:
 //
 //   - RAPQ (§3): arbitrary path semantics. Algorithm Insert and
 //     ExpiryRAPQ over a unique (vertex, state) → node index.
@@ -23,7 +24,9 @@
 // An engine maintains its Δ on the goroutine that drives it, through
 // one reused scratch, and applies every emission, counter and index
 // update as it happens. Parallelism is the coordinator's business
-// (internal/shard), across engines, never inside one.
+// (internal/shard), across engines, never inside one. On a graph shared
+// with other queries an engine still pays only for its own labels, as in
+// §5.2: its traversals copy only the cells its automaton steps on.
 package core
 
 import (

@@ -55,6 +55,11 @@ type delta struct {
 	// reconnection: rev[label][t] = states s with δ(s,label)=t.
 	rev [][][]int32
 
+	// Traversal label masks (graph.AppendOutWhere); a label bound after
+	// the member is past their end, so unwanted. outWant[s][l] iff
+	// δ(s,l) exists, inWant[t][l] iff some δ(s,l) = t.
+	outWant, inWant [][]bool
+
 	// finals lists the accepting states once, for the liveness scans.
 	finals []int32
 
@@ -90,7 +95,7 @@ type deltaOps struct {
 
 // scratch is the engine's reused working set of Δ maintenance: the
 // explicit DFS stack of the insert cascade, the adjacency copies of the
-// buffer-based traversal API (graph.AppendOutAt/AppendInAt), the expiry
+// filtered traversal (graph.AppendOutWhere/AppendInWhere), the expiry
 // candidate list, the subtree-marking stack and the record of the open
 // pass.
 type scratch struct {
@@ -132,6 +137,10 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 		panic("core: automaton exceeds the node-key state space; streamrpq.Compile rejects such patterns")
 	}
 	d.rev = make([][][]int32, len(a.ByLabel))
+	d.outWant, d.inWant = make([][]bool, a.K), make([][]bool, a.K)
+	for s := range a.K {
+		d.outWant[s], d.inWant[s] = make([]bool, len(a.ByLabel)), make([]bool, len(a.ByLabel))
+	}
 	for l, trans := range a.ByLabel {
 		if len(trans) == 0 {
 			continue
@@ -139,6 +148,7 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 		byTarget := make([][]int32, a.K)
 		for _, tr := range trans {
 			byTarget[tr.To] = append(byTarget[tr.To], tr.From)
+			d.outWant[tr.From][l], d.inWant[tr.To][l] = true, true
 		}
 		d.rev[l] = byTarget
 	}

@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"streamrpq/internal/stream"
+	"streamrpq/internal/window"
 )
 
 // The flat tables of Δ maintenance — the key index of treeStore, the
-// per-vertex record table and the sorted rows of the inverted index —
+// per-vertex record table and the inverted index's table of sorted rows —
 // against Go maps as the model. One op stream drives all three; every
 // structure is compared with its model over its whole universe after
 // every step.
@@ -57,10 +58,22 @@ const (
 )
 
 // flatSeq encodes one op per idx, as the byte pairs runFlatOps decodes.
+// The kind's spare bits (root<<2) name the root an index op adds or
+// drops.
 func flatSeq(kind int, idxs ...int) []byte {
 	var out []byte
 	for _, i := range idxs {
 		out = append(out, byte(kind), byte(i))
+	}
+	return out
+}
+
+// flatRoots puts (or, with flatDel, drops) each root into the inverted-
+// index row of universe index idx.
+func flatRoots(kind, idx int, roots ...int) []byte {
+	var out []byte
+	for _, r := range roots {
+		out = append(out, flatSeq(kind|r<<2, idx)...)
 	}
 	return out
 }
@@ -89,6 +102,10 @@ var flatSeeds = map[string][]byte{
 	"counts above one": slices.Concat(
 		flatSeq(flatPutWitness, 7, 7, 7), flatSeq(flatPut, 7), flatSeq(flatDel, 7, 7, 7),
 		flatSeq(flatGet, 7), flatSeq(flatDel, 7, 7)),
+	"long row empties, parks and is taken again": slices.Concat(
+		flatRoots(flatPut, 5, 9, 3, 40, 0, 63, 17, 8, 21, 2, 33), flatRoots(flatPut, 1, 4),
+		flatRoots(flatDel, 5, 0, 63, 9, 3, 40, 17, 8, 21, 2, 33), flatRoots(flatPut, 6, 12, 1),
+		flatRoots(flatPut, 5, 7), flatRoots(flatDel, 1, 4), flatRoots(flatPut, 2, 4, 5)),
 }
 
 // runFlatOps applies the op stream to the three structures and their
@@ -105,9 +122,9 @@ func runFlatOps(t testing.TB, ops []byte) {
 	for step := 0; step+1 < len(ops); step += 2 {
 		kind, idx := int(ops[step]&3), int(ops[step+1]&63)
 		key, v := flatKeys[idx], flatVerts[idx]
-		// The rows are few and addressed by the op's spare bits, so they
-		// grow long: 64 roots over 4 rows.
-		row := stream.VertexID(ops[step]>>2&3) * 9
+		// An index op adds or drops, in v's row, the root the op's spare
+		// bits name.
+		root := stream.VertexID(ops[step] >> 2)
 
 		switch kind {
 		case flatPut, flatPutWitness:
@@ -131,10 +148,10 @@ func runFlatOps(t testing.TB, ops []byte) {
 				t.Fatalf("step %d: inc(%d) first = %v at count %d", step, v, first, rec.nodes)
 			}
 			for range 2 { // idempotent
-				ix.add(row, v)
+				ix.add(v, root)
 			}
-			if i, found := slices.BinarySearch(rows[row], v); !found {
-				rows[row] = slices.Insert(rows[row], i, v)
+			if i, found := slices.BinarySearch(rows[v], root); !found {
+				rows[v] = slices.Insert(rows[v], i, root)
 			}
 		case flatDel:
 			if slot, ok := slots[key]; ok {
@@ -155,10 +172,12 @@ func runFlatOps(t testing.TB, ops []byte) {
 				}
 			}
 			for range 2 {
-				ix.drop(row, v)
+				ix.drop(v, root)
 			}
-			if i, found := slices.BinarySearch(rows[row], v); found {
-				rows[row] = slices.Delete(rows[row], i, i+1)
+			if i, found := slices.BinarySearch(rows[v], root); found {
+				if rows[v] = slices.Delete(rows[v], i, i+1); len(rows[v]) == 0 {
+					delete(rows, v)
+				}
 			}
 		}
 
@@ -187,14 +206,20 @@ func runFlatOps(t testing.TB, ops []byte) {
 				t.Fatalf("step %d: find(%d) disagrees with the model (present: %v)", step, u, ok)
 			}
 		}
-		for r := stream.VertexID(0); r < 40; r++ {
-			if got := ix.appendRoots(r, nil); !slices.Equal(got, rows[r]) {
-				t.Fatalf("step %d: row %d = %v, want %v", step, r, got, rows[r])
+		if err := checkInvIndex(&ix); err != nil || ix.n != len(rows) {
+			t.Fatalf("step %d: %d rows, the model %d: %v", step, ix.n, len(rows), err)
+		}
+		for _, u := range flatVerts {
+			if got := ix.appendRoots(u, nil); !slices.Equal(got, rows[u]) {
+				t.Fatalf("step %d: row %d = %v, want %v", step, u, got, rows[u])
 			}
-			for _, u := range flatVerts {
-				if _, want := slices.BinarySearch(rows[r], u); ix.has(r, u) != want {
-					t.Fatalf("step %d: has(%d, %d) = %v", step, r, u, !want)
+			for _, r := range rows[u] {
+				if !ix.has(u, r) {
+					t.Fatalf("step %d: has(%d, %d) = false", step, u, r)
 				}
+			}
+			if ix.has(u, 64) { // never a root
+				t.Fatalf("step %d: has(%d, 64) = true", step, u)
 			}
 		}
 	}
@@ -212,9 +237,11 @@ func TestFlatTableModel(t *testing.T) {
 		var ns treeStore
 		ns.grow()
 		var vt vertexTable
+		var ix invIndex
 		for _, i := range []int{1, 2, 3} {
 			ns.alloc(flatKeys[i], 0, rootSlot)
 			vt.inc(flatVerts[i], false)
+			ix.add(flatVerts[i], 0)
 		}
 		last := len(ns.buckets) - 1
 		if ns.buckets[last] == 0 || ns.buckets[0] == 0 || ns.buckets[1] == 0 || ns.buckets[2] != 0 {
@@ -223,13 +250,38 @@ func TestFlatTableModel(t *testing.T) {
 		if vt.recs[last].nodes == 0 || vt.recs[0].nodes == 0 || vt.recs[1].nodes == 0 || vt.recs[2].nodes != 0 {
 			t.Fatalf("vertex cluster does not wrap: %+v", vt.recs)
 		}
+		if ix.rows[last].roots == nil || ix.rows[0].roots == nil || ix.rows[1].roots == nil || ix.rows[2].roots != nil {
+			t.Fatalf("index cluster does not wrap: %+v", ix.rows)
+		}
 		ns.release(ns.lookup(flatKeys[1])) // shifts the two wrapped entries back
 		vt.dec(flatVerts[1], false)
+		ix.drop(flatVerts[1], 0)
 		if ns.buckets[last] == 0 || ns.buckets[0] == 0 || ns.buckets[1] != 0 {
 			t.Fatalf("key cluster after backward shift: %v", ns.buckets)
 		}
 		if vt.recs[last].nodes == 0 || vt.recs[0].nodes == 0 || vt.recs[1].nodes != 0 {
 			t.Fatalf("vertex cluster after backward shift: %+v", vt.recs)
+		}
+		if ix.rows[last].roots == nil || ix.rows[0].roots == nil || ix.rows[1].roots != nil {
+			t.Fatalf("index cluster after backward shift: %+v", ix.rows)
+		}
+	})
+	// An emptied row parks its array and the next new row takes the
+	// largest one parked (TestRAPQIndexReentryAllocs pins the allocations).
+	t.Run("parked rows", func(t *testing.T) {
+		var ix invIndex
+		for r := range stream.VertexID(10) {
+			ix.add(1, r)
+		}
+		ix.add(2, 0)
+		long := cap(ix.row(1))
+		ix.drop(2, 0)
+		for r := range stream.VertexID(10) {
+			ix.drop(1, r)
+		}
+		ix.add(3, 7)
+		if got := cap(ix.row(3)); got != long {
+			t.Fatalf("a new row took an array of capacity %d, the largest parked has %d", got, long)
 		}
 	})
 	t.Run("random", func(t *testing.T) {
@@ -246,11 +298,38 @@ func TestFlatTableModel(t *testing.T) {
 						kind = flatDel
 					}
 				}
-				ops[i], ops[i+1] = byte(kind|rng.Intn(4)<<2), byte(rng.Intn(64))
+				ops[i], ops[i+1] = byte(kind|rng.Intn(8)<<2), byte(rng.Intn(64))
 			}
 			runFlatOps(t, ops)
 		}
 	})
+}
+
+// TestInvIndexTracksLiveTrees: the inverted index is sized by the
+// engine's trees, not by the stream's vertex-id space. 100 000 distinct
+// vertices stream through a 300-tick window into an a/b query, so a few
+// hundred of them are in a tree at any time; the index's bucket count
+// must stay within 4 × the peak live row count (load ≤ ½, doubling). An
+// index addressed by vertex id grows with the largest id instead.
+func TestInvIndexTracksLiveTrees(t *testing.T) {
+	a := bind(t, "a/b", "a", "b")
+	e := NewRAPQ(a, window.Spec{Size: 300, Slide: 10}, WithSink(discardSink{}))
+	const n = 100_000
+	peak := 0
+	for i := range stream.VertexID(n) {
+		e.Process(stream.Tuple{TS: int64(i), Src: i, Dst: i + 1, Label: stream.LabelID(i % 2)})
+		peak = max(peak, e.inv.n)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Results < n/2-1 || peak > 1000 || st.Trees > 200 {
+		t.Fatalf("not a window sliding over the stream: peak %d rows, %+v", peak, st)
+	}
+	if len(e.inv.rows) > 4*peak {
+		t.Fatalf("index holds %d buckets for a peak of %d rows", len(e.inv.rows), peak)
+	}
+	t.Logf("peak %d rows, %d buckets, %d rows at the end", peak, len(e.inv.rows), e.inv.n)
 }
 
 // TestSlotStoreFreeListModel runs random alloc/release sequences against

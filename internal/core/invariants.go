@@ -22,8 +22,8 @@ import (
 //     vertex (root excluded), stale or not; the record table holds
 //     nothing else, finds every record under its vertex, and stays at
 //     load ≤ ½, so no probe sequence meets a full table.
-//  4. Inverted index: every row is strictly ascending, and the index is
-//     exactly the union of the trees' vertex sets.
+//  4. Inverted index: a sound table (checkInvIndex) holding exactly the
+//     union of the trees' vertex sets: no row outlives its last tree.
 //  5. No expiry/delete pass is left open on the engine's scratch.
 func (d *delta) checkTrees() error {
 	invEntries := 0
@@ -105,13 +105,11 @@ func (d *delta) checkTrees() error {
 	}
 	// Every tree's vertices are in the index; equal entry counts over
 	// duplicate-free rows mean the index holds nothing else.
-	for v, row := range d.inv.rows {
-		for i := 1; i < len(row); i++ {
-			if row[i-1] >= row[i] {
-				return fmt.Errorf("inv[%d] is not strictly ascending: %v", v, row)
-			}
-		}
-		invEntries -= len(row)
+	if err := checkInvIndex(&d.inv); err != nil {
+		return err
+	}
+	for _, r := range d.inv.rows {
+		invEntries -= len(r.roots)
 	}
 	if invEntries != 0 {
 		return fmt.Errorf("inverted index holds %d entries more than the trees have vertices", -invEntries)
@@ -171,6 +169,33 @@ func checkVertexTable(t *vertexTable, want map[stream.VertexID]vrec) error {
 	}
 	if occupied != t.n {
 		return fmt.Errorf("vertex table: %d occupied buckets, count says %d", occupied, t.n)
+	}
+	return nil
+}
+
+// checkInvIndex validates the inverted index's table: rows strictly
+// ascending and found under their vertex, empty buckets empty, load ≤ ½.
+func checkInvIndex(ix *invIndex) error {
+	nb, occupied := len(ix.rows), 0
+	for i, r := range ix.rows {
+		if len(r.roots) == 0 {
+			if r.v != 0 || r.roots != nil {
+				return fmt.Errorf("inverted index: empty bucket %d holds vertex %d", i, r.v)
+			}
+			continue
+		}
+		occupied++
+		for j := 1; j < len(r.roots); j++ {
+			if r.roots[j-1] >= r.roots[j] {
+				return fmt.Errorf("inv[%d] is not strictly ascending: %v", r.v, r.roots)
+			}
+		}
+		if ix.bucket(r.v) != uint32(i) {
+			return fmt.Errorf("inverted index: vertex %d is not found in its bucket", r.v)
+		}
+	}
+	if occupied != ix.n || 2*ix.n > nb || nb != 0 && (nb&(nb-1) != 0 || ix.shift != tableShift(nb)) {
+		return fmt.Errorf("inverted index: %d rows, count says %d, in %d buckets (shift %d)", occupied, ix.n, nb, ix.shift)
 	}
 	return nil
 }

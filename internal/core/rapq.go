@@ -187,8 +187,8 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 // (v,t) to tx as a child of the node in slot parent (or improves its
 // timestamp and re-parents it), reports results for final states, and
 // expands the node's out-edges transitively. Expansion goes through
-// graph.AppendOutAt into a reused buffer: the adjacency is copied once,
-// then consumed with no per-edge closure or map lookup.
+// graph.AppendOutWhere into a reused buffer: only the in-window cells
+// δ(t, ·) steps on are copied, then used with no check or map lookup.
 //
 // Deviation from the paper: timestamp improvements of existing nodes
 // are propagated recursively rather than left to the expiry pass;
@@ -249,24 +249,15 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			}
 		}
 
-		// Lines 8–10: expand out-edges of v that are inside the window.
-		// The traversal reads at the engine's epoch handle, which a
-		// coordinator sets to the sequential prefix as of the tuple being
-		// applied. The scratch buffer is fully consumed into stack pushes
-		// before the next AppendOutAt reuses it.
-		sc.out = e.g.AppendOutAt(e.epoch, op.v, sc.out[:0])
+		// Lines 8–10: expand out-edges of v that are inside the window and
+		// that δ(t, ·) steps on. The traversal reads at the engine's epoch
+		// handle, which a coordinator sets to the sequential prefix as of
+		// the tuple being applied. The scratch buffer is fully consumed
+		// into stack pushes before the next AppendOutWhere reuses it.
+		sc.out = e.g.AppendOutWhere(e.epoch, op.v, e.outWant[op.t], validFrom, sc.out[:0])
 		nodeTS := ns.nodes[slot].ts
 		for _, he := range sc.out {
-			if he.TS <= validFrom {
-				continue // expired: not in W_{G,τ}
-			}
-			if he.L < 0 || int(he.L) >= len(e.a.ByLabel) {
-				continue // label bound after this member: outside its ΣQ
-			}
 			q := e.a.Trans[op.t][he.L]
-			if q == automaton.NoState {
-				continue
-			}
 			childTS := min(nodeTS, he.TS)
 			if cs := ns.lookup(mkNodeKey(he.V, q)); cs < 0 || ns.nodes[cs].ts < childTS {
 				stack = append(stack, insertOp{parent: slot, v: he.V, t: q, edgeTS: he.TS})
@@ -344,25 +335,15 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	// regardless of the order candidates are visited in. (Offers from
 	// parents that are themselves re-added later arrive through those
 	// parents' improvement cascades.)
-	byTarget := e.rev // rev[label][t] = sources
 	for _, key := range candidates {
 		v, t := key.vertex(), key.state()
 		bestParent := int32(-1)
 		var bestKey nodeKey
 		var bestEdgeTS, bestTS int64
-		sc.in = e.g.AppendInAt(e.epoch, v, sc.in[:0])
+		// In-window in-edges on a label that some δ(s, ·) = t steps on.
+		sc.in = e.g.AppendInWhere(e.epoch, v, e.inWant[t], deadline, sc.in[:0])
 		for _, he := range sc.in {
-			if he.TS <= deadline {
-				continue // expired
-			}
-			if he.L < 0 || int(he.L) >= len(byTarget) {
-				continue // label bound after this member: outside its ΣQ
-			}
-			rt := byTarget[he.L]
-			if rt == nil {
-				continue
-			}
-			for _, s := range rt[t] {
+			for _, s := range e.rev[he.L][t] {
 				pk := mkNodeKey(he.V, s)
 				pslot := ns.lookup(pk)
 				if pslot < 0 || ns.nodes[pslot].ts <= deadline {

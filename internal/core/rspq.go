@@ -197,14 +197,9 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	// instance-list order. The shared adjacency buffer is drained into
 	// conts before the recursion can refill it.
 	var conts []spCont
-	e.sc.out = e.g.AppendOutAt(e.epoch, v, e.sc.out[:0])
+	e.sc.out = e.g.AppendOutWhere(e.epoch, v, e.outWant[t], validFrom, e.sc.out[:0])
 	for _, he := range e.sc.out {
-		if he.TS <= validFrom {
-			continue
-		}
-		if r := e.a.Trans[t][he.L]; r != automaton.NoState {
-			conts = append(conts, spCont{key: mkNodeKey(he.V, r), l: he.L, ts: he.TS})
-		}
+		conts = append(conts, spCont{key: mkNodeKey(he.V, e.a.Trans[t][he.L]), l: he.L, ts: he.TS})
 	}
 	slices.SortFunc(conts, func(a, b spCont) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.l, b.l))
@@ -282,11 +277,8 @@ type spOffer struct {
 func (e *RSPQ) collectOffers(tx *tree, key nodeKey, validFrom int64) []spOffer {
 	ns := &tx.ns.slotStore
 	var offers []spOffer
-	e.sc.in = e.g.AppendInAt(e.epoch, key.vertex(), e.sc.in[:0])
+	e.sc.in = e.g.AppendInWhere(e.epoch, key.vertex(), e.inWant[key.state()], validFrom, e.sc.in[:0])
 	for _, he := range e.sc.in {
-		if he.TS <= validFrom || e.rev[he.L] == nil {
-			continue
-		}
 		for _, s := range e.rev[he.L][key.state()] {
 			pk := mkNodeKey(he.V, s)
 			for i, p := range tx.inst[pk].slots {

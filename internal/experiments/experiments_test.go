@@ -73,20 +73,18 @@ func TestFig4Shapes(t *testing.T) {
 			t.Errorf("%s/%s: nonpositive throughput", r.Dataset, r.Query)
 		}
 	}
-	// Q11 (the only non-recursive query) must be fastest or near-
-	// fastest on SO: check it beats the multi-star Q3 (paper §5.2).
-	so := byDS["SO"]
-	var q3, q11 float64
-	for _, r := range so {
-		switch r.Query {
-		case "Q3":
-			q3 = r.Result.Throughput
-		case "Q11":
-			q11 = r.Result.Throughput
-		}
+	// Q11 (the only non-recursive query) must be fastest or near-fastest
+	// on SO: it must cost less than the multi-star Q3 (paper §5.2). The
+	// cost is Insert calls per measured tuple, a count the stream fixes,
+	// not wall-clock throughput, which the load of a parallel test run
+	// can reorder.
+	work := map[string]float64{}
+	for _, r := range byDS["SO"] {
+		work[r.Query] = float64(r.Result.Stats.InsertCalls) / float64(r.Result.Measured)
 	}
-	if q11 <= q3 {
-		t.Errorf("SO: Q11 throughput (%.0f) should exceed Q3 (%.0f)", q11, q3)
+	t.Logf("SO insert calls per measured tuple: Q11 %.2f, Q3 %.2f", work["Q11"], work["Q3"])
+	if work["Q11"] >= work["Q3"] {
+		t.Errorf("SO: Q11 makes %.2f Insert calls per tuple, not fewer than Q3's %.2f", work["Q11"], work["Q3"])
 	}
 }
 

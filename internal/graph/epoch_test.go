@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -151,6 +152,78 @@ func TestBatchModel(t *testing.T) {
 		if versioned.NumEdges() != plain.NumEdges() || versioned.NumVertices() != plain.NumVertices() {
 			t.Fatalf("trial %d: NumEdges %d vs %d, NumVertices %d vs %d", trial,
 				versioned.NumEdges(), plain.NumEdges(), versioned.NumVertices(), plain.NumVertices())
+		}
+	}
+}
+
+// TestAppendWhereModel: the filtered traversal is exactly a filter. A
+// versioned graph takes random batches as in TestBatchModel, over four
+// labels. Once a batch is written, concurrent readers of every step's
+// epoch draw random label masks — of zero to four entries, so labels
+// past the end of a mask occur and must be dropped — and random
+// timestamp bounds, and AppendOutWhere/AppendInWhere must return exactly
+// the cells of AppendOutAt/AppendInAt that pass both, in the same order.
+func TestAppendWhereModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const vertices, labels = 12, 4
+	filter := func(all []HalfEdge, want []bool, after int64) []HalfEdge {
+		var out []HalfEdge
+		for _, he := range all {
+			if int(he.L) < len(want) && want[he.L] && he.TS > after {
+				out = append(out, he)
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 10; trial++ {
+		g := New()
+		ts := int64(0)
+		for batch := 0; batch < 30; batch++ {
+			g.BeginBatch()
+			epochs := make([]Epoch, 1+rng.Intn(8))
+			for i := range epochs {
+				epochs[i] = g.AdvanceEpoch()
+				for m := 1 + rng.Intn(4); m > 0; m-- {
+					ts += int64(rng.Intn(3))
+					k := key(stream.VertexID(rng.Intn(vertices)), stream.VertexID(rng.Intn(vertices)), stream.LabelID(rng.Intn(labels)))
+					switch rng.Intn(12) {
+					case 0:
+						g.Delete(k)
+					case 1:
+						g.Expire(ts-int64(rng.Intn(8)), nil)
+					default:
+						g.Insert(k.Src, k.Dst, k.Label, ts)
+					}
+				}
+			}
+			var wg sync.WaitGroup
+			for _, e := range epochs {
+				r, now := rand.New(rand.NewSource(rng.Int63())), ts
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var all, got []HalfEdge
+					for v := range stream.VertexID(vertices) {
+						want := make([]bool, r.Intn(labels+1))
+						for l := range want {
+							want[l] = r.Intn(2) == 0
+						}
+						after := now - int64(r.Intn(12))
+						all = g.AppendOutAt(e, v, all[:0])
+						got = g.AppendOutWhere(e, v, want, after, got[:0])
+						if exp := filter(all, want, after); !slices.Equal(got, exp) {
+							t.Errorf("trial %d batch %d epoch %d: AppendOutWhere(%d, %v, %d) = %v, want %v", trial, batch, e, v, want, after, got, exp)
+						}
+						all = g.AppendInAt(e, v, all[:0])
+						got = g.AppendInWhere(e, v, want, after, got[:0])
+						if exp := filter(all, want, after); !slices.Equal(got, exp) {
+							t.Errorf("trial %d batch %d epoch %d: AppendInWhere(%d, %v, %d) = %v, want %v", trial, batch, e, v, want, after, got, exp)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			g.EndBatch()
 		}
 	}
 }

@@ -54,8 +54,10 @@
 // Traversal is buffer-based: AppendOutAt/AppendInAt copy the visible
 // half-edges of one vertex side into a caller-owned buffer, so the
 // caller may freely re-enter graph read methods while consuming it, and
-// the walk is allocation-free once the buffer has grown. The
-// whole-graph callback (Edges) is built on the same copy.
+// the walk is allocation-free once the buffer has grown. The same walk,
+// AppendOutWhere/AppendInWhere, copies only the cells of a caller's
+// labels above a timestamp bound: a Δ engine sharing the graph copies
+// only what its automaton steps on. Edges is built on the same copy.
 package graph
 
 import (
@@ -294,16 +296,21 @@ func (g *Graph) Has(key stream.EdgeKey) bool {
 	return ok
 }
 
-// appendSide copies one vertex side's visible half-edges into buf and
-// returns the extended buffer.
-func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, buf []HalfEdge) []HalfEdge {
+// appendSide copies into buf, in slab order, the half-edges of one
+// vertex side visible at epoch e whose label is wanted (all when want is
+// nil, none past its end) and whose timestamp is above after. A cell's
+// label never changes, so it is tested before the version lookup.
+func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, want []bool, after int64, buf []HalfEdge) []HalfEdge {
 	s := g.tab.slab(out, v)
 	if s == nil {
 		return buf
 	}
 	for i := range s.edges {
 		pe := &s.edges[i]
-		if ts, ok := s.versionAt(pe, e); ok {
+		if want != nil && (uint32(pe.label) >= uint32(len(want)) || !want[pe.label]) {
+			continue
+		}
+		if ts, ok := s.versionAt(pe, e); ok && ts > after {
 			buf = append(buf, HalfEdge{V: stream.VertexID(pe.other), L: stream.LabelID(pe.label), TS: ts})
 		}
 	}
@@ -311,18 +318,30 @@ func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, buf []HalfEdge)
 }
 
 // AppendOutAt appends every out-edge of src visible at epoch e to buf
-// and returns the extended slice. The caller owns the copy, so the
-// result may be consumed by code that itself traverses the graph.
-// Reusing buf across calls makes steady-state traversal
-// allocation-free; this is the hot-path API of internal/core.
+// and returns the extended slice (AppendOutWhere without a mask, above
+// math.MinInt64, which the front end rejects). The caller owns the copy,
+// so the result may be consumed by code that itself traverses the graph.
+// Reusing buf across calls makes traversal allocation-free.
 func (g *Graph) AppendOutAt(e Epoch, src stream.VertexID, buf []HalfEdge) []HalfEdge {
-	return g.appendSide(true, e, src, buf)
+	return g.appendSide(true, e, src, nil, math.MinInt64, buf)
 }
 
 // AppendInAt appends every in-edge of dst visible at epoch e to buf
 // and returns the extended slice; see AppendOutAt.
 func (g *Graph) AppendInAt(e Epoch, dst stream.VertexID, buf []HalfEdge) []HalfEdge {
-	return g.appendSide(false, e, dst, buf)
+	return g.appendSide(false, e, dst, nil, math.MinInt64, buf)
+}
+
+// AppendOutWhere is AppendOutAt restricted, in the same order, to the
+// edges with want[label] set and a timestamp above after: the hot-path
+// traversal of internal/core, which copies no cell it would skip.
+func (g *Graph) AppendOutWhere(e Epoch, src stream.VertexID, want []bool, after int64, buf []HalfEdge) []HalfEdge {
+	return g.appendSide(true, e, src, want, after, buf)
+}
+
+// AppendInWhere is AppendOutWhere for the in-edges of dst.
+func (g *Graph) AppendInWhere(e Epoch, dst stream.VertexID, want []bool, after int64, buf []HalfEdge) []HalfEdge {
+	return g.appendSide(false, e, dst, want, after, buf)
 }
 
 // Edges calls f for every edge live at the current epoch — the flat
@@ -333,7 +352,7 @@ func (g *Graph) AppendInAt(e Epoch, dst stream.VertexID, buf []HalfEdge) []HalfE
 func (g *Graph) Edges(f func(e Edge) bool) {
 	var buf []HalfEdge
 	for v := range g.tab.out {
-		buf = g.appendSide(true, g.epoch, stream.VertexID(v), buf[:0])
+		buf = g.AppendOutAt(g.epoch, stream.VertexID(v), buf[:0])
 		for i := range buf {
 			if !f(Edge{Src: stream.VertexID(v), Dst: buf[i].V, Label: buf[i].L, TS: buf[i].TS}) {
 				return
