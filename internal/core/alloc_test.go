@@ -75,12 +75,11 @@ func TestRAPQInsertSteadyStateAllocs(t *testing.T) {
 // TestRAPQExpirySteadyStateAllocs: a working set that is re-inserted
 // round after round while the window slides over it pays an expiry pass
 // at every slide boundary: the nodes whose paths still carry the previous
-// round's timestamps are noted, pruned and offered for reconnection
-// (standalone and append-only none finds a parent: improvements were
-// propagated eagerly, so a stale node has no valid path left), and the
-// stream grows them back. Slots, table buckets, census records, index
-// rows and the pass record are all recycled, so the whole cycle must stay
-// well under one allocation per tuple.
+// round's timestamps are pruned (improvements were propagated eagerly, so
+// a stale node has no valid path left to reconnect through), and the
+// stream grows them back. Slots, table buckets, census records and index
+// rows are all recycled, so the whole cycle must stay well under one
+// allocation per tuple.
 func TestRAPQExpirySteadyStateAllocs(t *testing.T) {
 	a := bind(t, "a+", "a")
 	// A ladder v_i -> v_{i+1}, v_i -> v_{i+2}: every vertex roots a tree

@@ -12,7 +12,9 @@
 // beside them:
 //
 //   - RAPQ (§3): arbitrary path semantics. Algorithm Insert and
-//     ExpiryRAPQ over a unique (vertex, state) → node index.
+//     ExpiryRAPQ over a unique (vertex, state) → node index; Insert
+//     keeps node timestamps at their max-min fixpoint, so a window pass
+//     only prunes and reconnection runs on deletions alone.
 //   - RSPQ (§4): simple path semantics. Algorithms Extend, Unmark and
 //     ExpiryRSPQ — markings and conflict detection over the
 //     suffix-language containment relation — over per-key instance

@@ -241,9 +241,9 @@ func (d *delta) rootsOf(v stream.VertexID) []stream.VertexID {
 	return d.rootScratch
 }
 
-// allRoots snapshots the roots of every tree, ascending: the order every
-// all-tree pass visits them in, so that no emission order depends on map
-// iteration.
+// allRoots snapshots the roots of every tree, ascending: the order an
+// RSPQ expiry pass visits them in, so that no emission order depends on
+// map iteration.
 func (d *delta) allRoots() []stream.VertexID {
 	roots := d.rootScratch[:0]
 	for root := range d.trees {

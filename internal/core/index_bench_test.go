@@ -9,10 +9,11 @@ import (
 )
 
 // Handles on the Δ index smaller than a harness run, for working on it
-// (go test -bench, not a claim): what one key probe costs, and what one
+// (go test -bench, not a claim): what one key probe costs, what one
 // tuple costs when nearly every tree is a candidate and nearly every
 // probe ends at "no improvement" — the shape of the harness's so-dense
-// workload, 1 651 trees over 425 vertices.
+// workload, 1 651 trees over 425 vertices — and what one window pass
+// costs.
 
 var benchSlot int32
 
@@ -68,5 +69,49 @@ func BenchmarkInsertEdgeRouting(b *testing.B) {
 	}
 	if got := e.Stats().InsertCalls; got != calls {
 		b.Fatalf("routing a known edge made %d insert calls", got-calls)
+	}
+}
+
+// BenchmarkWindowExpiry times one slide-boundary pass over a warm window
+// of 300 trees that share their vertices: each tick links every root to
+// that tick's hub, which fans out to 8 leaves, so each tree holds 9
+// nodes per tick over 32 ticks. Between passes, untimed, the next tick
+// enters and the oldest leaves the graph; the pass then scans every
+// slot and removes the oldest tick's 9 nodes from each tree, and drops
+// the hub's own tree.
+func BenchmarkWindowExpiry(b *testing.B) {
+	const roots, fanout, span = 300, 8, 32
+	const hub0, leaf0 = stream.VertexID(1 << 20), stream.VertexID(1 << 24)
+	e := NewRAPQ(bind(b, "a+", "a"), window.Spec{Size: 1 << 40, Slide: 1 << 40})
+	g := e.Graph()
+	insert := func(tu stream.Tuple) {
+		g.Insert(tu.Src, tu.Dst, tu.Label, tu.TS)
+		e.ApplyInsert(tu)
+	}
+	tick := int64(0)
+	advance := func() {
+		tick++
+		hub := hub0 + stream.VertexID(tick)
+		for j := range fanout {
+			insert(stream.Tuple{TS: tick, Src: hub, Dst: leaf0 + stream.VertexID(tick*fanout+int64(j))})
+		}
+		for i := range roots {
+			insert(stream.Tuple{TS: tick, Src: stream.VertexID(i), Dst: hub})
+		}
+		g.Expire(tick-span, nil)
+	}
+	for range span {
+		advance()
+	}
+	want := roots*(1+span*(1+fanout)) + span*(1+fanout)
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		advance()
+		b.StartTimer()
+		e.ApplyExpiry(tick - span)
+	}
+	if got := e.Stats().Nodes; got != want {
+		b.Fatalf("window holds %d nodes after the passes, want %d", got, want)
 	}
 }

@@ -236,6 +236,11 @@ func checkKeyTable(ns *treeStore) error {
 //     edge.ts). Out-of-window nodes are exempt: under lazy expiration
 //     they linger until the next slide boundary and their support may
 //     have been refreshed past them in the meantime.
+//  3. Max-min closure, which lets window expiry only prune: for every
+//     in-window node (w,s) and out-edge (w→v,l) at the engine's epoch
+//     with δ(s,l)=t, node (v,t) exists with ts ≥ min(ts(w,s), edge.ts)
+//     whenever that offer is in the window and above the last deadline.
+//  4. Expiry postcondition: no node is at or below the last deadline.
 func (e *RAPQ) CheckInvariants() error {
 	if err := e.checkTrees(); err != nil {
 		return err
@@ -250,8 +255,21 @@ func (e *RAPQ) CheckInvariants() error {
 			if !ns.live(slot) {
 				continue
 			}
-			nv, nstate := ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state()
-			if slot == rootSlot || ns.nodes[slot].ts <= validFrom {
+			nv, nstate, nts := ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state(), ns.nodes[slot].ts
+			if nts <= e.deadline {
+				return fmt.Errorf("tree %d: node (%d,%d) ts=%d outlived the expiry pass at %d", root, nv, nstate, nts, e.deadline)
+			}
+			if nts <= validFrom {
+				continue
+			}
+			for _, he := range e.g.AppendOutWhere(e.epoch, nv, e.outWant[nstate], max(validFrom, e.deadline), nil) {
+				t := e.a.Trans[nstate][he.L]
+				if c := ns.lookup(mkNodeKey(he.V, t)); c < 0 || ns.nodes[c].ts < min(nts, he.TS) {
+					return fmt.Errorf("tree %d: (%d,%d) offers (%d,%d) ts=%d, which it does not hold",
+						root, nv, nstate, he.V, t, min(nts, he.TS))
+				}
+			}
+			if slot == rootSlot {
 				continue
 			}
 			pslot := ns.nodes[slot].parent

@@ -12,20 +12,22 @@ import (
 )
 
 // TestRAPQInvariantsRandom checks the Δ-index invariants after every
-// tuple of random streams across query shapes, window configurations
-// and deletion ratios.
+// tuple of random streams across query shapes, window configurations,
+// deletion ratios and clock origins (a stream may start below zero).
 func TestRAPQInvariantsRandom(t *testing.T) {
 	configs := []struct {
 		expr     string
 		size     int64
 		slide    int64
 		delRatio float64
+		start    int64
 	}{
-		{"a*", 20, 1, 0},
-		{"(a/b)+", 20, 1, 0.1},
-		{"a/b*/c", 15, 3, 0.05},
-		{"(a|b|c)+", 25, 5, 0.2},
-		{"a?/b*", 10, 2, 0},
+		{"a*", 20, 1, 0, 0},
+		{"(a/b)+", 20, 1, 0.1, 0},
+		{"a/b*/c", 15, 3, 0.05, 0},
+		{"(a|b|c)+", 25, 5, 0.2, 0},
+		{"a?/b*", 10, 2, 0, 0},
+		{"(a|b)+", 20, 4, 0.1, -5000},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -35,6 +37,7 @@ func TestRAPQInvariantsRandom(t *testing.T) {
 			e := NewRAPQ(a, window.Spec{Size: cfg.size, Slide: cfg.slide})
 			tuples := randomTuples(rng, 400, 9, 3, 2, cfg.delRatio)
 			for i, tu := range tuples {
+				tu.TS += cfg.start
 				e.Process(tu)
 				if i%7 == 0 { // checking every step is O(n²) overall
 					if err := e.CheckInvariants(); err != nil {

@@ -16,21 +16,21 @@ import (
 const rootTS = int64(math.MaxInt64)
 
 // expiredTS marks nodes cut off by an explicit deletion (§3.2): it is
-// below every window deadline, so the expiry pass treats them as
+// below every window deadline, so Delete's expiry pass treats them as
 // expired candidates.
 const expiredTS = int64(math.MinInt64)
 
 // RAPQ is the incremental engine for Regular Arbitrary Path Queries
 // over sliding windows (Algorithm RAPQ, §3.1), with explicit-deletion
 // support (Algorithm Delete, §3.2): the Δ substrate plus Algorithm
-// Insert, ExpiryRAPQ and the unique key index Lemma 1 allows. Steady-
-// state processing allocates nothing per edge once the scratch buffers
-// have grown, and a tree that grows re-allocates only its node array and
-// key table (both asserted by alloc_test.go).
+// Insert, ExpiryRAPQ (only pruning at slide boundaries) and the unique
+// key index Lemma 1 allows. Steady-state processing allocates nothing per
+// edge once the scratch buffers have grown, and a growing tree
+// re-allocates only its node array and key table (alloc_test.go).
 type RAPQ struct {
 	delta
 
-	deadline int64 // last expiry deadline (W^e - |W|)
+	deadline int64 // last expiry deadline (W^e - |W|); math.MinInt64 before the first
 }
 
 // insertOp is one pending step of the insert cascade. parent is a
@@ -47,7 +47,7 @@ type insertOp struct {
 // NewRAPQ returns a RAPQ engine for the bound automaton and window
 // specification.
 func NewRAPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RAPQ {
-	e := &RAPQ{}
+	e := &RAPQ{deadline: math.MinInt64}
 	e.init(a, spec, opts)
 	e.live = e.isLive
 	e.ops = deltaOps{insert: e.ApplyInsert, del: e.ApplyDelete, expire: e.ApplyExpiry}
@@ -192,17 +192,16 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 //
 // Deviation from the paper: timestamp improvements of existing nodes
 // are propagated recursively rather than left to the expiry pass;
-// propagation is guarded by a strict timestamp
-// increase, so total work stays within the amortized bound. Strictness
-// also keeps the tree acyclic under re-parenting: a descendant's
-// timestamp never strictly exceeds an ancestor's, so an improvement
-// offer can never re-parent a node under its own descendant. Node
-// timestamps converge to the max-min fixpoint over the window content
-// (every node's timestamp witness is its tree path, and every
-// improvement is propagated), so timestamps — unlike the incidental
-// tree shape — are a pure function of the stream prefix. The sharded
-// multi-query coordinator relies on that canonicity for deterministic
-// result streams.
+// propagation is guarded by a strict timestamp increase, so total work
+// stays within the amortized bound. Strictness also keeps the tree
+// acyclic under re-parenting: a descendant's timestamp never strictly
+// exceeds an ancestor's, so an improvement offer can never re-parent a
+// node under its own descendant. Node timestamps converge to the max-min
+// fixpoint over the window content, so they — unlike the incidental tree
+// shape — are a pure function of the stream prefix: the sharded
+// coordinator's deterministic result streams rely on that, and window
+// expiry is left nothing to reconnect (a node at or below the deadline
+// has no in-window root path left), so ApplyExpiry only prunes.
 func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS int64, validFrom int64) {
 	ns, sc := &tx.ns, &e.sc
 	calls := int64(0)
@@ -274,25 +273,28 @@ func (e *RAPQ) remove(tx *tree, slot int32) {
 	tx.ns.release(slot)
 }
 
-// ApplyExpiry runs ExpiryRAPQ over every tree for a slide-boundary
-// deadline. The caller is responsible for expiring the snapshot graph
-// first (Process does; the multi-query coordinator expires the shared
-// graph once).
+// ApplyExpiry is ExpiryRAPQ's prune (line 3) at a slide-boundary
+// deadline: reconnection could find nothing (see insert), and a pass that
+// emits nothing may visit the trees in map order. The caller expires the
+// snapshot graph first (Process does; a coordinator, the shared one once).
 func (e *RAPQ) ApplyExpiry(deadline int64) {
 	start := time.Now()
 	e.stats.ExpiryRuns++
 	e.deadline = deadline
-	for _, root := range e.allRoots() {
-		tx := e.trees[root]
-		e.expireTree(tx, deadline, false)
+	for _, tx := range e.trees {
+		for slot := rootSlot + 1; slot < int32(len(tx.ns.nodes)); slot++ {
+			if tx.ns.live(slot) && tx.ns.nodes[slot].ts <= deadline {
+				e.remove(tx, slot)
+			}
+		}
 		e.dropIfRootOnly(tx)
 	}
 	e.stats.ExpiryTime += time.Since(start)
 }
 
-// expireTree is Algorithm ExpiryRAPQ for one spanning tree. Only the
-// Delete path sets invalidate.
-func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
+// expireTree is the full ExpiryRAPQ for one tree, run by Algorithm
+// Delete: a deletion cuts real paths, so what it marked may reconnect.
+func (e *RAPQ) expireTree(tx *tree, deadline int64) {
 	ns, sc := &tx.ns, &e.sc
 	// Line 2: candidates with out-of-window timestamps. A child's
 	// timestamp never exceeds its parent's, so candidates form whole
@@ -314,27 +316,22 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 		sc.cands = candidates
 		return // nothing stale, so nothing noted: no pass to close
 	}
-	// Canonical candidate order: the reconnection below converges to the
-	// same witness set and timestamps in any order, but visiting keys in
-	// sorted order makes the sequential emission order within the pass a
-	// pure function of the stream as well. (Slot order is mutation-
-	// history order, which follows the graph's adjacency order, and that
-	// differs between the versioned and the unversioned graph.)
+	// Sorted candidates make the emission order within the pass a pure
+	// function of the stream: slot order follows the graph's adjacency
+	// order, which differs between the versioned and unversioned graph.
 	slices.Sort(candidates)
 	// Line 3: prune all candidates from the tree. Every release happens
 	// before any reconnection insert allocates, so slots never dangle.
 	for _, key := range candidates {
 		e.remove(tx, ns.lookup(key))
 	}
-	// Lines 4–9: try to reconnect each candidate through a valid edge
-	// from a valid node. Insert re-adds reachable descendants with
-	// fresh timestamps. Every candidate's full in-neighbourhood is
-	// scanned — even if an earlier candidate's cascade already re-added
-	// it — and the maximal offer is presented to Insert, so each
-	// reconnected node ends at its canonical max-min timestamp
-	// regardless of the order candidates are visited in. (Offers from
-	// parents that are themselves re-added later arrive through those
-	// parents' improvement cascades.)
+	// Lines 4–9: reconnect each candidate through a valid edge from a
+	// valid node; Insert re-adds reachable descendants with fresh
+	// timestamps. Every candidate's full in-neighbourhood is scanned, even
+	// if an earlier cascade re-added it, and the maximal offer goes to
+	// Insert, so each reconnected node ends at its canonical max-min
+	// timestamp in any visiting order (offers from parents re-added later
+	// arrive through their improvement cascades).
 	for _, key := range candidates {
 		v, t := key.vertex(), key.state()
 		bestParent := int32(-1)
@@ -362,7 +359,7 @@ func (e *RAPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 	}
 	sc.cands = candidates[:0]
 	// Lines 11–15, canonicalized.
-	e.endPass(tx, deadline, invalidate)
+	e.endPass(tx, deadline, true)
 }
 
 // ApplyDelete is Algorithm Delete (§3.2): explicit deletion via the
@@ -377,9 +374,6 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 
 	for _, root := range e.rootsOf(t.Src) {
 		tx := e.trees[root]
-		if tx == nil {
-			continue
-		}
 		ns := &tx.ns
 		touched := false
 		// Lines 2–8: find tree edges matching the deleted edge and mark
@@ -397,7 +391,7 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 			continue // deleting a non-tree edge leaves Tx unchanged
 		}
 		// Line 9: uniform handling through ExpiryRAPQ.
-		e.expireTree(tx, validFrom, true)
+		e.expireTree(tx, validFrom)
 		e.dropIfRootOnly(tx)
 	}
 }

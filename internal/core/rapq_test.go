@@ -165,7 +165,9 @@ func TestRAPQTreeTimestamps(t *testing.T) {
 
 // TestRAPQExpiryReconnect reproduces Example 3.2: at t=19 the edge
 // (w,u,follows) arrives, old paths through (y,u,mentions)@4 expire, and
-// (u,2) must be reconnected through the valid edge (z,u,mentions)@14.
+// (u,2) must hang under the valid edge (z,u,mentions)@14. The paper's
+// expiry pass reconnects it there; here eager propagation moved it when
+// that edge arrived, so the pass only prunes.
 func TestRAPQExpiryReconnect(t *testing.T) {
 	a := bind(t, "(follows/mentions)+", "follows", "mentions")
 	e := NewRAPQ(a, window.Spec{Size: 15, Slide: 1})
@@ -182,7 +184,7 @@ func TestRAPQExpiryReconnect(t *testing.T) {
 			t.Errorf("node (%d,%d) missing after t=19", k.vertex(), k.state())
 		}
 	}
-	// (u,2) still present (reconnected through (z,1)).
+	// (u,2) still present, under (z,1).
 	pk, ok := tx.nodeParent(mkNodeKey(3, 2))
 	if !ok {
 		t.Fatal("(u,2) missing after expiry")

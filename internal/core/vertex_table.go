@@ -15,8 +15,8 @@ type vrec struct {
 // the records stored in the buckets themselves. A tree keeps its census
 // in one: nodes per vertex (for the inverted index) and, among them, the
 // final-state witnesses per result vertex; support > 0 implies nodes > 0,
-// so one probe answers both. An expiry pass keeps its liveness record in
-// another (scratch.pre).
+// so one probe answers both. A delete or RSPQ expiry pass keeps its
+// liveness record in another (scratch.pre).
 type vertexTable struct {
 	recs  []vrec
 	n     int // occupied buckets
