@@ -43,8 +43,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	window := flag.Int64("window", 1000, "window size (time units)")
 	slide := flag.Int64("slide", 100, "window slide (time units)")
-	shards := flag.Int("shards", 0, "query shards (0 = evaluate inline on the ingest goroutine)")
-	depth := flag.Int("depth", 0, "pipeline depth; only selects the schedule of one shard: 1 inline, >= 2 on a shard goroutine (0 = default: 2 with -shards, else 1)")
+	shards := flag.Int("shards", 0, "query shards; shard 0 runs on the ingest goroutine (0 = one shard)")
 	persistDir := flag.String("persist", "", "persistence directory (empty = no durability)")
 	resume := flag.Bool("resume", false, "recover from an existing persistence directory")
 	ckEvery := flag.Int("checkpoint-every", 0, "automatic checkpoint every n batches (0 = manual only)")
@@ -79,8 +78,8 @@ func main() {
 		if len(qs) > 0 {
 			fmt.Fprintln(os.Stderr, "rpqserve: ignoring -q flags on -resume (the query set comes from the checkpoint; register more via POST /queries)")
 		}
-		if *shards > 0 || *depth > 0 {
-			fmt.Fprintln(os.Stderr, "rpqserve: ignoring -shards and -depth on -resume (the shard count comes from the checkpoint; the pipeline depth reverts to its default)")
+		if *shards > 0 {
+			fmt.Fprintln(os.Stderr, "rpqserve: ignoring -shards on -resume (the shard count comes from the checkpoint)")
 		}
 	} else {
 		compiled := make([]*streamrpq.Query, len(qs))
@@ -95,11 +94,6 @@ func main() {
 		ev, err = streamrpq.NewMultiEvaluator(*window, *slide, compiled...)
 		if err != nil {
 			fatal(err)
-		}
-		if *depth > 0 {
-			if err := ev.WithPipelineDepth(*depth); err != nil {
-				fatal(err)
-			}
 		}
 		if *shards > 0 {
 			if err := ev.WithShards(*shards); err != nil {

@@ -78,18 +78,13 @@ func dynFilter(groups []dynGroup, drop int) []dynGroup {
 }
 
 // dynEval builds an evaluator in dynamic (retain-all) mode for the
-// given configuration. shards == 0 leaves the default inline
+// given configuration. shards == 0 leaves the default one-shard
 // evaluator.
-func dynEval(t *testing.T, queries []*Query, shards, depth int) *MultiEvaluator {
+func dynEval(t *testing.T, queries []*Query, shards int) *MultiEvaluator {
 	t.Helper()
 	m, err := NewMultiEvaluator(40, 10, queries...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if depth > 0 {
-		if err := m.WithPipelineDepth(depth); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if shards > 0 {
 		if err := m.WithShards(shards); err != nil {
@@ -109,24 +104,25 @@ func dynEval(t *testing.T, queries []*Query, shards, depth int) *MultiEvaluator 
 // an oracle that ran the query from stream start — and nothing before
 // it. Then RemoveQuery must truncate the query's stream at the next
 // batch boundary without disturbing the other queries. The bootstrap
-// runs in place at the batch boundary in both schedules; covered for
-// the inline one and the pipelined one (shards 1/2/8 × pipeline depth
-// 1/2) on append-only and 15%-churn streams.
+// runs in place at the batch boundary; covered at shards 1/2/8 on
+// append-only and 15%-churn streams. The depth= segments name a retired
+// pipeline-depth axis, kept so the subtest names stay stable: rows that
+// differ only in it run the same configuration.
 func TestAddQueryMatchesFromStartOracle(t *testing.T) {
 	static := func() []*Query {
 		return []*Query{MustCompile("(a/b)+"), MustCompile("a/b*")}
 	}
 	const dynSrc = "c/(a|b)*"
 	configs := []struct {
-		name          string
-		shards, depth int
+		name   string
+		shards int
 	}{
-		{"inline", 0, 0},
-		{"shards=2", 2, 0},
-		{"shards=1/depth=1", 1, 1},
-		{"shards=1/depth=2", 1, 2},
-		{"shards=8/depth=1", 8, 1},
-		{"shards=8/depth=2", 8, 2},
+		{"inline", 0},
+		{"shards=2", 2},
+		{"shards=1/depth=1", 1},
+		{"shards=1/depth=2", 1},
+		{"shards=8/depth=1", 8},
+		{"shards=8/depth=2", 8},
 	}
 	for _, churn := range []float64{0, 0.15} {
 		for _, cfg := range configs {
@@ -136,7 +132,7 @@ func TestAddQueryMatchesFromStartOracle(t *testing.T) {
 				rmAt := 2 * len(batches) / 3
 
 				oq := append(static(), MustCompile(dynSrc))
-				oracle := dynEval(t, oq, cfg.shards, cfg.depth)
+				oracle := dynEval(t, oq, cfg.shards)
 				defer oracle.Close()
 				oidx := map[*Query]int{}
 				for i, q := range oq {
@@ -144,7 +140,7 @@ func TestAddQueryMatchesFromStartOracle(t *testing.T) {
 				}
 
 				tq := static()
-				test := dynEval(t, tq, cfg.shards, cfg.depth)
+				test := dynEval(t, tq, cfg.shards)
 				defer test.Close()
 				tidx := map[*Query]int{}
 				for i, q := range tq {
@@ -254,13 +250,13 @@ func TestAddQueryGuards(t *testing.T) {
 }
 
 // TestRelevanceCountersAfterRemove: relevance follows the live query
-// set in both schedules. A label only a removed query listened to is
+// set at every shard count. A label only a removed query listened to is
 // dropped again afterwards, and a registered group is dispatched to
-// from the next batch on, so the inline and the pipelined schedule
-// report the same TuplesDropped, Dispatches and RelevanceSkips.
+// from the next batch on, so one shard and two report the same
+// TuplesDropped, Dispatches and RelevanceSkips.
 func TestRelevanceCountersAfterRemove(t *testing.T) {
 	run := func(shards int) Stats {
-		m := dynEval(t, []*Query{MustCompile("a/b")}, shards, 0)
+		m := dynEval(t, []*Query{MustCompile("a/b")}, shards)
 		defer m.Close()
 		id, err := m.AddQuery(MustCompile("c+"))
 		if err != nil {
@@ -282,12 +278,12 @@ func TestRelevanceCountersAfterRemove(t *testing.T) {
 	}
 	inline, piped := run(0), run(2)
 	if inline.TuplesDropped != 10 || inline.Dispatches != 1 || inline.RelevanceSkips != 1 {
-		t.Errorf("inline: dropped=%d dispatches=%d skips=%d, want 10/1/1",
+		t.Errorf("one shard: dropped=%d dispatches=%d skips=%d, want 10/1/1",
 			inline.TuplesDropped, inline.Dispatches, inline.RelevanceSkips)
 	}
 	if piped.TuplesDropped != inline.TuplesDropped || piped.Dispatches != inline.Dispatches ||
 		piped.RelevanceSkips != inline.RelevanceSkips {
-		t.Errorf("WithShards(2): dropped=%d dispatches=%d skips=%d, inline %d/%d/%d",
+		t.Errorf("WithShards(2): dropped=%d dispatches=%d skips=%d, one shard %d/%d/%d",
 			piped.TuplesDropped, piped.Dispatches, piped.RelevanceSkips,
 			inline.TuplesDropped, inline.Dispatches, inline.RelevanceSkips)
 	}
@@ -297,19 +293,21 @@ func TestRelevanceCountersAfterRemove(t *testing.T) {
 // durability — AddQuery checkpoints synchronously, so a kill -9 after
 // any completed call recovers the full query set, the retained graph
 // and the per-label clocks, and the resumed run continues exactly like
-// an uninterrupted one — in the inline and in the pipelined schedule.
+// an uninterrupted one — at one shard and at four. (The second
+// subtest's depth=2 segment names a retired axis, kept so its name stays
+// stable.)
 func TestDynamicPersistRecover(t *testing.T) {
-	t.Run("inline", func(t *testing.T) { dynamicPersistRecover(t, 0, 0) })
-	t.Run("shards=4/depth=2", func(t *testing.T) { dynamicPersistRecover(t, 4, 2) })
+	t.Run("inline", func(t *testing.T) { dynamicPersistRecover(t, 0) })
+	t.Run("shards=4/depth=2", func(t *testing.T) { dynamicPersistRecover(t, 4) })
 }
 
-func dynamicPersistRecover(t *testing.T, shards, depth int) {
+func dynamicPersistRecover(t *testing.T, shards int) {
 	batches := dynBatches(dynStream(23, 480, 0.15), 40)
 	regAt, killAt := len(batches)/4, len(batches)/2
 	const dynSrc = "c/(a|b)*"
 
 	build := func(dir string) *MultiEvaluator {
-		m := dynEval(t, []*Query{MustCompile("(a/b)+"), MustCompile("a/b*")}, shards, depth)
+		m := dynEval(t, []*Query{MustCompile("(a/b)+"), MustCompile("a/b*")}, shards)
 		if dir != "" {
 			if err := m.WithPersistence(dir); err != nil {
 				t.Fatal(err)

@@ -139,12 +139,11 @@ func collectCanon(t *testing.T, m *MultiEvaluator, qidx map[*Query]int, stream [
 	return canon, raw
 }
 
-// TestMultiEvaluatorShardedAgrees: WithShards and WithPipelineDepth
-// must not change the result stream of any registered query — on a
-// stream with explicit deletions the raw ordered batch results, matches
-// AND invalidations with their timestamps and triggering tuples, must be
-// byte-identical to the default inline evaluator's, for shards 1/2/8 ×
-// pipeline depths 1/2/4.
+// TestMultiEvaluatorShardedAgrees: WithShards must not change the
+// result stream of any registered query — on a stream with explicit
+// deletions the raw ordered batch results, matches AND invalidations
+// with their timestamps and triggering tuples, must be byte-identical to
+// the default one-shard evaluator's, for shards 1/2/8.
 func TestMultiEvaluatorShardedAgrees(t *testing.T) {
 	stream := churnStream(31, 700, 0.15)
 	newEval := func() (*MultiEvaluator, map[*Query]int) {
@@ -176,29 +175,24 @@ func TestMultiEvaluatorShardedAgrees(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 8} {
-		for _, depth := range []int{1, 2, 4} {
-			m, qidx := newEval()
-			if err := m.WithShards(shards); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.WithPipelineDepth(depth); err != nil {
-				t.Fatal(err)
-			}
-			_, raw := collectCanon(t, m, qidx, stream, 50)
-			m.Close()
-			if !reflect.DeepEqual(seqRaw, raw) {
-				t.Fatalf("shards=%d depth=%d: result stream diverges from the inline evaluator (%d vs %d result groups)",
-					shards, depth, len(seqRaw), len(raw))
-			}
+		m, qidx := newEval()
+		if err := m.WithShards(shards); err != nil {
+			t.Fatal(err)
+		}
+		_, raw := collectCanon(t, m, qidx, stream, 50)
+		m.Close()
+		if !reflect.DeepEqual(seqRaw, raw) {
+			t.Fatalf("shards=%d: result stream diverges from the default evaluator (%d vs %d result groups)",
+				shards, len(seqRaw), len(raw))
 		}
 	}
 }
 
 // TestMultiEvaluatorIngestBatch: the batch path must produce exactly
-// the per-tuple results of the single-tuple path, in both schedules.
+// the per-tuple results of the single-tuple path, at one shard and four.
 func TestMultiEvaluatorIngestBatch(t *testing.T) {
 	stream := shardStream(57, 400)
-	for _, shards := range []int{0, 4} { // 0 = the default inline evaluator
+	for _, shards := range []int{0, 4} { // 0 = the default one-shard evaluator
 		ref, err := NewMultiEvaluator(30, 3, shardQueries()...)
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +275,7 @@ func TestMultiEvaluatorShardedDeterminism(t *testing.T) {
 
 // TestIngestBatchRejectedAtomically: an out-of-order batch — including
 // the very first batch, before any stream clock exists — must be
-// rejected before any tuple reaches the engine, in both schedules.
+// rejected before any tuple reaches the engine, at one shard and more.
 func TestIngestBatchRejectedAtomically(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		m, err := NewMultiEvaluator(10, 1, MustCompile("a"))
@@ -312,11 +306,15 @@ func TestIngestBatchRejectedAtomically(t *testing.T) {
 	}
 }
 
-// TestWithShardsGuards: configuration errors must surface cleanly.
+// TestWithShardsGuards: configuration errors must surface cleanly, and
+// an evaluator runs one shard until WithShards names more.
 func TestWithShardsGuards(t *testing.T) {
 	m, err := NewMultiEvaluator(10, 1, MustCompile("a"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.NumShards() != 1 {
+		t.Fatalf("default evaluator runs %d shards, want 1", m.NumShards())
 	}
 	if err := m.WithShards(0); err == nil {
 		t.Fatal("WithShards(0) accepted")
@@ -341,7 +339,7 @@ func TestWithShardsGuards(t *testing.T) {
 	}
 	s.Ingest(Tuple{TS: 5, Src: "u", Dst: "v", Label: "a"})
 	if _, err := s.Ingest(Tuple{TS: 4, Src: "u", Dst: "v", Label: "a"}); err == nil {
-		t.Fatal("out-of-order accepted by the pipelined coordinator")
+		t.Fatal("out-of-order accepted by the two-shard coordinator")
 	}
 	if st := s.ShardStats(); len(st) != 2 {
 		t.Fatalf("ShardStats len = %d", len(st))

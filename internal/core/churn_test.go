@@ -20,7 +20,7 @@ import (
 // probability delRatio, the sharded engine must reproduce the
 // sequential Multi oracle's full result stream — matches AND
 // invalidations, with timestamps and triggering tuples, in canonical
-// order — across shard counts and pipeline depths, and survive a
+// order — across shard counts and batch sizes, and survive a
 // SnapshotState/RestoreState round-trip taken mid-churn (the restore
 // path cross-checks the persisted support counts against the
 // materialized trees, and CheckInvariants recomputes them from
@@ -35,13 +35,12 @@ func TestChurnDifferential(t *testing.T) {
 		spec     window.Spec
 		delRatio float64
 		shards   int
-		depth    int
 		batch    int
 	}{
-		{"light-churn", 1111, 500, 9, window.Spec{Size: 25, Slide: 4}, 0.10, 2, 2, 40},
-		{"heavy-churn", 2222, 600, 7, window.Spec{Size: 20, Slide: 5}, 0.35, 4, 2, 32},
-		{"singleton-batches", 3333, 300, 8, window.Spec{Size: 15, Slide: 1}, 0.20, 1, 1, 1},
-		{"deep-pipeline", 4444, 600, 10, window.Spec{Size: 30, Slide: 6}, 0.25, 8, 4, 64},
+		{"light-churn", 1111, 500, 9, window.Spec{Size: 25, Slide: 4}, 0.10, 2, 40},
+		{"heavy-churn", 2222, 600, 7, window.Spec{Size: 20, Slide: 5}, 0.35, 4, 32},
+		{"singleton-batches", 3333, 300, 8, window.Spec{Size: 15, Slide: 1}, 0.20, 1, 1},
+		{"deep-pipeline", 4444, 600, 10, window.Spec{Size: 30, Slide: 6}, 0.25, 8, 64},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -79,7 +78,7 @@ func TestChurnDifferential(t *testing.T) {
 			// Sharded run, interrupted mid-churn by a snapshot/restore
 			// round-trip into a fresh engine.
 			newEngine := func() (*shard.Engine, []*core.RAPQ) {
-				s, err := shard.New(tc.spec, shard.WithShards(tc.shards), shard.WithPipelineDepth(tc.depth))
+				s, err := shard.New(tc.spec, shard.WithShards(tc.shards))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -87,8 +87,8 @@ type MemberEngine interface {
 	// coordinator's shared one. Must precede the first Apply call.
 	AttachGraph(g *graph.Graph)
 	// SetReadEpoch hands the engine the epoch at which subsequent Apply
-	// traversals observe the shared graph. A pipelined coordinator writes
-	// a whole batch, one epoch per tuple, before its members apply it;
+	// traversals observe the shared graph. The coordinator writes a
+	// whole batch, one epoch per tuple, before its members apply it;
 	// the epoch handle makes the engine see exactly the snapshot as of
 	// the tuple it applies. Standalone engines leave it at 0, which is
 	// their private graph's (never advanced) current epoch.

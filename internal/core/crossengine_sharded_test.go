@@ -102,8 +102,8 @@ func firstDifference(a, b []shard.Result) int {
 	return i
 }
 
-// TestShardedAgreesWithRAPQ: for shard counts 1, 2 and 8 crossed with
-// pipeline depths 1, 2 and 4, the sharded engine must produce, per
+// TestShardedAgreesWithRAPQ: at shard counts 1, 2 and 8 the sharded
+// engine must produce, per
 // query, byte-identical results to a standalone sequential RAPQ engine
 // on randomized streams with window expiry AND explicit deletions: the
 // exact merged result sequence — matches and invalidations, with
@@ -139,43 +139,41 @@ func TestShardedAgreesWithRAPQ(t *testing.T) {
 		sortCanonical(want)
 
 		for _, shards := range []int{1, 2, 8} {
-			for _, depth := range []int{1, 2, 4} {
-				s, err := shard.New(spec, shard.WithShards(shards), shard.WithPipelineDepth(depth))
+			s, err := shard.New(spec, shard.WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gots []*core.CollectorSink
+			for _, expr := range exprs {
+				got := core.NewCollector()
+				gots = append(gots, got)
+				if _, err := s.Add(bindX(t, expr, "a", "b"), got); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var have []shard.Result
+			for i := 0; i < len(tuples); i += 40 {
+				rs, err := s.ProcessBatch(tuples[i:min(i+40, len(tuples))])
 				if err != nil {
 					t.Fatal(err)
 				}
-				var gots []*core.CollectorSink
-				for _, expr := range exprs {
-					got := core.NewCollector()
-					gots = append(gots, got)
-					if _, err := s.Add(bindX(t, expr, "a", "b"), got); err != nil {
-						t.Fatal(err)
-					}
+				for _, r := range rs {
+					r.Tuple += i // batch-local -> global tuple index
+					have = append(have, r)
 				}
-				var have []shard.Result
-				for i := 0; i < len(tuples); i += 40 {
-					rs, err := s.ProcessBatch(tuples[i:min(i+40, len(tuples))])
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, r := range rs {
-						r.Tuple += i // batch-local -> global tuple index
-						have = append(have, r)
-					}
+			}
+			s.Close()
+			if !reflect.DeepEqual(want, have) {
+				diverge := firstDifference(want, have)
+				for i := max(0, diverge-3); i < min(len(want), len(have), diverge+5); i++ {
+					t.Logf("[%d] want %+v  have %+v", i, want[i], have[i])
 				}
-				s.Close()
-				if !reflect.DeepEqual(want, have) {
-					diverge := firstDifference(want, have)
-					for i := max(0, diverge-3); i < min(len(want), len(have), diverge+5); i++ {
-						t.Logf("[%d] want %+v  have %+v", i, want[i], have[i])
-					}
-					t.Fatalf("shards=%d depth=%d del=%v: merged result streams differ from sequential oracle (%d vs %d results, first divergence at %d)",
-						shards, depth, delRatio, len(want), len(have), diverge)
-				}
-				for qi, expr := range exprs {
-					if !reflect.DeepEqual(refs[qi].Live, gots[qi].Live) {
-						t.Fatalf("shards=%d depth=%d del=%v %q: live sets differ", shards, depth, delRatio, expr)
-					}
+				t.Fatalf("shards=%d del=%v: merged result streams differ from sequential oracle (%d vs %d results, first divergence at %d)",
+					shards, delRatio, len(want), len(have), diverge)
+			}
+			for qi, expr := range exprs {
+				if !reflect.DeepEqual(refs[qi].Live, gots[qi].Live) {
+					t.Fatalf("shards=%d del=%v %q: live sets differ", shards, delRatio, expr)
 				}
 			}
 		}

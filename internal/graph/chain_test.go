@@ -8,7 +8,9 @@ import (
 
 // TestLongVersionChainPerEpochVisibility: one edge refreshed at many
 // consecutive epochs of one batch; every epoch sees exactly its own
-// timestamp, and EndBatch compacts the whole chain.
+// timestamp, every refresh after the first step keeps the version it
+// supersedes (19 in the chain, none pruned inside the batch), and
+// EndBatch drops the whole chain.
 func TestLongVersionChainPerEpochVisibility(t *testing.T) {
 	g := New()
 	g.BeginBatch()

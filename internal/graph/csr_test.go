@@ -153,28 +153,36 @@ func TestSlabLookupIndexPromotion(t *testing.T) {
 	}
 }
 
-// TestOverflowArenaPrunes: superseded versions overflow into the arena
-// only while a reader could still see them, and the arena drains back
-// to zero at EndBatch.
+// TestOverflowArenaPrunes: the batch's first step refreshes in place;
+// every later refresh keeps the version it supersedes in the arena —
+// nothing is pruned inside a batch, so DeadVersions counts every kept
+// version — and the arena drains back to zero at EndBatch.
 func TestOverflowArenaPrunes(t *testing.T) {
 	g := New()
 	g.Insert(1, 2, 0, 10)
 	g.BeginBatch()
 	e := g.AdvanceEpoch()
+	g.Insert(1, 2, 0, 11) // in place: no reader reads before epoch 1
+	if n := g.DeadVersions(); n != 0 {
+		t.Fatalf("DeadVersions = %d after a first-step refresh, want 0", n)
+	}
 	// Supersede the version epoch e sees, several times over.
 	for i := 0; i < 5; i++ {
 		g.AdvanceEpoch()
 		g.Insert(1, 2, 0, int64(20+i))
 	}
-	if ts, ok := g.TSAt(e, key(1, 2, 0)); !ok || ts != 10 {
-		t.Fatalf("the batch's first epoch sees ts=%d,%v, want 10,true", ts, ok)
+	if ts, ok := g.TSAt(e, key(1, 2, 0)); !ok || ts != 11 {
+		t.Fatalf("the batch's first epoch sees ts=%d,%v, want 11,true", ts, ok)
 	}
 	if n := g.DeadVersions(); n != 5 {
 		t.Fatalf("DeadVersions = %d inside the batch, want 5", n)
 	}
+	if n := len(g.vers); n != 10 {
+		t.Fatalf("arena holds %d versions, want 10 (5 per side)", n)
+	}
 	g.EndBatch()
-	if n := g.DeadVersions(); n != 0 {
-		t.Fatalf("DeadVersions = %d after EndBatch, want 0", n)
+	if n := g.DeadVersions(); n != 0 || len(g.vers) != 0 {
+		t.Fatalf("DeadVersions = %d, arena %d after EndBatch, want 0 and 0", n, len(g.vers))
 	}
 	if ts, ok := g.TS(key(1, 2, 0)); !ok || ts != 24 {
 		t.Fatalf("current ts = %d,%v, want 24,true", ts, ok)

@@ -231,19 +231,21 @@ func TestAppendWhereModel(t *testing.T) {
 // TestEpochGCCompaction is the epoch-GC property test across both write
 // paths: one versioned graph takes a random stream in which batched
 // stretches (BeginBatch … EndBatch, one epoch per step) alternate with
-// unbatched steps (the inline schedule's in-place path). No superseded
-// version may outlive its batch — none is retained after an unbatched
-// step or after EndBatch — and at the end the graph holds the same
-// content, NumEdges and NumVertices as a never-versioned graph fed the
-// same stream.
+// unbatched steps (the in-place writes of restore and of the standalone
+// engines, at epoch 0). No superseded version may outlive its batch —
+// none is retained after an unbatched step or after EndBatch — and at
+// the end the graph holds the same content, NumEdges and NumVertices as
+// a never-versioned graph fed the same stream.
 func TestEpochGCCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	const vertices = 12
 	for trial := 0; trial < 50; trial++ {
 		versioned, plain := New(), New()
 		ts := int64(0)
-		step := func() {
-			versioned.AdvanceEpoch()
+		step := func(batched bool) {
+			if batched {
+				versioned.AdvanceEpoch()
+			}
 			for m := 1 + rng.Intn(4); m > 0; m-- {
 				ts += int64(rng.Intn(3))
 				k := key(stream.VertexID(rng.Intn(vertices)), stream.VertexID(rng.Intn(vertices)), stream.LabelID(rng.Intn(2)))
@@ -263,7 +265,7 @@ func TestEpochGCCompaction(t *testing.T) {
 		}
 		for i, n := 0, 40+rng.Intn(40); i < n; i++ {
 			if rng.Intn(3) == 0 {
-				step()
+				step(false)
 				if dv := versioned.DeadVersions(); dv != 0 {
 					t.Fatalf("trial %d: %d dead versions after an unbatched step", trial, dv)
 				}
@@ -271,7 +273,7 @@ func TestEpochGCCompaction(t *testing.T) {
 			}
 			versioned.BeginBatch()
 			for s := 1 + rng.Intn(8); s > 0; s-- {
-				step()
+				step(true)
 			}
 			versioned.EndBatch()
 			if dv := versioned.DeadVersions(); dv != 0 {
@@ -357,8 +359,8 @@ func TestEpochConcurrentReaders(t *testing.T) {
 }
 
 // TestEpochWritePathAllocs pins the steady-state allocation cost of the
-// pipelined coordinator's write path: once the slabs, the overflow
-// arenas, the FIFO and the pending queue have reached capacity, a batch
+// coordinator's write path: once the slabs, the version arena, the FIFO
+// and the pending queue have reached capacity, a batch
 // of four steps — each an AdvanceEpoch, an expiry sweep and 16
 // refreshes, three of them superseding versions the batch keeps — must
 // allocate at most once (FIFO compaction amortizes to well under one
@@ -389,75 +391,50 @@ func TestEpochWritePathAllocs(t *testing.T) {
 	}
 }
 
-// TestEpochDeltaRebase drives the slabs' uint32 epoch deltas out of
-// range: slabs written near epoch 0, the writer epoch moved past 2^32,
-// then a batch whose refreshes, deletions, inserts and expiry in those
-// old slabs each rebase the slab they touch. Every epoch of the batch
-// must keep its edge set, the current epoch must see the writes, and no
-// dead version may survive EndBatch. A batch open across 2^32 epochs —
-// floor below 2^32, epoch past it — cannot be rebased away and must
-// panic.
-func TestEpochDeltaRebase(t *testing.T) {
-	const vertices = 8
+// TestEpochBatchScoped: the epoch counts the steps of the open batch.
+// A batch's steps keep what they supersede in the arena, EndBatch
+// restarts the epoch at 0 with the arena empty and every cell settled —
+// so the next batch's first epoch sees everything the last one wrote —
+// and AdvanceEpoch panics outside a batch and past 2^32-2 steps in one.
+func TestEpochBatchScoped(t *testing.T) {
 	g := New()
-	for v := 0; v < vertices; v++ {
-		g.AdvanceEpoch()
-		g.Insert(stream.VertexID(v), stream.VertexID((v+1)%vertices), 0, int64(v))
-		g.Insert(stream.VertexID(v), stream.VertexID((v+2)%vertices), 1, int64(v))
-	}
-	g.epoch = 1<<32 + 7
-	want := map[Epoch]map[Edge]struct{}{}
-	mark := func() { want[g.Epoch()] = collectAt(g, g.Epoch(), vertices) }
-
+	g.Insert(1, 2, 0, 1)
 	g.BeginBatch()
 	g.AdvanceEpoch()
-	mark()
+	g.Insert(2, 3, 0, 2) // the first step writes in place
 	g.AdvanceEpoch()
-	g.Insert(0, 1, 0, 100) // refresh
-	g.Delete(key(2, 4, 1))
-	g.Insert(3, 5, 0, 101) // new edge between two old slabs
-	mark()
-	g.AdvanceEpoch()
-	g.Insert(4, 5, 0, 102)             // refresh
-	g.Delete(key(0, 1, 0))             // delete a refreshed edge
-	if n := g.Expire(3, nil); n != 6 { // ts ≤ 3, minus the deleted (2,4,1) and (0,1,0)
-		t.Fatalf("Expire removed %d edges, want 6", n)
-	}
-
-	for e, w := range want {
-		if got := collectAt(g, e, vertices); !reflect.DeepEqual(got, w) {
-			t.Fatalf("batch epoch %d changed across the rebase (%d vs %d edges)", e, len(got), len(w))
-		}
-	}
-	for _, c := range []struct {
-		k    stream.EdgeKey
-		ts   int64
-		live bool
-	}{
-		{key(0, 1, 0), 0, false}, {key(2, 4, 1), 0, false}, {key(3, 4, 0), 0, false},
-		{key(3, 5, 0), 101, true}, {key(4, 5, 0), 102, true}, {key(7, 1, 1), 7, true},
-	} {
-		if ts, ok := g.TS(c.k); ok != c.live || ts != c.ts {
-			t.Fatalf("current epoch: TS(%v) = %d,%v, want %d,%v", c.k, ts, ok, c.ts, c.live)
-		}
+	g.Insert(1, 2, 0, 3) // refresh
+	g.Insert(3, 4, 0, 4) // new cell, stamped with epoch 2
+	g.Delete(key(2, 3, 0))
+	if len(g.vers) != 2 || g.DeadVersions() != 2 {
+		t.Fatalf("inside the batch: %d arena entries and %d dead versions, want 2 and 2", len(g.vers), g.DeadVersions())
 	}
 	g.EndBatch()
-	if dv := g.DeadVersions(); dv != 0 {
-		t.Fatalf("%d dead versions after EndBatch", dv)
+	if g.Epoch() != 0 || len(g.vers) != 0 || len(g.pending) != 0 || g.DeadVersions() != 0 {
+		t.Fatalf("after EndBatch: epoch %d, %d arena entries, %d pending keys, %d dead versions; want all 0",
+			g.Epoch(), len(g.vers), len(g.pending), g.DeadVersions())
+	}
+	g.BeginBatch()
+	e := g.AdvanceEpoch()
+	if got, want := collectAt(g, e, 5), map[Edge]struct{}{{1, 2, 0, 3}: {}, {3, 4, 0, 4}: {}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the next batch's first epoch sees %v, want %v", got, want)
 	}
 
-	stuck := New()
-	stuck.Insert(1, 2, 0, 1)
-	stuck.BeginBatch()
-	stuck.AdvanceEpoch()
-	stuck.epoch = 1<<32 + 1
+	g.epoch = maxEpoch - 1
+	g.AdvanceEpoch() // step 2^32-2 is the last one
+	mustPanic(t, "graph: more than 2^32-2 steps in one batch", func() { g.AdvanceEpoch() })
+	g.EndBatch()
+	mustPanic(t, "graph: AdvanceEpoch outside a batch", func() { g.AdvanceEpoch() })
+}
+
+func mustPanic(t *testing.T, msg string, f func()) {
+	t.Helper()
 	defer func() {
-		const msg = "graph: epoch delta overflow: batch open across 2^32 epochs"
 		if r := recover(); r != msg {
-			t.Fatalf("write in a batch open across 2^32 epochs: recovered %v, want panic %q", r, msg)
+			t.Fatalf("recovered %v, want panic %q", r, msg)
 		}
 	}()
-	stuck.Insert(1, 2, 0, 2)
+	f()
 }
 
 // TestEpochEdgesFold: Edges folds the version intervals back to the

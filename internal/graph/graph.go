@@ -10,22 +10,25 @@
 // window, using a lazy FIFO of insertions that exploits the
 // non-decreasing timestamp order of the stream.
 //
-// # Epoch versioning
+// # Batch-scoped versions
 //
-// The graph is multi-versioned so a pipelined coordinator
-// (internal/shard) can write a whole batch, one epoch per tuple, and
-// then let reader goroutines traverse each tuple's logical snapshot.
-// Every edge version carries a validity interval [added, removed) in
-// epochs; the single writer advances the epoch with AdvanceEpoch before
-// each group of mutations, and readers observe exactly the versions
-// valid at the epoch they were handed (AppendOutAt/AppendInAt/TSAt/...).
-// The writer brackets such a batch with BeginBatch and EndBatch: while
-// the batch is open every version one of its epochs can see is kept,
-// and EndBatch drops every version the batch superseded, so between
-// batches the graph holds live versions only and is identical in
-// content to a never-versioned graph fed the same stream. A graph that
-// never opens a batch is unversioned: every superseded version is
-// overwritten in place, exactly the pre-epoch behaviour and cost.
+// The graph is multi-versioned for exactly one batch at a time, so a
+// coordinator (internal/shard) can write a whole batch, one epoch per
+// step, and then let reader goroutines traverse each step's logical
+// snapshot. The writer opens a batch with BeginBatch and advances the
+// epoch with AdvanceEpoch before each step's mutations; a reader handed
+// epoch e observes exactly the edge versions v with v.added <= e <
+// v.removed (AppendOutAt/AppendInAt/TSAt/...). The epoch counts the
+// steps of the open batch: readers read epochs 1 and later, so the
+// batch's first step, like every write outside a batch, writes in
+// place, and only later steps keep what they supersede. EndBatch settles
+// every key the batch wrote — a live cell restarts at epoch 0 without
+// its superseded versions, a dead cell leaves its slab — empties the
+// arena of superseded versions and restarts the epoch at 0. Between
+// batches the graph therefore holds live versions only, all at epoch 0,
+// and is identical in content to a never-versioned graph fed the same
+// stream; no version outlives its batch (the batch-scoped
+// multiversioning of Faleiro & Abadi).
 //
 // # Memory layout
 //
@@ -33,23 +36,23 @@
 // dense (stream.Dict assigns them in first-seen order), so a vertex
 // indexes directly into a slab-pointer array, and each vertex's edges
 // live in one contiguous slab of 32-byte pointer-free cells (csr.go).
-// A cell inlines the newest version with its epochs packed as uint32
-// deltas against a per-slab base epoch; superseded versions kept for
-// the open batch overflow into a flat per-slab arena with a free list.
-// Point lookups linearly scan small slabs and use a per-slab index map
-// above lookupThreshold. Traversal is a linear walk of one slab:
-// no map iteration, no pointer chasing, no per-version allocation.
+// A cell inlines the newest version with its uint32 epochs; the
+// superseded versions the open batch keeps go to one graph-level arena,
+// chained per cell, which EndBatch truncates. Point lookups linearly
+// scan small slabs and use a per-slab index map above lookupThreshold.
+// Traversal is a linear walk of one slab: no map iteration, no pointer
+// chasing, no per-version allocation.
 //
 // # Concurrency
 //
 // The graph has one writer and one write API: AdvanceEpoch, Insert,
 // Delete, Expire and the batch bracket, called from one goroutine (the
-// coordinator, in both of its schedules). It takes no locks. Readers
-// never run concurrently with a write: the pipelined coordinator writes
-// a whole batch before it hands the batch's epochs to its readers, and
-// closes the batch only after every reader has replied, so the hand-off
-// and the reply are the only happens-before edges the graph needs. Any
-// number of readers may run concurrently with each other.
+// coordinator). It takes no locks. Readers never run concurrently with
+// a write: the coordinator writes a whole batch before it hands the
+// batch's epochs to its readers, and closes the batch only after every
+// reader has replied, so the hand-off and the reply are the only
+// happens-before edges the graph needs. Any number of readers may run
+// concurrently with each other.
 //
 // Traversal is buffer-based: AppendOutAt/AppendInAt copy the visible
 // half-edges of one vertex side into a caller-owned buffer, so the
@@ -66,13 +69,17 @@ import (
 	"streamrpq/internal/stream"
 )
 
-// Epoch is a logical version of the graph. The writer advances it with
-// AdvanceEpoch; a reader holding epoch e observes exactly the edge
-// versions v with v.added <= e < v.removed.
-type Epoch uint64
+// Epoch is a logical version of the graph: the number of steps the open
+// batch has taken, 0 outside a batch. A reader holding epoch e observes
+// exactly the edge versions v with v.added <= e < v.removed.
+type Epoch uint32
 
-// liveEpoch marks a version that has not been superseded or removed.
-const liveEpoch = Epoch(math.MaxUint64)
+// liveEpoch marks a version that has not been superseded or removed;
+// maxEpoch is the last step a batch may take.
+const (
+	liveEpoch = Epoch(math.MaxUint32)
+	maxEpoch  = liveEpoch - 1
+)
 
 // Edge is one labeled, timestamped edge of the snapshot graph.
 type Edge struct {
@@ -97,13 +104,12 @@ type Graph struct {
 	epoch    Epoch // current (writer) epoch
 	numEdges int   // edges live at the current epoch
 
-	// open is set between BeginBatch and EndBatch; floor is then the
-	// batch's first epoch, the oldest any of its readers reads. pending
-	// queues the keys whose superseded versions the open batch keeps,
-	// for EndBatch to prune.
+	// open is set between BeginBatch and EndBatch. pending queues the
+	// keys the open batch wrote after its first step, for EndBatch to
+	// settle; vers is the arena of the versions they superseded.
 	open    bool
-	floor   Epoch
 	pending []stream.EdgeKey
+	vers    []version
 
 	// fifo holds insertion records in arrival order. Stream timestamps
 	// are non-decreasing, so expiry pops from the front. Entries are
@@ -125,61 +131,60 @@ func New() *Graph { return &Graph{} }
 // Epoch returns the current writer epoch.
 func (g *Graph) Epoch() Epoch { return g.epoch }
 
-// AdvanceEpoch moves the writer to the next epoch and returns it.
-// Mutations applied afterwards are invisible to readers holding earlier
-// epochs.
+// AdvanceEpoch moves the writer to the open batch's next step and
+// returns its epoch. Mutations applied afterwards are invisible to
+// readers holding earlier epochs. It panics outside a batch and past
+// maxEpoch steps in one batch.
 func (g *Graph) AdvanceEpoch() Epoch {
+	if !g.open {
+		panic("graph: AdvanceEpoch outside a batch")
+	}
+	if g.epoch == maxEpoch {
+		panic("graph: more than 2^32-2 steps in one batch")
+	}
 	g.epoch++
 	return g.epoch
 }
 
-// BeginBatch opens a batch whose first step is the next epoch
-// (Epoch()+1). Until EndBatch, every version visible at that epoch or
-// later is kept, so readers may read any epoch of the batch once the
-// writer has written all of it.
-func (g *Graph) BeginBatch() { g.open, g.floor = true, g.epoch+1 }
+// BeginBatch opens a batch at epoch 0; its first step is epoch 1. Until
+// EndBatch every version one of its steps can see is kept, so readers
+// may read any epoch of the batch once the writer has written all of it.
+func (g *Graph) BeginBatch() { g.open = true }
 
-// EndBatch closes the batch once its readers are done and drops every
-// version the batch superseded, so DeadVersions is 0 between batches.
+// EndBatch closes the batch once its readers are done: it settles every
+// key the batch wrote, empties the arena and restarts the epoch at 0, so
+// DeadVersions is 0 between batches.
 func (g *Graph) EndBatch() {
-	g.open = false
 	for _, key := range g.pending {
-		g.pruneSide(true, key.Src, key.Dst, key.Label)
-		g.pruneSide(false, key.Dst, key.Src, key.Label)
+		g.settle(true, key.Src, key.Dst, key.Label)
+		g.settle(false, key.Dst, key.Src, key.Label)
 	}
 	g.pending = g.pending[:0]
+	g.vers = g.vers[:0]
+	g.open, g.epoch = false, 0
 }
 
-// minReader returns the oldest epoch a reader can still read: the open
-// batch's floor, or the current epoch between batches. Versions removed
-// at or before it are unobservable forever.
-func (g *Graph) minReader() Epoch {
-	if g.open && g.floor < g.epoch {
-		return g.floor
-	}
-	return g.epoch
-}
-
-// pruneSide drops every version of one adjacency cell that is not live
-// at the current epoch.
-func (g *Graph) pruneSide(out bool, v, other stream.VertexID, label stream.LabelID) {
+// settle folds one cell the batch wrote back to epoch 0: a live cell
+// loses its superseded versions, a dead one leaves the slab. A key
+// written twice is settled by its first entry.
+func (g *Graph) settle(out bool, v, other stream.VertexID, label stream.LabelID) {
 	s := g.tab.slab(out, v)
-	if s == nil {
-		return
-	}
 	idx := s.find(other, label)
 	if idx < 0 {
 		return
 	}
-	pe := &s.edges[idx]
-	if s.absRemoved(pe) <= g.epoch {
-		// The newest version is dead, so every older one is too.
-		s.freeChain(pe)
+	if pe := &s.edges[idx]; pe.removed == liveEpoch {
+		pe.added, pe.prev = 0, -1
+	} else {
 		s.swapRemove(idx)
-		return
 	}
-	s.pruneOvf(pe, g.epoch)
 }
+
+// keep reports whether a write must keep what it supersedes: past the
+// open batch's first step, where the readers of earlier steps may still
+// read it. No reader reads epoch 0, so a write at epoch 1, like every
+// write outside a batch, is in place.
+func (g *Graph) keep() bool { return g.epoch > 1 }
 
 // NumEdges returns the number of distinct (src,dst,label) edges live at
 // the current epoch.
@@ -198,76 +203,108 @@ func (g *Graph) NumVertices() int {
 // version stays visible to readers of earlier epochs). It reports
 // whether the edge was new.
 func (g *Graph) Insert(src, dst stream.VertexID, label stream.LabelID, ts int64) bool {
-	epoch, minR := g.epoch, g.minReader()
 	g.tab.grow(max(src, dst))
-	wasLive := g.tab.editSide(true, src, dst, label, ts, false, epoch, minR)
-	g.tab.editSide(false, dst, src, label, ts, false, epoch, minR)
+	wasLive := g.editSide(true, src, dst, label, ts, false)
+	g.editSide(false, dst, src, label, ts, false)
 
 	key := stream.EdgeKey{Src: src, Dst: dst, Label: label}
 	if !wasLive {
 		g.numEdges++
-	} else if minR < epoch {
-		// The superseded version stays visible to the open batch's
-		// earlier epochs; EndBatch drops it.
+	}
+	if g.keep() {
 		g.pending = append(g.pending, key)
 	}
 	g.fifo = append(g.fifo, fifoEntry{key: key, ts: ts})
 	return !wasLive
 }
 
-// upsert installs a new inline version for (other,label) in the slab
-// and reports whether a live version was superseded. A superseded or
-// tombstoned previous version is pushed to the overflow arena iff a
-// reader at an epoch below its removal may still observe it (removal
-// epoch > minR); otherwise it is dropped on the spot — the unversioned
-// fast path that makes the zero-epoch discipline cost what the
-// pre-epoch graph did.
-func (s *slab) upsert(other stream.VertexID, label stream.LabelID, ts int64, epoch, minR Epoch) bool {
-	// Resolve the delta first: a rebase here may compact the slab, so
-	// the cell index must be looked up afterwards.
-	ad := s.deltaFor(epoch, minR)
-	idx := s.find(other, label)
-	if idx < 0 {
-		s.appendEdge(packedEdge{
-			ts: ts, other: uint32(other), label: int32(label),
-			added: ad, removed: liveDelta, ovf: -1,
-		})
-		return false
-	}
-	pe := &s.edges[idx]
-	wasLive := pe.removed == liveDelta
-	oldRemoved := s.absRemoved(pe)
-	if wasLive {
-		oldRemoved = epoch
-	}
-	if oldRemoved > minR {
-		s.pushOvf(pe, ovfVersion{ts: pe.ts, added: s.absAdded(pe), removed: oldRemoved})
-	}
-	s.pruneOvf(pe, minR)
-	pe.ts = ts
-	pe.added = ad
-	pe.removed = liveDelta
-	return wasLive
-}
-
 // Delete removes the edge identified by key at the current epoch
 // (readers of earlier epochs keep seeing it). It reports whether the
 // edge was live.
 func (g *Graph) Delete(key stream.EdgeKey) bool {
-	epoch, minR := g.epoch, g.minReader()
 	if int(key.Src) >= len(g.tab.out) || int(key.Dst) >= len(g.tab.in) {
 		return false
 	}
 	// The out side decides liveness.
-	if !g.tab.editSide(true, key.Src, key.Dst, key.Label, 0, true, epoch, minR) {
+	if !g.editSide(true, key.Src, key.Dst, key.Label, 0, true) {
 		return false
 	}
-	g.tab.editSide(false, key.Dst, key.Src, key.Label, 0, true, epoch, minR)
+	g.editSide(false, key.Dst, key.Src, key.Label, 0, true)
 	g.numEdges--
-	if minR < epoch {
+	if g.keep() {
 		g.pending = append(g.pending, key)
 	}
 	return true
+}
+
+// editSide applies one half of an edge mutation to vertex v's out slab
+// (out) or in slab, which must be within the table, and reports whether
+// (other,label) had a live version before the edit. An insert creates
+// the slab on first use. Unless the write must keep what it supersedes
+// (keep), the edit is in place: a refresh overwrites the cell and a
+// delete swap-removes it. Otherwise a refresh chains the superseded
+// version into the arena and stamps the new one with the epoch, and a
+// delete leaves a tombstone; EndBatch settles both.
+func (g *Graph) editSide(out bool, v, other stream.VertexID, label stream.LabelID, ts int64, del bool) bool {
+	side := g.tab.in
+	if out {
+		side = g.tab.out
+	}
+	s := side[v]
+	if s == nil {
+		if del {
+			return false
+		}
+		s = &slab{}
+		side[v] = s
+	}
+	keep := g.keep()
+	var added Epoch
+	if keep {
+		added = g.epoch
+	}
+	idx := s.find(other, label)
+	if idx < 0 {
+		if !del {
+			s.appendEdge(packedEdge{ts: ts, other: uint32(other), label: int32(label), added: added, removed: liveEpoch, prev: -1})
+		}
+		return false
+	}
+	pe := &s.edges[idx]
+	wasLive := pe.removed == liveEpoch
+	switch {
+	case del && !wasLive:
+	case del && keep:
+		pe.removed = g.epoch
+	case del:
+		s.swapRemove(idx)
+	default:
+		if keep {
+			removed := pe.removed
+			if wasLive {
+				removed = g.epoch
+			}
+			g.vers = append(g.vers, version{ts: pe.ts, added: pe.added, removed: removed, next: pe.prev})
+			pe.prev = int32(len(g.vers) - 1)
+		}
+		pe.ts, pe.added, pe.removed = ts, added, liveEpoch
+	}
+	return wasLive
+}
+
+// versionAt returns the timestamp of the cell's version visible at epoch
+// e. Version intervals are disjoint, so chain order is irrelevant for
+// correctness.
+func (g *Graph) versionAt(pe *packedEdge, e Epoch) (int64, bool) {
+	if pe.added <= e && e < pe.removed {
+		return pe.ts, true
+	}
+	for cur := pe.prev; cur >= 0; cur = g.vers[cur].next {
+		if v := &g.vers[cur]; v.added <= e && e < v.removed {
+			return v.ts, true
+		}
+	}
+	return 0, false
 }
 
 // tsAt returns the timestamp of the edge visible at epoch e.
@@ -280,7 +317,7 @@ func (g *Graph) tsAt(key stream.EdgeKey, e Epoch) (int64, bool) {
 	if idx < 0 {
 		return 0, false
 	}
-	return s.versionAt(&s.edges[idx], e)
+	return g.versionAt(&s.edges[idx], e)
 }
 
 // TS returns the timestamp of the edge live at the current epoch and
@@ -310,7 +347,7 @@ func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, want []bool, af
 		if want != nil && (uint32(pe.label) >= uint32(len(want)) || !want[pe.label]) {
 			continue
 		}
-		if ts, ok := s.versionAt(pe, e); ok && ts > after {
+		if ts, ok := g.versionAt(pe, e); ok && ts > after {
 			buf = append(buf, HalfEdge{V: stream.VertexID(pe.other), L: stream.LabelID(pe.label), TS: ts})
 		}
 	}
@@ -415,10 +452,10 @@ func (g *Graph) Expire(deadline int64, onRemove func(e Edge)) int {
 	return removed
 }
 
-// DeadVersions returns the number of retained versions that are not
-// live at the current epoch — superseded or tombstoned versions kept
+// DeadVersions returns the number of retained edge versions that are
+// not live at the current epoch — tombstones and arena versions kept
 // only for the open batch's readers. It is 0 between batches (the
-// compaction invariant the epoch tests assert).
+// invariant the epoch tests assert).
 func (g *Graph) DeadVersions() int {
 	n := 0
 	for _, s := range g.tab.out {
@@ -427,10 +464,10 @@ func (g *Graph) DeadVersions() int {
 		}
 		for i := range s.edges {
 			pe := &s.edges[i]
-			if pe.removed != liveDelta {
+			if pe.removed != liveEpoch {
 				n++
 			}
-			for cur := pe.ovf; cur >= 0; cur = s.ovf[cur].next {
+			for cur := pe.prev; cur >= 0; cur = g.vers[cur].next {
 				n++
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // Snapshot file format (snap-<G>.ckpt):
 //
 //	magic    "SRPQSNAP"      8 bytes
-//	version  uint8           currently 2
+//	version  uint8           currently 4 (snapVersion)
 //	payload  varint-encoded sections (see encodeSnapshot)
 //	crc32    uint32 LE       IEEE, over magic+version+payload
 //
@@ -52,7 +52,7 @@ const (
 type Snapshot struct {
 	Gen            uint64
 	Spec           window.Spec
-	Sharded        bool
+	Sharded        bool // format v4 keeps the byte: the facade writes Shards > 1, recovery reads Shards
 	Shards         int
 	Sharing        bool     // format v4's sharing flag; the facade writes true and ignores it on recovery
 	Queries        []string // source expressions, registration order

@@ -61,7 +61,7 @@ func TestReplayRing(t *testing.T) {
 
 // newTestServer builds a server over a fresh evaluator and registers
 // cleanup that unblocks any remaining subscriber handlers.
-func newTestServer(t testing.TB, cfg BrokerConfig, shards, depth int, queries ...string) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg BrokerConfig, shards int, queries ...string) (*Server, *httptest.Server) {
 	t.Helper()
 	qs := make([]*streamrpq.Query, len(queries))
 	for i, src := range queries {
@@ -70,11 +70,6 @@ func newTestServer(t testing.TB, cfg BrokerConfig, shards, depth int, queries ..
 	ev, err := streamrpq.NewMultiEvaluator(1000, 100, qs...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if depth > 0 {
-		if err := ev.WithPipelineDepth(depth); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if shards > 0 {
 		if err := ev.WithShards(shards); err != nil {
@@ -173,21 +168,22 @@ func lineToken(t testing.TB, line string) string {
 // TestSubscribeReattachByteIdentical: a subscriber that detaches at
 // random kill points and reattaches with ?from=<last token> must read
 // the byte-identical stream of an uninterrupted subscriber — matches
-// and invalidations, across the inline and pipelined schedules on
-// append-only and churn streams.
+// and invalidations, at one shard and eight on append-only and churn
+// streams. The depth=2 segments name a retired pipeline-depth axis,
+// kept so the subtest names stay stable.
 func TestSubscribeReattachByteIdentical(t *testing.T) {
 	configs := []struct {
-		name          string
-		shards, depth int
+		name   string
+		shards int
 	}{
-		{"inline", 0, 0},
-		{"shards=1/depth=2", 1, 2},
-		{"shards=8/depth=2", 8, 2},
+		{"inline", 0},
+		{"shards=1/depth=2", 1},
+		{"shards=8/depth=2", 8},
 	}
 	for _, churn := range []bool{false, true} {
 		for _, cfg := range configs {
 			t.Run(fmt.Sprintf("churn=%v/%s", churn, cfg.name), func(t *testing.T) {
-				_, hs := newTestServer(t, BrokerConfig{}, cfg.shards, cfg.depth, "(a/b)+", "a/b*")
+				_, hs := newTestServer(t, BrokerConfig{}, cfg.shards, "(a/b)+", "a/b*")
 				rng := rand.New(rand.NewSource(7))
 				var ts int64
 				var inserted []string
@@ -246,7 +242,7 @@ func TestSubscribeReattachByteIdentical(t *testing.T) {
 func TestSubscribeLiveMatchesReplay(t *testing.T) {
 	// Large subscriber buffer: the live reader must never be evicted,
 	// even when the race detector slows it down.
-	_, hs := newTestServer(t, BrokerConfig{SubscriberBuffer: 1 << 15}, 4, 2, "(a/b)+", "a/b*")
+	_, hs := newTestServer(t, BrokerConfig{SubscriberBuffer: 1 << 15}, 4, "(a/b)+", "a/b*")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -300,7 +296,7 @@ func TestSubscribeLiveMatchesReplay(t *testing.T) {
 // TestResumeTokenBounds: tokens beyond the replay window answer 410
 // Gone; tokens ahead of the stream answer 400.
 func TestResumeTokenBounds(t *testing.T) {
-	_, hs := newTestServer(t, BrokerConfig{ReplayWindow: 4}, 0, 0, "a/b")
+	_, hs := newTestServer(t, BrokerConfig{ReplayWindow: 4}, 0, "a/b")
 	rng := rand.New(rand.NewSource(5))
 	var ts int64
 	total := 0
@@ -507,7 +503,7 @@ func TestSubscribeGoneNamesFloor(t *testing.T) {
 // effect without restarting ingest, their results reach pattern- and
 // id-filtered subscribers, and DELETE stops the flow.
 func TestOnlineQueriesHTTP(t *testing.T) {
-	_, hs := newTestServer(t, BrokerConfig{}, 4, 2, "a/b")
+	_, hs := newTestServer(t, BrokerConfig{}, 4, "a/b")
 	rng := rand.New(rand.NewSource(9))
 	var ts int64
 	postIngest(t, hs.URL, tupleLines(rng, &ts, 40))
@@ -706,7 +702,7 @@ func TestSubscriberStress(t *testing.T) {
 	// the run, large enough that a healthy reader can never overflow:
 	// the drain barrier below keeps healthy lag under one batch, and no
 	// batch in this workload comes near 64 records.
-	srv, hs := newTestServer(t, BrokerConfig{SubscriberBuffer: 64}, 4, 2, "a/b")
+	srv, hs := newTestServer(t, BrokerConfig{SubscriberBuffer: 64}, 4, "a/b")
 	broker := srv.Broker()
 
 	// The stalled consumer: attached directly at the broker, never read.

@@ -33,9 +33,9 @@ func refreshTuples(rng *rand.Rand, n int) []stream.Tuple {
 
 // runPipeline drives one engine configuration over the stream and
 // returns the full merged result sequence (stream-global tuple indices).
-func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream.Tuple, shards, depth, batch int) []Result {
+func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream.Tuple, shards, batch int) []Result {
 	t.Helper()
-	s, err := New(spec, WithShards(shards), WithPipelineDepth(depth))
+	s, err := New(spec, WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,45 +46,42 @@ func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream
 		}
 	}
 	all := runGlobal(t, s, tuples, batch)
-	assertQuiesced(t, s, fmt.Sprintf("shards=%d depth=%d, after drain", shards, depth))
+	assertQuiesced(t, s, fmt.Sprintf("shards=%d batch=%d, after drain", shards, batch))
 	return all
 }
 
-// assertQuiesced: between batches every superseded version is
-// compacted, or checkpoints (and memory) would accumulate pipeline
-// residue.
+// assertQuiesced: between batches every superseded version is gone and
+// the graph's epoch is back at 0, or checkpoints (and memory) would
+// accumulate batch residue.
 func assertQuiesced(t *testing.T, s *Engine, when string) {
 	t.Helper()
-	if n := s.Graph().DeadVersions(); n != 0 {
-		t.Fatalf("%s: %d dead versions retained", when, n)
+	if n, e := s.Graph().DeadVersions(), s.Graph().Epoch(); n != 0 || e != 0 {
+		t.Fatalf("%s: %d dead versions retained at epoch %d", when, n, e)
 	}
 }
 
-// TestPipelinedByteIdenticalAcrossDepths is the pipelining acceptance
-// differential on append-only streams with long timestamp tie-groups,
-// frequent re-insertion refreshes and regular expiry passes: at shards
-// 1/2/8 × pipeline depths 1/2/4 × batch sizes 17/64 the merged result
-// stream, with stream-global tuple indices, must be byte-identical to
-// the inline schedule's tuple-at-a-time one (one shard at depth 1 is
-// the inline schedule itself). The baseline is further cross-checked
-// against the sequential core.Multi oracle per query.
-func TestPipelinedByteIdenticalAcrossDepths(t *testing.T) {
+// TestPipelinedByteIdenticalAcrossShards is the shard-count acceptance
+// differential on append-only streams with long timestamp
+// tie-groups, frequent re-insertion refreshes and regular expiry passes:
+// at shards 1/2/8 × batch sizes 17/64 the merged result stream, with
+// stream-global tuple indices, must be byte-identical to the one-shard
+// engine's at batch size 1, a tuple at a time. The baseline is further
+// cross-checked against the sequential core.Multi oracle per query.
+func TestPipelinedByteIdenticalAcrossShards(t *testing.T) {
 	exprs := []string{"(a/b)+", "a/b*", "(a|b)+", "a*"}
 	spec := window.Spec{Size: 20, Slide: 4}
 	tuples := refreshTuples(rand.New(rand.NewSource(4242)), 900)
 
-	ref := runPipeline(t, spec, exprs, tuples, 1, 1, 1)
+	ref := runPipeline(t, spec, exprs, tuples, 1, 1)
 	if len(ref) == 0 {
 		t.Fatal("no results produced; test is vacuous")
 	}
 	for _, batch := range []int{17, 64} {
 		for _, shards := range []int{1, 2, 8} {
-			for _, depth := range []int{1, 2, 4} {
-				got := runPipeline(t, spec, exprs, tuples, shards, depth, batch)
-				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("shards=%d depth=%d batch=%d: result stream diverged from the inline one (%d vs %d results)",
-						shards, depth, batch, len(got), len(ref))
-				}
+			got := runPipeline(t, spec, exprs, tuples, shards, batch)
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("shards=%d batch=%d: result stream diverged from the tuple-at-a-time one (%d vs %d results)",
+					shards, batch, len(got), len(ref))
 			}
 		}
 	}
@@ -116,20 +113,21 @@ func TestPipelinedByteIdenticalAcrossDepths(t *testing.T) {
 	}
 }
 
-// TestPipelinedEqualsInlineExactly: every step of the pipelined schedule
-// reads the graph at its own epoch — the sequential prefix as of its
-// tuple — so on churn streams (timestamp ties, 20% deletions,
-// re-insertions) its result stream equals the inline one record for
-// record, tuple attribution included, at every shard count, pipeline
-// depth and batch size, and so do the counters. InsertCalls is left out:
-// it counts timestamp improvements, whose number depends on adjacency
-// order, and the versioned graph compacts a deleted edge's cell when the
-// batch closes instead of at once, which can reorder a vertex's
-// adjacency.
+// TestPipelinedEqualsInlineExactly: every step of a batch reads the
+// graph at its own epoch — the sequential prefix as of its tuple — and
+// the graph's write path does not depend on the shard count, so on churn
+// streams (timestamp ties, 20% deletions, re-insertions) the 2- and
+// 3-shard engines' result streams equal the one-shard engine's record
+// for record, tuple attribution included, at every batch size, and so
+// does every counter but the wall-clock ExpiryTime — InsertCalls
+// included. InsertCalls still depends on the batch size: it counts
+// timestamp improvements, whose number depends on adjacency order, and
+// EndBatch compacts deleted cells at batch ends, so where the batches
+// end reorders a vertex's adjacency. Each batch size is therefore
+// compared with the one-shard engine at that batch size.
 func TestPipelinedEqualsInlineExactly(t *testing.T) {
 	exprs := []string{"(a/b)+", "a/b*", "(a/b)+", "a|(a/b*)", "(a|b)+", "c*"}
 	spec := window.Spec{Size: 25, Slide: 5}
-	configs := []struct{ shards, depth int }{{2, 2}, {3, 4}, {1, 2}}
 	run := func(tuples []stream.Tuple, batch int, opts ...Option) ([]Result, core.Stats) {
 		s, err := New(spec, opts...)
 		if err != nil {
@@ -144,24 +142,24 @@ func TestPipelinedEqualsInlineExactly(t *testing.T) {
 		all := runGlobal(t, s, tuples, batch)
 		assertQuiesced(t, s, "after the stream")
 		st := s.Stats()
-		st.ExpiryTime, st.InsertCalls = 0, 0
+		st.ExpiryTime = 0
 		return all, st
 	}
 	invals := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		tuples := randomTuples(rand.New(rand.NewSource(seed)), 300, 8, 3, 1, 0.20)
-		want, wantStats := run(tuples, 1, inlineOpts...)
-		for _, r := range want {
-			if r.Invalidated {
-				invals++
+		for _, batch := range []int{1, 17, 64} {
+			want, wantStats := run(tuples, batch, inlineOpts...)
+			for _, r := range want {
+				if r.Invalidated {
+					invals++
+				}
 			}
-		}
-		for _, c := range configs {
-			for _, batch := range []int{1, 17, 64} {
-				got, gotStats := run(tuples, batch, WithShards(c.shards), WithPipelineDepth(c.depth))
+			for _, shards := range []int{2, 3} {
+				got, gotStats := run(tuples, batch, WithShards(shards))
 				if gotStats != wantStats {
-					t.Fatalf("seed %d shards=%d depth=%d batch=%d: counters differ:\ninline    %+v\npipelined %+v",
-						seed, c.shards, c.depth, batch, wantStats, gotStats)
+					t.Fatalf("seed %d shards=%d batch=%d: counters differ:\none shard %+v\nsharded   %+v",
+						seed, shards, batch, wantStats, gotStats)
 				}
 				if reflect.DeepEqual(want, got) {
 					continue
@@ -170,8 +168,8 @@ func TestPipelinedEqualsInlineExactly(t *testing.T) {
 				for i < min(len(want), len(got)) && want[i] == got[i] {
 					i++
 				}
-				t.Fatalf("seed %d shards=%d depth=%d batch=%d: %d vs %d records, first difference at record %d:\ninline    %+v\npipelined %+v",
-					seed, c.shards, c.depth, batch, len(want), len(got), i, want[i:min(i+1, len(want))], got[i:min(i+1, len(got))])
+				t.Fatalf("seed %d shards=%d batch=%d: %d vs %d records, first difference at record %d:\none shard %+v\nsharded   %+v",
+					seed, shards, batch, len(want), len(got), i, want[i:min(i+1, len(want))], got[i:min(i+1, len(got))])
 			}
 		}
 	}
@@ -180,8 +178,8 @@ func TestPipelinedEqualsInlineExactly(t *testing.T) {
 	}
 }
 
-// TestPipelinedBatchAllocs pins what a steady-state pipelined batch of
-// 32 tuples at two shards allocates. A lasting edge 0 -a-> 1 keeps one
+// TestPipelinedBatchAllocs pins what a steady-state batch of 32 tuples
+// at two shards allocates. A lasting edge 0 -a-> 1 keeps one
 // tree per group alive; every batch then inserts 16 edges 1 -b-> k and
 // deletes them again, so each one writes and retires graph versions
 // inside its batch bracket, dispatches to both shards, emits matches and
@@ -227,16 +225,15 @@ func TestPipelinedBatchAllocs(t *testing.T) {
 		}
 	})
 	if avg > 0 {
-		t.Errorf("a pipelined %d-tuple batch allocates %.1f times, want 0", n, avg)
+		t.Errorf("a two-shard %d-tuple batch allocates %.1f times, want 0", n, avg)
 	}
 }
 
 // TestPipelinedDeletionHazards: with explicit deletions in the stream
-// the pipelined engine at any shard count and depth agrees with a
-// standalone sequential RAPQ engine on the pairs ever matched, every
-// invalidation retracts a matched pair, and the member's invariants hold
-// at every batch boundary (the record-for-record contract is
-// TestPipelinedEqualsInlineExactly's).
+// the engine at any shard count agrees with a standalone sequential RAPQ
+// engine on the pairs ever matched, every invalidation retracts a
+// matched pair, and the member's invariants hold at every batch boundary
+// (the record-for-record contract is TestPipelinedEqualsInlineExactly's).
 func TestPipelinedDeletionHazards(t *testing.T) {
 	spec := window.Spec{Size: 25, Slide: 5}
 	tuples := randomTuples(rand.New(rand.NewSource(616)), 700, 7, 2, 1, 0.15)
@@ -248,35 +245,33 @@ func TestPipelinedDeletionHazards(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 8} {
-		for _, depth := range []int{2, 4} {
-			got := core.NewCollector()
-			s, err := New(spec, WithShards(shards), WithPipelineDepth(depth))
-			if err != nil {
+		got := core.NewCollector()
+		s, err := New(spec, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		member, err := s.Add(bind(t, "(a/b)+", "a", "b"), got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches(tuples, 23) {
+			if _, err := s.ProcessBatch(b); err != nil {
 				t.Fatal(err)
 			}
-			member, err := s.Add(bind(t, "(a/b)+", "a", "b"), got)
-			if err != nil {
-				t.Fatal(err)
+			if err := member.CheckInvariants(); err != nil {
+				t.Fatalf("shards=%d: %v", shards, err)
 			}
-			for _, b := range batches(tuples, 23) {
-				if _, err := s.ProcessBatch(b); err != nil {
-					t.Fatal(err)
-				}
-				if err := member.CheckInvariants(); err != nil {
-					t.Fatalf("shards=%d depth=%d: %v", shards, depth, err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref.Pairs(), got.Pairs()) {
-				t.Fatalf("shards=%d depth=%d: pair sets differ from sequential oracle", shards, depth)
-			}
-			pairs := got.Pairs()
-			for _, inval := range got.Retract {
-				if _, ok := pairs[core.Pair{From: inval.From, To: inval.To}]; !ok {
-					t.Fatalf("shards=%d depth=%d: invalidated pair %v was never matched", shards, depth, inval)
-				}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref.Pairs(), got.Pairs()) {
+			t.Fatalf("shards=%d: pair sets differ from sequential oracle", shards)
+		}
+		pairs := got.Pairs()
+		for _, inval := range got.Retract {
+			if _, ok := pairs[core.Pair{From: inval.From, To: inval.To}]; !ok {
+				t.Fatalf("shards=%d: invalidated pair %v was never matched", shards, inval)
 			}
 		}
 	}
@@ -301,7 +296,7 @@ func TestMultiWriterOracle(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		for _, writers := range []int{2, 8} {
 			got := core.NewCollector()
-			s, err := New(spec, WithShards(shards), WithPipelineDepth(2), WithWriters(writers))
+			s, err := New(spec, WithShards(shards), WithWriters(writers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,10 +330,10 @@ func TestMultiWriterOracle(t *testing.T) {
 }
 
 // TestPipelinedSnapshotEpochFree: a mid-stream checkpoint taken from a
-// four-shard pipelined engine is identical to one taken from the inline
-// engine at the same batch boundary — the on-disk state folds the
-// version intervals away and carries no epoch residue — and restoring
-// it into another pipelined engine continues the stream byte-identically,
+// four-shard engine is identical to one taken from a one-shard engine at
+// the same batch boundary — the on-disk state is the settled edge set
+// and carries no epoch residue — and restoring it into another
+// multi-shard engine continues the stream byte-identically,
 // whatever groups registration had formed there. The restore keeps the
 // snapshot's query→group layout whichever sharing mode either engine
 // runs: a shared layout restored all-private leaves one of its
@@ -382,28 +377,28 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 		{"private-into-shared", false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			deep, flat := mkEngine(c.writeShared, WithShards(4), WithPipelineDepth(4)), mkEngine(c.writeShared, inlineOpts...)
+			deep, flat := mkEngine(c.writeShared, WithShards(4)), mkEngine(c.writeShared, inlineOpts...)
 			run(deep, tuples[:half])
 			run(flat, tuples[:half])
 			deepState, flatState := deep.SnapshotState(), flat.SnapshotState()
 			// The canonical parts of the checkpoint — the folded graph, the
 			// clocks, the tuple counters — are a pure function of the stream
-			// prefix and must not depend on the schedule. (Tree shapes
+			// prefix and must not depend on the shard count. (Tree shapes
 			// and cost counters are map-iteration dependent even sequentially
 			// and are deliberately not compared; results below are.)
 			if !reflect.DeepEqual(deepState.Edges, flatState.Edges) {
-				t.Fatal("folded graph differs between the schedules at the same batch boundary")
+				t.Fatal("folded graph differs between the shard counts at the same batch boundary")
 			}
 			if deepState.Now != flatState.Now || deepState.Seen != flatState.Seen ||
 				deepState.Dropped != flatState.Dropped || deepState.Win != flatState.Win {
-				t.Fatal("coordinator clocks differ between the schedules at the same batch boundary")
+				t.Fatal("coordinator clocks differ between the shard counts at the same batch boundary")
 			}
 			wantGroups := flat.Stats().Groups
 			wantTail := run(flat, tuples[half:])
 			flat.Close()
 			deep.Close()
 
-			restored := mkEngine(c.readShared, WithShards(4), WithPipelineDepth(2))
+			restored := mkEngine(c.readShared, WithShards(3))
 			if err := restored.RestoreState(deepState); err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +419,7 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 
 // TestEpochGCFoldsToUnversionedGraph is the epoch-GC compaction
 // property at the engine level: after a churn stream (expiry,
-// deletions, re-insertions) through the deeply pipelined engine, the
+// deletions, re-insertions) through a four-shard engine, the
 // serialized graph state — core.SnapshotEdges, exactly what
 // SnapshotState records on disk — must be byte-identical to that of
 // the never-versioned graph of the reference core.Multi coordinator
@@ -440,7 +435,7 @@ func TestEpochGCFoldsToUnversionedGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(spec, WithShards(4), WithPipelineDepth(4))
+		s, err := New(spec, WithShards(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,12 +485,12 @@ func (f *faultyMember) ApplyInsert(t stream.Tuple) {
 }
 
 // TestStickyWorkerError: a panic in a member engine — on a shard
-// goroutine or inline on the caller — must not crash the process or
-// wedge the pipeline; it surfaces as the sticky engine error from
+// goroutine or on the caller's, as shard 0 — must not crash the process
+// or wedge the engine; it surfaces as the sticky engine error from
 // ProcessBatch, poisons subsequent calls, and is reported again by
 // Close and Err.
 func TestStickyWorkerError(t *testing.T) {
-	t.Run("pipelined", func(t *testing.T) { stickyWorkerError(t, WithShards(2), WithPipelineDepth(2)) })
+	t.Run("pipelined", func(t *testing.T) { stickyWorkerError(t, WithShards(2)) })
 	t.Run("inline", func(t *testing.T) { stickyWorkerError(t, inlineOpts...) })
 }
 
@@ -559,8 +554,9 @@ func TestStickyErrorFromProcess(t *testing.T) {
 	}
 }
 
-// TestPipelineOptionValidation covers the new option's guard rails and
-// the accessor.
+// TestPipelineOptionValidation: the deprecated WithPipelineDepth still
+// rejects n <= 0 and otherwise changes nothing: one shard stays on the
+// caller's goroutine.
 func TestPipelineOptionValidation(t *testing.T) {
 	if _, err := New(window.Spec{Size: 10, Slide: 1}, WithPipelineDepth(0)); err == nil {
 		t.Fatal("zero pipeline depth accepted")
@@ -568,26 +564,11 @@ func TestPipelineOptionValidation(t *testing.T) {
 	if _, err := New(window.Spec{Size: 10, Slide: 1}, WithPipelineDepth(-3)); err == nil {
 		t.Fatal("negative pipeline depth accepted")
 	}
-	s, err := New(window.Spec{Size: 10, Slide: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if d := s.PipelineDepth(); d != 2 {
-		t.Fatalf("default pipeline depth = %d, want 2", d)
-	}
-	s4, err := New(window.Spec{Size: 10, Slide: 1}, WithPipelineDepth(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s4.Close()
-	if d := s4.PipelineDepth(); d != 4 {
-		t.Fatalf("PipelineDepth = %d, want 4", d)
-	}
+	assertOneShardOnCaller(t, WithPipelineDepth(4))
 }
 
 // TestWritersOptionValidation: the deprecated WithWriters still rejects
-// n <= 0 and otherwise leaves the schedule alone.
+// n <= 0 and otherwise changes nothing.
 func TestWritersOptionValidation(t *testing.T) {
 	if _, err := New(window.Spec{Size: 10, Slide: 1}, WithWriters(0)); err == nil {
 		t.Fatal("zero writer count accepted")
@@ -595,20 +576,27 @@ func TestWritersOptionValidation(t *testing.T) {
 	if _, err := New(window.Spec{Size: 10, Slide: 1}, WithWriters(-2)); err == nil {
 		t.Fatal("negative writer count accepted")
 	}
-	s, err := New(window.Spec{Size: 10, Slide: 1}, append(inlineOpts, WithWriters(4))...)
+	assertOneShardOnCaller(t, WithWriters(4))
+}
+
+// assertOneShardOnCaller: a one-shard engine built with opt has no
+// channel behind its shard.
+func assertOneShardOnCaller(t *testing.T, opt Option) {
+	t.Helper()
+	s, err := New(window.Spec{Size: 10, Slide: 1}, append(inlineOpts, opt)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Inline() {
-		t.Fatal("WithWriters(4) moved one shard at depth 1 off the inline schedule")
+	if w := s.workers[0]; s.NumShards() != 1 || w.in != nil || w.out != nil {
+		t.Fatal("a deprecated option moved the one shard off the caller's goroutine")
 	}
 }
 
 var _ core.MemberEngine = (*faultyMember)(nil)
 
 // TestAddDynamicInPlace: registration leaves nothing behind. On a
-// started pipelined retain-all engine AddDynamic returns with the new
+// started two-shard retain-all engine AddDynamic returns with the new
 // group built and attached and no graph batch open, a second equivalent
 // registration in the same inter-batch gap subscribes to that group,
 // the very next batch dispatches to it, and both subscribers emit

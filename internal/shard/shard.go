@@ -1,82 +1,72 @@
 // Package shard implements the multi-query RPQ coordinator (the
 // paper's §7 future-work direction): registration, shared Δ-index
 // groups, relevance dispatch, dynamic membership, retain-all mode and
-// snapshot/restore exist once, here, behind two schedules.
+// snapshot/restore exist once, here, behind one schedule.
 //
 // The window content G_{W,τ} is query independent, so the snapshot
 // graph and the window clock are owned by the coordinator; registered
-// queries are partitioned round-robin over N worker shards, each
-// owning the Δ spanning-tree indexes of its queries. Every group is one
-// sequential core.RAPQ: the coordinator's parallelism is across groups,
-// never inside one.
+// queries are partitioned round-robin over N shards, each owning the Δ
+// spanning-tree indexes of its queries. Every group is one sequential
+// core.RAPQ: the coordinator's parallelism is across groups, never
+// inside one.
 //
-// # Two schedules
+// # One schedule: every step reads its own epoch
 //
-// The configuration selects how a batch is run, not what it computes.
-// Both schedules run the same per-tuple coordinator step (graphStep):
-// count the tuple, expire the graph at a slide boundary, decide
-// relevance, mutate the graph through its one write API, note the
-// label clock. With one shard and pipeline depth 1 the engine is
-// inline: ProcessBatch runs on the caller's goroutine, tuple at a
-// time — the coordinator step, then the relevant groups — with no
-// worker goroutine and no channel, and never advances the graph epoch
-// (the unversioned fast path of internal/graph). Every other
-// configuration is pipelined: each shard runs on its own goroutine
-// and receives one job per batch, as the next section describes.
+// Every ProcessBatch runs the same path. The snapshot graph keeps
+// versions for one batch at a time (internal/graph). The coordinator
+// opens the graph's batch bracket and writes the whole batch through
+// graphStep, tuple by tuple — count the tuple, expire the graph at a
+// slide boundary, decide relevance, mutate the graph through its one
+// write API, note the label clock — advancing the epoch once per tuple
+// and once more between a slide-boundary expiry and the mutation of the
+// tuple that crossed it. Each step records the epoch after its tuple's
+// mutation: reading there, a member sees exactly the sequential prefix
+// G_{W,τi} of Definition 5, and an expiry pass, reading one epoch
+// earlier, sees the expired graph before the tuple arrives. Then shards
+// 1…n−1, each on its own goroutine, get the batch's steps as one job,
+// while the caller applies shard 0's groups itself; every shard applies
+// the steps in stream order, each at its own epoch, and produces its
+// records in canonical order. The coordinator k-way merges the replies
+// and closes the bracket. With one shard this starts no goroutine and
+// uses no channel, and shard 0 writes the engine's result buffer
+// directly.
 //
-// # Pipelined batches: every step reads its own epoch
+// The bracket closes once every shard has replied. Batch boundaries are
+// therefore the engine's globally consistent points: no batch is open,
+// the graph's epoch is 0 and no superseded version is left — exactly
+// where internal/persist takes its checkpoints (the checkpoint
+// serialization is the flat, epoch-free edge set), and where queries
+// join and leave (AddDynamic, RemoveDynamic) on the caller's goroutine.
 //
-// The snapshot graph is epoch-versioned (internal/graph). The pipelined
-// coordinator first writes the whole batch through graphStep, tuple by
-// tuple, advancing the epoch once per tuple and once more between a
-// slide-boundary expiry and the mutation of the tuple that crossed it.
-// Each step records the epoch after its tuple's mutation: reading there,
-// a member sees exactly the sequential prefix G_{W,τi} of Definition 5,
-// and an expiry pass, reading one epoch earlier, sees the expired graph
-// before the tuple arrives. Then every shard gets the batch's steps as
-// one job, applies them in stream order, each at its own epoch, and
-// replies with its records in canonical order; the coordinator k-way
-// merges the replies.
+// The coordinator is the graph's one writer, and it writes only while
+// no shard reads: the job send and the reply receive are the only
+// synchronization the graph needs.
 //
-// The coordinator brackets the batch with the graph's BeginBatch, before
-// the first write, and EndBatch, once every shard has replied: a refresh
-// or deletion drops a superseded version on the spot unless a batch is
-// open, so outside the bracket a later write would destroy the version
-// an earlier step still reads. Batch boundaries are therefore the
-// engine's globally consistent points: no batch is open and every
-// superseded version is compacted — exactly where internal/persist takes
-// its checkpoints (the checkpoint serialization folds the version
-// intervals back into a flat, epoch-free graph), and where queries join
-// and leave (AddDynamic, RemoveDynamic) on the caller's goroutine.
-//
-// The coordinator is the graph's one writer in both schedules, and it
-// writes only while no shard reads: the job send and the reply receive
-// are the only synchronization the graph needs.
-//
-// Since each step reads what the inline schedule reads when it applies
-// the same tuple, the pipelined schedule produces the inline result
-// stream (and that of the tuple-at-a-time reference coordinator
-// core.Multi) record for record, tuple attribution included, at any
-// shard count and batch size — on arbitrary update streams, explicit
-// deletions included. The member engines emit on liveness transitions
-// backed by support counting (a match exactly when a (root, v) pair
-// gains its first in-window final-state witness, an invalidation exactly
-// when a deletion removes the last one), so the full result stream —
-// invalidations and their multiplicities included — is a pure function
-// of the input stream, independent of incidental spanning-tree shape,
-// of which shard owns a group and of how the stream is cut into
-// batches. Both schedules return results in one canonical order (tuple
+// Since each step reads the sequential prefix as of its tuple, the
+// result stream equals that of the tuple-at-a-time reference
+// coordinator core.Multi record for record, tuple attribution included,
+// at any shard count and batch size — on arbitrary update streams,
+// explicit deletions included. The member engines emit on liveness
+// transitions backed by support counting (a match exactly when a
+// (root, v) pair gains its first in-window final-state witness, an
+// invalidation exactly when a deletion removes the last one), so the
+// full result stream — invalidations and their multiplicities included
+// — is a pure function of the input stream, independent of incidental
+// spanning-tree shape, of which shard owns a group and of how the
+// stream is cut into batches. Results come in one canonical order (tuple
 // index, query registration index, matches before invalidations, then
-// (From, To, TS)).
+// (From, To, TS)). The graph's adjacency order depends on where batch
+// boundaries fall but not on the shard count, so every work counter,
+// InsertCalls included, is the same at every shard count.
 //
 // # Errors
 //
 // The engine never panics mid-batch: a panic in a member engine, on a
-// shard goroutine or inline, is recovered into a sticky error that
-// poisons the engine — the current ProcessBatch (and every later one)
-// fails with it, and Close reports it again. Process, whose core.Engine
-// signature has no error, records failures in the same sticky error
-// (see Err).
+// shard goroutine or on the caller's, is recovered into a sticky error
+// that poisons the engine — the current ProcessBatch (and every later
+// one) fails with it, and Close reports it again. Process, whose
+// core.Engine signature has no error, records failures in the same
+// sticky error (see Err).
 package shard
 
 import (
@@ -106,7 +96,6 @@ type Result struct {
 
 type config struct {
 	shards  int
-	depth   int
 	sharing bool
 	err     error // a rejected option argument
 }
@@ -114,16 +103,16 @@ type config struct {
 // Option configures an Engine.
 type Option func(*config)
 
-// WithShards sets the number of worker shards queries are partitioned
-// over (default 1; n <= 0 is an error). One shard at pipeline depth 1
-// is the inline schedule (see the package comment).
+// WithShards sets the number of shards queries are partitioned over
+// (default 1; n <= 0 is an error). The caller's goroutine runs shard 0;
+// every other shard runs on a goroutine of its own.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithWriters has no effect; n <= 0 is still an error.
 //
-// Deprecated: the coordinator is the graph's one writer in every
-// schedule. WithWriters remains only for its callers in benchmark/ and
-// goes with them (ROADMAP item 4).
+// Deprecated: the coordinator is the graph's one writer. WithWriters
+// remains only for its callers in benchmark/ and goes with them
+// (ROADMAP item 4).
 func WithWriters(n int) Option {
 	return func(c *config) {
 		if n <= 0 {
@@ -142,24 +131,26 @@ func WithWriters(n int) Option {
 // Off restores one private group per query.
 func WithSharing(on bool) Option { return func(c *config) { c.sharing = on } }
 
-// WithPipelineDepth selects the schedule of a one-shard engine (default
-// 2; n <= 0 is an error): depth 1 is the inline schedule, any larger
-// depth runs the shard on a goroutine of its own like the pipelined
-// schedule of several shards. With more than one shard it has no
-// effect: every batch is one job per shard, whatever the depth.
-func WithPipelineDepth(n int) Option { return func(c *config) { c.depth = n } }
+// WithPipelineDepth has no effect; n <= 0 is still an error.
+//
+// Deprecated: the engine has one schedule. WithPipelineDepth remains
+// only for its caller in benchmark/ and goes with it (ROADMAP item 4).
+func WithPipelineDepth(n int) Option {
+	return func(c *config) {
+		if n <= 0 {
+			c.err = fmt.Errorf("shard: pipeline depth must be positive, got %d", n)
+		}
+	}
+}
 
 // Engine is the multi-query coordinator. It is driven by a single
 // goroutine (like every engine in this module): internal concurrency is
 // the engine's business, the API is not thread-safe. Close releases the
-// worker goroutines of the pipelined schedule; the inline schedule
-// starts none.
+// goroutines of shards 1…n−1; a one-shard engine starts none.
 type Engine struct {
 	spec    window.Spec
 	g       *graph.Graph
 	win     *window.Manager
-	depth   int
-	inline  bool // one shard, depth 1: tuple at a time on the caller
 	workers []*worker
 	members []*member
 	groups  []*group // active Δ-index groups, creation order
@@ -188,7 +179,7 @@ type Engine struct {
 	labelTS []int64
 
 	wg      sync.WaitGroup
-	steps   []step     // the pipelined batch's steps; reused by the next batch
+	steps   []step     // the batch's steps; reused by the next batch
 	runs    [][]Result // the shards' replies being merged (collect)
 	results []Result   // the batch's results; reused by the next batch
 }
@@ -218,7 +209,7 @@ type group struct {
 	out    []Result // the current tuple's emissions, before fan-out (see captureSink)
 }
 
-// step is one tuple's work in a pipelined batch, shipped to every shard.
+// step is one tuple's work in a batch, applied by every shard.
 type step struct {
 	tuple stream.Tuple
 	index int // tuple index in the user batch, for attribution
@@ -238,13 +229,13 @@ type reply struct {
 	err     error
 }
 
-// worker owns the groups of one shard. Pipelined, it applies every
-// batch to them on its own goroutine; the inline engine's single
-// worker has no goroutine and no channels — the coordinator drives its
-// groups directly. rel is the shard's per-label dispatch index over its
-// own groups (positions into w.groups), rebuilt by the coordinator on
-// membership changes between batches; dispatches / relevanceSkips count
-// the (step, group) pairs it admitted and avoided.
+// worker owns the groups of one shard. Shard 0 applies every batch on
+// the caller's goroutine and has no channels; every other shard applies
+// it on its own goroutine, fed through in and answering on out. rel is
+// the shard's per-label dispatch index over its own groups (positions
+// into w.groups), rebuilt by the coordinator on membership changes
+// between batches; dispatches / relevanceSkips count the (step, group)
+// pairs it admitted and avoided.
 type worker struct {
 	id     int
 	groups []*group
@@ -252,9 +243,9 @@ type worker struct {
 	in     chan []step
 	out    chan reply
 
-	// buf is the buffer emissions go to: pipelined, the shard's reply,
-	// which the coordinator has merged before it sends the next batch;
-	// inline, the engine's result buffer itself.
+	// buf is the buffer emissions go to: the shard's reply, which the
+	// coordinator has merged before it sends the next batch — or, for the
+	// only shard of a one-shard engine, the engine's result buffer itself.
 	buf            []Result
 	emitted        []*group // groups holding emissions of the current tuple
 	fan            []fanOut // scratch of flush
@@ -329,7 +320,7 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := config{shards: 1, depth: 2, sharing: true}
+	cfg := config{shards: 1, sharing: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -339,22 +330,17 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	if cfg.shards <= 0 {
 		return nil, fmt.Errorf("shard: shard count must be positive, got %d", cfg.shards)
 	}
-	if cfg.depth <= 0 {
-		return nil, fmt.Errorf("shard: pipeline depth must be positive, got %d", cfg.depth)
-	}
 	s := &Engine{
 		spec:    spec,
 		g:       graph.New(),
 		win:     window.NewManager(spec),
 		now:     math.MinInt64,
-		depth:   cfg.depth,
-		inline:  cfg.shards == 1 && cfg.depth == 1,
 		workers: make([]*worker, cfg.shards),
 		sharing: cfg.sharing,
 	}
 	for i := range s.workers {
 		w := &worker{id: i}
-		if !s.inline {
+		if i > 0 {
 			// One job per batch, and one reply to it.
 			w.in = make(chan []step, 1)
 			w.out = make(chan reply, 1)
@@ -364,16 +350,8 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	return s, nil
 }
 
-// Inline reports whether the engine runs the inline schedule: batches
-// on the caller's goroutine, tuple at a time, no worker goroutines.
-func (s *Engine) Inline() bool { return s.inline }
-
-// NumShards returns the number of worker shards.
+// NumShards returns the number of shards.
 func (s *Engine) NumShards() int { return len(s.workers) }
-
-// PipelineDepth returns the configured pipeline depth (see
-// WithPipelineDepth).
-func (s *Engine) PipelineDepth() int { return s.depth }
 
 // Len returns the number of live (non-removed) queries.
 func (s *Engine) Len() int {
@@ -511,11 +489,10 @@ func (s *Engine) activate(g *group) {
 // shared engine was registered from stream start, so its future
 // emissions are exactly the suffix a from-start engine would emit; no
 // bootstrap. Otherwise the new group's Δ index is bootstrapped from the
-// window content in place, on the caller's goroutine, in both
-// schedules: between batches no batch is open and the shard goroutines
-// are parked on their job channels, so the bootstrap reads the current
-// epoch alone and the group is active on return. From the next batch
-// onward the member emits
+// window content in place, on the caller's goroutine: between batches
+// no batch is open and the shard goroutines are parked on their job
+// channels, so the bootstrap reads the settled graph at epoch 0 and the
+// group is active on return. From the next batch onward the member emits
 // exactly what a from-start engine emits over the same suffix. Matches
 // emitted during the bootstrap replay itself — the window's current
 // live result set — are suppressed: a from-start engine emitted them
@@ -597,9 +574,8 @@ func (s *Engine) RemoveDynamic(index int) error {
 }
 
 // relevantLabel reports whether any group has a transition on the
-// label (the shards' dispatch indexes; the inline schedule asks its
-// single worker the same question). Tuples outside every alphabet get
-// no step and, unless retain-all is on, skip the graph.
+// label (the shards' dispatch indexes). Tuples outside every alphabet
+// get no step and, unless retain-all is on, skip the graph.
 func (s *Engine) relevantLabel(l stream.LabelID) bool {
 	for _, w := range s.workers {
 		if len(w.rel.Groups(int(l))) > 0 {
@@ -609,17 +585,14 @@ func (s *Engine) relevantLabel(l stream.LabelID) bool {
 	return false
 }
 
-// start marks processing as begun and, pipelined, spawns the shard
-// goroutines on first use.
+// start marks processing as begun and spawns the goroutines of shards
+// 1…n−1 on first use.
 func (s *Engine) start() {
 	if s.started {
 		return
 	}
 	s.started = true
-	if s.inline {
-		return
-	}
-	for _, w := range s.workers {
+	for _, w := range s.workers[1:] {
 		s.wg.Add(1)
 		go func(w *worker) {
 			defer s.wg.Done()
@@ -637,9 +610,9 @@ func (w *worker) run() {
 }
 
 // apply processes one batch's steps, each at its own epoch, into the
-// shard's reply buffer in canonical order. A panic in a member engine
-// is recovered into the reply — the coordinator turns it into the
-// sticky engine error — so a fault cannot take the whole process down.
+// shard's buffer in canonical order. A panic in a member engine is
+// recovered into the reply — the coordinator turns it into the sticky
+// engine error — so a fault cannot take the whole process down.
 func (w *worker) apply(steps []step) (rep reply) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -722,11 +695,7 @@ func (s *Engine) ProcessBatch(tuples []stream.Tuple) ([]Result, error) {
 	}
 	s.start()
 	s.results = s.results[:0]
-	if s.inline {
-		s.err = s.processInline(tuples)
-	} else {
-		s.processPipelined(tuples)
-	}
+	s.process(tuples)
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -768,95 +737,74 @@ func compareResults(a, b Result) int {
 	return cmp.Compare(a.Match.TS, b.Match.TS)
 }
 
-// processInline is the inline schedule: every tuple runs to completion
-// on the caller's goroutine — the coordinator step first, exactly once,
-// then the groups with a transition on its label — before the next one
-// touches the graph, so every read is of the graph's one epoch, which
-// inline never advances. Each tuple's records are flushed straight into
-// the engine's result buffer, so tuple order is free and the batch needs
-// no merge. A member panic is recovered into the returned (sticky)
-// error.
-func (s *Engine) processInline(tuples []stream.Tuple) (err error) {
-	w := s.workers[0]
-	w.buf = s.results
-	defer func() {
-		s.results = w.buf
-		if r := recover(); r != nil {
-			err = fmt.Errorf("shard: member engine panic: %v", r)
-		}
-	}()
-	ep := s.g.Epoch()
-	for i, t := range tuples {
-		if del, work := s.graphStep(t, func(deadline int64) { w.expire(deadline, ep) }); work {
-			w.dispatch(t, del, ep)
-		}
-		w.flush(i)
-	}
-	return nil
-}
-
-// processPipelined is the pipelined schedule (see the package comment):
-// open the graph's batch bracket, write the whole batch through
-// graphStep, one epoch per step; then send every shard the steps as one
-// job, merge the replies and close the bracket.
-func (s *Engine) processPipelined(tuples []stream.Tuple) {
+// process runs one batch (see the package comment): open the graph's
+// batch bracket and write the whole batch through graphStep, one epoch
+// per step; send the steps to shards 1…n−1 and apply shard 0's groups
+// on the caller's goroutine; merge the replies and close the bracket.
+func (s *Engine) process(tuples []stream.Tuple) {
 	s.g.BeginBatch()
 	steps := s.steps[:0]
 	for i, t := range tuples {
 		st := step{tuple: t, index: i, epoch: s.g.AdvanceEpoch()}
-		var work bool
-		st.del, work = s.graphStep(t, func(deadline int64) {
-			// The expiry pass reads this epoch; the tuple goes in the next.
-			st.expire, st.deadline, st.epoch = true, deadline, s.g.AdvanceEpoch()
-		})
-		if st.skip = !work; work || st.expire {
+		if s.graphStep(&st); !st.skip || st.expire {
 			steps = append(steps, st)
 		}
 	}
 	s.steps = steps
 	if len(steps) > 0 {
-		for _, w := range s.workers {
+		for _, w := range s.workers[1:] {
 			w.in <- steps
 		}
-		s.collect()
+		w0 := s.workers[0]
+		if len(s.workers) == 1 {
+			// The only shard's records are the batch's, in canonical order.
+			w0.buf = s.results
+			rep := w0.apply(steps)
+			s.results = w0.buf
+			s.fail(rep.err)
+		} else {
+			s.collect(w0.apply(steps))
+		}
 	}
 	s.g.EndBatch()
 }
 
-// graphStep is the coordinator's part of one tuple in both schedules:
-// count it and advance the stream clock; at a slide boundary expire the
-// graph and call expired with the deadline, before the graph takes the
-// tuple; then, if some group has a transition on its label or
+// graphStep is the coordinator's part of one tuple, at the epoch st
+// holds: count it and advance the stream clock; at a slide boundary
+// expire the graph and record the expiry in st, whose epoch then moves
+// past it; then, if some group has a transition on the tuple's label or
 // retain-all keeps every label, insert or delete the edge and note the
-// label's clock. It reports whether the tuple is a deletion and whether
-// any group has work for it: a relevant insert, or a relevant deletion
-// that removed a live edge.
-func (s *Engine) graphStep(t stream.Tuple, expired func(deadline int64)) (del, work bool) {
+// label's clock. st.skip is set unless some group has work for the
+// tuple: a relevant insert, or a relevant deletion that removed a live
+// edge.
+func (s *Engine) graphStep(st *step) {
+	t := st.tuple
 	s.seen++
 	if t.TS > s.now {
 		s.now = t.TS
 	}
 	if deadline, due := s.win.Observe(t.TS); due {
 		s.g.Expire(deadline, nil)
-		expired(deadline)
+		// The expiry pass reads this epoch; the tuple goes in the next.
+		st.expire, st.deadline, st.epoch = true, deadline, s.g.AdvanceEpoch()
 	}
 	relevant := s.relevantLabel(t.Label)
+	st.skip = !relevant // retain-all writes the graph even when no member has work
 	if !relevant {
 		s.dropped++
 		if !s.retain {
-			return false, false
+			return
 		}
 	}
-	del = t.Op == stream.Delete
-	if del {
+	if st.del = t.Op == stream.Delete; st.del {
 		if !s.g.Delete(t.Key()) {
-			return true, false // deleting an absent edge is a no-op
+			st.skip = true // deleting an absent edge is a no-op
+			return
 		}
 	} else {
 		s.g.Insert(t.Src, t.Dst, t.Label, t.TS)
 	}
 	s.noteLabel(t)
-	return del, relevant // retain-all writes the graph even when no member has work
 }
 
 // noteLabel records the per-label stream clock in retain-all mode;
@@ -873,24 +821,31 @@ func (s *Engine) noteLabel(t stream.Tuple) {
 	}
 }
 
-// collect gathers every shard's reply to the batch and merges them into
-// the result buffer. Each reply is in canonical order already, and all
-// records of one (tuple, query) pair come from the shard that owns the
-// query's group, so repeatedly taking the smallest head yields the
-// canonical order of the whole batch.
-func (s *Engine) collect() {
+// fail records err, if any, as the sticky engine error unless one is
+// already set.
+func (s *Engine) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// collect gathers the replies of shard 0 (first, computed on the
+// caller's goroutine) and of every other shard to the batch and merges
+// them into the result buffer. Each reply is in canonical order
+// already, and all records of one (tuple, query) pair come from the
+// shard that owns the query's group, so repeatedly taking the smallest
+// head yields the canonical order of the whole batch.
+func (s *Engine) collect(first reply) {
 	runs := s.runs[:0]
-	for _, w := range s.workers {
-		rep := <-w.out
-		if rep.err != nil {
-			if s.err == nil {
-				s.err = rep.err
-			}
-			continue
-		}
-		if len(rep.results) > 0 {
+	add := func(rep reply) {
+		s.fail(rep.err)
+		if rep.err == nil && len(rep.results) > 0 {
 			runs = append(runs, rep.results)
 		}
+	}
+	add(first)
+	for _, w := range s.workers[1:] {
+		add(<-w.out)
 	}
 	for len(runs) > 0 {
 		best := 0
@@ -974,12 +929,11 @@ func (s *Engine) ShardStats() []core.Stats {
 // SnapshotState captures the engine's full state — shared graph, window
 // clock, and every member's Δ index in registration order — for a
 // checkpoint. It must be called between ProcessBatch calls: batch
-// boundaries are the only globally consistent points of the pipelined
-// schedule. The serialized graph is the
-// flat fold of the version intervals at the current epoch (see
+// boundaries are the engine's only globally consistent points. The
+// serialized graph is the flat edge set of the settled graph (see
 // core.SnapshotEdges); the state is epoch-free, so a snapshot taken at
-// any shard count and pipeline depth can be restored at any other
-// (queries re-partition round-robin on restore).
+// any shard count can be restored at any other (queries re-partition
+// round-robin on restore).
 func (s *Engine) SnapshotState() *core.MultiState {
 	st := &core.MultiState{
 		Now:     s.now,
@@ -1010,9 +964,8 @@ func (s *Engine) SnapshotState() *core.MultiState {
 
 // RestoreState rebuilds the engine from a checkpoint. All queries must
 // already be registered (same number, same order as at snapshot time)
-// and no batch processed yet. The restored graph starts at epoch 0
-// regardless of where the snapshotting engine's epoch counter stood.
-// The snapshot's query→group mapping is authoritative: the groups
+// and no batch processed yet. The restored graph is written in place at
+// epoch 0. The snapshot's query→group mapping is authoritative: the groups
 // formed at registration (and the engines Add returned for them) are
 // replaced by groups rebuilt to match it, so a snapshot restores its
 // exact sharing layout at any shard count.
@@ -1081,8 +1034,8 @@ func (s *Engine) Close() error {
 		return s.err
 	}
 	s.closed = true
-	if s.started && !s.inline {
-		for _, w := range s.workers {
+	if s.started {
+		for _, w := range s.workers[1:] {
 			close(w.in)
 		}
 		s.wg.Wait()

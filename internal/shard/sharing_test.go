@@ -19,9 +19,9 @@ var sharingExprs = []string{"(a/b)+", "a/b*", "(a/b)+", "a|(a/b*)", "(a|b)+"}
 // with a mid-stream removal that splits a shared group down to one
 // subscriber and a later re-registration that re-forms it, and returns
 // the full merged result sequence.
-func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards, depth int, sharing bool) []Result {
+func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards int, sharing bool) []Result {
 	t.Helper()
-	s, err := New(spec, WithShards(shards), WithPipelineDepth(depth), WithSharing(sharing))
+	s, err := New(spec, WithShards(shards), WithSharing(sharing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards, d
 // on a 20%-churn stream with a mid-stream group split and re-form, the
 // merged result stream with sharing ON must be byte-identical —
 // results, order, timestamps, invalidations, query ids — to the
-// all-private engine at every shards × depth configuration.
+// all-private engine at every shard count.
 // Canonical-automaton dedup and relevance dispatch must be completely
 // invisible in the output.
 func TestSharedGroupsByteIdentical(t *testing.T) {
@@ -90,16 +90,14 @@ func TestSharedGroupsByteIdentical(t *testing.T) {
 	tuples := randomTuples(rand.New(rand.NewSource(4242)), 700, 7, 2, 1, 0.20)
 
 	for _, shards := range []int{1, 2, 8} {
-		for _, depth := range []int{1, 2, 4} {
-			private := runSharing(t, spec, tuples, shards, depth, false)
-			if len(private) == 0 {
-				t.Fatal("no results produced; test is vacuous")
-			}
-			shared := runSharing(t, spec, tuples, shards, depth, true)
-			if !reflect.DeepEqual(private, shared) {
-				t.Fatalf("shards=%d depth=%d: sharing changed the result stream (%d vs %d results)",
-					shards, depth, len(shared), len(private))
-			}
+		private := runSharing(t, spec, tuples, shards, false)
+		if len(private) == 0 {
+			t.Fatal("no results produced; test is vacuous")
+		}
+		shared := runSharing(t, spec, tuples, shards, true)
+		if !reflect.DeepEqual(private, shared) {
+			t.Fatalf("shards=%d: sharing changed the result stream (%d vs %d results)",
+				shards, len(shared), len(private))
 		}
 	}
 }

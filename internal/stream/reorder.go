@@ -3,6 +3,7 @@ package stream
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Reorder is a bounded out-of-order buffer. The paper assumes tuples
@@ -16,8 +17,8 @@ import (
 // With slack 0 the buffer degenerates to strict-order enforcement.
 type Reorder struct {
 	slack     int64
-	watermark int64 // max timestamp seen - slack
-	started   bool
+	watermark int64 // max timestamp seen - slack, saturating at math.MinInt64
+	started   bool  // false: no tuple seen, the watermark is unset
 	heap      tupleHeap
 	late      int64
 }
@@ -28,7 +29,7 @@ func NewReorder(slack int64) *Reorder {
 	if slack < 0 {
 		slack = 0
 	}
-	return &Reorder{slack: slack, watermark: -1 << 62}
+	return &Reorder{slack: slack, watermark: math.MinInt64}
 }
 
 // ErrLate is returned (wrapped) for tuples older than the watermark.
@@ -52,9 +53,13 @@ func (o *Reorder) Offer(t Tuple) ([]Tuple, error) {
 		o.late++
 		return nil, &ErrLate{Tuple: t, Watermark: o.watermark}
 	}
-	o.started = true
 	heap.Push(&o.heap, tupleEntry{t: t, seq: o.heap.nextSeq()})
-	if wm := t.TS - o.slack; wm > o.watermark {
+	o.started = true
+	wm := int64(math.MinInt64) // t.TS - slack, saturating
+	if t.TS >= math.MinInt64+o.slack {
+		wm = t.TS - o.slack
+	}
+	if wm > o.watermark {
 		o.watermark = wm
 	}
 	return o.release(), nil
@@ -81,7 +86,8 @@ func (o *Reorder) Pending() int { return o.heap.Len() }
 func (o *Reorder) Late() int64 { return o.late }
 
 // Watermark returns the current watermark: all released tuples have
-// ts ≤ watermark, all future tuples must have ts > watermark.
+// ts ≤ watermark, all future tuples must have ts > watermark. Before the
+// first tuple it is math.MinInt64 and binds nothing.
 func (o *Reorder) Watermark() int64 { return o.watermark }
 
 func (o *Reorder) release() []Tuple {

@@ -69,7 +69,7 @@ func (m *Manager) Spec() Spec { return m.spec }
 // has left the window (W^b = ⌊τ/β⌋·β − |W|). The first observation only
 // establishes the boundary.
 func (m *Manager) Observe(ts int64) (deadline int64, due bool) {
-	we := floorDiv(ts, m.spec.Slide) * m.spec.Slide
+	we := slideStart(ts, m.spec.Slide)
 	if !m.started {
 		m.started, m.boundary = true, we
 		return 0, false
@@ -101,6 +101,18 @@ func (m *Manager) State() State {
 func (m *Manager) SetState(st State) {
 	m.boundary = st.Boundary
 	m.started = st.Started
+}
+
+// slideStart returns ⌊ts/slide⌋·slide for slide > 0, saturating at
+// math.MinInt64 when that boundary lies below the timestamp range (ts
+// within one slide of math.MinInt64) instead of wrapping around to a
+// huge positive boundary that no later slide would ever cross.
+func slideStart(ts, slide int64) int64 {
+	q := floorDiv(ts, slide)
+	if q < math.MinInt64/slide {
+		return math.MinInt64
+	}
+	return q * slide
 }
 
 // floorDiv is integer division rounding toward negative infinity, so

@@ -91,6 +91,26 @@ func TestBoundsSaturate(t *testing.T) {
 	if d, due := m.Observe(math.MinInt64 + 2); !due || d != math.MinInt64 {
 		t.Fatalf("Observe(MinInt64+2) = %d,%v, want MinInt64,true", d, due)
 	}
+
+	// With slide 10 the first slide boundary below MinInt64+1 lies
+	// outside the range: it saturates, and the slides after it are due.
+	m = NewManager(Spec{Size: 30, Slide: 10})
+	m.Observe(math.MinInt64 + 1)
+	if b := m.Boundary(); b != math.MinInt64 {
+		t.Fatalf("boundary after Observe(MinInt64+1) = %d, want MinInt64", b)
+	}
+	crossings := 0
+	for ts := int64(math.MinInt64 + 2); ts < math.MinInt64+1000; ts++ {
+		if d, due := m.Observe(ts); due {
+			crossings++
+			if want := satSub(slideStart(ts, 10), 30); d != want {
+				t.Fatalf("Observe(%d) deadline %d, want %d", ts, d, want)
+			}
+		}
+	}
+	if crossings != 100 {
+		t.Fatalf("%d slide crossings over 1000 time units from MinInt64, want 100", crossings)
+	}
 }
 
 func TestFloorDivProperties(t *testing.T) {
@@ -102,6 +122,18 @@ func TestFloorDivProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// Operands near MinInt64, where q*d itself may leave the range: q is
+	// the truncated quotient or one below it, and the remainder a-q*d
+	// (exact in wrapping arithmetic) lies in [0, d).
+	for _, d := range []int64{1, 2, 3, 7, 10, 60, math.MaxInt64} {
+		for off := int64(0); off < 25; off++ {
+			a := int64(math.MinInt64) + off
+			q := floorDiv(a, d)
+			if r := a - q*d; (q != a/d && q != a/d-1) || r < 0 || r >= d {
+				t.Fatalf("floorDiv(%d, %d) = %d, remainder %d", a, d, q, r)
+			}
+		}
 	}
 }
 

@@ -17,17 +17,15 @@ import (
 // All queries share one window specification and one vertex/label
 // dictionary. Register queries with NewMultiEvaluator, then stream
 // tuples through Ingest or IngestBatch. One coordinator (internal/shard)
-// evaluates every configuration; by default it runs inline — on the
-// caller's goroutine, tuple at a time, starting no goroutine — and
-// WithShards and WithPipelineDepth select its pipelined schedule, which partitions the queries over concurrent worker shards.
-// Call Close when done (it releases the worker goroutines of the
-// pipelined schedule and the persistence files).
+// evaluates every configuration: by default it runs its one shard on the
+// caller's goroutine, starting no goroutine, and WithShards partitions
+// the queries over concurrent shards. Call Close when done (it releases
+// the shard goroutines and the persistence files).
 type MultiEvaluator struct {
 	fe      frontEnd
 	spec    window.Spec
 	eng     *shard.Engine // the coordinator, rebuilt by every With* call
-	shards  int           // as configured by the With* calls; 0 = not called
-	depth   int
+	shards  int           // as configured by WithShards; 0 = not called
 	queries []*multiMember
 	persist *persistState // nil unless WithPersistence/Recover was used
 	dynamic bool          // EnableDynamicQueries: online add/remove allowed
@@ -89,18 +87,10 @@ func (m *MultiEvaluator) addQuery(q *Query) error {
 }
 
 // rebuild replaces the coordinator with one of the current
-// configuration and re-registers every query slot. With nothing
-// configured that is the inline engine (one shard, depth 1); WithShards
-// makes the pipeline depth default to the engine's own (2) unless
-// WithPipelineDepth names one.
+// configuration (one shard unless WithShards names more) and
+// re-registers every query slot.
 func (m *MultiEvaluator) rebuild() error {
-	opts := []shard.Option{shard.WithShards(max(m.shards, 1))}
-	if m.depth > 0 {
-		opts = append(opts, shard.WithPipelineDepth(m.depth))
-	} else if m.shards == 0 {
-		opts = append(opts, shard.WithPipelineDepth(1))
-	}
-	eng, err := shard.New(m.spec, opts...)
+	eng, err := shard.New(m.spec, shard.WithShards(max(m.shards, 1)))
 	if err != nil {
 		return err
 	}
@@ -141,13 +131,14 @@ func (m *MultiEvaluator) reconfigure(what string, set func()) error {
 }
 
 // WithShards partitions the registered queries over n concurrent
-// worker shards (see internal/shard): each shard owns its queries' Δ
-// indexes and updates them on its own goroutine, each tuple against the
-// snapshot graph as of that tuple. Must be called before the first
-// Ingest. The result stream does not depend on the shard count: it
-// equals the default inline evaluator's record for record (see README
-// "Determinism & deletions"). Call Close when the evaluator is no longer
-// needed: it releases the shard goroutines.
+// shards (see internal/shard): each shard owns its queries' Δ indexes
+// and updates them — shard 0 on the caller's goroutine, every other one
+// on its own — each tuple against the snapshot graph as of that tuple.
+// Must be called before the first Ingest. The result stream does not
+// depend on the shard count: it equals the default one-shard
+// evaluator's record for record (see README "Determinism & deletions").
+// Call Close when the evaluator is no longer needed: it releases the
+// shard goroutines.
 func (m *MultiEvaluator) WithShards(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: shard count must be positive, got %d", n)
@@ -155,27 +146,10 @@ func (m *MultiEvaluator) WithShards(n int) error {
 	return m.reconfigure("WithShards", func() { m.shards = n })
 }
 
-// WithPipelineDepth selects the schedule of a one-shard evaluator (see
-// shard.WithPipelineDepth; 2 once WithShards was called, 1 otherwise):
-// depth 1 is the inline schedule, a larger depth runs the one shard on
-// a goroutine of its own. With more than one shard it has no effect.
-// The result stream is the same either way. Call before the first
-// tuple, in any order with WithShards.
-func (m *MultiEvaluator) WithPipelineDepth(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("streamrpq: pipeline depth must be positive, got %d", n)
-	}
-	return m.reconfigure("WithPipelineDepth", func() { m.depth = n })
-}
-
-// PipelineDepth returns the coordinator's pipeline depth (1 for the
-// default evaluator).
-func (m *MultiEvaluator) PipelineDepth() int { return m.eng.PipelineDepth() }
-
 // WithWriters has no effect; n <= 0 is still an error.
 //
-// Deprecated: the coordinator is the graph's one writer in every
-// schedule (see shard.WithWriters). WithWriters remains only for its
+// Deprecated: the coordinator is the graph's one writer (see
+// shard.WithWriters). WithWriters remains only for its
 // callers in benchmark/ and goes with them (ROADMAP item 4).
 func (m *MultiEvaluator) WithWriters(n int) error {
 	if n <= 0 {
@@ -319,8 +293,8 @@ func (m *MultiEvaluator) NumQueries() int {
 // NumShards returns the shard count (1 until WithShards is called).
 func (m *MultiEvaluator) NumShards() int { return m.eng.NumShards() }
 
-// Close releases the shard worker goroutines (when the pipelined
-// schedule started any) and closes the persistence WAL (when enabled).
+// Close releases the shard goroutines (when more than one shard started
+// any) and closes the persistence WAL (when enabled).
 // It reports the coordinator's sticky error, if any, or a WAL-close
 // failure. It is idempotent.
 func (m *MultiEvaluator) Close() error {
@@ -354,10 +328,9 @@ func (m *MultiEvaluator) Ingest(t Tuple) ([]QueryResult, error) {
 // (tuple, query), ordered by tuple index and then query registration
 // order; within one (tuple, query) group matches and invalidations are
 // each in canonical (From, To, TS) order, in every configuration. The
-// default inline coordinator runs the batch tuple by tuple on the
-// calling goroutine; the pipelined one writes the batch to the graph
-// and then evaluates it with one fan-out to its shards, which is where
-// the multicore throughput comes from.
+// coordinator writes the batch to the graph and then evaluates it with
+// one fan-out to its shards — shard 0 on the calling goroutine — which
+// is where the multicore throughput comes from.
 func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 	// Validate the whole batch up front — against the stream clock and
 	// internally — so a rejected batch leaves no partial engine state.

@@ -24,7 +24,7 @@ import (
 // to the caller is at-most-once under kill -9 — the usual exactly-once
 // boundary of a sink outside the commit transaction (see README,
 // "Durability & recovery"). Checkpoints are taken between batches —
-// the pipelined engine's only globally consistent points.
+// the engine's only globally consistent points.
 
 // PersistOption configures persistence behaviour for WithPersistence
 // and Recover.
@@ -128,7 +128,7 @@ func (m *MultiEvaluator) Checkpoint() error {
 	}
 	snap := &persist.Snapshot{
 		Spec:           m.spec,
-		Sharded:        !m.eng.Inline(),
+		Sharded:        m.NumShards() > 1,
 		Shards:         m.NumShards(),
 		Sharing:        true, // format v4 keeps the byte; Recover ignores it
 		Vertices:       m.fe.vertices.Names(),
@@ -281,10 +281,9 @@ func (p *persistState) pendingError() error {
 // uninterrupted run.
 //
 // The checkpoint carries the shard count and the dynamic-queries
-// (retain-all) mode, and the evaluator comes back with them. The
-// pipeline depth is not recorded: it reverts to its default, and a
+// (retain-all) mode, and the evaluator comes back with them; a
 // recovered evaluator — persistent already — refuses every With*
-// reconfiguration. The depth does not change the result stream.
+// reconfiguration.
 func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult, error) {
 	var cfg persistConfig
 	for _, o := range opts {
@@ -400,10 +399,9 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 	// The snapshot's query→group mapping is restored verbatim, so its
 	// sharing byte is not read: queries registered after recovery join
 	// equivalent groups like any other.
-	// Sharded records which schedule wrote the snapshot: false is the
-	// inline coordinator (and, in snapshots of older versions, the
-	// sequential backend it replaced — the state is shard-count-free).
-	if snap.Sharded {
+	// Only the shard count is read; the Sharded byte the format keeps is
+	// written as Shards > 1. The state is shard-count-free.
+	if snap.Shards > 1 {
 		if err := m.WithShards(snap.Shards); err != nil {
 			return nil, err
 		}

@@ -107,18 +107,16 @@ func flatten(dst []flatResult, batchIdx int, brs []BatchResult) []flatResult {
 // evaluator without Close (the in-process kill -9), Recover, ingest the
 // rest — the concatenated result stream must be identical (order and
 // timestamps included) to an uninterrupted run, for shard counts 1 and
-// 4 and for the default inline evaluator.
+// 4 and for the default evaluator.
 func TestKillRecoverDifferential(t *testing.T) {
-	// shards 0 = the default inline evaluator; depth 0 = the pipeline
-	// depth WithShards defaults to (2). Depth 1 and 4 pin the option's
-	// other values: checkpoints are taken at batch boundaries, where no
-	// shard is working, so recovery must be depth-independent.
-	// private = the persisted run's coordinator has multi-query sharing
-	// off (see usePrivateLayout): the workload's equivalent pair keeps
-	// two private Δ indexes, and Recover, whose coordinator shares, must
-	// restore that layout verbatim rather than regroup the pair.
-	// The names keep their writers=0 segment so rows stay comparable
-	// with earlier runs of this test.
+	// shards 0 = the default one-shard evaluator. private = the persisted
+	// run's coordinator has multi-query sharing off (see
+	// usePrivateLayout): the workload's equivalent pair keeps two private
+	// Δ indexes, and Recover, whose coordinator shares, must restore that
+	// layout verbatim rather than regroup the pair.
+	// The names keep their depth= and writers=0 segments, retired axes,
+	// so rows stay comparable with earlier runs of this test: the depth=1
+	// and depth=4 rows run the configuration of the depth=0 one.
 	for _, cfg := range []struct {
 		shards, depth int
 		private       bool
@@ -126,8 +124,8 @@ func TestKillRecoverDifferential(t *testing.T) {
 		{0, 0, false}, {1, 0, false}, {4, 0, false}, {4, 1, false},
 		{4, 4, false}, {0, 0, true}, {4, 0, true},
 	} {
-		shards, depth, private := cfg.shards, cfg.depth, cfg.private
-		t.Run(fmt.Sprintf("shards=%d/depth=%d/writers=0/private=%v", shards, depth, private), func(t *testing.T) {
+		shards, private := cfg.shards, cfg.private
+		t.Run(fmt.Sprintf("shards=%d/depth=%d/writers=0/private=%v", shards, cfg.depth, private), func(t *testing.T) {
 			// Delete/re-insert churn puts the crash point mid-churn: the
 			// recovered engines' support counts (snapshot format v2) must
 			// reproduce the invalidation stream exactly.
@@ -136,11 +134,6 @@ func TestKillRecoverDifferential(t *testing.T) {
 				m, err := NewMultiEvaluator(20, 2, persistTestQueries(t)...)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if depth > 0 {
-					if err := m.WithPipelineDepth(depth); err != nil {
-						t.Fatal(err)
-					}
 				}
 				if shards > 0 {
 					if err := m.WithShards(shards); err != nil {
@@ -252,7 +245,7 @@ func TestKillRecoverDifferential(t *testing.T) {
 }
 
 // usePrivateLayout replaces m's coordinator with one of the same
-// schedule that has multi-query sharing off, so every query keeps a
+// shard count that has multi-query sharing off, so every query keeps a
 // private Δ index and m's checkpoints carry a private query→group
 // layout. The facade has no sharing switch; this is the oracle layout
 // of shard.WithSharing(false).
@@ -260,7 +253,6 @@ func usePrivateLayout(t *testing.T, m *MultiEvaluator) {
 	t.Helper()
 	eng, err := shard.New(m.spec,
 		shard.WithShards(m.NumShards()),
-		shard.WithPipelineDepth(m.PipelineDepth()),
 		shard.WithSharing(false))
 	if err != nil {
 		t.Fatal(err)
