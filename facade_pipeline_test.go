@@ -56,6 +56,38 @@ func TestWithShardsAgrees(t *testing.T) {
 	}
 }
 
+// TestWithPipelineDepthValidation covers the guard rails of the
+// schedule's configuration: a default evaluator runs one shard on the
+// caller's goroutine, a zero shard count is refused, and a refused
+// reconfiguration after the first tuple leaves the evaluator as it was.
+// The name is kept from the facade's former pipeline-depth option, whose
+// guards WithShards now carries alone.
+func TestWithPipelineDepthValidation(t *testing.T) {
+	m, err := NewMultiEvaluator(20, 4, shardQueries()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.WithShards(0); err == nil {
+		t.Fatal("zero shard count accepted")
+	}
+	if m.NumShards() != 1 {
+		t.Fatalf("default evaluator runs %d shards, want 1", m.NumShards())
+	}
+	if _, err := m.Ingest(Tuple{TS: 1, Src: "x", Dst: "y", Label: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithShards(2); err == nil {
+		t.Fatal("WithShards after processing started accepted")
+	}
+	if m.NumShards() != 1 {
+		t.Fatalf("refused reconfiguration left %d shards, want 1", m.NumShards())
+	}
+	if _, err := m.Ingest(Tuple{TS: 2, Src: "y", Dst: "z", Label: "a"}); err != nil {
+		t.Fatalf("evaluator unusable after a refused reconfiguration: %v", err)
+	}
+}
+
 // TestWithWritersKeepsSchedule: the deprecated WithWriters rejects
 // n <= 0 and otherwise changes nothing: the batch's one match is
 // attributed to the tuple that completed it, exactly as in the default
