@@ -4,8 +4,10 @@
 // semantics "in a uniform manner", and so does the package: one Δ
 // substrate (delta.go, tree_store.go, vertex_table.go, inv.go) — spanning
 // trees as one array of 32-byte node records each, under flat
-// slot-addressed tables, the vertex → trees inverted index (a flat table
-// with a row only for each vertex in some tree), the tuple routing,
+// slot-addressed tables, the vertex → tree-nodes inverted index (a flat
+// table with a row only for each vertex in some tree, listing its nodes
+// by tree, state and slot: RAPQ routes a tuple and decides a pair's
+// liveness from it without probing a tree), the tuple routing,
 // Algorithm Delete's subtree marking (§3.2: negative tuples go through
 // the expiry machinery) and the canonical liveness bookkeeping behind
 // every match and invalidation — with two policies over it, and oracles

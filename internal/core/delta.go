@@ -16,22 +16,12 @@ import (
 // what the path semantics disagree on: RAPQ, where Lemma 1 allows a
 // (vertex,state) key at most one node, uses the flat table of ns; RSPQ
 // leaves that empty, works on the embedded slotStore and lists each
-// key's instances in inst (rspq.go).
+// key's instances in inst (rspq.go). Which vertices a tree holds, and in
+// which states, the engine's inverted index records.
 type tree struct {
 	root stream.VertexID
 	ns   treeStore
 	inst map[nodeKey]instances
-
-	// verts is the per-vertex census: the nodes of each vertex (a vertex
-	// is in the inverted index while it has one) and, as the record's
-	// support, the final-state witness nodes of each result vertex (the
-	// root node is excluded: it only witnesses the empty path). A result
-	// pair (root, v) is live iff one of the counted witnesses is inside
-	// the window; no record or support == 0 is the O(1) fast path for
-	// "not live". Unlike the incidental tree shape, the witness set is a
-	// pure function of the stream prefix, so every emission decision made
-	// through it is canonical.
-	verts vertexTable
 }
 
 // delta is the Δ substrate both engines maintain (§3, §4): the snapshot
@@ -49,7 +39,12 @@ type delta struct {
 	sink Sink
 
 	trees map[stream.VertexID]*tree // Δ: root vertex -> spanning tree
-	inv   invIndex                  // vertex -> roots of trees containing it
+	inv   invIndex                  // vertex -> its nodes (RAPQ) or keys (RSPQ) in every tree
+
+	// rootEnt is the slot the index entry of a tree's root names:
+	// rootSlot for RAPQ's per-node entries, noSlot for RSPQ's per-key
+	// ones.
+	rootEnt int32
 
 	// rev[label] lists transitions grouped by target state for expiry
 	// reconnection: rev[label][t] = states s with δ(s,label)=t.
@@ -59,9 +54,6 @@ type delta struct {
 	// the member is past their end, so unwanted. outWant[s][l] iff
 	// δ(s,l) exists, inWant[t][l] iff some δ(s,l) = t.
 	outWant, inWant [][]bool
-
-	// finals lists the accepting states once, for the liveness scans.
-	finals []int32
 
 	// epoch is the graph epoch this engine's traversals read at (the
 	// explicit epoch handle of the versioned snapshot graph). A
@@ -73,7 +65,8 @@ type delta struct {
 	stats Stats
 
 	// sc is the working set of Δ maintenance; rootScratch is the
-	// per-tuple candidate-root snapshot, taken before any tree is touched.
+	// per-tuple candidate-root snapshot of RSPQ routing and of Algorithm
+	// Delete, taken before any tree is touched.
 	sc          scratch
 	rootScratch []stream.VertexID
 
@@ -94,16 +87,17 @@ type deltaOps struct {
 }
 
 // scratch is the engine's reused working set of Δ maintenance: the
-// explicit DFS stack of the insert cascade, the adjacency copies of the
-// filtered traversal (graph.AppendOutWhere/AppendInWhere), the expiry
-// candidate list, the subtree-marking stack and the record of the open
-// pass.
+// explicit DFS stack of the insert cascade, the index-row copies of
+// RAPQ's routing, the adjacency copies of the filtered traversal
+// (graph.AppendOutWhere/AppendInWhere), the expiry candidate list, the
+// subtree-marking stack and the record of the open pass.
 type scratch struct {
-	stack []insertOp
-	out   []graph.HalfEdge
-	in    []graph.HalfEdge
-	cands []nodeKey
-	slots []int32
+	stack    []insertOp
+	src, dst []invEnt
+	out      []graph.HalfEdge
+	in       []graph.HalfEdge
+	cands    []nodeKey
+	slots    []int32
 
 	// pre and noted are the record of the one expiry/delete pass open on
 	// this scratch (empty between passes): for each vertex about to lose
@@ -151,11 +145,6 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 			d.outWant[tr.From][l], d.inWant[tr.To][l] = true, true
 		}
 		d.rev[l] = byTarget
-	}
-	for s := int32(0); s < int32(a.K); s++ {
-		if a.Final[s] {
-			d.finals = append(d.finals, s)
-		}
 	}
 	d.a = a
 	d.now = math.MinInt64
@@ -217,8 +206,8 @@ func (d *delta) Process(t stream.Tuple) {
 
 // ensureTree materializes Tx with its root node (x, s0) in rootSlot (Δ
 // conceptually holds a tree for every vertex; only those that can grow
-// past their root are represented). The caller enters the root of a new
-// tree into its key index.
+// past their root are represented), and the root in the inverted index.
+// The caller enters the root of a new tree into its key index.
 func (d *delta) ensureTree(x stream.VertexID) *tree {
 	if tx, ok := d.trees[x]; ok {
 		return tx
@@ -229,9 +218,8 @@ func (d *delta) ensureTree(x stream.VertexID) *tree {
 	// empty path matches; RPQ answers are conventionally over paths of
 	// length ≥ 1, and neither the paper nor the engines report (x,x) via ε.
 	tx.ns.slotStore.alloc(mkNodeKey(x, d.a.Start), rootTS, rootSlot)
-	tx.verts.inc(x, false)
 	d.trees[x] = tx
-	d.inv.add(x, x)
+	d.inv.add(x, x, d.a.Start, d.rootEnt)
 	return tx
 }
 
@@ -260,23 +248,11 @@ func (d *delta) emit(x, v stream.VertexID) {
 	d.sink.OnMatch(Match{From: x, To: v, TS: d.now})
 }
 
-// unlink takes the node in slot out of its parent's child list and out
-// of the per-vertex witness support counts and the inverted index. The
-// engine then drops it from its key index and releases the slot.
-func (d *delta) unlink(tx *tree, slot int32) {
-	key := tx.ns.nodes[slot].key
-	v := key.vertex()
-	tx.ns.detach(slot)
-	if tx.verts.dec(v, d.a.Final[key.state()] && slot != rootSlot) {
-		d.inv.drop(v, tx.root)
-	}
-}
-
 // dropIfRootOnly garbage-collects a tree that shrank to its root: no
 // valid start edge remains, so Δ need not represent it.
 func (d *delta) dropIfRootOnly(tx *tree) {
 	if tx.ns.size() == 1 {
-		d.unlink(tx, rootSlot)
+		d.inv.drop(tx.root, tx.root, d.a.Start, d.rootEnt)
 		delete(d.trees, tx.root)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,10 +11,10 @@ import (
 )
 
 // The flat tables of Δ maintenance — the key index of treeStore, the
-// per-vertex record table and the inverted index's table of sorted rows —
-// against Go maps as the model. One op stream drives all three; every
-// structure is compared with its model over its whole universe after
-// every step.
+// per-vertex record table of a pass's liveness record and the inverted
+// index's table of sorted entry rows — against Go maps as the model. One
+// op stream drives all three; every structure is compared with its model
+// over its whole universe after every step.
 
 // flatKeys and flatVerts are the 64 keys and vertices the ops address: the zero
 // key first, then for each table size the universe can reach 10 keys
@@ -58,8 +59,9 @@ const (
 )
 
 // flatSeq encodes one op per idx, as the byte pairs runFlatOps decodes.
-// The kind's spare bits (root<<2) name the root an index op adds or
-// drops.
+// The spare bits of both bytes name the entry an index op adds or drops
+// in the row of flatVerts[idx]: the kind's (ent<<2) its root (ent&15)
+// and state (ent>>4), the index's (slot+1)<<6 its slot, from noSlot to 2.
 func flatSeq(kind int, idxs ...int) []byte {
 	var out []byte
 	for _, i := range idxs {
@@ -68,15 +70,18 @@ func flatSeq(kind int, idxs ...int) []byte {
 	return out
 }
 
-// flatRoots puts (or, with flatDel, drops) each root into the inverted-
-// index row of universe index idx.
-func flatRoots(kind, idx int, roots ...int) []byte {
+// flatEnts puts (or, with flatDel, drops) each entry into the inverted-
+// index row of universe index idx, all at slot.
+func flatEnts(kind, idx, slot int, ents ...int) []byte {
 	var out []byte
-	for _, r := range roots {
-		out = append(out, flatSeq(kind|r<<2, idx)...)
+	for _, en := range ents {
+		out = append(out, flatSeq(kind|en<<2, idx|(slot+1)<<6)...)
 	}
 	return out
 }
+
+// flatNever is a root no op names.
+const flatNever = stream.VertexID(16)
 
 // flatSeeds is the seed corpus; each entry names the case it is there
 // for. Universe indices 1–10 share the last bucket of an 8-bucket table,
@@ -103,9 +108,13 @@ var flatSeeds = map[string][]byte{
 		flatSeq(flatPutWitness, 7, 7, 7), flatSeq(flatPut, 7), flatSeq(flatDel, 7, 7, 7),
 		flatSeq(flatGet, 7), flatSeq(flatDel, 7, 7)),
 	"long row empties, parks and is taken again": slices.Concat(
-		flatRoots(flatPut, 5, 9, 3, 40, 0, 63, 17, 8, 21, 2, 33), flatRoots(flatPut, 1, 4),
-		flatRoots(flatDel, 5, 0, 63, 9, 3, 40, 17, 8, 21, 2, 33), flatRoots(flatPut, 6, 12, 1),
-		flatRoots(flatPut, 5, 7), flatRoots(flatDel, 1, 4), flatRoots(flatPut, 2, 4, 5)),
+		flatEnts(flatPut, 5, -1, 9, 3, 40, 0, 63, 17, 8, 21, 2, 33), flatEnts(flatPut, 1, -1, 4),
+		flatEnts(flatDel, 5, -1, 0, 63, 9, 3, 40, 17, 8, 21, 2, 33), flatEnts(flatPut, 6, -1, 12, 1),
+		flatEnts(flatPut, 5, -1, 7), flatEnts(flatDel, 1, -1, 4), flatEnts(flatPut, 2, -1, 4, 5)),
+	"one state at several slots": slices.Concat(
+		flatEnts(flatPut, 9, 2, 17, 1, 33), flatEnts(flatPut, 9, -1, 17, 33), flatEnts(flatPut, 9, 0, 17, 1),
+		flatEnts(flatDel, 9, 1, 17, 33), flatEnts(flatDel, 9, -1, 17), flatEnts(flatDel, 9, 2, 17, 1, 33),
+		flatEnts(flatDel, 9, 0, 1, 17), flatEnts(flatDel, 9, -1, 33)),
 }
 
 // runFlatOps applies the op stream to the three structures and their
@@ -117,14 +126,18 @@ func runFlatOps(t testing.TB, ops []byte) {
 	var vt vertexTable
 	census := map[stream.VertexID]vrec{}
 	var ix invIndex
-	rows := map[stream.VertexID][]stream.VertexID{}
+	rows := map[stream.VertexID][]invEnt{} // sorted by compareEnts
 
 	for step := 0; step+1 < len(ops); step += 2 {
 		kind, idx := int(ops[step]&3), int(ops[step+1]&63)
 		key, v := flatKeys[idx], flatVerts[idx]
-		// An index op adds or drops, in v's row, the root the op's spare
+		// An index op adds or drops, in v's row, the entry the op's spare
 		// bits name.
-		root := stream.VertexID(ops[step] >> 2)
+		en := invEnt{
+			root:  stream.VertexID(ops[step] >> 2 & 15),
+			state: int32(ops[step] >> 6),
+			slot:  int32(ops[step+1]>>6) - 1,
+		}
 
 		switch kind {
 		case flatPut, flatPutWitness:
@@ -148,10 +161,10 @@ func runFlatOps(t testing.TB, ops []byte) {
 				t.Fatalf("step %d: inc(%d) first = %v at count %d", step, v, first, rec.nodes)
 			}
 			for range 2 { // idempotent
-				ix.add(v, root)
+				ix.add(v, en.root, en.state, en.slot)
 			}
-			if i, found := slices.BinarySearch(rows[v], root); !found {
-				rows[v] = slices.Insert(rows[v], i, root)
+			if i, found := slices.BinarySearchFunc(rows[v], en, compareEnts); !found {
+				rows[v] = slices.Insert(rows[v], i, en)
 			}
 		case flatDel:
 			if slot, ok := slots[key]; ok {
@@ -171,10 +184,10 @@ func runFlatOps(t testing.TB, ops []byte) {
 					t.Fatalf("step %d: dec(%d) last = %v at count %d", step, v, last, rec.nodes)
 				}
 			}
-			for range 2 {
-				ix.drop(v, root)
+			for range 2 { // the second drops an absent entry: a no-op
+				ix.drop(v, en.root, en.state, en.slot)
 			}
-			if i, found := slices.BinarySearch(rows[v], root); found {
+			if i, found := slices.BinarySearchFunc(rows[v], en, compareEnts); found {
 				if rows[v] = slices.Delete(rows[v], i, i+1); len(rows[v]) == 0 {
 					delete(rows, v)
 				}
@@ -210,16 +223,26 @@ func runFlatOps(t testing.TB, ops []byte) {
 			t.Fatalf("step %d: %d rows, the model %d: %v", step, ix.n, len(rows), err)
 		}
 		for _, u := range flatVerts {
-			if got := ix.appendRoots(u, nil); !slices.Equal(got, rows[u]) {
+			if got := ix.row(u); !slices.Equal(got, rows[u]) {
 				t.Fatalf("step %d: row %d = %v, want %v", step, u, got, rows[u])
 			}
-			for _, r := range rows[u] {
-				if !ix.has(u, r) {
-					t.Fatalf("step %d: has(%d, %d) = false", step, u, r)
+			var roots []stream.VertexID
+			for r := range flatNever + 1 {
+				var want []invEnt
+				for _, en := range rows[u] {
+					if en.root == r {
+						want = append(want, en)
+					}
+				}
+				if got := ix.of(u, r); !slices.Equal(got, want) {
+					t.Fatalf("step %d: of(%d, %d) = %v, want %v", step, u, r, got, want)
+				}
+				if len(want) > 0 {
+					roots = append(roots, r)
 				}
 			}
-			if ix.has(u, 64) { // never a root
-				t.Fatalf("step %d: has(%d, 64) = true", step, u)
+			if got := ix.appendRoots(u, nil); !slices.Equal(got, roots) {
+				t.Fatalf("step %d: roots of %d = %v, want %v", step, u, got, roots)
 			}
 		}
 	}
@@ -241,7 +264,7 @@ func TestFlatTableModel(t *testing.T) {
 		for _, i := range []int{1, 2, 3} {
 			ns.alloc(flatKeys[i], 0, rootSlot)
 			vt.inc(flatVerts[i], false)
-			ix.add(flatVerts[i], 0)
+			ix.add(flatVerts[i], 0, 0, rootSlot)
 		}
 		last := len(ns.buckets) - 1
 		if ns.buckets[last] == 0 || ns.buckets[0] == 0 || ns.buckets[1] == 0 || ns.buckets[2] != 0 {
@@ -250,19 +273,19 @@ func TestFlatTableModel(t *testing.T) {
 		if vt.recs[last].nodes == 0 || vt.recs[0].nodes == 0 || vt.recs[1].nodes == 0 || vt.recs[2].nodes != 0 {
 			t.Fatalf("vertex cluster does not wrap: %+v", vt.recs)
 		}
-		if ix.rows[last].roots == nil || ix.rows[0].roots == nil || ix.rows[1].roots == nil || ix.rows[2].roots != nil {
+		if ix.rows[last].ents == nil || ix.rows[0].ents == nil || ix.rows[1].ents == nil || ix.rows[2].ents != nil {
 			t.Fatalf("index cluster does not wrap: %+v", ix.rows)
 		}
 		ns.release(ns.lookup(flatKeys[1])) // shifts the two wrapped entries back
 		vt.dec(flatVerts[1], false)
-		ix.drop(flatVerts[1], 0)
+		ix.drop(flatVerts[1], 0, 0, rootSlot)
 		if ns.buckets[last] == 0 || ns.buckets[0] == 0 || ns.buckets[1] != 0 {
 			t.Fatalf("key cluster after backward shift: %v", ns.buckets)
 		}
 		if vt.recs[last].nodes == 0 || vt.recs[0].nodes == 0 || vt.recs[1].nodes != 0 {
 			t.Fatalf("vertex cluster after backward shift: %+v", vt.recs)
 		}
-		if ix.rows[last].roots == nil || ix.rows[0].roots == nil || ix.rows[1].roots != nil {
+		if ix.rows[last].ents == nil || ix.rows[0].ents == nil || ix.rows[1].ents != nil {
 			t.Fatalf("index cluster after backward shift: %+v", ix.rows)
 		}
 	})
@@ -271,15 +294,15 @@ func TestFlatTableModel(t *testing.T) {
 	t.Run("parked rows", func(t *testing.T) {
 		var ix invIndex
 		for r := range stream.VertexID(10) {
-			ix.add(1, r)
+			ix.add(1, r, 0, rootSlot)
 		}
-		ix.add(2, 0)
+		ix.add(2, 0, 0, rootSlot)
 		long := cap(ix.row(1))
-		ix.drop(2, 0)
+		ix.drop(2, 0, 0, rootSlot)
 		for r := range stream.VertexID(10) {
-			ix.drop(1, r)
+			ix.drop(1, r, 0, rootSlot)
 		}
-		ix.add(3, 7)
+		ix.add(3, 7, 1, noSlot)
 		if got := cap(ix.row(3)); got != long {
 			t.Fatalf("a new row took an array of capacity %d, the largest parked has %d", got, long)
 		}
@@ -298,7 +321,8 @@ func TestFlatTableModel(t *testing.T) {
 						kind = flatDel
 					}
 				}
-				ops[i], ops[i+1] = byte(kind|rng.Intn(8)<<2), byte(rng.Intn(64))
+				// Entries over 8 roots, 4 states and 4 slots.
+				ops[i], ops[i+1] = byte(kind|rng.Intn(8)<<2|rng.Intn(4)<<6), byte(rng.Intn(256))
 			}
 			runFlatOps(t, ops)
 		}
@@ -393,4 +417,36 @@ func FuzzFlatTable(f *testing.F) {
 		f.Add(ops)
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) { runFlatOps(t, ops) })
+}
+
+// checkVertexTable validates a per-vertex record table against the
+// records it should hold.
+func checkVertexTable(t *vertexTable, want map[stream.VertexID]vrec) error {
+	if n := len(t.recs); n != 0 && (n&(n-1) != 0 || t.shift != tableShift(n)) {
+		return fmt.Errorf("vertex table: %d buckets with shift %d", n, t.shift)
+	}
+	if t.n != len(want) || 2*t.n > len(t.recs) {
+		return fmt.Errorf("vertex table: %d records in %d buckets, want %d at load ≤ ½", t.n, len(t.recs), len(want))
+	}
+	occupied := 0
+	for i := range t.recs {
+		r := &t.recs[i]
+		if r.nodes == 0 {
+			if *r != (vrec{}) {
+				return fmt.Errorf("vertex table: empty bucket holds %+v", *r)
+			}
+			continue
+		}
+		occupied++
+		if *r != want[r.v] {
+			return fmt.Errorf("vertex table: record %+v, actual %+v", *r, want[r.v])
+		}
+		if t.find(r.v) != r {
+			return fmt.Errorf("vertex table: vertex %d is not found in its bucket", r.v)
+		}
+	}
+	if occupied != t.n {
+		return fmt.Errorf("vertex table: %d occupied buckets, count says %d", occupied, t.n)
+	}
+	return nil
 }

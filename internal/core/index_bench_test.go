@@ -11,7 +11,7 @@ import (
 // Handles on the Δ index smaller than a harness run, for working on it
 // (go test -bench, not a claim): what one key probe costs, what one
 // tuple costs when nearly every tree is a candidate and nearly every
-// probe ends at "no improvement" — the shape of the harness's so-dense
+// offer ends at "no improvement" — the shape of the harness's so-dense
 // workload, 1 651 trees over 425 vertices — and what one window pass
 // costs.
 
@@ -47,7 +47,9 @@ func BenchmarkTreeLookup(b *testing.B) {
 
 // BenchmarkInsertEdgeRouting offers one tuple to 150 trees of 250-odd
 // nodes that all hold its source and already reach its target at the
-// same timestamp: per tree one map lookup, two key probes, no change.
+// same timestamp: per tree one map lookup and two node reads, found
+// through the index entries of the source and the target, no key probe
+// and no change.
 func BenchmarkInsertEdgeRouting(b *testing.B) {
 	const trees, leaves = 150, 250
 	const hub, target, leaf0 = stream.VertexID(1000), stream.VertexID(1001), stream.VertexID(2000)

@@ -7,24 +7,69 @@ import (
 	"streamrpq/internal/stream"
 )
 
-// invRow is the record of one vertex in the inverted index; roots is
-// empty exactly in an empty bucket.
-type invRow struct {
-	v     stream.VertexID
-	roots []stream.VertexID
+// invEnt is one entry of the inverted index: the tree rooted at root
+// holds vertex v in the given state. A RAPQ entry names one node and
+// its slot; an RSPQ entry names one key, whose instances the tree lists
+// (slot noSlot).
+type invEnt struct {
+	root  stream.VertexID
+	slot  int32
+	state int32
 }
 
-// invIndex is the vertex → tree-roots inverted index of §5.2: a flat
+// noSlot is the slot of an RSPQ entry, which stands for every instance
+// of its key.
+const noSlot = int32(-1)
+
+// entKey is the search key of an entry: entries are ordered by (root,
+// state), then by slot.
+func entKey(root stream.VertexID, state int32) uint64 {
+	return uint64(root)<<32 | uint64(uint32(state))
+}
+
+func (en invEnt) key() uint64 { return entKey(en.root, en.state) }
+
+// before reports whether en sorts before (k, slot).
+func (en invEnt) before(k uint64, slot int32) bool {
+	ek := en.key()
+	return ek < k || ek == k && en.slot < slot
+}
+
+// search returns the index of the first entry of ents that does not sort
+// before (k, slot). Written out rather than slices.BinarySearchFunc: it
+// runs once per candidate tree on the routing path.
+func search(ents []invEnt, k uint64, slot int32) int {
+	lo, hi := 0, len(ents)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ents[m].before(k, slot) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// invRow is the record of one vertex in the inverted index; ents is
+// empty exactly in an empty bucket.
+type invRow struct {
+	v    stream.VertexID
+	ents []invEnt
+}
+
+// invIndex is the vertex → tree-nodes inverted index of §5.2: a flat
 // table built like vertexTable, holding a row only while its vertex is
 // in some tree, so it is sized by the engine's trees and not by the id
-// space of a stream that every engine sharing a graph sees. A row is the
-// ascending slice of the roots themselves: binary-searched on update,
-// copied out whole on read. A tuple whose source sits in T trees goes on
-// to probe T trees, so the 4·T-byte move of an update is never what it
-// waits for — and ascending root order is the canonical candidate order
-// of both engines. A row that empties parks its array for the next new
-// row, which takes the largest parked; an array a row outgrows goes to
-// the GC, so what is parked is bounded by rows that existed.
+// space of a stream that every engine sharing a graph sees. A row lists
+// the vertex's nodes (RAPQ) or keys (RSPQ) in every tree, ascending by
+// (root, state, slot): routing reads a candidate's node straight from
+// its slot, the row of a tuple's target tells which offers would
+// improve nothing, and a pair's liveness reads the final-state entries
+// of one tree. Ascending root order is the canonical candidate order of
+// both engines. A row that empties parks its array for the next new row,
+// which takes the largest parked; an array a row outgrows goes to the
+// GC, so what is parked is bounded by rows that existed.
 type invIndex struct {
 	rows  []invRow
 	n     int // occupied buckets
@@ -32,7 +77,7 @@ type invIndex struct {
 
 	// spare[k] parks arrays of capacity in [2^k, 2^(k+1)); bit k of
 	// spareK is set while it holds one.
-	spare  [32][][]stream.VertexID
+	spare  [32][][]invEnt
 	spareK uint32
 }
 
@@ -43,62 +88,78 @@ func (ix *invIndex) home(v stream.VertexID) uint32 { return uint32(uint64(v) * h
 func (ix *invIndex) bucket(v stream.VertexID) uint32 {
 	mask := uint32(len(ix.rows) - 1)
 	i := ix.home(v)
-	for len(ix.rows[i].roots) != 0 && ix.rows[i].v != v {
+	for len(ix.rows[i].ents) != 0 && ix.rows[i].v != v {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// row returns the roots of the trees containing v, ascending.
-func (ix *invIndex) row(v stream.VertexID) []stream.VertexID {
+// row returns v's entries, ascending. The slice is good until the next
+// add or drop.
+func (ix *invIndex) row(v stream.VertexID) []invEnt {
 	if ix.n == 0 {
 		return nil
 	}
-	return ix.rows[ix.bucket(v)].roots
+	return ix.rows[ix.bucket(v)].ents
 }
 
-// add records that the tree rooted at root contains v.
-func (ix *invIndex) add(v, root stream.VertexID) {
+// of returns v's entries in the tree rooted at root, ascending by state;
+// good until the next add or drop.
+func (ix *invIndex) of(v, root stream.VertexID) []invEnt {
+	row := ix.row(v)
+	i := search(row, entKey(root, 0), noSlot)
+	j := i
+	for j < len(row) && row[j].root == root {
+		j++
+	}
+	return row[i:j]
+}
+
+// add records that the tree rooted at root holds v in state, at slot.
+func (ix *invIndex) add(v, root stream.VertexID, state, slot int32) {
 	if 2*(ix.n+1) > len(ix.rows) {
 		ix.grow()
 	}
 	r := &ix.rows[ix.bucket(v)]
-	if len(r.roots) == 0 {
+	if len(r.ents) == 0 {
 		r.v = v
 		ix.n++
 		if ix.spareK != 0 { // take the largest parked array
 			k := bits.Len32(ix.spareK) - 1
 			s := ix.spare[k]
-			r.roots, s[len(s)-1] = s[len(s)-1], nil
+			r.ents, s[len(s)-1] = s[len(s)-1], nil
 			if ix.spare[k] = s[:len(s)-1]; len(s) == 1 {
 				ix.spareK &^= 1 << k
 			}
 		}
 	}
-	if i, found := slices.BinarySearch(r.roots, root); !found {
-		r.roots = slices.Insert(r.roots, i, root)
+	en := invEnt{root: root, slot: slot, state: state}
+	if i := search(r.ents, en.key(), slot); i == len(r.ents) || r.ents[i] != en {
+		r.ents = slices.Insert(r.ents, i, en)
 	}
 }
 
-// drop removes the (v, root) entry, and v's row with its last root.
-func (ix *invIndex) drop(v, root stream.VertexID) {
+// drop removes the entry add records, and v's row with its last entry.
+// Dropping an absent entry changes nothing.
+func (ix *invIndex) drop(v, root stream.VertexID, state, slot int32) {
 	if ix.n == 0 {
 		return
 	}
 	i := ix.bucket(v)
 	r := &ix.rows[i]
-	j, found := slices.BinarySearch(r.roots, root)
-	if !found {
+	en := invEnt{root: root, slot: slot, state: state}
+	j := search(r.ents, en.key(), slot)
+	if j == len(r.ents) || r.ents[j] != en {
 		return
 	}
-	if r.roots = slices.Delete(r.roots, j, j+1); len(r.roots) > 0 {
+	if r.ents = slices.Delete(r.ents, j, j+1); len(r.ents) > 0 {
 		return
 	}
-	k := bits.Len(uint(cap(r.roots))) - 1
-	ix.spare[k] = append(ix.spare[k], r.roots)
+	k := bits.Len(uint(cap(r.ents))) - 1
+	ix.spare[k] = append(ix.spare[k], r.ents)
 	ix.spareK |= 1 << k
 	mask := uint32(len(ix.rows) - 1)
-	for j := (i + 1) & mask; len(ix.rows[j].roots) != 0; j = (j + 1) & mask {
+	for j := (i + 1) & mask; len(ix.rows[j].ents) != 0; j = (j + 1) & mask {
 		if fillsHole(i, j, ix.home(ix.rows[j].v), mask) {
 			ix.rows[i], i = ix.rows[j], j
 		}
@@ -112,21 +173,20 @@ func (ix *invIndex) grow() {
 	n := max(minBuckets, 2*len(old))
 	ix.rows, ix.shift = make([]invRow, n), tableShift(n)
 	for _, r := range old {
-		if len(r.roots) != 0 {
+		if len(r.ents) != 0 {
 			ix.rows[ix.bucket(r.v)] = r
 		}
 	}
 }
 
-// has reports whether the (v, root) entry exists (invariant checks).
-func (ix *invIndex) has(v, root stream.VertexID) bool {
-	_, found := slices.BinarySearch(ix.row(v), root)
-	return found
-}
-
 // appendRoots appends the roots of all trees containing v to dst,
-// ascending, and returns the extended slice: a snapshot the caller may
-// iterate while the index changes under it.
+// ascending and each once, and returns the extended slice: a snapshot
+// the caller may iterate while the index changes under it.
 func (ix *invIndex) appendRoots(v stream.VertexID, dst []stream.VertexID) []stream.VertexID {
-	return append(dst, ix.row(v)...)
+	for i, en := range ix.row(v) {
+		if i == 0 || en.root != dst[len(dst)-1] {
+			dst = append(dst, en.root)
+		}
+	}
+	return dst
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -17,16 +18,13 @@ import (
 //     and the free list chains exactly the released slots.
 //  2. Timestamp monotonicity: a child's timestamp never exceeds its
 //     parent's (path timestamps are minima over tree paths).
-//  3. Census: the per-vertex records of a tree equal a fresh count of
-//     its nodes per vertex and, as support, of its final-state nodes per
-//     vertex (root excluded), stale or not; the record table holds
-//     nothing else, finds every record under its vertex, and stays at
-//     load ≤ ½, so no probe sequence meets a full table.
-//  4. Inverted index: a sound table (checkInvIndex) holding exactly the
-//     union of the trees' vertex sets: no row outlives its last tree.
-//  5. No expiry/delete pass is left open on the engine's scratch.
+//  3. Inverted index: a sound table (checkInvIndex) whose rows hold
+//     exactly the trees' nodes, one entry per live slot (RAPQ), or their
+//     keys, one entry per key with an instance (RSPQ): no entry outlives
+//     its node or key, and no row its vertex's last tree.
+//  4. No expiry/delete pass is left open on the engine's scratch.
 func (d *delta) checkTrees() error {
-	invEntries := 0
+	want := map[stream.VertexID][]invEnt{}
 	for root, tx := range d.trees {
 		if tx.root != root {
 			return fmt.Errorf("tree keyed %d has root %d", root, tx.root)
@@ -42,20 +40,19 @@ func (d *delta) checkTrees() error {
 			return fmt.Errorf("tree %d: root ts = %d", root, ns.nodes[rootSlot].ts)
 		}
 		liveSlots := 0
-		census := map[stream.VertexID]vrec{}
 		for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
 			if !ns.live(slot) {
 				continue
 			}
 			liveSlots++
 			nv, nstate := ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state()
-			rec := census[nv]
-			rec.v = nv
-			rec.nodes++
-			if slot != rootSlot && d.a.Final[nstate] {
-				rec.support++
+			en := invEnt{root: root, slot: slot, state: nstate}
+			if d.rootEnt == noSlot {
+				en.slot = noSlot
 			}
-			census[nv] = rec
+			if !slices.Contains(want[nv], en) {
+				want[nv] = append(want[nv], en)
+			}
 			// Children must be live and point back.
 			for c := ns.nodes[slot].firstChild; c >= 0; c = ns.nodes[c].nextSib {
 				if !ns.live(c) {
@@ -93,26 +90,18 @@ func (d *delta) checkTrees() error {
 		if err := checkFreeList(&ns.slotStore, len(ns.nodes)-liveSlots); err != nil {
 			return fmt.Errorf("tree %d: %w", root, err)
 		}
-		if err := checkVertexTable(&tx.verts, census); err != nil {
-			return fmt.Errorf("tree %d: %w", root, err)
-		}
-		for v := range census {
-			if !d.inv.has(v, root) {
-				return fmt.Errorf("inv[%d] missing root %d", v, root)
-			}
-		}
-		invEntries += len(census)
 	}
-	// Every tree's vertices are in the index; equal entry counts over
-	// duplicate-free rows mean the index holds nothing else.
 	if err := checkInvIndex(&d.inv); err != nil {
 		return err
 	}
-	for _, r := range d.inv.rows {
-		invEntries -= len(r.roots)
+	if d.inv.n != len(want) {
+		return fmt.Errorf("inverted index holds %d rows, the trees have %d vertices", d.inv.n, len(want))
 	}
-	if invEntries != 0 {
-		return fmt.Errorf("inverted index holds %d entries more than the trees have vertices", -invEntries)
+	for v, ents := range want {
+		slices.SortFunc(ents, compareEnts)
+		if got := d.inv.row(v); !slices.Equal(got, ents) {
+			return fmt.Errorf("inv[%d] = %v, the trees hold %v", v, got, ents)
+		}
 	}
 	if d.sc.pre.n != 0 || len(d.sc.noted) != 0 {
 		return fmt.Errorf("an expiry pass is still open: %d vertices noted", d.sc.pre.n)
@@ -141,53 +130,28 @@ func checkFreeList(ns *slotStore, released int) error {
 	return nil
 }
 
-// checkVertexTable validates a per-vertex record table against the
-// records it should hold.
-func checkVertexTable(t *vertexTable, want map[stream.VertexID]vrec) error {
-	if n := len(t.recs); n != 0 && (n&(n-1) != 0 || t.shift != tableShift(n)) {
-		return fmt.Errorf("vertex table: %d buckets with shift %d", n, t.shift)
-	}
-	if t.n != len(want) || 2*t.n > len(t.recs) {
-		return fmt.Errorf("vertex table: %d records in %d buckets, want %d at load ≤ ½", t.n, len(t.recs), len(want))
-	}
-	occupied := 0
-	for i := range t.recs {
-		r := &t.recs[i]
-		if r.nodes == 0 {
-			if *r != (vrec{}) {
-				return fmt.Errorf("vertex table: empty bucket holds %+v", *r)
-			}
-			continue
-		}
-		occupied++
-		if *r != want[r.v] {
-			return fmt.Errorf("vertex table: record %+v, actual %+v", *r, want[r.v])
-		}
-		if t.find(r.v) != r {
-			return fmt.Errorf("vertex table: vertex %d is not found in its bucket", r.v)
-		}
-	}
-	if occupied != t.n {
-		return fmt.Errorf("vertex table: %d occupied buckets, count says %d", occupied, t.n)
-	}
-	return nil
+// compareEnts orders index entries by (root, state, slot), the order of
+// a row.
+func compareEnts(a, b invEnt) int {
+	return cmp.Or(cmp.Compare(a.key(), b.key()), cmp.Compare(a.slot, b.slot))
 }
 
 // checkInvIndex validates the inverted index's table: rows strictly
-// ascending and found under their vertex, empty buckets empty, load ≤ ½.
+// ascending by (root, state, slot) and found under their vertex, empty
+// buckets empty, load ≤ ½.
 func checkInvIndex(ix *invIndex) error {
 	nb, occupied := len(ix.rows), 0
 	for i, r := range ix.rows {
-		if len(r.roots) == 0 {
-			if r.v != 0 || r.roots != nil {
+		if len(r.ents) == 0 {
+			if r.v != 0 || r.ents != nil {
 				return fmt.Errorf("inverted index: empty bucket %d holds vertex %d", i, r.v)
 			}
 			continue
 		}
 		occupied++
-		for j := 1; j < len(r.roots); j++ {
-			if r.roots[j-1] >= r.roots[j] {
-				return fmt.Errorf("inv[%d] is not strictly ascending: %v", r.v, r.roots)
+		for j := 1; j < len(r.ents); j++ {
+			if compareEnts(r.ents[j-1], r.ents[j]) >= 0 {
+				return fmt.Errorf("inv[%d] is not strictly ascending: %v", r.v, r.ents)
 			}
 		}
 		if ix.bucket(r.v) != uint32(i) {

@@ -135,21 +135,52 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 	if e.a.Step(e.a.Start, int(t.Label)) != automaton.NoState {
 		e.rootedTree(t.Src)
 	}
-	// Snapshot the candidate trees: insertion cascades may add this
-	// vertex to further trees, but those cascades already see the new
-	// edge in the graph, so they need no re-processing here. Each
-	// candidate runs Insert for every transition on the label whose
-	// source node is in the window (line 6).
-	for _, root := range e.rootsOf(t.Src) {
-		tx := e.trees[root]
-		for _, tr := range e.a.ByLabel[t.Label] {
-			pslot := tx.ns.lookup(mkNodeKey(t.Src, tr.From))
-			if pslot < 0 || tx.ns.nodes[pslot].ts <= validFrom {
-				continue
-			}
-			e.insert(tx, pslot, t.Dst, tr.To, t.TS, validFrom)
+	// Snapshot the candidate nodes, the entries of the source whose state
+	// δ(·, label) steps from, ascending by (root, state): insertion
+	// cascades may add the source to further trees, or in further states,
+	// but those cascades already see the new edge in the graph, so they
+	// need no re-processing here. Each candidate in the window runs Insert
+	// (line 6) unless the target's entries, snapshotted too, show that
+	// Insert's line 7 would stop it: the target node is already as fresh
+	// as the offer. No node is released during an insert, so a snapshot
+	// slot stays the node it names; a target node a cascade adds after
+	// the snapshot only sends the candidate into Insert, which probes.
+	sc := &e.sc
+	src := sc.src[:0]
+	for _, en := range e.inv.row(t.Src) {
+		if e.outWant[en.state][t.Label] {
+			src = append(src, en)
 		}
 	}
+	dst := sc.dst[:0]
+	if len(src) > 0 {
+		dst = append(dst, e.inv.row(t.Dst)...)
+	}
+	var tx *tree
+	j := 0 // dst[j:] starts at the candidate's tree
+	for i, c := range src {
+		if i == 0 || c.root != src[i-1].root {
+			tx = e.trees[c.root]
+			for j < len(dst) && dst[j].root < c.root {
+				j++
+			}
+		}
+		pts := tx.ns.nodes[c.slot].ts
+		if pts <= validFrom {
+			continue
+		}
+		to := e.a.Trans[c.state][t.Label]
+		k := j
+		for k < len(dst) && dst[k].root == c.root && dst[k].state < to {
+			k++
+		}
+		if k < len(dst) && dst[k].root == c.root && dst[k].state == to &&
+			tx.ns.nodes[dst[k].slot].ts >= min(t.TS, pts) {
+			continue
+		}
+		e.insert(tx, c.slot, t.Dst, to, t.TS, validFrom)
+	}
+	sc.src, sc.dst = src[:0], dst[:0]
 }
 
 // rootedTree returns Tx, materializing it first if Δ does not represent
@@ -169,14 +200,9 @@ func (e *RAPQ) rootedTree(x stream.VertexID) *tree {
 // witness set — unlike the tree shape — is canonical, so liveness is a
 // pure function of the stream prefix.
 func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
-	if r := tx.verts.find(v); r == nil || r.support == 0 {
-		return false
-	}
-	for _, s := range e.finals {
-		if v == tx.root && s == e.a.Start {
-			continue // the root witnesses only the empty path
-		}
-		if slot := tx.ns.lookup(mkNodeKey(v, s)); slot >= 0 && tx.ns.nodes[slot].ts > validFrom {
+	for _, en := range e.inv.of(v, tx.root) {
+		// The root witnesses only the empty path.
+		if en.slot != rootSlot && e.a.Final[en.state] && tx.ns.nodes[en.slot].ts > validFrom {
 			return true
 		}
 	}
@@ -240,9 +266,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			}
 			slot = ns.alloc(key, newTS, op.parent)
 			ns.attach(op.parent, slot)
-			if tx.verts.inc(op.v, e.a.Final[op.t]) {
-				e.inv.add(op.v, tx.root)
-			}
+			e.inv.add(op.v, tx.root, op.t, slot)
 			if e.a.Final[op.t] && newTS > validFrom && !wasLive {
 				e.emit(tx.root, op.v) // line 6 of Insert: (root, v) went live
 			}
@@ -267,9 +291,12 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	e.stats.InsertCalls += calls
 }
 
-// remove deletes the node in slot from the tree entirely.
+// remove deletes the node in slot from the tree and the inverted index
+// entirely.
 func (e *RAPQ) remove(tx *tree, slot int32) {
-	e.unlink(tx, slot)
+	key := tx.ns.nodes[slot].key
+	tx.ns.detach(slot)
+	e.inv.drop(key.vertex(), tx.root, key.state(), slot)
 	tx.ns.release(slot)
 }
 

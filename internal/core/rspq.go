@@ -46,6 +46,7 @@ type RSPQ struct {
 // specification.
 func NewRSPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RSPQ {
 	e := &RSPQ{}
+	e.rootEnt = noSlot
 	e.maxExtends = e.init(a, spec, opts).maxExtends
 	e.live = e.isLive
 	e.ops = deltaOps{insert: e.applyInsert, del: e.applyDelete, expire: e.applyExpiry}
@@ -119,11 +120,11 @@ func firstStateAt(ns *slotStore, p int32, v stream.VertexID) (state int32, found
 // final-state instance for v other than the root sits inside the window
 // (lazy expiry leaves stale ones until the next slide boundary).
 func (e *RSPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
-	if r := tx.verts.find(v); r == nil || r.support == 0 {
-		return false
-	}
-	for _, s := range e.finals {
-		for _, slot := range tx.inst[mkNodeKey(v, s)].slots {
+	for _, en := range e.inv.of(v, tx.root) {
+		if !e.a.Final[en.state] {
+			continue
+		}
+		for _, slot := range tx.inst[mkNodeKey(v, en.state)].slots {
 			if slot != rootSlot && tx.ns.nodes[slot].ts > validFrom {
 				return true
 			}
@@ -183,14 +184,12 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	ent := tx.inst[key]
 	if len(ent.slots) == 0 {
 		ent.marked = true // line 9: first instance gets marked
+		e.inv.add(v, tx.root, t, noSlot)
 	}
 	node := ns.alloc(key, newTS, parent)
 	ns.attach(parent, node)
 	ent.slots = append(ent.slots, node)
 	tx.inst[key] = ent
-	if tx.verts.inc(v, e.a.Final[t]) {
-		e.inv.add(v, tx.root)
-	}
 
 	// Lines 14–18: expand out-edges inside the window in canonical
 	// (target key, label) order, not adjacency order: it becomes
@@ -412,13 +411,15 @@ func (e *RSPQ) expireTree(tx *tree, deadline int64, invalidate bool) {
 }
 
 // remove deletes one instance (not its descendants: the expiry pass
-// removes them separately). The instance list keeps its order, which
-// steers traversal order.
+// removes them separately), and with a key's last instance its entry in
+// the inverted index. The instance list keeps its order, which steers
+// traversal order.
 func (e *RSPQ) remove(tx *tree, slot int32) {
-	e.unlink(tx, slot)
 	key := tx.ns.nodes[slot].key
+	tx.ns.detach(slot)
 	if ent := tx.inst[key]; len(ent.slots) == 1 {
 		delete(tx.inst, key)
+		e.inv.drop(key.vertex(), tx.root, key.state(), noSlot)
 	} else {
 		i := slices.Index(ent.slots, slot)
 		ent.slots = slices.Delete(ent.slots, i, i+1)

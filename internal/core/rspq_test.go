@@ -131,8 +131,8 @@ func rspqReplayOracle(t *testing.T, a *automaton.Bound, spec window.Spec, tuples
 // instance whose marking blocks a fresher duplicate until the next
 // slide boundary. (Liveness decisions use isLive instead.)
 func hasFinalInstance(e *RSPQ, tx *tree, v stream.VertexID) bool {
-	for _, s := range e.finals {
-		if len(tx.inst[mkNodeKey(v, s)].slots) > 0 {
+	for s := range int32(e.a.K) {
+		if e.a.Final[s] && len(tx.inst[mkNodeKey(v, s)].slots) > 0 {
 			return true
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,7 +23,7 @@ import (
 //
 // Restore is only legal on a freshly constructed engine (same automaton,
 // same window spec); restoring rebuilds the derived structures (children
-// sets, vertex counts, inverted indexes) from the flat node lists.
+// sets, key tables, inverted indexes) from the flat node lists.
 
 // StatState is the restartable subset of Stats: the monotone counters
 // that survive a checkpoint/recovery cycle so result numbering and
@@ -143,43 +142,28 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 				ParentV: pk.vertex(), ParentS: pk.state(),
 			})
 		}
-		ts.Support = supportStateOf(&tx.verts)
+		ts.Support = e.supportOf(ts.Nodes)
 		st.Trees = append(st.Trees, ts)
 	}
 	return st
 }
 
-// supportStateOf flattens a census's support counts in ascending vertex
-// order.
-func supportStateOf(verts *vertexTable) []SupportCount {
+// supportOf counts the final-state witnesses of each vertex in a tree's
+// non-root node list, in ascending vertex order (nodes is sorted by
+// vertex).
+func (e *RAPQ) supportOf(nodes []TreeNodeState) []SupportCount {
 	var out []SupportCount
-	for _, r := range verts.recs {
-		if r.support > 0 {
-			out = append(out, SupportCount{V: r.v, N: r.support})
+	for _, n := range nodes {
+		if !e.a.Final[n.S] {
+			continue
+		}
+		if k := len(out) - 1; k >= 0 && out[k].V == n.V {
+			out[k].N++
+		} else {
+			out = append(out, SupportCount{V: n.V, N: 1})
 		}
 	}
-	slices.SortFunc(out, func(a, b SupportCount) int { return cmp.Compare(a.V, b.V) })
 	return out
-}
-
-// checkSupport verifies that the support counts rebuilt from a restored
-// node list agree with the checkpointed ones.
-func checkSupport(rebuilt *vertexTable, want []SupportCount, root stream.VertexID) error {
-	if got := len(supportStateOf(rebuilt)); len(want) != got {
-		return fmt.Errorf("core: restore: tree %d support has %d vertices, nodes imply %d",
-			root, len(want), got)
-	}
-	for _, sc := range want {
-		var n int32
-		if r := rebuilt.find(sc.V); r != nil {
-			n = r.support
-		}
-		if n != sc.N {
-			return fmt.Errorf("core: restore: tree %d support[%d]=%d, nodes imply %d",
-				root, sc.V, sc.N, n)
-		}
-	}
-	return nil
 }
 
 // RestoreState rebuilds the Δ index from a snapshot. The engine must be
@@ -205,10 +189,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			}
 			slot := store.alloc(key, n.TS, 0)
 			store.nodes[slot].parent = slot // placeholder until linked below
-			// Nodes never contains the root: every final node is a witness.
-			if tx.verts.inc(n.V, e.a.Final[n.S]) {
-				e.inv.add(n.V, tx.root)
-			}
+			e.inv.add(n.V, tx.root, n.S, slot)
 		}
 		// Second pass: link children and validate parents.
 		for _, n := range ts.Nodes {
@@ -221,8 +202,8 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			store.nodes[slot].parent = pslot
 			store.attach(pslot, slot)
 		}
-		if err := checkSupport(&tx.verts, ts.Support, ts.Root); err != nil {
-			return err
+		if got := e.supportOf(ts.Nodes); !slices.Equal(got, ts.Support) {
+			return fmt.Errorf("core: restore: tree %d support %v, nodes imply %v", ts.Root, ts.Support, got)
 		}
 	}
 	return nil

@@ -6,17 +6,15 @@ import "streamrpq/internal/stream"
 type vrec struct {
 	v       stream.VertexID
 	nodes   int32 // > 0 in every occupied bucket: zero marks an empty one
-	support int32 // how many of the nodes are counted witnesses
+	support int32 // how many of the counts are witnesses
 }
 
 // vertexTable is a per-vertex record table of the same construction as
 // the key index of treeStore — power-of-two buckets at load ≤ ½,
 // multiplicative hash, linear probing, backward-shift deletion — with
-// the records stored in the buckets themselves. A tree keeps its census
-// in one: nodes per vertex (for the inverted index) and, among them, the
-// final-state witnesses per result vertex; support > 0 implies nodes > 0,
-// so one probe answers both. A delete or RSPQ expiry pass keeps its
-// liveness record in another (scratch.pre).
+// the records stored in the buckets themselves. A delete or RSPQ expiry
+// pass keeps its liveness record in one (scratch.pre): a vertex counted
+// once, as a witness iff its pair was live when the pass started.
 type vertexTable struct {
 	recs  []vrec
 	n     int // occupied buckets

@@ -11,10 +11,12 @@ import (
 // churn stream's timestamps by a multiple K of the slide shifts every
 // result's TS by K and changes nothing else — for the Evaluator under
 // both semantics and behind a WithSlack reorder buffer, the one-shard
-// MultiEvaluator and the sharded one — down to K = math.MinInt64/2 − 1000.
+// MultiEvaluator and the sharded one — down to K = math.MinInt64/2 − 1000
+// and up to the K that ends the stream within a slide of math.MaxInt64.
 func TestTimestampShiftInvariance(t *testing.T) {
 	const size, slide = 20, 4
 	stream := churnStream(17, 400, 0.1)
+	lastTS := stream[len(stream)-1].TS
 	shifted := func(k int64) []Tuple {
 		out := append([]Tuple(nil), stream...)
 		for i := range out {
@@ -89,9 +91,13 @@ func TestTimestampShiftInvariance(t *testing.T) {
 		if len(want) == 0 || inval == 0 {
 			t.Fatalf("%s: %d results, %d invalidations; the test is vacuous", r.name, len(want), inval)
 		}
-		// The last shift starts the stream below -2^62, where a watermark
+		// The third shift starts the stream below -2^62, where a watermark
 		// that started at -2^62 instead of unset would reject it as late.
-		for _, k := range []int64{-1_000_000, math.MinInt64 / 2, math.MinInt64/2 - 1000} {
+		// The last two put it near math.MaxInt64, the timestamp of every
+		// tree root, against which each offer takes its minimum: the
+		// last ends the stream at most one slide below it.
+		for _, k := range []int64{-1_000_000, math.MinInt64 / 2, math.MinInt64/2 - 1000,
+			math.MaxInt64 / 2 / slide * slide, (math.MaxInt64 - lastTS) / slide * slide} {
 			got := r.run(k)
 			for i := range got {
 				got[i].M.TS -= k
