@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"streamrpq/internal/stream"
@@ -117,48 +118,75 @@ func TestRAPQExpirySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRAPQDeleteSteadyStateAllocs: Algorithm Delete runs on the same
-// recycled structures. A chain hangs off h, and h is reached from r over
-// m1 (the fresher route) and over m2. Deleting m1 -> h marks h's subtree
-// in the two trees where it hangs under m1: the tree of r reconnects it
-// through m2 — every node of the chain pruned, re-added, none retracted —
-// and the tree of m1 loses it and retracts every pair; re-inserting the
-// edge moves h back under m1 in the one and grows the chain back in the
-// other. The pair of tuples must not allocate.
-func TestRAPQDeleteSteadyStateAllocs(t *testing.T) {
-	a := bind(t, "a+", "a")
-	const r, m1, m2, h, z, c0, chain = 0, 1, 2, 3, 4, 10, 32
+// The vertices of newDeleteChain: r reaches h over m1 (the fresher
+// route) and over m2, a chain of dcLen vertices from c0 hangs off h, and
+// m1 -> z keeps the tree of m1 alive while h is cut.
+const (
+	dcR, dcM1, dcM2, dcH, dcZ, dcC0 = 0, 1, 2, 3, 4, 10
+	dcLen                           = 32
+)
+
+// newDeleteChain builds the delete steady-state fixture under a+ and an
+// unbounded window, and returns its engine with two steps: del deletes
+// m1 -> h at the next timestamp, ins re-inserts it at the same one.
+func newDeleteChain(tb testing.TB) (e *RAPQ, del, ins func()) {
 	setup := []stream.Tuple{
-		{Src: r, Dst: m2}, {Src: m2, Dst: h}, // the older route
-		{Src: r, Dst: m1}, {Src: m1, Dst: h},
-		{Src: m1, Dst: z}, // keeps the tree of m1 alive while h is cut
-		{Src: h, Dst: c0},
+		{Src: dcR, Dst: dcM2}, {Src: dcM2, Dst: dcH}, // the older route
+		{Src: dcR, Dst: dcM1}, {Src: dcM1, Dst: dcH},
+		{Src: dcM1, Dst: dcZ},
+		{Src: dcH, Dst: dcC0},
 	}
-	for i := stream.VertexID(0); i < chain-1; i++ {
-		setup = append(setup, stream.Tuple{Src: c0 + i, Dst: c0 + i + 1})
+	for i := stream.VertexID(0); i < dcLen-1; i++ {
+		setup = append(setup, stream.Tuple{Src: dcC0 + i, Dst: dcC0 + i + 1})
 	}
-	e := NewRAPQ(a, window.Spec{Size: 1 << 40, Slide: 1 << 40}, WithSink(discardSink{}))
+	e = NewRAPQ(bind(tb, "a+", "a"), window.Spec{Size: 1 << 40, Slide: 1 << 40}, WithSink(discardSink{}))
 	ts := int64(0)
 	for _, tu := range setup {
 		ts++
 		tu.TS = ts
 		e.Process(tu)
 	}
-	round := func() {
+	del = func() {
 		ts++
-		e.Process(stream.Tuple{TS: ts, Src: m1, Dst: h, Op: stream.Delete})
-		e.Process(stream.Tuple{TS: ts, Src: m1, Dst: h})
+		e.Process(stream.Tuple{TS: ts, Src: dcM1, Dst: dcH, Op: stream.Delete})
 	}
+	ins = func() { e.Process(stream.Tuple{TS: ts, Src: dcM1, Dst: dcH}) }
+	return e, del, ins
+}
+
+// TestRAPQDeleteSteadyStateAllocs: Algorithm Delete runs on the same
+// recycled structures. Deleting m1 -> h in newDeleteChain marks h's
+// subtree in the two trees where it hangs under m1: the tree of r
+// repairs it in place through m2 — h and every node of the chain settled
+// once in its own slot, none retracted — and the tree of m1 loses it and
+// retracts every pair; re-inserting the edge moves h back under m1 in the
+// one and grows the chain back in the other. The pair of tuples must not
+// allocate.
+func TestRAPQDeleteSteadyStateAllocs(t *testing.T) {
+	e, del, ins := newDeleteChain(t)
+	round := func() { del(); ins() }
 	round()
+	// The slots of h and the chain in the tree of r.
+	cut := func() []int32 {
+		slots := []int32{e.trees[dcR].ns.lookup(mkNodeKey(dcH, 1))}
+		for i := stream.VertexID(0); i < dcLen; i++ {
+			slots = append(slots, e.trees[dcR].ns.lookup(mkNodeKey(dcC0+i, 1)))
+		}
+		return slots
+	}
+	slots := cut()
 	before := e.Stats()
 	avg := testing.AllocsPerRun(50, round)
 	after := e.Stats()
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if got := cut(); !slices.Equal(got, slots) || slices.Contains(slots, -1) {
+		t.Fatalf("h and the chain moved in the tree of r: slots %v, then %v", slots, got)
+	}
 	// h and the chain, retracted in the tree of m1 only: the tree of r
-	// reconnected them.
-	if got, want := after.Invalidations-before.Invalidations, int64(51*(chain+1)); got != want || after.Nodes != before.Nodes {
+	// repaired them.
+	if got, want := after.Invalidations-before.Invalidations, int64(51*(dcLen+1)); got != want || after.Nodes != before.Nodes {
 		t.Fatalf("not a steady state of cut and reconnection: %d invalidations, want %d; nodes %d -> %d",
 			got, want, before.Nodes, after.Nodes)
 	}

@@ -16,7 +16,8 @@
 //   - RAPQ (§3): arbitrary path semantics. Algorithm Insert and
 //     ExpiryRAPQ over a unique (vertex, state) → node index; Insert
 //     keeps node timestamps at their max-min fixpoint, so a window pass
-//     only prunes and reconnection runs on deletions alone.
+//     only prunes and reconnection runs on deletions alone: a repair in
+//     place that settles each marked node once, widest path first.
 //   - RSPQ (§4): simple path semantics. Algorithms Extend, Unmark and
 //     ExpiryRSPQ — markings and conflict detection over the
 //     suffix-language containment relation — over per-key instance
@@ -135,7 +136,7 @@ type Stats struct {
 	TuplesDropped  int64 // tuples whose label is outside ΣQ
 	ExpiryRuns     int64 // number of window-expiry passes
 	ExpiryTime     time.Duration
-	InsertCalls    int64 // invocations of Insert/Extend (amortized-cost probe)
+	InsertCalls    int64 // invocations of Insert/Extend, and RAPQ's settles in a deletion's repair (amortized-cost probe)
 	ConflictsFound int64 // RSPQ only
 	Unmarkings     int64 // RSPQ only
 

@@ -89,8 +89,9 @@ type deltaOps struct {
 // scratch is the engine's reused working set of Δ maintenance: the
 // explicit DFS stack of the insert cascade, the index-row copies of
 // RAPQ's routing, the adjacency copies of the filtered traversal
-// (graph.AppendOutWhere/AppendInWhere), the expiry candidate list, the
-// subtree-marking stack and the record of the open pass.
+// (graph.AppendOutWhere/AppendInWhere), RSPQ's expiry candidate list,
+// the slots a deletion marked, the offer heap of RAPQ's repair and the
+// record of the open pass.
 type scratch struct {
 	stack    []insertOp
 	src, dst []invEnt
@@ -98,6 +99,7 @@ type scratch struct {
 	in       []graph.HalfEdge
 	cands    []nodeKey
 	slots    []int32
+	heap     []offer
 
 	// pre and noted are the record of the one expiry/delete pass open on
 	// this scratch (empty between passes): for each vertex about to lose
@@ -270,23 +272,31 @@ func (d *delta) notePreLive(tx *tree, slot int32, validFrom int64) {
 }
 
 // markSubtree sets the timestamps of the subtree rooted at slot to -∞,
-// marking every node in it as expired (Algorithm Delete lines 4–7). The
-// pre-deletion liveness of each final witness is recorded first, so the
-// invalidation pass decides against the window state before the
-// deletion rather than the clobbered one.
-func (d *delta) markSubtree(tx *tree, slot int32, validFrom int64) {
+// marking every node in it as expired (Algorithm Delete lines 4–7), and
+// appends the newly marked slots to marked, breadth-first: the list is
+// its own worklist. A node already marked is skipped with its subtree,
+// which is marked too — a deleted label with two transitions can cut
+// nested subtrees — so no slot is listed twice. The pre-deletion
+// liveness of each final witness is recorded first, so the invalidation
+// pass decides against the window state before the deletion rather than
+// the clobbered one.
+func (d *delta) markSubtree(tx *tree, slot int32, validFrom int64, marked []int32) []int32 {
 	ns := &tx.ns
-	stack := append(d.sc.slots[:0], slot)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	if ns.nodes[slot].ts == expiredTS {
+		return marked
+	}
+	i := len(marked)
+	for marked = append(marked, slot); i < len(marked); i++ {
+		s := marked[i]
 		d.notePreLive(tx, s, validFrom)
 		ns.nodes[s].ts = expiredTS
 		for c := ns.nodes[s].firstChild; c >= 0; c = ns.nodes[c].nextSib {
-			stack = append(stack, c)
+			if ns.nodes[c].ts != expiredTS {
+				marked = append(marked, c)
+			}
 		}
 	}
-	d.sc.slots = stack[:0]
+	return marked
 }
 
 // endPass closes an expiry/delete pass over tx. With invalidate set

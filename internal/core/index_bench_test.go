@@ -12,8 +12,8 @@ import (
 // (go test -bench, not a claim): what one key probe costs, what one
 // tuple costs when nearly every tree is a candidate and nearly every
 // offer ends at "no improvement" — the shape of the harness's so-dense
-// workload, 1 651 trees over 425 vertices — and what one window pass
-// costs.
+// workload, 1 651 trees over 425 vertices — what one window pass
+// costs, and what one deletion's repair costs.
 
 var benchSlot int32
 
@@ -115,5 +115,27 @@ func BenchmarkWindowExpiry(b *testing.B) {
 	}
 	if got := e.Stats().Nodes; got != want {
 		b.Fatalf("window holds %d nodes after the passes, want %d", got, want)
+	}
+}
+
+// BenchmarkDeleteReconnect times a delete and re-insert pair on the
+// fixture of TestRAPQDeleteSteadyStateAllocs: the delete cuts h and its
+// 32-node chain in two trees, repairs them in place in the tree of r
+// (one settle each) and drops them from the tree of m1; the re-insert
+// moves h back and grows the chain again.
+func BenchmarkDeleteReconnect(b *testing.B) {
+	e, del, ins := newDeleteChain(b)
+	nodes := e.Stats().Nodes
+	b.ReportAllocs()
+	for b.Loop() {
+		calls := e.stats.InsertCalls
+		del()
+		if got := e.stats.InsertCalls - calls; got != dcLen+1 {
+			b.Fatalf("the delete made %d insert calls, want %d", got, dcLen+1)
+		}
+		ins()
+	}
+	if got := e.Stats().Nodes; got != nodes {
+		b.Fatalf("the fixture holds %d nodes after the pairs, want %d", got, nodes)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"streamrpq/internal/automaton"
@@ -16,8 +15,8 @@ import (
 const rootTS = int64(math.MaxInt64)
 
 // expiredTS marks nodes cut off by an explicit deletion (§3.2): it is
-// below every window deadline, so Delete's expiry pass treats them as
-// expired candidates.
+// below every window deadline, so a deletion's repair (reconnect) offers
+// nothing through them until they settle.
 const expiredTS = int64(math.MinInt64)
 
 // RAPQ is the incremental engine for Regular Arbitrary Path Queries
@@ -319,80 +318,12 @@ func (e *RAPQ) ApplyExpiry(deadline int64) {
 	e.stats.ExpiryTime += time.Since(start)
 }
 
-// expireTree is the full ExpiryRAPQ for one tree, run by Algorithm
-// Delete: a deletion cuts real paths, so what it marked may reconnect.
-func (e *RAPQ) expireTree(tx *tree, deadline int64) {
-	ns, sc := &tx.ns, &e.sc
-	// Line 2: candidates with out-of-window timestamps. A child's
-	// timestamp never exceeds its parent's, so candidates form whole
-	// subtrees.
-	candidates := sc.cands[:0]
-	for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
-		if !ns.live(slot) || ns.nodes[slot].ts > deadline {
-			continue
-		}
-		candidates = append(candidates, ns.nodes[slot].key)
-		// Record, before any pruning, whether each pair about to
-		// lose a final witness was live when the pass started.
-		// Delete-marked subtrees were recorded by markSubtree while
-		// their timestamps were still intact; everything else is
-		// genuinely stale and recorded here.
-		e.notePreLive(tx, slot, deadline)
-	}
-	if len(candidates) == 0 {
-		sc.cands = candidates
-		return // nothing stale, so nothing noted: no pass to close
-	}
-	// Sorted candidates make the emission order within the pass a pure
-	// function of the stream: slot order follows the graph's adjacency
-	// order, which differs between the versioned and unversioned graph.
-	slices.Sort(candidates)
-	// Line 3: prune all candidates from the tree. Every release happens
-	// before any reconnection insert allocates, so slots never dangle.
-	for _, key := range candidates {
-		e.remove(tx, ns.lookup(key))
-	}
-	// Lines 4–9: reconnect each candidate through a valid edge from a
-	// valid node; Insert re-adds reachable descendants with fresh
-	// timestamps. Every candidate's full in-neighbourhood is scanned, even
-	// if an earlier cascade re-added it, and the maximal offer goes to
-	// Insert, so each reconnected node ends at its canonical max-min
-	// timestamp in any visiting order (offers from parents re-added later
-	// arrive through their improvement cascades).
-	for _, key := range candidates {
-		v, t := key.vertex(), key.state()
-		bestParent := int32(-1)
-		var bestKey nodeKey
-		var bestEdgeTS, bestTS int64
-		// In-window in-edges on a label that some δ(s, ·) = t steps on.
-		sc.in = e.g.AppendInWhere(e.epoch, v, e.inWant[t], deadline, sc.in[:0])
-		for _, he := range sc.in {
-			for _, s := range e.rev[he.L][t] {
-				pk := mkNodeKey(he.V, s)
-				pslot := ns.lookup(pk)
-				if pslot < 0 || ns.nodes[pslot].ts <= deadline {
-					continue
-				}
-				offer := min(he.TS, ns.nodes[pslot].ts)
-				if bestParent < 0 || offer > bestTS ||
-					(offer == bestTS && pk < bestKey) {
-					bestParent, bestKey, bestEdgeTS, bestTS = pslot, pk, he.TS, offer
-				}
-			}
-		}
-		if bestParent >= 0 {
-			e.insert(tx, bestParent, v, t, bestEdgeTS, deadline)
-		}
-	}
-	sc.cands = candidates[:0]
-	// Lines 11–15, canonicalized.
-	e.endPass(tx, deadline, true)
-}
-
-// ApplyDelete is Algorithm Delete (§3.2): explicit deletion via the
-// expiry machinery. The edge must already have been removed from the
-// snapshot graph (Process does this; the multi-query coordinator
-// removes it from the shared graph once).
+// ApplyDelete is Algorithm Delete (§3.2): the subtrees under the deleted
+// tree edges are marked expired and repaired in place (reconnect) — the
+// expiry machinery of the paper, restricted to what the deletion cut.
+// The edge must already have been removed from the snapshot graph
+// (Process does this; the multi-query coordinator removes it from the
+// shared graph once).
 func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 	if t.TS > e.now {
 		e.now = t.TS
@@ -402,25 +333,153 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 	for _, root := range e.rootsOf(t.Src) {
 		tx := e.trees[root]
 		ns := &tx.ns
-		touched := false
 		// Lines 2–8: find tree edges matching the deleted edge and mark
 		// their subtrees as expired. A tree edge w.r.t. Tx (Definition 13):
 		// the target node exists and hangs under the source node (the root
 		// hangs under itself).
+		marked := e.sc.slots[:0]
 		for _, tr := range e.a.ByLabel[t.Label] {
 			c := ns.lookup(mkNodeKey(t.Dst, tr.To))
 			if c > rootSlot && ns.nodes[ns.nodes[c].parent].key == mkNodeKey(t.Src, tr.From) {
-				e.markSubtree(tx, c, validFrom)
-				touched = true
+				marked = e.markSubtree(tx, c, validFrom, marked)
 			}
 		}
-		if !touched {
+		e.sc.slots = marked[:0]
+		if len(marked) == 0 {
 			continue // deleting a non-tree edge leaves Tx unchanged
 		}
-		// Line 9: uniform handling through ExpiryRAPQ.
-		e.expireTree(tx, validFrom)
+		// Line 9: ExpiryRAPQ over the marked nodes only.
+		e.reconnect(tx, marked, validFrom)
 		e.dropIfRootOnly(tx)
 	}
+}
+
+// offer is a pending reconnection of a delete-marked node: the path
+// timestamp ts through the settled or unmarked node in slot parent. seq
+// is the push order, which breaks ties first in, first out.
+type offer struct {
+	ts, seq      int64
+	slot, parent int32
+}
+
+// reconnect is ExpiryRAPQ over the nodes a deletion marked (lines 2–9),
+// done as a repair in place: a widest-path (max-min) Dijkstra over the
+// marked set settles each marked node that still has an in-window root
+// path exactly once, at its max-min timestamp, keeping its slot, key
+// bucket and index entry; the nodes left unreachable are removed. Nothing
+// outside the marked set can change — a deletion only removes paths — so
+// nothing else is visited, and the stale nodes that lazy expiry leaves in
+// the tree stay for the next window pass: the max-min closure says they
+// have no in-window path to reconnect through. The repair emits no match:
+// a node that reconnects had a path at least as fresh before the
+// deletion, so its pair was live then.
+func (e *RAPQ) reconnect(tx *tree, marked []int32, deadline int64) {
+	ns, sc := &tx.ns, &e.sc
+	seq := int64(0)
+	// Seed: each marked node's best offer from an in-window in-edge whose
+	// source node is neither marked nor stale.
+	for _, slot := range marked {
+		key := ns.nodes[slot].key
+		t := key.state()
+		best := offer{ts: deadline, slot: slot}
+		sc.in = e.g.AppendInWhere(e.epoch, key.vertex(), e.inWant[t], deadline, sc.in[:0])
+		for _, he := range sc.in {
+			for _, s := range e.rev[he.L][t] {
+				pslot := ns.lookup(mkNodeKey(he.V, s))
+				if pslot < 0 {
+					continue
+				}
+				if ts := min(he.TS, ns.nodes[pslot].ts); ts > best.ts {
+					best.ts, best.parent = ts, pslot
+				}
+			}
+		}
+		if best.ts > deadline {
+			best.seq, seq = seq, seq+1
+			sc.push(best)
+		}
+	}
+	// Settle: the best pending offer is final for its node, since every
+	// other path to it runs through a node whose offer is no better.
+	calls := int64(0)
+	for len(sc.heap) > 0 {
+		o := sc.pop()
+		if ns.nodes[o.slot].ts > deadline {
+			continue // settled by a better offer
+		}
+		calls++
+		ns.detach(o.slot)
+		ns.nodes[o.slot].ts, ns.nodes[o.slot].parent = o.ts, o.parent
+		ns.attach(o.parent, o.slot)
+		v, t := ns.nodes[o.slot].key.vertex(), ns.nodes[o.slot].key.state()
+		sc.out = e.g.AppendOutWhere(e.epoch, v, e.outWant[t], deadline, sc.out[:0])
+		for _, he := range sc.out {
+			if cs := ns.lookup(mkNodeKey(he.V, e.a.Trans[t][he.L])); cs >= 0 && ns.nodes[cs].ts <= deadline {
+				sc.push(offer{ts: min(o.ts, he.TS), seq: seq, slot: cs, parent: o.slot})
+				seq++
+			}
+		}
+	}
+	e.stats.InsertCalls += calls
+	// Remove what stayed cut off. Settled nodes hang under settled or
+	// unmarked ones, so every child of a removed node is removed here too.
+	for _, slot := range marked {
+		if ns.nodes[slot].ts <= deadline {
+			e.remove(tx, slot)
+		}
+	}
+	// Lines 11–15, canonicalized.
+	e.endPass(tx, deadline, true)
+}
+
+// before orders the offer heap: the widest path first, ties first in,
+// first out. The tie order shapes the repaired tree (which later
+// deletions cut through), never its timestamps.
+func (o offer) before(p offer) bool {
+	return o.ts > p.ts || o.ts == p.ts && o.seq < p.seq
+}
+
+// push adds an offer to the heap in sc.heap: a hand-written sift, since
+// container/heap boxes every element through its interface.
+func (sc *scratch) push(o offer) {
+	h := append(sc.heap, o)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !o.before(h[p]) {
+			break
+		}
+		h[i], i = h[p], p
+	}
+	h[i] = o
+	sc.heap = h
+}
+
+// pop removes and returns the first offer of the heap.
+func (sc *scratch) pop() offer {
+	h := sc.heap
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(h[c]) {
+				c++
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i], i = h[c], c
+		}
+		h[i] = last
+	}
+	sc.heap = h
+	return top
 }
 
 var (

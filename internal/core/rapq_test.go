@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamrpq/internal/automaton"
@@ -450,6 +451,136 @@ func TestRAPQDuplicateEdgeRefresh(t *testing.T) {
 	}
 	if ts, ok := tx.nodeTS(mkNodeKey(2, 1)); !ok || ts != 11 {
 		t.Fatalf("(2,1) not refreshed: ts=%d ok=%v", ts, ok)
+	}
+}
+
+// TestRAPQDeleteSettlesOnce: a deletion repairs the marked subtree in
+// place, settling each node once at its max-min timestamp. In the tree
+// of r, h hangs under m (ts 5, over the older route r→m2→h at 4), B
+// under h and A under B, though A is also reached from o at 1. Deleting
+// m→h marks h, B and A; the widest path first settles h under m2 at 4,
+// then B and A at 4 — A's offer from o never settles it — all three in
+// their own slots. The tree of m loses all three and retracts them.
+func TestRAPQDeleteSettlesOnce(t *testing.T) {
+	a := bind(t, "a+", "a")
+	const r, o, A, m2, h, m, B = 0, 1, 2, 3, 4, 5, 6
+	sink := NewCollector()
+	e := NewRAPQ(a, window.Spec{Size: 1 << 40, Slide: 1 << 40}, WithSink(sink))
+	for _, tu := range []stream.Tuple{
+		{TS: 1, Src: r, Dst: o}, {TS: 1, Src: o, Dst: A},
+		{TS: 4, Src: r, Dst: m2}, {TS: 4, Src: m2, Dst: h},
+		{TS: 5, Src: r, Dst: m}, {TS: 5, Src: m, Dst: h}, {TS: 5, Src: h, Dst: B}, {TS: 5, Src: B, Dst: A},
+	} {
+		e.Process(tu)
+	}
+	tx := e.trees[r]
+	cut := []stream.VertexID{h, B, A}
+	slots := make([]int32, len(cut))
+	for i, v := range cut {
+		if slots[i] = tx.ns.lookup(mkNodeKey(v, 1)); slots[i] < 0 {
+			t.Fatalf("(%d,1) missing from the tree of r", v)
+		}
+	}
+	if ts, _ := tx.nodeTS(mkNodeKey(A, 1)); ts != 5 {
+		t.Fatalf("A.ts = %d before the delete, want 5", ts)
+	}
+	before := e.Stats()
+	e.Process(stream.Tuple{TS: 6, Src: m, Dst: h, Op: stream.Delete})
+	after := e.Stats()
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range cut {
+		if got := tx.ns.lookup(mkNodeKey(v, 1)); got != slots[i] {
+			t.Errorf("(%d,1) moved from slot %d to %d", v, slots[i], got)
+		}
+		if ts, _ := tx.nodeTS(mkNodeKey(v, 1)); ts != 4 {
+			t.Errorf("(%d,1).ts = %d after the delete, want 4", v, ts)
+		}
+	}
+	if pk, _ := tx.nodeParent(mkNodeKey(h, 1)); pk != mkNodeKey(m2, 1) {
+		t.Errorf("h hangs under (%d,%d), want (m2,1)", pk.vertex(), pk.state())
+	}
+	if got := after.InsertCalls - before.InsertCalls; got != 3 {
+		t.Errorf("the delete made %d insert calls, want 3", got)
+	}
+	if got := after.Results - before.Results; got != 0 {
+		t.Errorf("the delete emitted %d matches", got)
+	}
+	want := []Match{{From: m, To: A, TS: 6}, {From: m, To: h, TS: 6}, {From: m, To: B, TS: 6}}
+	if !slices.Equal(sink.Retract, want) {
+		t.Errorf("retractions %v, want %v", sink.Retract, want)
+	}
+}
+
+// TestRAPQDeleteNestedTreeEdges: one deleted edge can be a tree edge
+// twice in one tree, the second nested in the subtree of the first. For
+// a/b/a over u→v (a) and v→u (b), the tree of u holds (v,1) under the
+// root and (v,3) under (u,2) below it, both over u→v: deleting the edge
+// marks the nested subtree once, and the tree shrinks to its root.
+func TestRAPQDeleteNestedTreeEdges(t *testing.T) {
+	a := bind(t, "a/b/a", "a", "b")
+	const u, v = 0, 1
+	sink := NewCollector()
+	e := NewRAPQ(a, window.Spec{Size: 1 << 40, Slide: 1 << 40}, WithSink(sink))
+	uv := stream.Tuple{TS: 1, Src: u, Dst: v, Label: 0}
+	e.Process(uv)
+	e.Process(stream.Tuple{TS: 2, Src: v, Dst: u, Label: 1})
+	tx := e.trees[u]
+	for _, c := range []struct{ child, parent nodeKey }{
+		{mkNodeKey(v, 1), mkNodeKey(u, 0)},
+		{mkNodeKey(v, 3), mkNodeKey(u, 2)},
+	} {
+		if pk, ok := tx.nodeParent(c.child); !ok || pk != c.parent {
+			t.Fatalf("(%d,%d) hangs under (%d,%d), want (%d,%d)", c.child.vertex(), c.child.state(),
+				pk.vertex(), pk.state(), c.parent.vertex(), c.parent.state())
+		}
+	}
+	e.Process(stream.Tuple{TS: 3, Src: u, Dst: v, Label: 0, Op: stream.Delete})
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("after the delete: %v", err)
+	}
+	if e.trees[u] != nil || len(sink.Retract) != 1 || len(sink.Live) != 0 {
+		t.Fatalf("after the delete: tree of u kept %v, retractions %v, live %v", e.trees[u] != nil, sink.Retract, sink.Live)
+	}
+	uv.TS = 4
+	e.Process(uv)
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("after the re-insert: %v", err)
+	}
+	if _, ok := sink.Live[Pair{From: u, To: v}]; !ok {
+		t.Fatal("(u,v) not live again after the re-insert")
+	}
+}
+
+// TestOfferHeapOrder: the repair's heap pops offers widest first, ties
+// in push order, across interleaved pushes and pops.
+func TestOfferHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var sc scratch
+	var model []offer
+	seq := int64(0)
+	for step := range 2000 {
+		if len(model) == 0 || rng.Intn(3) > 0 {
+			o := offer{ts: rng.Int63n(8), seq: seq, slot: int32(step)}
+			seq++
+			sc.push(o)
+			model = append(model, o)
+			continue
+		}
+		best := 0
+		for i, o := range model {
+			if o.before(model[best]) {
+				best = i
+			}
+		}
+		if got := sc.pop(); got != model[best] {
+			t.Fatalf("step %d: popped %+v, want %+v", step, got, model[best])
+		}
+		model = slices.Delete(model, best, best+1)
+	}
+	if len(sc.heap) != len(model) {
+		t.Fatalf("heap holds %d offers, the model %d", len(sc.heap), len(model))
 	}
 }
 

@@ -443,7 +443,7 @@ func (e *RSPQ) applyDelete(t stream.Tuple) {
 				// A tree edge w.r.t. Tx: c hangs under an instance of the
 				// source key (the root hangs under itself).
 				if c != rootSlot && tx.ns.nodes[tx.ns.nodes[c].parent].key == src {
-					e.markSubtree(tx, c, validFrom)
+					e.sc.slots = e.markSubtree(tx, c, validFrom, e.sc.slots[:0])[:0]
 					touched = true
 				}
 			}

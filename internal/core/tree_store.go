@@ -29,9 +29,9 @@ type node struct {
 // alloc reuses the most recently released slot first. Slots are stable
 // while a node lives, and nothing is released during an insert cascade,
 // so a cascade can carry parent slots instead of keys. An expiry pass
-// releases slots strictly before its reconnection allocates, and what
-// it releases always forms whole subtrees, so no live node ever points
-// at a released slot. The root is its tree's first node: it sits in
+// releases slots strictly before its reconnection allocates (RAPQ's
+// deletion repair allocates none), and what it releases always forms
+// whole subtrees, so no live node ever points at a released slot. The root is its tree's first node: it sits in
 // rootSlot for the tree's whole life.
 type slotStore struct {
 	nodes []node
