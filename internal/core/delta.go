@@ -50,10 +50,12 @@ type delta struct {
 	// reconnection: rev[label][t] = states s with δ(s,label)=t.
 	rev [][][]int32
 
-	// Traversal label masks (graph.AppendOutWhere); a label bound after
-	// the member is past their end, so unwanted. outWant[s][l] iff
-	// δ(s,l) exists, inWant[t][l] iff some δ(s,l) = t.
-	outWant, inWant [][]bool
+	// Traversal label filters (graph.AppendOutWhere), one per state; a
+	// label bound after the member is past their masks' end, so
+	// unwanted. outWant[s] wants l iff δ(s,l) exists, inWant[t] iff
+	// some δ(s,l) = t. Each also lists its labels, so a walk of a hub's
+	// slab reads only the cells of those labels.
+	outWant, inWant []graph.Labels
 
 	// epoch is the graph epoch this engine's traversals read at (the
 	// explicit epoch handle of the versioned snapshot graph). A
@@ -133,9 +135,9 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 		panic("core: automaton exceeds the node-key state space; streamrpq.Compile rejects such patterns")
 	}
 	d.rev = make([][][]int32, len(a.ByLabel))
-	d.outWant, d.inWant = make([][]bool, a.K), make([][]bool, a.K)
+	outMask, inMask := make([][]bool, a.K), make([][]bool, a.K)
 	for s := range a.K {
-		d.outWant[s], d.inWant[s] = make([]bool, len(a.ByLabel)), make([]bool, len(a.ByLabel))
+		outMask[s], inMask[s] = make([]bool, len(a.ByLabel)), make([]bool, len(a.ByLabel))
 	}
 	for l, trans := range a.ByLabel {
 		if len(trans) == 0 {
@@ -144,9 +146,13 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 		byTarget := make([][]int32, a.K)
 		for _, tr := range trans {
 			byTarget[tr.To] = append(byTarget[tr.To], tr.From)
-			d.outWant[tr.From][l], d.inWant[tr.To][l] = true, true
+			outMask[tr.From][l], inMask[tr.To][l] = true, true
 		}
 		d.rev[l] = byTarget
+	}
+	d.outWant, d.inWant = make([]graph.Labels, a.K), make([]graph.Labels, a.K)
+	for s := range a.K {
+		d.outWant[s], d.inWant[s] = graph.NewLabels(outMask[s]), graph.NewLabels(inMask[s])
 	}
 	d.a = a
 	d.now = math.MinInt64

@@ -147,7 +147,7 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 	sc := &e.sc
 	src := sc.src[:0]
 	for _, en := range e.inv.row(t.Src) {
-		if e.outWant[en.state][t.Label] {
+		if e.outWant[en.state].Has(t.Label) {
 			src = append(src, en)
 		}
 	}
@@ -213,7 +213,12 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 // timestamp and re-parents it), reports results for final states, and
 // expands the node's out-edges transitively. Expansion goes through
 // graph.AppendOutWhere into a reused buffer: only the in-window cells
-// δ(t, ·) steps on are copied, then used with no check or map lookup.
+// δ(t, ·) steps on are copied (on a hub, only their label runs are
+// read), then used with no check or map lookup. On a hub the buffer
+// holds each label's cells by ascending timestamp, so the stack pops the
+// freshest offer first and a node mostly gets its final timestamp on
+// its first visit; the order shapes the tree and InsertCalls,
+// deterministically, but not the results.
 //
 // Deviation from the paper: timestamp improvements of existing nodes
 // are propagated recursively rather than left to the expiry pass;

@@ -2,10 +2,13 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"streamrpq/internal/stream"
 )
@@ -111,10 +114,83 @@ func TestAppendMatchesPointLookups(t *testing.T) {
 	}
 }
 
+// checkIndexes checks every slab's bigIndex against its cells: a slab
+// past lookupThreshold has one; lookup maps each cell's (other,label) to
+// its index and holds nothing else; labels ascend strictly, each naming
+// its own run; and walking every run from its head lists every cell
+// once, under its own label, ascending by timestamp, with each link's
+// prev the cell before it, and ends at the run's tail.
+func checkIndexes(g *Graph) error {
+	for side, slabs := range [][]*slab{g.tab.out, g.tab.in} {
+		for v, s := range slabs {
+			if s == nil {
+				continue
+			}
+			b := s.big
+			if b == nil {
+				if len(s.edges) > lookupThreshold {
+					return fmt.Errorf("side %d vertex %d: %d cells and no index", side, v, len(s.edges))
+				}
+				continue
+			}
+			if len(b.lookup) != len(s.edges) || len(b.links) != len(s.edges) {
+				return fmt.Errorf("side %d vertex %d: %d keys and %d links for %d cells", side, v, len(b.lookup), len(b.links), len(s.edges))
+			}
+			for i := range s.edges {
+				pe := &s.edges[i]
+				if j, ok := b.lookup[packHalf(stream.VertexID(pe.other), stream.LabelID(pe.label))]; !ok || j != int32(i) {
+					return fmt.Errorf("side %d vertex %d: cell %d looks up as %d,%v", side, v, i, j, ok)
+				}
+			}
+			if len(b.ids) != len(b.labels) || len(b.heads) != len(b.labels) || len(b.tails) != len(b.labels) {
+				return fmt.Errorf("side %d vertex %d: %d labels, %d ids, %d heads, %d tails", side, v, len(b.labels), len(b.ids), len(b.heads), len(b.tails))
+			}
+			seen := make([]bool, len(s.edges))
+			runs := make([]bool, len(b.heads))
+			for k, l := range b.labels {
+				if k > 0 && b.labels[k-1] >= l {
+					return fmt.Errorf("side %d vertex %d: labels %v not strictly ascending", side, v, b.labels)
+				}
+				id := b.ids[k]
+				if runs[id] {
+					return fmt.Errorf("side %d vertex %d: run %d named twice", side, v, id)
+				}
+				runs[id] = true
+				prev := ^id
+				for c := b.heads[id]; c >= 0; prev, c = c, b.links[c].next {
+					if int(c) >= len(s.edges) || seen[c] || s.edges[c].label != l || b.links[c].prev != prev ||
+						prev >= 0 && s.edges[prev].ts > s.edges[c].ts {
+						return fmt.Errorf("side %d vertex %d: run of label %d reaches cell %d wrongly", side, v, l, c)
+					}
+					seen[c] = true
+				}
+				if last := max(prev, -1); b.tails[id] != last || last >= 0 && b.links[last].next != ^id {
+					return fmt.Errorf("side %d vertex %d: run of label %d ends at %d, its tail is %d", side, v, l, last, b.tails[id])
+				}
+			}
+			if i := slices.Index(seen, false); i >= 0 {
+				return fmt.Errorf("side %d vertex %d: cell %d in no run", side, v, i)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCellAndSlabSize pins the 32-byte cell and slab header: the label
+// runs sit behind the index pointer, outside both.
+func TestCellAndSlabSize(t *testing.T) {
+	if n := unsafe.Sizeof(packedEdge{}); n != 32 {
+		t.Fatalf("packedEdge is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(slab{}); n != 32 {
+		t.Fatalf("slab is %d bytes, want 32", n)
+	}
+}
+
 // TestSlabLookupIndexPromotion: vertices past the linear-scan threshold
-// build the lazy per-slab index; lookups, refreshes, and deletes stay
-// correct through promotion and the swap-remove compaction it must
-// survive.
+// build the lazy per-slab index; lookups, refreshes, deletes and every
+// label's filtered walk stay correct through promotion and the
+// swap-remove compaction it must survive.
 func TestSlabLookupIndexPromotion(t *testing.T) {
 	g := New()
 	const hub = stream.VertexID(0)
@@ -128,6 +204,37 @@ func TestSlabLookupIndexPromotion(t *testing.T) {
 			t.Fatalf("TS(%v) = %d,%v want %d,true", k, ts, ok, i)
 		}
 	}
+	// walks checks each label's filtered walk, alone and with the next
+	// label, against the cells the loop above and below left: i%3 != 0
+	// ones after the deletes, at ts(i).
+	walks := func(stage string, ts func(i int) int64, gone func(i int) bool) {
+		t.Helper()
+		if err := checkIndexes(g); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		var buf []HalfEdge
+		for l := 0; l < 5; l++ {
+			mask := make([]bool, 5)
+			mask[l], mask[(l+1)%5] = true, l%2 == 0
+			var want []HalfEdge
+			for i := 1; i <= n; i++ {
+				if mask[i%5] && !gone(i) {
+					want = append(want, HalfEdge{V: stream.VertexID(i), L: stream.LabelID(i % 5), TS: ts(i)})
+				}
+			}
+			buf = g.AppendOutWhere(g.Epoch(), hub, NewLabels(mask), math.MinInt64, buf[:0])
+			if !slices.IsSortedFunc(buf, func(a, b HalfEdge) int { return int(a.L) - int(b.L) }) {
+				t.Fatalf("%s: mask %v walks %v, not label by label", stage, mask, buf)
+			}
+			got := slices.Clone(buf)
+			sortHalf(got)
+			sortHalf(want)
+			if !equalHalf(got, want) {
+				t.Fatalf("%s: mask %v walks %v, want %v", stage, mask, got, want)
+			}
+		}
+	}
+	walks("inserted", func(i int) int64 { return int64(i) }, func(int) bool { return false })
 	// Delete every third edge (exercises swap-remove under the index),
 	// then refresh every remaining edge.
 	for i := 3; i <= n; i += 3 {
@@ -135,6 +242,8 @@ func TestSlabLookupIndexPromotion(t *testing.T) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
+	deleted := func(i int) bool { return i%3 == 0 }
+	walks("deleted", func(i int) int64 { return int64(i) }, deleted)
 	for i := 1; i <= n; i++ {
 		k := key(hub, stream.VertexID(i), stream.LabelID(i%5))
 		if i%3 == 0 {
@@ -148,6 +257,7 @@ func TestSlabLookupIndexPromotion(t *testing.T) {
 			t.Fatalf("refreshed TS(%v) = %d,%v want %d,true", k, ts, ok, 1000+i)
 		}
 	}
+	walks("refreshed", func(i int) int64 { return int64(1000 + i) }, deleted)
 	if want := n - n/3; g.NumEdges() != want {
 		t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), want)
 	}
@@ -266,5 +376,47 @@ func TestStripedConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	if n := g.DeadVersions(); n != 0 {
 		t.Fatalf("DeadVersions = %d after quiescence, want 0", n)
+	}
+}
+
+// BenchmarkAppendOutWhereHub is the filtered walk of one indexed hub:
+// an out slab of 500 cells over Zipf-drawn labels (a few common labels,
+// a long tail of rare ones), walked with filters of one to three labels
+// drawn uniformly, so most filters want rare labels, as a query's state
+// does on yago-sparse. Each filter's walk must equal the masked
+// unfiltered walk as a multiset.
+func BenchmarkAppendOutWhereHub(b *testing.B) {
+	const hub, labels = stream.VertexID(0), 100
+	rng := rand.New(rand.NewSource(5))
+	zipf := rand.NewZipf(rng, 1.1, 1, labels-1)
+	g := New()
+	for ts := int64(0); g.NumEdges() < 500; ts++ {
+		g.Insert(hub, stream.VertexID(1+rng.Intn(1000)), stream.LabelID(zipf.Uint64()), ts)
+	}
+	filters := make([]Labels, 16)
+	var buf []HalfEdge
+	for f := range filters {
+		mask := make([]bool, labels)
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			mask[rng.Intn(labels)] = true
+		}
+		filters[f] = NewLabels(mask)
+		var want []HalfEdge
+		for _, he := range g.AppendOutAt(g.Epoch(), hub, nil) {
+			if mask[he.L] {
+				want = append(want, he)
+			}
+		}
+		buf = g.AppendOutWhere(g.Epoch(), hub, filters[f], math.MinInt64, buf[:0])
+		got := slices.Clone(buf)
+		sortHalf(got)
+		sortHalf(want)
+		if !equalHalf(got, want) {
+			b.Fatalf("filter %v walks %v, want %v", mask, got, want)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = g.AppendOutWhere(g.Epoch(), hub, filters[i%len(filters)], math.MinInt64, buf[:0])
 	}
 }

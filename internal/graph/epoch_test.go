@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streamrpq/internal/stream"
@@ -157,74 +158,123 @@ func TestBatchModel(t *testing.T) {
 }
 
 // TestAppendWhereModel: the filtered traversal is exactly a filter. A
-// versioned graph takes random batches as in TestBatchModel, over four
-// labels. Once a batch is written, concurrent readers of every step's
-// epoch draw random label masks — of zero to four entries, so labels
-// past the end of a mask occur and must be dropped — and random
-// timestamp bounds, and AppendOutWhere/AppendInWhere must return exactly
-// the cells of AppendOutAt/AppendInAt that pass both, in the same order.
+// versioned graph takes random batches as in TestBatchModel. Once a
+// batch is written, concurrent readers of every step's epoch draw random
+// label filters — nil (every label) or a mask of zero to all labels plus
+// one entries, so labels past the end of a mask occur and must be
+// dropped — and random timestamp bounds, and AppendOutWhere/AppendInWhere
+// must return exactly the cells of AppendOutAt/AppendInAt that pass
+// both: in the same order on a slab at or below lookupThreshold, and on
+// an indexed slab as the same multiset, label by label ascending. The
+// small configuration never indexes a slab; the hub one sends most
+// edges out of (and many into) three hubs with a long window, so their
+// slabs are indexed and their runs churn through deletes, expiry and
+// batch-end settling. After every batch each index must match its slab.
 func TestAppendWhereModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	const vertices, labels = 12, 4
-	filter := func(all []HalfEdge, want []bool, after int64) []HalfEdge {
-		var out []HalfEdge
-		for _, he := range all {
-			if int(he.L) < len(want) && want[he.L] && he.TS > after {
-				out = append(out, he)
+	for _, cfg := range []struct {
+		name             string
+		vertices, labels int
+		hubs             int // vertices 0…hubs-1
+		hubOut, hubIn    int // chances in 4 that an edge leaves, enters a hub
+		horizon          int // how far behind the clock expiry runs
+		trials, batches  int
+		wantIndexedWalks bool
+	}{
+		{"small", 12, 4, 0, 0, 0, 0, 10, 30, false},
+		{"hubs", 40, 10, 3, 3, 2, 150, 4, 60, true},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(33))
+			vertex := func(hubChance int) stream.VertexID {
+				if rng.Intn(4) < hubChance {
+					return stream.VertexID(rng.Intn(cfg.hubs))
+				}
+				return stream.VertexID(rng.Intn(cfg.vertices))
 			}
-		}
-		return out
-	}
-	for trial := 0; trial < 10; trial++ {
-		g := New()
-		ts := int64(0)
-		for batch := 0; batch < 30; batch++ {
-			g.BeginBatch()
-			epochs := make([]Epoch, 1+rng.Intn(8))
-			for i := range epochs {
-				epochs[i] = g.AdvanceEpoch()
-				for m := 1 + rng.Intn(4); m > 0; m-- {
-					ts += int64(rng.Intn(3))
-					k := key(stream.VertexID(rng.Intn(vertices)), stream.VertexID(rng.Intn(vertices)), stream.LabelID(rng.Intn(labels)))
-					switch rng.Intn(12) {
-					case 0:
-						g.Delete(k)
-					case 1:
-						g.Expire(ts-int64(rng.Intn(8)), nil)
-					default:
-						g.Insert(k.Src, k.Dst, k.Label, ts)
+			filter := func(all []HalfEdge, want Labels, after int64) []HalfEdge {
+				var out []HalfEdge
+				for _, he := range all {
+					if want.Has(he.L) && he.TS > after {
+						out = append(out, he)
+					}
+				}
+				return out
+			}
+			var indexedWalks atomic.Int64
+			for trial := 0; trial < cfg.trials; trial++ {
+				g := New()
+				ts := int64(0)
+				for batch := 0; batch < cfg.batches; batch++ {
+					g.BeginBatch()
+					epochs := make([]Epoch, 1+rng.Intn(8))
+					for i := range epochs {
+						epochs[i] = g.AdvanceEpoch()
+						for m := 1 + rng.Intn(4); m > 0; m-- {
+							ts += int64(rng.Intn(3))
+							k := key(vertex(cfg.hubOut), vertex(cfg.hubIn), stream.LabelID(rng.Intn(cfg.labels)))
+							switch rng.Intn(12) {
+							case 0:
+								g.Delete(k)
+							case 1:
+								g.Expire(ts-int64(cfg.horizon+rng.Intn(8)), nil)
+							default:
+								g.Insert(k.Src, k.Dst, k.Label, ts)
+							}
+						}
+					}
+					var wg sync.WaitGroup
+					for _, e := range epochs {
+						r, now := rand.New(rand.NewSource(rng.Int63())), ts
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							var all, got []HalfEdge
+							check := func(name string, out bool, v stream.VertexID, want Labels, after int64) {
+								exp := filter(all, want, after)
+								if s := g.tab.slab(out, v); s == nil || s.big == nil || want.mask == nil {
+									if !slices.Equal(got, exp) {
+										t.Errorf("trial %d batch %d epoch %d: %s(%d, %v, %d) = %v, want %v", trial, batch, e, name, v, want.mask, after, got, exp)
+									}
+									return
+								}
+								indexedWalks.Add(1)
+								sorted := slices.Clone(got)
+								sortHalf(sorted)
+								sortHalf(exp)
+								if !slices.Equal(sorted, exp) || !slices.IsSortedFunc(got, func(a, b HalfEdge) int { return int(a.L) - int(b.L) }) {
+									t.Errorf("trial %d batch %d epoch %d: indexed %s(%d, %v, %d) = %v, want %v label by label", trial, batch, e, name, v, want.mask, after, got, exp)
+								}
+							}
+							for v := range stream.VertexID(cfg.vertices) {
+								var want Labels
+								if r.Intn(8) > 0 {
+									mask := make([]bool, r.Intn(cfg.labels+2))
+									for l := range mask {
+										mask[l] = r.Intn(2) == 0
+									}
+									want = NewLabels(mask)
+								}
+								after := now - int64(r.Intn(cfg.horizon+12))
+								all = g.AppendOutAt(e, v, all[:0])
+								got = g.AppendOutWhere(e, v, want, after, got[:0])
+								check("AppendOutWhere", true, v, want, after)
+								all = g.AppendInAt(e, v, all[:0])
+								got = g.AppendInWhere(e, v, want, after, got[:0])
+								check("AppendInWhere", false, v, want, after)
+							}
+						}()
+					}
+					wg.Wait()
+					g.EndBatch()
+					if err := checkIndexes(g); err != nil {
+						t.Fatalf("trial %d batch %d: %v", trial, batch, err)
 					}
 				}
 			}
-			var wg sync.WaitGroup
-			for _, e := range epochs {
-				r, now := rand.New(rand.NewSource(rng.Int63())), ts
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var all, got []HalfEdge
-					for v := range stream.VertexID(vertices) {
-						want := make([]bool, r.Intn(labels+1))
-						for l := range want {
-							want[l] = r.Intn(2) == 0
-						}
-						after := now - int64(r.Intn(12))
-						all = g.AppendOutAt(e, v, all[:0])
-						got = g.AppendOutWhere(e, v, want, after, got[:0])
-						if exp := filter(all, want, after); !slices.Equal(got, exp) {
-							t.Errorf("trial %d batch %d epoch %d: AppendOutWhere(%d, %v, %d) = %v, want %v", trial, batch, e, v, want, after, got, exp)
-						}
-						all = g.AppendInAt(e, v, all[:0])
-						got = g.AppendInWhere(e, v, want, after, got[:0])
-						if exp := filter(all, want, after); !slices.Equal(got, exp) {
-							t.Errorf("trial %d batch %d epoch %d: AppendInWhere(%d, %v, %d) = %v, want %v", trial, batch, e, v, want, after, got, exp)
-						}
-					}
-				}()
+			if n := indexedWalks.Load(); (n > 0) != cfg.wantIndexedWalks {
+				t.Fatalf("%d filtered walks of indexed slabs, want some: %v", n, cfg.wantIndexedWalks)
 			}
-			wg.Wait()
-			g.EndBatch()
-		}
+		})
 	}
 }
 
@@ -388,6 +438,43 @@ func TestEpochWritePathAllocs(t *testing.T) {
 	}
 	if dv := g.DeadVersions(); dv != 0 {
 		t.Fatalf("%d dead versions after EndBatch", dv)
+	}
+
+	// An indexed hub whose rare labels come and go: every step refreshes
+	// the hub's 30 label-0 edges, adds an edge of one of eight rare
+	// labels and deletes the previous step's, so a label run empties and
+	// refills at every step and batch end. A run that empties keeps its
+	// id and the index keeps no per-run array, so this allocates no more
+	// than the plain batch.
+	const hub = stream.VertexID(16)
+	prev := stream.LabelID(1)
+	hubBatch := func() {
+		g.BeginBatch()
+		for step := 0; step < 4; step++ {
+			g.AdvanceEpoch()
+			g.Expire(ts-40, nil)
+			for v := 0; v < 30; v++ {
+				ts++
+				g.Insert(hub, stream.VertexID(100+v), 0, ts)
+			}
+			rare := 1 + prev%8
+			g.Insert(hub, 200, rare, ts)
+			g.Delete(key(hub, 200, prev))
+			prev = rare
+		}
+		g.EndBatch()
+	}
+	for i := 0; i < 300; i++ {
+		hubBatch()
+	}
+	if s := g.tab.out[hub]; s.big == nil || len(s.big.heads) != 9 {
+		t.Fatalf("the hub's slab is not indexed over 9 labels")
+	}
+	if avg := testing.AllocsPerRun(100, hubBatch); avg > 1 {
+		t.Fatalf("write path allocates %.2f per batch on an indexed hub, want ≤1", avg)
+	}
+	if err := checkIndexes(g); err != nil {
+		t.Fatal(err)
 	}
 }
 

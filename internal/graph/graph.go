@@ -38,10 +38,15 @@
 // live in one contiguous slab of 32-byte pointer-free cells (csr.go).
 // A cell inlines the newest version with its uint32 epochs; the
 // superseded versions the open batch keeps go to one graph-level arena,
-// chained per cell, which EndBatch truncates. Point lookups linearly
-// scan small slabs and use a per-slab index map above lookupThreshold.
-// Traversal is a linear walk of one slab: no map iteration, no pointer
-// chasing, no per-version allocation.
+// chained per cell, which EndBatch truncates. A slab header is 32
+// bytes: the cell array and a pointer to its index, which a slab gets
+// once it grows past lookupThreshold and keeps. The index holds a
+// (other,label) → cell map for point lookups (small slabs scan
+// linearly) and threads the slab's cells into one doubly linked run per
+// label, ascending by timestamp and found through the slab's sorted
+// labels; a cell leaves or moves in O(1) in both. Traversal is a linear
+// walk of one slab, or of the wanted labels' runs: no map iteration, no
+// per-version allocation.
 //
 // # Concurrency
 //
@@ -57,10 +62,14 @@
 // Traversal is buffer-based: AppendOutAt/AppendInAt copy the visible
 // half-edges of one vertex side into a caller-owned buffer, so the
 // caller may freely re-enter graph read methods while consuming it, and
-// the walk is allocation-free once the buffer has grown. The same walk,
-// AppendOutWhere/AppendInWhere, copies only the cells of a caller's
-// labels above a timestamp bound: a Δ engine sharing the graph copies
-// only what its automaton steps on. Edges is built on the same copy.
+// the walk is allocation-free once the buffer has grown. The filtered
+// walk, AppendOutWhere/AppendInWhere, copies only the cells of a
+// caller's Labels above a timestamp bound: a Δ engine sharing the graph
+// copies only what its automaton steps on, and on an indexed slab it
+// reads only the runs of those labels, so a hub costs its degree in the
+// wanted labels, not its full degree. That walk yields an indexed
+// slab's cells label by label; every other walk, Edges included, keeps
+// slab order.
 package graph
 
 import (
@@ -288,6 +297,9 @@ func (g *Graph) editSide(out bool, v, other stream.VertexID, label stream.LabelI
 			pe.prev = int32(len(g.vers) - 1)
 		}
 		pe.ts, pe.added, pe.removed = ts, added, liveEpoch
+		if s.big != nil {
+			s.big.refresh(idx, pe.label)
+		}
 	}
 	return wasLive
 }
@@ -333,18 +345,64 @@ func (g *Graph) Has(key stream.EdgeKey) bool {
 	return ok
 }
 
-// appendSide copies into buf, in slab order, the half-edges of one
-// vertex side visible at epoch e whose label is wanted (all when want is
-// nil, none past its end) and whose timestamp is above after. A cell's
-// label never changes, so it is tested before the version lookup.
-func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, want []bool, after int64, buf []HalfEdge) []HalfEdge {
+// Labels is the label filter of a traversal: mask[l] wants label l (a
+// label past the mask's end is unwanted), and list holds the wanted
+// labels ascending, for the walks of indexed slabs. The zero value wants
+// every label.
+type Labels struct {
+	mask []bool
+	list []int32
+}
+
+// NewLabels returns the filter wanting the labels set in mask; a nil
+// mask wants every label.
+func NewLabels(mask []bool) Labels {
+	w := Labels{mask: mask}
+	for l, ok := range mask {
+		if ok {
+			w.list = append(w.list, int32(l))
+		}
+	}
+	return w
+}
+
+// Has reports whether w wants label l.
+func (w Labels) Has(l stream.LabelID) bool {
+	return w.mask == nil || uint32(l) < uint32(len(w.mask)) && w.mask[l]
+}
+
+// appendSide copies into buf the half-edges of one vertex side visible
+// at epoch e whose label want wants and whose timestamp is above after.
+// An unfiltered walk, and any walk of a slab at or below
+// lookupThreshold, copies in slab order, testing each cell's label
+// before its version lookup. A filtered walk of an indexed slab reads
+// only the runs of the wanted labels, so it copies label by label,
+// ascending, and within a label by ascending timestamp of the cells'
+// newest versions; it reads no cell of an unwanted label.
+func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, want Labels, after int64, buf []HalfEdge) []HalfEdge {
 	s := g.tab.slab(out, v)
 	if s == nil {
 		return buf
 	}
+	if b := s.big; b != nil && want.mask != nil {
+		k := 0
+		for _, l := range want.list {
+			var ok bool
+			if k, ok = b.search(k, l); !ok {
+				continue
+			}
+			for c := b.heads[b.ids[k]]; c >= 0; c = b.links[c].next {
+				pe := &s.edges[c]
+				if ts, ok := g.versionAt(pe, e); ok && ts > after {
+					buf = append(buf, HalfEdge{V: stream.VertexID(pe.other), L: stream.LabelID(pe.label), TS: ts})
+				}
+			}
+		}
+		return buf
+	}
 	for i := range s.edges {
 		pe := &s.edges[i]
-		if want != nil && (uint32(pe.label) >= uint32(len(want)) || !want[pe.label]) {
+		if !want.Has(stream.LabelID(pe.label)) {
 			continue
 		}
 		if ts, ok := g.versionAt(pe, e); ok && ts > after {
@@ -354,30 +412,35 @@ func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, want []bool, af
 	return buf
 }
 
-// AppendOutAt appends every out-edge of src visible at epoch e to buf
-// and returns the extended slice (AppendOutWhere without a mask, above
-// math.MinInt64, which the front end rejects). The caller owns the copy,
-// so the result may be consumed by code that itself traverses the graph.
-// Reusing buf across calls makes traversal allocation-free.
+// AppendOutAt appends every out-edge of src visible at epoch e to buf,
+// in slab order, and returns the extended slice (AppendOutWhere with the
+// zero Labels, above math.MinInt64, which the front end rejects). The
+// caller owns the copy, so the result may be consumed by code that
+// itself traverses the graph. Reusing buf across calls makes traversal
+// allocation-free.
 func (g *Graph) AppendOutAt(e Epoch, src stream.VertexID, buf []HalfEdge) []HalfEdge {
-	return g.appendSide(true, e, src, nil, math.MinInt64, buf)
+	return g.appendSide(true, e, src, Labels{}, math.MinInt64, buf)
 }
 
 // AppendInAt appends every in-edge of dst visible at epoch e to buf
 // and returns the extended slice; see AppendOutAt.
 func (g *Graph) AppendInAt(e Epoch, dst stream.VertexID, buf []HalfEdge) []HalfEdge {
-	return g.appendSide(false, e, dst, nil, math.MinInt64, buf)
+	return g.appendSide(false, e, dst, Labels{}, math.MinInt64, buf)
 }
 
-// AppendOutWhere is AppendOutAt restricted, in the same order, to the
-// edges with want[label] set and a timestamp above after: the hot-path
-// traversal of internal/core, which copies no cell it would skip.
-func (g *Graph) AppendOutWhere(e Epoch, src stream.VertexID, want []bool, after int64, buf []HalfEdge) []HalfEdge {
+// AppendOutWhere is AppendOutAt restricted to the edges whose label want
+// wants and whose timestamp is above after: the hot-path traversal of
+// internal/core, which copies no cell it would skip and, on a slab past
+// lookupThreshold, reads none either. The order is AppendOutAt's on a
+// short slab and label-grouped on an indexed one (see appendSide):
+// deterministic, like slab order, and likewise a function of the
+// mutation history.
+func (g *Graph) AppendOutWhere(e Epoch, src stream.VertexID, want Labels, after int64, buf []HalfEdge) []HalfEdge {
 	return g.appendSide(true, e, src, want, after, buf)
 }
 
 // AppendInWhere is AppendOutWhere for the in-edges of dst.
-func (g *Graph) AppendInWhere(e Epoch, dst stream.VertexID, want []bool, after int64, buf []HalfEdge) []HalfEdge {
+func (g *Graph) AppendInWhere(e Epoch, dst stream.VertexID, want Labels, after int64, buf []HalfEdge) []HalfEdge {
 	return g.appendSide(false, e, dst, want, after, buf)
 }
 
