@@ -139,3 +139,53 @@ func BenchmarkDeleteReconnect(b *testing.B) {
 		b.Fatalf("the fixture holds %d nodes after the pairs, want %d", got, nodes)
 	}
 }
+
+// refreshCalls is the insert calls one BenchmarkInsertRefresh tick
+// makes: the hub edge refreshes its core vertex in 64 of the 65 trees
+// holding the hub (not in the tree of the root whose edge is next, whose
+// hub is as old as the hub edge was), and the root edge refreshes the hub
+// and its 64 core children in the root's tree.
+const refreshCalls = 64 + 1 + 64
+
+// BenchmarkInsertRefresh times one tick on a warm dense cyclic graph
+// under a+: 64 core vertices joined both ways by edges that never
+// change, a hub with an edge to each core vertex, and 64 roots with an
+// edge to the hub. Tick t refreshes the hub's edge to core vertex t mod
+// 64 and then root t mod 64's edge to the hub, so in that root's tree
+// the hub and its whole subtree refresh. Every refreshed core node's
+// out-edges sit at or below its old timestamp, so none of them can
+// improve a child.
+func BenchmarkInsertRefresh(b *testing.B) {
+	const core = 64
+	const hub, root0 = stream.VertexID(core), stream.VertexID(core + 1)
+	e := NewRAPQ(bind(b, "a+", "a"), window.Spec{Size: 1 << 40, Slide: 1 << 40})
+	for i := range stream.VertexID(core) {
+		for j := range stream.VertexID(core) {
+			if i != j {
+				e.Process(stream.Tuple{TS: 0, Src: i, Dst: j})
+			}
+		}
+	}
+	tick := int64(0)
+	op := func() {
+		tick++
+		i := stream.VertexID(tick % core)
+		e.Process(stream.Tuple{TS: tick, Src: hub, Dst: i})
+		e.Process(stream.Tuple{TS: tick, Src: root0 + i, Dst: hub})
+	}
+	for range 2 * core {
+		op()
+	}
+	nodes := e.Stats().Nodes
+	b.ReportAllocs()
+	for b.Loop() {
+		calls := e.stats.InsertCalls
+		op()
+		if got := e.stats.InsertCalls - calls; got != refreshCalls {
+			b.Fatalf("tick %d made %d insert calls, want %d", tick, got, refreshCalls)
+		}
+	}
+	if got := e.Stats().Nodes; got != nodes {
+		b.Fatalf("the fixture holds %d nodes after the ticks, want %d", got, nodes)
+	}
+}

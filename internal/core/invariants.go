@@ -204,6 +204,8 @@ func checkKeyTable(ns *treeStore) error {
 //     in-window node (w,s) and out-edge (w→v,l) at the engine's epoch
 //     with δ(s,l)=t, node (v,t) exists with ts ≥ min(ts(w,s), edge.ts)
 //     whenever that offer is in the window and above the last deadline.
+//     Insert's refresh bound relies on it too: a refresh of (w,s) skips
+//     the edges at or below its old timestamp, whose offers (v,t) holds.
 //  4. Expiry postcondition: no node is at or below the last deadline.
 func (e *RAPQ) CheckInvariants() error {
 	if err := e.checkTrees(); err != nil {

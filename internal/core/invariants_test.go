@@ -14,28 +14,36 @@ import (
 // TestRAPQInvariantsRandom checks the Δ-index invariants after every
 // tuple of random streams across query shapes, window configurations,
 // deletion ratios and clock origins (a stream may start below zero).
+// The refresh-heavy configurations put about two tuples per tick on four
+// vertices, so most expansions refresh a node and Insert's refresh bound
+// skips most of its edges: closure invariant 3 checks the skips.
 func TestRAPQInvariantsRandom(t *testing.T) {
 	configs := []struct {
+		name     string
 		expr     string
 		size     int64
 		slide    int64
 		delRatio float64
 		start    int64
+		vertices int
+		maxStep  int64
 	}{
-		{"a*", 20, 1, 0, 0},
-		{"(a/b)+", 20, 1, 0.1, 0},
-		{"a/b*/c", 15, 3, 0.05, 0},
-		{"(a|b|c)+", 25, 5, 0.2, 0},
-		{"a?/b*", 10, 2, 0, 0},
-		{"(a|b)+", 20, 4, 0.1, -5000},
+		{"a*", "a*", 20, 1, 0, 0, 9, 2},
+		{"(a/b)+", "(a/b)+", 20, 1, 0.1, 0, 9, 2},
+		{"a/b*/c", "a/b*/c", 15, 3, 0.05, 0, 9, 2},
+		{"(a|b|c)+", "(a|b|c)+", 25, 5, 0.2, 0, 9, 2},
+		{"a?/b*", "a?/b*", 10, 2, 0, 0, 9, 2},
+		{"(a|b)+", "(a|b)+", 20, 4, 0.1, -5000, 9, 2},
+		{"refresh/(a|b|c)+", "(a|b|c)+", 20, 1, 0.05, 0, 4, 1},
+		{"refresh/(a/b)+", "(a/b)+", 30, 3, 0.05, 0, 4, 1},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
-		t.Run(cfg.expr, func(t *testing.T) {
+		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(2024))
 			a := bind(t, cfg.expr, "a", "b", "c")
 			e := NewRAPQ(a, window.Spec{Size: cfg.size, Slide: cfg.slide})
-			tuples := randomTuples(rng, 400, 9, 3, 2, cfg.delRatio)
+			tuples := randomTuples(rng, 400, cfg.vertices, 3, cfg.maxStep, cfg.delRatio)
 			for i, tu := range tuples {
 				tu.TS += cfg.start
 				e.Process(tu)

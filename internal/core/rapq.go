@@ -218,7 +218,12 @@ func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
 // holds each label's cells by ascending timestamp, so the stack pops the
 // freshest offer first and a node mostly gets its final timestamp on
 // its first visit; the order shapes the tree and InsertCalls,
-// deterministically, but not the results.
+// deterministically, but not the results. A refresh of an in-window node
+// offers only the edges above its old timestamp (semi-naive evaluation):
+// an edge at or below it offers e.ts both before and after the refresh,
+// and by the max-min closure (invariant 3 of CheckInvariants) the child
+// already holds that much. The skipped edges would push nothing, so the
+// tree, InsertCalls and the results are those of the full expansion.
 //
 // Deviation from the paper: timestamp improvements of existing nodes
 // are propagated recursively rather than left to the expiry pass;
@@ -250,7 +255,9 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		}
 		calls++
 
+		after := validFrom // the expansion's bound, see above
 		if slot >= 0 {
+			after = max(after, ns.nodes[slot].ts)
 			// A stale witness re-entering the window flips the pair
 			// (root, v) live again; under lazy expiry this refresh is
 			// the only trace of that transition, so it must emit here
@@ -281,7 +288,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		// handle, which a coordinator sets to the sequential prefix as of
 		// the tuple being applied. The scratch buffer is fully consumed
 		// into stack pushes before the next AppendOutWhere reuses it.
-		sc.out = e.g.AppendOutWhere(e.epoch, op.v, e.outWant[op.t], validFrom, sc.out[:0])
+		sc.out = e.g.AppendOutWhere(e.epoch, op.v, e.outWant[op.t], after, sc.out[:0])
 		nodeTS := ns.nodes[slot].ts
 		for _, he := range sc.out {
 			q := e.a.Trans[op.t][he.L]
@@ -389,6 +396,9 @@ func (e *RAPQ) reconnect(tx *tree, marked []int32, deadline int64) {
 		best := offer{ts: deadline, slot: slot}
 		sc.in = e.g.AppendInWhere(e.epoch, key.vertex(), e.inWant[t], deadline, sc.in[:0])
 		for _, he := range sc.in {
+			if he.TS <= best.ts {
+				continue // its offer is at most he.TS, and only a better one wins
+			}
 			for _, s := range e.rev[he.L][t] {
 				pslot := ns.lookup(mkNodeKey(he.V, s))
 				if pslot < 0 {

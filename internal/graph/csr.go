@@ -57,14 +57,16 @@ type slab struct {
 // pointer-free. lookup maps (other,label) to a cell index. Every label
 // the slab has held has a run, a doubly linked list of its cells
 // ascending by timestamp (a new or refreshed cell carries the stream
-// clock, so it joins at the tail): heads[id] and tails[id] are the
-// first and last cell of run id (-1 when empty), and links, parallel to
-// the slab's cells, chains each cell to its run neighbours. The ends of
-// a run point at ^id instead of a neighbour, so a cell leaves or moves
-// in O(1) without a search. labels ascend, and ids[k] is the run of
-// labels[k]: run ids are stable, and only a walk, a new cell or a
-// refresh searches labels. A run that empties keeps its id, so labels
-// that come and go on a hub allocate nothing at steady state.
+// clock, which Graph.Insert keeps from decreasing, so it joins at the
+// tail): heads[id] and tails[id] are the first and last cell of run id
+// (-1 when empty), and links, parallel to the slab's cells, chains each
+// cell to its run neighbours; a timestamp bound enters a run from its
+// tail, past the cells it excludes (see appendSide). The ends of a run
+// point at ^id instead of a neighbour, so a cell leaves or moves in O(1)
+// without a search. labels ascend, and ids[k] is the run of labels[k]:
+// run ids are stable, and only a walk, a new cell or a refresh searches
+// labels. A run that empties keeps its id, so labels that come and go on
+// a hub allocate nothing at steady state.
 type bigIndex struct {
 	lookup map[uint64]int32
 	links  []link

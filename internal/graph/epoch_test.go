@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -165,8 +166,10 @@ func TestBatchModel(t *testing.T) {
 // dropped — and random timestamp bounds, and AppendOutWhere/AppendInWhere
 // must return exactly the cells of AppendOutAt/AppendInAt that pass
 // both: in the same order on a slab at or below lookupThreshold, and on
-// an indexed slab as the same multiset, label by label ascending. The
-// small configuration never indexes a slab; the hub one sends most
+// an indexed slab as the same multiset, label by label ascending, and
+// element by element as the same walk above math.MinInt64 filtered by
+// the bound, which a quarter of the draws set to a cell's own timestamp.
+// The small configuration never indexes a slab; the hub one sends most
 // edges out of (and many into) three hubs with a long window, so their
 // slabs are indexed and their runs churn through deletes, expiry and
 // batch-end settling. After every batch each index must match its slab.
@@ -228,7 +231,7 @@ func TestAppendWhereModel(t *testing.T) {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							var all, got []HalfEdge
+							var all, got, unbounded []HalfEdge
 							check := func(name string, out bool, v stream.VertexID, want Labels, after int64) {
 								exp := filter(all, want, after)
 								if s := g.tab.slab(out, v); s == nil || s.big == nil || want.mask == nil {
@@ -244,6 +247,21 @@ func TestAppendWhereModel(t *testing.T) {
 								if !slices.Equal(sorted, exp) || !slices.IsSortedFunc(got, func(a, b HalfEdge) int { return int(a.L) - int(b.L) }) {
 									t.Errorf("trial %d batch %d epoch %d: indexed %s(%d, %v, %d) = %v, want %v label by label", trial, batch, e, name, v, want.mask, after, got, exp)
 								}
+								// The bound only filters: the walk from the run's
+								// first cell above after yields the unbounded
+								// walk's cells above after, in its order.
+								unbounded = g.appendSide(out, e, v, want, math.MinInt64, unbounded[:0])
+								if exp := filter(unbounded, Labels{}, after); !slices.Equal(got, exp) {
+									t.Errorf("trial %d batch %d epoch %d: indexed %s(%d, %v, %d) = %v, want the unbounded walk's %v in order", trial, batch, e, name, v, want.mask, after, got, exp)
+								}
+							}
+							// bound draws a timestamp bound, a quarter of the
+							// time one of the side's own timestamps (a tie).
+							bound := func() int64 {
+								if len(all) > 0 && r.Intn(4) == 0 {
+									return all[r.Intn(len(all))].TS
+								}
+								return now - int64(r.Intn(cfg.horizon+12))
 							}
 							for v := range stream.VertexID(cfg.vertices) {
 								var want Labels
@@ -254,11 +272,12 @@ func TestAppendWhereModel(t *testing.T) {
 									}
 									want = NewLabels(mask)
 								}
-								after := now - int64(r.Intn(cfg.horizon+12))
 								all = g.AppendOutAt(e, v, all[:0])
+								after := bound()
 								got = g.AppendOutWhere(e, v, want, after, got[:0])
 								check("AppendOutWhere", true, v, want, after)
 								all = g.AppendInAt(e, v, all[:0])
+								after = bound()
 								got = g.AppendInWhere(e, v, want, after, got[:0])
 								check("AppendInWhere", false, v, want, after)
 							}

@@ -121,10 +121,10 @@ type Graph struct {
 	vers    []version
 
 	// fifo holds insertion records in arrival order. Stream timestamps
-	// are non-decreasing, so expiry pops from the front. Entries are
-	// lazily invalidated by re-insertions (newer ts) and deletions, and
-	// address edges by key — the O(1) slab point lookup replaces the
-	// old map probe.
+	// are non-decreasing (Insert enforces it), so expiry pops from the
+	// front. Entries are lazily invalidated by re-insertions (newer ts)
+	// and deletions, and address edges by key — the O(1) slab point
+	// lookup replaces the old map probe.
 	fifo []fifoEntry
 	head int
 }
@@ -210,8 +210,14 @@ func (g *Graph) NumVertices() int {
 // Insert adds the edge (src,dst,label) with timestamp ts at the current
 // epoch, refreshing the timestamp if the edge exists (the superseded
 // version stays visible to readers of earlier epochs). It reports
-// whether the edge was new.
+// whether the edge was new. Timestamps must not decrease from one
+// Insert to the next — the expiry FIFO and the bounded walks of indexed
+// slabs rely on it — so Insert panics on a timestamp below the newest
+// one still queued for expiry; equal timestamps pass.
 func (g *Graph) Insert(src, dst stream.VertexID, label stream.LabelID, ts int64) bool {
+	if n := len(g.fifo); n > 0 && ts < g.fifo[n-1].ts {
+		panic("graph: Insert below the newest timestamp")
+	}
 	g.tab.grow(max(src, dst))
 	wasLive := g.editSide(true, src, dst, label, ts, false)
 	g.editSide(false, dst, src, label, ts, false)
@@ -378,7 +384,12 @@ func (w Labels) Has(l stream.LabelID) bool {
 // before its version lookup. A filtered walk of an indexed slab reads
 // only the runs of the wanted labels, so it copies label by label,
 // ascending, and within a label by ascending timestamp of the cells'
-// newest versions; it reads no cell of an unwanted label.
+// newest versions; it reads no cell of an unwanted label. A run whose
+// head is at or below after is entered just past its last cell at or
+// below after, found from the run's tail: a cell's older versions are
+// no newer than it, so every cell before that one fails the bound at
+// every epoch, and the walk yields what the unbounded walk would, in
+// the same order.
 func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, want Labels, after int64, buf []HalfEdge) []HalfEdge {
 	s := g.tab.slab(out, v)
 	if s == nil {
@@ -391,7 +402,15 @@ func (g *Graph) appendSide(out bool, e Epoch, v stream.VertexID, want Labels, af
 			if k, ok = b.search(k, l); !ok {
 				continue
 			}
-			for c := b.heads[b.ids[k]]; c >= 0; c = b.links[c].next {
+			id := b.ids[k]
+			c := b.heads[id]
+			if c >= 0 && s.edges[c].ts <= after {
+				c = -1
+				for t := b.tails[id]; t >= 0 && s.edges[t].ts > after; t = b.links[t].prev {
+					c = t
+				}
+			}
+			for ; c >= 0; c = b.links[c].next {
 				pe := &s.edges[c]
 				if ts, ok := g.versionAt(pe, e); ok && ts > after {
 					buf = append(buf, HalfEdge{V: stream.VertexID(pe.other), L: stream.LabelID(pe.label), TS: ts})
@@ -431,10 +450,11 @@ func (g *Graph) AppendInAt(e Epoch, dst stream.VertexID, buf []HalfEdge) []HalfE
 // AppendOutWhere is AppendOutAt restricted to the edges whose label want
 // wants and whose timestamp is above after: the hot-path traversal of
 // internal/core, which copies no cell it would skip and, on a slab past
-// lookupThreshold, reads none either. The order is AppendOutAt's on a
-// short slab and label-grouped on an indexed one (see appendSide):
-// deterministic, like slab order, and likewise a function of the
-// mutation history.
+// lookupThreshold, reads no cell of an unwanted label and none of a
+// wanted one before its last cell at or below after. The order is
+// AppendOutAt's on a short slab and label-grouped on an indexed one (see
+// appendSide), for every after: deterministic, like slab order, and
+// likewise a function of the mutation history.
 func (g *Graph) AppendOutWhere(e Epoch, src stream.VertexID, want Labels, after int64, buf []HalfEdge) []HalfEdge {
 	return g.appendSide(true, e, src, want, after, buf)
 }
@@ -539,13 +559,15 @@ func (g *Graph) DeadVersions() int {
 }
 
 // Clone returns a deep copy of the graph's content at the current epoch
-// (used by the batch oracle in tests). Version history and the FIFO are
-// not cloned; a cloned graph is a static snapshot.
+// (used by the batch oracle in tests), inserted in the FIFO's order, as
+// Insert requires: every live edge's newest record sits past its head.
+// Version history is not cloned; a cloned graph is a static snapshot.
 func (g *Graph) Clone() *Graph {
 	c := New()
-	g.Edges(func(e Edge) bool {
-		c.Insert(e.Src, e.Dst, e.Label, e.TS)
-		return true
-	})
+	for _, ent := range g.fifo[g.head:] {
+		if ts, ok := g.TS(ent.key); ok && ts == ent.ts {
+			c.Insert(ent.key.Src, ent.key.Dst, ent.key.Label, ts)
+		}
+	}
 	return c
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streamrpq/internal/stream"
@@ -32,6 +33,35 @@ func TestInsertAndLookup(t *testing.T) {
 	}
 	if g.NumVertices() != 2 {
 		t.Fatalf("NumVertices = %d, want 2", g.NumVertices())
+	}
+}
+
+// TestInsertOrder pins Insert's write-order precondition: a timestamp
+// equal to the newest one passes, on a new edge and on a refresh, and
+// one below it panics, also once the newest edge is deleted, and
+// inside a batch.
+func TestInsertOrder(t *testing.T) {
+	g := New()
+	g.Insert(1, 2, 0, -5)
+	g.Insert(2, 3, 0, 10)
+	g.Insert(3, 4, 0, 10)
+	g.Insert(2, 3, 0, 10)
+	if ts, ok := g.TS(key(2, 3, 0)); !ok || ts != 10 || g.NumEdges() != 3 {
+		t.Fatalf("after ties: TS = %d,%v, NumEdges = %d, want 10,true, 3", ts, ok, g.NumEdges())
+	}
+	const msg = "graph: Insert below the newest timestamp"
+	mustPanic(t, msg, func() { g.Insert(5, 6, 0, 9) })
+	mustPanic(t, msg, func() { g.Insert(1, 2, 0, 9) })
+	g.Delete(key(3, 4, 0))
+	mustPanic(t, msg, func() { g.Insert(3, 4, 0, 9) })
+	g.BeginBatch()
+	g.AdvanceEpoch()
+	g.AdvanceEpoch()
+	mustPanic(t, msg, func() { g.Insert(5, 6, 0, 9) })
+	g.Insert(5, 6, 0, 10)
+	g.EndBatch()
+	if g.NumEdges() != 3 {
+		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
 	}
 }
 
@@ -159,6 +189,26 @@ func TestClone(t *testing.T) {
 	}
 	if c.NumEdges() != 2 {
 		t.Fatalf("clone has %d edges, want 2", c.NumEdges())
+	}
+	// A random history whose timestamps do not follow vertex order, with
+	// refreshes, deletions and expiry: the clone holds the same content
+	// (inserting it must respect Insert's order check).
+	rng := rand.New(rand.NewSource(7))
+	g = New()
+	for ts := int64(0); ts < 400; ts++ {
+		k := key(stream.VertexID(rng.Intn(10)), stream.VertexID(rng.Intn(10)), stream.LabelID(rng.Intn(2)))
+		switch rng.Intn(10) {
+		case 0:
+			g.Delete(k)
+		case 1:
+			g.Expire(ts/3-15, nil)
+		default:
+			g.Insert(k.Src, k.Dst, k.Label, ts/3)
+		}
+	}
+	c = g.Clone()
+	if got, want := collectAt(c, c.Epoch(), 10), collectAt(g, g.Epoch(), 10); !reflect.DeepEqual(got, want) || c.NumEdges() != g.NumEdges() {
+		t.Fatalf("clone holds %d edges (NumEdges %d), the graph %d (%d)", len(got), c.NumEdges(), len(want), g.NumEdges())
 	}
 }
 
