@@ -100,12 +100,6 @@ func main() {
 				fatal(err)
 			}
 		}
-		// Dynamic mode must be on before the first checkpoint: the gen-0
-		// snapshot records the retain-all flag, so a recovery that replays
-		// the WAL rebuilds the same retained graph.
-		if err := ev.EnableDynamicQueries(); err != nil {
-			fatal(err)
-		}
 		if *persistDir != "" {
 			if err := ev.WithPersistence(*persistDir, popts...); err != nil {
 				fatal(err)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"streamrpq/internal/persist"
 )
 
 // dynStream generates a random stream over three labels (so a query
@@ -77,9 +79,9 @@ func dynFilter(groups []dynGroup, drop int) []dynGroup {
 	return out
 }
 
-// dynEval builds an evaluator in dynamic (retain-all) mode for the
-// given configuration. shards == 0 leaves the default one-shard
-// evaluator.
+// dynEval builds a default evaluator for the given configuration; no
+// opt-in precedes online registration. shards == 0 leaves the default
+// one-shard evaluator.
 func dynEval(t *testing.T, queries []*Query, shards int) *MultiEvaluator {
 	t.Helper()
 	m, err := NewMultiEvaluator(40, 10, queries...)
@@ -90,9 +92,6 @@ func dynEval(t *testing.T, queries []*Query, shards int) *MultiEvaluator {
 		if err := m.WithShards(shards); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := m.EnableDynamicQueries(); err != nil {
-		t.Fatal(err)
 	}
 	return m
 }
@@ -194,58 +193,51 @@ func TestAddQueryMatchesFromStartOracle(t *testing.T) {
 	}
 }
 
-// TestAddQueryGuards: the registration API enforces its prerequisites.
+// TestAddQueryGuards: a default evaluator registers and removes
+// queries mid-stream with no opt-in; the deprecated EnableDynamicQueries
+// is a no-op before and after the first tuple; a removed index stays
+// retired.
 func TestAddQueryGuards(t *testing.T) {
 	m, err := NewMultiEvaluator(40, 10, MustCompile("a/b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AddQuery(MustCompile("b/a")); err == nil {
-		t.Fatal("AddQuery without EnableDynamicQueries: want error")
-	}
-	if err := m.RemoveQuery(0); err == nil {
-		t.Fatal("RemoveQuery without EnableDynamicQueries: want error")
+	defer m.Close()
+	if err := m.EnableDynamicQueries(); err != nil {
+		t.Fatalf("EnableDynamicQueries before the first tuple: %v", err)
 	}
 	if _, err := m.Ingest(Tuple{TS: 1, Src: "x", Dst: "y", Label: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnableDynamicQueries(); err == nil {
-		t.Fatal("EnableDynamicQueries after first tuple: want error")
+	if err := m.EnableDynamicQueries(); err != nil {
+		t.Fatalf("EnableDynamicQueries after the first tuple: %v", err)
 	}
-
-	m2, err := NewMultiEvaluator(40, 10, MustCompile("a/b"))
+	id, err := m.AddQuery(MustCompile("b/a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.EnableDynamicQueries(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Ingest(Tuple{TS: 1, Src: "x", Dst: "y", Label: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	id, err := m2.AddQuery(MustCompile("b/a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := m2.QueryByIndex(id); q == nil || q.String() != "b/a" {
+	if q := m.QueryByIndex(id); q == nil || q.String() != "b/a" {
 		t.Fatalf("QueryByIndex(%d) = %v", id, q)
 	}
-	if err := m2.RemoveQuery(id); err != nil {
+	if err := m.RemoveQuery(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.RemoveQuery(id); err == nil {
+	if err := m.RemoveQuery(id); err == nil {
 		t.Fatal("double RemoveQuery: want error")
 	}
-	if q := m2.QueryByIndex(id); q != nil {
+	if q := m.QueryByIndex(id); q != nil {
 		t.Fatalf("QueryByIndex after remove = %v, want nil", q)
 	}
 	// Re-registration gets a fresh index; the old one stays retired.
-	id2, err := m2.AddQuery(MustCompile("b/a"))
+	id2, err := m.AddQuery(MustCompile("b/a"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id2 == id {
 		t.Fatalf("re-registration reused index %d", id)
+	}
+	if err := m.RemoveQuery(0); err != nil {
+		t.Fatalf("RemoveQuery of a from-start query mid-stream: %v", err)
 	}
 }
 
@@ -366,9 +358,6 @@ func dynamicPersistRecover(t *testing.T, shards int) {
 	if len(redelivered) != 0 {
 		t.Fatalf("redelivered %d results, want 0 (every batch committed)", len(redelivered))
 	}
-	if !m2.DynamicQueries() {
-		t.Fatal("recovered evaluator lost dynamic mode")
-	}
 	if got, want := m2.NumQueries(), 3; got != want {
 		t.Fatalf("recovered NumQueries = %d, want %d", got, want)
 	}
@@ -385,5 +374,45 @@ func dynamicPersistRecover(t *testing.T, shards int) {
 	// The recovered evaluator accepts further online registrations.
 	if _, err := m2.AddQuery(MustCompile("b/c")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointRetainsAll: a fresh evaluator's checkpoint records that
+// its graph keeps every label (core.MultiState.Retain), and keeps the
+// edge of a label no query reads, so the evaluator recovered from it
+// registers queries.
+func TestCheckpointRetainsAll(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewMultiEvaluator(40, 10, MustCompile("a/b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Ingest(Tuple{TS: 1, Src: "x", Dst: "y", Label: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+
+	mgr, snap, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := snap.State
+	mgr.Close()
+	if !st.Retain || len(st.Edges) != 1 {
+		t.Fatalf("checkpoint: Retain=%v with %d edges, want true with the c edge", st.Retain, len(st.Edges))
+	}
+	m2, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if _, err := m2.AddQuery(MustCompile("c")); err != nil {
+		t.Fatalf("AddQuery after recovering a retain-all checkpoint: %v", err)
 	}
 }

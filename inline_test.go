@@ -149,7 +149,11 @@ func TestDefaultEvaluatorStartsNoGoroutine(t *testing.T) {
 // evaluator was the sequential core.Multi backend (see its README).
 // Recover must restore it into a one-shard coordinator — no format
 // change, no version bump — and continue byte-identically to an
-// uninterrupted run of the current code.
+// uninterrupted run of the current code. Its graph holds only the
+// queries' labels (the stream's likes edges were dropped), so the
+// recovered evaluator refuses AddQuery — it would bootstrap a query from
+// part of the window — and so does one recovered from its own later
+// checkpoint; the refusal changes neither the continuation nor Edges.
 func TestRecoverParentWrittenState(t *testing.T) {
 	const fixture = "testdata/recover-seq-v4"
 	dir := t.TempDir() // Recover takes the directory lock and appends to the WAL
@@ -208,6 +212,9 @@ func TestRecoverParentWrittenState(t *testing.T) {
 	if st := m.Stats(); st.Groups != 3 || st.SharedGroups != 1 {
 		t.Fatalf("recovered sharing layout: %d groups, %d shared, want 3/1", st.Groups, st.SharedGroups)
 	}
+	if _, err := m.AddQuery(MustCompile("likes+")); err == nil {
+		t.Fatal("AddQuery accepted on a recovered graph that lacks the window's likes edges")
+	}
 	got := run(m, 16)
 
 	var qs []*Query
@@ -235,5 +242,17 @@ func TestRecoverParentWrittenState(t *testing.T) {
 	if rs, ms := ref.Stats(), m.Stats(); rs.Results != ms.Results || rs.Invalidations != ms.Invalidations ||
 		rs.Edges != ms.Edges || rs.TuplesSeen != ms.TuplesSeen {
 		t.Fatalf("recovered counters diverge from the uninterrupted run:\nwant %+v\ngot  %+v", rs, ms)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	again, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if _, err := again.AddQuery(MustCompile("likes+")); err == nil {
+		t.Fatal("AddQuery accepted after recovering the checkpoint of a registration-closed evaluator")
 	}
 }

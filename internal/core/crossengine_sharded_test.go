@@ -208,6 +208,11 @@ func TestShardedAgreesWithMulti(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The coordinator's graph keeps every label; the reference keeps
+		// them too, so both hold the same window content.
+		if err := multi.SetRetainAll(true); err != nil {
+			t.Fatal(err)
+		}
 		s, err := shard.New(spec, shard.WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +229,7 @@ func TestShardedAgreesWithMulti(t *testing.T) {
 			}
 		}
 		// Three labels but only a and b in the alphabets: label c
-		// exercises the drop path of both coordinators.
+		// exercises the relevance-drop path of both coordinators.
 		tuples := randomTuplesX(rand.New(rand.NewSource(808)), 900, 10, 3, 1, 0)
 		for _, tu := range tuples {
 			multi.Process(tu)

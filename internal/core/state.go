@@ -223,10 +223,13 @@ type MultiState struct {
 	Edges   []graph.Edge
 	Members []*RAPQState
 
-	// Retain-all / dynamic-registration state (zero for static query
-	// sets, so pre-dynamic checkpoints decode unchanged): whether the
-	// graph stores every label, and the per-label stream clocks that
-	// align a dynamically registered member with a from-start engine.
+	// Registration state: whether the graph stores every label, and the
+	// per-label stream clocks that align a member registered mid-stream
+	// with a from-start engine. The shard coordinator writes Retain
+	// true; false only occurs in files written by older coordinators,
+	// which dropped the labels no query read (and in the checkpoints of
+	// an engine recovered from one): such a state recovers with
+	// registration closed.
 	Retain  bool
 	LabelTS []int64
 

@@ -31,9 +31,12 @@ const (
 	// cross-checks against the persisted values, so they ride along as a
 	// consistency seal rather than redundant state; version-1 files
 	// predate canonical deletions and are rejected. Version 3 added the
-	// retain-all flag and the per-label stream clocks that dynamic query
-	// registration needs (core.MultiState.Retain/LabelTS); older
-	// versions are rejected, as before. Version 4 added multi-query
+	// retain-all flag and the per-label stream clocks that mid-stream
+	// query registration needs (core.MultiState.Retain/LabelTS). The
+	// flag is written true; false only occurs in files of older writers
+	// (and of engines recovered from one), which recover with
+	// registration closed. Older versions are rejected, as before.
+	// Version 4 added multi-query
 	// sharing: the facade sharing flag, the query→group mapping
 	// (core.MultiState.MemberGroup — Members then holds one Δ state per
 	// GROUP, not per query), and the dispatch/relevance-skip counters;

@@ -128,19 +128,14 @@ type BrokerConfig struct {
 	SubscriberBuffer int
 }
 
-// NewBroker wraps an evaluator. Dynamic query registration is enabled
-// if the evaluator does not have it yet (this requires the stream not
-// to have started; a recovered evaluator carries the mode in its
-// checkpoint). The replay floor starts at the evaluator's current
-// batch position: a process restart truncates the (in-memory) replay
-// window, so tokens from a previous process answer 410 Gone.
+// NewBroker wraps an evaluator; queries can be added and removed
+// between batches (AddQuery, RemoveQuery), except on an evaluator
+// recovered from a checkpoint of an older version that kept only its
+// queries' labels, which serves with a fixed query set (AddQuery
+// errors). The replay floor starts at the evaluator's current batch
+// position: a process restart truncates the (in-memory) replay window,
+// so tokens from a previous process answer 410 Gone.
 func NewBroker(ev *streamrpq.MultiEvaluator, cfg BrokerConfig) (*Broker, error) {
-	if !ev.DynamicQueries() {
-		// Best effort: a recovered evaluator whose checkpoint predates
-		// dynamic mode has already streamed, so the mode cannot be
-		// changed — it serves with a fixed query set (AddQuery errors).
-		_ = ev.EnableDynamicQueries()
-	}
 	if cfg.ReplayWindow <= 0 {
 		cfg.ReplayWindow = 65536
 	}
@@ -353,7 +348,9 @@ func (b *Broker) Unsubscribe(s *subscriber) {
 // AddQuery compiles and registers a query online, between batches (the
 // broker's lock serializes it with ingest): its index is bootstrapped
 // from the live window before the call returns. Returns the
-// registration id.
+// registration id. If the registration's checkpoint fails, the query is
+// registered and emitting all the same: its id is recorded, so its
+// records carry it, and the error is returned.
 func (b *Broker) AddQuery(pattern string) (int, error) {
 	q, err := streamrpq.Compile(pattern)
 	if err != nil {
@@ -365,11 +362,10 @@ func (b *Broker) AddQuery(pattern string) (int, error) {
 		return 0, ErrShutdown
 	}
 	id, err := b.ev.AddQuery(q)
-	if err != nil {
-		return 0, err
+	if b.ev.QueryByIndex(id) == q {
+		b.ids[q] = id
 	}
-	b.ids[q] = id
-	return id, nil
+	return id, err
 }
 
 // RemoveQuery detaches the query with the given registration id.

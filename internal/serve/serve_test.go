@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"streamrpq"
+	"streamrpq/internal/persist"
 )
 
 func TestTokenRoundTrip(t *testing.T) {
@@ -332,9 +333,6 @@ func TestRequestBodyBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ev.EnableDynamicQueries(); err != nil {
-		t.Fatal(err)
-	}
 	if err := ev.WithPersistence(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +405,69 @@ func TestRequestBodyBounded(t *testing.T) {
 	atLimit := "3 x y a" + strings.Repeat(" ", maxBodyBytes-len("3 x y a"))
 	if rep := postIngest(t, hs.URL, atLimit); rep.Batch != batches+1 {
 		t.Fatalf("body at the limit applied as batch %d, want %d", rep.Batch, batches+1)
+	}
+}
+
+// TestAddQueryCheckpointFailureKeepsID: when the checkpoint that makes
+// a registration durable fails, the query is registered and emitting
+// all the same. The broker still records its id, so its records carry
+// that id, and a subscriber filtered on id 0 receives none of them.
+func TestAddQueryCheckpointFailureKeepsID(t *testing.T) {
+	dir := t.TempDir()
+	ev, err := streamrpq.NewMultiEvaluator(1000, 100, streamrpq.MustCompile("a/b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Close()
+	if err := ev.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBroker(ev, BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Shutdown()
+	// The registration's checkpoint writes generation 1: a directory in
+	// its place makes the write fail.
+	if err := os.Mkdir(persist.SnapshotPath(dir, 1), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	id, err := b.AddQuery("c+")
+	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("AddQuery = %d, %v; want the checkpoint error", id, err)
+	}
+	if id != 1 {
+		t.Fatalf("AddQuery id = %d, want 1", id)
+	}
+	subs := map[int]*subscriber{}
+	for _, q := range []int{0, 1} {
+		if subs[q], err = b.Subscribe([]int{q}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		defer b.Unsubscribe(subs[q])
+	}
+	if _, err := b.Ingest([]streamrpq.Tuple{
+		{TS: 1, Src: "x", Dst: "y", Label: "a"},
+		{TS: 1, Src: "y", Dst: "z", Label: "b"},
+		{TS: 1, Src: "p", Dst: "q", Label: "c"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[int]string{0: "a/b x z", 1: "c+ p q"} {
+		var got []string
+		for len(subs[q].ch) > 0 {
+			var rec Record
+			if err := json.Unmarshal(<-subs[q].ch, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.QueryID != q {
+				t.Fatalf("subscriber of id %d got a record of id %d: %+v", q, rec.QueryID, rec)
+			}
+			got = append(got, rec.Query+" "+rec.From+" "+rec.To)
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("subscriber of id %d got %q, want [%q]", q, got, want)
+		}
 	}
 }
 

@@ -191,7 +191,7 @@ func TestSharingSplitRejoin(t *testing.T) {
 		if st := s.Stats(); st.Groups != 1 || st.SharedGroups != 1 {
 			t.Fatalf("groups = %d/%d", st.Groups, st.SharedGroups)
 		}
-		if err := s.RemoveDynamic(0); err != nil {
+		if err := s.Remove(0); err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Stats(); st.Groups != 1 || st.SharedGroups != 0 {
@@ -209,13 +209,13 @@ func TestSharingSplitRejoin(t *testing.T) {
 		if len(s1.Matched) != 1 {
 			t.Fatalf("surviving subscriber got %d matches, want 1", len(s1.Matched))
 		}
-		if err := s.RemoveDynamic(1); err != nil {
+		if err := s.Remove(1); err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Stats(); st.Groups != 0 || s.Len() != 0 {
 			t.Fatalf("after last removal: groups = %d, queries = %d", st.Groups, s.Len())
 		}
-		if err := s.RemoveDynamic(1); err == nil {
+		if err := s.Remove(1); err == nil {
 			t.Fatal("removing a removed query accepted")
 		}
 		s.Close()

@@ -504,7 +504,7 @@ func stickyWorkerError(t *testing.T, opts ...Option) {
 	}
 	// Wrap a second member with the fault injector, on the other shard.
 	fa := bind(t, "a+", "a", "b")
-	if err := s.precheck(fa); err != nil {
+	if err := s.checkLabelSpace(fa); err != nil {
 		t.Fatal(err)
 	}
 	mb := s.newMember(fa, nil, fa.Fingerprint())
@@ -595,25 +595,28 @@ func assertOneShardOnCaller(t *testing.T, opt Option) {
 
 var _ core.MemberEngine = (*faultyMember)(nil)
 
-// TestAddDynamicInPlace: registration leaves nothing behind. On a
-// started two-shard retain-all engine AddDynamic returns with the new
-// group built and attached and no graph batch open, a second equivalent
-// registration in the same inter-batch gap subscribes to that group,
-// the very next batch dispatches to it, and both subscribers emit
-// exactly what they emit in an engine that had them from stream start.
-func TestAddDynamicInPlace(t *testing.T) {
+// TestAddInPlace: every registration goes through one Add and leaves
+// nothing behind. On a two-shard engine the static queries are added
+// before the first batch (a bootstrap from the empty window); at a
+// mid-stream batch boundary Add returns with the new group built and
+// attached and no graph batch open, a second equivalent registration in
+// the same gap subscribes to that group, and the very next batch
+// dispatches to it. The engine's snapshot is then restored into a fresh
+// engine, and a fifth query is added right after RestoreState, before
+// that engine's first batch. Every member emits exactly what it emits,
+// and every batch dispatches exactly as much as, in an engine that had
+// the same queries from stream start.
+func TestAddInPlace(t *testing.T) {
 	spec := window.Spec{Size: 25, Slide: 5}
 	static := []string{"(a/b)+", "a/b*"}
 	dynamic := []string{"c/(a|b)*", "c/(b|a)*"} // equivalent: one group
+	const late = "b/c*"
 	bs := batches(randomTuples(rand.New(rand.NewSource(77)), 600, 7, 3, 1, 0.15), 20)
-	cut := len(bs) / 2
+	cut, restoreAt := len(bs)/3, 2*len(bs)/3
 
 	newEngine := func(exprs ...string) *Engine {
 		s, err := New(spec, WithShards(2))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetRetainAll(true); err != nil {
 			t.Fatal(err)
 		}
 		for _, expr := range exprs {
@@ -637,45 +640,66 @@ func TestAddDynamicInPlace(t *testing.T) {
 		}
 		return rs, dispatches
 	}
-	oracle := newEngine(append(static, dynamic...)...)
-	defer oracle.Close()
-	wantRS, wantDispatches := feed(oracle, 0, len(bs))
+	// compare checks got against the from-start oracle's batches [from, to).
+	compare := func(what string, gotRS, wantRS [][]Result, gotD, wantD []int64, from, to int) {
+		t.Helper()
+		if !reflect.DeepEqual(gotD, wantD[from:to]) {
+			t.Fatalf("%s: dispatches per batch differ from the from-start engine:\n got %v\nwant %v",
+				what, gotD, wantD[from:to])
+		}
+		if !reflect.DeepEqual(gotRS, wantRS[from:to]) {
+			t.Fatalf("%s: result stream differs from the from-start engine", what)
+		}
+	}
+	four := append(append([]string(nil), static...), dynamic...)
+	oracle4 := newEngine(four...)
+	defer oracle4.Close()
+	want4, wantD4 := feed(oracle4, 0, len(bs))
+	oracle5 := newEngine(append(four, late)...)
+	defer oracle5.Close()
+	want5, wantD5 := feed(oracle5, 0, len(bs))
 
 	s := newEngine(static...)
 	defer s.Close()
 	feed(s, 0, cut)
 	groups := s.Stats().Groups
 	for i, expr := range dynamic {
-		idx, err := s.AddDynamic(bind(t, expr, "a", "b", "c"), nil)
-		if err != nil {
+		if _, err := s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
 			t.Fatal(err)
 		}
-		if idx != len(static)+i {
+		if idx := len(s.members) - 1; idx != len(static)+i {
 			t.Fatalf("registration index = %d, want %d", idx, len(static)+i)
 		}
 		if st := s.Stats(); st.Groups != groups+1 {
-			t.Fatalf("after AddDynamic %d: %d groups, want %d (one new group, active on return)", i, st.Groups, groups+1)
+			t.Fatalf("after Add %d: %d groups, want %d (one new group, active on return)", i, st.Groups, groups+1)
 		}
-		assertQuiesced(t, s, "after AddDynamic")
+		assertQuiesced(t, s, "after a mid-stream Add")
 	}
-	gotRS, gotDispatches := feed(s, cut, len(bs))
+	gotRS, gotD := feed(s, cut, restoreAt)
 	assertQuiesced(t, s, "after the batches following registration")
-	if !reflect.DeepEqual(gotDispatches, wantDispatches[cut:]) {
-		t.Fatalf("dispatches per batch after registration differ from the from-start engine:\n got %v\nwant %v",
-			gotDispatches, wantDispatches[cut:])
+	compare("after a mid-stream Add", gotRS, want4, gotD, wantD4, cut, restoreAt)
+
+	r := newEngine(four...)
+	defer r.Close()
+	if err := r.RestoreState(s.SnapshotState()); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotRS, wantRS[cut:]) {
-		t.Fatal("result stream after registration differs from the from-start engine")
+	if _, err := r.Add(bind(t, late, "a", "b", "c"), nil); err != nil {
+		t.Fatal(err)
 	}
-	var dyn int
-	for _, rs := range gotRS {
-		for _, r := range rs {
-			if r.Query >= len(static) {
-				dyn++
-			}
+	assertQuiesced(t, r, "after an Add right after RestoreState")
+	gotRS, gotD = feed(r, restoreAt, len(bs))
+	compare("after an Add right after RestoreState", gotRS, want5, gotD, wantD5, restoreAt, len(bs))
+
+	emitted := map[int]bool{}
+	for _, rs := range append(want4[cut:restoreAt], gotRS...) {
+		for _, res := range rs {
+			emitted[res.Query] = true
 		}
 	}
-	if dyn == 0 {
-		t.Fatal("the registered queries emitted nothing; test is vacuous")
+	for q := len(static); q <= len(four); q++ {
+		if !emitted[q] {
+			t.Fatalf("registered query %d emitted nothing; test is vacuous", q)
+		}
 	}
 }

@@ -1,10 +1,14 @@
 // Package shard implements the multi-query RPQ coordinator (the
 // paper's §7 future-work direction): registration, shared Δ-index
-// groups, relevance dispatch, dynamic membership, retain-all mode and
-// snapshot/restore exist once, here, behind one schedule.
+// groups, relevance dispatch and snapshot/restore exist once, here,
+// behind one schedule.
 //
 // The window content G_{W,τ} is query independent, so the snapshot
-// graph and the window clock are owned by the coordinator; registered
+// graph and the window clock are owned by the coordinator, and the
+// graph keeps every labelled tuple of the window whether or not a
+// registered query reads its label: a query registered mid-stream
+// bootstraps from it exactly as one registered before the first batch
+// does from the empty window. Registered
 // queries are partitioned round-robin over N shards, each owning the Δ
 // spanning-tree indexes of its queries. Every group is one sequential
 // core.RAPQ: the coordinator's parallelism is across groups, never
@@ -36,7 +40,7 @@
 // the graph's epoch is 0 and no superseded version is left — exactly
 // where internal/persist takes its checkpoints (the checkpoint
 // serialization is the flat, epoch-free edge set), and where queries
-// join and leave (AddDynamic, RemoveDynamic) on the caller's goroutine.
+// join and leave (Add, Remove) on the caller's goroutine.
 //
 // The coordinator is the graph's one writer, and it writes only while
 // no shard reads: the job send and the reply receive are the only
@@ -168,15 +172,17 @@ type Engine struct {
 	closed  bool
 	err     error // sticky: first internal failure; engine is poisoned
 
-	// retain-all mode (see SetRetainAll): the graph stores every label
-	// so AddDynamic can bootstrap a new query from the live window.
 	// labelTS records, per label, the timestamp of the last graph
 	// mutation that carried it (math.MinInt64 for none) — exactly the
 	// stream clock a member registered from the start would hold, since
 	// members advance their clock on every routed insert and successful
-	// delete.
-	retain  bool
+	// delete. Add aligns a bootstrapped member with it.
 	labelTS []int64
+	// partial is set by RestoreState from a snapshot whose graph holds
+	// only its queries' labels (written by a coordinator that dropped the
+	// others): a query registered later would bootstrap from part of the
+	// window, so Add refuses for the engine's lifetime.
+	partial bool
 
 	wg      sync.WaitGroup
 	steps   []step     // the batch's steps; reused by the next batch
@@ -364,18 +370,11 @@ func (s *Engine) Len() int {
 	return n
 }
 
-// SetRetainAll switches the shared graph to retain-all mode: every
-// tuple mutates the graph even when no registered query's alphabet
-// contains its label. Prerequisite for AddDynamic (a mid-stream query
-// replays the live window, which must have been retained in full).
-// Must be set before the first batch.
-func (s *Engine) SetRetainAll(on bool) error {
-	if s.started || s.seen != 0 {
-		return fmt.Errorf("shard: SetRetainAll after processing started")
-	}
-	s.retain = on
-	return nil
-}
+// SetRetainAll has no effect and returns nil.
+//
+// Deprecated: the graph always keeps every label. SetRetainAll remains
+// only for its caller in benchmark/ and goes with it (ROADMAP item 4).
+func (s *Engine) SetRetainAll(bool) error { return nil }
 
 // Graph exposes the shared snapshot graph (read-only use).
 func (s *Engine) Graph() *graph.Graph { return s.g }
@@ -384,35 +383,6 @@ func (s *Engine) Graph() *graph.Graph { return s.g }
 // failure (e.g. a recovered member-engine panic) that poisoned the
 // engine. ProcessBatch and Close surface it too.
 func (s *Engine) Err() error { return s.err }
-
-// Add registers one RAPQ query and returns its engine (for Stats
-// probes; RestoreState replaces it). It is the only static
-// registration: queries must be added before the first batch; sink may
-// be nil. With sharing on, a query equivalent to an already-registered
-// one subscribes to the existing group and returns the shared engine; a
-// new group is assigned to shard index Len() mod NumShards().
-func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
-	if err := s.precheck(a); err != nil {
-		return nil, err
-	}
-	mb := s.newMember(a, sink, a.Fingerprint())
-	if g := s.joinGroup(mb); g != nil {
-		return g.engine.(*core.RAPQ), nil
-	}
-	e := core.NewRAPQ(a, s.spec)
-	s.activate(s.newGroup(e, mb))
-	return e, nil
-}
-
-func (s *Engine) precheck(a *automaton.Bound) error {
-	if s.closed {
-		return fmt.Errorf("shard: Add on closed engine")
-	}
-	if s.started {
-		return fmt.Errorf("shard: Add after processing started (use AddDynamic)")
-	}
-	return s.checkLabelSpace(a)
-}
 
 // newMember appends a member slot (without a group yet).
 func (s *Engine) newMember(a *automaton.Bound, sink core.Sink, key string) *member {
@@ -437,27 +407,15 @@ func (s *Engine) joinGroup(mb *member) *group {
 	return nil
 }
 
-// checkLabelSpace enforces the dense-label-space discipline. Static
-// query sets bind every member against the identical space; in
-// retain-all (dynamic) mode the space grows monotonically — later
-// members see a larger dictionary, and older members bounds-check
+// checkLabelSpace enforces the dense-label-space discipline: the space
+// grows monotonically — a later member may be bound against a larger
+// dictionary, never a smaller one, and older members bounds-check
 // labels beyond their binding (the ΣQ guards in core).
 func (s *Engine) checkLabelSpace(a *automaton.Bound) error {
 	for _, mb := range s.members {
-		if mb == nil {
-			continue
-		}
-		sp := len(mb.bound.ByLabel)
-		if s.retain {
-			if len(a.ByLabel) < sp {
-				return fmt.Errorf("shard: label space shrank: %d vs existing %d labels (bind new queries against the full dictionary)",
-					len(a.ByLabel), sp)
-			}
-			continue
-		}
-		if len(a.ByLabel) != sp {
-			return fmt.Errorf("shard: label space mismatch: %d vs %d labels",
-				len(a.ByLabel), sp)
+		if mb != nil && len(a.ByLabel) < len(mb.bound.ByLabel) {
+			return fmt.Errorf("shard: label space shrank: %d vs existing %d labels (bind new queries against the full dictionary)",
+				len(a.ByLabel), len(mb.bound.ByLabel))
 		}
 	}
 	return nil
@@ -482,37 +440,39 @@ func (s *Engine) activate(g *group) {
 	g.w.rebuild()
 }
 
-// AddDynamic registers one RAPQ query mid-stream and returns its
-// registration index (the stable id results carry). The engine must be
-// in retain-all mode; call between batches. With sharing on, a query
-// equivalent to an active group simply subscribes to its fan-out — the
-// shared engine was registered from stream start, so its future
-// emissions are exactly the suffix a from-start engine would emit; no
-// bootstrap. Otherwise the new group's Δ index is bootstrapped from the
-// window content in place, on the caller's goroutine: between batches
-// no batch is open and the shard goroutines are parked on their job
-// channels, so the bootstrap reads the settled graph at epoch 0 and the
-// group is active on return. From the next batch onward the member emits
-// exactly what a from-start engine emits over the same suffix. Matches
-// emitted during the bootstrap replay itself — the window's current
-// live result set — are suppressed: a from-start engine emitted them
-// before this point.
-func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
+// Add registers one RAPQ query and returns its engine (for Stats
+// probes; RestoreState replaces it); sink may be nil. Registration
+// indices (the ids results carry) count Add calls. Call between
+// batches, before the first one or mid-stream: both register the same
+// way. With sharing on, a query equivalent to an active group subscribes
+// to its fan-out and gets the shared engine — that engine was
+// registered before, so its future emissions are exactly the suffix a
+// private one would emit; no bootstrap. Otherwise the new group, on
+// shard index mod NumShards(), has its Δ index bootstrapped from the
+// window content in place, on the caller's goroutine (a no-op while the
+// window is empty): between batches no batch is open and the shard
+// goroutines are parked on their job channels, so the bootstrap reads
+// the settled graph at epoch 0 and the group is active on return. From
+// the next batch onward the member emits exactly what one registered
+// before the first batch emits over the same suffix. Matches emitted
+// during the bootstrap replay itself — the window's current live result
+// set — are suppressed: a from-start engine emitted them earlier.
+func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 	if s.closed {
-		return 0, fmt.Errorf("shard: AddDynamic on closed engine")
+		return nil, fmt.Errorf("shard: Add on closed engine")
 	}
 	if s.err != nil {
-		return 0, s.err
+		return nil, s.err
 	}
-	if !s.retain {
-		return 0, fmt.Errorf("shard: AddDynamic requires retain-all mode (SetRetainAll before the first batch)")
+	if s.partial {
+		return nil, fmt.Errorf("shard: Add after restoring a snapshot that keeps only its queries' labels (a new query would bootstrap from part of the window)")
 	}
 	if err := s.checkLabelSpace(a); err != nil {
-		return 0, err
+		return nil, err
 	}
 	mb := s.newMember(a, sink, a.Fingerprint())
-	if s.joinGroup(mb) != nil {
-		return mb.index, nil
+	if g := s.joinGroup(mb); g != nil {
+		return g.engine.(*core.RAPQ), nil
 	}
 	e := core.NewRAPQ(a, s.spec) // default discard sink while bootstrapping
 	g := s.newGroup(e, mb)
@@ -528,7 +488,7 @@ func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 	boot := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("shard: dynamic member %d bootstrap panic: %v", mb.index, r)
+				err = fmt.Errorf("shard: member %d bootstrap panic: %v", mb.index, r)
 			}
 		}()
 		e.BootstrapFromGraph(s.g)
@@ -537,25 +497,25 @@ func (s *Engine) AddDynamic(a *automaton.Bound, sink core.Sink) (int, error) {
 	}
 	if s.err = boot(); s.err != nil {
 		s.members[mb.index] = nil // never activated
-		return 0, s.err
+		return nil, s.err
 	}
 	s.activate(g)
-	return mb.index, nil
+	return e, nil
 }
 
-// RemoveDynamic detaches the query with the given registration index.
+// Remove detaches the query with the given registration index.
 // Call between batches: the member receives no step of any later batch.
 // Its slot becomes a nil tombstone so surviving queries keep their
 // registration indices (the canonical merge order depends on them).
-func (s *Engine) RemoveDynamic(index int) error {
+func (s *Engine) Remove(index int) error {
 	if s.closed {
-		return fmt.Errorf("shard: RemoveDynamic on closed engine")
+		return fmt.Errorf("shard: Remove on closed engine")
 	}
 	if s.err != nil {
 		return s.err
 	}
 	if index < 0 || index >= len(s.members) || s.members[index] == nil {
-		return fmt.Errorf("shard: RemoveDynamic: no query with index %d", index)
+		return fmt.Errorf("shard: Remove: no query with index %d", index)
 	}
 	mb := s.members[index]
 	s.members[index] = nil
@@ -575,7 +535,7 @@ func (s *Engine) RemoveDynamic(index int) error {
 
 // relevantLabel reports whether any group has a transition on the
 // label (the shards' dispatch indexes). Tuples outside every alphabet
-// get no step and, unless retain-all is on, skip the graph.
+// still write the graph, but get no member work.
 func (s *Engine) relevantLabel(l stream.LabelID) bool {
 	for _, w := range s.workers {
 		if len(w.rel.Groups(int(l))) > 0 {
@@ -772,11 +732,11 @@ func (s *Engine) process(tuples []stream.Tuple) {
 // graphStep is the coordinator's part of one tuple, at the epoch st
 // holds: count it and advance the stream clock; at a slide boundary
 // expire the graph and record the expiry in st, whose epoch then moves
-// past it; then, if some group has a transition on the tuple's label or
-// retain-all keeps every label, insert or delete the edge and note the
-// label's clock. st.skip is set unless some group has work for the
-// tuple: a relevant insert, or a relevant deletion that removed a live
-// edge.
+// past it; then, unless the tuple is clock-only (a negative label: the
+// facade's edge filter), insert or delete the edge and note the label's
+// clock, whether or not a group reads the label. st.skip is set unless
+// some group has work for the tuple: a relevant insert, or a relevant
+// deletion that removed a live edge.
 func (s *Engine) graphStep(st *step) {
 	t := st.tuple
 	s.seen++
@@ -789,12 +749,12 @@ func (s *Engine) graphStep(st *step) {
 		st.expire, st.deadline, st.epoch = true, deadline, s.g.AdvanceEpoch()
 	}
 	relevant := s.relevantLabel(t.Label)
-	st.skip = !relevant // retain-all writes the graph even when no member has work
+	st.skip = !relevant // the graph is written even when no member has work
 	if !relevant {
 		s.dropped++
-		if !s.retain {
-			return
-		}
+	}
+	if t.Label < 0 {
+		return
 	}
 	if st.del = t.Op == stream.Delete; st.del {
 		if !s.g.Delete(t.Key()) {
@@ -807,12 +767,9 @@ func (s *Engine) graphStep(st *step) {
 	s.noteLabel(t)
 }
 
-// noteLabel records the per-label stream clock in retain-all mode;
-// called for exactly the tuples that mutated the graph (see labelTS).
+// noteLabel records the per-label stream clock; called for exactly the
+// tuples that mutated the graph (see labelTS).
 func (s *Engine) noteLabel(t stream.Tuple) {
-	if !s.retain || t.Label < 0 {
-		return
-	}
 	for int(t.Label) >= len(s.labelTS) {
 		s.labelTS = append(s.labelTS, math.MinInt64)
 	}
@@ -941,7 +898,7 @@ func (s *Engine) SnapshotState() *core.MultiState {
 		Dropped: s.dropped,
 		Win:     s.win.State(),
 		Edges:   core.SnapshotEdges(s.g),
-		Retain:  s.retain,
+		Retain:  !s.partial,
 		LabelTS: append([]int64(nil), s.labelTS...),
 	}
 	st.Dispatches, st.RelevanceSkips = s.dispatchCounts()
@@ -968,7 +925,10 @@ func (s *Engine) SnapshotState() *core.MultiState {
 // epoch 0. The snapshot's query→group mapping is authoritative: the groups
 // formed at registration (and the engines Add returned for them) are
 // replaced by groups rebuilt to match it, so a snapshot restores its
-// exact sharing layout at any shard count.
+// exact sharing layout at any shard count. A snapshot with Retain unset
+// (written by an older coordinator that dropped the labels no query
+// read) closes registration: Add fails for the engine's lifetime, and
+// its own snapshots carry Retain unset on.
 func (s *Engine) RestoreState(st *core.MultiState) error {
 	if s.closed {
 		return fmt.Errorf("shard: RestoreState on closed engine")
@@ -993,7 +953,7 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	s.seen = st.Seen
 	s.dropped = st.Dropped
 	s.win.SetState(st.Win)
-	s.retain = st.Retain
+	s.partial = !st.Retain
 	s.labelTS = append([]int64(nil), st.LabelTS...)
 	s.dispatchBase = st.Dispatches
 	s.skipBase = st.RelevanceSkips

@@ -408,17 +408,14 @@ func TestShardedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Add(bind(t, "a", "a"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Add(bind(t, "a|b", "a", "b"), nil); err == nil {
-		t.Fatal("label space mismatch accepted")
-	}
-	if _, err := s.ProcessBatch([]stream.Tuple{{TS: 5, Label: 0}}); err != nil {
+	if _, err := s.Add(bind(t, "a|b", "a", "b"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Add(bind(t, "a", "a"), nil); err == nil {
-		t.Fatal("Add after start accepted")
+		t.Fatal("label space shrank, yet Add accepted")
+	}
+	if _, err := s.ProcessBatch([]stream.Tuple{{TS: 5, Label: 0}}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := s.ProcessBatch([]stream.Tuple{{TS: 9, Label: 0}, {TS: 8, Label: 0}}); err == nil {
 		t.Fatal("out-of-order batch accepted")
@@ -430,6 +427,9 @@ func TestShardedErrors(t *testing.T) {
 	s.Close() // idempotent
 	if _, err := s.ProcessBatch([]stream.Tuple{{TS: 10, Label: 0}}); err == nil {
 		t.Fatal("ProcessBatch on closed engine accepted")
+	}
+	if _, err := s.Add(bind(t, "a|b", "a", "b"), nil); err == nil {
+		t.Fatal("Add after Close accepted")
 	}
 }
 

@@ -26,9 +26,6 @@ func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards in
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.SetRetainAll(true); err != nil {
-		t.Fatal(err)
-	}
 	for _, expr := range sharingExprs {
 		if _, err := s.Add(bind(t, expr, "a", "b"), nil); err != nil {
 			t.Fatal(err)
@@ -46,16 +43,16 @@ func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards in
 		case len(bs) / 3:
 			// Split: index 2 duplicates index 0, so with sharing on this
 			// shrinks a shared group to a single subscriber.
-			if err := s.RemoveDynamic(2); err != nil {
+			if err := s.Remove(2); err != nil {
 				t.Fatal(err)
 			}
 		case 2 * len(bs) / 3:
 			// Re-form: the same pattern registers again mid-stream and,
 			// with sharing on, must rejoin the live group rather than
 			// bootstrap a private copy.
-			if idx, err := s.AddDynamic(bind(t, "(a/b)+", "a", "b"), nil); err != nil {
+			if _, err := s.Add(bind(t, "(a/b)+", "a", "b"), nil); err != nil {
 				t.Fatal(err)
-			} else if idx != len(sharingExprs) {
+			} else if idx := len(s.members) - 1; idx != len(sharingExprs) {
 				t.Fatalf("re-registration index = %d", idx)
 			}
 		}

@@ -15,12 +15,15 @@ import (
 // sharing of the paper's future-work section).
 //
 // All queries share one window specification and one vertex/label
-// dictionary. Register queries with NewMultiEvaluator, then stream
-// tuples through Ingest or IngestBatch. One coordinator (internal/shard)
-// evaluates every configuration: by default it runs its one shard on the
-// caller's goroutine, starting no goroutine, and WithShards partitions
-// the queries over concurrent shards. Call Close when done (it releases
-// the shard goroutines and the persistence files).
+// dictionary. Register queries with NewMultiEvaluator or, at any batch
+// boundary, AddQuery, and stream tuples through Ingest or IngestBatch.
+// The shared graph keeps the whole window, every label included, so a
+// query registered mid-stream starts from it. One coordinator
+// (internal/shard) evaluates every configuration: by default it runs
+// its one shard on the caller's goroutine, starting no goroutine, and
+// WithShards partitions the queries over concurrent shards. Call Close
+// when done (it releases the shard goroutines and the persistence
+// files).
 type MultiEvaluator struct {
 	fe      frontEnd
 	spec    window.Spec
@@ -28,7 +31,6 @@ type MultiEvaluator struct {
 	shards  int           // as configured by WithShards; 0 = not called
 	queries []*multiMember
 	persist *persistState // nil unless WithPersistence/Recover was used
-	dynamic bool          // EnableDynamicQueries: online add/remove allowed
 	batches uint64        // batches applied (without persistence; see AppliedBatches)
 }
 
@@ -66,8 +68,8 @@ func NewMultiEvaluator(size, slide int64, queries ...*Query) (*MultiEvaluator, e
 	if err := m.rebuild(); err != nil {
 		return nil, err
 	}
-	// The shared dense label space is the union of all query
-	// alphabets; it must be fixed before binding any member.
+	// Every member binds against one dense label space, the union of
+	// all query alphabets.
 	m.fe.intern(queries...)
 	for _, q := range queries {
 		if err := m.addQuery(q); err != nil {
@@ -94,14 +96,11 @@ func (m *MultiEvaluator) rebuild() error {
 	if err != nil {
 		return err
 	}
-	if m.dynamic {
-		err = eng.SetRetainAll(true)
-	}
 	// Re-register every slot — including removed ones, which are added
 	// and immediately tombstoned — so facade indices stay engine indices.
 	for i := 0; err == nil && i < len(m.queries); i++ {
 		if _, err = eng.Add(m.queries[i].bound, nil); err == nil && m.queries[i].removed {
-			err = eng.RemoveDynamic(i)
+			err = eng.Remove(i)
 		}
 	}
 	if err != nil {
@@ -158,52 +157,33 @@ func (m *MultiEvaluator) WithWriters(n int) error {
 	return nil
 }
 
-// EnableDynamicQueries switches the evaluator to retain-all mode, the
-// prerequisite for registering or removing queries mid-stream (AddQuery
-// / RemoveQuery): the shared graph then stores every label — not just
-// the union of the registered alphabets — so a query registered later
-// can bootstrap its Δ index from the live window. Must be called before
-// the first tuple; the mode survives reconfiguration and, with
-// persistence, checkpoint/recovery.
-func (m *MultiEvaluator) EnableDynamicQueries() error {
-	if m.fe.clock.started {
-		return fmt.Errorf("streamrpq: EnableDynamicQueries after processing started")
-	}
-	if err := m.eng.SetRetainAll(true); err != nil {
-		return fmt.Errorf("streamrpq: %w", err)
-	}
-	m.dynamic = true
-	return nil
-}
+// EnableDynamicQueries has no effect and returns nil.
+//
+// Deprecated: every evaluator keeps the whole window and registers
+// queries at any batch boundary (AddQuery). EnableDynamicQueries remains
+// only for its caller in benchmark/ and goes with it (ROADMAP item 4).
+func (m *MultiEvaluator) EnableDynamicQueries() error { return nil }
 
-// DynamicQueries reports whether online registration is enabled.
-func (m *MultiEvaluator) DynamicQueries() bool { return m.dynamic }
-
-// AddQuery registers a query online and returns its registration index
-// (stable for the evaluator's lifetime; the id RemoveQuery and
-// QueryByIndex take). Requires EnableDynamicQueries before the first
-// tuple. Call between batches: the query's Δ index is bootstrapped in
-// place, on the caller's goroutine, by replaying the retained window
-// content, and from the next batch on the query emits exactly what it
-// would have emitted had it been registered from stream start (matches
-// already live in the window are not re-emitted).
+// AddQuery registers a query and returns its registration index (stable
+// for the evaluator's lifetime; the id RemoveQuery and QueryByIndex
+// take). Call between batches, before the first one or mid-stream: the
+// query's Δ index is bootstrapped in place, on the caller's goroutine,
+// from the window content, and from the next batch on the query emits
+// exactly what it would have emitted had it been registered from stream
+// start (matches already live in the window are not re-emitted). An
+// evaluator recovered from a checkpoint whose graph kept only its
+// queries' labels (written by older versions) refuses new queries.
 // With persistence enabled the registration is made durable by an
-// immediate synchronous checkpoint before AddQuery returns.
+// immediate synchronous checkpoint before AddQuery returns; if that
+// checkpoint fails, the query is registered all the same and AddQuery
+// returns its index with the error.
 func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {
-	if !m.dynamic {
-		return 0, fmt.Errorf("streamrpq: AddQuery requires EnableDynamicQueries before the first tuple")
-	}
 	// Grow the shared label dictionary by the new alphabet and bind
 	// against the full space (older members bounds-check beyond theirs).
-	member := &multiMember{query: q, bound: m.fe.bind(q)}
-	idx, err := m.eng.AddDynamic(member.bound, nil)
-	if err != nil {
+	if err := m.addQuery(q); err != nil {
 		return 0, fmt.Errorf("streamrpq: %w", err)
 	}
-	if idx != len(m.queries) {
-		return 0, fmt.Errorf("streamrpq: internal error: registration index skew (%d vs %d)", idx, len(m.queries))
-	}
-	m.queries = append(m.queries, member)
+	idx := len(m.queries) - 1
 	if m.persist != nil {
 		// A registration is durable only through a checkpoint: WAL batches
 		// replayed after recovery must see the query set they were
@@ -221,13 +201,10 @@ func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {
 // queries keep their indices. With persistence enabled the removal is
 // checkpointed synchronously, like AddQuery.
 func (m *MultiEvaluator) RemoveQuery(index int) error {
-	if !m.dynamic {
-		return fmt.Errorf("streamrpq: RemoveQuery requires EnableDynamicQueries")
-	}
 	if index < 0 || index >= len(m.queries) || m.queries[index].removed {
 		return fmt.Errorf("streamrpq: RemoveQuery: no query with index %d", index)
 	}
-	if err := m.eng.RemoveDynamic(index); err != nil {
+	if err := m.eng.Remove(index); err != nil {
 		return fmt.Errorf("streamrpq: %w", err)
 	}
 	m.queries[index].removed = true

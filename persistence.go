@@ -280,10 +280,12 @@ func (p *persistState) pendingError() error {
 // redelivered results and post-recovery results is identical to an
 // uninterrupted run.
 //
-// The checkpoint carries the shard count and the dynamic-queries
-// (retain-all) mode, and the evaluator comes back with them; a
-// recovered evaluator — persistent already — refuses every With*
-// reconfiguration.
+// The checkpoint carries the shard count, and the evaluator comes back
+// with it; a recovered evaluator — persistent already — refuses every
+// With* reconfiguration. A checkpoint written by an older version whose
+// graph kept only its queries' labels recovers with registration
+// closed: AddQuery fails, since a new query would start from part of
+// the window.
 func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult, error) {
 	var cfg persistConfig
 	for _, o := range opts {
@@ -364,13 +366,12 @@ func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult,
 }
 
 // rebuildFromSnapshot reconstructs the evaluator a snapshot describes:
-// an empty evaluator loads both dictionaries and takes the snapshot's
-// retain-all mode, every query is recompiled and bound against the
-// loaded label space, the evaluator re-shards, and the engine state is
-// restored. Binding a query against a wider label space than it was
-// first bound against is emission-equivalent: the extra labels have no
-// transitions, and the Δ-index group fingerprint ignores trailing label
-// width.
+// an empty evaluator loads both dictionaries, every query is recompiled
+// and bound against the loaded label space, the evaluator re-shards, and
+// the engine state is restored. Binding a query against a wider label
+// space than it was first bound against is emission-equivalent: the
+// extra labels have no transitions, and the Δ-index group fingerprint
+// ignores trailing label width.
 func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 	m, err := NewMultiEvaluator(snap.Spec.Size, snap.Spec.Slide)
 	if err != nil {
@@ -381,11 +382,6 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 	}
 	if err := m.fe.vertices.Load(snap.Vertices); err != nil {
 		return nil, fmt.Errorf("streamrpq: recover: vertex dictionary: %w", err)
-	}
-	if snap.State != nil && snap.State.Retain {
-		if err := m.EnableDynamicQueries(); err != nil {
-			return nil, err
-		}
 	}
 	for i, src := range snap.Queries {
 		q, err := Compile(src)
