@@ -210,11 +210,14 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 }
 
 // MultiState is the checkpointable state of the multi-query coordinator
-// (shard.Engine): the shared snapshot graph, the shared
-// window clock, and each Δ-index group's state. With query sharing,
-// Members holds one state per *group* (ordered by each group's lowest
-// live subscriber index) and MemberGroup records, for each live query
-// in registration order, which group it subscribes to.
+// (shard.Engine): the shared snapshot graph, the shared window clock,
+// and each Δ-index group's state. Members holds one state per *group*
+// (ordered by each group's lowest live subscriber index) and
+// MemberGroup records, for each live query in registration order, which
+// group it subscribes to. The coordinator groups queries by automaton,
+// so equivalent queries share one state; files written with sharing
+// switched off split such a class over several states, and restore
+// collapses it into one group (shard.Engine.RestoreState).
 type MultiState struct {
 	Now     int64
 	Seen    int64
@@ -276,37 +279,4 @@ func RestoreEdges(g *graph.Graph, edges []graph.Edge) error {
 		g.Insert(ed.Src, ed.Dst, ed.Label, ed.TS)
 	}
 	return nil
-}
-
-// PlanGroupPartition resolves a snapshot's query→group mapping into
-// slot partitions, one per restored group, each paired with its engine
-// state. liveIdx lists the coordinator's live registration indices in
-// order; key(idx) returns the group key of the query at that index. The
-// mapping is authoritative: the partition is restored exactly as
-// recorded, and only checked for shape and for groups spanning
-// inequivalent queries.
-func PlanGroupPartition(st *MultiState, liveIdx []int, key func(int) string) ([][]int, []*RAPQState, error) {
-	if len(st.MemberGroup) != len(liveIdx) {
-		return nil, nil, fmt.Errorf("core: restore: snapshot maps %d queries, coordinator has %d",
-			len(st.MemberGroup), len(liveIdx))
-	}
-	parts := make([][]int, len(st.Members))
-	for rank, idx := range liveIdx {
-		gi := st.MemberGroup[rank]
-		if gi < 0 || gi >= len(st.Members) {
-			return nil, nil, fmt.Errorf("core: restore: query %d maps to group %d of %d", idx, gi, len(st.Members))
-		}
-		parts[gi] = append(parts[gi], idx)
-	}
-	for gi, p := range parts {
-		if len(p) == 0 {
-			return nil, nil, fmt.Errorf("core: restore: snapshot group %d has no subscribers", gi)
-		}
-		for _, idx := range p[1:] {
-			if key(idx) != key(p[0]) {
-				return nil, nil, fmt.Errorf("core: restore: group %d spans inequivalent queries %d and %d", gi, p[0], idx)
-			}
-		}
-	}
-	return parts, st.Members, nil
 }

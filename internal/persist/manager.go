@@ -16,17 +16,12 @@ type Options struct {
 	// need the data to have left the process; turn it on when surviving
 	// OS/power failure matters more than ingest latency.
 	Fsync bool
-	// KeepSnapshots is how many snapshot generations to retain (the
-	// current one included). At least 2, so a corrupt latest snapshot
-	// can always fall back one generation. Default 2.
-	KeepSnapshots int
 }
 
-func (o *Options) defaults() {
-	if o.KeepSnapshots < 2 {
-		o.KeepSnapshots = 2
-	}
-}
+// keepSnapshots is how many snapshot generations the manager retains
+// (the current one included): two, so a corrupt latest snapshot can
+// always fall back one generation.
+const keepSnapshots = 2
 
 // Manager owns one persistence directory: it appends to the current WAL
 // segment, writes snapshot generations, and prunes superseded files.
@@ -50,7 +45,6 @@ type Manager struct {
 // caller must write the generation-0 snapshot (the evaluator metadata
 // and empty state) via WriteSnapshot before appending batches.
 func Create(dir string, opts Options) (*Manager, error) {
-	opts.defaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -76,7 +70,6 @@ func Create(dir string, opts Options) (*Manager, error) {
 // path); if no valid snapshot exists the directory is unrecoverable.
 // After Open, call Replay to apply the WAL suffix, then append freely.
 func Open(dir string, opts Options) (*Manager, *Snapshot, error) {
-	opts.defaults()
 	lock, err := acquireDirLock(dir)
 	if err != nil {
 		return nil, nil, err
@@ -248,7 +241,7 @@ func (m *Manager) AppendCommit(lastTS int64, results int64) error {
 // WriteSnapshot persists a new snapshot generation: the current WAL
 // segment is closed, the snapshot is written atomically under the next
 // generation number, a fresh WAL segment for that generation is opened,
-// and superseded files are pruned (keeping Options.KeepSnapshots
+// and superseded files are pruned (keeping keepSnapshots
 // generations for corruption fallback).
 func (m *Manager) WriteSnapshot(s *Snapshot) error {
 	next := m.maxGen + 1
@@ -276,7 +269,7 @@ func (m *Manager) WriteSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// prune removes snapshot generations older than the KeepSnapshots
+// prune removes snapshot generations older than the keepSnapshots
 // newest VALID ones, and WAL segments older than the oldest kept valid
 // snapshot (those batches are fully contained in every kept snapshot).
 // Only snapshots that pass their checksum count toward the keep window:
@@ -287,7 +280,7 @@ func (m *Manager) WriteSnapshot(s *Snapshot) error {
 // file I/O beyond the directory scan.
 func (m *Manager) prune() {
 	snaps, wals, err := scanDir(m.dir)
-	if err != nil || len(snaps) <= m.opts.KeepSnapshots {
+	if err != nil || len(snaps) <= keepSnapshots {
 		return
 	}
 	valid := make([]uint64, 0, len(snaps))
@@ -301,10 +294,10 @@ func (m *Manager) prune() {
 			valid = append(valid, g)
 		}
 	}
-	if len(valid) <= m.opts.KeepSnapshots {
+	if len(valid) <= keepSnapshots {
 		return
 	}
-	oldestKept := valid[len(valid)-m.opts.KeepSnapshots]
+	oldestKept := valid[len(valid)-keepSnapshots]
 	for _, g := range snaps {
 		if g < oldestKept {
 			os.Remove(SnapshotPath(m.dir, g))

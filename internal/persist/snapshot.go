@@ -41,6 +41,10 @@ const (
 	// (core.MultiState.MemberGroup — Members then holds one Δ state per
 	// GROUP, not per query), and the dispatch/relevance-skip counters;
 	// version-3 files (one Δ state per query, no mapping) are rejected.
+	// Writers now always share, and the flag is written true and not
+	// read; a v4 file written with sharing off splits a class of
+	// equivalent queries over several states and restores collapsed into
+	// the class's one group (shard.Engine.RestoreState).
 	snapVersion = 4
 
 	// snapVersionMin is the oldest snapshot version recovery accepts.

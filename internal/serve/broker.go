@@ -96,7 +96,6 @@ type Broker struct {
 	ev  *streamrpq.MultiEvaluator
 	rng *replayRing
 	sub map[*subscriber]struct{}
-	ids map[*streamrpq.Query]int // registration index per live query
 
 	subBuf int
 	closed bool
@@ -152,13 +151,7 @@ func NewBroker(ev *streamrpq.MultiEvaluator, cfg BrokerConfig) (*Broker, error) 
 		ev:     ev,
 		rng:    newReplayRing(cfg.ReplayWindow, floor),
 		sub:    make(map[*subscriber]struct{}),
-		ids:    make(map[*streamrpq.Query]int),
 		subBuf: cfg.SubscriberBuffer,
-	}
-	for i, q := range ev.RegisteredQueries() {
-		if q != nil {
-			b.ids[q] = i
-		}
 	}
 	return b, nil
 }
@@ -215,7 +208,7 @@ func (b *Broker) flatten(brs []streamrpq.BatchResult, batch uint64) []entry {
 	es := slices.Grow(b.pending[:0], n)
 	enc := b.enc[:0]
 	add := func(br *streamrpq.BatchResult, m *streamrpq.Match, inv bool) {
-		e := entry{seq: Seq{Batch: batch, Index: uint64(len(es))}, queryID: b.ids[br.Query], query: br.Query.String()}
+		e := entry{seq: Seq{Batch: batch, Index: uint64(len(es))}, queryID: br.QueryIndex, query: br.Query.String()}
 		enc = appendResult(enc, e.seq, &Record{
 			Batch:       batch,
 			Tuple:       br.Tuple,
@@ -349,8 +342,8 @@ func (b *Broker) Unsubscribe(s *subscriber) {
 // broker's lock serializes it with ingest): its index is bootstrapped
 // from the live window before the call returns. Returns the
 // registration id. If the registration's checkpoint fails, the query is
-// registered and emitting all the same: its id is recorded, so its
-// records carry it, and the error is returned.
+// registered and emitting all the same: its records carry its id, and
+// the error is returned.
 func (b *Broker) AddQuery(pattern string) (int, error) {
 	q, err := streamrpq.Compile(pattern)
 	if err != nil {
@@ -361,11 +354,7 @@ func (b *Broker) AddQuery(pattern string) (int, error) {
 	if b.closed {
 		return 0, ErrShutdown
 	}
-	id, err := b.ev.AddQuery(q)
-	if b.ev.QueryByIndex(id) == q {
-		b.ids[q] = id
-	}
-	return id, err
+	return b.ev.AddQuery(q)
 }
 
 // RemoveQuery detaches the query with the given registration id.
@@ -375,15 +364,10 @@ func (b *Broker) RemoveQuery(id int) error {
 	if b.closed {
 		return ErrShutdown
 	}
-	q := b.ev.QueryByIndex(id)
-	if q == nil {
+	if b.ev.QueryByIndex(id) == nil {
 		return fmt.Errorf("serve: no query with id %d", id)
 	}
-	if err := b.ev.RemoveQuery(id); err != nil {
-		return err
-	}
-	delete(b.ids, q)
-	return nil
+	return b.ev.RemoveQuery(id)
 }
 
 // QueryInfo describes one live registration.

@@ -471,6 +471,47 @@ func TestAddQueryCheckpointFailureKeepsID(t *testing.T) {
 	}
 }
 
+// TestSameQueryTwiceKeepsBothIDs: one *Query registered twice is two
+// registrations, and each record carries the id of the one it belongs
+// to, so a subscriber filtered on either id receives that one's record.
+func TestSameQueryTwiceKeepsBothIDs(t *testing.T) {
+	q := streamrpq.MustCompile("a")
+	ev, err := streamrpq.NewMultiEvaluator(10, 1, q, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Close()
+	b, err := NewBroker(ev, BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Shutdown()
+	subs := map[int]*subscriber{}
+	for _, id := range []int{0, 1} {
+		if subs[id], err = b.Subscribe([]int{id}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		defer b.Unsubscribe(subs[id])
+	}
+	if rep, err := b.Ingest([]streamrpq.Tuple{{TS: 1, Src: "x", Dst: "y", Label: "a"}}); err != nil {
+		t.Fatal(err)
+	} else if rep.Records != 2 {
+		t.Fatalf("records = %d, want 2", rep.Records)
+	}
+	for id, sub := range subs {
+		if len(sub.ch) != 1 {
+			t.Fatalf("subscriber of id %d got %d records, want 1", id, len(sub.ch))
+		}
+		var rec Record
+		if err := json.Unmarshal(<-sub.ch, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.QueryID != id {
+			t.Fatalf("subscriber of id %d got a record of id %d", id, rec.QueryID)
+		}
+	}
+}
+
 // TestSubscribeGoneNamesFloor: once the stream start is out of reach —
 // after ring eviction, or after a restart — from=start answers 410
 // with the oldest resumable position in the body, and resuming from

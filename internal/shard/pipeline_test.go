@@ -332,21 +332,19 @@ func TestMultiWriterOracle(t *testing.T) {
 // TestPipelinedSnapshotEpochFree: a mid-stream checkpoint taken from a
 // four-shard engine is identical to one taken from a one-shard engine at
 // the same batch boundary — the on-disk state is the settled edge set
-// and carries no epoch residue — and restoring it into another
-// multi-shard engine continues the stream byte-identically,
-// whatever groups registration had formed there. The restore keeps the
-// snapshot's query→group layout whichever sharing mode either engine
-// runs: a shared layout restored all-private leaves one of its
-// populated shards empty, and a private layout restored into a sharing
-// engine keeps the equivalent pair in two groups.
+// and carries no epoch residue — and restoring it into a three-shard
+// engine continues the stream byte-identically, in the groups
+// registration formed there. A snapshot that splits the equivalent pair
+// over two states (the layout written with sharing switched off)
+// restores collapsed into the pair's one group and continues alike.
 func TestPipelinedSnapshotEpochFree(t *testing.T) {
 	exprs := []string{"(a/b)+", "b/a*", "(a/b)+"}
 	spec := window.Spec{Size: 18, Slide: 3}
 	tuples := refreshTuples(rand.New(rand.NewSource(99)), 600)
 	half := len(tuples) / 2
 
-	mkEngine := func(sharing bool, opts ...Option) *Engine {
-		s, err := New(spec, append(opts, WithSharing(sharing))...)
+	mkEngine := func(opts ...Option) *Engine {
+		s, err := New(spec, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,14 +368,21 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		name                    string
-		writeShared, readShared bool
+		name string
+		edit func(t *testing.T, st *core.MultiState)
 	}{
-		{"shared-into-private", true, false},
-		{"private-into-shared", false, true},
+		{"shards-4-into-3", func(*testing.T, *core.MultiState) {}},
+		{"split-into-shared", func(t *testing.T, st *core.MultiState) {
+			if !reflect.DeepEqual(st.MemberGroup, []int{0, 1, 0}) {
+				t.Fatalf("snapshot mapping %v, want the pair shared", st.MemberGroup)
+			}
+			dup := *st.Members[0]
+			st.Members = append(st.Members, &dup)
+			st.MemberGroup = []int{0, 1, 2}
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			deep, flat := mkEngine(c.writeShared, WithShards(4)), mkEngine(c.writeShared, inlineOpts...)
+			deep, flat := mkEngine(WithShards(4)), mkEngine(inlineOpts...)
 			run(deep, tuples[:half])
 			run(flat, tuples[:half])
 			deepState, flatState := deep.SnapshotState(), flat.SnapshotState()
@@ -398,12 +403,13 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 			flat.Close()
 			deep.Close()
 
-			restored := mkEngine(c.readShared, WithShards(3))
+			c.edit(t, deepState)
+			restored := mkEngine(WithShards(3))
 			if err := restored.RestoreState(deepState); err != nil {
 				t.Fatal(err)
 			}
 			if got := restored.Stats().Groups; got != wantGroups {
-				t.Fatalf("restored layout has %d groups, the snapshot %d", got, wantGroups)
+				t.Fatalf("restored layout has %d groups, registration %d", got, wantGroups)
 			}
 			gotTail := run(restored, tuples[half:])
 			restored.Close()

@@ -8,9 +8,13 @@
 // graph keeps every labelled tuple of the window whether or not a
 // registered query reads its label: a query registered mid-stream
 // bootstraps from it exactly as one registered before the first batch
-// does from the empty window. Registered
-// queries are partitioned round-robin over N shards, each owning the Δ
-// spanning-tree indexes of its queries. Every group is one sequential
+// does from the empty window. Queries whose bound automata share a
+// fingerprint (automaton.Bound.Fingerprint) subscribe to one Δ-index
+// group, so the group layout is a function of the registered automata
+// alone, and a checkpoint restores into the groups registration forms.
+// Groups are partitioned round-robin over N shards by their first
+// subscriber's registration index, each shard owning the Δ
+// spanning-tree indexes of its groups. Every group is one sequential
 // core.RAPQ: the coordinator's parallelism is across groups, never
 // inside one.
 //
@@ -99,9 +103,8 @@ type Result struct {
 }
 
 type config struct {
-	shards  int
-	sharing bool
-	err     error // a rejected option argument
+	shards int
+	err    error // a rejected option argument
 }
 
 // Option configures an Engine.
@@ -124,16 +127,6 @@ func WithWriters(n int) Option {
 		}
 	}
 }
-
-// WithSharing toggles shared-group evaluation (default on): queries
-// whose bound automata are structurally identical (equal
-// automaton.Bound.Fingerprint) subscribe to ONE shared Δ-index group
-// whose engine runs once per tuple, with emissions fanned out to every
-// subscriber. The engine is deterministic and the merge order is
-// canonical, so each subscriber's result stream is byte-identical to
-// what a private engine would produce; only the per-tuple work changes.
-// Off restores one private group per query.
-func WithSharing(on bool) Option { return func(c *config) { c.sharing = on } }
 
 // WithPipelineDepth has no effect; n <= 0 is still an error.
 //
@@ -158,7 +151,6 @@ type Engine struct {
 	workers []*worker
 	members []*member
 	groups  []*group // active Δ-index groups, creation order
-	sharing bool     // equivalent queries share one group (WithSharing)
 
 	// Relevance-filter counters restored from a snapshot; live counts
 	// accumulate per worker and are added on top (see Stats).
@@ -191,13 +183,13 @@ type Engine struct {
 }
 
 // member is one registered query: its bound automaton, its user sink,
-// and the shared Δ-index group it subscribes to. Several members share
-// one group when sharing is on and their automata are equivalent.
+// and the shared Δ-index group it subscribes to. Members whose automata
+// are equivalent (equal key) share one group.
 type member struct {
 	bound *automaton.Bound
 	sink  core.Sink // user sink; called by the coordinator post-merge
 	index int
-	key   string // group key (automaton fingerprint, or a private nonce)
+	key   string // group key: the automaton's Fingerprint
 	group *group
 }
 
@@ -326,7 +318,7 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := config{shards: 1, sharing: true}
+	cfg := config{shards: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -342,7 +334,6 @@ func New(spec window.Spec, opts ...Option) (*Engine, error) {
 		win:     window.NewManager(spec),
 		now:     math.MinInt64,
 		workers: make([]*worker, cfg.shards),
-		sharing: cfg.sharing,
 	}
 	for i := range s.workers {
 		w := &worker{id: i}
@@ -391,12 +382,9 @@ func (s *Engine) newMember(a *automaton.Bound, sink core.Sink, key string) *memb
 	return mb
 }
 
-// joinGroup subscribes the member to the group with its key, if sharing
-// is on and one exists. Returns nil when a new group is needed.
+// joinGroup subscribes the member to the group with its key, if one
+// exists. Returns nil when a new group is needed.
 func (s *Engine) joinGroup(mb *member) *group {
-	if !s.sharing {
-		return nil
-	}
 	for _, g := range s.groups {
 		if g.key == mb.key {
 			g.subs = append(g.subs, mb.index)
@@ -440,14 +428,15 @@ func (s *Engine) activate(g *group) {
 	g.w.rebuild()
 }
 
-// Add registers one RAPQ query and returns its engine (for Stats
-// probes; RestoreState replaces it); sink may be nil. Registration
-// indices (the ids results carry) count Add calls. Call between
-// batches, before the first one or mid-stream: both register the same
-// way. With sharing on, a query equivalent to an active group subscribes
-// to its fan-out and gets the shared engine — that engine was
-// registered before, so its future emissions are exactly the suffix a
-// private one would emit; no bootstrap. Otherwise the new group, on
+// Add registers one RAPQ query and returns its group's engine (for
+// Stats probes; RestoreState restores into it); sink may be nil.
+// Registration indices (the ids results carry) count Add calls. Call
+// between batches, before the first one or mid-stream: both register
+// the same way. A query equivalent to an active group (equal
+// automaton.Bound.Fingerprint) subscribes to its fan-out and gets the
+// shared engine — the group's output depends only on the stream and its
+// automaton, so its future emissions are exactly the suffix a query of
+// its own would emit; no bootstrap. Otherwise the new group, on
 // shard index mod NumShards(), has its Δ index bootstrapped from the
 // window content in place, on the caller's goroutine (a no-op while the
 // window is empty): between batches no batch is open and the shard
@@ -922,13 +911,19 @@ func (s *Engine) SnapshotState() *core.MultiState {
 // RestoreState rebuilds the engine from a checkpoint. All queries must
 // already be registered (same number, same order as at snapshot time)
 // and no batch processed yet. The restored graph is written in place at
-// epoch 0. The snapshot's query→group mapping is authoritative: the groups
-// formed at registration (and the engines Add returned for them) are
-// replaced by groups rebuilt to match it, so a snapshot restores its
-// exact sharing layout at any shard count. A snapshot with Retain unset
-// (written by an older coordinator that dropped the labels no query
-// read) closes registration: Add fails for the engine's lifetime, and
-// its own snapshots carry Retain unset on.
+// epoch 0. Every group registration formed takes the snapshot state of
+// its lowest-ranked subscriber, restored into the engine Add returned
+// for it, so the layout is the registered automata's at any shard
+// count. A snapshot that split one class of equivalent queries over
+// several groups (written with sharing switched off) restores collapsed
+// into the class's one group: results are a pure function of the input
+// stream, so the class's states answer alike. The query→group mapping
+// comes from a file and is checked: it must cover exactly the live
+// queries, name existing states, leave no state without a subscriber
+// and never map inequivalent queries to one state. A snapshot with
+// Retain unset (written by an older coordinator that dropped the labels
+// no query read) closes registration: Add fails for the engine's
+// lifetime, and its own snapshots carry Retain unset on.
 func (s *Engine) RestoreState(st *core.MultiState) error {
 	if s.closed {
 		return fmt.Errorf("shard: RestoreState on closed engine")
@@ -936,15 +931,9 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	if s.started || s.seen != 0 {
 		return fmt.Errorf("shard: RestoreState after processing started")
 	}
-	var liveIdx []int
-	for i, mb := range s.members {
-		if mb != nil {
-			liveIdx = append(liveIdx, i)
-		}
-	}
-	parts, states, err := core.PlanGroupPartition(st, liveIdx, func(i int) string { return s.members[i].key })
+	from, err := s.restorePlan(st)
 	if err != nil {
-		return fmt.Errorf("shard: %w", err)
+		return err
 	}
 	if err := core.RestoreEdges(s.g, st.Edges); err != nil {
 		return err
@@ -957,33 +946,50 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	s.labelTS = append([]int64(nil), st.LabelTS...)
 	s.dispatchBase = st.Dispatches
 	s.skipBase = st.RelevanceSkips
-	// Every restored group is a fresh RAPQ group over the widest bound of
-	// its partition, replacing the ones registration formed.
-	s.groups = nil
-	for _, w := range s.workers {
-		w.groups = w.groups[:0]
-		w.rebuild() // a shard the snapshot's layout leaves empty dispatches to nothing
-	}
-	for gi, part := range parts {
-		best := s.members[part[0]]
-		for _, idx := range part[1:] {
-			if len(s.members[idx].bound.ByLabel) > len(best.bound.ByLabel) {
-				best = s.members[idx]
-			}
-		}
-		e := core.NewRAPQ(best.bound, s.spec)
-		g := s.newGroup(e, s.members[part[0]])
-		g.bound = best.bound
-		for _, idx := range part[1:] {
-			g.subs = append(g.subs, idx)
-			s.members[idx].group = g
-		}
-		if err := e.RestoreState(states[gi]); err != nil {
+	for gi, g := range s.groups {
+		if err := g.engine.RestoreState(from[g]); err != nil {
 			return fmt.Errorf("shard: restore group %d: %w", gi, err)
 		}
-		s.activate(g)
 	}
 	return nil
+}
+
+// restorePlan pairs every registered group with the snapshot state its
+// lowest-ranked subscriber maps to, after checking the snapshot's
+// query→group mapping against the live queries in registration order.
+func (s *Engine) restorePlan(st *core.MultiState) (map[*group]*core.RAPQState, error) {
+	var live []*member
+	for _, mb := range s.members {
+		if mb != nil {
+			live = append(live, mb)
+		}
+	}
+	if len(st.MemberGroup) != len(live) {
+		return nil, fmt.Errorf("shard: restore: snapshot maps %d queries, coordinator has %d",
+			len(st.MemberGroup), len(live))
+	}
+	first := make([]*member, len(st.Members)) // each state's lowest-ranked subscriber
+	from := make(map[*group]*core.RAPQState, len(s.groups))
+	for rank, mb := range live {
+		gi := st.MemberGroup[rank]
+		if gi < 0 || gi >= len(st.Members) {
+			return nil, fmt.Errorf("shard: restore: query %d maps to group %d of %d", mb.index, gi, len(st.Members))
+		}
+		if first[gi] == nil {
+			first[gi] = mb
+		} else if first[gi].group != mb.group {
+			return nil, fmt.Errorf("shard: restore: group %d spans inequivalent queries %d and %d", gi, first[gi].index, mb.index)
+		}
+		if _, ok := from[mb.group]; !ok {
+			from[mb.group] = st.Members[gi]
+		}
+	}
+	for gi, mb := range first {
+		if mb == nil {
+			return nil, fmt.Errorf("shard: restore: snapshot group %d has no subscribers", gi)
+		}
+	}
+	return from, nil
 }
 
 // Close stops the shard goroutines, if any were started, and waits for

@@ -3,6 +3,7 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamrpq/internal/automaton"
@@ -323,16 +324,17 @@ func TestShardedDeterministicOrder(t *testing.T) {
 }
 
 // TestShardStats: every shard that owns queries reports work on a
-// stream that touches all alphabets. Sharing is pinned off — with it
-// on, the six identical queries would collapse into one group on one
-// shard (see TestShardStatsShared).
+// stream that touches all alphabets. The six patterns are pairwise
+// inequivalent, so each forms a group of its own and the three shards
+// get two each (identical queries would collapse into one group on one
+// shard; see TestShardStatsShared).
 func TestShardStats(t *testing.T) {
-	s, err := New(window.Spec{Size: 50, Slide: 5}, WithShards(3), WithSharing(false))
+	s, err := New(window.Spec{Size: 50, Slide: 5}, WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if _, err := s.Add(bind(t, "(a/b)+", "a", "b"), nil); err != nil {
+	for _, expr := range []string{"(a/b)+", "a+", "b+", "a/b", "b/a", "(a|b)+"} {
+		if _, err := s.Add(bind(t, expr, "a", "b"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,7 +352,7 @@ func TestShardStats(t *testing.T) {
 			t.Errorf("shard %d reports no insert calls", i)
 		}
 		if st.Groups != 2 || st.SharedGroups != 0 {
-			t.Errorf("shard %d: groups %d shared %d, want 2 private", i, st.Groups, st.SharedGroups)
+			t.Errorf("shard %d: groups %d shared %d, want 2 unshared", i, st.Groups, st.SharedGroups)
 		}
 		total += st.Results
 	}
@@ -359,30 +361,38 @@ func TestShardStats(t *testing.T) {
 	}
 }
 
-// TestShardStatsShared: with sharing on (the default), six identical
-// queries form ONE group whose index is maintained once, while each
-// query still receives its own result stream: Results scales with the
-// subscriber count, InsertCalls does not.
+// TestShardStatsShared: six identical queries form ONE group whose index
+// is maintained once, while each query still receives its own result
+// stream: against six single-query engines fed the same stream, Results
+// and Invalidations are equal and InsertCalls is a sixth.
 func TestShardStatsShared(t *testing.T) {
-	mk := func(sharing bool) core.Stats {
-		s, err := New(window.Spec{Size: 50, Slide: 5}, WithShards(3), WithSharing(sharing))
+	tuples := randomTuples(rand.New(rand.NewSource(3)), 200, 5, 2, 1, 0)
+	run := func(queries int) core.Stats {
+		s, err := New(window.Spec{Size: 50, Slide: 5}, WithShards(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		for i := 0; i < 6; i++ {
+		for i := 0; i < queries; i++ {
 			if _, err := s.Add(bind(t, "(a/b)+", "a", "b"), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.ProcessBatch(randomTuples(rand.New(rand.NewSource(3)), 200, 5, 2, 1, 0)); err != nil {
+		if _, err := s.ProcessBatch(tuples); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()
 	}
-	shared, private := mk(true), mk(false)
+	shared := run(6)
+	var private core.Stats
+	for i := 0; i < 6; i++ {
+		st := run(1)
+		private.Results += st.Results
+		private.Invalidations += st.Invalidations
+		private.InsertCalls += st.InsertCalls
+	}
 	if shared.Groups != 1 || shared.SharedGroups != 1 {
-		t.Fatalf("sharing on: groups %d shared %d, want 1/1", shared.Groups, shared.SharedGroups)
+		t.Fatalf("groups %d shared %d, want 1/1", shared.Groups, shared.SharedGroups)
 	}
 	if shared.Results != private.Results || shared.Invalidations != private.Invalidations {
 		t.Fatalf("delivery counters differ: shared %d/%d vs private %d/%d",
@@ -393,6 +403,74 @@ func TestShardStatsShared(t *testing.T) {
 	}
 	if shared.Dispatches == 0 || shared.RelevanceSkips != 0 {
 		t.Fatalf("shared dispatch counters: %d/%d", shared.Dispatches, shared.RelevanceSkips)
+	}
+}
+
+// TestRestoreStateMapping: RestoreState restores into the engines
+// registration formed — Add's return values — and rejects a snapshot
+// whose query→group mapping does not fit the registered queries, before
+// it writes anything.
+func TestRestoreStateMapping(t *testing.T) {
+	spec := window.Spec{Size: 20, Slide: 2}
+	build := func() (*Engine, []*core.RAPQ) {
+		s, err := New(spec, WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var engines []*core.RAPQ
+		for _, expr := range []string{"(a/b)+", "b/a*", "(a/b)+"} {
+			e, err := s.Add(bind(t, expr, "a", "b"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines = append(engines, e)
+		}
+		return s, engines
+	}
+	src, _ := build()
+	defer src.Close()
+	if _, err := src.ProcessBatch(randomTuples(rand.New(rand.NewSource(7)), 200, 6, 2, 1, 0.1)); err != nil {
+		t.Fatal(err)
+	}
+	snap := src.SnapshotState()
+	if !reflect.DeepEqual(snap.MemberGroup, []int{0, 1, 0}) {
+		t.Fatalf("snapshot mapping %v, want [0 1 0]", snap.MemberGroup)
+	}
+
+	for _, c := range []struct {
+		name    string
+		members []*core.RAPQState
+		mapping []int
+	}{
+		{"one short", snap.Members, []int{0, 1}},
+		{"index out of range", snap.Members, []int{0, 2, 0}},
+		{"negative index", snap.Members, []int{0, -1, 0}},
+		{"state without subscriber", append(slices.Clip(snap.Members), snap.Members[0]), []int{0, 1, 0}},
+		{"inequivalent queries share a state", snap.Members, []int{0, 1, 1}},
+	} {
+		s, _ := build()
+		st := *snap
+		st.Members, st.MemberGroup = c.members, c.mapping
+		if err := s.RestoreState(&st); err == nil {
+			t.Errorf("%s: RestoreState accepted mapping %v over %d states", c.name, c.mapping, len(c.members))
+		} else if s.Stats().Edges != 0 {
+			t.Errorf("%s: rejected restore wrote the graph", c.name)
+		}
+		s.Close()
+	}
+
+	s, engines := build()
+	defer s.Close()
+	if err := s.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+	if engines[0] != engines[2] || s.Stats().Groups != 2 {
+		t.Fatalf("registration layout: %d groups", s.Stats().Groups)
+	}
+	for gi, e := range engines[:2] {
+		if got, want := e.Stats().InsertCalls, snap.Members[gi].Stats.InsertCalls; got != want || want == 0 {
+			t.Fatalf("Add's engine %d holds InsertCalls %d, the snapshot state %d", gi, got, want)
+		}
 	}
 }
 

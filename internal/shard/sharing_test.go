@@ -3,6 +3,7 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamrpq/internal/stream"
@@ -11,17 +12,21 @@ import (
 
 // sharingExprs mixes an exact duplicate pair (indices 0 and 2), a
 // language-equivalent pair that only minimization unifies (1 and 3),
-// and a private singleton (4): with sharing on the five registrations
-// collapse to three Δ-index groups, two of them shared.
+// and a singleton (4): the five registrations collapse to three
+// Δ-index groups, two of them shared.
 var sharingExprs = []string{"(a/b)+", "a/b*", "(a/b)+", "a|(a/b*)", "(a|b)+"}
 
-// runSharing drives one engine configuration over the churn stream,
-// with a mid-stream removal that splits a shared group down to one
-// subscriber and a later re-registration that re-forms it, and returns
-// the full merged result sequence.
-func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards int, sharing bool) []Result {
+// Both runs below register sharingExprs, remove index 2 before batch
+// len/3 — splitting a shared group down to one subscriber — and
+// register "(a/b)+" again, as index 5, before batch 2·len/3, which
+// re-forms it.
+const rejoinExpr = "(a/b)+"
+
+// runShared drives one coordinator over the batches and returns the
+// full merged result sequence.
+func runShared(t *testing.T, spec window.Spec, bs [][]stream.Tuple, shards int) []Result {
 	t.Helper()
-	s, err := New(spec, WithShards(shards), WithSharing(sharing))
+	s, err := New(spec, WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,26 +36,20 @@ func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards in
 			t.Fatal(err)
 		}
 	}
-	if sharing {
-		if st := s.Stats(); st.Groups != 3 || st.SharedGroups != 2 {
-			t.Fatalf("sharing on: groups %d shared %d, want 3/2", st.Groups, st.SharedGroups)
-		}
+	if st := s.Stats(); st.Groups != 3 || st.SharedGroups != 2 {
+		t.Fatalf("groups %d shared %d, want 3/2", st.Groups, st.SharedGroups)
 	}
-	bs := batches(tuples, 23)
 	var all []Result
 	for bi, b := range bs {
 		switch bi {
 		case len(bs) / 3:
-			// Split: index 2 duplicates index 0, so with sharing on this
-			// shrinks a shared group to a single subscriber.
 			if err := s.Remove(2); err != nil {
 				t.Fatal(err)
 			}
 		case 2 * len(bs) / 3:
-			// Re-form: the same pattern registers again mid-stream and,
-			// with sharing on, must rejoin the live group rather than
-			// bootstrap a private copy.
-			if _, err := s.Add(bind(t, "(a/b)+", "a", "b"), nil); err != nil {
+			// The pattern must rejoin the live group rather than
+			// bootstrap a copy of its own.
+			if _, err := s.Add(bind(t, rejoinExpr, "a", "b"), nil); err != nil {
 				t.Fatal(err)
 			} else if idx := len(s.members) - 1; idx != len(sharingExprs) {
 				t.Fatalf("re-registration index = %d", idx)
@@ -62,36 +61,82 @@ func runSharing(t *testing.T, spec window.Spec, tuples []stream.Tuple, shards in
 		}
 		all = append(all, rs...)
 	}
-	if sharing {
-		if st := s.Stats(); st.Groups != 3 || st.SharedGroups != 2 {
-			t.Fatalf("sharing on, after re-form: groups %d shared %d, want 3/2", st.Groups, st.SharedGroups)
+	st := s.Stats()
+	if st.Groups != 3 || st.SharedGroups != 2 {
+		t.Fatalf("after re-form: groups %d shared %d, want 3/2", st.Groups, st.SharedGroups)
+	}
+	if st.RelevanceSkips != 0 {
+		// Every tuple label (a, b) is relevant to every group here;
+		// the skip counter is exercised by TestShardRelevanceSkips.
+		t.Fatalf("unexpected relevance skips: %d", st.RelevanceSkips)
+	}
+	return all
+}
+
+// runPrivate is runShared's oracle: one single-query engine per
+// registration, fed the same batches, whose records are relabelled with
+// the registration index and merged in canonical order. The removed
+// query's engine stops receiving batches at the removal; the
+// re-registered one runs from the start, and its records before the
+// re-registration batch are dropped — a query registered mid-stream
+// emits the suffix of a from-start run.
+func runPrivate(t *testing.T, spec window.Spec, bs [][]stream.Tuple) []Result {
+	t.Helper()
+	removed, rejoined := len(bs)/3, 2*len(bs)/3
+	exprs := append(slices.Clip(sharingExprs), rejoinExpr)
+	engines := make([]*Engine, len(exprs))
+	for q, expr := range exprs {
+		s, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st := s.Stats(); st.RelevanceSkips != 0 {
-			// Every tuple label (a, b) is relevant to every group here;
-			// the skip counter is exercised by TestShardRelevanceSkips.
-			t.Fatalf("unexpected relevance skips: %d", st.RelevanceSkips)
+		defer s.Close()
+		if _, err := s.Add(bind(t, expr, "a", "b"), nil); err != nil {
+			t.Fatal(err)
 		}
+		engines[q] = s
+	}
+	var all []Result
+	for bi, b := range bs {
+		var batch []Result
+		for q, s := range engines {
+			if q == 2 && bi >= removed {
+				continue
+			}
+			rs, err := s.ProcessBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q == len(sharingExprs) && bi < rejoined {
+				continue
+			}
+			for _, r := range rs {
+				r.Query = q
+				batch = append(batch, r)
+			}
+		}
+		slices.SortStableFunc(batch, compareResults)
+		all = append(all, batch...)
 	}
 	return all
 }
 
 // TestSharedGroupsByteIdentical is the sharing acceptance differential:
 // on a 20%-churn stream with a mid-stream group split and re-form, the
-// merged result stream with sharing ON must be byte-identical —
-// results, order, timestamps, invalidations, query ids — to the
-// all-private engine at every shard count.
+// coordinator's merged result stream must be byte-identical — results,
+// order, timestamps, invalidations, query ids — to that of one
+// single-query engine per registration, at every shard count.
 // Canonical-automaton dedup and relevance dispatch must be completely
 // invisible in the output.
 func TestSharedGroupsByteIdentical(t *testing.T) {
 	spec := window.Spec{Size: 25, Slide: 5}
-	tuples := randomTuples(rand.New(rand.NewSource(4242)), 700, 7, 2, 1, 0.20)
-
+	bs := batches(randomTuples(rand.New(rand.NewSource(4242)), 700, 7, 2, 1, 0.20), 23)
+	private := runPrivate(t, spec, bs)
+	if len(private) == 0 {
+		t.Fatal("no results produced; test is vacuous")
+	}
 	for _, shards := range []int{1, 2, 8} {
-		private := runSharing(t, spec, tuples, shards, false)
-		if len(private) == 0 {
-			t.Fatal("no results produced; test is vacuous")
-		}
-		shared := runSharing(t, spec, tuples, shards, true)
+		shared := runShared(t, spec, bs, shards)
 		if !reflect.DeepEqual(private, shared) {
 			t.Fatalf("shards=%d: sharing changed the result stream (%d vs %d results)",
 				shards, len(shared), len(private))

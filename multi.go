@@ -27,7 +27,7 @@ import (
 type MultiEvaluator struct {
 	fe      frontEnd
 	spec    window.Spec
-	eng     *shard.Engine // the coordinator, rebuilt by every With* call
+	eng     *shard.Engine // the coordinator, rebuilt by WithShards
 	shards  int           // as configured by WithShards; 0 = not called
 	queries []*multiMember
 	persist *persistState // nil unless WithPersistence/Recover was used
@@ -53,10 +53,13 @@ type QueryResult struct {
 
 // BatchResult couples one registered query with the matches (and
 // deletion-triggered invalidations) one tuple of an IngestBatch
-// produced for it. Tuple is the index into the ingested batch.
+// produced for it. Tuple is the index into the ingested batch;
+// QueryIndex is the query's registration index, which tells apart two
+// registrations of one *Query.
 type BatchResult struct {
 	Tuple         int
 	Query         *Query
+	QueryIndex    int
 	Matches       []Match
 	Invalidations []Match // results retracted by an explicit deletion
 }
@@ -114,21 +117,6 @@ func (m *MultiEvaluator) rebuild() error {
 	return nil
 }
 
-// reconfigure applies one engine setting and rebuilds the coordinator.
-// The engine is configured before the first tuple and before
-// persistence is enabled: the configuration is recorded in the
-// checkpoint metadata.
-func (m *MultiEvaluator) reconfigure(what string, set func()) error {
-	if m.fe.clock.started {
-		return fmt.Errorf("streamrpq: %s after processing started", what)
-	}
-	if m.persist != nil {
-		return fmt.Errorf("streamrpq: %s after WithPersistence (configure the engine before enabling durability)", what)
-	}
-	set()
-	return m.rebuild()
-}
-
 // WithShards partitions the registered queries over n concurrent
 // shards (see internal/shard): each shard owns its queries' Δ indexes
 // and updates them — shard 0 on the caller's goroutine, every other one
@@ -137,12 +125,20 @@ func (m *MultiEvaluator) reconfigure(what string, set func()) error {
 // depend on the shard count: it equals the default one-shard
 // evaluator's record for record (see README "Determinism & deletions").
 // Call Close when the evaluator is no longer needed: it releases the
-// shard goroutines.
+// shard goroutines. The shard count is recorded in the checkpoint
+// metadata, so it is set before persistence is enabled.
 func (m *MultiEvaluator) WithShards(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("streamrpq: shard count must be positive, got %d", n)
 	}
-	return m.reconfigure("WithShards", func() { m.shards = n })
+	if m.fe.clock.started {
+		return fmt.Errorf("streamrpq: WithShards after processing started")
+	}
+	if m.persist != nil {
+		return fmt.Errorf("streamrpq: WithShards after WithPersistence (configure the engine before enabling durability)")
+	}
+	m.shards = n
+	return m.rebuild()
 }
 
 // WithWriters has no effect; n <= 0 is still an error.
@@ -385,7 +381,7 @@ func (m *MultiEvaluator) groupResults(results []shard.Result) []BatchResult {
 		}
 		run := all[lo:hi:hi]
 		if lo == 0 || !sameGroup(&results[lo-1], first) {
-			out = append(out, BatchResult{Tuple: first.Tuple, Query: m.queries[first.Query].query})
+			out = append(out, BatchResult{Tuple: first.Tuple, Query: m.queries[first.Query].query, QueryIndex: first.Query})
 		}
 		if br := &out[len(out)-1]; first.Invalidated {
 			br.Invalidations = run

@@ -366,16 +366,25 @@ func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult,
 }
 
 // rebuildFromSnapshot reconstructs the evaluator a snapshot describes:
-// an empty evaluator loads both dictionaries, every query is recompiled
-// and bound against the loaded label space, the evaluator re-shards, and
-// the engine state is restored. Binding a query against a wider label
-// space than it was first bound against is emission-equivalent: the
-// extra labels have no transitions, and the Δ-index group fingerprint
-// ignores trailing label width.
+// an empty evaluator with the snapshot's shard count loads both
+// dictionaries, every query is recompiled, bound against the loaded
+// label space and registered once — forming the groups its automaton
+// selects — and the engine state is restored into those groups. Binding
+// a query against a wider label space than it was first bound against
+// is emission-equivalent: the extra labels have no transitions, and the
+// Δ-index group fingerprint ignores trailing label width.
 func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 	m, err := NewMultiEvaluator(snap.Spec.Size, snap.Spec.Slide)
 	if err != nil {
 		return nil, err
+	}
+	// Only the shard count is read; the Sharded byte the format keeps is
+	// written as Shards > 1, and the Sharing byte is ignored. The state
+	// is shard-count-free.
+	if snap.Shards > 1 {
+		if err := m.WithShards(snap.Shards); err != nil {
+			return nil, err
+		}
 	}
 	if err := m.fe.labels.Load(snap.Labels); err != nil {
 		return nil, fmt.Errorf("streamrpq: recover: label dictionary: %w", err)
@@ -389,16 +398,6 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 			return nil, fmt.Errorf("streamrpq: recover: recompiling query %d (%q): %w", i, src, err)
 		}
 		if err := m.addQuery(q); err != nil {
-			return nil, err
-		}
-	}
-	// The snapshot's query→group mapping is restored verbatim, so its
-	// sharing byte is not read: queries registered after recovery join
-	// equivalent groups like any other.
-	// Only the shard count is read; the Sharded byte the format keeps is
-	// written as Shards > 1. The state is shard-count-free.
-	if snap.Shards > 1 {
-		if err := m.WithShards(snap.Shards); err != nil {
 			return nil, err
 		}
 	}

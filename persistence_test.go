@@ -9,15 +9,15 @@ import (
 	"sort"
 	"testing"
 
-	"streamrpq/internal/shard"
+	"streamrpq/internal/persist"
 	"streamrpq/internal/stream"
 )
 
 // persistTestQueries is the shared multi-query workload of the
 // durability tests. The last pattern is language-equivalent to the
-// first, so under the default sharing mode the two subscribe to one
-// shared Δ-index group — checkpoints of every configuration below
-// therefore carry a shared-group layout (snapshot format v4).
+// first, so the two subscribe to one shared Δ-index group — checkpoints
+// of every configuration below therefore carry a shared-group layout
+// (snapshot format v4).
 func persistTestQueries(t testing.TB) []*Query {
 	t.Helper()
 	var qs []*Query
@@ -109,23 +109,28 @@ func flatten(dst []flatResult, batchIdx int, brs []BatchResult) []flatResult {
 // timestamps included) to an uninterrupted run, for shard counts 1 and
 // 4 and for the default evaluator.
 func TestKillRecoverDifferential(t *testing.T) {
-	// shards 0 = the default one-shard evaluator. private = the persisted
-	// run's coordinator has multi-query sharing off (see
-	// usePrivateLayout): the workload's equivalent pair keeps two private
-	// Δ indexes, and Recover, whose coordinator shares, must restore that
-	// layout verbatim rather than regroup the pair.
-	// The names keep their depth= and writers=0 segments, retired axes,
-	// so rows stay comparable with earlier runs of this test: the depth=1
-	// and depth=4 rows run the configuration of the depth=0 one.
+	// shards 0 = the default one-shard evaluator. split = the checkpoint
+	// is rewritten on disk before Recover into the layout written with
+	// sharing switched off (see splitSharedPair): the workload's
+	// equivalent pair holds two copies of its state, and Recover must
+	// restore it collapsed into the pair's one group.
+	// The names keep their depth=, writers=0 and private=false segments,
+	// retired axes, so rows stay comparable with earlier runs of this
+	// test: the depth=1 and depth=4 rows run the configuration of the
+	// depth=0 one.
 	for _, cfg := range []struct {
 		shards, depth int
-		private       bool
+		split         bool
 	}{
 		{0, 0, false}, {1, 0, false}, {4, 0, false}, {4, 1, false},
 		{4, 4, false}, {0, 0, true}, {4, 0, true},
 	} {
-		shards, private := cfg.shards, cfg.private
-		t.Run(fmt.Sprintf("shards=%d/depth=%d/writers=0/private=%v", shards, cfg.depth, private), func(t *testing.T) {
+		shards, split := cfg.shards, cfg.split
+		name := fmt.Sprintf("shards=%d/depth=%d/writers=0/private=false", shards, cfg.depth)
+		if split {
+			name = fmt.Sprintf("shards=%d/depth=%d/writers=0/split=true", shards, cfg.depth)
+		}
+		t.Run(name, func(t *testing.T) {
 			// Delete/re-insert churn puts the crash point mid-churn: the
 			// recovered engines' support counts (snapshot format v2) must
 			// reproduce the invalidation stream exactly.
@@ -139,9 +144,6 @@ func TestKillRecoverDifferential(t *testing.T) {
 					if err := m.WithShards(shards); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if private {
-					usePrivateLayout(t, m)
 				}
 				return m
 			}
@@ -197,6 +199,9 @@ func TestKillRecoverDifferential(t *testing.T) {
 			// would. (A literal `m = nil` would leak the flock inside
 			// this test process and block Recover.)
 			m.Close()
+			if split {
+				splitSharedPair(t, dir, 1) // the checkpoint taken at ckptAt
+			}
 
 			m2, redelivered, err := Recover(dir)
 			if err != nil {
@@ -244,28 +249,26 @@ func TestKillRecoverDifferential(t *testing.T) {
 	}
 }
 
-// usePrivateLayout replaces m's coordinator with one of the same
-// shard count that has multi-query sharing off, so every query keeps a
-// private Δ index and m's checkpoints carry a private query→group
-// layout. The facade has no sharing switch; this is the oracle layout
-// of shard.WithSharing(false).
-func usePrivateLayout(t *testing.T, m *MultiEvaluator) {
+// splitSharedPair rewrites the checkpoint of generation gen in dir into
+// the layout a coordinator with sharing switched off wrote: the
+// workload's equivalent pair (queries 0 and 3) gets two copies of its
+// shared state, one per query.
+func splitSharedPair(t *testing.T, dir string, gen uint64) {
 	t.Helper()
-	eng, err := shard.New(m.spec,
-		shard.WithShards(m.NumShards()),
-		shard.WithSharing(false))
+	path := persist.SnapshotPath(dir, gen)
+	snap, err := persist.ReadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range m.queries {
-		if _, err := eng.Add(q.bound, nil); err != nil {
-			t.Fatal(err)
-		}
+	st := snap.State
+	if !reflect.DeepEqual(st.MemberGroup, []int{0, 1, 2, 0}) {
+		t.Fatalf("checkpoint mapping %v, want the pair shared", st.MemberGroup)
 	}
-	m.eng.Close()
-	m.eng = eng
-	if st := m.Stats(); st.Groups != len(m.queries) {
-		t.Fatalf("private layout has %d groups for %d queries", st.Groups, len(m.queries))
+	dup := *st.Members[0]
+	st.Members = append(st.Members, &dup)
+	st.MemberGroup = []int{0, 1, 2, 3}
+	if err := os.WriteFile(path, persist.EncodeSnapshot(snap), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
