@@ -78,9 +78,9 @@ func TestRAPQInsertSteadyStateAllocs(t *testing.T) {
 // at every slide boundary: the nodes whose paths still carry the previous
 // round's timestamps are pruned (improvements were propagated eagerly, so
 // a stale node has no valid path left to reconnect through), and the
-// stream grows them back. Slots, table buckets, census records and index
-// rows are all recycled, so the whole cycle must stay well under one
-// allocation per tuple.
+// stream grows them back. Slots, table buckets and index rows are all
+// recycled, so the whole cycle must stay well under one allocation per
+// tuple.
 func TestRAPQExpirySteadyStateAllocs(t *testing.T) {
 	a := bind(t, "a+", "a")
 	// A ladder v_i -> v_{i+1}, v_i -> v_{i+2}: every vertex roots a tree

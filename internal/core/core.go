@@ -2,7 +2,7 @@
 // Pacaci, Bonifati and Özsu, "Regular Path Query Evaluation on
 // Streaming Graphs" (SIGMOD 2020). The paper evaluates both path
 // semantics "in a uniform manner", and so does the package: one Δ
-// substrate (delta.go, tree_store.go, vertex_table.go, inv.go) — spanning
+// substrate (delta.go, tree_store.go, inv.go) — spanning
 // trees as one array of 32-byte node records each, under flat
 // slot-addressed tables, the vertex → tree-nodes inverted index (a flat
 // table with a row only for each vertex in some tree, listing its nodes

@@ -107,21 +107,21 @@ type scratch struct {
 	// this scratch (empty between passes): for each vertex about to lose
 	// a final witness, whether the pair (root, v) was live when the pass
 	// started — captured before any pruning (for delete-marked subtrees:
-	// before the timestamps are overwritten), as support 1 or 0 of its
-	// record. It suppresses re-match emissions for pairs the pass merely
-	// cuts and reconnects, and at the end of a delete the pairs recorded
-	// live that did not come back live are exactly the canonical
-	// invalidation set. noted lists the recorded vertices, so closing a
-	// pass costs what the pass touched.
-	pre   vertexTable
+	// before the timestamps are overwritten). It suppresses re-match
+	// emissions for pairs the pass merely cuts and reconnects, and at the
+	// end of a delete the pairs recorded live that did not come back live
+	// are exactly the canonical invalidation set. noted lists the
+	// recorded vertices in the order they were noted, so closing a pass
+	// costs what the pass touched.
+	pre   map[stream.VertexID]bool
 	noted []stream.VertexID
 }
 
 // wasLive reports whether the pass open on the scratch, if any, recorded
-// the pair of v as live at its start.
+// the pair of v as live at its start. Outside a pass it costs one length
+// test.
 func (sc *scratch) wasLive(v stream.VertexID) bool {
-	r := sc.pre.find(v)
-	return r != nil && r.support > 0
+	return len(sc.pre) > 0 && sc.pre[v]
 }
 
 // init sets up the substrate for the bound automaton and window
@@ -160,6 +160,7 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 	d.win = window.NewManager(spec)
 	d.sink = cfg.sink
 	d.trees = make(map[stream.VertexID]*tree)
+	d.sc.pre = make(map[stream.VertexID]bool)
 	return cfg
 }
 
@@ -270,10 +271,13 @@ func (d *delta) dropIfRootOnly(tx *tree) {
 // validFrom. Call it while the witness timestamps are still intact.
 func (d *delta) notePreLive(tx *tree, slot int32, validFrom int64) {
 	key := tx.ns.nodes[slot].key
-	if !d.a.Final[key.state()] || d.sc.pre.find(key.vertex()) != nil {
+	if !d.a.Final[key.state()] {
 		return
 	}
-	d.sc.pre.inc(key.vertex(), d.live(tx, key.vertex(), validFrom))
+	if _, ok := d.sc.pre[key.vertex()]; ok {
+		return
+	}
+	d.sc.pre[key.vertex()] = d.live(tx, key.vertex(), validFrom)
 	d.sc.noted = append(d.sc.noted, key.vertex())
 }
 
@@ -318,13 +322,12 @@ func (d *delta) endPass(tx *tree, deadline int64, invalidate bool) {
 	sc := &d.sc
 	was := sc.noted[:0]
 	for _, v := range sc.noted {
-		live := sc.wasLive(v)
-		sc.pre.dec(v, live)
-		if live && invalidate {
+		if sc.pre[v] && invalidate {
 			was = append(was, v)
 		}
 	}
 	sc.noted = was[:0]
+	clear(sc.pre)
 	slices.Sort(was)
 	for _, v := range was {
 		if d.live(tx, v, deadline) {

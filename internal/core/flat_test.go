@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,11 +9,10 @@ import (
 	"streamrpq/internal/window"
 )
 
-// The flat tables of Δ maintenance — the key index of treeStore, the
-// per-vertex record table of a pass's liveness record and the inverted
-// index's table of sorted entry rows — against Go maps as the model. One
-// op stream drives all three; every structure is compared with its model
-// over its whole universe after every step.
+// The flat tables of Δ maintenance — the key index of treeStore and the
+// inverted index's table of sorted entry rows — against Go maps as the
+// model. One op stream drives both; every structure is compared with its
+// model over its whole universe after every step.
 
 // flatKeys and flatVerts are the 64 keys and vertices the ops address: the zero
 // key first, then for each table size the universe can reach 10 keys
@@ -52,10 +50,9 @@ var flatKeys, flatVerts = func() ([]nodeKey, []stream.VertexID) {
 }()
 
 const (
-	flatPut = iota // alloc / inc / add
+	flatPut = iota // alloc / add
 	flatGet
-	flatDel        // release / dec / drop
-	flatPutWitness // as flatPut; the vertex record also counts a witness
+	flatDel // release / drop
 )
 
 // flatSeq encodes one op per idx, as the byte pairs runFlatOps decodes.
@@ -88,7 +85,7 @@ const flatNever = stream.VertexID(16)
 // 11–20 of a 16-bucket one.
 var flatSeeds = map[string][]byte{
 	"zero key": slices.Concat(
-		flatSeq(flatGet, 0), flatSeq(flatPutWitness, 0), flatSeq(flatGet, 0),
+		flatSeq(flatGet, 0), flatSeq(flatPut, 0), flatSeq(flatGet, 0),
 		flatSeq(flatDel, 0), flatSeq(flatGet, 0), flatSeq(flatPut, 0)),
 	"cluster wraps past the end": slices.Concat(
 		flatSeq(flatPut, 1, 2, 3), flatSeq(flatGet, 1, 2, 3, 4)),
@@ -96,7 +93,7 @@ var flatSeeds = map[string][]byte{
 		flatSeq(flatPut, 1, 2, 3, 50), flatSeq(flatDel, 1), flatSeq(flatGet, 2, 3, 50),
 		flatSeq(flatDel, 2), flatSeq(flatGet, 3), flatSeq(flatPut, 1), flatSeq(flatDel, 3, 1, 50)),
 	"grow during a cluster": slices.Concat(
-		flatSeq(flatPutWitness, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), flatSeq(flatDel, 5, 1, 9),
+		flatSeq(flatPut, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), flatSeq(flatDel, 5, 1, 9),
 		flatSeq(flatPut, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20), flatSeq(flatDel, 11, 2, 20)),
 	"delete to empty then reuse": slices.Concat(
 		flatSeq(flatPut, 30, 31, 32, 33, 1, 2), flatSeq(flatDel, 30, 31, 32, 33, 1, 2),
@@ -104,9 +101,6 @@ var flatSeeds = map[string][]byte{
 	"slot reuse after release": slices.Concat(
 		flatSeq(flatPut, 40, 41, 42), flatSeq(flatDel, 41), flatSeq(flatPut, 43),
 		flatSeq(flatGet, 41, 43), flatSeq(flatDel, 43), flatSeq(flatPut, 41), flatSeq(flatGet, 43, 41)),
-	"counts above one": slices.Concat(
-		flatSeq(flatPutWitness, 7, 7, 7), flatSeq(flatPut, 7), flatSeq(flatDel, 7, 7, 7),
-		flatSeq(flatGet, 7), flatSeq(flatDel, 7, 7)),
 	"long row empties, parks and is taken again": slices.Concat(
 		flatEnts(flatPut, 5, -1, 9, 3, 40, 0, 63, 17, 8, 21, 2, 33), flatEnts(flatPut, 1, -1, 4),
 		flatEnts(flatDel, 5, -1, 0, 63, 9, 3, 40, 17, 8, 21, 2, 33), flatEnts(flatPut, 6, -1, 12, 1),
@@ -117,14 +111,12 @@ var flatSeeds = map[string][]byte{
 		flatEnts(flatDel, 9, 0, 1, 17), flatEnts(flatDel, 9, -1, 33)),
 }
 
-// runFlatOps applies the op stream to the three structures and their
-// models.
+// runFlatOps applies the op stream to the two structures and their
+// models. The op kind's fourth value reads as flatGet.
 func runFlatOps(t testing.TB, ops []byte) {
 	var ns treeStore
 	ns.grow() // as rootedTree does before the first lookup
 	slots := map[nodeKey]int32{}
-	var vt vertexTable
-	census := map[stream.VertexID]vrec{}
 	var ix invIndex
 	rows := map[stream.VertexID][]invEnt{} // sorted by compareEnts
 
@@ -140,7 +132,7 @@ func runFlatOps(t testing.TB, ops []byte) {
 		}
 
 		switch kind {
-		case flatPut, flatPutWitness:
+		case flatPut:
 			if _, ok := slots[key]; !ok {
 				slot := ns.alloc(key, int64(step), rootSlot)
 				for k, s := range slots {
@@ -149,16 +141,6 @@ func runFlatOps(t testing.TB, ops []byte) {
 					}
 				}
 				slots[key] = slot
-			}
-			rec := census[v]
-			rec.v = v
-			rec.nodes++
-			if kind == flatPutWitness {
-				rec.support++
-			}
-			census[v] = rec
-			if first := vt.inc(v, kind == flatPutWitness); first != (rec.nodes == 1) {
-				t.Fatalf("step %d: inc(%d) first = %v at count %d", step, v, first, rec.nodes)
 			}
 			for range 2 { // idempotent
 				ix.add(v, en.root, en.state, en.slot)
@@ -170,19 +152,6 @@ func runFlatOps(t testing.TB, ops []byte) {
 			if slot, ok := slots[key]; ok {
 				ns.release(slot)
 				delete(slots, key)
-			}
-			if rec, ok := census[v]; ok {
-				witness := rec.support == rec.nodes // keep support ≤ nodes
-				if witness {
-					rec.support--
-				}
-				rec.nodes--
-				if census[v] = rec; rec.nodes == 0 {
-					delete(census, v)
-				}
-				if last := vt.dec(v, witness); last != (rec.nodes == 0) {
-					t.Fatalf("step %d: dec(%d) last = %v at count %d", step, v, last, rec.nodes)
-				}
 			}
 			for range 2 { // the second drops an absent entry: a no-op
 				ix.drop(v, en.root, en.state, en.slot)
@@ -209,14 +178,6 @@ func runFlatOps(t testing.TB, ops []byte) {
 			}
 			if got := ns.lookup(k); got != want {
 				t.Fatalf("step %d: lookup(%v) = %d, want %d", step, k, got, want)
-			}
-		}
-		if err := checkVertexTable(&vt, census); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		for _, u := range flatVerts {
-			if _, ok := census[u]; ok != (vt.find(u) != nil) {
-				t.Fatalf("step %d: find(%d) disagrees with the model (present: %v)", step, u, ok)
 			}
 		}
 		if err := checkInvIndex(&ix); err != nil || ix.n != len(rows) {
@@ -259,31 +220,22 @@ func TestFlatTableModel(t *testing.T) {
 	t.Run("seed layouts", func(t *testing.T) {
 		var ns treeStore
 		ns.grow()
-		var vt vertexTable
 		var ix invIndex
 		for _, i := range []int{1, 2, 3} {
 			ns.alloc(flatKeys[i], 0, rootSlot)
-			vt.inc(flatVerts[i], false)
 			ix.add(flatVerts[i], 0, 0, rootSlot)
 		}
 		last := len(ns.buckets) - 1
 		if ns.buckets[last] == 0 || ns.buckets[0] == 0 || ns.buckets[1] == 0 || ns.buckets[2] != 0 {
 			t.Fatalf("key cluster does not wrap: %v", ns.buckets)
 		}
-		if vt.recs[last].nodes == 0 || vt.recs[0].nodes == 0 || vt.recs[1].nodes == 0 || vt.recs[2].nodes != 0 {
-			t.Fatalf("vertex cluster does not wrap: %+v", vt.recs)
-		}
 		if ix.rows[last].ents == nil || ix.rows[0].ents == nil || ix.rows[1].ents == nil || ix.rows[2].ents != nil {
 			t.Fatalf("index cluster does not wrap: %+v", ix.rows)
 		}
 		ns.release(ns.lookup(flatKeys[1])) // shifts the two wrapped entries back
-		vt.dec(flatVerts[1], false)
 		ix.drop(flatVerts[1], 0, 0, rootSlot)
 		if ns.buckets[last] == 0 || ns.buckets[0] == 0 || ns.buckets[1] != 0 {
 			t.Fatalf("key cluster after backward shift: %v", ns.buckets)
-		}
-		if vt.recs[last].nodes == 0 || vt.recs[0].nodes == 0 || vt.recs[1].nodes != 0 {
-			t.Fatalf("vertex cluster after backward shift: %+v", vt.recs)
 		}
 		if ix.rows[last].ents == nil || ix.rows[0].ents == nil || ix.rows[1].ents != nil {
 			t.Fatalf("index cluster after backward shift: %+v", ix.rows)
@@ -314,7 +266,7 @@ func TestFlatTableModel(t *testing.T) {
 			// Puts outnumber deletes in the first half and deletes win in
 			// the second: grow through every size, then drain.
 			for i := 0; i < len(ops); i += 2 {
-				kind := []int{flatPut, flatPutWitness, flatGet, flatDel}[rng.Intn(4)]
+				kind := []int{flatPut, flatPut, flatGet, flatDel}[rng.Intn(4)]
 				if rng.Intn(3) == 0 {
 					kind = flatPut
 					if i > len(ops)/2 {
@@ -417,36 +369,4 @@ func FuzzFlatTable(f *testing.F) {
 		f.Add(ops)
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) { runFlatOps(t, ops) })
-}
-
-// checkVertexTable validates a per-vertex record table against the
-// records it should hold.
-func checkVertexTable(t *vertexTable, want map[stream.VertexID]vrec) error {
-	if n := len(t.recs); n != 0 && (n&(n-1) != 0 || t.shift != tableShift(n)) {
-		return fmt.Errorf("vertex table: %d buckets with shift %d", n, t.shift)
-	}
-	if t.n != len(want) || 2*t.n > len(t.recs) {
-		return fmt.Errorf("vertex table: %d records in %d buckets, want %d at load ≤ ½", t.n, len(t.recs), len(want))
-	}
-	occupied := 0
-	for i := range t.recs {
-		r := &t.recs[i]
-		if r.nodes == 0 {
-			if *r != (vrec{}) {
-				return fmt.Errorf("vertex table: empty bucket holds %+v", *r)
-			}
-			continue
-		}
-		occupied++
-		if *r != want[r.v] {
-			return fmt.Errorf("vertex table: record %+v, actual %+v", *r, want[r.v])
-		}
-		if t.find(r.v) != r {
-			return fmt.Errorf("vertex table: vertex %d is not found in its bucket", r.v)
-		}
-	}
-	if occupied != t.n {
-		return fmt.Errorf("vertex table: %d occupied buckets, count says %d", occupied, t.n)
-	}
-	return nil
 }

@@ -59,17 +59,17 @@ type invRow struct {
 }
 
 // invIndex is the vertex → tree-nodes inverted index of §5.2: a flat
-// table built like vertexTable, holding a row only while its vertex is
-// in some tree, so it is sized by the engine's trees and not by the id
-// space of a stream that every engine sharing a graph sees. A row lists
-// the vertex's nodes (RAPQ) or keys (RSPQ) in every tree, ascending by
-// (root, state, slot): routing reads a candidate's node straight from
-// its slot, the row of a tuple's target tells which offers would
-// improve nothing, and a pair's liveness reads the final-state entries
-// of one tree. Ascending root order is the canonical candidate order of
-// both engines. A row that empties parks its array for the next new row,
-// which takes the largest parked; an array a row outgrows goes to the
-// GC, so what is parked is bounded by rows that existed.
+// table built like treeStore's key index, holding a row only while its
+// vertex is in some tree, so it is sized by the engine's trees and not by
+// the id space of a stream that every engine sharing a graph sees. A row
+// lists the vertex's nodes (RAPQ) or keys (RSPQ) in every tree,
+// ascending by (root, state, slot): routing reads a candidate's node
+// straight from its slot, the row of a tuple's target tells which offers
+// would improve nothing, and a pair's liveness reads the final-state
+// entries of one tree. Ascending root order is the canonical candidate
+// order of both engines. A row that empties parks its array for the next
+// new row, which takes the largest parked; an array a row outgrows goes
+// to the GC, so what is parked is bounded by rows that existed.
 type invIndex struct {
 	rows  []invRow
 	n     int // occupied buckets

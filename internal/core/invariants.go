@@ -103,8 +103,8 @@ func (d *delta) checkTrees() error {
 			return fmt.Errorf("inv[%d] = %v, the trees hold %v", v, got, ents)
 		}
 	}
-	if d.sc.pre.n != 0 || len(d.sc.noted) != 0 {
-		return fmt.Errorf("an expiry pass is still open: %d vertices noted", d.sc.pre.n)
+	if len(d.sc.pre) != 0 || len(d.sc.noted) != 0 {
+		return fmt.Errorf("an expiry pass is still open: %d vertices noted", len(d.sc.pre))
 	}
 	return nil
 }

@@ -75,17 +75,6 @@ func (e *RAPQ) SetSink(s Sink) {
 	e.sink = s
 }
 
-// AlignClock advances the engine's stream clock to now if it is
-// behind. After a window bootstrap this re-creates the clock a
-// from-start engine would hold when the newest relevant tuple is no
-// longer in the window (deleted or expired): the edge is gone, the
-// clock survives.
-func (e *RAPQ) AlignClock(now int64) {
-	if now > e.now {
-		e.now = now
-	}
-}
-
 // BootstrapFromGraph builds the Δ index of a freshly created engine
 // from the window content of g at its current epoch: the edges are
 // replayed in canonical (TS, Src, Dst, Label) order (SnapshotEdges)
@@ -97,6 +86,13 @@ func (e *RAPQ) AlignClock(now int64) {
 // the replay are the window's current live result set (they flow to the
 // engine's sink); they correspond to results an engine registered from
 // stream start would have emitted earlier, not to new stream tuples.
+//
+// The replay leaves the stream clock at the newest surviving relevant
+// edge, which may trail a from-start engine's when a newer relevant
+// edge was deleted or has expired. Nothing needs it aligned: an
+// emission or a validFrom reads the clock only inside ApplyInsert and
+// ApplyDelete, after raising it to the tuple's timestamp, which is never
+// below it, and ApplyExpiry reads its deadline, not the clock.
 //
 // No writer may be mutating g during the call: coordinators bootstrap
 // between batches. The engine reads at that epoch until the next

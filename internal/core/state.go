@@ -226,15 +226,14 @@ type MultiState struct {
 	Edges   []graph.Edge
 	Members []*RAPQState
 
-	// Registration state: whether the graph stores every label, and the
-	// per-label stream clocks that align a member registered mid-stream
-	// with a from-start engine. The shard coordinator writes Retain
-	// true; false only occurs in files written by older coordinators,
-	// which dropped the labels no query read (and in the checkpoints of
-	// an engine recovered from one): such a state recovers with
-	// registration closed.
-	Retain  bool
-	LabelTS []int64
+	// Registration state: whether the graph stores every label. The
+	// shard coordinator writes Retain true; false only occurs in files
+	// written by older coordinators, which dropped the labels no query
+	// read (and in the checkpoints of an engine recovered from one): such
+	// a state recovers with registration closed. A member registered
+	// mid-stream needs nothing more: the window's edges bootstrap it
+	// (RAPQ.BootstrapFromGraph).
+	Retain bool
 
 	// Query-sharing state (snapshot format v4): the live-query → group
 	// mapping and the relevance-filter counters.

@@ -557,17 +557,3 @@ func (g *Graph) DeadVersions() int {
 	}
 	return n
 }
-
-// Clone returns a deep copy of the graph's content at the current epoch
-// (used by the batch oracle in tests), inserted in the FIFO's order, as
-// Insert requires: every live edge's newest record sits past its head.
-// Version history is not cloned; a cloned graph is a static snapshot.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, ent := range g.fifo[g.head:] {
-		if ts, ok := g.TS(ent.key); ok && ts == ent.ts {
-			c.Insert(ent.key.Src, ent.key.Dst, ent.key.Label, ts)
-		}
-	}
-	return c
-}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"streamrpq/internal/stream"
@@ -175,40 +174,6 @@ func TestVerticesUnion(t *testing.T) {
 	})
 	if len(seen) != 3 {
 		t.Fatalf("saw %d vertices, want 3", len(seen))
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := New()
-	g.Insert(1, 2, 0, 10)
-	g.Insert(2, 3, 1, 20)
-	c := g.Clone()
-	g.Delete(key(1, 2, 0))
-	if !c.Has(key(1, 2, 0)) {
-		t.Fatal("clone affected by original mutation")
-	}
-	if c.NumEdges() != 2 {
-		t.Fatalf("clone has %d edges, want 2", c.NumEdges())
-	}
-	// A random history whose timestamps do not follow vertex order, with
-	// refreshes, deletions and expiry: the clone holds the same content
-	// (inserting it must respect Insert's order check).
-	rng := rand.New(rand.NewSource(7))
-	g = New()
-	for ts := int64(0); ts < 400; ts++ {
-		k := key(stream.VertexID(rng.Intn(10)), stream.VertexID(rng.Intn(10)), stream.LabelID(rng.Intn(2)))
-		switch rng.Intn(10) {
-		case 0:
-			g.Delete(k)
-		case 1:
-			g.Expire(ts/3-15, nil)
-		default:
-			g.Insert(k.Src, k.Dst, k.Label, ts/3)
-		}
-	}
-	c = g.Clone()
-	if got, want := collectAt(c, c.Epoch(), 10), collectAt(g, g.Epoch(), 10); !reflect.DeepEqual(got, want) || c.NumEdges() != g.NumEdges() {
-		t.Fatalf("clone holds %d edges (NumEdges %d), the graph %d (%d)", len(got), c.NumEdges(), len(want), g.NumEdges())
 	}
 }
 

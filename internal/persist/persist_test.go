@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
@@ -68,6 +69,45 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestClockListWrittenEmptyAndSkipped: the v4 coordinator section keeps
+// the place of the retired per-label clock list after the retain flag.
+// A writer leaves it empty; a list an older writer filled is read,
+// bounds-checked and dropped, and the fields after it decode as written.
+func TestClockListWrittenEmptyAndSkipped(t *testing.T) {
+	st := testSnapshot(2).State
+	cur := &encoder{}
+	encodeMultiState(cur, st)
+	tail := &encoder{} // the v4 fields that follow the list
+	tail.u64(uint64(len(st.MemberGroup)))
+	for _, g := range st.MemberGroup {
+		tail.u64(uint64(g))
+	}
+	tail.i64(st.Dispatches)
+	tail.i64(st.RelevanceSkips)
+	at := len(cur.buf) - len(tail.buf) - 1
+	if !bytes.Equal(cur.buf[at+1:], tail.buf) || cur.buf[at] != 0 {
+		t.Fatalf("the clock list is not written empty before the v4 fields: % x", cur.buf[at:])
+	}
+	older := &encoder{buf: append([]byte(nil), cur.buf[:at]...)}
+	older.u64(3)
+	for _, ts := range []int64{990, -7, 1002} {
+		older.i64(ts)
+	}
+	older.buf = append(older.buf, tail.buf...)
+	d := &decoder{buf: older.buf}
+	if got := decodeMultiState(d); d.err != nil || d.off != len(older.buf) || !reflect.DeepEqual(got, st) {
+		t.Fatalf("an older writer's clock list: err %v, %d of %d bytes read,\ngot  %+v\nwant %+v",
+			d.err, d.off, len(older.buf), got, st)
+	}
+	huge := &encoder{buf: append([]byte(nil), cur.buf[:at]...)}
+	huge.u64(1 << 40)
+	huge.buf = append(huge.buf, tail.buf...)
+	d = &decoder{buf: huge.buf}
+	if decodeMultiState(d); d.err == nil {
+		t.Fatal("an implausible clock-list count decoded")
 	}
 }
 

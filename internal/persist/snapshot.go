@@ -31,11 +31,13 @@ const (
 	// cross-checks against the persisted values, so they ride along as a
 	// consistency seal rather than redundant state; version-1 files
 	// predate canonical deletions and are rejected. Version 3 added the
-	// retain-all flag and the per-label stream clocks that mid-stream
-	// query registration needs (core.MultiState.Retain/LabelTS). The
-	// flag is written true; false only occurs in files of older writers
-	// (and of engines recovered from one), which recover with
-	// registration closed. Older versions are rejected, as before.
+	// retain-all flag (core.MultiState.Retain) and a list of per-label
+	// stream clocks. The flag is written true; false only occurs in files
+	// of older writers (and of engines recovered from one), which recover
+	// with registration closed. The clock list is written empty, and a
+	// list in an older writer's file is read and discarded: a query
+	// registered mid-stream bootstraps from the window alone. Older
+	// versions are rejected, as before.
 	// Version 4 added multi-query
 	// sharing: the facade sharing flag, the query→group mapping
 	// (core.MultiState.MemberGroup — Members then holds one Δ state per
@@ -229,10 +231,7 @@ func encodeMultiState(e *encoder, st *core.MultiState) {
 		encodeRAPQState(e, m)
 	}
 	e.bool(st.Retain)
-	e.u64(uint64(len(st.LabelTS)))
-	for _, ts := range st.LabelTS {
-		e.i64(ts)
-	}
+	e.u64(0) // the retired per-label clock list, written empty
 	// v4: the query→group mapping (rank of live query → index into
 	// Members) plus the coordinator's dispatch counters.
 	e.u64(uint64(len(st.MemberGroup)))
@@ -258,9 +257,11 @@ func decodeMultiState(d *decoder) *core.MultiState {
 		st.Members = append(st.Members, decodeRAPQState(d))
 	}
 	st.Retain = d.bool()
+	// Older writers filled the per-label clock list; it is read and
+	// dropped.
 	nlabels := d.count(1)
 	for i := 0; i < nlabels && d.err == nil; i++ {
-		st.LabelTS = append(st.LabelTS, d.i64())
+		d.i64()
 	}
 	nmap := d.count(1)
 	st.MemberGroup = make([]int, 0, nmap)

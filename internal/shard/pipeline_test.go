@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -542,24 +543,6 @@ func stickyWorkerError(t *testing.T, opts ...Option) {
 	}
 }
 
-// TestStickyErrorFromProcess: the single-tuple core.Engine entry point
-// records failures instead of panicking.
-func TestStickyErrorFromProcess(t *testing.T) {
-	s, err := New(window.Spec{Size: 10, Slide: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Add(bind(t, "a", "a"), nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Process(stream.Tuple{TS: 5, Label: 0})
-	s.Process(stream.Tuple{TS: 3, Label: 0}) // out of order: must not panic
-	if s.Err() == nil {
-		t.Fatal("out-of-order Process did not set the sticky error")
-	}
-}
-
 // TestPipelineOptionValidation: the deprecated WithPipelineDepth still
 // rejects n <= 0 and otherwise changes nothing: one shard stays on the
 // caller's goroutine.
@@ -706,6 +689,111 @@ func TestAddInPlace(t *testing.T) {
 	for q := len(static); q <= len(four); q++ {
 		if !emitted[q] {
 			t.Fatalf("registered query %d emitted nothing; test is vacuous", q)
+		}
+	}
+}
+
+// TestAddAfterNewestRelevantGone: a query registered after its group's
+// newest relevant edge left the window bootstraps to a stream clock
+// below a from-start engine's, and nothing aligns it. Two ways to get
+// there: the newest relevant mutation before registration deletes the
+// newest relevant edge, or that edge expires while only irrelevant
+// labels arrive. In both the window's newest relevant edge is older
+// than the from-start member's clock (the case is reached), and from the
+// next batch on
+// the engine's results equal those of an engine that had the query from
+// stream start, with the member's invariants holding after every batch.
+func TestAddAfterNewestRelevantGone(t *testing.T) {
+	spec := window.Spec{Size: 25, Slide: 5}
+	const static, late = "c+", "a/b*" // labels a=0, b=1, c=2
+	ins := func(ts int64, src, dst stream.VertexID, l stream.LabelID) stream.Tuple {
+		return stream.Tuple{TS: ts, Src: src, Dst: dst, Label: l}
+	}
+	del := func(tu stream.Tuple, ts int64) stream.Tuple {
+		tu.TS, tu.Op = ts, stream.Delete
+		return tu
+	}
+	newest := ins(6, 7, 8, 0)
+	expiring := []stream.Tuple{ins(1, 1, 2, 0), ins(2, 2, 3, 1), ins(3, 4, 5, 0)}
+	for ts := int64(5); ts <= 40; ts += 5 {
+		expiring = append(expiring, ins(ts, 9, stream.VertexID(ts), 2))
+	}
+	cases := map[string][]stream.Tuple{
+		"deleted": {ins(1, 1, 2, 0), ins(2, 2, 3, 1), ins(3, 3, 4, 1), ins(4, 5, 6, 2),
+			newest, del(newest, 7), ins(8, 9, 9, 2)},
+		"expired": expiring,
+	}
+	for name, prefix := range cases {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				suffix := randomTuples(rand.New(rand.NewSource(43)), 400, 6, 3, 1, 0.15)
+				for i := range suffix {
+					suffix[i].TS += prefix[len(prefix)-1].TS + 1
+				}
+				bs := batches(suffix, 16)
+				newEngine := func(exprs ...string) (*Engine, *core.RAPQ) {
+					s, err := New(spec, WithShards(shards))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var last *core.RAPQ
+					for _, expr := range exprs {
+						if last, err = s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return s, last
+				}
+				oracle, fromStart := newEngine(static, late)
+				defer oracle.Close()
+				s, _ := newEngine(static)
+				defer s.Close()
+				for _, eng := range []*Engine{oracle, s} {
+					if _, err := eng.ProcessBatch(prefix); err != nil {
+						t.Fatal(err)
+					}
+				}
+				member, err := s.Add(bind(t, late, "a", "b", "c"), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The case: the window's newest relevant edge is older than
+				// the from-start member's clock, which a bootstrap from the
+				// window cannot reproduce.
+				survivor := int64(math.MinInt64)
+				for _, ed := range core.SnapshotEdges(s.Graph()) {
+					if member.RelevantLabel(ed.Label) {
+						survivor = max(survivor, ed.TS)
+					}
+				}
+				if survivor >= fromStart.Now() {
+					t.Fatalf("newest relevant window edge at %d, from-start clock %d: the case is not reached", survivor, fromStart.Now())
+				}
+				emitted := false
+				for i, b := range bs {
+					want, err := oracle.ProcessBatch(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append([]Result(nil), want...)
+					got, err := s.ProcessBatch(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("batch %d: results differ from the from-start engine:\n got %v\nwant %v", i, got, want)
+					}
+					if err := member.CheckInvariants(); err != nil {
+						t.Fatalf("batch %d: %v", i, err)
+					}
+					for _, r := range got {
+						emitted = emitted || r.Query == 1
+					}
+				}
+				if !emitted {
+					t.Fatal("the registered query emitted nothing; test is vacuous")
+				}
+			})
 		}
 	}
 }

@@ -25,9 +25,8 @@
 // opens the graph's batch bracket and writes the whole batch through
 // graphStep, tuple by tuple — count the tuple, expire the graph at a
 // slide boundary, decide relevance, mutate the graph through its one
-// write API, note the label clock — advancing the epoch once per tuple
-// and once more between a slide-boundary expiry and the mutation of the
-// tuple that crossed it. Each step records the epoch after its tuple's
+// write API — advancing the epoch once per tuple and once more between
+// a slide-boundary expiry and the mutation of the tuple that crossed it. Each step records the epoch after its tuple's
 // mutation: reading there, a member sees exactly the sequential prefix
 // G_{W,τi} of Definition 5, and an expiry pass, reading one epoch
 // earlier, sees the expired graph before the tuple arrives. Then shards
@@ -72,9 +71,7 @@
 // The engine never panics mid-batch: a panic in a member engine, on a
 // shard goroutine or on the caller's, is recovered into a sticky error
 // that poisons the engine — the current ProcessBatch (and every later
-// one) fails with it, and Close reports it again. Process, whose
-// core.Engine signature has no error, records failures in the same
-// sticky error (see Err).
+// one) fails with it, and Close reports it again (see Err).
 package shard
 
 import (
@@ -164,12 +161,6 @@ type Engine struct {
 	closed  bool
 	err     error // sticky: first internal failure; engine is poisoned
 
-	// labelTS records, per label, the timestamp of the last graph
-	// mutation that carried it (math.MinInt64 for none) — exactly the
-	// stream clock a member registered from the start would hold, since
-	// members advance their clock on every routed insert and successful
-	// delete. Add aligns a bootstrapped member with it.
-	labelTS []int64
 	// partial is set by RestoreState from a snapshot whose graph holds
 	// only its queries' labels (written by a coordinator that dropped the
 	// others): a query registered later would bootstrap from part of the
@@ -443,9 +434,12 @@ func (s *Engine) activate(g *group) {
 // goroutines are parked on their job channels, so the bootstrap reads
 // the settled graph at epoch 0 and the group is active on return. From
 // the next batch onward the member emits exactly what one registered
-// before the first batch emits over the same suffix. Matches emitted
-// during the bootstrap replay itself — the window's current live result
-// set — are suppressed: a from-start engine emitted them earlier.
+// before the first batch emits over the same suffix, even where its
+// stream clock trails that member's because the newest relevant edge
+// was deleted or has expired (see core.RAPQ.BootstrapFromGraph).
+// Matches emitted during the bootstrap replay itself — the window's
+// current live result set — are suppressed: a from-start engine emitted
+// them earlier.
 func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 	if s.closed {
 		return nil, fmt.Errorf("shard: Add on closed engine")
@@ -465,15 +459,6 @@ func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 	}
 	e := core.NewRAPQ(a, s.spec) // default discard sink while bootstrapping
 	g := s.newGroup(e, mb)
-	// The stream clock a from-start engine would hold now: the last
-	// timestamp that touched a relevant label, which may be newer than
-	// any surviving window edge (see labelTS).
-	align := int64(math.MinInt64)
-	for l, ts := range s.labelTS {
-		if e.RelevantLabel(stream.LabelID(l)) && ts > align {
-			align = ts
-		}
-	}
 	boot := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -481,7 +466,6 @@ func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 			}
 		}()
 		e.BootstrapFromGraph(s.g)
-		e.AlignClock(align)
 		return nil
 	}
 	if s.err = boot(); s.err != nil {
@@ -609,19 +593,6 @@ func (w *worker) dispatch(t stream.Tuple, del bool, ep graph.Epoch) {
 	}
 }
 
-// Process implements core.Engine for drop-in use in single-tuple
-// harnesses: a batch of one. Results flow to the member sinks. The
-// Engine interface has no error return, so conditions ProcessBatch
-// would report — an out-of-order tuple, a closed engine, a member
-// fault — are recorded as the sticky engine error instead of
-// panicking mid-batch; check Err (or the error of a later
-// ProcessBatch/Close call).
-func (s *Engine) Process(t stream.Tuple) {
-	if _, err := s.ProcessBatch([]stream.Tuple{t}); err != nil && s.err == nil {
-		s.err = err
-	}
-}
-
 // ProcessBatch ingests a batch of tuples (timestamps non-decreasing,
 // continuing from previous batches) and returns the merged results in
 // canonical order. The returned slice is reused by the next call.
@@ -722,10 +693,10 @@ func (s *Engine) process(tuples []stream.Tuple) {
 // holds: count it and advance the stream clock; at a slide boundary
 // expire the graph and record the expiry in st, whose epoch then moves
 // past it; then, unless the tuple is clock-only (a negative label: the
-// facade's edge filter), insert or delete the edge and note the label's
-// clock, whether or not a group reads the label. st.skip is set unless
-// some group has work for the tuple: a relevant insert, or a relevant
-// deletion that removed a live edge.
+// facade's edge filter), insert or delete the edge, whether or not a
+// group reads the label. st.skip is set unless some group has work for
+// the tuple: a relevant insert, or a relevant deletion that removed a
+// live edge.
 func (s *Engine) graphStep(st *step) {
 	t := st.tuple
 	s.seen++
@@ -752,18 +723,6 @@ func (s *Engine) graphStep(st *step) {
 		}
 	} else {
 		s.g.Insert(t.Src, t.Dst, t.Label, t.TS)
-	}
-	s.noteLabel(t)
-}
-
-// noteLabel records the per-label stream clock; called for exactly the
-// tuples that mutated the graph (see labelTS).
-func (s *Engine) noteLabel(t stream.Tuple) {
-	for int(t.Label) >= len(s.labelTS) {
-		s.labelTS = append(s.labelTS, math.MinInt64)
-	}
-	if t.TS > s.labelTS[t.Label] {
-		s.labelTS[t.Label] = t.TS
 	}
 }
 
@@ -888,7 +847,6 @@ func (s *Engine) SnapshotState() *core.MultiState {
 		Win:     s.win.State(),
 		Edges:   core.SnapshotEdges(s.g),
 		Retain:  !s.partial,
-		LabelTS: append([]int64(nil), s.labelTS...),
 	}
 	st.Dispatches, st.RelevanceSkips = s.dispatchCounts()
 	// Groups ordered by lowest subscriber index: a canonical order that
@@ -943,7 +901,6 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	s.dropped = st.Dropped
 	s.win.SetState(st.Win)
 	s.partial = !st.Retain
-	s.labelTS = append([]int64(nil), st.LabelTS...)
 	s.dispatchBase = st.Dispatches
 	s.skipBase = st.RelevanceSkips
 	for gi, g := range s.groups {
@@ -1008,5 +965,3 @@ func (s *Engine) Close() error {
 	}
 	return s.err
 }
-
-var _ core.Engine = (*Engine)(nil)

@@ -11,24 +11,34 @@ import (
 
 // Replay reads a text-encoded tuple stream ("ts src dst label [+|-]"
 // per line, '#' comments and blank lines ignored) from r, feeds it to
-// the evaluator, and calls onMatch for every result produced. It
-// returns the number of tuples ingested.
+// the evaluator, and calls onMatch for every result produced. At the end
+// of the stream it drains the WithSlack reorder buffer (see
+// Evaluator.Flush) and reports those matches too, so a tuple ingested
+// afterwards must be newer than the stream's last. It returns the number
+// of tuples ingested.
 func Replay(r io.Reader, ev *Evaluator, onMatch func(Match)) (int64, error) {
 	var n int64
+	report := func(ms []Match) {
+		if onMatch != nil {
+			for _, m := range ms {
+				onMatch(m)
+			}
+		}
+	}
 	err := scanTupleLines(r, func(line int, t Tuple) error {
 		ms, err := ev.ingest(t)
 		if err != nil {
 			return fmt.Errorf("streamrpq: line %d: %w", line, err)
 		}
 		n++
-		if onMatch != nil {
-			for _, m := range ms {
-				onMatch(m)
-			}
-		}
+		report(ms)
 		return nil
 	})
-	return n, err
+	if err != nil {
+		return n, err
+	}
+	report(ev.Flush())
+	return n, nil
 }
 
 // scanTupleLines is the shared line iterator of Replay and ReplayMulti:

@@ -183,3 +183,34 @@ func TestReplayOutOfOrderSurfacesError(t *testing.T) {
 		t.Fatalf("ReplayMulti: error %v, want %q", err, want)
 	}
 }
+
+// TestReplayFlushesSlack: Replay drains the reorder buffer at the end of
+// the stream, so a WithSlack evaluator reports the same matches as one
+// without slack, and a tuple ingested afterwards must be newer than the
+// stream's last.
+func TestReplayFlushesSlack(t *testing.T) {
+	const in = "1 x y a\n2 y z b\n"
+	for _, slack := range []int64{0, 5} {
+		opts := []Option{WithWindow(100, 1)}
+		if slack > 0 {
+			opts = append(opts, WithSlack(slack))
+		}
+		ev, err := NewEvaluator(MustCompile("a/b"), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []Match
+		n, err := Replay(strings.NewReader(in), ev, func(m Match) { ms = append(ms, m) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 2 || len(ms) != 1 || ms[0].From != "x" || ms[0].To != "z" || ms[0].TS != 2 {
+			t.Fatalf("slack %d: %d tuples, matches %v; want 2 tuples and x→z at 2", slack, n, ms)
+		}
+		if slack > 0 {
+			if _, err := ev.Ingest(Tuple{TS: 2, Src: "z", Dst: "w", Label: "a"}); err == nil {
+				t.Fatalf("slack %d: a tuple at the flushed stream's last timestamp was accepted", slack)
+			}
+		}
+	}
+}
