@@ -1,0 +1,174 @@
+package shard
+
+import (
+	"fmt"
+	"slices"
+
+	"streamrpq/internal/automaton"
+	"streamrpq/internal/core"
+)
+
+// member is one registered query: its bound automaton, its user sink,
+// and the shared Δ-index group it subscribes to. Members whose automata
+// are equivalent (equal key) share one group.
+type member struct {
+	bound *automaton.Bound
+	sink  core.Sink // user sink; called by the coordinator post-merge
+	index int
+	key   string // group key: the automaton's Fingerprint
+	group *group
+}
+
+// group owns one member engine, evaluated once per tuple for all its
+// subscribers. subs holds the subscriber registration indices in
+// ascending order — the fan-out stamps one Result per subscriber, and
+// the canonical merge restores per-query order afterwards. The group is
+// pinned to one worker shard (chosen by its first subscriber's index).
+type group struct {
+	engine core.MemberEngine
+	bound  *automaton.Bound
+	key    string
+	subs   []int
+	w      *worker
+	out    []Result // the current tuple's emissions, before fan-out (see captureSink)
+}
+
+// newMember appends a member slot (without a group yet).
+func (s *Engine) newMember(a *automaton.Bound, sink core.Sink, key string) *member {
+	mb := &member{bound: a, sink: sink, index: len(s.members), key: key}
+	s.members = append(s.members, mb)
+	return mb
+}
+
+// joinGroup subscribes the member to the group with its key, if one
+// exists. Returns nil when a new group is needed.
+func (s *Engine) joinGroup(mb *member) *group {
+	for _, g := range s.groups {
+		if g.key == mb.key {
+			g.subs = append(g.subs, mb.index)
+			mb.group = g
+			return g
+		}
+	}
+	return nil
+}
+
+// checkLabelSpace enforces the dense-label-space discipline: the space
+// grows monotonically — a later member may be bound against a larger
+// dictionary, never a smaller one, and older members bounds-check
+// labels beyond their binding (the ΣQ guards in core).
+func (s *Engine) checkLabelSpace(a *automaton.Bound) error {
+	for _, mb := range s.members {
+		if mb != nil && len(a.ByLabel) < len(mb.bound.ByLabel) {
+			return fmt.Errorf("shard: label space shrank: %d vs existing %d labels (bind new queries against the full dictionary)",
+				len(a.ByLabel), len(mb.bound.ByLabel))
+		}
+	}
+	return nil
+}
+
+// newGroup builds the member's own group around engine e, on the shard
+// its registration index selects.
+func (s *Engine) newGroup(e core.MemberEngine, mb *member) *group {
+	e.AttachGraph(s.g)
+	w := s.workers[mb.index%len(s.workers)]
+	g := &group{engine: e, bound: mb.bound, key: mb.key, subs: []int{mb.index}, w: w}
+	mb.group = g
+	return g
+}
+
+// activate attaches a group to its shard: from the next step on its
+// emissions are captured and it is dispatched to.
+func (s *Engine) activate(g *group) {
+	g.engine.SetSink(captureSink{g})
+	s.groups = append(s.groups, g)
+	g.w.groups = append(g.w.groups, g)
+	g.w.rebuild()
+}
+
+// Add registers one RAPQ query and returns its group's engine (for
+// Stats probes; RestoreState restores into it); sink may be nil.
+// Registration indices (the ids results carry) count Add calls. Call
+// between batches, before the first one or mid-stream: both register
+// the same way. A query equivalent to an active group (equal
+// automaton.Bound.Fingerprint) subscribes to its fan-out and gets the
+// shared engine — the group's output depends only on the stream and its
+// automaton, so its future emissions are exactly the suffix a query of
+// its own would emit; no bootstrap. Otherwise the new group, on
+// shard index mod NumShards(), has its Δ index bootstrapped from the
+// window content in place, on the caller's goroutine (a no-op while the
+// window is empty): between batches no batch is open and the shard
+// goroutines are parked on their job channels, so the bootstrap reads
+// the settled graph at epoch 0 and the group is active on return. From
+// the next batch onward the member emits exactly what one registered
+// before the first batch emits over the same suffix, even where its
+// stream clock trails that member's because the newest relevant edge
+// was deleted or has expired (see core.RAPQ.BootstrapFromGraph).
+// Matches emitted during the bootstrap replay itself — the window's
+// current live result set — are suppressed: a from-start engine emitted
+// them earlier.
+func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
+	if s.closed {
+		return nil, fmt.Errorf("shard: Add on closed engine")
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	if s.partial {
+		return nil, fmt.Errorf("shard: Add after restoring a snapshot that keeps only its queries' labels (a new query would bootstrap from part of the window)")
+	}
+	if err := s.checkLabelSpace(a); err != nil {
+		return nil, err
+	}
+	mb := s.newMember(a, sink, a.Fingerprint())
+	if g := s.joinGroup(mb); g != nil {
+		return g.engine.(*core.RAPQ), nil
+	}
+	e := core.NewRAPQ(a, s.spec) // default discard sink while bootstrapping
+	g := s.newGroup(e, mb)
+	boot := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("shard: member %d bootstrap panic: %v", mb.index, r)
+			}
+		}()
+		e.BootstrapFromGraph(s.g)
+		return nil
+	}
+	if s.err = boot(); s.err != nil {
+		s.members[mb.index] = nil // never activated
+		return nil, s.err
+	}
+	s.activate(g)
+	return e, nil
+}
+
+// Remove detaches the query with the given registration index.
+// Call between batches: the member receives no step of any later batch.
+// Its slot becomes a nil tombstone so surviving queries keep their
+// registration indices (the canonical merge order depends on them).
+func (s *Engine) Remove(index int) error {
+	if s.closed {
+		return fmt.Errorf("shard: Remove on closed engine")
+	}
+	if s.err != nil {
+		return s.err
+	}
+	if index < 0 || index >= len(s.members) || s.members[index] == nil {
+		return fmt.Errorf("shard: Remove: no query with index %d", index)
+	}
+	mb := s.members[index]
+	s.members[index] = nil
+	// Safe between batches: the worker goroutine only touches its group
+	// list while applying a job, and the next job send happens-after
+	// this mutation.
+	g := mb.group
+	g.subs = slices.DeleteFunc(g.subs, func(q int) bool { return q == index })
+	if len(g.subs) == 0 {
+		isG := func(c *group) bool { return c == g }
+		s.groups = slices.DeleteFunc(s.groups, isG)
+		g.w.groups = slices.DeleteFunc(g.w.groups, isG)
+		g.w.rebuild()
+	}
+	return nil
+}
