@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -700,9 +701,13 @@ func TestAddInPlace(t *testing.T) {
 // newest relevant edge, or that edge expires while only irrelevant
 // labels arrive. In both the window's newest relevant edge is older
 // than the from-start member's clock (the case is reached), and from the
-// next batch on
-// the engine's results equal those of an engine that had the query from
-// stream start, with the member's invariants holding after every batch.
+// next batch on the engine's results equal those of an engine that had
+// the query from stream start, with the member's invariants holding
+// after every batch. In the first case the batch after registration
+// opens with the deletion of a window edge that is valid under the
+// registered member's clock but not under the from-start one's, so a
+// deletion that read the member's clock before raising it to the
+// tuple's timestamp would not match the from-start engine.
 func TestAddAfterNewestRelevantGone(t *testing.T) {
 	spec := window.Spec{Size: 25, Slide: 5}
 	const static, late = "c+", "a/b*" // labels a=0, b=1, c=2
@@ -713,22 +718,31 @@ func TestAddAfterNewestRelevantGone(t *testing.T) {
 		tu.TS, tu.Op = ts, stream.Delete
 		return tu
 	}
-	newest := ins(6, 7, 8, 0)
+	newest := ins(31, 7, 8, 0)
 	expiring := []stream.Tuple{ins(1, 1, 2, 0), ins(2, 2, 3, 1), ins(3, 4, 5, 0)}
 	for ts := int64(5); ts <= 40; ts += 5 {
 		expiring = append(expiring, ins(ts, 9, stream.VertexID(ts), 2))
 	}
-	cases := map[string][]stream.Tuple{
-		"deleted": {ins(1, 1, 2, 0), ins(2, 2, 3, 1), ins(3, 3, 4, 1), ins(4, 5, 6, 2),
-			newest, del(newest, 7), ins(8, 9, 9, 2)},
-		"expired": expiring,
+	// Each case: the stream before registration, and the first tuples
+	// after it.
+	cases := map[string]struct{ prefix, next []stream.Tuple }{
+		"deleted": {
+			[]stream.Tuple{ins(7, 1, 2, 0), ins(8, 2, 3, 1), ins(10, 5, 6, 2), newest, del(newest, 32)},
+			[]stream.Tuple{del(ins(8, 2, 3, 1), 33)},
+		},
+		"expired": {expiring, nil},
 	}
-	for name, prefix := range cases {
+	for name, c := range cases {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				suffix := randomTuples(rand.New(rand.NewSource(43)), 400, 6, 3, 1, 0.15)
-				for i := range suffix {
-					suffix[i].TS += prefix[len(prefix)-1].TS + 1
+				suffix := slices.Clone(c.next)
+				base := c.prefix[len(c.prefix)-1].TS
+				if len(suffix) > 0 {
+					base = suffix[len(suffix)-1].TS
+				}
+				for _, tu := range randomTuples(rand.New(rand.NewSource(43)), 400, 6, 3, 1, 0.15) {
+					tu.TS += base + 1
+					suffix = append(suffix, tu)
 				}
 				bs := batches(suffix, 16)
 				newEngine := func(exprs ...string) (*Engine, *core.RAPQ) {
@@ -749,7 +763,7 @@ func TestAddAfterNewestRelevantGone(t *testing.T) {
 				s, _ := newEngine(static)
 				defer s.Close()
 				for _, eng := range []*Engine{oracle, s} {
-					if _, err := eng.ProcessBatch(prefix); err != nil {
+					if _, err := eng.ProcessBatch(c.prefix); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -775,12 +789,12 @@ func TestAddAfterNewestRelevantGone(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want = append([]Result(nil), want...)
+					want = slices.Clone(want)
 					got, err := s.ProcessBatch(b)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
+					if !slices.Equal(got, want) {
 						t.Fatalf("batch %d: results differ from the from-start engine:\n got %v\nwant %v", i, got, want)
 					}
 					if err := member.CheckInvariants(); err != nil {
