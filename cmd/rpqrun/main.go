@@ -121,6 +121,11 @@ func runPersisted(query string, winSize, winSlide int64, semantics, dir string, 
 		if quiet {
 			return
 		}
+		// One tuple's retractions print before its matches, as the
+		// evaluator's invalidation callback fires inside its ingest.
+		for _, m := range br.Invalidations {
+			fmt.Printf("- %s %s @%d\n", m.From, m.To, m.TS)
+		}
 		for _, m := range br.Matches {
 			fmt.Printf("+ %s %s @%d\n", m.From, m.To, m.TS)
 		}
@@ -172,8 +177,8 @@ func runPersisted(query string, winSize, winSlide int64, semantics, dir string, 
 
 	if stats {
 		st := m.Stats()
-		fmt.Fprintf(os.Stderr, "tuples=%d (total applied %d) dropped=%d results=%d trees=%d nodes=%d expiry=%v\n",
-			n, m.AppliedTuples(), st.TuplesDropped, st.Results, st.Trees, st.Nodes, st.ExpiryTime)
+		fmt.Fprintf(os.Stderr, "tuples=%d (total applied %d) dropped=%d results=%d invalidations=%d trees=%d nodes=%d expiry=%v\n",
+			n, m.AppliedTuples(), st.TuplesDropped, st.Results, st.Invalidations, st.Trees, st.Nodes, st.ExpiryTime)
 	}
 }
 

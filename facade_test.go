@@ -2,8 +2,10 @@ package streamrpq
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +106,42 @@ func TestIngestBatchAllocs(t *testing.T) {
 	}
 	if avg > 159 {
 		t.Errorf("IngestBatch of 32 tuples allocates %.0f times, want at most 159", avg)
+	}
+}
+
+// TestAddQueryLargeAutomatonAllocs: registering an arbitrary-path
+// query builds its bound automaton and bootstraps its group, and
+// nothing quadratic in the automaton: (a|b)*/a followed by eleven
+// /(a|b) has 4 096 states, whose k×k containment matrix only the
+// simple-path engine reads. That matrix and its fixpoint alone allocate
+// about 70 MB and take seconds for this automaton.
+func TestAddQueryLargeAutomatonAllocs(t *testing.T) {
+	q := MustCompile("(a|b)*/a" + strings.Repeat("/(a|b)", 11))
+	if n := q.dfa.NumStates(); n != 4096 {
+		t.Fatalf("pattern compiles to %d states, want 4096", n)
+	}
+	m, err := NewMultiEvaluator(100, 1, MustCompile("a/b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	batch := make([]Tuple, 32)
+	for i := range batch {
+		batch[i] = Tuple{TS: int64(i + 1), Src: "v" + strconv.Itoa(i%8), Dst: "v" + strconv.Itoa((i*3+1)%8), Label: []string{"a", "b"}[i%2]}
+	}
+	if _, err := m.IngestBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := m.AddQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("AddQuery allocated %.2f MB", float64(got)/(1<<20))
+	if got > 8<<20 {
+		t.Errorf("AddQuery of a %d-state automaton allocated %.1f MB, want under 8 MB", q.dfa.NumStates(), float64(got)/(1<<20))
 	}
 }
 

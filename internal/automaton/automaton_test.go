@@ -113,7 +113,8 @@ func randomExpr(rng *rand.Rand, depth int, labels []string) *pattern.Expr {
 	}
 }
 
-// TestMinimizeIsMinimal cross-checks Hopcroft by verifying that no two
+// TestMinimizeIsMinimal cross-checks the minimizer, independently of
+// its refinement, by verifying through Containment that no two
 // distinct states of the minimal DFA are equivalent (distinguishable by
 // some word) and that minimizing twice is a fixpoint in state count.
 func TestMinimizeIsMinimal(t *testing.T) {

@@ -27,8 +27,8 @@ type Bound struct {
 	Final   []bool         // Final[s] reports s ∈ F
 	Trans   [][]int32      // Trans[s][labelID] → next state, NoState if absent
 	ByLabel [][]Transition // ByLabel[labelID] → all (s,t) with δ(s,label)=t
-	Cont    [][]bool       // suffix-language containment: Cont[s][t] == ([s] ⊇ [t])
-	HasCont bool           // suffix-language containment property holds (Def. 15)
+
+	dfa *DFA // the automaton Bind bound, for Containment
 }
 
 // Bind converts the string-labeled DFA into a Bound automaton.
@@ -43,8 +43,7 @@ func (d *DFA) Bind(labelID func(string) int, numLabels int) *Bound {
 		Final:   append([]bool(nil), d.Final...),
 		Trans:   make([][]int32, k),
 		ByLabel: make([][]Transition, numLabels),
-		Cont:    d.Containment(),
-		HasCont: d.HasContainmentProperty(),
+		dfa:     d,
 	}
 	for s := 0; s < k; s++ {
 		row := make([]int32, numLabels)
@@ -65,6 +64,15 @@ func (d *DFA) Bind(labelID func(string) int, numLabels int) *Bound {
 	}
 	return b
 }
+
+// Containment returns the suffix-language containment matrix of the
+// bound DFA (Definitions 14–15): Containment()[s][t] == ([s] ⊇ [t]).
+// Only the simple-path engine's conflict check (Algorithm RSPQ, §4) and
+// the Mendelzon–Wood oracle read it, so Bind does not build it: the
+// matrix costs k² memory and a fixpoint over k² state pairs, which an
+// arbitrary-path query of a few thousand states would pay for nothing.
+// Each call computes it afresh; callers keep the result.
+func (b *Bound) Containment() [][]bool { return b.dfa.Containment() }
 
 // Step returns δ(s, label) or NoState.
 func (b *Bound) Step(s int32, label int) int32 {
@@ -89,6 +97,11 @@ func (b *Bound) Relevant(label int) bool {
 // Equal fingerprints ⇒ the engines driven by the two bounds produce
 // byte-identical result streams on every input, which is the safety
 // condition for evaluating them on one shared Δ-index tree set.
+// Containment needs no place in it. It is a function of the DFA, and
+// two bounds of equal structure over a dictionary that holds their
+// alphabets (the facade interns a query's labels before it binds) bind
+// the same minimal DFA. Only arbitrary-path queries share a group
+// anyway, and they never read the matrix.
 func (b *Bound) Fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "k%d;s%d;f", b.K, b.Start)
@@ -114,21 +127,6 @@ func (b *Bound) Fingerprint() string {
 			fmt.Fprintf(&sb, "%d>%d,", tr.From, tr.To)
 		}
 		sb.WriteByte(';')
-	}
-	// The containment matrix feeds the RSPQ arm; include it so bounds
-	// that step identically but carry different containment metadata are
-	// never conflated.
-	if b.HasCont {
-		sb.WriteString("c")
-		for _, row := range b.Cont {
-			for _, v := range row {
-				if v {
-					sb.WriteByte('1')
-				} else {
-					sb.WriteByte('0')
-				}
-			}
-		}
 	}
 	return sb.String()
 }

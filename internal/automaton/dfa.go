@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -122,196 +123,86 @@ func Determinize(n *NFA) *DFA {
 	return d
 }
 
-// Minimize returns the minimal DFA equivalent to d using Hopcroft's
-// partition-refinement algorithm. The result is trimmed: the implicit
-// dead state (if any) is removed again and transitions stay partial.
-// States are renumbered canonically by BFS from the start state so that
-// equal languages produce identical automata.
+// Minimize returns the minimal DFA equivalent to d by Moore's partition
+// refinement. States start in three classes (−1: reaches no final
+// state, 0: other non-final, 1: final); each round gives a state the
+// class of its signature — its class, then the class of its successor
+// on every label of the sorted alphabet, −1 where the transition is
+// missing — until the class count stops growing. The result is trimmed:
+// class −1 (the implicit dead state) is dropped and transitions stay
+// partial. States are numbered canonically by BFS from the start state
+// over sorted labels, so equal languages produce identical automata.
 func (d *DFA) Minimize() *DFA {
-	// Complete the automaton with an explicit dead state so Hopcroft
-	// operates on a total transition function.
 	n := d.NumStates()
-	dead := n
-	total := n + 1
-	trans := make([][]int, total)
-	labelIdx := make(map[string]int, len(d.Alphabet))
-	for i, l := range d.Alphabet {
-		labelIdx[l] = i
-	}
-	na := len(d.Alphabet)
-	for s := 0; s < total; s++ {
-		row := make([]int, na)
-		for i := range row {
-			row[i] = dead
-		}
-		trans[s] = row
-	}
-	for s := 0; s < n; s++ {
-		for l, t := range d.Trans[s] {
-			trans[s][labelIdx[l]] = t
+	useful := d.usefulStates()
+	class := make([]int, n)
+	for s := range class {
+		switch {
+		case !useful[s]:
+			class[s] = -1
+		case d.Final[s]:
+			class[s] = 1
 		}
 	}
-
-	// Reverse transitions for Hopcroft.
-	rev := make([][][]int, na) // rev[a][t] = states s with δ(s,a)=t
-	for a := 0; a < na; a++ {
-		rev[a] = make([][]int, total)
-	}
-	for s := 0; s < total; s++ {
-		for a := 0; a < na; a++ {
-			t := trans[s][a]
-			rev[a][t] = append(rev[a][t], s)
-		}
-	}
-
-	// Initial partition: final vs non-final.
-	part := make([]int, total) // state -> block id
-	var blocks [][]int
-	var finals, others []int
-	for s := 0; s < n; s++ {
-		if d.Final[s] {
-			finals = append(finals, s)
-		} else {
-			others = append(others, s)
-		}
-	}
-	others = append(others, dead)
-	if len(finals) > 0 {
-		for _, s := range finals {
-			part[s] = len(blocks)
-		}
-		blocks = append(blocks, finals)
-	}
-	if len(others) > 0 {
-		for _, s := range others {
-			part[s] = len(blocks)
-		}
-		blocks = append(blocks, others)
-	}
-
-	// Worklist of (block, label) splitters.
-	type splitter struct{ block, label int }
-	work := make([]splitter, 0, len(blocks)*na)
-	inWork := map[splitter]bool{}
-	push := func(b, a int) {
-		sp := splitter{b, a}
-		if !inWork[sp] {
-			inWork[sp] = true
-			work = append(work, sp)
-		}
-	}
-	for b := range blocks {
-		for a := 0; a < na; a++ {
-			push(b, a)
-		}
-	}
-
-	for len(work) > 0 {
-		sp := work[len(work)-1]
-		work = work[:len(work)-1]
-		delete(inWork, sp)
-
-		// X = states with a-transition into block sp.block.
-		inX := map[int]bool{}
-		for _, t := range blocks[sp.block] {
-			for _, s := range rev[sp.label][t] {
-				inX[s] = true
-			}
-		}
-		if len(inX) == 0 {
-			continue
-		}
-		// Split every block B into B∩X and B\X.
-		affected := map[int]bool{}
-		for s := range inX {
-			affected[part[s]] = true
-		}
-		for b := range affected {
-			var in, out []int
-			for _, s := range blocks[b] {
-				if inX[s] {
-					in = append(in, s)
-				} else {
-					out = append(out, s)
-				}
-			}
-			if len(in) == 0 || len(out) == 0 {
+	for count := -1; ; {
+		ids := map[string]int{}
+		next := make([]int, n)
+		var sig []byte
+		for s := range next {
+			if class[s] < 0 {
+				next[s] = -1
 				continue
 			}
-			// Replace block b with the larger part, create new block
-			// with the smaller part (Hopcroft's trick).
-			small, large := in, out
-			if len(small) > len(large) {
-				small, large = large, small
-			}
-			blocks[b] = large
-			nb := len(blocks)
-			blocks = append(blocks, small)
-			for _, s := range small {
-				part[s] = nb
-			}
-			for a := 0; a < na; a++ {
-				if inWork[splitter{b, a}] {
-					push(nb, a)
-				} else {
-					// Push the smaller of the two blocks.
-					if len(small) <= len(large) {
-						push(nb, a)
-					} else {
-						push(b, a)
-					}
+			sig = binary.AppendVarint(sig[:0], int64(class[s]))
+			for _, a := range d.Alphabet {
+				c := -1
+				if t, ok := d.Trans[s][a]; ok {
+					c = class[t]
 				}
+				sig = binary.AppendVarint(sig, int64(c))
 			}
+			id, ok := ids[string(sig)]
+			if !ok {
+				id = len(ids)
+				ids[string(sig)] = id
+			}
+			next[s] = id
 		}
-	}
-
-	// Build the quotient automaton over blocks, skipping the dead block.
-	deadBlock := part[dead]
-	// Canonical renumbering: BFS from the start block over sorted labels.
-	remap := map[int]int{}
-	var order []int
-	startBlock := part[d.Start]
-	if startBlock != deadBlock {
-		remap[startBlock] = 0
-		order = append(order, startBlock)
-	}
-	for i := 0; i < len(order); i++ {
-		b := order[i]
-		repr := blocks[b][0]
-		for a := 0; a < na; a++ {
-			tb := part[trans[repr][a]]
-			if tb == deadBlock {
-				continue
-			}
-			if _, ok := remap[tb]; !ok {
-				remap[tb] = len(order)
-				order = append(order, tb)
-			}
+		class = next
+		if len(ids) == count {
+			break
 		}
+		count = len(ids)
 	}
 
 	out := &DFA{Alphabet: append([]string(nil), d.Alphabet...)}
-	out.Final = make([]bool, len(order))
-	out.Trans = make([]map[string]int, len(order))
-	for i := range out.Trans {
-		out.Trans[i] = map[string]int{}
+	if class[d.Start] < 0 {
+		// Empty language: single non-final start state, no transitions.
+		out.Final, out.Trans = []bool{false}, []map[string]int{{}}
+		return out
 	}
-	for b, id := range remap {
-		repr := blocks[b][0]
-		out.Final[id] = repr != dead && d.Final[repr]
-		for a := 0; a < na; a++ {
-			tb := part[trans[repr][a]]
-			if tb == deadBlock {
+	// Quotient: BFS from the start's class, one representative per class.
+	id := map[int]int{class[d.Start]: 0}
+	reps := []int{d.Start}
+	for i := 0; i < len(reps); i++ {
+		s := reps[i]
+		row := map[string]int{}
+		for _, a := range d.Alphabet {
+			t, ok := d.Trans[s][a]
+			if !ok || class[t] < 0 {
 				continue
 			}
-			out.Trans[id][d.Alphabet[a]] = remap[tb]
+			j, seen := id[class[t]]
+			if !seen {
+				j = len(reps)
+				id[class[t]] = j
+				reps = append(reps, t)
+			}
+			row[a] = j
 		}
+		out.Final = append(out.Final, d.Final[s])
+		out.Trans = append(out.Trans, row)
 	}
-	if startBlock == deadBlock {
-		// Empty language: single non-final start state, no transitions.
-		return &DFA{Alphabet: out.Alphabet, Start: 0, Final: []bool{false}, Trans: []map[string]int{{}}}
-	}
-	out.Start = remap[startBlock]
 	return out
 }
 

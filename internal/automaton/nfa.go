@@ -4,8 +4,10 @@
 //
 // The pipeline mirrors §2 of Pacaci et al. (SIGMOD 2020): Thompson's
 // construction builds an NFA recognizing L(R) [Thompson 1968], subset
-// construction determinizes it, and Hopcroft's algorithm [Hopcroft
-// 1971] minimizes the result.
+// construction determinizes it, and Moore's partition refinement
+// [Moore 1956] minimizes the result. The containment relation is
+// computed on demand (Bound.Containment): the arbitrary-path engine
+// never reads it.
 package automaton
 
 import (

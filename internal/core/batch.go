@@ -132,8 +132,9 @@ func BatchSimpleFrom(g *graph.Graph, a *automaton.Bound, x stream.VertexID, vali
 // BatchSimple as the exhaustive oracle there.)
 func BatchSimpleMW(g *graph.Graph, a *automaton.Bound, validFrom int64) map[Pair]struct{} {
 	results := make(map[Pair]struct{})
+	cont := a.Containment()
 	g.Vertices(func(x stream.VertexID) bool {
-		for v := range batchSimpleMWFrom(g, a, x, validFrom) {
+		for v := range batchSimpleMWFrom(g, a, cont, x, validFrom) {
 			results[Pair{From: x, To: v}] = struct{}{}
 		}
 		return true
@@ -146,7 +147,7 @@ type mwKey struct {
 	s int32
 }
 
-func batchSimpleMWFrom(g *graph.Graph, a *automaton.Bound, x stream.VertexID, validFrom int64) map[stream.VertexID]struct{} {
+func batchSimpleMWFrom(g *graph.Graph, a *automaton.Bound, cont [][]bool, x stream.VertexID, validFrom int64) map[stream.VertexID]struct{} {
 	out := make(map[stream.VertexID]struct{})
 	marked := make(map[mwKey]bool)
 	// pathStates[v] is the ordered list of states in which the current
@@ -175,7 +176,7 @@ func batchSimpleMWFrom(g *graph.Graph, a *automaton.Bound, x stream.VertexID, va
 				// Vertex w already on the path: a simple path cannot
 				// revisit it. Check for a conflict between the first
 				// visiting state and t (Definition 16).
-				if !a.Cont[states[0]][t] {
+				if !cont[states[0]][t] {
 					clean = false // conflict: ancestors must not be marked
 				}
 				continue

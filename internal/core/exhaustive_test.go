@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"streamrpq/internal/automaton"
 	"streamrpq/internal/graph"
+	"streamrpq/internal/pattern"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
@@ -138,7 +140,7 @@ func TestBatchSimpleMWAgreesOnSmallGraphs(t *testing.T) {
 			}
 			// Completeness when the automaton has the containment
 			// property (conflict-free on every graph).
-			if a.HasCont {
+			if automaton.Compile(pattern.MustParse(expr)).HasContainmentProperty() {
 				for p := range brute {
 					if _, ok := mw[p]; !ok {
 						t.Fatalf("%q edges %v: MW missed %v on conflict-free query", expr, edges, p)

@@ -38,6 +38,7 @@ type RSPQ struct {
 	extends    int64 // extends so far for the current tuple
 	budgetHit  bool  // some tuple exceeded maxExtends
 
+	cont        [][]bool    // a.Containment(), built by the first conflict check
 	instScratch []int32     // instance-list snapshot
 	removed     []spRemoved // instances pruned by the current expiry pass
 }
@@ -156,8 +157,10 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	ns := &tx.ns.slotStore
 
 	// Lines 2–3: conflict detection between the first state visiting v
-	// on this path and t, via suffix-language containment.
-	if q, ok := firstStateAt(ns, parent, v); ok && !e.a.Cont[q][t] {
+	// on this path and t, via suffix-language containment. The engine
+	// computes the containment matrix once, when a path first revisits
+	// a vertex: Bind leaves it out, since only this engine reads it.
+	if q, ok := firstStateAt(ns, parent, v); ok && !e.contains(q, t) {
 		e.stats.ConflictsFound++
 		e.unmark(tx, parent, validFrom)
 		return
@@ -210,6 +213,14 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		}
 		e.extend(tx, node, c.key.vertex(), c.key.state(), c.ts, validFrom)
 	}
+}
+
+// contains reports [q] ⊇ [t] (Definition 14).
+func (e *RSPQ) contains(q, t int32) bool {
+	if e.cont == nil {
+		e.cont = e.a.Containment()
+	}
+	return e.cont[q][t]
 }
 
 // setMarked sets the marking of a key that has an instance.

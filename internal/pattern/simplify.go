@@ -4,10 +4,10 @@ import "sort"
 
 // Simplify rewrites an expression into a smaller equivalent one. It is
 // applied at query-registration time before automaton construction;
-// the minimal DFA is identical either way (Hopcroft minimization is
-// canonical), but a smaller expression makes Thompson/subset
-// construction cheaper and keeps reported query sizes honest for
-// machine-generated workloads.
+// the minimal DFA is identical either way (it is unique, and Minimize
+// numbers it canonically), but a smaller expression makes
+// Thompson/subset construction cheaper and keeps reported query sizes
+// honest for machine-generated workloads.
 //
 // Rewrites (all language-preserving):
 //

@@ -52,8 +52,8 @@ func (s Semantics) String() string {
 }
 
 // Query is a compiled RPQ: the regular expression parsed, converted to
-// an NFA via Thompson's construction, determinized, and minimized with
-// Hopcroft's algorithm.
+// an NFA via Thompson's construction, determinized, and minimized by
+// Moore's partition refinement.
 type Query struct {
 	src  string
 	expr *pattern.Expr
