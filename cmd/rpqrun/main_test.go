@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -36,7 +37,8 @@ func rpqrun(t *testing.T, args ...string) string {
 // TestPersistPrintsSameStream: a persisted run prints the result
 // stream of a plain run line for line, retractions by explicit
 // deletions included, also when a deletion and a re-insertion share
-// one ingest batch.
+// one ingest batch, and one tuple's matches in the same order (on the
+// paper's running example two pairs go live at ts 19).
 func TestPersistPrintsSameStream(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "in.stream")
@@ -44,16 +46,25 @@ func TestPersistPrintsSameStream(t *testing.T) {
 	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	args := []string{"-query", "a/b", "-window", "100", "-slide", "1"}
-	plain := rpqrun(t, append(args, in)...)
-	want := "+ x z @2\n- x z @3\n+ x z @4\n+ x w @5\n- x z @6\n"
-	if plain != want {
-		t.Fatalf("plain run printed\n%s\nwant\n%s", plain, want)
-	}
-	for _, batch := range []string{"1", "256"} {
-		persisted := rpqrun(t, append(args, "-persist", filepath.Join(dir, "state"+batch), "-batch", batch, in)...)
-		if persisted != plain {
-			t.Errorf("-persist -batch %s printed\n%s\nwant\n%s", batch, persisted, plain)
+	for i, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-query", "a/b", "-window", "100", "-slide", "1", in},
+			"+ x z @2\n- x z @3\n+ x z @4\n+ x w @5\n- x z @6\n"},
+		{[]string{"-query", "(follows/mentions)+", "-window", "15", "-slide", "1", "../../testdata/figure1.stream"},
+			"+ x w @11\n+ x u @13\n+ u y @18\n+ x y @18\n+ x x @19\n+ w y @19\n+ w u @19\n+ w x @19\n+ w w @19\n"},
+	} {
+		plain := rpqrun(t, tc.args...)
+		if plain != tc.want {
+			t.Fatalf("plain run printed\n%s\nwant\n%s", plain, tc.want)
+		}
+		for _, batch := range []string{"1", "256"} {
+			state := filepath.Join(dir, fmt.Sprintf("state%d-%s", i, batch))
+			persisted := rpqrun(t, append([]string{"-persist", state, "-batch", batch}, tc.args...)...)
+			if persisted != plain {
+				t.Errorf("%v -persist -batch %s printed\n%s\nwant\n%s", tc.args, batch, persisted, plain)
+			}
 		}
 	}
 }

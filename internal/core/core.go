@@ -117,6 +117,11 @@ type MemberEngine interface {
 	// RestoreState rebuilds the Δ index from a checkpoint. Only legal on
 	// a freshly constructed member before any Apply call.
 	RestoreState(*RAPQState) error
+	// SetParking hands the engine the parking its trees' arrays come
+	// from and go to (nil: allocate and drop, as a standalone engine
+	// does). The coordinator runs every engine sharing one parking on
+	// one goroutine and empties it at each batch boundary.
+	SetParking(p *Parking)
 	// SetSink redirects the engine's result stream (nil discards). A
 	// dynamically registered member bootstraps into a discard sink, then
 	// gets the coordinator's capture sink installed at activation.

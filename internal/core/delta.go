@@ -72,6 +72,10 @@ type delta struct {
 	sc          scratch
 	rootScratch []stream.VertexID
 
+	// park lends tree arrays between the engines of one coordinator
+	// shard (RAPQ.SetParking); nil for a standalone engine.
+	park *Parking
+
 	// The embedding engine's policy, installed by its constructor: what
 	// Process drives, and whether a result pair has an in-window witness
 	// (a question for the engine's key index).
@@ -226,7 +230,7 @@ func (d *delta) ensureTree(x stream.VertexID) *tree {
 	// parent (self-sentinel). A start state that is also final means the
 	// empty path matches; RPQ answers are conventionally over paths of
 	// length ≥ 1, and neither the paper nor the engines report (x,x) via ε.
-	tx.ns.slotStore.alloc(mkNodeKey(x, d.a.Start), rootTS, rootSlot)
+	tx.ns.slotStore.alloc(mkNodeKey(x, d.a.Start), rootTS, rootSlot, d.park)
 	d.trees[x] = tx
 	d.inv.add(x, x, d.a.Start, d.rootEnt)
 	return tx
@@ -258,11 +262,14 @@ func (d *delta) emit(x, v stream.VertexID) {
 }
 
 // dropIfRootOnly garbage-collects a tree that shrank to its root: no
-// valid start edge remains, so Δ need not represent it.
+// valid start edge remains, so Δ need not represent it. Its arrays go to
+// the parking once nothing reaches the tree; its caller must not read it
+// afterwards.
 func (d *delta) dropIfRootOnly(tx *tree) {
 	if tx.ns.size() == 1 {
 		d.inv.drop(tx.root, tx.root, d.a.Start, d.rootEnt)
 		delete(d.trees, tx.root)
+		d.park.drop(&tx.ns)
 	}
 }
 

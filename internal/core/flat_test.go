@@ -115,7 +115,7 @@ var flatSeeds = map[string][]byte{
 // models. The op kind's fourth value reads as flatGet.
 func runFlatOps(t testing.TB, ops []byte) {
 	var ns treeStore
-	ns.grow() // as rootedTree does before the first lookup
+	ns.grow(nil) // as rootedTree does before the first lookup
 	slots := map[nodeKey]int32{}
 	var ix invIndex
 	rows := map[stream.VertexID][]invEnt{} // sorted by compareEnts
@@ -134,7 +134,7 @@ func runFlatOps(t testing.TB, ops []byte) {
 		switch kind {
 		case flatPut:
 			if _, ok := slots[key]; !ok {
-				slot := ns.alloc(key, int64(step), rootSlot)
+				slot := ns.alloc(key, int64(step), rootSlot, nil)
 				for k, s := range slots {
 					if s == slot {
 						t.Fatalf("step %d: alloc handed out slot %d, still live under %v", step, slot, k)
@@ -219,10 +219,10 @@ func TestFlatTableModel(t *testing.T) {
 	}
 	t.Run("seed layouts", func(t *testing.T) {
 		var ns treeStore
-		ns.grow()
+		ns.grow(nil)
 		var ix invIndex
 		for _, i := range []int{1, 2, 3} {
-			ns.alloc(flatKeys[i], 0, rootSlot)
+			ns.alloc(flatKeys[i], 0, rootSlot, nil)
 			ix.add(flatVerts[i], 0, 0, rootSlot)
 		}
 		last := len(ns.buckets) - 1
@@ -331,7 +331,7 @@ func TestSlotStoreFreeListModel(t *testing.T) {
 					next++
 				}
 				k, ts := nodeKey(step), int64(step)
-				got := ns.alloc(k, ts, rootSlot)
+				got := ns.alloc(k, ts, rootSlot, nil)
 				if got != want {
 					t.Fatalf("trial %d step %d: alloc = slot %d, the stack pops %d", trial, step, got, want)
 				}

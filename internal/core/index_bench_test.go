@@ -26,7 +26,7 @@ func BenchmarkTreeLookup(b *testing.B) {
 		for i := range n {
 			hits[i] = mkNodeKey(stream.VertexID(i/2), int32(i%2))
 			misses[i] = mkNodeKey(stream.VertexID(n+i/2), int32(i%2))
-			ns.alloc(hits[i], 1, rootSlot)
+			ns.alloc(hits[i], 1, rootSlot, nil)
 		}
 		for _, c := range []struct {
 			name string

@@ -63,6 +63,12 @@ func (e *RAPQ) AttachGraph(g *graph.Graph) { e.g = g }
 // the shared graph at epoch ep.
 func (e *RAPQ) SetReadEpoch(ep graph.Epoch) { e.epoch = ep }
 
+// SetParking implements MemberEngine: from now on the engine's trees
+// take the arrays they grow into from p and park the arrays they outgrow
+// or leave when dropped. p's owner runs every engine it lends to on one
+// goroutine and empties it at each batch boundary.
+func (e *RAPQ) SetParking(p *Parking) { e.park = p }
+
 // SetSink redirects the engine's result stream. A dynamically
 // registered member swaps sinks exactly once, at activation: the
 // bootstrap replay captures the window's live result set into a scratch
@@ -183,7 +189,7 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 func (e *RAPQ) rootedTree(x stream.VertexID) *tree {
 	tx := e.ensureTree(x)
 	if tx.ns.buckets == nil {
-		tx.ns.grow()
+		tx.ns.grow(e.park)
 	}
 	return tx
 }
@@ -271,7 +277,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			if e.a.Final[op.t] {
 				wasLive = sc.wasLive(op.v) || e.isLive(tx, op.v, validFrom)
 			}
-			slot = ns.alloc(key, newTS, op.parent)
+			slot = ns.alloc(key, newTS, op.parent, e.park)
 			ns.attach(op.parent, slot)
 			e.inv.add(op.v, tx.root, op.t, slot)
 			if e.a.Final[op.t] && newTS > validFrom && !wasLive {

@@ -189,7 +189,7 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 		ent.marked = true // line 9: first instance gets marked
 		e.inv.add(v, tx.root, t, noSlot)
 	}
-	node := ns.alloc(key, newTS, parent)
+	node := ns.alloc(key, newTS, parent, e.park)
 	ns.attach(parent, node)
 	ent.slots = append(ent.slots, node)
 	tx.inst[key] = ent

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"streamrpq/internal/graph"
@@ -122,7 +122,7 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 	for root := range e.trees {
 		roots = append(roots, root)
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	slices.Sort(roots)
 	for _, root := range roots {
 		tx := e.trees[root]
 		ns := &tx.ns
@@ -133,7 +133,7 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 				keys = append(keys, ns.nodes[slot].key)
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		for _, key := range keys {
 			slot := ns.lookup(key)
 			pk := ns.nodes[ns.nodes[slot].parent].key
@@ -187,7 +187,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			if store.lookup(key) >= 0 {
 				return fmt.Errorf("core: restore: duplicate node (%d,%d) in tree %d", n.V, n.S, ts.Root)
 			}
-			slot := store.alloc(key, n.TS, 0)
+			slot := store.alloc(key, n.TS, 0, e.park)
 			store.nodes[slot].parent = slot // placeholder until linked below
 			e.inv.add(n.V, tx.root, n.S, slot)
 		}
@@ -253,20 +253,14 @@ func SnapshotEdges(g *graph.Graph) []graph.Edge {
 		edges = append(edges, e)
 		return true
 	})
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Label < b.Label
-	})
+	slices.SortFunc(edges, compareEdges)
 	return edges
+}
+
+// compareEdges orders edges by (TS, Src, Dst, Label).
+func compareEdges(a, b graph.Edge) int {
+	return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Src, b.Src),
+		cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Label, b.Label))
 }
 
 // RestoreEdges inserts snapshot edges into a fresh graph in order.

@@ -51,9 +51,13 @@ func (ns *slotStore) size() int { return len(ns.nodes) - int(ns.nfree) }
 
 // alloc creates a node with the given key, timestamp and parent slot
 // and returns its slot (not yet linked into the parent's child list).
-func (ns *slotStore) alloc(k nodeKey, ts int64, parent int32) int32 {
+// A full array grows through p (Parking.grownNodes).
+func (ns *slotStore) alloc(k nodeKey, ts int64, parent int32, p *Parking) int32 {
 	n := node{key: k, ts: ts, parent: parent, firstChild: -1, nextSib: -1, prevSib: -1}
 	if ns.free == 0 {
+		if len(ns.nodes) == cap(ns.nodes) {
+			ns.nodes = p.grownNodes(ns.nodes)
+		}
 		ns.nodes = append(ns.nodes, n)
 		return int32(len(ns.nodes) - 1)
 	}
@@ -162,10 +166,10 @@ func (ns *treeStore) lookup(k nodeKey) int32 {
 }
 
 // alloc creates a node under its key; see slotStore.alloc.
-func (ns *treeStore) alloc(k nodeKey, ts int64, parent int32) int32 {
-	slot := ns.slotStore.alloc(k, ts, parent)
+func (ns *treeStore) alloc(k nodeKey, ts int64, parent int32, p *Parking) int32 {
+	slot := ns.slotStore.alloc(k, ts, parent, p)
 	if 2*ns.size() > len(ns.buckets) {
-		ns.grow()
+		ns.grow(p)
 	} else {
 		ns.index(slot)
 	}
@@ -182,10 +186,11 @@ func (ns *treeStore) index(slot int32) {
 	ns.buckets[i&mask] = slot + 1
 }
 
-// grow doubles the table (or creates it) and re-enters every live slot.
-func (ns *treeStore) grow() {
-	n := max(minBuckets, 2*len(ns.buckets))
-	ns.buckets, ns.shift = make([]int32, n), tableShift(n)
+// grow doubles the table (or creates it), taking the new buckets from
+// p, and re-enters every live slot.
+func (ns *treeStore) grow(p *Parking) {
+	ns.buckets = p.grownBuckets(ns.buckets)
+	ns.shift = tableShift(len(ns.buckets))
 	for slot := int32(0); slot < int32(len(ns.nodes)); slot++ {
 		if ns.live(slot) {
 			ns.index(slot)
@@ -209,4 +214,101 @@ func (ns *treeStore) release(slot int32) {
 	}
 	ns.buckets[i] = 0
 	ns.slotStore.release(slot)
+}
+
+// Parking lends arrays between the trees of the engines that share it:
+// the node arrays and key-table buckets that growing trees outgrew and
+// dropped trees left, by power-of-two capacity class. Under a parking
+// both kinds grow by doubling (grownNodes, grownBuckets), so every array
+// is a power of two long, and a tree that takes its next capacity from
+// the parking holds exactly the capacities a fresh tree would: only
+// where the arrays come from changes. Its owner empties it (Release) at
+// each batch boundary, so retention is bounded by one batch's churn,
+// and it takes no lock: the owner runs every engine that shares it on
+// one goroutine. A nil Parking is valid: it parks nothing, and its
+// trees grow as Go's append grows a slice.
+type Parking struct {
+	nodes   shelf[node]
+	buckets shelf[int32]
+}
+
+// shelf is one kind of array of a parking, listed by capacity class
+// (log2 of the capacity; slots are int32, so 32 classes are enough).
+type shelf[T any] [32][][]T
+
+// take returns an empty array of capacity n (a power of two): the one
+// parked last in its class if there is one, else a fresh one. Its
+// elements may hold a former owner's values.
+func (sh *shelf[T]) take(n int) []T {
+	c := bits.TrailingZeros(uint(n))
+	l := sh[c]
+	if len(l) == 0 {
+		return make([]T, 0, n)
+	}
+	a := l[len(l)-1]
+	l[len(l)-1] = nil
+	sh[c] = l[:len(l)-1]
+	return a[:0]
+}
+
+// park shelves a, which its owner no longer reads.
+func (sh *shelf[T]) park(a []T) {
+	if cap(a) > 0 {
+		c := bits.TrailingZeros(uint(cap(a)))
+		sh[c] = append(sh[c], a)
+	}
+}
+
+// grownNodes returns a node array with room for one more node, holding
+// a's nodes: under a parking one of twice a's capacity (at least 1),
+// taken from it, with a parked.
+func (p *Parking) grownNodes(a []node) []node {
+	if p == nil {
+		return append(a, node{})[:len(a)]
+	}
+	grown := append(p.nodes.take(max(1, 2*cap(a))), a...)
+	p.nodes.park(a)
+	return grown
+}
+
+// grownBuckets returns an empty key table of twice old's size (at least
+// minBuckets) and parks old.
+func (p *Parking) grownBuckets(old []int32) []int32 {
+	n := max(minBuckets, 2*len(old))
+	if p == nil {
+		return make([]int32, n)
+	}
+	b := p.buckets.take(n)[:n]
+	clear(b)
+	p.buckets.park(old)
+	return b
+}
+
+// drop parks both arrays of a tree Δ no longer holds.
+func (p *Parking) drop(ns *treeStore) {
+	if p != nil {
+		p.nodes.park(ns.nodes)
+		p.buckets.park(ns.buckets)
+	}
+	ns.nodes, ns.buckets = nil, nil
+}
+
+// Release drops every parked array, so that between batches the parking
+// holds none; the class lists keep their capacity for the next batch.
+func (p *Parking) Release() {
+	for c := range p.nodes {
+		clear(p.nodes[c])
+		p.nodes[c] = p.nodes[c][:0]
+		clear(p.buckets[c])
+		p.buckets[c] = p.buckets[c][:0]
+	}
+}
+
+// Parked returns the number of arrays the parking holds.
+func (p *Parking) Parked() int {
+	n := 0
+	for c := range p.nodes {
+		n += len(p.nodes[c]) + len(p.buckets[c])
+	}
+	return n
 }

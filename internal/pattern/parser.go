@@ -13,12 +13,30 @@ type ParseError struct {
 }
 
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("pattern: %s at offset %d in %q", e.Msg, e.Pos, e.Input)
+	in := e.Input
+	if len(in) > MaxLen {
+		in = in[:MaxLen] + "..."
+	}
+	return fmt.Sprintf("pattern: %s at offset %d in %q", e.Msg, e.Pos, in)
 }
+
+// The parser's limits (see the package comment). The longest expression
+// of the test corpora (Table 2's templates, the fixtures, the gMark
+// workloads and their rewrites) is 347 bytes, the deepest 6 levels.
+const (
+	// MaxLen is the longest input Parse scans, in bytes.
+	MaxLen = 16 << 10
+	// MaxDepth bounds the nesting of parentheses plus the postfix
+	// operators applied at each level.
+	MaxDepth = 64
+)
 
 // Parse parses an RPQ regular expression in the ASCII dialect described
 // in the package comment and returns its AST.
 func Parse(input string) (*Expr, error) {
+	if len(input) > MaxLen {
+		return nil, &ParseError{Input: input, Pos: MaxLen, Msg: fmt.Sprintf("expression longer than %d bytes", MaxLen)}
+	}
 	p := &parser{input: input}
 	p.next()
 	e, err := p.alt()
@@ -61,6 +79,7 @@ type parser struct {
 	tok   token  // current token
 	lit   string // literal for tokLabel
 	start int    // offset of current token
+	depth int    // enclosing alts plus the postfix operators of the current unary
 }
 
 func isLabelByte(c byte) bool {
@@ -147,6 +166,10 @@ func (p *parser) tokString() string {
 
 // alt := concat ('|' concat)*
 func (p *parser) alt() (*Expr, error) {
+	if p.depth++; p.depth > MaxDepth {
+		return nil, p.errorf("expression nested deeper than %d", MaxDepth)
+	}
+	defer func() { p.depth-- }()
 	first, err := p.concat()
 	if err != nil {
 		return nil, err
@@ -197,21 +220,22 @@ func (p *parser) unary() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	defer func(depth int) { p.depth = depth }(p.depth)
+	for p.tok == tokStar || p.tok == tokPlus || p.tok == tokOpt {
+		if p.depth++; p.depth > MaxDepth {
+			return nil, p.errorf("expression nested deeper than %d", MaxDepth)
+		}
 		switch p.tok {
 		case tokStar:
 			e = Star(e)
-			p.next()
 		case tokPlus:
 			e = Plus(e)
-			p.next()
-		case tokOpt:
-			e = Opt(e)
-			p.next()
 		default:
-			return e, nil
+			e = Opt(e)
 		}
+		p.next()
 	}
+	return e, nil
 }
 
 // atom := label | '(' alt ')' | '()'

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -78,6 +79,51 @@ func TestParseErrorHasPosition(t *testing.T) {
 	}
 	if !strings.Contains(pe.Error(), "a/(b|") {
 		t.Errorf("error %q does not mention input", pe.Error())
+	}
+}
+
+// TestParseLimits: an expression past MaxLen or nested past MaxDepth —
+// by parentheses or by postfix operators — is a *ParseError with an
+// offset, returned at once, and one at the limits parses.
+func TestParseLimits(t *testing.T) {
+	nest := func(n int) string { return strings.Repeat("(", n) + "a" + strings.Repeat(")", n) }
+	for _, tc := range []struct {
+		name string
+		in   string
+		pos  int
+	}{
+		{"parentheses 100 000 deep", nest(100_000), MaxLen},
+		{"a million stars", "a" + strings.Repeat("*", 1_000_000), MaxLen},
+		{"parentheses past MaxDepth", nest(MaxDepth), MaxDepth},
+		{"stars past MaxDepth", "a" + strings.Repeat("*", MaxDepth), MaxDepth},
+		{"stars inside parentheses", strings.Repeat("(", MaxDepth/2) + "a" + strings.Repeat("+", MaxDepth/2) + strings.Repeat(")", MaxDepth/2), MaxDepth},
+	} {
+		start := time.Now()
+		_, err := Parse(tc.in)
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s: Parse took %v", tc.name, d)
+		}
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Errorf("%s: want *ParseError, got %T: %v", tc.name, err, err)
+			continue
+		}
+		if pe.Pos != tc.pos {
+			t.Errorf("%s: error offset %d, want %d", tc.name, pe.Pos, tc.pos)
+		}
+		if len(pe.Error()) > MaxLen+200 {
+			t.Errorf("%s: error message is %d bytes long", tc.name, len(pe.Error()))
+		}
+	}
+	for _, in := range []string{
+		nest(MaxDepth - 1),
+		"a" + strings.Repeat("?", MaxDepth-1),
+		strings.Repeat("a/", MaxLen/2-1) + "a",
+		strings.Repeat("(a*/b*)/", MaxDepth) + "c",
+	} {
+		if _, err := Parse(in); err != nil {
+			t.Errorf("Parse(%.40q...) within the limits: %v", in, err)
+		}
 	}
 }
 

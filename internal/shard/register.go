@@ -68,10 +68,11 @@ func (s *Engine) checkLabelSpace(a *automaton.Bound) error {
 }
 
 // newGroup builds the member's own group around engine e, on the shard
-// its registration index selects.
+// its registration index selects, whose parking e's trees share.
 func (s *Engine) newGroup(e core.MemberEngine, mb *member) *group {
 	e.AttachGraph(s.g)
 	w := s.workers[mb.index%len(s.workers)]
+	e.SetParking(&w.park)
 	g := &group{engine: e, bound: mb.bound, key: mb.key, subs: []int{mb.index}, w: w}
 	mb.group = g
 	return g
@@ -135,7 +136,9 @@ func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 		e.BootstrapFromGraph(s.g)
 		return nil
 	}
-	if s.err = boot(); s.err != nil {
+	s.err = boot()
+	g.w.park.Release()
+	if s.err != nil {
 		s.members[mb.index] = nil // never activated
 		return nil, s.err
 	}

@@ -37,13 +37,16 @@ type reply struct {
 // the shard's per-label dispatch index over its own groups (positions
 // into w.groups), rebuilt by the coordinator on membership changes
 // between batches; dispatches / relevanceSkips count the (step, group)
-// pairs it admitted and avoided.
+// pairs it admitted and avoided. park lends tree arrays between the
+// shard's groups, which all run on one goroutine; it is emptied at every
+// batch boundary (apply, Add's bootstrap, RestoreState).
 type worker struct {
 	id     int
 	groups []*group
 	rel    core.RelevanceIndex
 	in     chan []step
 	out    chan reply
+	park   core.Parking
 
 	// buf is the buffer emissions go to: the shard's reply, which the
 	// coordinator has merged before it sends the next batch — or, for the
@@ -154,10 +157,12 @@ func (w *worker) run() {
 }
 
 // apply processes one batch's steps, each at its own epoch, into the
-// shard's buffer in canonical order. A panic in a member engine is
-// recovered into the reply — the coordinator turns it into the sticky
-// engine error — so a fault cannot take the whole process down.
+// shard's buffer in canonical order, and empties the shard's parking. A
+// panic in a member engine is recovered into the reply — the
+// coordinator turns it into the sticky engine error — so a fault cannot
+// take the whole process down.
 func (w *worker) apply(steps []step) (rep reply) {
+	defer w.park.Release()
 	defer func() {
 		if r := recover(); r != nil {
 			rep = reply{err: fmt.Errorf("shard %d: member engine panic: %v", w.id, r)}

@@ -143,7 +143,9 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	s.dispatchBase = st.Dispatches
 	s.skipBase = st.RelevanceSkips
 	for gi, g := range s.groups {
-		if err := g.engine.RestoreState(from[g]); err != nil {
+		err := g.engine.RestoreState(from[g])
+		g.w.park.Release()
+		if err != nil {
 			return fmt.Errorf("shard: restore group %d: %w", gi, err)
 		}
 	}

@@ -22,11 +22,14 @@
 package streamrpq
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"streamrpq/internal/automaton"
 	"streamrpq/internal/core"
 	"streamrpq/internal/pattern"
+	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
 
@@ -215,7 +218,8 @@ type Evaluator struct {
 	fe        frontEnd
 	engine    core.Engine
 
-	batch   []Match // matches produced by the current Ingest call
+	batch   []Match      // matches produced by the current Ingest call
+	pending []core.Match // the matches of the tuple being processed
 	onInval func(Match)
 }
 
@@ -240,7 +244,7 @@ func NewEvaluator(q *Query, opts ...Option) (*Evaluator, error) {
 	// labels outside it receive larger ids and are dropped by the engines.
 	bound := ev.fe.bind(q)
 	sink := core.FuncSink{
-		Match: func(m core.Match) { ev.batch = append(ev.batch, ev.fe.decode(m)) },
+		Match: func(m core.Match) { ev.pending = append(ev.pending, m) },
 		Invalidate: func(m core.Match) {
 			if ev.onInval != nil {
 				ev.onInval(ev.fe.decode(m))
@@ -273,11 +277,12 @@ func (ev *Evaluator) Query() *Query { return ev.query }
 // Semantics returns the evaluator's path semantics.
 func (ev *Evaluator) Semantics() Semantics { return ev.semantics }
 
-// Ingest consumes one tuple and returns the result pairs it produced.
-// Tuples must arrive in non-decreasing timestamp order unless the
-// evaluator was built with WithSlack; out-of-order tuples beyond the
-// tolerance are rejected with an error before touching engine state.
-// The returned slice is reused by the next Ingest call.
+// Ingest consumes one tuple and returns the result pairs it produced,
+// each released tuple's in (From, To) vertex-id order. Tuples must
+// arrive in non-decreasing timestamp order unless the evaluator was
+// built with WithSlack; out-of-order tuples beyond the tolerance are
+// rejected with an error before touching engine state. The returned
+// slice is reused by the next Ingest call.
 func (ev *Evaluator) Ingest(t Tuple) ([]Match, error) {
 	ms, err := ev.ingest(t)
 	if err != nil {
@@ -297,7 +302,7 @@ func (ev *Evaluator) ingest(t Tuple) ([]Match, error) {
 	encoded := ev.fe.encode(t)
 	ev.batch = ev.batch[:0]
 	if ev.fe.reorder == nil {
-		ev.engine.Process(encoded)
+		ev.process(encoded)
 		return ev.batch, nil
 	}
 	released, err := ev.fe.reorder.Offer(encoded)
@@ -305,9 +310,24 @@ func (ev *Evaluator) ingest(t Tuple) ([]Match, error) {
 		return nil, err
 	}
 	for _, rt := range released {
-		ev.engine.Process(rt)
+		ev.process(rt)
 	}
 	return ev.batch, nil
+}
+
+// process runs one encoded tuple through the engine and appends its
+// matches to the batch in the order the multi-query coordinator gives
+// one tuple's matches: by (From, To) id. The engine emits them in the
+// order its insert cascade finds them, which depends on tree shape.
+func (ev *Evaluator) process(t stream.Tuple) {
+	ev.engine.Process(t)
+	slices.SortFunc(ev.pending, func(a, b core.Match) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	for _, m := range ev.pending {
+		ev.batch = append(ev.batch, ev.fe.decode(m))
+	}
+	ev.pending = ev.pending[:0]
 }
 
 // Flush drains the out-of-order buffer (WithSlack) at end-of-stream,
@@ -320,7 +340,7 @@ func (ev *Evaluator) Flush() []Match {
 		return nil
 	}
 	for _, rt := range ev.fe.reorder.Flush() {
-		ev.engine.Process(rt)
+		ev.process(rt)
 	}
 	return ev.batch
 }
