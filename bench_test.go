@@ -4,9 +4,9 @@
 // unless noted otherwise; compare ns/op across sub-benchmarks to read
 // the paper's orderings (run `go test -bench=. -benchmem`).
 //
-// The experiment drivers in internal/experiments print the full
-// tables; these benchmarks are the stable, `testing.B`-native view of
-// the same quantities.
+// This is the timing view of the exhibits. TestPaperClaims
+// (paper_test.go) asserts the same exhibits' claims over exact
+// counters.
 package streamrpq_test
 
 import (
@@ -255,7 +255,7 @@ func BenchmarkTable4RSPQ(b *testing.B) {
 			replay(b, engine, tc.d)
 		})
 		b.Run(tc.d.Name+"/"+tc.name+"/RSPQ", func(b *testing.B) {
-			engine := core.NewRSPQ(q.Bound, benchWindow(tc.d), core.WithMaxExtends(1<<14))
+			engine := core.NewRSPQ(q.Bound, benchWindow(tc.d), core.WithMaxExtends(table4Budget))
 			replay(b, engine, tc.d)
 		})
 	}

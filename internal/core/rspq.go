@@ -56,8 +56,8 @@ func NewRSPQ(a *automaton.Bound, spec window.Spec, opts ...Option) *RSPQ {
 
 // BudgetExceeded reports whether any tuple's Extend cascade was cut off
 // by WithMaxExtends. Once true, results may be incomplete (§4: the
-// problem is NP-hard in the presence of conflicts); the experiment
-// drivers report such a query as infeasible under simple path semantics.
+// problem is NP-hard in the presence of conflicts), so the query counts
+// as infeasible under simple path semantics (Table 4).
 func (e *RSPQ) BudgetExceeded() bool { return e.budgetHit }
 
 // applyInsert is Algorithm RSPQ lines 3–13.

@@ -1,5 +1,5 @@
-// Package datasets generates the synthetic streaming graphs used by
-// the experiment harness. Each generator reproduces the structural
+// Package datasets generates the synthetic streaming graphs of the
+// paper's evaluation (§5). Each generator reproduces the structural
 // properties the paper attributes to its real-world counterpart
 // (§5.1.2), in place of the dataset itself:
 //
@@ -11,7 +11,7 @@
 //   - Yago: the Yago2s RDF graph — sparse, heterogeneous, ~100 labels
 //     with Zipf-skewed frequencies and monotone synthetic timestamps.
 //   - GMark: a gMark-style schema-driven graph and query-workload
-//     generator for the sensitivity experiments (Figures 7–9).
+//     generator for the sensitivity figures (Figures 7–9).
 package datasets
 
 import (

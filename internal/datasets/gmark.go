@@ -19,8 +19,7 @@ type GMarkConfig struct {
 	Seed         int64
 }
 
-// DefaultGMark returns the configuration used by the experiment
-// drivers.
+// DefaultGMark returns the reference configuration.
 func DefaultGMark(edges int) GMarkConfig {
 	return GMarkConfig{
 		Edges:        edges,

@@ -37,8 +37,7 @@ type LDBCConfig struct {
 	Seed         int64
 }
 
-// DefaultLDBC returns the configuration used by the experiment
-// drivers.
+// DefaultLDBC returns the reference configuration.
 func DefaultLDBC(edges int) LDBCConfig {
 	return LDBCConfig{
 		Edges:        edges,

@@ -21,8 +21,8 @@ type SOConfig struct {
 	Seed          int64
 }
 
-// DefaultSO returns the configuration used by the experiment drivers,
-// scaled by the given number of edges.
+// DefaultSO returns the reference configuration, scaled by the given
+// number of edges.
 func DefaultSO(edges int) SOConfig {
 	return SOConfig{
 		Edges:         edges,

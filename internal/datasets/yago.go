@@ -17,8 +17,7 @@ type YagoConfig struct {
 	Seed         int64
 }
 
-// DefaultYago returns the configuration used by the experiment
-// drivers.
+// DefaultYago returns the reference configuration.
 func DefaultYago(edges int) YagoConfig {
 	return YagoConfig{
 		Edges:        edges,

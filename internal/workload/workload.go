@@ -102,8 +102,8 @@ func Queries(d *datasets.Dataset) ([]Query, error) {
 	return out, nil
 }
 
-// MustQueries is Queries panicking on error, for experiment drivers
-// with statically known datasets.
+// MustQueries is Queries panicking on error, for callers whose
+// datasets are statically known.
 func MustQueries(d *datasets.Dataset) []Query {
 	qs, err := Queries(d)
 	if err != nil {
