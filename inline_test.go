@@ -63,14 +63,14 @@ func TestInlineMatchesReference(t *testing.T) {
 	}
 	var refCanon []facadeEntry
 	var cur int
-	for qi, member := range inline.queries {
+	for qi, q := range inline.queries {
 		emit := func(inval bool) func(core.Match) {
 			return func(m core.Match) {
 				refCanon = append(refCanon, facadeEntry{Tuple: cur, Query: qi, Inval: inval, M: inline.fe.decode(m)})
 			}
 		}
 		sink := core.FuncSink{Match: emit(false), Invalidate: emit(true)}
-		if _, err := ref.Add(member.bound, core.WithSink(sink)); err != nil {
+		if _, err := ref.Add(inline.fe.bind(q), core.WithSink(sink)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,8 @@ package automaton
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,6 +47,13 @@ func (d *DFA) Accepts(word []string) bool {
 // Determinize converts the NFA into an equivalent DFA via subset
 // construction. Unreachable subsets are never materialized.
 func Determinize(n *NFA) *DFA {
+	d, _ := determinize(n, math.MaxInt)
+	return d
+}
+
+// determinize is Determinize with a state bound: it stops, with an
+// error, once it has built more than maxStates subsets.
+func determinize(n *NFA, maxStates int) (*DFA, error) {
 	alpha := map[string]struct{}{}
 	for _, st := range n.states {
 		if st.label != "" {
@@ -58,69 +67,65 @@ func Determinize(n *NFA) *DFA {
 	sort.Strings(alphabet)
 
 	d := &DFA{Alphabet: alphabet}
-	key := func(set []int) string {
-		var b strings.Builder
-		for i, s := range set {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", s)
-		}
-		return b.String()
-	}
+	// A subset's key is its sorted state ids, packed as uvarints.
 	idOf := map[string]int{}
+	var key []byte
 	var sets [][]int
 	newState := func(set []int) int {
-		k := key(set)
-		if id, ok := idOf[k]; ok {
+		key = key[:0]
+		for _, s := range set {
+			key = binary.AppendUvarint(key, uint64(s))
+		}
+		if id, ok := idOf[string(key)]; ok {
 			return id
 		}
 		id := len(sets)
-		idOf[k] = id
-		sets = append(sets, set)
-		final := false
-		for _, s := range set {
-			if s == n.accept {
-				final = true
-				break
-			}
-		}
-		d.Final = append(d.Final, final)
+		idOf[string(key)] = id
+		sets = append(sets, slices.Clone(set))
+		d.Final = append(d.Final, slices.Contains(set, n.accept))
 		d.Trans = append(d.Trans, map[string]int{})
 		return id
 	}
 
-	start := newState(n.closure([]int{n.start}))
+	type edge struct {
+		label string
+		to    int
+	}
+	var edges []edge
+	var targets, next []int
+	seen := make([]bool, len(n.states))
+	start := newState(n.appendClosure(nil, seen, []int{n.start}))
 	d.Start = start
 	for work := []int{start}; len(work) > 0; {
 		id := work[0]
 		work = work[1:]
-		set := sets[id]
-		// Group successors by label.
-		byLabel := map[string][]int{}
-		for _, s := range set {
+		// The subset's labelled transitions, grouped by label in sorted
+		// order: deterministic state numbering.
+		edges = edges[:0]
+		for _, s := range sets[id] {
 			if l := n.states[s].label; l != "" {
-				byLabel[l] = append(byLabel[l], n.states[s].to)
+				edges = append(edges, edge{l, n.states[s].to})
 			}
 		}
-		labels := make([]string, 0, len(byLabel))
-		for l := range byLabel {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels) // deterministic state numbering
-		for _, l := range labels {
-			targets := byLabel[l]
-			sort.Ints(targets)
-			next := n.closure(dedupSorted(targets))
+		slices.SortFunc(edges, func(a, b edge) int { return strings.Compare(a.label, b.label) })
+		for lo, hi := 0, 0; lo < len(edges); lo = hi {
+			targets = targets[:0]
+			for hi = lo; hi < len(edges) && edges[hi].label == edges[lo].label; hi++ {
+				targets = append(targets, edges[hi].to)
+			}
+			next = n.appendClosure(next[:0], seen, targets)
 			before := len(sets)
 			tid := newState(next)
 			if tid == before { // newly discovered
+				if len(sets) > maxStates {
+					return nil, fmt.Errorf("automaton: subset construction exceeds %d states", maxStates)
+				}
 				work = append(work, tid)
 			}
-			d.Trans[id][l] = tid
+			d.Trans[id][edges[lo].label] = tid
 		}
 	}
-	return d
+	return d, nil
 }
 
 // Minimize returns the minimal DFA equivalent to d by Moore's partition
@@ -211,6 +216,20 @@ func (d *DFA) Minimize() *DFA {
 // paper.
 func Compile(e *pattern.Expr) *DFA {
 	return Determinize(Thompson(e)).Minimize()
+}
+
+// CompileWithin is Compile with a state bound for pattern text from
+// outside: it refuses, with an error, an expression whose subset DFA
+// has more than maxStates states, and stops building that DFA as soon
+// as it does. The refusal is of the subset DFA, not only of the minimal
+// one: an expression whose minimal DFA fits the bound is refused all
+// the same when its subset DFA does not.
+func CompileWithin(e *pattern.Expr, maxStates int) (*DFA, error) {
+	d, err := determinize(Thompson(e), maxStates)
+	if err != nil {
+		return nil, err
+	}
+	return d.Minimize(), nil
 }
 
 // Containment computes the suffix-language containment matrix of the

@@ -11,7 +11,7 @@
 package automaton
 
 import (
-	"sort"
+	"slices"
 
 	"streamrpq/internal/pattern"
 )
@@ -117,30 +117,38 @@ func (n *NFA) build(e *pattern.Expr) (int, int) {
 	return s, a
 }
 
-// closure expands set (a sorted slice of state ids) to its ε-closure,
-// returning a sorted, deduplicated slice.
+// closure expands set to its ε-closure, returning a sorted,
+// deduplicated slice.
 func (n *NFA) closure(set []int) []int {
-	seen := make(map[int]bool, len(set)*2)
-	stack := append([]int(nil), set...)
+	return n.appendClosure(nil, make([]bool, len(n.states)), set)
+}
+
+// appendClosure appends the ε-closure of set, sorted and deduplicated,
+// to dst. seen holds one flag per NFA state; it must be all false, and
+// it is all false again on return.
+func (n *NFA) appendClosure(dst []int, seen []bool, set []int) []int {
+	base := len(dst)
 	for _, s := range set {
-		seen[s] = true
+		if !seen[s] {
+			seen[s] = true
+			dst = append(dst, s)
+		}
 	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range n.states[s].eps {
+	// dst[base:] is its own work list: a state's ε-successors are
+	// appended behind it.
+	for i := base; i < len(dst); i++ {
+		for _, t := range n.states[dst[i]].eps {
 			if !seen[t] {
 				seen[t] = true
-				stack = append(stack, t)
+				dst = append(dst, t)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
+	for _, s := range dst[base:] {
+		seen[s] = false
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // Accepts reports whether the NFA accepts the word. It simulates the
@@ -157,8 +165,7 @@ func (n *NFA) Accepts(word []string) bool {
 		if len(next) == 0 {
 			return false
 		}
-		sort.Ints(next)
-		cur = n.closure(dedupSorted(next))
+		cur = n.closure(next)
 	}
 	for _, s := range cur {
 		if s == n.accept {
@@ -166,14 +173,4 @@ func (n *NFA) Accepts(word []string) bool {
 		}
 	}
 	return false
-}
-
-func dedupSorted(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -246,7 +246,7 @@ func TestRAPQReplayDeterminism(t *testing.T) {
 		st := e.Stats()
 		st.ExpiryTime = 0 // wall clock
 		state := e.SnapshotState()
-		state.Stats.ExpiryTimeNS = 0
+		state.Stats.ExpiryTime = 0
 		return hex.EncodeToString(sink.match.Sum(nil)), hex.EncodeToString(sink.inv.Sum(nil)), st, widest, state
 	}
 	for _, c := range []struct {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"streamrpq/internal/graph"
 	"streamrpq/internal/stream"
@@ -24,48 +23,6 @@ import (
 // Restore is only legal on a freshly constructed engine (same automaton,
 // same window spec); restoring rebuilds the derived structures (children
 // sets, key tables, inverted indexes) from the flat node lists.
-
-// StatState is the restartable subset of Stats: the monotone counters
-// that survive a checkpoint/recovery cycle so result numbering and
-// throughput accounting stay continuous. Sizes (Trees, Nodes, Edges,
-// Vertices) are recomputed, not stored.
-type StatState struct {
-	Results        int64
-	Invalidations  int64
-	TuplesSeen     int64
-	TuplesDropped  int64
-	ExpiryRuns     int64
-	ExpiryTimeNS   int64
-	InsertCalls    int64
-	ConflictsFound int64
-	Unmarkings     int64
-}
-
-func statStateOf(s Stats) StatState {
-	return StatState{
-		Results:        s.Results,
-		Invalidations:  s.Invalidations,
-		TuplesSeen:     s.TuplesSeen,
-		TuplesDropped:  s.TuplesDropped,
-		ExpiryRuns:     s.ExpiryRuns,
-		ExpiryTimeNS:   int64(s.ExpiryTime),
-		InsertCalls:    s.InsertCalls,
-		ConflictsFound: s.ConflictsFound,
-		Unmarkings:     s.Unmarkings,
-	}
-}
-
-func (st StatState) apply(s *Stats) {
-	s.Results = st.Results
-	s.Invalidations = st.Invalidations
-	s.TuplesSeen = st.TuplesSeen
-	s.TuplesDropped = st.TuplesDropped
-	s.ExpiryRuns = st.ExpiryRuns
-	s.ExpiryTime = time.Duration(st.ExpiryTimeNS)
-	s.InsertCalls = st.InsertCalls
-	s.ConflictsFound = st.ConflictsFound
-	s.Unmarkings = st.Unmarkings
-}
 
 // TreeNodeState is one non-root node of a RAPQ spanning tree: the
 // (vertex, state) pair, its path timestamp, and its parent's key.
@@ -105,7 +62,7 @@ type RAPQState struct {
 	Now      int64
 	Deadline int64
 	Win      window.State
-	Stats    StatState
+	Stats    Stats // the counters; sizes are recomputed on restore
 	Trees    []TreeState
 }
 
@@ -116,7 +73,7 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 		Now:      e.now,
 		Deadline: e.deadline,
 		Win:      e.win.State(),
-		Stats:    statStateOf(e.stats),
+		Stats:    e.stats,
 	}
 	roots := make([]stream.VertexID, 0, len(e.trees))
 	for root := range e.trees {
@@ -176,7 +133,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 	e.now = st.Now
 	e.deadline = st.Deadline
 	e.win.SetState(st.Win)
-	st.Stats.apply(&e.stats)
+	e.stats = st.Stats
 	for _, ts := range st.Trees {
 		tx := e.rootedTree(ts.Root)
 		store := &tx.ns

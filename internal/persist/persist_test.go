@@ -21,7 +21,6 @@ func testSnapshot(gen uint64) *Snapshot {
 	return &Snapshot{
 		Gen:            gen,
 		Spec:           window.Spec{Size: 100, Slide: 5},
-		Sharded:        true,
 		Shards:         4,
 		Queries:        []string{"a/b*", "(a|b)+"},
 		Vertices:       []string{"x", "y", "z"},
@@ -44,7 +43,7 @@ func testSnapshot(gen uint64) *Snapshot {
 					Now:      int64(1000 + gen),
 					Deadline: 900,
 					Win:      window.State{Boundary: 995, Started: true},
-					Stats:    core.StatState{Results: 7, TuplesSeen: 50},
+					Stats:    core.Stats{Results: 7, TuplesSeen: 50},
 					Trees: []core.TreeState{
 						{Root: 0, Nodes: []core.TreeNodeState{
 							{V: 1, S: 1, TS: 990, ParentV: 0, ParentS: 0},

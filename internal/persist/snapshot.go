@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"time"
 
 	"streamrpq/internal/core"
 	"streamrpq/internal/graph"
@@ -55,16 +56,14 @@ const (
 
 // Snapshot is the full checkpointable state of a facade evaluator: the
 // metadata needed to reconstruct it (window spec, query sources in
-// registration order, backend kind and shard count), the dictionaries,
-// the facade stream clock, and the coordinator state (shared graph +
-// window clock + per-query Δ indexes).
+// registration order and shard count), the dictionaries, the facade
+// stream clock, and the coordinator state (shared graph + window clock
+// + per-query Δ indexes).
 type Snapshot struct {
 	Gen            uint64
 	Spec           window.Spec
-	Sharded        bool // format v4 keeps the byte: the facade writes Shards > 1, recovery reads Shards
 	Shards         int
-	Sharing        bool     // format v4's sharing flag; the facade writes true and ignores it on recovery
-	Queries        []string // source expressions, registration order
+	Queries        []string // source expressions, registration order; "" = a removed slot
 	Vertices       []string // vertex dictionary, id order
 	Labels         []string // label dictionary, id order
 	LastTS         int64
@@ -74,26 +73,28 @@ type Snapshot struct {
 	State          *core.MultiState
 }
 
-func encodeStats(e *encoder, st core.StatState) {
+// encodeStats writes the restartable counters of an engine's Stats;
+// sizes (Trees, Nodes, Edges, Vertices) are recomputed, not stored.
+func encodeStats(e *encoder, st core.Stats) {
 	e.i64(st.Results)
 	e.i64(st.Invalidations)
 	e.i64(st.TuplesSeen)
 	e.i64(st.TuplesDropped)
 	e.i64(st.ExpiryRuns)
-	e.i64(st.ExpiryTimeNS)
+	e.i64(int64(st.ExpiryTime))
 	e.i64(st.InsertCalls)
 	e.i64(st.ConflictsFound)
 	e.i64(st.Unmarkings)
 }
 
-func decodeStats(d *decoder) core.StatState {
-	return core.StatState{
+func decodeStats(d *decoder) core.Stats {
+	return core.Stats{
 		Results:        d.i64(),
 		Invalidations:  d.i64(),
 		TuplesSeen:     d.i64(),
 		TuplesDropped:  d.i64(),
 		ExpiryRuns:     d.i64(),
-		ExpiryTimeNS:   d.i64(),
+		ExpiryTime:     time.Duration(d.i64()),
 		InsertCalls:    d.i64(),
 		ConflictsFound: d.i64(),
 		Unmarkings:     d.i64(),
@@ -301,9 +302,9 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	e.u64(s.Gen)
 	e.i64(s.Spec.Size)
 	e.i64(s.Spec.Slide)
-	e.bool(s.Sharded)
+	e.bool(s.Shards > 1) // the retired sharded flag
 	e.u64(uint64(s.Shards))
-	e.bool(s.Sharing)
+	e.bool(true) // the retired sharing flag
 	e.strs(s.Queries)
 	e.strs(s.Vertices)
 	e.strs(s.Labels)
@@ -330,9 +331,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		Gen:  d.u64(),
 		Spec: window.Spec{Size: d.i64(), Slide: d.i64()},
 	}
-	s.Sharded = d.bool()
+	d.bool() // the retired sharded flag
 	s.Shards = int(d.u64())
-	s.Sharing = d.bool()
+	d.bool() // the retired sharing flag
 	s.Queries = d.strs()
 	s.Vertices = d.strs()
 	s.Labels = d.strs()

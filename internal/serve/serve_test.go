@@ -947,3 +947,84 @@ func TestSubscriberStress(t *testing.T) {
 		t.Fatalf("metrics output missing eviction counter:\n%s", body)
 	}
 }
+
+// TestQueryIDsSurviveRecovery: a server resumed from a checkpoint lists
+// the ids it listed before, a removed query's id included among the
+// gaps, and DELETE /queries/{id} removes the query that id named before
+// recovery.
+func TestQueryIDsSurviveRecovery(t *testing.T) {
+	listQueries := func(base string) []QueryInfo {
+		t.Helper()
+		resp, err := http.Get(base + "/queries")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var list []QueryInfo
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+			t.Fatal(err)
+		}
+		return list
+	}
+	remove := func(base string, id int) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/queries/%d", base, id), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("DELETE /queries/%d: %d", id, resp.StatusCode)
+		}
+	}
+
+	dir := t.TempDir()
+	ev, err := streamrpq.NewMultiEvaluator(1000, 100,
+		streamrpq.MustCompile("a"), streamrpq.MustCompile("b"), streamrpq.MustCompile("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ev, BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	remove(hs.URL, 0)
+	postIngest(t, hs.URL, "1 x y a\n1 x y b\n1 x y c\n")
+	before := listQueries(hs.URL)
+	if want := []QueryInfo{{ID: 1, Pattern: "b"}, {ID: 2, Pattern: "c"}}; !reflect.DeepEqual(before, want) {
+		t.Fatalf("GET /queries = %+v, want %+v", before, want)
+	}
+	if err := srv.Broker().Shutdown(); err != nil { // checkpoints
+		t.Fatal(err)
+	}
+	hs.Close()
+	ev.Close()
+
+	ev2, _, err := streamrpq.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev2.Close()
+	srv2, err := NewServer(ev2, BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs2 := httptest.NewServer(srv2.Handler())
+	defer hs2.Close()
+	defer srv2.Broker().Shutdown()
+	if after := listQueries(hs2.URL); !reflect.DeepEqual(after, before) {
+		t.Fatalf("GET /queries after recovery = %+v, want %+v", after, before)
+	}
+	remove(hs2.URL, 1) // b, as before recovery
+	if got, want := listQueries(hs2.URL), []QueryInfo{{ID: 2, Pattern: "c"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("GET /queries after DELETE /queries/1 = %+v, want %+v", got, want)
+	}
+	if rep := postIngest(t, hs2.URL, "2 y z b\n2 y z c\n"); rep.Records != 1 {
+		t.Fatalf("records after removing b = %d, want 1 (c's)", rep.Records)
+	}
+}

@@ -146,6 +146,12 @@ func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 	return e, nil
 }
 
+// AddRemoved registers an empty slot: it takes the next registration
+// index, as Add does, for a query that is already removed. A caller
+// rebuilding a coordinator from a registration list with removed slots
+// registers each one this way, so its indices stay the coordinator's.
+func (s *Engine) AddRemoved() { s.members = append(s.members, nil) }
+
 // Remove detaches the query with the given registration index.
 // Call between batches: the member receives no step of any later batch.
 // Its slot becomes a nil tombstone so surviving queries keep their

@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"streamrpq/internal/core"
 )
@@ -90,8 +91,8 @@ func (s *Engine) SnapshotState() *core.MultiState {
 	st.Dispatches, st.RelevanceSkips = s.dispatchCounts()
 	// Groups ordered by lowest subscriber index: a canonical order that
 	// restore can reproduce without knowing group creation history.
-	ordered := append([]*group(nil), s.groups...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].subs[0] < ordered[j].subs[0] })
+	ordered := slices.Clone(s.groups)
+	slices.SortFunc(ordered, func(a, b *group) int { return cmp.Compare(a.subs[0], b.subs[0]) })
 	rank := make(map[*group]int, len(ordered))
 	for gi, g := range ordered {
 		rank[g] = gi

@@ -2,8 +2,8 @@ package streamrpq
 
 import (
 	"fmt"
+	"slices"
 
-	"streamrpq/internal/automaton"
 	"streamrpq/internal/shard"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
@@ -27,17 +27,10 @@ import (
 type MultiEvaluator struct {
 	fe      frontEnd
 	spec    window.Spec
-	eng     *shard.Engine // the coordinator, rebuilt by WithShards
-	shards  int           // as configured by WithShards; 0 = not called
-	queries []*multiMember
+	eng     *shard.Engine // the coordinator, built only by rebuild
+	queries []*Query      // registration slots in index order; nil = removed
 	persist *persistState // nil unless WithPersistence/Recover was used
 	batches uint64        // batches applied (without persistence; see AppliedBatches)
-}
-
-type multiMember struct {
-	query   *Query
-	bound   *automaton.Bound
-	removed bool // tombstone: RemoveQuery keeps indices stable
 }
 
 // QueryResult couples one registered query with the matches the last
@@ -67,48 +60,37 @@ type BatchResult struct {
 // NewMultiEvaluator creates a shared evaluator. Register the queries,
 // then stream tuples through Ingest.
 func NewMultiEvaluator(size, slide int64, queries ...*Query) (*MultiEvaluator, error) {
-	m := &MultiEvaluator{fe: newFrontEnd(0, nil), spec: window.Spec{Size: size, Slide: slide}}
-	if err := m.rebuild(); err != nil {
-		return nil, err
+	m := &MultiEvaluator{
+		fe:      newFrontEnd(0, nil),
+		spec:    window.Spec{Size: size, Slide: slide},
+		queries: slices.Clone(queries),
 	}
 	// Every member binds against one dense label space, the union of
 	// all query alphabets.
 	m.fe.intern(queries...)
-	for _, q := range queries {
-		if err := m.addQuery(q); err != nil {
-			return nil, err
-		}
+	if err := m.rebuild(1); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-func (m *MultiEvaluator) addQuery(q *Query) error {
-	member := &multiMember{query: q, bound: m.fe.bind(q)}
-	if _, err := m.eng.Add(member.bound, nil); err != nil {
-		return err
-	}
-	m.queries = append(m.queries, member)
-	return nil
-}
-
-// rebuild replaces the coordinator with one of the current
-// configuration (one shard unless WithShards names more) and
-// re-registers every query slot.
-func (m *MultiEvaluator) rebuild() error {
-	eng, err := shard.New(m.spec, shard.WithShards(max(m.shards, 1)))
+// rebuild replaces the coordinator with an n-shard one built from the
+// registration list, the only place a coordinator is built. Every slot
+// is registered in index order: a live query bound against the current
+// label space, a removed one as an empty slot, so registration indices
+// are the coordinator's indices.
+func (m *MultiEvaluator) rebuild(n int) error {
+	eng, err := shard.New(m.spec, shard.WithShards(n))
 	if err != nil {
 		return err
 	}
-	// Re-register every slot — including removed ones, which are added
-	// and immediately tombstoned — so facade indices stay engine indices.
-	for i := 0; err == nil && i < len(m.queries); i++ {
-		if _, err = eng.Add(m.queries[i].bound, nil); err == nil && m.queries[i].removed {
-			err = eng.Remove(i)
+	for _, q := range m.queries {
+		if q == nil {
+			eng.AddRemoved()
+		} else if _, err := eng.Add(m.fe.bind(q), nil); err != nil {
+			eng.Close()
+			return err
 		}
-	}
-	if err != nil {
-		eng.Close()
-		return err
 	}
 	if m.eng != nil {
 		m.eng.Close()
@@ -137,8 +119,7 @@ func (m *MultiEvaluator) WithShards(n int) error {
 	if m.persist != nil {
 		return fmt.Errorf("streamrpq: WithShards after WithPersistence (configure the engine before enabling durability)")
 	}
-	m.shards = n
-	return m.rebuild()
+	return m.rebuild(n)
 }
 
 // WithWriters has no effect; n <= 0 is still an error.
@@ -176,9 +157,10 @@ func (m *MultiEvaluator) EnableDynamicQueries() error { return nil }
 func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {
 	// Grow the shared label dictionary by the new alphabet and bind
 	// against the full space (older members bounds-check beyond theirs).
-	if err := m.addQuery(q); err != nil {
+	if _, err := m.eng.Add(m.fe.bind(q), nil); err != nil {
 		return 0, fmt.Errorf("streamrpq: %w", err)
 	}
+	m.queries = append(m.queries, q)
 	idx := len(m.queries) - 1
 	if m.persist != nil {
 		// A registration is durable only through a checkpoint: WAL batches
@@ -194,16 +176,17 @@ func (m *MultiEvaluator) AddQuery(q *Query) (int, error) {
 
 // RemoveQuery detaches the query with the given registration index.
 // The removal takes effect at the next batch boundary; surviving
-// queries keep their indices. With persistence enabled the removal is
-// checkpointed synchronously, like AddQuery.
+// queries keep their indices, across Checkpoint and Recover too. With
+// persistence enabled the removal is checkpointed synchronously, like
+// AddQuery.
 func (m *MultiEvaluator) RemoveQuery(index int) error {
-	if index < 0 || index >= len(m.queries) || m.queries[index].removed {
+	if m.QueryByIndex(index) == nil {
 		return fmt.Errorf("streamrpq: RemoveQuery: no query with index %d", index)
 	}
 	if err := m.eng.Remove(index); err != nil {
 		return fmt.Errorf("streamrpq: %w", err)
 	}
-	m.queries[index].removed = true
+	m.queries[index] = nil
 	if m.persist != nil {
 		if err := m.Checkpoint(); err != nil {
 			return fmt.Errorf("streamrpq: RemoveQuery checkpoint: %w", err)
@@ -214,15 +197,7 @@ func (m *MultiEvaluator) RemoveQuery(index int) error {
 
 // RegisteredQueries returns every registration slot in index order;
 // removed queries appear as nil. The slice is a copy.
-func (m *MultiEvaluator) RegisteredQueries() []*Query {
-	out := make([]*Query, len(m.queries))
-	for i, member := range m.queries {
-		if !member.removed {
-			out[i] = member.query
-		}
-	}
-	return out
-}
+func (m *MultiEvaluator) RegisteredQueries() []*Query { return slices.Clone(m.queries) }
 
 // Persistent reports whether durability is enabled (WithPersistence or
 // Recover).
@@ -231,10 +206,10 @@ func (m *MultiEvaluator) Persistent() bool { return m.persist != nil }
 // QueryByIndex returns the query registered under the given index, or
 // nil if the index is out of range or the query was removed.
 func (m *MultiEvaluator) QueryByIndex(index int) *Query {
-	if index < 0 || index >= len(m.queries) || m.queries[index].removed {
+	if index < 0 || index >= len(m.queries) {
 		return nil
 	}
-	return m.queries[index].query
+	return m.queries[index]
 }
 
 // AppliedBatches counts the batches the evaluator has applied (with
@@ -253,15 +228,7 @@ func (m *MultiEvaluator) AppliedBatches() uint64 {
 func (m *MultiEvaluator) Err() error { return m.eng.Err() }
 
 // NumQueries returns the number of live (non-removed) queries.
-func (m *MultiEvaluator) NumQueries() int {
-	n := 0
-	for _, member := range m.queries {
-		if !member.removed {
-			n++
-		}
-	}
-	return n
-}
+func (m *MultiEvaluator) NumQueries() int { return m.eng.Len() }
 
 // NumShards returns the shard count (1 until WithShards is called).
 func (m *MultiEvaluator) NumShards() int { return m.eng.NumShards() }
@@ -313,6 +280,11 @@ func (m *MultiEvaluator) IngestBatch(tuples []Tuple) ([]BatchResult, error) {
 	}
 	if len(tuples) == 0 {
 		return nil, nil
+	}
+	// A poisoned coordinator may hold a half-applied batch: log nothing
+	// more.
+	if err := m.eng.Err(); err != nil {
+		return nil, fmt.Errorf("streamrpq: %w", err)
 	}
 	if m.persist != nil {
 		if err := m.persist.pendingError(); err != nil {
@@ -381,7 +353,7 @@ func (m *MultiEvaluator) groupResults(results []shard.Result) []BatchResult {
 		}
 		run := all[lo:hi:hi]
 		if lo == 0 || !sameGroup(&results[lo-1], first) {
-			out = append(out, BatchResult{Tuple: first.Tuple, Query: m.queries[first.Query].query, QueryIndex: first.Query})
+			out = append(out, BatchResult{Tuple: first.Tuple, Query: m.queries[first.Query], QueryIndex: first.Query})
 		}
 		if br := &out[len(out)-1]; first.Invalidated {
 			br.Invalidations = run

@@ -120,17 +120,22 @@ func (m *MultiEvaluator) WithPersistence(dir string, opts ...PersistOption) erro
 // generation. Call between IngestBatch calls only. Recovery loads the
 // latest valid checkpoint and replays only the WAL written after it,
 // which is what makes restart cost proportional to the checkpoint
-// interval instead of the window size.
+// interval instead of the window size. A removed query's slot is
+// written as the empty pattern, so every registration index survives
+// recovery. An evaluator poisoned by a member fault (see Err) may hold
+// a half-applied batch: it writes nothing and returns the fault.
 func (m *MultiEvaluator) Checkpoint() error {
 	p := m.persist
 	if p == nil {
 		return fmt.Errorf("streamrpq: Checkpoint without WithPersistence")
 	}
+	if err := m.eng.Err(); err != nil {
+		return fmt.Errorf("streamrpq: Checkpoint: %w", err)
+	}
 	snap := &persist.Snapshot{
 		Spec:           m.spec,
-		Sharded:        m.NumShards() > 1,
 		Shards:         m.NumShards(),
-		Sharing:        true, // format v4 keeps the byte; Recover ignores it
+		Queries:        make([]string, len(m.queries)),
 		Vertices:       m.fe.vertices.Names(),
 		Labels:         m.fe.labels.Names(),
 		LastTS:         m.fe.clock.last,
@@ -138,11 +143,10 @@ func (m *MultiEvaluator) Checkpoint() error {
 		AppliedTuples:  p.appliedTuples,
 		AppliedBatches: p.appliedBatches,
 	}
-	for _, member := range m.queries {
-		if member.removed {
-			continue // tombstones compact away; recovery renumbers live queries
+	for i, q := range m.queries {
+		if q != nil {
+			snap.Queries[i] = q.String()
 		}
-		snap.Queries = append(snap.Queries, member.query.String())
 	}
 	snap.State = m.eng.SnapshotState()
 	if err := p.mgr.WriteSnapshot(snap); err != nil {
@@ -280,9 +284,12 @@ func (p *persistState) pendingError() error {
 // redelivered results and post-recovery results is identical to an
 // uninterrupted run.
 //
-// The checkpoint carries the shard count, and the evaluator comes back
-// with it; a recovered evaluator — persistent already — refuses every
-// With* reconfiguration. A checkpoint written by an older version whose
+// The checkpoint carries the shard count and the registration list, and
+// the evaluator comes back with both: every registration index names
+// the query it named before, a removed query's index stays empty (a
+// checkpoint written by an older version holds only the live queries,
+// which come back renumbered from 0). A recovered evaluator —
+// persistent already — refuses every With* reconfiguration. A checkpoint written by an older version whose
 // graph kept only its queries' labels recovers with registration
 // closed: AddQuery fails, since a new query would start from part of
 // the window.
@@ -366,25 +373,19 @@ func Recover(dir string, opts ...PersistOption) (*MultiEvaluator, []BatchResult,
 }
 
 // rebuildFromSnapshot reconstructs the evaluator a snapshot describes:
-// an empty evaluator with the snapshot's shard count loads both
-// dictionaries, every query is recompiled, bound against the loaded
-// label space and registered once — forming the groups its automaton
-// selects — and the engine state is restored into those groups. Binding
-// a query against a wider label space than it was first bound against
-// is emission-equivalent: the extra labels have no transitions, and the
+// an evaluator without a coordinator loads both dictionaries and
+// recompiles the registration list — the empty pattern, which Compile
+// rejects, marks a removed slot — then rebuild registers it at the
+// snapshot's shard count, forming the groups its automata select, and
+// the engine state is restored into those groups. Binding a query
+// against a wider label space than it was first bound against is
+// emission-equivalent: the extra labels have no transitions, and the
 // Δ-index group fingerprint ignores trailing label width.
 func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
-	m, err := NewMultiEvaluator(snap.Spec.Size, snap.Spec.Slide)
-	if err != nil {
-		return nil, err
-	}
-	// Only the shard count is read; the Sharded byte the format keeps is
-	// written as Shards > 1, and the Sharing byte is ignored. The state
-	// is shard-count-free.
-	if snap.Shards > 1 {
-		if err := m.WithShards(snap.Shards); err != nil {
-			return nil, err
-		}
+	m := &MultiEvaluator{
+		fe:      newFrontEnd(0, nil),
+		spec:    snap.Spec,
+		queries: make([]*Query, len(snap.Queries)),
 	}
 	if err := m.fe.labels.Load(snap.Labels); err != nil {
 		return nil, fmt.Errorf("streamrpq: recover: label dictionary: %w", err)
@@ -393,13 +394,17 @@ func rebuildFromSnapshot(snap *persist.Snapshot) (*MultiEvaluator, error) {
 		return nil, fmt.Errorf("streamrpq: recover: vertex dictionary: %w", err)
 	}
 	for i, src := range snap.Queries {
+		if src == "" {
+			continue
+		}
 		q, err := Compile(src)
 		if err != nil {
 			return nil, fmt.Errorf("streamrpq: recover: recompiling query %d (%q): %w", i, src, err)
 		}
-		if err := m.addQuery(q); err != nil {
-			return nil, err
-		}
+		m.queries[i] = q
+	}
+	if err := m.rebuild(max(snap.Shards, 1)); err != nil {
+		return nil, err
 	}
 	if err := m.eng.RestoreState(snap.State); err != nil {
 		m.Close()

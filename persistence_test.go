@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 
+	"streamrpq/internal/automaton"
+	"streamrpq/internal/pattern"
 	"streamrpq/internal/persist"
 	"streamrpq/internal/stream"
 )
@@ -688,5 +690,125 @@ func TestPersistedSingleTupleIngest(t *testing.T) {
 	want := []string{"a+:n0->n6", "a+:n1->n6", "a+:n2->n6", "a+:n3->n6", "a+:n4->n6", "a+:n5->n6"}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Fatalf("post-recovery matches %v, want %v", pairs, want)
+	}
+}
+
+// TestRecoverKeepsRegistrationIDs: a removed query's slot survives a
+// checkpoint and recovery as an empty slot, so every registration index
+// names the same query before and after: in QueryByIndex, in
+// RegisteredQueries and in the next batch's BatchResult.QueryIndex.
+func TestRecoverKeepsRegistrationIDs(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewMultiEvaluator(10, 1, MustCompile("a"), MustCompile("b"), MustCompile("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.IngestBatch([]Tuple{
+		{TS: 1, Src: "x", Dst: "y", Label: "a"},
+		{TS: 1, Src: "x", Dst: "y", Label: "b"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := m.RegisteredQueries()
+	m.Close()
+
+	m2, redelivered, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if len(redelivered) != 0 {
+		t.Fatalf("redelivered %d results, want 0", len(redelivered))
+	}
+	if q := m2.QueryByIndex(0); q != nil {
+		t.Fatalf("QueryByIndex(0) = %q, want the removed slot (nil)", q)
+	}
+	if q := m2.QueryByIndex(2); q == nil || q.String() != "c" {
+		t.Fatalf("QueryByIndex(2) = %v, want c", q)
+	}
+	if got := m2.RegisteredQueries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RegisteredQueries after recovery = %v, want %v", got, want)
+	}
+	if n := m2.NumQueries(); n != 2 {
+		t.Fatalf("NumQueries = %d, want 2", n)
+	}
+	brs, err := m2.IngestBatch([]Tuple{{TS: 2, Src: "y", Dst: "z", Label: "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(brs) != 1 || brs[0].QueryIndex != 2 || brs[0].Query.String() != "c" {
+		t.Fatalf("batch after recovery = %+v, want one result of query c at index 2", brs)
+	}
+}
+
+// TestPoisonedEvaluatorWritesNothingDurable: once a member fault has
+// poisoned the coordinator, its state may hold a half-applied batch.
+// Neither a further IngestBatch (through the WAL) nor Checkpoint may
+// write a byte of it to the persistence directory; both return the
+// fault.
+func TestPoisonedEvaluatorWritesNothingDurable(t *testing.T) {
+	// A final-state vector shorter than the state count: the engine
+	// panics when the first a-edge reaches state 1.
+	e, err := pattern.Parse("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := newQuery("a", e, &automaton.DFA{
+		Alphabet: []string{"a"},
+		Final:    []bool{false},
+		Trans:    []map[string]int{{"a": 1}, {}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m, err := NewMultiEvaluator(10, 1, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Ingest(Tuple{TS: 1, Src: "x", Dst: "y", Label: "a"}); err == nil {
+		t.Fatal("the faulty query did not poison the evaluator")
+	}
+	if m.Err() == nil {
+		t.Fatal("Err() = nil after a member fault")
+	}
+	files := func() map[string]int64 {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, de := range entries {
+			info, err := de.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[de.Name()] = info.Size()
+		}
+		return out
+	}
+	before := files()
+	if _, err := m.Ingest(Tuple{TS: 2, Src: "y", Dst: "z", Label: "a"}); err == nil {
+		t.Fatal("a poisoned evaluator accepted another batch")
+	}
+	if err := m.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint of a poisoned evaluator returned nil")
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("persistence directory changed after the fault:\nbefore %v\nafter  %v", before, after)
 	}
 }

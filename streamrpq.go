@@ -68,13 +68,22 @@ type Query struct {
 // Syntax: labels are identifiers; '/' (or juxtaposition) concatenates,
 // '|' alternates, postfix '*', '+', '?' have their usual meanings, and
 // '()' denotes the empty word. Example: "knows/(likes|follows)*".
+//
+// A pattern is refused when its automaton has more states than the
+// engines can index (core.MaxStates). The bound applies to the subset
+// automaton that determinization builds, not only to the minimal one:
+// subset construction stops as soon as it passes the bound.
 func Compile(expr string) (*Query, error) {
 	e, err := pattern.Parse(expr)
 	if err != nil {
 		return nil, err
 	}
 	e = pattern.Simplify(e) // language-preserving normalization
-	return newQuery(expr, e, automaton.Compile(e))
+	dfa, err := automaton.CompileWithin(e, core.MaxStates)
+	if err != nil {
+		return nil, fmt.Errorf("streamrpq: pattern refused: %w", err)
+	}
+	return newQuery(expr, e, dfa)
 }
 
 // newQuery wraps a compiled automaton, refusing one with more states

@@ -1,10 +1,13 @@
 package streamrpq
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"streamrpq/internal/automaton"
 	"streamrpq/internal/core"
@@ -126,10 +129,10 @@ func TestEvaluatorSimpleSemantics(t *testing.T) {
 // TestCompileRejectsOversizedAutomaton: the engines key tree nodes by
 // (vertex, 16-bit state), so a pattern whose minimal DFA has more states
 // would alias distinct nodes; Compile must say no instead of returning a
-// query that answers wrongly. Determinizing a real pattern of that size
-// ("(a|b)*/a" followed by sixteen "/(a|b)": 2^17 states) costs 18 s and
-// 280 MB with this compiler, so the oversized automaton is synthetic and
-// enters where Compile hands its own to.
+// query that answers wrongly. Compile refuses a real pattern of that
+// size while determinizing it (TestCompileRefusesLargeSubsetAutomaton),
+// so the oversized minimal automaton is synthetic and enters where
+// Compile hands its own to.
 func TestCompileRejectsOversizedAutomaton(t *testing.T) {
 	fits := "(a|b)*/a" + strings.Repeat("/(a|b)", 6)
 	q, err := Compile(fits)
@@ -145,6 +148,28 @@ func TestCompileRejectsOversizedAutomaton(t *testing.T) {
 	_, err = newQuery("oversized", q.expr, &automaton.DFA{Trans: make([]map[string]int, core.MaxStates+1)})
 	if err == nil || !strings.Contains(err.Error(), "automaton states") {
 		t.Errorf("an automaton of MaxStates+1 states: err = %v, want a state-count error", err)
+	}
+}
+
+// TestCompileRefusesLargeSubsetAutomaton: subset construction stops at
+// the engines' state bound, so a pattern whose subset automaton has
+// 2^17 + 1 states is refused after building little more than half of
+// it, within a bounded allocation.
+func TestCompileRefusesLargeSubsetAutomaton(t *testing.T) {
+	src := "(a|b)*/a" + strings.Repeat("/(a|b)", 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := Compile(src)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("exceeds %d states", core.MaxStates); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Compile(%q): err = %v, want one that says it %s", src, err, want)
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("refused in %v after allocating %.1f MB", elapsed, mb)
+	if mb > 100 {
+		t.Fatalf("refusal allocated %.1f MB, want under 100", mb)
 	}
 }
 
