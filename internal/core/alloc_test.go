@@ -168,9 +168,9 @@ func TestRAPQDeleteSteadyStateAllocs(t *testing.T) {
 	round()
 	// The slots of h and the chain in the tree of r.
 	cut := func() []int32 {
-		slots := []int32{e.trees[dcR].ns.lookup(mkNodeKey(dcH, 1))}
+		slots := []int32{e.treeOf(dcR).ns.lookup(mkNodeKey(dcH, 1))}
 		for i := stream.VertexID(0); i < dcLen; i++ {
-			slots = append(slots, e.trees[dcR].ns.lookup(mkNodeKey(dcC0+i, 1)))
+			slots = append(slots, e.treeOf(dcR).ns.lookup(mkNodeKey(dcC0+i, 1)))
 		}
 		return slots
 	}
@@ -234,7 +234,8 @@ func TestRAPQIndexReentryAllocs(t *testing.T) {
 // whole previous round, so all 64 trees of the chain are dropped and
 // grown again from their roots (2 144 nodes). A tree's growth must cost
 // a few re-allocations of its one node array and key table, not one per
-// node field: at most 12 allocations per rebuilt tree.
+// node field, and a rebuilt tree takes a dropped one's slot of the tree
+// table, not a heap record: at most 11 allocations per rebuilt tree.
 func TestRAPQTreeChurnAllocs(t *testing.T) {
 	a := bind(t, "a+", "a")
 	const n = 64
@@ -266,8 +267,8 @@ func TestRAPQTreeChurnAllocs(t *testing.T) {
 	if after.Trees != n || after.Nodes != pairs+n || after.Results-before.Results != 51*pairs {
 		t.Fatalf("not a steady state of tree churn:\nbefore %+v\n after %+v", before, after)
 	}
-	if perTree := avg / n; perTree > 12 {
-		t.Errorf("tree churn allocates %.1f per rebuilt tree (avg %.0f per %d-tree round), want at most 12", perTree, avg, n)
+	if perTree := avg / n; perTree > 11 {
+		t.Errorf("tree churn allocates %.1f per rebuilt tree (avg %.0f per %d-tree round), want at most 11", perTree, avg, n)
 	}
 }
 

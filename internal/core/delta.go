@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -17,9 +18,12 @@ import (
 // (vertex,state) key at most one node, uses the flat table of ns; RSPQ
 // leaves that empty, works on the embedded slotStore and lists each
 // key's instances in inst (rspq.go). Which vertices a tree holds, and in
-// which states, the engine's inverted index records.
+// which states, the engine's inverted index records. A tree is held by
+// value in delta.trees, at index id; a free slot there is the zero tree,
+// which has no nodes.
 type tree struct {
 	root stream.VertexID
+	id   int32
 	ns   treeStore
 	inst map[nodeKey]instances
 }
@@ -38,8 +42,15 @@ type delta struct {
 	win  *window.Manager
 	sink Sink
 
-	trees map[stream.VertexID]*tree // Δ: root vertex -> spanning tree
-	inv   invIndex                  // vertex -> its nodes (RAPQ) or keys (RSPQ) in every tree
+	// trees is Δ, one spanning tree per slot, indexed by tree id: the
+	// inverted index's entries name trees by id, and the row of a root
+	// vertex names its tree (invRow.tree). A dropped tree's slot is
+	// zeroed and its id goes on freeIDs, which ensureTree reuses last
+	// freed first. A *tree into the slice is valid until the next
+	// ensureTree, which may grow it; nothing holds one across a creation.
+	trees   []tree
+	freeIDs []int32
+	inv     invIndex // vertex -> its nodes (RAPQ) or keys (RSPQ) in every tree
 
 	// rootEnt is the slot the index entry of a tree's root names:
 	// rootSlot for RAPQ's per-node entries, noSlot for RSPQ's per-key
@@ -66,11 +77,11 @@ type delta struct {
 	now   int64 // largest timestamp seen; math.MinInt64 before the first
 	stats Stats
 
-	// sc is the working set of Δ maintenance; rootScratch is the
-	// per-tuple candidate-root snapshot of RSPQ routing and of Algorithm
+	// sc is the working set of Δ maintenance; idScratch is the
+	// per-tuple candidate-tree snapshot of RSPQ routing and of Algorithm
 	// Delete, taken before any tree is touched.
-	sc          scratch
-	rootScratch []stream.VertexID
+	sc        scratch
+	idScratch []int32
 
 	// park lends tree arrays between the engines of one coordinator
 	// shard (RAPQ.SetParking); nil for a standalone engine.
@@ -163,7 +174,6 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 	d.g = graph.New()
 	d.win = window.NewManager(spec)
 	d.sink = cfg.sink
-	d.trees = make(map[stream.VertexID]*tree)
 	d.sc.pre = make(map[stream.VertexID]bool)
 	return cfg
 }
@@ -174,10 +184,10 @@ func (d *delta) Graph() *graph.Graph { return d.g }
 // Stats implements Engine.
 func (d *delta) Stats() Stats {
 	s := d.stats
-	s.Trees = len(d.trees)
+	s.Trees = len(d.trees) - len(d.freeIDs)
 	s.Nodes = 0
-	for _, tx := range d.trees {
-		s.Nodes += tx.ns.size()
+	for i := range d.trees {
+		s.Nodes += d.trees[i].ns.size()
 	}
 	s.Edges = d.g.NumEdges()
 	s.Vertices = d.g.NumVertices()
@@ -219,40 +229,64 @@ func (d *delta) Process(t stream.Tuple) {
 
 // ensureTree materializes Tx with its root node (x, s0) in rootSlot (Δ
 // conceptually holds a tree for every vertex; only those that can grow
-// past their root are represented), and the root in the inverted index.
-// The caller enters the root of a new tree into its key index.
+// past their root are represented), and the root in the inverted index,
+// whose row of x names the tree. The caller enters the root of a new
+// tree into its key index. The pointer is valid until the next
+// ensureTree.
 func (d *delta) ensureTree(x stream.VertexID) *tree {
-	if tx, ok := d.trees[x]; ok {
+	if tx := d.treeOf(x); tx != nil {
 		return tx
 	}
-	tx := &tree{root: x}
+	var id int32
+	if n := len(d.freeIDs); n > 0 {
+		id, d.freeIDs = d.freeIDs[n-1], d.freeIDs[:n-1]
+	} else {
+		id = int32(len(d.trees))
+		d.trees = append(d.trees, tree{})
+	}
+	tx := &d.trees[id]
+	tx.root, tx.id = x, id
 	// A store's first slot is rootSlot, so the root becomes its own
 	// parent (self-sentinel). A start state that is also final means the
 	// empty path matches; RPQ answers are conventionally over paths of
 	// length ≥ 1, and neither the paper nor the engines report (x,x) via ε.
 	tx.ns.slotStore.alloc(mkNodeKey(x, d.a.Start), rootTS, rootSlot, d.park)
-	d.trees[x] = tx
-	d.inv.add(x, x, d.a.Start, d.rootEnt)
+	d.inv.add(x, id, d.a.Start, d.rootEnt).tree = id + 1
 	return tx
 }
 
-// rootsOf snapshots the roots of the trees containing v, ascending.
-func (d *delta) rootsOf(v stream.VertexID) []stream.VertexID {
-	d.rootScratch = d.inv.appendRoots(v, d.rootScratch[:0])
-	return d.rootScratch
+// treeOf returns the tree rooted at x, or nil; valid until the next
+// ensureTree.
+func (d *delta) treeOf(x stream.VertexID) *tree {
+	if id := d.inv.rootTree(x); id >= 0 {
+		return &d.trees[id]
+	}
+	return nil
 }
 
-// allRoots snapshots the roots of every tree, ascending: the order an
-// RSPQ expiry pass visits them in, so that no emission order depends on
-// map iteration.
-func (d *delta) allRoots() []stream.VertexID {
-	roots := d.rootScratch[:0]
-	for root := range d.trees {
-		roots = append(roots, root)
+// treesOf snapshots the ids of the trees containing v, ascending.
+func (d *delta) treesOf(v stream.VertexID) []int32 {
+	d.idScratch = d.inv.appendTrees(v, d.idScratch[:0])
+	return d.idScratch
+}
+
+// byRoot sorts tree ids by their trees' roots: the canonical order of
+// RSPQ's visits, which share the Extend budget across trees.
+func (d *delta) byRoot(ids []int32) []int32 {
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(d.trees[a].root, d.trees[b].root) })
+	return ids
+}
+
+// allTrees snapshots the ids of every tree, ascending.
+func (d *delta) allTrees() []int32 {
+	ids := d.idScratch[:0]
+	for i := range d.trees {
+		if len(d.trees[i].ns.nodes) > 0 {
+			ids = append(ids, int32(i))
+		}
 	}
-	slices.Sort(roots)
-	d.rootScratch = roots
-	return roots
+	d.idScratch = ids
+	return ids
 }
 
 // emit reports a result pair.
@@ -263,13 +297,16 @@ func (d *delta) emit(x, v stream.VertexID) {
 
 // dropIfRootOnly garbage-collects a tree that shrank to its root: no
 // valid start edge remains, so Δ need not represent it. Its arrays go to
-// the parking once nothing reaches the tree; its caller must not read it
-// afterwards.
+// the parking, its slot is zeroed and its id freed for the next tree;
+// its caller must not read it afterwards.
 func (d *delta) dropIfRootOnly(tx *tree) {
 	if tx.ns.size() == 1 {
-		d.inv.drop(tx.root, tx.root, d.a.Start, d.rootEnt)
-		delete(d.trees, tx.root)
+		if r := d.inv.drop(tx.root, tx.id, d.a.Start, d.rootEnt); r != nil {
+			r.tree = 0
+		}
 		d.park.drop(&tx.ns)
+		d.freeIDs = append(d.freeIDs, tx.id)
+		*tx = tree{}
 	}
 }
 

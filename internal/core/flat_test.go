@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
@@ -57,7 +59,7 @@ const (
 
 // flatSeq encodes one op per idx, as the byte pairs runFlatOps decodes.
 // The spare bits of both bytes name the entry an index op adds or drops
-// in the row of flatVerts[idx]: the kind's (ent<<2) its root (ent&15)
+// in the row of flatVerts[idx]: the kind's (ent<<2) its tree (ent&15)
 // and state (ent>>4), the index's (slot+1)<<6 its slot, from noSlot to 2.
 func flatSeq(kind int, idxs ...int) []byte {
 	var out []byte
@@ -77,8 +79,8 @@ func flatEnts(kind, idx, slot int, ents ...int) []byte {
 	return out
 }
 
-// flatNever is a root no op names.
-const flatNever = stream.VertexID(16)
+// flatNever is a tree id no op names.
+const flatNever = int32(16)
 
 // flatSeeds is the seed corpus; each entry names the case it is there
 // for. Universe indices 1–10 share the last bucket of an 8-bucket table,
@@ -126,7 +128,7 @@ func runFlatOps(t testing.TB, ops []byte) {
 		// An index op adds or drops, in v's row, the entry the op's spare
 		// bits name.
 		en := invEnt{
-			root:  stream.VertexID(ops[step] >> 2 & 15),
+			tree:  int32(ops[step] >> 2 & 15),
 			state: int32(ops[step] >> 6),
 			slot:  int32(ops[step+1]>>6) - 1,
 		}
@@ -143,7 +145,7 @@ func runFlatOps(t testing.TB, ops []byte) {
 				slots[key] = slot
 			}
 			for range 2 { // idempotent
-				ix.add(v, en.root, en.state, en.slot)
+				ix.add(v, en.tree, en.state, en.slot)
 			}
 			if i, found := slices.BinarySearchFunc(rows[v], en, compareEnts); !found {
 				rows[v] = slices.Insert(rows[v], i, en)
@@ -154,7 +156,7 @@ func runFlatOps(t testing.TB, ops []byte) {
 				delete(slots, key)
 			}
 			for range 2 { // the second drops an absent entry: a no-op
-				ix.drop(v, en.root, en.state, en.slot)
+				ix.drop(v, en.tree, en.state, en.slot)
 			}
 			if i, found := slices.BinarySearchFunc(rows[v], en, compareEnts); found {
 				if rows[v] = slices.Delete(rows[v], i, i+1); len(rows[v]) == 0 {
@@ -187,11 +189,11 @@ func runFlatOps(t testing.TB, ops []byte) {
 			if got := ix.row(u); !slices.Equal(got, rows[u]) {
 				t.Fatalf("step %d: row %d = %v, want %v", step, u, got, rows[u])
 			}
-			var roots []stream.VertexID
+			var ids []int32
 			for r := range flatNever + 1 {
 				var want []invEnt
 				for _, en := range rows[u] {
-					if en.root == r {
+					if en.tree == r {
 						want = append(want, en)
 					}
 				}
@@ -199,11 +201,11 @@ func runFlatOps(t testing.TB, ops []byte) {
 					t.Fatalf("step %d: of(%d, %d) = %v, want %v", step, u, r, got, want)
 				}
 				if len(want) > 0 {
-					roots = append(roots, r)
+					ids = append(ids, r)
 				}
 			}
-			if got := ix.appendRoots(u, nil); !slices.Equal(got, roots) {
-				t.Fatalf("step %d: roots of %d = %v, want %v", step, u, got, roots)
+			if got := ix.appendTrees(u, nil); !slices.Equal(got, ids) {
+				t.Fatalf("step %d: trees of %d = %v, want %v", step, u, got, ids)
 			}
 		}
 	}
@@ -245,13 +247,13 @@ func TestFlatTableModel(t *testing.T) {
 	// largest one parked (TestRAPQIndexReentryAllocs pins the allocations).
 	t.Run("parked rows", func(t *testing.T) {
 		var ix invIndex
-		for r := range stream.VertexID(10) {
+		for r := range int32(10) {
 			ix.add(1, r, 0, rootSlot)
 		}
 		ix.add(2, 0, 0, rootSlot)
 		long := cap(ix.row(1))
 		ix.drop(2, 0, 0, rootSlot)
-		for r := range stream.VertexID(10) {
+		for r := range int32(10) {
 			ix.drop(1, r, 0, rootSlot)
 		}
 		ix.add(3, 7, 1, noSlot)
@@ -273,7 +275,7 @@ func TestFlatTableModel(t *testing.T) {
 						kind = flatDel
 					}
 				}
-				// Entries over 8 roots, 4 states and 4 slots.
+				// Entries over 8 trees, 4 states and 4 slots.
 				ops[i], ops[i+1] = byte(kind|rng.Intn(8)<<2|rng.Intn(4)<<6), byte(rng.Intn(256))
 			}
 			runFlatOps(t, ops)
@@ -357,6 +359,90 @@ func TestSlotStoreFreeListModel(t *testing.T) {
 			}
 			if err := checkFreeList(&ns, len(stack)); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+		}
+	}
+}
+
+// TestTreeTableModel runs random tree creations, drops and lookups on an
+// engine's tree table against a Go map from root to id and a stack of
+// freed ids as the model. A new tree must take the id freed last (else
+// the next one past the table's end), a dropped tree's slot must be zero,
+// and rootTree and treeOf must agree with the map for every vertex of the
+// universe after every step. Some trees also hold other roots as
+// members, so a root's row outlives its tree and must stop naming it;
+// checkTrees validates the index and the table after every step. The
+// tree name sits in the row's padding: a row stays 32 bytes.
+func TestTreeTableModel(t *testing.T) {
+	if n := unsafe.Sizeof(invRow{}); n != 32 {
+		t.Fatalf("an inverted-index row is %d bytes, want 32", n)
+	}
+	const universe = 24
+	rng := rand.New(rand.NewSource(49))
+	for trial := range 20 {
+		e := NewRAPQ(bind(t, "a+", "a"), window.Spec{Size: 1, Slide: 1})
+		ids := map[stream.VertexID]int32{} // the model: root -> tree id
+		var freed []int32                  // released ids, top last
+		next := int32(0)                   // ids handed out so far
+		members := map[stream.VertexID][]int32{}
+		for step := range 300 {
+			v := stream.VertexID(rng.Intn(universe))
+			switch rng.Intn(4) {
+			case 0, 1: // ensure
+				id, ok := ids[v]
+				if !ok {
+					if n := len(freed); n > 0 {
+						id, freed = freed[n-1], freed[:n-1]
+					} else {
+						id, next = next, next+1
+					}
+					ids[v] = id
+				}
+				if tx := e.rootedTree(v); tx.id != id || tx.root != v {
+					t.Fatalf("trial %d step %d: tree of %d has id %d, root %d; the model says id %d", trial, step, v, tx.id, tx.root, id)
+				}
+			case 2: // member: another root joins the tree of v in state 1
+				tx := e.treeOf(v)
+				w := stream.VertexID(rng.Intn(universe))
+				if tx == nil || tx.ns.lookup(mkNodeKey(w, 1)) >= 0 {
+					break
+				}
+				slot := tx.ns.alloc(mkNodeKey(w, 1), 1, rootSlot, nil)
+				tx.ns.attach(rootSlot, slot)
+				e.inv.add(w, tx.id, 1, slot)
+				members[v] = append(members[v], slot)
+			case 3: // drop
+				tx := e.treeOf(v)
+				if tx == nil {
+					break
+				}
+				for _, slot := range members[v] {
+					e.remove(tx, slot)
+				}
+				delete(members, v)
+				id := tx.id
+				e.dropIfRootOnly(tx)
+				if !reflect.ValueOf(e.trees[id]).IsZero() {
+					t.Fatalf("trial %d step %d: dropped tree %d left %+v", trial, step, id, e.trees[id])
+				}
+				freed = append(freed, ids[v])
+				delete(ids, v)
+			}
+			if err := e.checkTrees(); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			if len(e.trees) != int(next) || !slices.Equal(e.freeIDs, freed) || e.Stats().Trees != len(ids) {
+				t.Fatalf("trial %d step %d: %d slots, free %v, %d trees; the model: %d, %v, %d",
+					trial, step, len(e.trees), e.freeIDs, e.Stats().Trees, next, freed, len(ids))
+			}
+			for u := range stream.VertexID(universe) {
+				id, ok := ids[u]
+				if !ok {
+					id = -1
+				}
+				if got := e.inv.rootTree(u); got != id || (e.treeOf(u) == nil) != !ok {
+					t.Fatalf("trial %d step %d: rootTree(%d) = %d, want %d", trial, step, u, got, id)
+				}
 			}
 		}
 	}

@@ -47,9 +47,9 @@ func BenchmarkTreeLookup(b *testing.B) {
 
 // BenchmarkInsertEdgeRouting offers one tuple to 150 trees of 250-odd
 // nodes that all hold its source and already reach its target at the
-// same timestamp: per tree one map lookup and two node reads, found
-// through the index entries of the source and the target, no key probe
-// and no change.
+// same timestamp: per tree one tree-table index and two node reads,
+// found through the index entries of the source and the target, no key
+// probe and no change.
 func BenchmarkInsertEdgeRouting(b *testing.B) {
 	const trees, leaves = 150, 250
 	const hub, target, leaf0 = stream.VertexID(1000), stream.VertexID(1001), stream.VertexID(2000)
@@ -62,7 +62,7 @@ func BenchmarkInsertEdgeRouting(b *testing.B) {
 	for i := range trees {
 		e.Process(stream.Tuple{TS: 1, Src: stream.VertexID(i), Dst: hub})
 	}
-	if got := len(e.rootsOf(hub)); got != trees+1 {
+	if got := len(e.treesOf(hub)); got != trees+1 {
 		b.Fatalf("hub sits in %d trees, want %d", got, trees+1)
 	}
 	calls := e.Stats().InsertCalls

@@ -7,12 +7,12 @@ import (
 	"streamrpq/internal/stream"
 )
 
-// invEnt is one entry of the inverted index: the tree rooted at root
-// holds vertex v in the given state. A RAPQ entry names one node and
-// its slot; an RSPQ entry names one key, whose instances the tree lists
-// (slot noSlot).
+// invEnt is one entry of the inverted index: the tree with id tree
+// (its index in delta.trees) holds vertex v in the given state. A RAPQ
+// entry names one node and its slot; an RSPQ entry names one key, whose
+// instances the tree lists (slot noSlot).
 type invEnt struct {
-	root  stream.VertexID
+	tree  int32
 	slot  int32
 	state int32
 }
@@ -21,13 +21,13 @@ type invEnt struct {
 // of its key.
 const noSlot = int32(-1)
 
-// entKey is the search key of an entry: entries are ordered by (root,
+// entKey is the search key of an entry: entries are ordered by (tree,
 // state), then by slot.
-func entKey(root stream.VertexID, state int32) uint64 {
-	return uint64(root)<<32 | uint64(uint32(state))
+func entKey(tree, state int32) uint64 {
+	return uint64(uint32(tree))<<32 | uint64(uint32(state))
 }
 
-func (en invEnt) key() uint64 { return entKey(en.root, en.state) }
+func (en invEnt) key() uint64 { return entKey(en.tree, en.state) }
 
 // before reports whether en sorts before (k, slot).
 func (en invEnt) before(k uint64, slot int32) bool {
@@ -52,9 +52,13 @@ func search(ents []invEnt, k uint64, slot int32) int {
 }
 
 // invRow is the record of one vertex in the inverted index; ents is
-// empty exactly in an empty bucket.
+// empty exactly in an empty bucket. tree names the tree rooted at v, 1
+// + its id (0: none); it sits in what would be padding, so a row stays
+// 32 bytes. A tree's root is in its own tree, so its row lives as long
+// as the tree does.
 type invRow struct {
 	v    stream.VertexID
+	tree int32
 	ents []invEnt
 }
 
@@ -63,13 +67,17 @@ type invRow struct {
 // vertex is in some tree, so it is sized by the engine's trees and not by
 // the id space of a stream that every engine sharing a graph sees. A row
 // lists the vertex's nodes (RAPQ) or keys (RSPQ) in every tree,
-// ascending by (root, state, slot): routing reads a candidate's node
-// straight from its slot, the row of a tuple's target tells which offers
-// would improve nothing, and a pair's liveness reads the final-state
-// entries of one tree. Ascending root order is the canonical candidate
-// order of both engines. A row that empties parks its array for the next
-// new row, which takes the largest parked; an array a row outgrows goes
-// to the GC, so what is parked is bounded by rows that existed.
+// ascending by (tree id, state, slot): routing reads a candidate's tree
+// and node straight from the entry, the row of a tuple's target tells
+// which offers would improve nothing, and a pair's liveness reads the
+// final-state entries of one tree. Tree ids are not canonical (they are
+// reused, and a restored engine numbers its trees by root): RAPQ visits
+// a tuple's candidates in id order, which changes only the order of one
+// tuple's emissions, and RSPQ, whose trees share the Extend budget,
+// sorts the ids it gathers by root. A row that empties parks its array
+// for the next new row, which takes the largest parked; an array a row
+// outgrows goes to the GC, so what is parked is bounded by rows that
+// existed.
 type invIndex struct {
 	rows  []invRow
 	n     int // occupied buckets
@@ -103,20 +111,29 @@ func (ix *invIndex) row(v stream.VertexID) []invEnt {
 	return ix.rows[ix.bucket(v)].ents
 }
 
-// of returns v's entries in the tree rooted at root, ascending by state;
+// of returns v's entries in the tree with id tree, ascending by state;
 // good until the next add or drop.
-func (ix *invIndex) of(v, root stream.VertexID) []invEnt {
+func (ix *invIndex) of(v stream.VertexID, tree int32) []invEnt {
 	row := ix.row(v)
-	i := search(row, entKey(root, 0), noSlot)
+	i := search(row, entKey(tree, 0), noSlot)
 	j := i
-	for j < len(row) && row[j].root == root {
+	for j < len(row) && row[j].tree == tree {
 		j++
 	}
 	return row[i:j]
 }
 
-// add records that the tree rooted at root holds v in state, at slot.
-func (ix *invIndex) add(v, root stream.VertexID, state, slot int32) {
+// rootTree returns the id of the tree rooted at v, or -1.
+func (ix *invIndex) rootTree(v stream.VertexID) int32 {
+	if ix.n == 0 {
+		return -1
+	}
+	return ix.rows[ix.bucket(v)].tree - 1
+}
+
+// add records that the tree with id tree holds v in state, at slot, and
+// returns v's row, good until the next add or drop.
+func (ix *invIndex) add(v stream.VertexID, tree, state, slot int32) *invRow {
 	if 2*(ix.n+1) > len(ix.rows) {
 		ix.grow()
 	}
@@ -133,27 +150,30 @@ func (ix *invIndex) add(v, root stream.VertexID, state, slot int32) {
 			}
 		}
 	}
-	en := invEnt{root: root, slot: slot, state: state}
+	en := invEnt{tree: tree, slot: slot, state: state}
 	if i := search(r.ents, en.key(), slot); i == len(r.ents) || r.ents[i] != en {
 		r.ents = slices.Insert(r.ents, i, en)
 	}
+	return r
 }
 
 // drop removes the entry add records, and v's row with its last entry.
-// Dropping an absent entry changes nothing.
-func (ix *invIndex) drop(v, root stream.VertexID, state, slot int32) {
+// It returns v's row if the row remains after dropping the entry (good
+// until the next add or drop), else nil. Dropping an absent entry
+// changes nothing.
+func (ix *invIndex) drop(v stream.VertexID, tree, state, slot int32) *invRow {
 	if ix.n == 0 {
-		return
+		return nil
 	}
 	i := ix.bucket(v)
 	r := &ix.rows[i]
-	en := invEnt{root: root, slot: slot, state: state}
+	en := invEnt{tree: tree, slot: slot, state: state}
 	j := search(r.ents, en.key(), slot)
 	if j == len(r.ents) || r.ents[j] != en {
-		return
+		return nil
 	}
 	if r.ents = slices.Delete(r.ents, j, j+1); len(r.ents) > 0 {
-		return
+		return r
 	}
 	k := bits.Len(uint(cap(r.ents))) - 1
 	ix.spare[k] = append(ix.spare[k], r.ents)
@@ -166,6 +186,7 @@ func (ix *invIndex) drop(v, root stream.VertexID, state, slot int32) {
 	}
 	ix.rows[i] = invRow{}
 	ix.n--
+	return nil
 }
 
 func (ix *invIndex) grow() {
@@ -179,13 +200,13 @@ func (ix *invIndex) grow() {
 	}
 }
 
-// appendRoots appends the roots of all trees containing v to dst,
+// appendTrees appends the ids of all trees containing v to dst,
 // ascending and each once, and returns the extended slice: a snapshot
 // the caller may iterate while the index changes under it.
-func (ix *invIndex) appendRoots(v stream.VertexID, dst []stream.VertexID) []stream.VertexID {
+func (ix *invIndex) appendTrees(v stream.VertexID, dst []int32) []int32 {
 	for i, en := range ix.row(v) {
-		if i == 0 || en.root != dst[len(dst)-1] {
-			dst = append(dst, en.root)
+		if i == 0 || en.tree != dst[len(dst)-1] {
+			dst = append(dst, en.tree)
 		}
 	}
 	return dst

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 
 	"streamrpq/internal/stream"
@@ -22,15 +23,23 @@ import (
 //     exactly the trees' nodes, one entry per live slot (RAPQ), or their
 //     keys, one entry per key with an instance (RSPQ): no entry outlives
 //     its node or key, and no row its vertex's last tree.
-//  4. No expiry/delete pass is left open on the engine's scratch.
+//  4. Tree table: every slot holds a tree with its own id or is free —
+//     zero and listed once on the free list — and the row of every
+//     tree's root names it, while no other row names a tree, so no row
+//     names a dropped id.
+//  5. No expiry/delete pass is left open on the engine's scratch.
 func (d *delta) checkTrees() error {
+	if err := d.checkTreeTable(); err != nil {
+		return err
+	}
 	want := map[stream.VertexID][]invEnt{}
-	for root, tx := range d.trees {
-		if tx.root != root {
-			return fmt.Errorf("tree keyed %d has root %d", root, tx.root)
+	for id := range d.trees {
+		tx := &d.trees[id]
+		if len(tx.ns.nodes) == 0 {
+			continue // a free slot
 		}
-		ns := &tx.ns
-		if len(ns.nodes) == 0 || !ns.live(rootSlot) || ns.nodes[rootSlot].key != mkNodeKey(root, d.a.Start) {
+		root, ns := tx.root, &tx.ns
+		if !ns.live(rootSlot) || ns.nodes[rootSlot].key != mkNodeKey(root, d.a.Start) {
 			return fmt.Errorf("tree %d: root node missing", root)
 		}
 		if ns.nodes[rootSlot].parent != rootSlot {
@@ -46,7 +55,7 @@ func (d *delta) checkTrees() error {
 			}
 			liveSlots++
 			nv, nstate := ns.nodes[slot].key.vertex(), ns.nodes[slot].key.state()
-			en := invEnt{root: root, slot: slot, state: nstate}
+			en := invEnt{tree: int32(id), slot: slot, state: nstate}
 			if d.rootEnt == noSlot {
 				en.slot = noSlot
 			}
@@ -109,6 +118,43 @@ func (d *delta) checkTrees() error {
 	return nil
 }
 
+// checkTreeTable validates the tree table against its free list and the
+// inverted index's tree names (invariant 4 of checkTrees).
+func (d *delta) checkTreeTable() error {
+	free := make([]bool, len(d.trees))
+	for _, id := range d.freeIDs {
+		if id < 0 || int(id) >= len(d.trees) || free[id] {
+			return fmt.Errorf("tree table: free id %d out of range or listed twice", id)
+		}
+		if !reflect.ValueOf(d.trees[id]).IsZero() {
+			return fmt.Errorf("tree table: free slot %d is not zero", id)
+		}
+		free[id] = true
+	}
+	for id := range d.trees {
+		tx := &d.trees[id]
+		if free[id] {
+			continue
+		}
+		if len(tx.ns.nodes) == 0 || tx.id != int32(id) {
+			return fmt.Errorf("tree table: slot %d is neither free nor a tree with its id (id %d, %d nodes)", id, tx.id, len(tx.ns.nodes))
+		}
+		if got := d.inv.rootTree(tx.root); got != int32(id) {
+			return fmt.Errorf("tree table: the row of root %d names tree %d, want %d", tx.root, got, id)
+		}
+	}
+	named := 0
+	for _, r := range d.inv.rows {
+		if r.tree != 0 {
+			named++
+		}
+	}
+	if trees := d.Stats().Trees; named != trees || trees != len(d.trees)-len(d.freeIDs) {
+		return fmt.Errorf("tree table: %d rows name a tree, Stats counts %d trees", named, trees)
+	}
+	return nil
+}
+
 // checkFreeList validates a slot store's free list against the number
 // of released slots (parent == freeSlot): the chain from free through
 // nextSib holds released slots only, is acyclic and as long as both
@@ -130,20 +176,20 @@ func checkFreeList(ns *slotStore, released int) error {
 	return nil
 }
 
-// compareEnts orders index entries by (root, state, slot), the order of
+// compareEnts orders index entries by (tree, state, slot), the order of
 // a row.
 func compareEnts(a, b invEnt) int {
 	return cmp.Or(cmp.Compare(a.key(), b.key()), cmp.Compare(a.slot, b.slot))
 }
 
 // checkInvIndex validates the inverted index's table: rows strictly
-// ascending by (root, state, slot) and found under their vertex, empty
+// ascending by (tree, state, slot) and found under their vertex, empty
 // buckets empty, load ≤ ½.
 func checkInvIndex(ix *invIndex) error {
 	nb, occupied := len(ix.rows), 0
 	for i, r := range ix.rows {
 		if len(r.ents) == 0 {
-			if r.v != 0 || r.ents != nil {
+			if r.v != 0 || r.tree != 0 || r.ents != nil {
 				return fmt.Errorf("inverted index: empty bucket %d holds vertex %d", i, r.v)
 			}
 			continue
@@ -212,8 +258,9 @@ func (e *RAPQ) CheckInvariants() error {
 		return err
 	}
 	validFrom := e.win.Spec().ValidFrom(e.now)
-	for root, tx := range e.trees {
-		ns := &tx.ns
+	for _, id := range e.allTrees() {
+		tx := &e.trees[id]
+		root, ns := tx.root, &tx.ns
 		if err := checkKeyTable(ns); err != nil {
 			return fmt.Errorf("tree %d: %w", root, err)
 		}
@@ -265,8 +312,9 @@ func (e *RSPQ) CheckInvariants() error {
 	if err := e.checkTrees(); err != nil {
 		return err
 	}
-	for root, tx := range e.trees {
-		ns := &tx.ns
+	for _, id := range e.allTrees() {
+		tx := &e.trees[id]
+		root, ns := tx.root, &tx.ns
 		listed := 0
 		for key, ent := range tx.inst {
 			if len(ent.slots) == 0 {

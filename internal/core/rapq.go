@@ -137,7 +137,7 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 		e.rootedTree(t.Src)
 	}
 	// Snapshot the candidate nodes, the entries of the source whose state
-	// δ(·, label) steps from, ascending by (root, state): insertion
+	// δ(·, label) steps from, ascending by (tree, state): insertion
 	// cascades may add the source to further trees, or in further states,
 	// but those cascades already see the new edge in the graph, so they
 	// need no re-processing here. Each candidate in the window runs Insert
@@ -160,9 +160,9 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 	var tx *tree
 	j := 0 // dst[j:] starts at the candidate's tree
 	for i, c := range src {
-		if i == 0 || c.root != src[i-1].root {
-			tx = e.trees[c.root]
-			for j < len(dst) && dst[j].root < c.root {
+		if i == 0 || c.tree != src[i-1].tree {
+			tx = &e.trees[c.tree]
+			for j < len(dst) && dst[j].tree < c.tree {
 				j++
 			}
 		}
@@ -172,10 +172,10 @@ func (e *RAPQ) ApplyInsert(t stream.Tuple) {
 		}
 		to := e.a.Trans[c.state][t.Label]
 		k := j
-		for k < len(dst) && dst[k].root == c.root && dst[k].state < to {
+		for k < len(dst) && dst[k].tree == c.tree && dst[k].state < to {
 			k++
 		}
-		if k < len(dst) && dst[k].root == c.root && dst[k].state == to &&
+		if k < len(dst) && dst[k].tree == c.tree && dst[k].state == to &&
 			tx.ns.nodes[dst[k].slot].ts >= min(t.TS, pts) {
 			continue
 		}
@@ -201,7 +201,7 @@ func (e *RAPQ) rootedTree(x stream.VertexID) *tree {
 // witness set — unlike the tree shape — is canonical, so liveness is a
 // pure function of the stream prefix.
 func (e *RAPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
-	for _, en := range e.inv.of(v, tx.root) {
+	for _, en := range e.inv.of(v, tx.id) {
 		// The root witnesses only the empty path.
 		if en.slot != rootSlot && e.a.Final[en.state] && tx.ns.nodes[en.slot].ts > validFrom {
 			return true
@@ -279,7 +279,7 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 			}
 			slot = ns.alloc(key, newTS, op.parent, e.park)
 			ns.attach(op.parent, slot)
-			e.inv.add(op.v, tx.root, op.t, slot)
+			e.inv.add(op.v, tx.id, op.t, slot)
 			if e.a.Final[op.t] && newTS > validFrom && !wasLive {
 				e.emit(tx.root, op.v) // line 6 of Insert: (root, v) went live
 			}
@@ -309,19 +309,23 @@ func (e *RAPQ) insert(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 func (e *RAPQ) remove(tx *tree, slot int32) {
 	key := tx.ns.nodes[slot].key
 	tx.ns.detach(slot)
-	e.inv.drop(key.vertex(), tx.root, key.state(), slot)
+	e.inv.drop(key.vertex(), tx.id, key.state(), slot)
 	tx.ns.release(slot)
 }
 
 // ApplyExpiry is ExpiryRAPQ's prune (line 3) at a slide-boundary
 // deadline: reconnection could find nothing (see insert), and a pass that
-// emits nothing may visit the trees in map order. The caller expires the
-// snapshot graph first (Process does; a coordinator, the shared one once).
+// emits nothing visits the trees in descending id order. Index rows are
+// ascending by tree id, so a vertex that leaves many trees in one pass
+// loses its last entry each time, and its row shifts nothing. The caller
+// expires the snapshot graph first (Process does; a coordinator, the
+// shared one once).
 func (e *RAPQ) ApplyExpiry(deadline int64) {
 	start := time.Now()
 	e.stats.ExpiryRuns++
 	e.deadline = deadline
-	for _, tx := range e.trees {
+	for id := len(e.trees) - 1; id >= 0; id-- {
+		tx := &e.trees[id] // a free slot has no nodes: nothing to do
 		for slot := rootSlot + 1; slot < int32(len(tx.ns.nodes)); slot++ {
 			if tx.ns.live(slot) && tx.ns.nodes[slot].ts <= deadline {
 				e.remove(tx, slot)
@@ -344,8 +348,8 @@ func (e *RAPQ) ApplyDelete(t stream.Tuple) {
 	}
 	validFrom := e.win.Spec().ValidFrom(e.now)
 
-	for _, root := range e.rootsOf(t.Src) {
-		tx := e.trees[root]
+	for _, id := range e.treesOf(t.Src) {
+		tx := &e.trees[id]
 		ns := &tx.ns
 		// Lines 2–8: find tree edges matching the deleted edge and mark
 		// their subtrees as expired. A tree edge w.r.t. Tx (Definition 13):

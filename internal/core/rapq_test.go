@@ -140,7 +140,7 @@ func TestRAPQTreeTimestamps(t *testing.T) {
 		}
 		e.Process(tu)
 	}
-	tx := e.trees[0] // rooted at x
+	tx := e.treeOf(0) // rooted at x
 	if tx == nil {
 		t.Fatal("tree Tx missing")
 	}
@@ -175,7 +175,7 @@ func TestRAPQExpiryReconnect(t *testing.T) {
 	for _, tu := range paperStream() {
 		e.Process(tu)
 	}
-	tx := e.trees[0]
+	tx := e.treeOf(0)
 	if tx == nil {
 		t.Fatal("tree Tx missing")
 	}
@@ -237,7 +237,9 @@ func replayOracle(t *testing.T, a *automaton.Bound, spec window.Spec, tuples []s
 			// With slide=1 expiry runs every time unit, so the live
 			// final nodes must match the current snapshot exactly.
 			live := map[Pair]struct{}{}
-			for root, tx := range e.trees {
+			for _, id := range e.allTrees() {
+				tx := &e.trees[id]
+				root := tx.root
 				rootKey := mkNodeKey(root, a.Start)
 				tx.forEachNode(func(key nodeKey, ts int64) {
 					if key == rootKey {
@@ -445,7 +447,7 @@ func TestRAPQDuplicateEdgeRefresh(t *testing.T) {
 	// Refresh the first edge; the path must now survive until t=21.
 	e.Process(stream.Tuple{TS: 11, Src: 1, Dst: 2, Label: 0})
 	e.Process(stream.Tuple{TS: 20, Src: 9, Dst: 9, Label: 0}) // advance time
-	tx := e.trees[1]
+	tx := e.treeOf(1)
 	if tx == nil {
 		t.Fatal("tree gone after refresh")
 	}
@@ -473,7 +475,7 @@ func TestRAPQDeleteSettlesOnce(t *testing.T) {
 	} {
 		e.Process(tu)
 	}
-	tx := e.trees[r]
+	tx := e.treeOf(r)
 	cut := []stream.VertexID{h, B, A}
 	slots := make([]int32, len(cut))
 	for i, v := range cut {
@@ -526,7 +528,7 @@ func TestRAPQDeleteNestedTreeEdges(t *testing.T) {
 	uv := stream.Tuple{TS: 1, Src: u, Dst: v, Label: 0}
 	e.Process(uv)
 	e.Process(stream.Tuple{TS: 2, Src: v, Dst: u, Label: 1})
-	tx := e.trees[u]
+	tx := e.treeOf(u)
 	for _, c := range []struct{ child, parent nodeKey }{
 		{mkNodeKey(v, 1), mkNodeKey(u, 0)},
 		{mkNodeKey(v, 3), mkNodeKey(u, 2)},
@@ -540,8 +542,8 @@ func TestRAPQDeleteNestedTreeEdges(t *testing.T) {
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("after the delete: %v", err)
 	}
-	if e.trees[u] != nil || len(sink.Retract) != 1 || len(sink.Live) != 0 {
-		t.Fatalf("after the delete: tree of u kept %v, retractions %v, live %v", e.trees[u] != nil, sink.Retract, sink.Live)
+	if e.treeOf(u) != nil || len(sink.Retract) != 1 || len(sink.Live) != 0 {
+		t.Fatalf("after the delete: tree of u kept %v, retractions %v, live %v", e.treeOf(u) != nil, sink.Retract, sink.Live)
 	}
 	uv.TS = 4
 	e.Process(uv)

@@ -69,8 +69,8 @@ func (e *RSPQ) applyInsert(t stream.Tuple) {
 			tx.inst = map[nodeKey]instances{mkNodeKey(t.Src, e.a.Start): {slots: []int32{rootSlot}}}
 		}
 	}
-	for _, root := range e.rootsOf(t.Src) {
-		tx := e.trees[root]
+	for _, id := range e.byRoot(e.treesOf(t.Src)) {
+		tx := &e.trees[id]
 		ns := &tx.ns.slotStore
 		for _, tr := range e.a.ByLabel[t.Label] {
 			target := mkNodeKey(t.Dst, tr.To)
@@ -121,7 +121,7 @@ func firstStateAt(ns *slotStore, p int32, v stream.VertexID) (state int32, found
 // final-state instance for v other than the root sits inside the window
 // (lazy expiry leaves stale ones until the next slide boundary).
 func (e *RSPQ) isLive(tx *tree, v stream.VertexID, validFrom int64) bool {
-	for _, en := range e.inv.of(v, tx.root) {
+	for _, en := range e.inv.of(v, tx.id) {
 		if !e.a.Final[en.state] {
 			continue
 		}
@@ -187,7 +187,7 @@ func (e *RSPQ) extend(tx *tree, parent int32, v stream.VertexID, t int32, edgeTS
 	ent := tx.inst[key]
 	if len(ent.slots) == 0 {
 		ent.marked = true // line 9: first instance gets marked
-		e.inv.add(v, tx.root, t, noSlot)
+		e.inv.add(v, tx.id, t, noSlot)
 	}
 	node := ns.alloc(key, newTS, parent, e.park)
 	ns.attach(parent, node)
@@ -337,8 +337,8 @@ func allChildrenMarked(tx *tree, p int32) bool {
 func (e *RSPQ) applyExpiry(deadline int64) {
 	start := time.Now()
 	e.stats.ExpiryRuns++
-	for _, root := range e.allRoots() {
-		tx := e.trees[root]
+	for _, id := range e.byRoot(e.allTrees()) {
+		tx := &e.trees[id]
 		e.expireTree(tx, deadline, false)
 		e.dropIfRootOnly(tx)
 	}
@@ -430,7 +430,7 @@ func (e *RSPQ) remove(tx *tree, slot int32) {
 	tx.ns.detach(slot)
 	if ent := tx.inst[key]; len(ent.slots) == 1 {
 		delete(tx.inst, key)
-		e.inv.drop(key.vertex(), tx.root, key.state(), noSlot)
+		e.inv.drop(key.vertex(), tx.id, key.state(), noSlot)
 	} else {
 		i := slices.Index(ent.slots, slot)
 		ent.slots = slices.Delete(ent.slots, i, i+1)
@@ -445,8 +445,8 @@ func (e *RSPQ) remove(tx *tree, slot int32) {
 func (e *RSPQ) applyDelete(t stream.Tuple) {
 	e.extends = 0
 	validFrom := e.win.Spec().ValidFrom(e.now)
-	for _, root := range e.rootsOf(t.Src) {
-		tx := e.trees[root]
+	for _, id := range e.byRoot(e.treesOf(t.Src)) {
+		tx := &e.trees[id]
 		touched := false
 		for _, tr := range e.a.ByLabel[t.Label] {
 			src := mkNodeKey(t.Src, tr.From)

@@ -228,8 +228,8 @@ func TestRSPQReplayDeterminism(t *testing.T) {
 // node timestamps, parents, support). The streams put every vertex in
 // far more trees than a row once held as a slice, and cross hundreds of
 // slide boundaries, so per-tuple candidate order is on the line, and so
-// is the map order a window pass visits the trees in, which must stay
-// unobservable.
+// is the reuse of tree ids, which orders both a tuple's candidates and a
+// window pass.
 func TestRAPQReplayDeterminism(t *testing.T) {
 	a := bind(t, "(a|b)+", "a", "b")
 	spec := window.Spec{Size: 200, Slide: 10}
@@ -241,7 +241,7 @@ func TestRAPQReplayDeterminism(t *testing.T) {
 		for i, tu := range tuples {
 			sink.tuple = i
 			e.Process(tu)
-			widest = max(widest, len(e.inv.appendRoots(tu.Src, nil)))
+			widest = max(widest, len(e.inv.appendTrees(tu.Src, nil)))
 		}
 		st := e.Stats()
 		st.ExpiryTime = 0 // wall clock

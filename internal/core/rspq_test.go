@@ -113,7 +113,7 @@ func rspqReplayOracle(t *testing.T, a *automaton.Bound, spec window.Spec, tuples
 			// other direction does not hold for RSPQ: nodes reached
 			// over non-simple traversals with containment are kept).
 			for p := range snap {
-				tx := e.trees[p.From]
+				tx := e.treeOf(p.From)
 				if tx == nil {
 					t.Fatalf("tuple %d: no tree for snapshot pair %v", i, p)
 				}
@@ -253,7 +253,8 @@ func TestRSPQMarkingsGrowth(t *testing.T) {
 	if got := e.Stats().ConflictsFound; got != 0 {
 		t.Fatalf("conflict-free query reported %d conflicts", got)
 	}
-	for root, tx := range e.trees {
+	for _, id := range e.allTrees() {
+		root, tx := e.trees[id].root, &e.trees[id]
 		for key, insts := range tx.inst {
 			if len(insts.slots) > 1 {
 				t.Errorf("tree %d: node (%d,%d) has %d instances in a conflict-free run",

@@ -75,15 +75,10 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 		Win:      e.win.State(),
 		Stats:    e.stats,
 	}
-	roots := make([]stream.VertexID, 0, len(e.trees))
-	for root := range e.trees {
-		roots = append(roots, root)
-	}
-	slices.Sort(roots)
-	for _, root := range roots {
-		tx := e.trees[root]
+	for _, id := range e.byRoot(e.allTrees()) {
+		tx := &e.trees[id]
 		ns := &tx.ns
-		ts := TreeState{Root: root, Nodes: make([]TreeNodeState, 0, ns.size()-1)}
+		ts := TreeState{Root: tx.root, Nodes: make([]TreeNodeState, 0, ns.size()-1)}
 		keys := make([]nodeKey, 0, ns.size())
 		for slot := rootSlot + 1; slot < int32(len(ns.nodes)); slot++ {
 			if ns.live(slot) {
@@ -125,7 +120,8 @@ func (e *RAPQ) supportOf(nodes []TreeNodeState) []SupportCount {
 
 // RestoreState rebuilds the Δ index from a snapshot. The engine must be
 // freshly constructed with the same bound automaton and window spec; the
-// snapshot graph is restored separately by the caller.
+// snapshot graph is restored separately by the caller. Trees get their
+// ids in snapshot order, which is ascending by root.
 func (e *RAPQ) RestoreState(st *RAPQState) error {
 	if e.stats.TuplesSeen != 0 || len(e.trees) != 0 {
 		return fmt.Errorf("core: RestoreState on a non-fresh RAPQ engine")
@@ -146,7 +142,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			}
 			slot := store.alloc(key, n.TS, 0, e.park)
 			store.nodes[slot].parent = slot // placeholder until linked below
-			e.inv.add(n.V, tx.root, n.S, slot)
+			e.inv.add(n.V, tx.id, n.S, slot)
 		}
 		// Second pass: link children and validate parents.
 		for _, n := range ts.Nodes {
