@@ -130,6 +130,11 @@ type MemberEngine interface {
 
 // Stats captures the internal state sizes and costs the paper reports
 // (Figures 5, 6(b), 9).
+//
+// InsertCalls after a restore can drift from an uninterrupted run's once
+// a deletion is repaired: the restore lays out slots, sibling lists and
+// graph adjacency canonically, and the repair breaks ties between equal
+// offers in those orders. Results and every other counter agree.
 type Stats struct {
 	Trees          int   // |Δ|: number of spanning trees
 	Nodes          int   // total nodes over all spanning trees

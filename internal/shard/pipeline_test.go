@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"streamrpq/internal/core"
+	"streamrpq/internal/graph"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
@@ -584,6 +585,143 @@ func assertOneShardOnCaller(t *testing.T, opt Option) {
 }
 
 var _ core.MemberEngine = (*faultyMember)(nil)
+
+// memberCall is one call a member engine received: ApplyInsert ('i') or
+// ApplyDelete ('d') of a tuple, or ApplyExpiry ('x') to a deadline, and
+// the epoch it read the graph at.
+type memberCall struct {
+	kind     byte
+	tuple    stream.Tuple
+	deadline int64
+	epoch    graph.Epoch
+}
+
+// recordingMember records every Apply call; everything delegates to a
+// real RAPQ member.
+type recordingMember struct {
+	*core.RAPQ
+	epoch graph.Epoch
+	calls []memberCall
+}
+
+func (r *recordingMember) SetReadEpoch(e graph.Epoch) {
+	r.epoch = e
+	r.RAPQ.SetReadEpoch(e)
+}
+
+func (r *recordingMember) ApplyInsert(t stream.Tuple) {
+	r.calls = append(r.calls, memberCall{kind: 'i', tuple: t, epoch: r.epoch})
+	r.RAPQ.ApplyInsert(t)
+}
+
+func (r *recordingMember) ApplyDelete(t stream.Tuple) {
+	r.calls = append(r.calls, memberCall{kind: 'd', tuple: t, epoch: r.epoch})
+	r.RAPQ.ApplyDelete(t)
+}
+
+func (r *recordingMember) ApplyExpiry(deadline int64) {
+	r.calls = append(r.calls, memberCall{kind: 'x', deadline: deadline, epoch: r.epoch})
+	r.RAPQ.ApplyExpiry(deadline)
+}
+
+var _ core.MemberEngine = (*recordingMember)(nil)
+
+// TestMemberCallContract pins what a shard owes each member engine,
+// however it orders the work of a batch among its groups: on a churn
+// stream (slide boundaries, deletions of present and of already expired
+// or deleted edges, a label no query reads) at shards 1/2/3 and batch
+// sizes 1/17/64, every group receives the call sequence — kind, tuple or
+// deadline — it receives at batch size 1, where each batch is one step.
+// Every call reads the epoch of its step: an insert or delete its step's
+// own, an expiry pass the one below it, the expired graph before the
+// step's mutation (a window pass that reads no graph cannot show that
+// slip in its results).
+func TestMemberCallContract(t *testing.T) {
+	exprs := []string{"(a/b)+", "a/b*", "a|(a/b*)", "(a|b)+", "c/a*", "b+"}
+	spec := window.Spec{Size: 25, Slide: 5}
+	tuples := randomTuples(rand.New(rand.NewSource(61)), 500, 8, 4, 1, 0.2)
+	run := func(shards, batch int) [][]memberCall {
+		s, err := New(spec, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		recs := make([]*recordingMember, len(exprs))
+		for i, expr := range exprs {
+			a := bind(t, expr, "a", "b", "c", "d")
+			recs[i] = &recordingMember{RAPQ: core.NewRAPQ(a, s.spec)}
+			s.activate(s.newGroup(recs[i], s.newMember(a, nil, a.Fingerprint())))
+		}
+		from := make([]int, len(recs))
+		for _, b := range batches(tuples, batch) {
+			if _, err := s.ProcessBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			byEpoch := map[graph.Epoch]step{}
+			for _, st := range s.steps {
+				byEpoch[st.epoch] = st
+			}
+			for i, r := range recs {
+				for _, c := range r.calls[from[i]:] {
+					st, ok := byEpoch[c.epoch]
+					if c.kind == 'x' {
+						st, ok = byEpoch[c.epoch+1]
+						ok = ok && st.expire && st.deadline == c.deadline
+					} else {
+						ok = ok && !st.skip && st.tuple == c.tuple && st.del == (c.kind == 'd')
+					}
+					if !ok {
+						t.Fatalf("shards=%d batch=%d: %q got %c %+v at epoch %d, which is not its step's",
+							shards, batch, exprs[i], c.kind, c, c.epoch)
+					}
+				}
+				from[i] = len(r.calls)
+			}
+		}
+		if st := s.Stats(); st.TuplesDropped == 0 || st.ExpiryRuns == 0 {
+			t.Fatalf("irrelevant-label or expiry coverage is vacuous: %+v", st)
+		}
+		seqs := make([][]memberCall, len(recs))
+		for i, r := range recs {
+			for _, c := range r.calls {
+				c.epoch = 0
+				seqs[i] = append(seqs[i], c)
+			}
+		}
+		return seqs
+	}
+	want := run(1, 1)
+	deleted := map[stream.Tuple]bool{}
+	for _, seq := range want {
+		for _, c := range seq {
+			deleted[c.tuple] = deleted[c.tuple] || c.kind == 'd'
+		}
+	}
+	present, absent := 0, 0
+	for _, tu := range tuples {
+		if tu.Op == stream.Delete && tu.Label < 3 {
+			if deleted[tu] {
+				present++
+			} else {
+				absent++
+			}
+		}
+	}
+	if present == 0 || absent == 0 {
+		t.Fatalf("deletion coverage is vacuous: %d of present edges, %d of absent ones", present, absent)
+	}
+	for _, shards := range []int{1, 2, 3} {
+		for _, batch := range []int{1, 17, 64} {
+			got := run(shards, batch)
+			for i := range exprs {
+				if !slices.Equal(want[i], got[i]) {
+					t.Fatalf("shards=%d batch=%d: %q received %d calls, not the %d of batch size 1 in order",
+						shards, batch, exprs[i], len(got[i]), len(want[i]))
+				}
+			}
+		}
+	}
+}
 
 // TestAddInPlace: every registration goes through one Add and leaves
 // nothing behind. On a two-shard engine the static queries are added

@@ -30,7 +30,9 @@ type group struct {
 	key    string
 	subs   []int
 	w      *worker
-	out    []Result // the current tuple's emissions, before fan-out (see captureSink)
+	// todo is the group's steps of the batch being applied, by position:
+	// p<<1, plus 1 when the group applies the tuple (see worker.plan).
+	todo []int32
 }
 
 // newMember appends a member slot (without a group yet).
@@ -81,7 +83,7 @@ func (s *Engine) newGroup(e core.MemberEngine, mb *member) *group {
 // activate attaches a group to its shard: from the next step on its
 // emissions are captured and it is dispatched to.
 func (s *Engine) activate(g *group) {
-	g.engine.SetSink(captureSink{g})
+	g.engine.SetSink(captureSink{g.w})
 	s.groups = append(s.groups, g)
 	g.w.groups = append(g.w.groups, g)
 	g.w.rebuild()

@@ -39,7 +39,10 @@ type reply struct {
 // between batches; dispatches / relevanceSkips count the (step, group)
 // pairs it admitted and avoided. park lends tree arrays between the
 // shard's groups, which all run on one goroutine; it is emptied at every
-// batch boundary (apply, Add's bootstrap, RestoreState).
+// batch boundary (apply, Add's bootstrap, RestoreState). A shard applies
+// a batch group by group: em holds the emissions of every group for the
+// whole batch, spans says whose and for which step, and the ordering
+// pass turns them into buf.
 type worker struct {
 	id     int
 	groups []*group
@@ -52,8 +55,9 @@ type worker struct {
 	// coordinator has merged before it sends the next batch — or, for the
 	// only shard of a one-shard engine, the engine's result buffer itself.
 	buf            []Result
-	emitted        []*group // groups holding emissions of the current tuple
-	fan            []fanOut // scratch of flush
+	em             []Result // the batch's emissions, before fan-out (see captureSink)
+	spans          []span
+	fan            []fanOut // scratch of order
 	dispatches     int64
 	relevanceSkips int64
 }
@@ -68,56 +72,59 @@ func (w *worker) rebuild() {
 	w.rel = core.BuildRelevanceIndex(bounds)
 }
 
-// captureSink collects a group engine's emissions for the tuple being
-// applied, once per emission; the worker's flush fans them out when the
-// tuple is done.
-type captureSink struct{ g *group }
+// captureSink collects the emissions of its worker's groups, once per
+// emission, into the worker's one emission buffer; apply records which
+// group and step each run of it belongs to, and the ordering pass fans
+// them out when the batch is done.
+type captureSink struct{ w *worker }
 
-func (c captureSink) OnMatch(m core.Match) { c.emit(Result{Match: m}) }
+func (c captureSink) OnMatch(m core.Match) { c.w.em = append(c.w.em, Result{Match: m}) }
 
-func (c captureSink) OnInvalidate(m core.Match) { c.emit(Result{Match: m, Invalidated: true}) }
-
-func (c captureSink) emit(r Result) {
-	if len(c.g.out) == 0 {
-		c.g.w.emitted = append(c.g.w.emitted, c.g)
-	}
-	c.g.out = append(c.g.out, r)
+func (c captureSink) OnInvalidate(m core.Match) {
+	c.w.em = append(c.w.em, Result{Match: m, Invalidated: true})
 }
 
-// fanOut is one (subscriber, group) delivery of the tuple being flushed.
+// span is one group's emissions for one step: em[lo:hi].
+type span struct {
+	g      *group
+	tuple  int // the step's tuple index
+	lo, hi int
+}
+
+// fanOut is one (subscriber, span) delivery of the tuple being ordered.
 type fanOut struct {
 	query int
-	g     *group
+	run   []Result
 }
 
-// flush moves the emissions the groups collected for one tuple into the
-// worker's buffer in canonical order, fanned out to every subscriber —
-// one Result per subscribed query, exactly what private engines would
-// have appended. Each group's handful of emissions is sorted once,
-// whatever its subscriber count, and the subscribers are visited in
-// registration order, so the tuple's records need no sort of their own.
-func (w *worker) flush(tuple int) {
-	if len(w.emitted) == 0 {
-		return
-	}
-	w.fan = w.fan[:0]
-	for _, g := range w.emitted {
-		slices.SortFunc(g.out, compareResults)
-		for _, q := range g.subs {
-			w.fan = append(w.fan, fanOut{q, g})
+// order moves the batch's emissions into the worker's buffer in
+// canonical order, fanned out to every subscriber — one Result per
+// subscribed query, exactly what private engines would have appended.
+// The spans are stable-sorted by step; per step each span is sorted
+// once, whatever its group's subscriber count, and the subscribers are
+// visited in registration order, so the step's records need no sort of
+// their own.
+func (w *worker) order() {
+	slices.SortStableFunc(w.spans, func(a, b span) int { return cmp.Compare(a.tuple, b.tuple) })
+	for i := 0; i < len(w.spans); {
+		tuple := w.spans[i].tuple
+		w.fan = w.fan[:0]
+		for ; i < len(w.spans) && w.spans[i].tuple == tuple; i++ {
+			sp := w.spans[i]
+			run := w.em[sp.lo:sp.hi]
+			slices.SortFunc(run, compareResults)
+			for _, q := range sp.g.subs {
+				w.fan = append(w.fan, fanOut{q, run})
+			}
+		}
+		slices.SortFunc(w.fan, func(a, b fanOut) int { return cmp.Compare(a.query, b.query) })
+		for _, f := range w.fan {
+			for _, r := range f.run {
+				r.Tuple, r.Query = tuple, f.query
+				w.buf = append(w.buf, r)
+			}
 		}
 	}
-	slices.SortFunc(w.fan, func(a, b fanOut) int { return cmp.Compare(a.query, b.query) })
-	for _, f := range w.fan {
-		for _, r := range f.g.out {
-			r.Tuple, r.Query = tuple, f.query
-			w.buf = append(w.buf, r)
-		}
-	}
-	for _, g := range w.emitted {
-		g.out = g.out[:0]
-	}
-	w.emitted = w.emitted[:0]
 }
 
 // relevantLabel reports whether any group has a transition on the
@@ -148,19 +155,25 @@ func (s *Engine) start() {
 	}
 }
 
-// run is the shard goroutine: apply each batch to the shard's queries
-// in stream order, then hand the tagged results back.
+// run is the shard goroutine: apply each batch to the shard's queries,
+// then hand the tagged results back.
 func (w *worker) run() {
 	for steps := range w.in {
 		w.out <- w.apply(steps)
 	}
 }
 
-// apply processes one batch's steps, each at its own epoch, into the
-// shard's buffer in canonical order, and empties the shard's parking. A
-// panic in a member engine is recovered into the reply — the
-// coordinator turns it into the sticky engine error — so a fault cannot
-// take the whole process down.
+// apply processes one batch's steps into the shard's buffer in
+// canonical order, and empties the shard's parking. It runs group by
+// group: each group takes its whole step list — every expiry step, read
+// at the epoch before the step's own, and the steps whose label it
+// reads, each at its own epoch — before the next group starts, so one
+// group's trees and index rows stay in cache, and every member engine
+// receives the call sequence of a tuple-by-tuple schedule. A panic in a
+// member engine is recovered into the reply — the coordinator turns it
+// into the sticky engine error — so a fault cannot take the whole
+// process down; the groups before the faulty one have then applied the
+// whole batch, and the poisoned engine applies nothing more.
 func (w *worker) apply(steps []step) (rep reply) {
 	defer w.park.Release()
 	defer func() {
@@ -168,43 +181,59 @@ func (w *worker) apply(steps []step) (rep reply) {
 			rep = reply{err: fmt.Errorf("shard %d: member engine panic: %v", w.id, r)}
 		}
 	}()
-	w.buf = w.buf[:0]
-	for _, st := range steps {
-		if st.expire {
-			w.expire(st.deadline, st.epoch-1)
+	w.buf, w.em, w.spans = w.buf[:0], w.em[:0], w.spans[:0]
+	w.plan(steps)
+	for _, g := range w.groups {
+		for _, p := range g.todo {
+			st := &steps[p>>1]
+			lo := len(w.em)
+			if st.expire {
+				g.engine.SetReadEpoch(st.epoch - 1)
+				g.engine.ApplyExpiry(st.deadline)
+			}
+			if p&1 != 0 {
+				g.engine.SetReadEpoch(st.epoch)
+				if st.del {
+					g.engine.ApplyDelete(st.tuple)
+				} else {
+					g.engine.ApplyInsert(st.tuple)
+				}
+			}
+			if len(w.em) > lo {
+				w.spans = append(w.spans, span{g, st.index, lo, len(w.em)})
+			}
 		}
-		if !st.skip {
-			w.dispatch(st.tuple, st.del, st.epoch)
-		}
-		w.flush(st.index)
 	}
+	w.order()
 	return reply{results: w.buf}
 }
 
-// expire runs every group's expiry pass to the deadline, reading the
-// graph at epoch ep.
-func (w *worker) expire(deadline int64, ep graph.Epoch) {
+// plan builds every group's step list for the batch in one pass over it
+// (see group.todo): each expiry step goes to every group, each other
+// step to the groups with a transition on its label.
+func (w *worker) plan(steps []step) {
 	for _, g := range w.groups {
-		g.engine.SetReadEpoch(ep)
-		g.engine.ApplyExpiry(deadline)
+		g.todo = g.todo[:0]
 	}
-}
-
-// dispatch applies one graph mutation, reading the graph at epoch ep,
-// to the groups with a transition on its label (the groups are
-// independent — they share only the snapshot graph — so order cannot
-// change emissions).
-func (w *worker) dispatch(t stream.Tuple, del bool, ep graph.Epoch) {
-	order := w.rel.Groups(int(t.Label))
-	w.dispatches += int64(len(order))
-	w.relevanceSkips += int64(len(w.groups) - len(order))
-	for _, gi := range order {
-		g := w.groups[gi]
-		g.engine.SetReadEpoch(ep)
-		if del {
-			g.engine.ApplyDelete(t)
-		} else {
-			g.engine.ApplyInsert(t)
+	for i := range steps {
+		st, p := &steps[i], int32(i)<<1
+		if st.expire {
+			for _, g := range w.groups {
+				g.todo = append(g.todo, p)
+			}
+		}
+		if st.skip {
+			continue
+		}
+		order := w.rel.Groups(int(st.tuple.Label))
+		w.dispatches += int64(len(order))
+		w.relevanceSkips += int64(len(w.groups) - len(order))
+		for _, gi := range order {
+			if g := w.groups[gi]; st.expire {
+				g.todo[len(g.todo)-1] |= 1
+			} else {
+				g.todo = append(g.todo, p|1)
+			}
 		}
 	}
 }

@@ -31,9 +31,13 @@
 // G_{W,τi} of Definition 5, and an expiry pass, reading one epoch
 // earlier, sees the expired graph before the tuple arrives. Then shards
 // 1…n−1, each on its own goroutine, get the batch's steps as one job,
-// while the caller applies shard 0's groups itself; every shard applies
-// the steps in stream order, each at its own epoch, and produces its
-// records in canonical order. The coordinator k-way merges the replies
+// while the caller applies shard 0's groups itself. A shard applies the
+// batch group by group: one group takes every step it has work in, in
+// stream order and each at its own epoch, before the next group starts,
+// so the group's trees and index rows stay in cache; since every epoch
+// stays readable until the bracket closes, the order of groups cannot
+// change what any of them reads. One ordering pass then puts the
+// shard's records in canonical order. The coordinator k-way merges the replies
 // and closes the bracket. With one shard this starts no goroutine and
 // uses no channel, and shard 0 writes the engine's result buffer
 // directly.
@@ -71,7 +75,8 @@
 // The engine never panics mid-batch: a panic in a member engine, on a
 // shard goroutine or on the caller's, is recovered into a sticky error
 // that poisons the engine — the current ProcessBatch (and every later
-// one) fails with it, and Close reports it again (see Err).
+// one) fails with it, and Close reports it again (see Err). The groups
+// its shard applied before the faulty one have taken the whole batch.
 package shard
 
 import (

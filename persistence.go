@@ -282,7 +282,10 @@ func (p *persistState) pendingError() error {
 // returned evaluator continues exactly where the crashed one stopped:
 // on append-only streams the concatenation of pre-crash results,
 // redelivered results and post-recovery results is identical to an
-// uninterrupted run.
+// uninterrupted run. So is every Stats counter but InsertCalls: the
+// restore lays out each Δ index and the graph's adjacency canonically,
+// so once a deletion is repaired the count can drift from an
+// uninterrupted run's (core.Stats.InsertCalls).
 //
 // The checkpoint carries the shard count and the registration list, and
 // the evaluator comes back with both: every registration index names
