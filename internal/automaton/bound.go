@@ -2,6 +2,7 @@ package automaton
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -28,7 +29,8 @@ type Bound struct {
 	Trans   [][]int32      // Trans[s][labelID] → next state, NoState if absent
 	ByLabel [][]Transition // ByLabel[labelID] → all (s,t) with δ(s,label)=t
 
-	dfa *DFA // the automaton Bind bound, for Containment
+	dfa *DFA           // the automaton Bind bound, for Containment and WithoutEmptyWord
+	ids map[string]int // the id Bind gave each transition label, <0 if dropped
 }
 
 // Bind converts the string-labeled DFA into a Bound automaton.
@@ -44,6 +46,7 @@ func (d *DFA) Bind(labelID func(string) int, numLabels int) *Bound {
 		Trans:   make([][]int32, k),
 		ByLabel: make([][]Transition, numLabels),
 		dfa:     d,
+		ids:     make(map[string]int, len(d.Alphabet)),
 	}
 	for s := 0; s < k; s++ {
 		row := make([]int32, numLabels)
@@ -54,7 +57,11 @@ func (d *DFA) Bind(labelID func(string) int, numLabels int) *Bound {
 	}
 	for s := 0; s < k; s++ {
 		for l, t := range d.Trans[s] {
-			id := labelID(l)
+			id, ok := b.ids[l]
+			if !ok {
+				id = labelID(l)
+				b.ids[l] = id
+			}
 			if id < 0 || id >= numLabels {
 				continue
 			}
@@ -63,6 +70,35 @@ func (d *DFA) Bind(labelID func(string) int, numLabels int) *Bound {
 		}
 	}
 	return b
+}
+
+// WithoutEmptyWord returns the bound minimal DFA of L \ {ε} when b's
+// start state is its only final state, and false otherwise: the form a
+// multi-query coordinator evaluates such a query in (see
+// core.GroupBinding). The start gets a fresh non-final copy with its
+// out-transitions, which becomes the start, and the result is
+// minimized, so it is canonical: (a|b)* yields the automaton of (a|b)+,
+// with an equal Fingerprint. It is bound to the label ids and label
+// space b was bound to.
+func (b *Bound) WithoutEmptyWord() (*Bound, bool) {
+	for s, f := range b.Final {
+		if f != (int32(s) == b.Start) {
+			return nil, false
+		}
+	}
+	d := b.dfa
+	split := &DFA{
+		Alphabet: d.Alphabet,
+		Start:    d.NumStates(),
+		Final:    append(slices.Clone(d.Final), false),
+		Trans:    append(slices.Clone(d.Trans), d.Trans[d.Start]),
+	}
+	return split.Minimize().Bind(func(l string) int {
+		if id, ok := b.ids[l]; ok {
+			return id
+		}
+		return -1
+	}, len(b.ByLabel)), true
 }
 
 // Containment returns the suffix-language containment matrix of the

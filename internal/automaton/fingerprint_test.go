@@ -108,3 +108,75 @@ func TestBoundFingerprintWidthIndependent(t *testing.T) {
 		t.Fatalf("fingerprint depends on label-space width:\n  %s\n  %s", narrow.Fingerprint(), wide.Fingerprint())
 	}
 }
+
+// TestWithoutEmptyWord: a query whose start state is its only final
+// state is rebound as L \ {ε} — a canonical automaton with the
+// fingerprint of its R+ twin, over the label ids and label space of
+// the original binding — and a query with a second final state is not.
+func TestWithoutEmptyWord(t *testing.T) {
+	twins := [][2]string{
+		{"(a|b|c)*", "(a|b|c)+"},
+		{"a*", "a+"},
+		{"(a/b)*", "(a/b)+"},
+		{"((a/b)*/c)*", "((a/b)*/c)+"},
+		{"(a*/b)*", "(a*/b)+"},
+	}
+	for _, p := range twins {
+		star, plus := bindAll(p[0]), bindAll(p[1])
+		ne, ok := star.WithoutEmptyWord()
+		if !ok {
+			t.Fatalf("%q: not rebound", p[0])
+		}
+		if got, want := ne.Fingerprint(), plus.Fingerprint(); got != want {
+			t.Errorf("%q without ε: fingerprint %s, %q has %s", p[0], got, p[1], want)
+		}
+		if _, ok := plus.WithoutEmptyWord(); ok {
+			t.Errorf("%q rebound, but its start is not final", p[1])
+		}
+	}
+	for _, expr := range []string{"a*/b*", "a?/b*", "a|b*", "a/b"} {
+		if _, ok := bindAll(expr).WithoutEmptyWord(); ok {
+			t.Errorf("%q rebound: its start is not its only final state", expr)
+		}
+	}
+
+	// A sparse binding: the rebound automaton keeps the ids and the
+	// width, and accepts exactly the non-empty words of L.
+	ids := map[string]int{"a": 5, "b": 2}
+	d := Compile(pattern.MustParse("(a/b|b)*"))
+	b := d.Bind(func(l string) int { return ids[l] }, 8)
+	ne, ok := b.WithoutEmptyWord()
+	if !ok {
+		t.Fatal("(a/b|b)* not rebound")
+	}
+	if len(ne.ByLabel) != 8 {
+		t.Fatalf("label space %d, want 8", len(ne.ByLabel))
+	}
+	for id, trs := range ne.ByLabel {
+		if len(trs) > 0 && id != 5 && id != 2 {
+			t.Fatalf("transition on label id %d, outside the binding", id)
+		}
+	}
+	accepts := func(word []string) bool {
+		s := ne.Start
+		for _, l := range word {
+			if s = ne.Step(s, ids[l]); s == NoState {
+				return false
+			}
+		}
+		return ne.Final[s]
+	}
+	var words func(w []string, n int)
+	words = func(w []string, n int) {
+		if want := len(w) > 0 && d.Accepts(w); accepts(w) != want {
+			t.Fatalf("word %v: accepted %v, want %v", w, !want, want)
+		}
+		if n == 0 {
+			return
+		}
+		for _, l := range []string{"a", "b"} {
+			words(append(w, l), n-1)
+		}
+	}
+	words(nil, 7)
+}

@@ -117,6 +117,12 @@ type MemberEngine interface {
 	// RestoreState rebuilds the Δ index from a checkpoint. Only legal on
 	// a freshly constructed member before any Apply call.
 	RestoreState(*RAPQState) error
+	// RestoreFromGraph is RestoreState for a state whose trees were
+	// numbered for another automaton: it restores the clocks and
+	// counters and rebuilds the Δ index from the window content of g.
+	RestoreFromGraph(*RAPQState, *graph.Graph) error
+	// SelfPairs returns the (x, x) records among the emitted ones.
+	SelfPairs() SelfPairs
 	// SetParking hands the engine the parking its trees' arrays come
 	// from and go to (nil: allocate and drop, as a standalone engine
 	// does). The coordinator runs every engine sharing one parking on
@@ -156,6 +162,15 @@ type Stats struct {
 	SharedGroups   int   // groups evaluated once for ≥ 2 subscribed queries
 	Dispatches     int64 // (tuple, group) applications passing the label filter
 	RelevanceSkips int64 // (tuple, group) applications the filter avoided
+}
+
+// SelfPairs counts the records an engine emitted for pairs (x, x): the
+// ones a coordinator drops for a subscriber whose query never reports
+// them (see GroupBinding), and subtracts from that subscriber's
+// delivery counters.
+type SelfPairs struct {
+	Results       int64 // matches (x, x) among Stats.Results
+	Invalidations int64 // invalidations (x, x) among Stats.Invalidations
 }
 
 // nodeKey packs a (vertex, automaton state) pair, the state in the low

@@ -76,6 +76,7 @@ type delta struct {
 
 	now   int64 // largest timestamp seen; math.MinInt64 before the first
 	stats Stats
+	self  SelfPairs // the (x, x) records among stats.Results and stats.Invalidations
 
 	// sc is the working set of Δ maintenance; idScratch is the
 	// per-tuple candidate-tree snapshot of RSPQ routing and of Algorithm
@@ -180,6 +181,9 @@ func (d *delta) init(a *automaton.Bound, spec window.Spec, opts []Option) config
 
 // Graph implements Engine.
 func (d *delta) Graph() *graph.Graph { return d.g }
+
+// SelfPairs returns the (x, x) records among the emitted ones.
+func (d *delta) SelfPairs() SelfPairs { return d.self }
 
 // Stats implements Engine.
 func (d *delta) Stats() Stats {
@@ -292,6 +296,9 @@ func (d *delta) allTrees() []int32 {
 // emit reports a result pair.
 func (d *delta) emit(x, v stream.VertexID) {
 	d.stats.Results++
+	if x == v {
+		d.self.Results++
+	}
 	d.sink.OnMatch(Match{From: x, To: v, TS: d.now})
 }
 
@@ -378,6 +385,9 @@ func (d *delta) endPass(tx *tree, deadline int64, invalidate bool) {
 			continue
 		}
 		d.stats.Invalidations++
+		if v == tx.root {
+			d.self.Invalidations++
+		}
 		d.sink.OnInvalidate(Match{From: tx.root, To: v, TS: d.now})
 	}
 }

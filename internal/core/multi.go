@@ -56,13 +56,34 @@ type Multi struct {
 	retain bool
 }
 
+// GroupBinding returns the automaton a coordinator's group evaluates a
+// query bound as a with, and whether the query's subscriber must drop
+// the group's (x, x) records. A query whose start state is its only
+// final state — a*, (a|b)*, (a/b)* — never reports (x, x): a path back
+// to x reaches its tree's root, which emits nothing. Its group evaluates
+// L \ {ε} instead (automaton.Bound.WithoutEmptyWord), whose minimal DFA
+// is canonical, so R* shares R+'s group. For every pair v ≠ x the split
+// automaton's max-min node timestamps are the original's — reaching the
+// old start (x, s0) again only prefixes a suffix the root offers too,
+// and that suffix dominates — so the two emit the same matches and
+// invalidations; dropping (x, x) leaves exactly the original's records.
+// Any other query binds as it is.
+func GroupBinding(a *automaton.Bound) (*automaton.Bound, bool) {
+	if b, ok := a.WithoutEmptyWord(); ok {
+		return b, true
+	}
+	return a, false
+}
+
 // multiGroup owns one shared Δ-index engine evaluated once per tuple
 // for all subscribed queries. subs holds subscriber registration
-// indices in ascending order (the fan-out order).
+// indices in ascending order (the fan-out order); noSelf[i] reports
+// whether subscriber subs[i] drops (x, x) records (GroupBinding).
 type multiGroup struct {
-	eng  *RAPQ
-	key  string // Bound.Fingerprint
-	subs []int
+	eng    *RAPQ
+	key    string // Bound.Fingerprint
+	subs   []int
+	noSelf []bool
 }
 
 // groupSink fans one engine emission out to every subscriber's sink,
@@ -74,16 +95,16 @@ type groupSink struct {
 }
 
 func (s *groupSink) OnMatch(mt Match) {
-	for _, i := range s.g.subs {
-		if sk := s.m.sinks[i]; sk != nil {
+	for k, i := range s.g.subs {
+		if sk := s.m.sinks[i]; sk != nil && !(s.g.noSelf[k] && mt.From == mt.To) {
 			sk.OnMatch(mt)
 		}
 	}
 }
 
 func (s *groupSink) OnInvalidate(mt Match) {
-	for _, i := range s.g.subs {
-		if sk := s.m.sinks[i]; sk != nil {
+	for k, i := range s.g.subs {
+		if sk := s.m.sinks[i]; sk != nil && !(s.g.noSelf[k] && mt.From == mt.To) {
 			sk.OnInvalidate(mt)
 		}
 	}
@@ -111,9 +132,11 @@ func (m *Multi) SetRetainAll(on bool) error {
 }
 
 // Add registers one query and returns its engine (for Stats probes);
-// an equivalent already-registered query yields the same (shared)
-// engine. All engines share the coordinator's snapshot graph. Queries must be added before the first tuple is processed. Of
-// the options only WithSink applies: it names the query's own sink.
+// a query of an already-registered group binding (GroupBinding) yields
+// the same (shared) engine. All engines share the coordinator's
+// snapshot graph. Queries must be added before the first tuple is
+// processed. Of the options only WithSink applies: it names the
+// query's own sink.
 func (m *Multi) Add(a *automaton.Bound, opts ...Option) (*RAPQ, error) {
 	if m.seen > 0 {
 		return nil, fmt.Errorf("core: Multi.Add after processing started")
@@ -127,14 +150,16 @@ func (m *Multi) Add(a *automaton.Bound, opts ...Option) (*RAPQ, error) {
 	}
 	idx := len(m.sinks)
 	m.sinks = append(m.sinks, cfg.sink)
+	a, noSelf := GroupBinding(a)
 	key := a.Fingerprint()
 	for _, g := range m.groups {
 		if g.key == key {
 			g.subs = append(g.subs, idx)
+			g.noSelf = append(g.noSelf, noSelf)
 			return g.eng, nil
 		}
 	}
-	g := &multiGroup{key: key, subs: []int{idx}}
+	g := &multiGroup{key: key, subs: []int{idx}, noSelf: []bool{noSelf}}
 	g.eng = NewRAPQ(a, m.win.Spec(), WithSink(&groupSink{m: m, g: g}))
 	g.eng.AttachGraph(m.g)
 	m.groups = append(m.groups, g)
@@ -212,18 +237,23 @@ func (m *Multi) Process(t stream.Tuple) {
 // Nodes, InsertCalls, expiry costs) are counted once per group — that
 // is the point of sharing — while delivery counters (Results,
 // Invalidations) are per subscribed query: each group's engine counts
-// are multiplied by its subscriber count, matching what private
-// engines would have reported for a static query set. Edges/Vertices
-// describe the shared graph.
+// once per subscriber, less its (x, x) records for a subscriber that
+// drops them, matching what private engines would have reported for a
+// static query set. Edges/Vertices describe the shared graph.
 func (m *Multi) Stats() Stats {
 	var s Stats
 	for _, g := range m.groups {
-		ms := g.eng.Stats()
-		n := int64(len(g.subs))
+		ms, self := g.eng.Stats(), g.eng.SelfPairs()
+		for _, noSelf := range g.noSelf {
+			s.Results += ms.Results
+			s.Invalidations += ms.Invalidations
+			if noSelf {
+				s.Results -= self.Results
+				s.Invalidations -= self.Invalidations
+			}
+		}
 		s.Trees += ms.Trees
 		s.Nodes += ms.Nodes
-		s.Results += ms.Results * n
-		s.Invalidations += ms.Invalidations * n
 		s.InsertCalls += ms.InsertCalls
 		s.ExpiryRuns += ms.ExpiryRuns
 		s.ExpiryTime += ms.ExpiryTime

@@ -63,6 +63,7 @@ type RAPQState struct {
 	Deadline int64
 	Win      window.State
 	Stats    Stats // the counters; sizes are recomputed on restore
+	Self     SelfPairs
 	Trees    []TreeState
 }
 
@@ -74,6 +75,7 @@ func (e *RAPQ) SnapshotState() *RAPQState {
 		Deadline: e.deadline,
 		Win:      e.win.State(),
 		Stats:    e.stats,
+		Self:     e.self,
 	}
 	for _, id := range e.byRoot(e.allTrees()) {
 		tx := &e.trees[id]
@@ -126,10 +128,7 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 	if e.stats.TuplesSeen != 0 || len(e.trees) != 0 {
 		return fmt.Errorf("core: RestoreState on a non-fresh RAPQ engine")
 	}
-	e.now = st.Now
-	e.deadline = st.Deadline
-	e.win.SetState(st.Win)
-	e.stats = st.Stats
+	e.restoreClocks(st)
 	for _, ts := range st.Trees {
 		tx := e.rootedTree(ts.Root)
 		store := &tx.ns
@@ -159,6 +158,34 @@ func (e *RAPQ) RestoreState(st *RAPQState) error {
 			return fmt.Errorf("core: restore: tree %d support %v, nodes imply %v", ts.Root, ts.Support, got)
 		}
 	}
+	return nil
+}
+
+// restoreClocks sets the engine's clocks and counters from st.
+func (e *RAPQ) restoreClocks(st *RAPQState) {
+	e.now = st.Now
+	e.deadline = st.Deadline
+	e.win.SetState(st.Win)
+	e.stats = st.Stats
+	e.self = st.Self
+}
+
+// RestoreFromGraph rebuilds a freshly constructed engine from a snapshot
+// whose trees it cannot read, because they number the states of
+// another automaton, and from the window content of g, which the
+// caller has restored: the Δ index is bootstrapped from g
+// (BootstrapFromGraph, emitting nothing), then the clocks and counters
+// are st's. Its later emissions are those of an engine restored from
+// its own state, as with a query registered mid-stream.
+func (e *RAPQ) RestoreFromGraph(st *RAPQState, g *graph.Graph) error {
+	if e.stats.TuplesSeen != 0 || len(e.trees) != 0 {
+		return fmt.Errorf("core: RestoreFromGraph on a non-fresh RAPQ engine")
+	}
+	sink := e.sink
+	e.sink = discardSink{}
+	e.BootstrapFromGraph(g)
+	e.sink = sink
+	e.restoreClocks(st)
 	return nil
 }
 
@@ -193,6 +220,15 @@ type MultiState struct {
 	MemberGroup    []int
 	Dispatches     int64
 	RelevanceSkips int64
+
+	// WithoutEmptyWord (snapshot format v5) reports that every query
+	// whose start state is its only final state was evaluated as
+	// L \ {ε} (GroupBinding), so each state is numbered for the
+	// automaton its group evaluates today. Older files leave it unset:
+	// there such a query's state is numbered for its own automaton, and
+	// the coordinator restores its group from another subscriber's state,
+	// or rebuilds it from the window.
+	WithoutEmptyWord bool
 }
 
 // SnapshotEdges returns the graph's live edges sorted by (TS, Src, Dst,

@@ -44,6 +44,7 @@ func testSnapshot(gen uint64) *Snapshot {
 					Deadline: 900,
 					Win:      window.State{Boundary: 995, Started: true},
 					Stats:    core.Stats{Results: 7, TuplesSeen: 50},
+					Self:     core.SelfPairs{Results: 2, Invalidations: 1},
 					Trees: []core.TreeState{
 						{Root: 0, Nodes: []core.TreeNodeState{
 							{V: 1, S: 1, TS: 990, ParentV: 0, ParentS: 0},
@@ -56,6 +57,8 @@ func testSnapshot(gen uint64) *Snapshot {
 			MemberGroup:    []int{0, 1},
 			Dispatches:     42,
 			RelevanceSkips: 17,
+
+			WithoutEmptyWord: true,
 		},
 	}
 }
@@ -97,7 +100,7 @@ func TestClockListWrittenEmptyAndSkipped(t *testing.T) {
 	}
 	older.buf = append(older.buf, tail.buf...)
 	d := &decoder{buf: older.buf}
-	if got := decodeMultiState(d); d.err != nil || d.off != len(older.buf) || !reflect.DeepEqual(got, st) {
+	if got := decodeMultiState(d, snapVersion); d.err != nil || d.off != len(older.buf) || !reflect.DeepEqual(got, st) {
 		t.Fatalf("an older writer's clock list: err %v, %d of %d bytes read,\ngot  %+v\nwant %+v",
 			d.err, d.off, len(older.buf), got, st)
 	}
@@ -105,7 +108,7 @@ func TestClockListWrittenEmptyAndSkipped(t *testing.T) {
 	huge.u64(1 << 40)
 	huge.buf = append(huge.buf, tail.buf...)
 	d = &decoder{buf: huge.buf}
-	if decodeMultiState(d); d.err == nil {
+	if decodeMultiState(d, snapVersion); d.err == nil {
 		t.Fatal("an implausible clock-list count decoded")
 	}
 }

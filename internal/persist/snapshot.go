@@ -17,7 +17,7 @@ import (
 // Snapshot file format (snap-<G>.ckpt):
 //
 //	magic    "SRPQSNAP"      8 bytes
-//	version  uint8           currently 4 (snapVersion)
+//	version  uint8           currently 5 (snapVersion)
 //	payload  varint-encoded sections (see encodeSnapshot)
 //	crc32    uint32 LE       IEEE, over magic+version+payload
 //
@@ -48,7 +48,13 @@ const (
 	// read; a v4 file written with sharing off splits a class of
 	// equivalent queries over several states and restores collapsed into
 	// the class's one group (shard.Engine.RestoreState).
-	snapVersion = 4
+	// Version 5 comes from a coordinator that binds a query whose start
+	// state is its only final state as L \ {ε} (core.GroupBinding), so
+	// such a query's group state is numbered for that automaton
+	// (core.MultiState.WithoutEmptyWord), and adds each group state's
+	// (x, x) record counts (core.SelfPairs) after its counters. A v4 file restores such a group from another
+	// subscriber's state or from the window (shard.Engine.RestoreState).
+	snapVersion = 5
 
 	// snapVersionMin is the oldest snapshot version recovery accepts.
 	snapVersionMin = 4
@@ -179,6 +185,8 @@ func encodeRAPQState(e *encoder, st *core.RAPQState) {
 	e.i64(st.Deadline)
 	encodeWinState(e, st.Win)
 	encodeStats(e, st.Stats)
+	e.i64(st.Self.Results)
+	e.i64(st.Self.Invalidations)
 	e.u64(uint64(len(st.Trees)))
 	for _, tr := range st.Trees {
 		e.u64(uint64(tr.Root))
@@ -194,12 +202,15 @@ func encodeRAPQState(e *encoder, st *core.RAPQState) {
 	}
 }
 
-func decodeRAPQState(d *decoder) *core.RAPQState {
+func decodeRAPQState(d *decoder, version byte) *core.RAPQState {
 	st := &core.RAPQState{
 		Now:      d.i64(),
 		Deadline: d.i64(),
 		Win:      decodeWinState(d),
 		Stats:    decodeStats(d),
+	}
+	if version >= 5 {
+		st.Self = core.SelfPairs{Results: d.i64(), Invalidations: d.i64()}
 	}
 	ntrees := d.count(2)
 	for i := 0; i < ntrees && d.err == nil; i++ {
@@ -243,19 +254,22 @@ func encodeMultiState(e *encoder, st *core.MultiState) {
 	e.i64(st.RelevanceSkips)
 }
 
-// decodeMultiState parses a coordinator state section: one Δ state per
-// group, the query→group mapping and the dispatch counters.
-func decodeMultiState(d *decoder) *core.MultiState {
+// decodeMultiState parses a coordinator state section of the given
+// snapshot version: one Δ state per group, the query→group mapping and
+// the dispatch counters.
+func decodeMultiState(d *decoder, version byte) *core.MultiState {
 	st := &core.MultiState{
 		Now:     d.i64(),
 		Seen:    d.i64(),
 		Dropped: d.i64(),
 		Win:     decodeWinState(d),
 		Edges:   decodeEdges(d),
+
+		WithoutEmptyWord: version >= 5,
 	}
 	nmembers := d.count(2)
 	for i := 0; i < nmembers && d.err == nil; i++ {
-		st.Members = append(st.Members, decodeRAPQState(d))
+		st.Members = append(st.Members, decodeRAPQState(d, version))
 	}
 	st.Retain = d.bool()
 	// Older writers filled the per-label clock list; it is read and
@@ -324,7 +338,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	d := &decoder{buf: body, off: len(snapMagic)}
-	if v := d.byte(); v < snapVersionMin || v > snapVersion {
+	v := d.byte()
+	if v < snapVersionMin || v > snapVersion {
 		return nil, fmt.Errorf("persist: unsupported snapshot version %d", v)
 	}
 	s := &Snapshot{
@@ -341,7 +356,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	s.Started = d.bool()
 	s.AppliedTuples = d.i64()
 	s.AppliedBatches = d.u64()
-	s.State = decodeMultiState(d)
+	s.State = decodeMultiState(d, v)
 	if d.err != nil {
 		return nil, d.err
 	}

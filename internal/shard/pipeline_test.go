@@ -516,7 +516,7 @@ func stickyWorkerError(t *testing.T, opts ...Option) {
 	if err := s.checkLabelSpace(fa); err != nil {
 		t.Fatal(err)
 	}
-	mb := s.newMember(fa, nil, fa.Fingerprint())
+	mb := s.newMember(fa, nil)
 	s.activate(s.newGroup(&faultyMember{RAPQ: core.NewRAPQ(fa, s.spec), failAt: 30}, mb))
 
 	tuples := refreshTuples(rand.New(rand.NewSource(3)), 400)
@@ -650,7 +650,7 @@ func TestMemberCallContract(t *testing.T) {
 		for i, expr := range exprs {
 			a := bind(t, expr, "a", "b", "c", "d")
 			recs[i] = &recordingMember{RAPQ: core.NewRAPQ(a, s.spec)}
-			s.activate(s.newGroup(recs[i], s.newMember(a, nil, a.Fingerprint())))
+			s.activate(s.newGroup(recs[i], s.newMember(a, nil)))
 		}
 		from := make([]int, len(recs))
 		for _, b := range batches(tuples, batch) {

@@ -8,36 +8,47 @@ import (
 	"streamrpq/internal/core"
 )
 
-// member is one registered query: its bound automaton, its user sink,
-// and the shared Δ-index group it subscribes to. Members whose automata
-// are equivalent (equal key) share one group.
+// member is one registered query: the automaton its group evaluates
+// (core.GroupBinding), its user sink, and the shared Δ-index group it
+// subscribes to. Members whose group automata are equivalent (equal
+// key) share one group.
 type member struct {
-	bound *automaton.Bound
-	sink  core.Sink // user sink; called by the coordinator post-merge
-	index int
-	key   string // group key: the automaton's Fingerprint
-	group *group
+	bound  *automaton.Bound
+	sink   core.Sink // user sink; called by the coordinator post-merge
+	index  int
+	key    string // group key: the group automaton's Fingerprint
+	noSelf bool   // the query drops its group's (x, x) records
+	group  *group
+}
+
+// sub is one subscriber of a group: its registration index, and
+// whether the fan-out drops the group's (x, x) records for it.
+type sub struct {
+	query  int
+	noSelf bool
 }
 
 // group owns one member engine, evaluated once per tuple for all its
-// subscribers. subs holds the subscriber registration indices in
-// ascending order — the fan-out stamps one Result per subscriber, and
-// the canonical merge restores per-query order afterwards. The group is
+// subscribers. subs holds the subscribers in ascending registration
+// order — the fan-out stamps one Result per subscriber, and the
+// canonical merge restores per-query order afterwards. The group is
 // pinned to one worker shard (chosen by its first subscriber's index).
 type group struct {
 	engine core.MemberEngine
 	bound  *automaton.Bound
 	key    string
-	subs   []int
+	subs   []sub
 	w      *worker
 	// todo is the group's steps of the batch being applied, by position:
 	// p<<1, plus 1 when the group applies the tuple (see worker.plan).
 	todo []int32
 }
 
-// newMember appends a member slot (without a group yet).
-func (s *Engine) newMember(a *automaton.Bound, sink core.Sink, key string) *member {
-	mb := &member{bound: a, sink: sink, index: len(s.members), key: key}
+// newMember appends a member slot (without a group yet) for a query
+// bound as a.
+func (s *Engine) newMember(a *automaton.Bound, sink core.Sink) *member {
+	b, noSelf := core.GroupBinding(a)
+	mb := &member{bound: b, sink: sink, index: len(s.members), key: b.Fingerprint(), noSelf: noSelf}
 	s.members = append(s.members, mb)
 	return mb
 }
@@ -47,7 +58,7 @@ func (s *Engine) newMember(a *automaton.Bound, sink core.Sink, key string) *memb
 func (s *Engine) joinGroup(mb *member) *group {
 	for _, g := range s.groups {
 		if g.key == mb.key {
-			g.subs = append(g.subs, mb.index)
+			g.subs = append(g.subs, sub{mb.index, mb.noSelf})
 			mb.group = g
 			return g
 		}
@@ -75,7 +86,7 @@ func (s *Engine) newGroup(e core.MemberEngine, mb *member) *group {
 	e.AttachGraph(s.g)
 	w := s.workers[mb.index%len(s.workers)]
 	e.SetParking(&w.park)
-	g := &group{engine: e, bound: mb.bound, key: mb.key, subs: []int{mb.index}, w: w}
+	g := &group{engine: e, bound: mb.bound, key: mb.key, subs: []sub{{mb.index, mb.noSelf}}, w: w}
 	mb.group = g
 	return g
 }
@@ -93,7 +104,10 @@ func (s *Engine) activate(g *group) {
 // Stats probes; RestoreState restores into it); sink may be nil.
 // Registration indices (the ids results carry) count Add calls. Call
 // between batches, before the first one or mid-stream: both register
-// the same way. A query equivalent to an active group (equal
+// the same way. The group evaluates the query's core.GroupBinding: a
+// query whose start state is its only final state binds as L \ {ε}, and
+// its fan-out drops the group's (x, x) records, which the query never
+// reports. A query whose group automaton is an active group's (equal
 // automaton.Bound.Fingerprint) subscribes to its fan-out and gets the
 // shared engine — the group's output depends only on the stream and its
 // automaton, so its future emissions are exactly the suffix a query of
@@ -123,11 +137,11 @@ func (s *Engine) Add(a *automaton.Bound, sink core.Sink) (*core.RAPQ, error) {
 	if err := s.checkLabelSpace(a); err != nil {
 		return nil, err
 	}
-	mb := s.newMember(a, sink, a.Fingerprint())
+	mb := s.newMember(a, sink)
 	if g := s.joinGroup(mb); g != nil {
 		return g.engine.(*core.RAPQ), nil
 	}
-	e := core.NewRAPQ(a, s.spec) // default discard sink while bootstrapping
+	e := core.NewRAPQ(mb.bound, s.spec) // default discard sink while bootstrapping
 	g := s.newGroup(e, mb)
 	boot := func() (err error) {
 		defer func() {
@@ -174,7 +188,7 @@ func (s *Engine) Remove(index int) error {
 	// list while applying a job, and the next job send happens-after
 	// this mutation.
 	g := mb.group
-	g.subs = slices.DeleteFunc(g.subs, func(q int) bool { return q == index })
+	g.subs = slices.DeleteFunc(g.subs, func(sb sub) bool { return sb.query == index })
 	if len(g.subs) == 0 {
 		isG := func(c *group) bool { return c == g }
 		s.groups = slices.DeleteFunc(s.groups, isG)

@@ -41,8 +41,8 @@ type reply struct {
 // shard's groups, which all run on one goroutine; it is emptied at every
 // batch boundary (apply, Add's bootstrap, RestoreState). A shard applies
 // a batch group by group: em holds the emissions of every group for the
-// whole batch, spans says whose and for which step, and the ordering
-// pass turns them into buf.
+// whole batch, spans says whose, for which step and of which kind, and
+// the ordering pass turns them into buf.
 type worker struct {
 	id     int
 	groups []*group
@@ -55,7 +55,7 @@ type worker struct {
 	// coordinator has merged before it sends the next batch — or, for the
 	// only shard of a one-shard engine, the engine's result buffer itself.
 	buf            []Result
-	em             []Result // the batch's emissions, before fan-out (see captureSink)
+	em             []core.Match // the batch's emissions, before fan-out (see captureSink)
 	spans          []span
 	fan            []fanOut // scratch of order
 	dispatches     int64
@@ -78,32 +78,35 @@ func (w *worker) rebuild() {
 // them out when the batch is done.
 type captureSink struct{ w *worker }
 
-func (c captureSink) OnMatch(m core.Match) { c.w.em = append(c.w.em, Result{Match: m}) }
+func (c captureSink) OnMatch(m core.Match) { c.w.em = append(c.w.em, m) }
 
-func (c captureSink) OnInvalidate(m core.Match) {
-	c.w.em = append(c.w.em, Result{Match: m, Invalidated: true})
-}
+func (c captureSink) OnInvalidate(m core.Match) { c.w.em = append(c.w.em, m) }
 
-// span is one group's emissions for one step: em[lo:hi].
+// span is one group's emissions for one step: em[lo:hi], all of one
+// kind. ApplyInsert emits only matches, ApplyDelete only invalidations,
+// and a window pass nothing.
 type span struct {
 	g      *group
 	tuple  int // the step's tuple index
 	lo, hi int
+	inval  bool // the step was a deletion: em[lo:hi] are invalidations
 }
 
 // fanOut is one (subscriber, span) delivery of the tuple being ordered.
 type fanOut struct {
-	query int
-	run   []Result
+	sub
+	inval bool
+	run   []core.Match
 }
 
 // order moves the batch's emissions into the worker's buffer in
 // canonical order, fanned out to every subscriber — one Result per
-// subscribed query, exactly what private engines would have appended.
+// subscribed query, exactly what private engines would have appended,
+// less the (x, x) records of a noSelf subscriber (core.GroupBinding).
 // The spans are stable-sorted by step; per step each span is sorted
 // once, whatever its group's subscriber count, and the subscribers are
-// visited in registration order, so the step's records need no sort of
-// their own.
+// visited in registration order. A query takes one group's span per
+// step, so the step's records need no sort of their own.
 func (w *worker) order() {
 	slices.SortStableFunc(w.spans, func(a, b span) int { return cmp.Compare(a.tuple, b.tuple) })
 	for i := 0; i < len(w.spans); {
@@ -112,16 +115,18 @@ func (w *worker) order() {
 		for ; i < len(w.spans) && w.spans[i].tuple == tuple; i++ {
 			sp := w.spans[i]
 			run := w.em[sp.lo:sp.hi]
-			slices.SortFunc(run, compareResults)
-			for _, q := range sp.g.subs {
-				w.fan = append(w.fan, fanOut{q, run})
+			slices.SortFunc(run, compareMatches)
+			for _, sb := range sp.g.subs {
+				w.fan = append(w.fan, fanOut{sb, sp.inval, run})
 			}
 		}
 		slices.SortFunc(w.fan, func(a, b fanOut) int { return cmp.Compare(a.query, b.query) })
 		for _, f := range w.fan {
-			for _, r := range f.run {
-				r.Tuple, r.Query = tuple, f.query
-				w.buf = append(w.buf, r)
+			for _, m := range f.run {
+				if f.noSelf && m.From == m.To {
+					continue // the query never reports (x, x)
+				}
+				w.buf = append(w.buf, Result{Tuple: tuple, Query: f.query, Match: m, Invalidated: f.inval})
 			}
 		}
 	}
@@ -200,7 +205,7 @@ func (w *worker) apply(steps []step) (rep reply) {
 				}
 			}
 			if len(w.em) > lo {
-				w.spans = append(w.spans, span{g, st.index, lo, len(w.em)})
+				w.spans = append(w.spans, span{g, st.index, lo, len(w.em), st.del})
 			}
 		}
 	}
@@ -293,13 +298,18 @@ func compareResults(a, b Result) int {
 		}
 		return 1
 	}
-	if c := cmp.Compare(a.Match.From, b.Match.From); c != 0 {
+	return compareMatches(a.Match, b.Match)
+}
+
+// compareMatches orders one span's records: by (From, To, TS).
+func compareMatches(a, b core.Match) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Match.To, b.Match.To); c != 0 {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Match.TS, b.Match.TS)
+	return cmp.Compare(a.TS, b.TS)
 }
 
 // process runs one batch (see the package comment): open the graph's

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"streamrpq/internal/core"
 	"streamrpq/internal/stream"
 	"streamrpq/internal/window"
 )
@@ -179,5 +180,105 @@ func TestShardRelevanceSkips(t *testing.T) {
 	}
 	if d != st.Dispatches || k != st.RelevanceSkips {
 		t.Fatalf("per-shard sums %d/%d != aggregate %d/%d", d, k, st.Dispatches, st.RelevanceSkips)
+	}
+}
+
+// starExprs mixes queries whose start state is their only final state
+// (a*, (a|b)*, (a/b)*, ((a/b)*/c)*, (a*/b)*) with their R+ twins and a
+// query with a second final state (a*/b*, which keeps its binding).
+// a*, a+ and a/a* share one group, (a/b)* and (a/b)+ another: seven
+// groups, two of them shared.
+var starExprs = []string{"a*", "a+", "a/a*", "(a|b)*", "(a/b)*", "(a/b)+", "((a/b)*/c)*", "(a*/b)*", "(a|b|c)+", "a*/b*"}
+
+// runPrivateRAPQ is TestStarSharesPlusGroup's oracle: one standalone
+// core.RAPQ per query, bound to the query's own compiled DFA and fed
+// the stream tuple by tuple; each tuple's records are put in canonical
+// order. It also returns the engines' summed delivery counters.
+func runPrivateRAPQ(t *testing.T, spec window.Spec, exprs []string, tuples []stream.Tuple) ([]Result, core.Stats) {
+	t.Helper()
+	var all, step []Result
+	cur := 0
+	engines := make([]*core.RAPQ, len(exprs))
+	for q, expr := range exprs {
+		emit := func(inval bool) func(core.Match) {
+			return func(m core.Match) {
+				step = append(step, Result{Tuple: cur, Query: q, Match: m, Invalidated: inval})
+			}
+		}
+		sink := core.FuncSink{Match: emit(false), Invalidate: emit(true)}
+		engines[q] = core.NewRAPQ(bind(t, expr, "a", "b", "c"), spec, core.WithSink(sink))
+	}
+	for i, tu := range tuples {
+		cur, step = i, step[:0]
+		for _, e := range engines {
+			e.Process(tu)
+		}
+		slices.SortFunc(step, compareResults)
+		all = append(all, step...)
+	}
+	var sum core.Stats
+	for _, e := range engines {
+		st := e.Stats()
+		sum.Results += st.Results
+		sum.Invalidations += st.Invalidations
+	}
+	return all, sum
+}
+
+// TestStarSharesPlusGroup: a query whose start state is its only final
+// state shares its R+ twin's group (core.GroupBinding), and its records
+// stay those of an unshared engine: on a 10%-deletion stream, at slides
+// 1–4, shards 1–3 and batch sizes 1, 17 and 64, every record equals one
+// private core.RAPQ per query, bound to its own DFA, and the delivery
+// counters equal the private engines' sums.
+func TestStarSharesPlusGroup(t *testing.T) {
+	tuples := randomTuples(rand.New(rand.NewSource(51)), 700, 6, 3, 1, 0.10)
+	for slide := int64(1); slide <= 4; slide++ {
+		spec := window.Spec{Size: 20, Slide: slide}
+		want, sum := runPrivateRAPQ(t, spec, starExprs, tuples)
+		selfPairs := 0
+		for _, r := range want {
+			if r.Match.From == r.Match.To {
+				selfPairs++
+			}
+		}
+		if sum.Invalidations == 0 || selfPairs == 0 {
+			t.Fatalf("slide %d: %d invalidations, %d (x, x) records; test is vacuous", slide, sum.Invalidations, selfPairs)
+		}
+		for shards := 1; shards <= 3; shards++ {
+			for _, batch := range []int{1, 17, 64} {
+				s, err := New(spec, WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, expr := range starExprs {
+					if _, err := s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m := s.members
+				if m[0].group != m[1].group || m[1].group != m[2].group || m[4].group != m[5].group {
+					t.Fatal("a*, a+ and a/a* or (a/b)* and (a/b)+ do not share a group")
+				}
+				got := runGlobal(t, s, tuples, batch)
+				st := s.Stats()
+				s.Close()
+				if st.Groups != 7 || st.SharedGroups != 2 {
+					t.Fatalf("groups %d shared %d, want 7/2", st.Groups, st.SharedGroups)
+				}
+				if !reflect.DeepEqual(want, got) {
+					i := 0
+					for i < min(len(want), len(got)) && want[i] == got[i] {
+						i++
+					}
+					t.Fatalf("slide %d shards %d batch %d: %d records, private engines %d; first difference at %d",
+						slide, shards, batch, len(got), len(want), i)
+				}
+				if st.Results != sum.Results || st.Invalidations != sum.Invalidations {
+					t.Fatalf("slide %d shards %d batch %d: results %d invalidations %d, private engines %d/%d",
+						slide, shards, batch, st.Results, st.Invalidations, sum.Results, sum.Invalidations)
+				}
+			}
+		}
 	}
 }

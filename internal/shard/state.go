@@ -11,15 +11,21 @@ import (
 // addGroupStats folds one group's engine counters into an aggregate:
 // index-maintenance counters (Trees, Nodes, InsertCalls, expiry costs)
 // once per group — that is the point of sharing — and delivery counters
-// (Results, Invalidations) once per subscribed query, matching what
+// (Results, Invalidations) once per subscribed query, less the (x, x)
+// records the fan-out drops for a noSelf subscriber, matching what
 // private engines would have reported for a static query set.
 func addGroupStats(out *core.Stats, g *group) {
-	ms := g.engine.Stats()
-	n := int64(len(g.subs))
+	ms, self := g.engine.Stats(), g.engine.SelfPairs()
+	for _, sb := range g.subs {
+		out.Results += ms.Results
+		out.Invalidations += ms.Invalidations
+		if sb.noSelf {
+			out.Results -= self.Results
+			out.Invalidations -= self.Invalidations
+		}
+	}
 	out.Trees += ms.Trees
 	out.Nodes += ms.Nodes
-	out.Results += ms.Results * n
-	out.Invalidations += ms.Invalidations * n
 	out.InsertCalls += ms.InsertCalls
 	out.ExpiryRuns += ms.ExpiryRuns
 	out.ExpiryTime += ms.ExpiryTime
@@ -87,12 +93,14 @@ func (s *Engine) SnapshotState() *core.MultiState {
 		Win:     s.win.State(),
 		Edges:   core.SnapshotEdges(s.g),
 		Retain:  !s.partial,
+
+		WithoutEmptyWord: true,
 	}
 	st.Dispatches, st.RelevanceSkips = s.dispatchCounts()
 	// Groups ordered by lowest subscriber index: a canonical order that
 	// restore can reproduce without knowing group creation history.
 	ordered := slices.Clone(s.groups)
-	slices.SortFunc(ordered, func(a, b *group) int { return cmp.Compare(a.subs[0], b.subs[0]) })
+	slices.SortFunc(ordered, func(a, b *group) int { return cmp.Compare(a.subs[0].query, b.subs[0].query) })
 	rank := make(map[*group]int, len(ordered))
 	for gi, g := range ordered {
 		rank[g] = gi
@@ -122,6 +130,15 @@ func (s *Engine) SnapshotState() *core.MultiState {
 // Retain unset (written by an older coordinator that dropped the labels
 // no query read) closes registration: Add fails for the engine's
 // lifetime, and its own snapshots carry Retain unset on.
+//
+// A snapshot with WithoutEmptyWord unset (format v4) numbers the state
+// of a query whose start state is its only final state for that query's
+// own automaton, not for the L \ {ε} form its group evaluates now (see
+// core.GroupBinding). Such a state is never restored: its group takes
+// the state of a subscriber whose binding is unchanged (the query's R+
+// twin), and failing one is rebuilt from the restored window
+// (core.RAPQ.RestoreFromGraph). Either way the noSelf subscribers'
+// delivery counters continue from their own state's.
 func (s *Engine) RestoreState(st *core.MultiState) error {
 	if s.closed {
 		return fmt.Errorf("shard: RestoreState on closed engine")
@@ -144,7 +161,12 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	s.dispatchBase = st.Dispatches
 	s.skipBase = st.RelevanceSkips
 	for gi, g := range s.groups {
-		err := g.engine.RestoreState(from[g])
+		var err error
+		if src := from[g]; src.rebuild {
+			err = g.engine.RestoreFromGraph(src.st, s.g)
+		} else {
+			err = g.engine.RestoreState(src.st)
+		}
 		g.w.park.Release()
 		if err != nil {
 			return fmt.Errorf("shard: restore group %d: %w", gi, err)
@@ -153,10 +175,19 @@ func (s *Engine) RestoreState(st *core.MultiState) error {
 	return nil
 }
 
+// restoreSource is the snapshot state a group restores from: its trees
+// and counters, or, with rebuild set, only its counters, the trees
+// being rebuilt from the window.
+type restoreSource struct {
+	st      *core.RAPQState
+	rebuild bool
+}
+
 // restorePlan pairs every registered group with the snapshot state its
-// lowest-ranked subscriber maps to, after checking the snapshot's
+// lowest-ranked subscriber maps to — in a v4 snapshot, its lowest-ranked
+// subscriber whose binding is unchanged — after checking the snapshot's
 // query→group mapping against the live queries in registration order.
-func (s *Engine) restorePlan(st *core.MultiState) (map[*group]*core.RAPQState, error) {
+func (s *Engine) restorePlan(st *core.MultiState) (map[*group]restoreSource, error) {
 	var live []*member
 	for _, mb := range s.members {
 		if mb != nil {
@@ -168,7 +199,8 @@ func (s *Engine) restorePlan(st *core.MultiState) (map[*group]*core.RAPQState, e
 			len(st.MemberGroup), len(live))
 	}
 	first := make([]*member, len(st.Members)) // each state's lowest-ranked subscriber
-	from := make(map[*group]*core.RAPQState, len(s.groups))
+	from := make(map[*group]restoreSource, len(s.groups))
+	rebound := make(map[*group]*core.RAPQState) // v4: a noSelf subscriber's own state
 	for rank, mb := range live {
 		gi := st.MemberGroup[rank]
 		if gi < 0 || gi >= len(st.Members) {
@@ -179,14 +211,33 @@ func (s *Engine) restorePlan(st *core.MultiState) (map[*group]*core.RAPQState, e
 		} else if first[gi].group != mb.group {
 			return nil, fmt.Errorf("shard: restore: group %d spans inequivalent queries %d and %d", gi, first[gi].index, mb.index)
 		}
-		if _, ok := from[mb.group]; !ok {
-			from[mb.group] = st.Members[gi]
+		if mb.noSelf && !st.WithoutEmptyWord {
+			if rebound[mb.group] == nil {
+				rebound[mb.group] = st.Members[gi]
+			}
+		} else if _, ok := from[mb.group]; !ok {
+			from[mb.group] = restoreSource{st: st.Members[gi]}
 		}
 	}
 	for gi, mb := range first {
 		if mb == nil {
 			return nil, fmt.Errorf("shard: restore: snapshot group %d has no subscribers", gi)
 		}
+	}
+	for g, own := range rebound {
+		twin, ok := from[g]
+		if !ok {
+			from[g] = restoreSource{st: own, rebuild: true}
+			continue
+		}
+		// The twin's counters are the group's; a noSelf subscriber
+		// reports them less SelfPairs, which must come to its own.
+		c := *twin.st
+		c.Self = core.SelfPairs{
+			Results:       c.Stats.Results - own.Stats.Results,
+			Invalidations: c.Stats.Invalidations - own.Stats.Invalidations,
+		}
+		from[g] = restoreSource{st: &c}
 	}
 	return from, nil
 }
