@@ -108,6 +108,7 @@ type Broker struct {
 
 	// metrics (read via Metrics)
 	published uint64
+	matches   uint64 // published match records: invalidations not counted
 	evictions uint64
 	batches   uint64
 	tuples    uint64
@@ -181,6 +182,9 @@ func (b *Broker) Ingest(tuples []streamrpq.Tuple) (IngestReply, error) {
 	b.tuples += uint64(len(tuples))
 	es := b.flatten(brs, b.batches)
 	b.publish(es)
+	for _, br := range brs {
+		b.matches += uint64(len(br.Matches))
+	}
 	return IngestReply{
 		Batch:   b.batches,
 		Tuples:  len(tuples),
@@ -398,7 +402,10 @@ type Metrics struct {
 	Evictions   uint64
 	Queries     int
 	Edges       int
-	Results     int64
+	// Results counts the match records published. Unlike the engine's
+	// Stats().Results, which sums the live queries' group emissions, it
+	// never decreases when a query is added or removed.
+	Results int64
 
 	// Multi-query sharing: group layout and the effect of the per-label
 	// relevance filter (see core.Stats).
@@ -421,7 +428,7 @@ func (b *Broker) Snapshot() Metrics {
 		Evictions:   b.evictions,
 		Queries:     b.ev.NumQueries(),
 		Edges:       st.Edges,
-		Results:     st.Results,
+		Results:     int64(b.matches),
 
 		Groups:         st.Groups,
 		SharedGroups:   st.SharedGroups,

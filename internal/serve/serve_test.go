@@ -606,9 +606,31 @@ func TestSubscribeGoneNamesFloor(t *testing.T) {
 // id-filtered subscribers, and DELETE stops the flow.
 func TestOnlineQueriesHTTP(t *testing.T) {
 	_, hs := newTestServer(t, BrokerConfig{}, 4, "a/b")
+	// rpq_results_total is a counter: no registration or removal may
+	// take it down.
+	var results int64
+	checkResults := func(when string) {
+		t.Helper()
+		mr, err := http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(mr.Body)
+		mr.Body.Close()
+		_, line, _ := strings.Cut(string(body), "\nrpq_results_total ")
+		var n int64
+		if _, err := fmt.Sscan(line, &n); err != nil {
+			t.Fatalf("%s: rpq_results_total: %v", when, err)
+		}
+		if n < results {
+			t.Fatalf("%s: rpq_results_total went down from %d to %d", when, results, n)
+		}
+		results = n
+	}
 	rng := rand.New(rand.NewSource(9))
 	var ts int64
-	postIngest(t, hs.URL, tupleLines(rng, &ts, 40))
+	published := postIngest(t, hs.URL, tupleLines(rng, &ts, 40)).Records
+	checkResults("after the first batch")
 
 	resp, err := http.Post(hs.URL+"/queries", "application/json", strings.NewReader(`{"pattern":"c"}`))
 	if err != nil {
@@ -624,6 +646,7 @@ func TestOnlineQueriesHTTP(t *testing.T) {
 	if added.ID != 1 {
 		t.Fatalf("added query id = %d, want 1", added.ID)
 	}
+	checkResults("after POST /queries")
 
 	lr, err := http.Get(hs.URL + "/queries")
 	if err != nil {
@@ -644,6 +667,7 @@ func TestOnlineQueriesHTTP(t *testing.T) {
 	if mark.Records != 2 {
 		t.Fatalf("post-registration c batch produced %d records, want 2", mark.Records)
 	}
+	published += mark.Records
 	// Filtered subscription: only query "c" records.
 	ctxLines := subscribeReadFiltered(t, hs.URL, "start", "c", 2)
 	for _, l := range ctxLines {
@@ -662,9 +686,20 @@ func TestOnlineQueriesHTTP(t *testing.T) {
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE /queries/%d: %d", added.ID, dresp.StatusCode)
 	}
+	checkResults("after DELETE /queries")
 	after := postIngest(t, hs.URL, fmt.Sprintf("%d p q c\n", ts+2))
 	if after.Records != 0 {
 		t.Fatalf("records after removal = %d, want 0", after.Records)
+	}
+	checkResults("after the last batch")
+	matches := 0
+	for _, l := range subscribeRead(t, hs.URL, "start", published) {
+		if !strings.Contains(l, `"invalidated":true`) {
+			matches++
+		}
+	}
+	if results != int64(matches) {
+		t.Fatalf("rpq_results_total = %d, a from=start subscriber reads %d match records", results, matches)
 	}
 	// Double delete → 404.
 	dreq2, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/queries/%d", hs.URL, added.ID), nil)

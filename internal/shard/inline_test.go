@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -33,80 +32,6 @@ func runGlobal(t *testing.T, s *Engine, tuples []stream.Tuple, batch int) []Resu
 		}
 	}
 	return all
-}
-
-// TestInlineMatchesReferenceExactly: the one-shard engine computes what
-// the reference coordinator's tuple-at-a-time loop computes — on a
-// 20%-churn stream with timestamp ties its result stream equals
-// core.Multi's record for record, tuple attribution included (only the
-// order within one tuple is canonicalized), the dispatch and delivery
-// counters are equal, and the two-shard engine returns the same stream.
-// InsertCalls is left out: it counts timestamp improvements, whose
-// number depends on adjacency order, and core.Multi's graph compacts a
-// deleted edge's cell at once while the engine's does so at the end of
-// the batch.
-func TestInlineMatchesReferenceExactly(t *testing.T) {
-	exprs := []string{"(a/b)+", "a/b*", "(a/b)+", "a|(a/b*)", "(a|b)+", "c*"}
-	spec := window.Spec{Size: 25, Slide: 5}
-	tuples := randomTuples(rand.New(rand.NewSource(2020)), 900, 8, 3, 1, 0.20)
-
-	ref, err := core.NewMulti(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Result
-	cur := 0
-	for qi, expr := range exprs {
-		sink := core.FuncSink{
-			Match:      func(m core.Match) { want = append(want, Result{Tuple: cur, Query: qi, Match: m}) },
-			Invalidate: func(m core.Match) { want = append(want, Result{Tuple: cur, Query: qi, Match: m, Invalidated: true}) },
-		}
-		if _, err := ref.Add(bind(t, expr, "a", "b", "c"), core.WithSink(sink)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, tu := range tuples {
-		cur = i
-		ref.Process(tu)
-	}
-	slices.SortFunc(want, compareResults)
-
-	build := func(opts ...Option) *Engine {
-		s, err := New(spec, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, expr := range exprs {
-			if _, err := s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-	inline := build(inlineOpts...)
-	defer inline.Close()
-	got := runGlobal(t, inline, tuples, 23)
-	if len(got) == 0 {
-		t.Fatal("no results produced; test is vacuous")
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("inline stream differs from the reference coordinator (%d vs %d results)", len(got), len(want))
-	}
-	rs, is := ref.Stats(), inline.Stats()
-	if rs.Dispatches != is.Dispatches || rs.RelevanceSkips != is.RelevanceSkips ||
-		rs.Results != is.Results || rs.Invalidations != is.Invalidations ||
-		rs.TuplesSeen != is.TuplesSeen || rs.TuplesDropped != is.TuplesDropped || rs.Edges != is.Edges {
-		t.Fatalf("counters differ:\nreference %+v\ninline    %+v", rs, is)
-	}
-	if is.Invalidations == 0 || is.RelevanceSkips == 0 {
-		t.Fatalf("deletion or relevance coverage is vacuous: %+v", is)
-	}
-
-	piped := build(WithShards(2))
-	defer piped.Close()
-	if !reflect.DeepEqual(got, runGlobal(t, piped, tuples, 23)) {
-		t.Fatal("two-shard stream differs from the one-shard one")
-	}
 }
 
 // streamrpqGoroutines returns the stack of every goroutine except the

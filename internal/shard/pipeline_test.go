@@ -34,25 +34,6 @@ func refreshTuples(rng *rand.Rand, n int) []stream.Tuple {
 	return out
 }
 
-// runPipeline drives one engine configuration over the stream and
-// returns the full merged result sequence (stream-global tuple indices).
-func runPipeline(t *testing.T, spec window.Spec, exprs []string, tuples []stream.Tuple, shards, batch int) []Result {
-	t.Helper()
-	s, err := New(spec, WithShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, expr := range exprs {
-		if _, err := s.Add(bind(t, expr, "a", "b"), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := runGlobal(t, s, tuples, batch)
-	assertQuiesced(t, s, fmt.Sprintf("shards=%d batch=%d, after drain", shards, batch))
-	return all
-}
-
 // assertQuiesced: between batches every superseded version is gone and
 // the graph's epoch is back at 0, or checkpoints (and memory) would
 // accumulate batch residue.
@@ -60,124 +41,6 @@ func assertQuiesced(t *testing.T, s *Engine, when string) {
 	t.Helper()
 	if n, e := s.Graph().DeadVersions(), s.Graph().Epoch(); n != 0 || e != 0 {
 		t.Fatalf("%s: %d dead versions retained at epoch %d", when, n, e)
-	}
-}
-
-// TestPipelinedByteIdenticalAcrossShards is the shard-count acceptance
-// differential on append-only streams with long timestamp
-// tie-groups, frequent re-insertion refreshes and regular expiry passes:
-// at shards 1/2/8 × batch sizes 17/64 the merged result stream, with
-// stream-global tuple indices, must be byte-identical to the one-shard
-// engine's at batch size 1, a tuple at a time. The baseline is further
-// cross-checked against the sequential core.Multi oracle per query.
-func TestPipelinedByteIdenticalAcrossShards(t *testing.T) {
-	exprs := []string{"(a/b)+", "a/b*", "(a|b)+", "a*"}
-	spec := window.Spec{Size: 20, Slide: 4}
-	tuples := refreshTuples(rand.New(rand.NewSource(4242)), 900)
-
-	ref := runPipeline(t, spec, exprs, tuples, 1, 1)
-	if len(ref) == 0 {
-		t.Fatal("no results produced; test is vacuous")
-	}
-	for _, batch := range []int{17, 64} {
-		for _, shards := range []int{1, 2, 8} {
-			got := runPipeline(t, spec, exprs, tuples, shards, batch)
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("shards=%d batch=%d: result stream diverged from the tuple-at-a-time one (%d vs %d results)",
-					shards, batch, len(got), len(ref))
-			}
-		}
-	}
-
-	// Cross-check the baseline against the sequential oracle.
-	multi, err := core.NewMulti(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinks := make([]*core.CollectorSink, len(exprs))
-	for qi, expr := range exprs {
-		sinks[qi] = core.NewCollector()
-		if _, err := multi.Add(bind(t, expr, "a", "b"), core.WithSink(sinks[qi])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tu := range tuples {
-		multi.Process(tu)
-	}
-	perQuery := make([][]core.Match, len(exprs))
-	for _, r := range ref {
-		perQuery[r.Query] = append(perQuery[r.Query], r.Match)
-	}
-	for qi := range exprs {
-		if !sameMatchMultiset(sinks[qi].Matched, perQuery[qi]) {
-			t.Fatalf("query %q: pipelined stream disagrees with sequential Multi oracle (%d vs %d matches)",
-				exprs[qi], len(perQuery[qi]), len(sinks[qi].Matched))
-		}
-	}
-}
-
-// TestPipelinedEqualsInlineExactly: every step of a batch reads the
-// graph at its own epoch — the sequential prefix as of its tuple — and
-// the graph's write path does not depend on the shard count, so on churn
-// streams (timestamp ties, 20% deletions, re-insertions) the 2- and
-// 3-shard engines' result streams equal the one-shard engine's record
-// for record, tuple attribution included, at every batch size, and so
-// does every counter but the wall-clock ExpiryTime — InsertCalls
-// included. InsertCalls still depends on the batch size: it counts
-// timestamp improvements, whose number depends on adjacency order, and
-// EndBatch compacts deleted cells at batch ends, so where the batches
-// end reorders a vertex's adjacency. Each batch size is therefore
-// compared with the one-shard engine at that batch size.
-func TestPipelinedEqualsInlineExactly(t *testing.T) {
-	exprs := []string{"(a/b)+", "a/b*", "(a/b)+", "a|(a/b*)", "(a|b)+", "c*"}
-	spec := window.Spec{Size: 25, Slide: 5}
-	run := func(tuples []stream.Tuple, batch int, opts ...Option) ([]Result, core.Stats) {
-		s, err := New(spec, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		for _, expr := range exprs {
-			if _, err := s.Add(bind(t, expr, "a", "b", "c"), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		all := runGlobal(t, s, tuples, batch)
-		assertQuiesced(t, s, "after the stream")
-		st := s.Stats()
-		st.ExpiryTime = 0
-		return all, st
-	}
-	invals := 0
-	for seed := int64(1); seed <= 40; seed++ {
-		tuples := randomTuples(rand.New(rand.NewSource(seed)), 300, 8, 3, 1, 0.20)
-		for _, batch := range []int{1, 17, 64} {
-			want, wantStats := run(tuples, batch, inlineOpts...)
-			for _, r := range want {
-				if r.Invalidated {
-					invals++
-				}
-			}
-			for _, shards := range []int{2, 3} {
-				got, gotStats := run(tuples, batch, WithShards(shards))
-				if gotStats != wantStats {
-					t.Fatalf("seed %d shards=%d batch=%d: counters differ:\none shard %+v\nsharded   %+v",
-						seed, shards, batch, wantStats, gotStats)
-				}
-				if reflect.DeepEqual(want, got) {
-					continue
-				}
-				i := 0
-				for i < min(len(want), len(got)) && want[i] == got[i] {
-					i++
-				}
-				t.Fatalf("seed %d shards=%d batch=%d: %d vs %d records, first difference at record %d:\none shard %+v\nsharded   %+v",
-					seed, shards, batch, len(want), len(got), i, want[i:min(i+1, len(want))], got[i:min(i+1, len(got))])
-			}
-		}
-	}
-	if invals == 0 {
-		t.Fatal("no invalidations; deletion coverage is vacuous")
 	}
 }
 
@@ -232,114 +95,11 @@ func TestPipelinedBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestPipelinedDeletionHazards: with explicit deletions in the stream
-// the engine at any shard count agrees with a standalone sequential RAPQ
-// engine on the pairs ever matched, every invalidation retracts a
-// matched pair, and the member's invariants hold at every batch boundary
-// (the record-for-record contract is TestPipelinedEqualsInlineExactly's).
-func TestPipelinedDeletionHazards(t *testing.T) {
-	spec := window.Spec{Size: 25, Slide: 5}
-	tuples := randomTuples(rand.New(rand.NewSource(616)), 700, 7, 2, 1, 0.15)
-
-	ref := core.NewCollector()
-	seq := core.NewRAPQ(bind(t, "(a/b)+", "a", "b"), spec, core.WithSink(ref))
-	for _, tu := range tuples {
-		seq.Process(tu)
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		got := core.NewCollector()
-		s, err := New(spec, WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		member, err := s.Add(bind(t, "(a/b)+", "a", "b"), got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range batches(tuples, 23) {
-			if _, err := s.ProcessBatch(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := member.CheckInvariants(); err != nil {
-				t.Fatalf("shards=%d: %v", shards, err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref.Pairs(), got.Pairs()) {
-			t.Fatalf("shards=%d: pair sets differ from sequential oracle", shards)
-		}
-		pairs := got.Pairs()
-		for _, inval := range got.Retract {
-			if _, ok := pairs[core.Pair{From: inval.From, To: inval.To}]; !ok {
-				t.Fatalf("shards=%d: invalidated pair %v was never matched", shards, inval)
-			}
-		}
-	}
-}
-
-// TestMultiWriterOracle cross-checks the engine against the sequential
-// oracle on heavier churn (30% deletions, many timestamp ties) with the
-// deprecated WithWriters option set: the coordinator stays the graph's
-// one writer, so the pair sets must agree exactly, member invariants
-// must hold at every batch boundary, and every invalidation must retract
-// a previously emitted pair.
-func TestMultiWriterOracle(t *testing.T) {
-	spec := window.Spec{Size: 25, Slide: 5}
-	tuples := randomTuples(rand.New(rand.NewSource(515)), 700, 7, 2, 1, 0.30)
-
-	ref := core.NewCollector()
-	seq := core.NewRAPQ(bind(t, "(a/b)+", "a", "b"), spec, core.WithSink(ref))
-	for _, tu := range tuples {
-		seq.Process(tu)
-	}
-
-	for _, shards := range []int{1, 8} {
-		for _, writers := range []int{2, 8} {
-			got := core.NewCollector()
-			s, err := New(spec, WithShards(shards), WithWriters(writers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			member, err := s.Add(bind(t, "(a/b)+", "a", "b"), got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range batches(tuples, 23) {
-				if _, err := s.ProcessBatch(b); err != nil {
-					t.Fatal(err)
-				}
-				if err := member.CheckInvariants(); err != nil {
-					t.Fatalf("shards=%d writers=%d: %v", shards, writers, err)
-				}
-			}
-			assertQuiesced(t, s, fmt.Sprintf("shards=%d writers=%d, after drain", shards, writers))
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref.Pairs(), got.Pairs()) {
-				t.Fatalf("shards=%d writers=%d: pair sets differ from sequential oracle", shards, writers)
-			}
-			pairs := got.Pairs()
-			for _, inval := range got.Retract {
-				if _, ok := pairs[core.Pair{From: inval.From, To: inval.To}]; !ok {
-					t.Fatalf("shards=%d writers=%d: invalidated pair %v was never matched", shards, writers, inval)
-				}
-			}
-		}
-	}
-}
-
-// TestPipelinedSnapshotEpochFree: a mid-stream checkpoint taken from a
-// four-shard engine is identical to one taken from a one-shard engine at
-// the same batch boundary — the on-disk state is the settled edge set
-// and carries no epoch residue — and restoring it into a three-shard
-// engine continues the stream byte-identically, in the groups
-// registration formed there. A snapshot that splits the equivalent pair
-// over two states (the layout written with sharing switched off)
-// restores collapsed into the pair's one group and continues alike.
+// TestPipelinedSnapshotEpochFree: a snapshot that splits an equivalent
+// pair over two states (the layout written with sharing switched off),
+// taken from a four-shard engine, restores into a three-shard engine
+// collapsed into the pair's one group, and the restored engine continues
+// the one-shard engine's stream byte-identically.
 func TestPipelinedSnapshotEpochFree(t *testing.T) {
 	exprs := []string{"(a/b)+", "b/a*", "(a/b)+"}
 	spec := window.Spec{Size: 18, Slide: 3}
@@ -370,60 +130,37 @@ func TestPipelinedSnapshotEpochFree(t *testing.T) {
 		return all
 	}
 
-	for _, c := range []struct {
-		name string
-		edit func(t *testing.T, st *core.MultiState)
-	}{
-		{"shards-4-into-3", func(*testing.T, *core.MultiState) {}},
-		{"split-into-shared", func(t *testing.T, st *core.MultiState) {
-			if !reflect.DeepEqual(st.MemberGroup, []int{0, 1, 0}) {
-				t.Fatalf("snapshot mapping %v, want the pair shared", st.MemberGroup)
-			}
-			dup := *st.Members[0]
-			st.Members = append(st.Members, &dup)
-			st.MemberGroup = []int{0, 1, 2}
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			deep, flat := mkEngine(WithShards(4)), mkEngine(inlineOpts...)
-			run(deep, tuples[:half])
-			run(flat, tuples[:half])
-			deepState, flatState := deep.SnapshotState(), flat.SnapshotState()
-			// The canonical parts of the checkpoint — the folded graph, the
-			// clocks, the tuple counters — are a pure function of the stream
-			// prefix and must not depend on the shard count. (Tree shapes
-			// and cost counters are map-iteration dependent even sequentially
-			// and are deliberately not compared; results below are.)
-			if !reflect.DeepEqual(deepState.Edges, flatState.Edges) {
-				t.Fatal("folded graph differs between the shard counts at the same batch boundary")
-			}
-			if deepState.Now != flatState.Now || deepState.Seen != flatState.Seen ||
-				deepState.Dropped != flatState.Dropped || deepState.Win != flatState.Win {
-				t.Fatal("coordinator clocks differ between the shard counts at the same batch boundary")
-			}
-			wantGroups := flat.Stats().Groups
-			wantTail := run(flat, tuples[half:])
-			flat.Close()
-			deep.Close()
+	t.Run("split-into-shared", func(t *testing.T) {
+		deep, flat := mkEngine(WithShards(4)), mkEngine(inlineOpts...)
+		run(deep, tuples[:half])
+		run(flat, tuples[:half])
+		st := deep.SnapshotState()
+		deep.Close()
+		if !reflect.DeepEqual(st.MemberGroup, []int{0, 1, 0}) {
+			t.Fatalf("snapshot mapping %v, want the pair shared", st.MemberGroup)
+		}
+		dup := *st.Members[0]
+		st.Members = append(st.Members, &dup)
+		st.MemberGroup = []int{0, 1, 2}
+		wantGroups := flat.Stats().Groups
+		wantTail := run(flat, tuples[half:])
+		flat.Close()
 
-			c.edit(t, deepState)
-			restored := mkEngine(WithShards(3))
-			if err := restored.RestoreState(deepState); err != nil {
-				t.Fatal(err)
-			}
-			if got := restored.Stats().Groups; got != wantGroups {
-				t.Fatalf("restored layout has %d groups, registration %d", got, wantGroups)
-			}
-			gotTail := run(restored, tuples[half:])
-			restored.Close()
-			if !reflect.DeepEqual(wantTail, gotTail) {
-				t.Fatalf("restored engine's tail diverged (%d vs %d results)", len(gotTail), len(wantTail))
-			}
-			if len(wantTail) == 0 {
-				t.Fatal("no tail results; test is vacuous")
-			}
-		})
-	}
+		restored := mkEngine(WithShards(3))
+		defer restored.Close()
+		if err := restored.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.Stats().Groups; got != wantGroups {
+			t.Fatalf("restored layout has %d groups, registration %d", got, wantGroups)
+		}
+		if gotTail := run(restored, tuples[half:]); !reflect.DeepEqual(wantTail, gotTail) {
+			t.Fatalf("restored engine's tail diverged (%d vs %d results)", len(gotTail), len(wantTail))
+		}
+		if len(wantTail) == 0 {
+			t.Fatal("no tail results; test is vacuous")
+		}
+	})
 }
 
 // TestEpochGCFoldsToUnversionedGraph is the epoch-GC compaction

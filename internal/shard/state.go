@@ -36,7 +36,11 @@ func addGroupStats(out *core.Stats, g *group) {
 }
 
 // Stats aggregates group statistics; Edges/Vertices describe the
-// shared graph. Call between batches only.
+// shared graph. Call between batches only. Results and Invalidations
+// add, for every live query, what its group has emitted since it formed,
+// the bootstrap matches Add suppressed and the emissions from before the
+// query joined included, and a removal takes the query's share out: they
+// equal the records delivered only for a static query set.
 func (s *Engine) Stats() core.Stats {
 	var st core.Stats
 	for _, g := range s.groups {

@@ -366,7 +366,10 @@ func (m *MultiEvaluator) groupResults(results []shard.Result) []BatchResult {
 }
 
 // Stats aggregates engine statistics across queries; graph sizes
-// describe the shared window content.
+// describe the shared window content. Results and Invalidations sum the
+// emissions of each live query's group (see shard.Engine.Stats): they
+// equal the records delivered only while the query set is static, and
+// AddQuery and RemoveQuery can move them either way.
 func (m *MultiEvaluator) Stats() Stats { return m.eng.Stats() }
 
 // ShardStats reports, per shard, the aggregated statistics of the
