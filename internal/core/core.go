@@ -210,23 +210,6 @@ func WithSink(s Sink) Option { return func(c *config) { c.sink = s } }
 // unlimited). The RAPQ engine ignores it.
 func WithMaxExtends(n int64) Option { return func(c *config) { c.maxExtends = n } }
 
-// MultiSink fans the result stream out to several sinks in order.
-type MultiSink []Sink
-
-// OnMatch implements Sink.
-func (ms MultiSink) OnMatch(m Match) {
-	for _, s := range ms {
-		s.OnMatch(m)
-	}
-}
-
-// OnInvalidate implements Sink.
-func (ms MultiSink) OnInvalidate(m Match) {
-	for _, s := range ms {
-		s.OnInvalidate(m)
-	}
-}
-
 // discardSink drops everything.
 type discardSink struct{}
 

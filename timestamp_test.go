@@ -66,8 +66,7 @@ func TestTimestampShiftInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, _ := collectCanon(t, m, qidx, shifted(k), 16)
-			return got
+			return collectCanon(t, m, qidx, shifted(k), 16)
 		}
 	}
 	runs := []struct {
