@@ -5,6 +5,57 @@ import (
 	"testing"
 )
 
+// collectBatches drains a stream through IngestBatch and returns the
+// full grouped result sequence.
+func collectBatches(t *testing.T, m *MultiEvaluator, stream []Tuple, batch int) []BatchResult {
+	t.Helper()
+	var out []BatchResult
+	for i := 0; i < len(stream); i += batch {
+		end := min(i+batch, len(stream))
+		rs, err := m.IngestBatch(stream[i:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rs...)
+	}
+	return out
+}
+
+// TestWithShardsAgrees: at shard counts 1/2/8 × batch sizes 7/37 the
+// IngestBatch result sequence must be byte-identical to the default
+// one-shard evaluator's at the same batch size.
+func TestWithShardsAgrees(t *testing.T) {
+	stream := shardStream(77, 800)
+	for _, batch := range []int{7, 37} {
+		seq, err := NewMultiEvaluator(25, 5, shardQueries()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := collectBatches(t, seq, stream, batch)
+		seq.Close()
+		if len(want) == 0 {
+			t.Fatal("no results; test is vacuous")
+		}
+		for _, shards := range []int{1, 2, 8} {
+			m, err := NewMultiEvaluator(25, 5, shardQueries()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WithShards(shards); err != nil {
+				t.Fatal(err)
+			}
+			got := collectBatches(t, m, stream, batch)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("shards=%d batch=%d: diverges from the default evaluator (%d vs %d result groups)",
+					shards, batch, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestWithPipelineDepthValidation covers the guard rails of the
 // schedule's configuration: a default evaluator runs one shard on the
 // caller's goroutine, a zero shard count is refused, and a refused

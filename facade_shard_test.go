@@ -100,27 +100,92 @@ func lessEntry(a, b *facadeEntry) bool {
 	return a.M.TS < b.M.TS
 }
 
+// rawGroup is one BatchResult with the query pointer replaced by its
+// registration index and the tuple index made batch-global, so streams
+// from different evaluator instances compare with reflect.DeepEqual.
+type rawGroup struct {
+	Tuple         int
+	Query         int
+	Matches       []Match
+	Invalidations []Match
+}
+
 // collectCanon drives a stream through IngestBatch in fixed chunks and
-// returns the canonicalized (sorted) entry stream.
-func collectCanon(t *testing.T, m *MultiEvaluator, qidx map[*Query]int, stream []Tuple, chunk int) []facadeEntry {
+// returns both the canonicalized (sorted) entry stream and the raw
+// ordered result groups.
+func collectCanon(t *testing.T, m *MultiEvaluator, qidx map[*Query]int, stream []Tuple, chunk int) ([]facadeEntry, []rawGroup) {
 	t.Helper()
 	var canon []facadeEntry
+	var raw []rawGroup
 	for i := 0; i < len(stream); i += chunk {
 		rs, err := m.IngestBatch(stream[i:min(i+chunk, len(stream))])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, br := range rs {
+			g := rawGroup{Tuple: i + br.Tuple, Query: qidx[br.Query]}
+			g.Matches = append(g.Matches, br.Matches...)
+			g.Invalidations = append(g.Invalidations, br.Invalidations...)
+			raw = append(raw, g)
 			for _, match := range br.Matches {
-				canon = append(canon, facadeEntry{Tuple: i + br.Tuple, Query: qidx[br.Query], M: match})
+				canon = append(canon, facadeEntry{Tuple: g.Tuple, Query: g.Query, M: match})
 			}
 			for _, match := range br.Invalidations {
-				canon = append(canon, facadeEntry{Tuple: i + br.Tuple, Query: qidx[br.Query], Inval: true, M: match})
+				canon = append(canon, facadeEntry{Tuple: g.Tuple, Query: g.Query, Inval: true, M: match})
 			}
 		}
 	}
 	sort.Slice(canon, func(i, j int) bool { return lessEntry(&canon[i], &canon[j]) })
-	return canon
+	return canon, raw
+}
+
+// TestMultiEvaluatorShardedAgrees: WithShards must not change the
+// result stream of any registered query — on a stream with explicit
+// deletions the raw ordered batch results, matches AND invalidations
+// with their timestamps and triggering tuples, must be byte-identical to
+// the default one-shard evaluator's, for shards 1/2/8.
+func TestMultiEvaluatorShardedAgrees(t *testing.T) {
+	stream := churnStream(31, 700, 0.15)
+	newEval := func() (*MultiEvaluator, map[*Query]int) {
+		qs := shardQueries()
+		qidx := make(map[*Query]int, len(qs))
+		for i, q := range qs {
+			qidx[q] = i
+		}
+		m, err := NewMultiEvaluator(25, 5, qs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, qidx
+	}
+	seq, seqIdx := newEval()
+	want, seqRaw := collectCanon(t, seq, seqIdx, stream, 50)
+	if len(want) == 0 {
+		t.Fatal("no results; test is vacuous")
+	}
+	hasInval := false
+	for _, e := range want {
+		if e.Inval {
+			hasInval = true
+			break
+		}
+	}
+	if !hasInval {
+		t.Fatal("no invalidations; deletion coverage is vacuous")
+	}
+
+	for _, shards := range []int{1, 2, 8} {
+		m, qidx := newEval()
+		if err := m.WithShards(shards); err != nil {
+			t.Fatal(err)
+		}
+		_, raw := collectCanon(t, m, qidx, stream, 50)
+		m.Close()
+		if !reflect.DeepEqual(seqRaw, raw) {
+			t.Fatalf("shards=%d: result stream diverges from the default evaluator (%d vs %d result groups)",
+				shards, len(seqRaw), len(raw))
+		}
+	}
 }
 
 // TestMultiEvaluatorIngestBatch: the batch path must produce exactly
@@ -173,6 +238,38 @@ func TestMultiEvaluatorIngestBatch(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("shards=%d: IngestBatch diverges from Ingest loop", shards)
 		}
+	}
+}
+
+// TestMultiEvaluatorShardedDeterminism: two sharded runs over the same
+// stream yield byte-identical ordered batch results.
+func TestMultiEvaluatorShardedDeterminism(t *testing.T) {
+	stream := shardStream(83, 600)
+	run := func() []BatchResult {
+		m, err := NewMultiEvaluator(20, 2, shardQueries()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WithShards(4); err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		var all []BatchResult
+		for i := 0; i < len(stream); i += 64 {
+			rs, err := m.IngestBatch(stream[i:min(i+64, len(stream))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, rs...)
+		}
+		return all
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("no results; test is vacuous")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two identical sharded runs differ: %d vs %d result groups", len(a), len(b))
 	}
 }
 

@@ -5,9 +5,92 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
+
+	"streamrpq/internal/core"
+	"streamrpq/internal/window"
 )
+
+// TestInlineMatchesReference: the default evaluator (one shard, on the
+// caller's goroutine), the reference coordinator core.Multi fed the same
+// encoded tuples, and the WithShards(2) evaluator must produce the same
+// result stream, tuple attribution included, on a 20%-churn stream with
+// a static query set holding a shared group (the two evaluators byte for
+// byte; the reference, which orders a cell its own way, sorted) — and
+// the default evaluator and the reference must have dispatched and
+// delivered exactly the same. InsertCalls is left out: it depends on
+// adjacency order, and the reference's graph compacts a deleted edge's
+// cell at once while the evaluator's does so at the end of the batch.
+func TestInlineMatchesReference(t *testing.T) {
+	stream := churnStream(2020, 900, 0.20)
+	newEval := func() (*MultiEvaluator, map[*Query]int) {
+		qs := append(shardQueries(), MustCompile("a|(a/b*)")) // ≡ a/b*: one shared group
+		qidx := make(map[*Query]int, len(qs))
+		for i, q := range qs {
+			qidx[q] = i
+		}
+		m, err := NewMultiEvaluator(25, 5, qs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, qidx
+	}
+
+	inline, idx := newEval()
+	defer inline.Close()
+	want, wantRaw := collectCanon(t, inline, idx, stream, 50)
+	if len(want) == 0 {
+		t.Fatal("no results; test is vacuous")
+	}
+
+	sharded, idx := newEval()
+	if err := sharded.WithShards(2); err != nil {
+		t.Fatal(err)
+	}
+	_, gotRaw := collectCanon(t, sharded, idx, stream, 50)
+	sharded.Close()
+	if !reflect.DeepEqual(wantRaw, gotRaw) {
+		t.Fatalf("WithShards(2) diverges from the default evaluator (%d vs %d result groups)", len(gotRaw), len(wantRaw))
+	}
+
+	// The reference runs over the default evaluator's own bound automata
+	// and dictionary ids.
+	ref, err := core.NewMulti(window.Spec{Size: 25, Slide: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refCanon []facadeEntry
+	var cur int
+	for qi, q := range inline.queries {
+		emit := func(inval bool) func(core.Match) {
+			return func(m core.Match) {
+				refCanon = append(refCanon, facadeEntry{Tuple: cur, Query: qi, Inval: inval, M: inline.fe.decode(m)})
+			}
+		}
+		sink := core.FuncSink{Match: emit(false), Invalidate: emit(true)}
+		if _, err := ref.Add(inline.fe.bind(q), core.WithSink(sink)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tu := range stream {
+		cur = i
+		ref.Process(inline.fe.encode(tu))
+	}
+	sort.Slice(refCanon, func(i, j int) bool { return lessEntry(&refCanon[i], &refCanon[j]) })
+	if !reflect.DeepEqual(want, refCanon) {
+		t.Fatalf("default evaluator diverges from the reference coordinator (%d vs %d entries)", len(want), len(refCanon))
+	}
+	is, rs := inline.Stats(), ref.Stats()
+	if is.Dispatches != rs.Dispatches || is.RelevanceSkips != rs.RelevanceSkips ||
+		is.Results != rs.Results || is.Invalidations != rs.Invalidations {
+		t.Fatalf("work counters differ:\ndefault   %+v\nreference %+v", is, rs)
+	}
+	if is.Invalidations == 0 || is.SharedGroups != 1 {
+		t.Fatalf("deletion or sharing coverage is vacuous: %+v", is)
+	}
+}
 
 // streamrpqGoroutines returns the stack of every goroutine except the
 // caller's that runs streamrpq code or was started by it, keyed by its

@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"streamrpq/internal/automaton"
 	"streamrpq/internal/pattern"
 	"streamrpq/internal/persist"
+	"streamrpq/internal/stream"
 )
 
 // persistTestQueries is the shared multi-query workload of the
@@ -101,17 +104,38 @@ func flatten(dst []flatResult, batchIdx int, brs []BatchResult) []flatResult {
 	return dst
 }
 
-// TestKillRecoverDifferential: a checkpoint in the layout a coordinator
-// with sharing switched off wrote (see splitSharedPair: the workload's
-// equivalent pair holds two copies of its state) recovers collapsed into
-// the pair's one group, and the run continues exactly like an
-// uninterrupted one, at one shard and at four. The facade model
-// (model_test.go) checks every other kill and recovery; its checkpoints
-// are never split. The names keep the retired depth= and writers=
-// segments so the rows stay comparable with earlier runs.
+// TestKillRecoverDifferential is the acceptance test of the durability
+// subsystem: ingest a prefix, Checkpoint, ingest more, hard-drop the
+// evaluator without Close (the in-process kill -9), Recover, ingest the
+// rest — the concatenated result stream must be identical (order and
+// timestamps included) to an uninterrupted run, for shard counts 1 and
+// 4 and for the default evaluator.
 func TestKillRecoverDifferential(t *testing.T) {
-	for _, shards := range []int{0, 4} { // 0 = the default one-shard evaluator
-		t.Run(fmt.Sprintf("shards=%d/depth=0/writers=0/split=true", shards), func(t *testing.T) {
+	// shards 0 = the default one-shard evaluator. split = the checkpoint
+	// is rewritten on disk before Recover into the layout written with
+	// sharing switched off (see splitSharedPair): the workload's
+	// equivalent pair holds two copies of its state, and Recover must
+	// restore it collapsed into the pair's one group.
+	// The names keep their depth=, writers=0 and private=false segments,
+	// retired axes, so rows stay comparable with earlier runs of this
+	// test: the depth=1 and depth=4 rows run the configuration of the
+	// depth=0 one.
+	for _, cfg := range []struct {
+		shards, depth int
+		split         bool
+	}{
+		{0, 0, false}, {1, 0, false}, {4, 0, false}, {4, 1, false},
+		{4, 4, false}, {0, 0, true}, {4, 0, true},
+	} {
+		shards, split := cfg.shards, cfg.split
+		name := fmt.Sprintf("shards=%d/depth=%d/writers=0/private=false", shards, cfg.depth)
+		if split {
+			name = fmt.Sprintf("shards=%d/depth=%d/writers=0/split=true", shards, cfg.depth)
+		}
+		t.Run(name, func(t *testing.T) {
+			// Delete/re-insert churn puts the crash point mid-churn: the
+			// recovered engines' support counts (snapshot format v2) must
+			// reproduce the invalidation stream exactly.
 			batches := persistChurnStream(2026, 360, 16, 0.15)
 			build := func() *MultiEvaluator {
 				m, err := NewMultiEvaluator(20, 2, persistTestQueries(t)...)
@@ -125,6 +149,8 @@ func TestKillRecoverDifferential(t *testing.T) {
 				}
 				return m
 			}
+
+			// Uninterrupted reference run.
 			ref := build()
 			defer ref.Close()
 			var want []flatResult
@@ -135,7 +161,18 @@ func TestKillRecoverDifferential(t *testing.T) {
 				}
 				want = flatten(want, i, brs)
 			}
+			hasInval := false
+			for _, r := range want {
+				if r.Inval {
+					hasInval = true
+					break
+				}
+			}
+			if !hasInval {
+				t.Fatal("churn stream produced no invalidations; deletion coverage is vacuous")
+			}
 
+			// Persisted run with a mid-stream kill.
 			ckptAt, killAt := len(batches)/3, 2*len(batches)/3
 			dir := t.TempDir()
 			m := build()
@@ -155,9 +192,18 @@ func TestKillRecoverDifferential(t *testing.T) {
 					}
 				}
 			}
+			applied := m.AppliedTuples()
 			groups := m.Stats().Groups
-			m.Close()                  // the in-process kill -9: releases descriptors and the lock only
-			splitSharedPair(t, dir, 1) // the checkpoint taken at ckptAt
+			// Crash point. Close here is the in-process stand-in for
+			// kill -9: it only releases file descriptors and the
+			// directory flock — no commit, no checkpoint, no truncation
+			// — leaving the on-disk state exactly as process death
+			// would. (A literal `m = nil` would leak the flock inside
+			// this test process and block Recover.)
+			m.Close()
+			if split {
+				splitSharedPair(t, dir, 1) // the checkpoint taken at ckptAt
+			}
 
 			m2, redelivered, err := Recover(dir)
 			if err != nil {
@@ -166,6 +212,12 @@ func TestKillRecoverDifferential(t *testing.T) {
 			defer m2.Close()
 			if len(redelivered) != 0 {
 				t.Fatalf("all batches were committed, yet %d results redelivered", len(redelivered))
+			}
+			if m2.AppliedTuples() != applied {
+				t.Fatalf("recovered AppliedTuples = %d, want %d", m2.AppliedTuples(), applied)
+			}
+			if m2.NumShards() != max(shards, 1) || m2.NumQueries() != 4 {
+				t.Fatalf("recovered topology: %d shards, %d queries", m2.NumShards(), m2.NumQueries())
 			}
 			if got := m2.Stats().Groups; got != groups {
 				t.Fatalf("recovered layout has %d groups, the killed evaluator %d", got, groups)
@@ -180,6 +232,20 @@ func TestKillRecoverDifferential(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("post-recovery stream diverged from uninterrupted run:\nwant %d results\ngot  %d results\nfirst divergence: %v",
 					len(want), len(got), firstDiff(want, got))
+			}
+
+			// Second-generation recovery: checkpoint, kill, recover again.
+			if err := m2.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			m2.Close() // release the flock so the next Recover can take it
+			m3, redelivered, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m3.Close()
+			if len(redelivered) != 0 {
+				t.Fatalf("clean checkpoint, yet %d results redelivered", len(redelivered))
 			}
 		})
 	}
@@ -216,6 +282,221 @@ func firstDiff(want, got []flatResult) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ at %d", n)
+}
+
+// TestRecoverRedeliversUncommittedBatch: a batch whose WAL record made
+// it to disk but whose commit did not (the crash landed between
+// write-ahead and delivery) is replayed on recovery and its results
+// returned as redelivered, exactly once.
+func TestRecoverRedeliversUncommittedBatch(t *testing.T) {
+	batches := persistTestStream(7, 200, 16)
+	qs := persistTestQueries(t)
+
+	ref, err := NewMultiEvaluator(20, 2, qs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.WithShards(2); err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	var want []flatResult
+	for i, b := range batches {
+		brs, err := ref.IngestBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = flatten(want, i, brs)
+	}
+
+	dir := t.TempDir()
+	m, err := NewMultiEvaluator(20, 2, persistTestQueries(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithShards(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	crashAt := len(batches) / 2
+	var got []flatResult
+	for i, b := range batches[:crashAt] {
+		brs, err := m.IngestBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = flatten(got, i, brs)
+	}
+	// Simulate the torn moment: the batch reaches the WAL but the
+	// process dies before processing it and committing. The write-ahead
+	// happens first in IngestBatch, so this is the real crash window.
+	crashBatch := batches[crashAt]
+	encoded := make([]stream.Tuple, len(crashBatch))
+	for i, tu := range crashBatch {
+		encoded[i] = m.fe.encode(tu)
+	}
+	if err := m.persist.appendBatch(m, encoded); err != nil {
+		t.Fatal(err)
+	}
+	m.Close() // kill -9 stand-in: fd/lock release only, state untouched
+
+	m2, redelivered, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	got = flatten(got, crashAt, redelivered)
+	for i, b := range batches[crashAt+1:] {
+		brs, err := m2.IngestBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = flatten(got, crashAt+1+i, brs)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("redelivery stream diverged: %s", firstDiff(want, got))
+	}
+}
+
+// TestRecoverRedeliversExactlyOnce: the redelivered batch is
+// acknowledged by Recover itself, so a second crash-and-recover (with
+// no further ingestion in between) must not redeliver it again.
+func TestRecoverRedeliversExactlyOnce(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewMultiEvaluator(20, 2, persistTestQueries(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithShards(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	batches := persistTestStream(11, 120, 12)
+	for _, b := range batches[:5] {
+		if _, err := m.IngestBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Crash window: batch in the WAL, no commit, results never returned.
+	encoded := make([]stream.Tuple, len(batches[5]))
+	for i, tu := range batches[5] {
+		encoded[i] = m.fe.encode(tu)
+	}
+	if err := m.persist.appendBatch(m, encoded); err != nil {
+		t.Fatal(err)
+	}
+	m.Close() // kill #1 stand-in: fd/lock release only, state untouched
+
+	m2, redelivered1, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(redelivered1) == 0 {
+		t.Fatal("uncommitted batch produced no redelivery (want some results)")
+	}
+	m2.Close() // kill #2 stand-in, immediately after recovery: no ingestion
+
+	m3, redelivered2, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	if len(redelivered2) != 0 {
+		t.Fatalf("second recovery redelivered %d result groups again (want 0: duplicates)", len(redelivered2))
+	}
+	// The engine state still contains the batch: ingestion continues
+	// from after it.
+	if m3.AppliedTuples() != int64(6*12) {
+		t.Fatalf("AppliedTuples = %d, want %d", m3.AppliedTuples(), 6*12)
+	}
+}
+
+// TestRecoverFallsBackPastCorruptSnapshot: corrupting the newest
+// snapshot file must not lose data — recovery falls back to the
+// previous generation and replays the longer WAL suffix, producing the
+// same state.
+func TestRecoverFallsBackPastCorruptSnapshot(t *testing.T) {
+	batches := persistTestStream(99, 240, 12)
+	qs := persistTestQueries(t)
+
+	ref, err := NewMultiEvaluator(20, 2, qs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.WithShards(2); err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	var want []flatResult
+	for i, b := range batches {
+		brs, err := ref.IngestBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = flatten(want, i, brs)
+	}
+
+	dir := t.TempDir()
+	m, err := NewMultiEvaluator(20, 2, persistTestQueries(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithShards(2); err != nil {
+		t.Fatal(err)
+	}
+	// Automatic checkpoints every 5 batches produce several generations.
+	if err := m.WithPersistence(dir, CheckpointEvery(5)); err != nil {
+		t.Fatal(err)
+	}
+	killAt := 3 * len(batches) / 4
+	var got []flatResult
+	for i, b := range batches[:killAt] {
+		brs, err := m.IngestBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = flatten(got, i, brs)
+	}
+	m.Close() // kill -9 stand-in: fd/lock release only, state untouched
+
+	// Corrupt the newest snapshot file.
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
+	if err != nil || len(snaps) < 2 {
+		t.Fatalf("want ≥2 snapshot generations, got %v (err %v)", snaps, err)
+	}
+	sort.Strings(snaps)
+	newest := snaps[len(snaps)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, redelivered, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if len(redelivered) != 0 {
+		t.Fatalf("%d results redelivered after clean commits", len(redelivered))
+	}
+	for i, b := range batches[killAt:] {
+		brs, err := m2.IngestBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = flatten(got, killAt+i, brs)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("fallback recovery diverged: %s", firstDiff(want, got))
+	}
 }
 
 // TestPersistenceGuards: API misuse is rejected early.
@@ -358,6 +639,114 @@ func TestCommitFailureDefersWithoutLosingResults(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("results lost across the repair: %+v", brs)
+	}
+}
+
+// TestPersistedSingleTupleIngest: the single-tuple Ingest path logs and
+// commits through the same WAL machinery.
+func TestPersistedSingleTupleIngest(t *testing.T) {
+	dir := t.TempDir()
+	q := MustCompile("a+")
+	m, err := NewMultiEvaluator(10, 1, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := m.Ingest(Tuple{TS: int64(i), Src: fmt.Sprintf("n%d", i), Dst: fmt.Sprintf("n%d", i+1), Label: "a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	m.Close() // kill -9 stand-in: fd/lock release only, state untouched
+
+	m2, redelivered, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if len(redelivered) != 0 {
+		t.Fatalf("redelivered %d", len(redelivered))
+	}
+	if m2.AppliedTuples() != 5 {
+		t.Fatalf("AppliedTuples = %d, want 5", m2.AppliedTuples())
+	}
+	// The chain n0→…→n5 is live; a new edge extends it.
+	rs, err := m2.Ingest(Tuple{TS: 5, Src: "n5", Dst: "n6", Label: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []string
+	for _, qr := range rs {
+		for _, mt := range qr.Matches {
+			pairs = append(pairs, qr.Query.String()+":"+mt.From+"->"+mt.To)
+		}
+	}
+	sort.Strings(pairs)
+	want := []string{"a+:n0->n6", "a+:n1->n6", "a+:n2->n6", "a+:n3->n6", "a+:n4->n6", "a+:n5->n6"}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("post-recovery matches %v, want %v", pairs, want)
+	}
+}
+
+// TestRecoverKeepsRegistrationIDs: a removed query's slot survives a
+// checkpoint and recovery as an empty slot, so every registration index
+// names the same query before and after: in QueryByIndex, in
+// RegisteredQueries and in the next batch's BatchResult.QueryIndex.
+func TestRecoverKeepsRegistrationIDs(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewMultiEvaluator(10, 1, MustCompile("a"), MustCompile("b"), MustCompile("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithPersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RemoveQuery(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.IngestBatch([]Tuple{
+		{TS: 1, Src: "x", Dst: "y", Label: "a"},
+		{TS: 1, Src: "x", Dst: "y", Label: "b"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := m.RegisteredQueries()
+	m.Close()
+
+	m2, redelivered, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if len(redelivered) != 0 {
+		t.Fatalf("redelivered %d results, want 0", len(redelivered))
+	}
+	if q := m2.QueryByIndex(0); q != nil {
+		t.Fatalf("QueryByIndex(0) = %q, want the removed slot (nil)", q)
+	}
+	if q := m2.QueryByIndex(2); q == nil || q.String() != "c" {
+		t.Fatalf("QueryByIndex(2) = %v, want c", q)
+	}
+	if got := m2.RegisteredQueries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RegisteredQueries after recovery = %v, want %v", got, want)
+	}
+	if n := m2.NumQueries(); n != 2 {
+		t.Fatalf("NumQueries = %d, want 2", n)
+	}
+	brs, err := m2.IngestBatch([]Tuple{{TS: 2, Src: "y", Dst: "z", Label: "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(brs) != 1 || brs[0].QueryIndex != 2 || brs[0].Query.String() != "c" {
+		t.Fatalf("batch after recovery = %+v, want one result of query c at index 2", brs)
 	}
 }
 

@@ -66,7 +66,8 @@ func TestTimestampShiftInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return collectCanon(t, m, qidx, shifted(k), 16)
+			got, _ := collectCanon(t, m, qidx, shifted(k), 16)
+			return got
 		}
 	}
 	runs := []struct {
